@@ -1,8 +1,8 @@
-// Campaign throughput bench: end-to-end runs/s (cold vs checkpointed
-// warm-start), trace-recording ns/sample with heap allocations counted,
-// and golden-comparison ns/sample. Writes BENCH_campaign.json including
-// the pre-optimisation baseline measured on the same workload, so the
-// speedup is tracked in-repo.
+// Campaign throughput bench: end-to-end runs/s (the cold scalar reference
+// vs the batched production runner), trace-recording ns/sample with heap
+// allocations counted, and golden-comparison ns/sample. Writes
+// BENCH_campaign.json including the pre-optimisation baseline measured on
+// the same workload, so the speedup is tracked in-repo.
 //
 // PROPANE_SCALE=small runs a seconds-scale smoke workload (CI);
 // default/full reproduce the measured workload (speedup is only reported
@@ -21,11 +21,11 @@
 #include "arrestment/batch_runner.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "bench_util.hpp"
 #include "exp/paper_experiment.hpp"
 #include "fi/bootstrap.hpp"
 #include "fi/golden.hpp"
+#include "obs/telemetry.hpp"
 #include "store/resume.hpp"
 #include "store/result_cache.hpp"
 #include "svc/dispatcher.hpp"
@@ -115,17 +115,42 @@ Workload make_workload(const exp::ExperimentScale& scale) {
   return w;
 }
 
-/// Lane occupancy of the batch path: executed lanes over offered lane
-/// slots. The denominator is batches x configured lane width, so packing
-/// quality (not early exit) is what moves it -- 1.0 means every batch
-/// left the planner full.
-double lane_occupancy(const arr::BatchRunStats& stats,
-                      std::size_t lane_width) {
-  const std::size_t batches = stats.batches.load();
-  if (batches == 0) return 0.0;
-  return static_cast<double>(stats.batched_lanes.load()) /
-         static_cast<double>(batches * lane_width);
-}
+/// The batched runner's counters over one campaign, read back from the
+/// telemetry registry the runner was built with.
+struct BatchCounts {
+  std::uint64_t batches = 0;
+  std::uint64_t lanes = 0;
+  std::uint64_t never_fire = 0;
+  std::uint64_t retired = 0;
+
+  /// Lane occupancy: executed lanes over offered lane slots. The
+  /// denominator is batches x configured lane width, so packing quality
+  /// (not early exit) is what moves it -- 1.0 means every batch left the
+  /// planner full.
+  double occupancy(std::size_t lane_width) const {
+    if (batches == 0) return 0.0;
+    return static_cast<double>(lanes) /
+           static_cast<double>(batches * lane_width);
+  }
+};
+
+/// A registry plus the telemetry bundle that feeds it, for one runner.
+struct BatchTelemetry {
+  obs::MetricsRegistry metrics;
+  const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
+
+  BatchCounts counts() const {
+    const obs::MetricsSnapshot snapshot = metrics.snapshot();
+    const auto counter = [&](const char* name) -> std::uint64_t {
+      const auto it = snapshot.counters.find(name);
+      return it == snapshot.counters.end() ? 0 : it->second;
+    };
+    const auto retired = snapshot.histograms.find("batch.retire.ticks");
+    return {counter("batch.kernel.batches"), counter("batch.kernel.lanes"),
+            counter("batch.never_fire.lanes"),
+            retired == snapshot.histograms.end() ? 0 : retired->second.count};
+  }
+};
 
 /// Delta-campaign measurement: a cold run of the full 13-target plan into
 /// a baseline journal, then an incremental re-run with one module (V_REG)
@@ -154,7 +179,6 @@ DeltaBench run_delta_bench(const Workload& w) {
   fi::CampaignConfig config;
   config.test_case_count = static_cast<std::uint32_t>(w.cases.size());
   config.seed = 0xDE17A;
-  config.warm_start = true;
   for (const fi::BusSignalId target : arr::injection_target_bus_ids()) {
     const auto plan = fi::cross_product_plan(target, w.models, w.instants);
     config.injections.insert(config.injections.end(), plan.begin(),
@@ -183,21 +207,23 @@ DeltaBench run_delta_bench(const Workload& w) {
     // exactly the cached runs whose outcome V_REG could have changed.
     options.module_versions =
         arr::module_version_tokens({{"V_REG", 0x5EED5EED5EED5EEDULL}});
-    // The cache misses execute through the lockstep batch path; the stats
-    // prove it (and measure how well the thin invalidated set packed).
-    const auto stats = std::make_shared<arr::BatchRunStats>();
+    // The cache misses execute through the lockstep batch path; the
+    // counters prove it (and measure how well the thin invalidated set
+    // packed).
+    BatchTelemetry telemetry;
     const auto start = Clock::now();
     const store::DeltaJournalSummary delta =
         store::run_delta_journaled_campaign(
             arr::batched_campaign_runner(w.cases, config, w.duration,
-                                         nullptr, stats),
+                                         &telemetry.telemetry),
             config, model, binding, delta_dir, baseline, options);
     out.delta_wall_s = seconds_since(start);
     out.delta_executed = delta.executed;
     out.delta_replayed = delta.replayed;
-    out.delta_batches = stats->batches.load();
-    out.delta_batched_lanes = stats->batched_lanes.load();
-    out.delta_lane_occupancy = lane_occupancy(*stats, fi::kDefaultBatchSize);
+    const BatchCounts counts = telemetry.counts();
+    out.delta_batches = counts.batches;
+    out.delta_batched_lanes = counts.lanes;
+    out.delta_lane_occupancy = counts.occupancy(fi::kDefaultBatchSize);
   }
   out.speedup = out.delta_wall_s > 0.0 ? out.cold_wall_s / out.delta_wall_s
                                        : 0.0;
@@ -212,29 +238,20 @@ struct EndToEnd {
   std::size_t runs = 0;
 };
 
-EndToEnd run_end_to_end(const Workload& w, bool warm,
-                        arr::WarmStartStats* stats_out = nullptr,
-                        fi::CampaignResult* result_out = nullptr) {
-  fi::CampaignConfig config = w.config;
-  config.warm_start = warm;
-  const auto stats = std::make_shared<arr::WarmStartStats>();
+/// End-to-end campaign through the cold scalar reference
+/// (arr::campaign_runner): every run simulated alone from t=0.
+EndToEnd run_end_to_end_cold(const Workload& w) {
   const auto start = Clock::now();
-  fi::CampaignResult result = fi::run_campaign(
-      arr::warm_campaign_runner(w.cases, config, w.duration, stats), config);
+  const fi::CampaignResult result = fi::run_campaign(
+      arr::campaign_runner(w.cases, w.duration), w.config);
   EndToEnd out;
   out.wall_s = seconds_since(start);
   out.runs = result.run_count();
   out.runs_per_s = static_cast<double>(out.runs) / out.wall_s;
-  if (stats_out != nullptr) {
-    stats_out->warm_runs = stats->warm_runs.load();
-    stats_out->cold_runs = stats->cold_runs.load();
-    stats_out->saved_ms = stats->saved_ms.load();
-  }
-  if (result_out != nullptr) *result_out = std::move(result);
   return out;
 }
 
-/// Bootstrap resampling throughput over the warm campaign's records: no
+/// Bootstrap resampling throughput over the batched campaign's records: no
 /// re-simulation, just mask redraws + graph propagation per replicate.
 struct BootstrapBench {
   std::size_t replicates = 0;
@@ -268,31 +285,22 @@ BootstrapBench run_bootstrap_bench(const fi::CampaignResult& campaign,
   return out;
 }
 
-/// Lockstep batched campaign: same workload and warm-start checkpoints,
-/// but injection runs execute as SoA batches with divergence-masked early
-/// exit instead of one trace at a time.
-EndToEnd run_end_to_end_batched(const Workload& w,
-                                arr::BatchRunStats* stats_out) {
-  fi::CampaignConfig config = w.config;
-  config.warm_start = true;
-  const auto stats = std::make_shared<arr::BatchRunStats>();
+/// Lockstep batched campaign, the production path: same workload, but
+/// injection runs execute as SoA batches started from golden-run
+/// checkpoints, with divergence-masked early exit.
+EndToEnd run_end_to_end_batched(const Workload& w, BatchCounts& counts_out,
+                                fi::CampaignResult& result_out) {
+  BatchTelemetry telemetry;
   const auto start = Clock::now();
-  const fi::CampaignResult result = fi::run_campaign(
-      arr::batched_campaign_runner(w.cases, config, w.duration, nullptr,
-                                   stats),
-      config);
+  result_out = fi::run_campaign(
+      arr::batched_campaign_runner(w.cases, w.config, w.duration,
+                                   &telemetry.telemetry),
+      w.config);
   EndToEnd out;
   out.wall_s = seconds_since(start);
-  out.runs = result.run_count();
+  out.runs = result_out.run_count();
   out.runs_per_s = static_cast<double>(out.runs) / out.wall_s;
-  if (stats_out != nullptr) {
-    stats_out->batches = stats->batches.load();
-    stats_out->batched_lanes = stats->batched_lanes.load();
-    stats_out->retired_converged = stats->retired_converged.load();
-    stats_out->retired_exhausted = stats->retired_exhausted.load();
-    stats_out->never_fire_lanes = stats->never_fire_lanes.load();
-    stats_out->saved_lane_ms = stats->saved_lane_ms.load();
-  }
+  counts_out = telemetry.counts();
   return out;
 }
 
@@ -304,11 +312,8 @@ EndToEnd run_end_to_end_batched(const Workload& w,
 struct SparseBench {
   std::size_t runs = 0;
   std::size_t instants = 0;
-  double scalar_wall_s = 0.0;
-  double scalar_runs_per_s = 0.0;
   double batch_wall_s = 0.0;
   double batch_runs_per_s = 0.0;
-  double speedup = 0.0;          // batch vs scalar warm, same plan
   double occupancy = 0.0;        // batched_lanes / (batches x width)
   std::size_t batches = 0;
   std::size_t batched_lanes = 0;
@@ -320,7 +325,6 @@ SparseBench run_sparse_bench(const Workload& w) {
   fi::CampaignConfig config;
   config.test_case_count = static_cast<std::uint32_t>(w.cases.size());
   config.seed = 0x5BA25E;
-  config.warm_start = true;
   // One bit, many instants: 100 ms apart so neighbouring instants land in
   // the same packed batch with a sub-second stagger span.
   const std::size_t instants = w.scale == "smoke" ? 16 : 128;
@@ -333,38 +337,27 @@ SparseBench run_sparse_bench(const Workload& w) {
 
   SparseBench out;
   out.instants = instants;
-  {
-    const auto start = Clock::now();
-    const fi::CampaignResult scalar = fi::run_campaign(
-        arr::warm_campaign_runner(w.cases, config, w.duration), config);
-    out.scalar_wall_s = seconds_since(start);
-    out.runs = scalar.run_count();
-    out.scalar_runs_per_s =
-        static_cast<double>(out.runs) / out.scalar_wall_s;
-  }
-  {
-    const auto stats = std::make_shared<arr::BatchRunStats>();
-    const auto start = Clock::now();
-    fi::run_campaign(arr::batched_campaign_runner(w.cases, config,
-                                                  w.duration, nullptr, stats),
-                     config);
-    out.batch_wall_s = seconds_since(start);
-    out.batch_runs_per_s =
-        static_cast<double>(out.runs) / out.batch_wall_s;
-    out.batches = stats->batches.load();
-    out.batched_lanes = stats->batched_lanes.load();
-    out.occupancy = lane_occupancy(*stats, fi::kDefaultBatchSize);
-  }
-  out.speedup = out.scalar_wall_s > 0.0 && out.batch_wall_s > 0.0
-                    ? out.scalar_wall_s / out.batch_wall_s
-                    : 0.0;
+  BatchTelemetry telemetry;
+  const auto start = Clock::now();
+  const fi::CampaignResult result = fi::run_campaign(
+      arr::batched_campaign_runner(w.cases, config, w.duration,
+                                   &telemetry.telemetry),
+      config);
+  out.batch_wall_s = seconds_since(start);
+  out.runs = result.run_count();
+  out.batch_runs_per_s = static_cast<double>(out.runs) / out.batch_wall_s;
+  const BatchCounts counts = telemetry.counts();
+  out.batches = counts.batches;
+  out.batched_lanes = counts.lanes;
+  out.occupancy = counts.occupancy(fi::kDefaultBatchSize);
   return out;
 }
 
 /// Multi-worker serve bench: the scale's standard plan (the one `campaign
 /// serve` dispatches, so workers spawned from the CLI re-derive the exact
 /// manifest) run three ways -- single process, serve with 1 worker, serve
-/// with 2 workers. Dispatch overhead is the 1-worker vs single-process
+/// with 2 workers, all on the batched runner the workers use. Dispatch
+/// overhead is the 1-worker vs single-process
 /// gap; scaling is the 2-worker vs 1-worker gap (bounded by the machine's
 /// CPU count, which the JSON records). Worker counts beyond the CPU count
 /// are *skipped* (recorded with a skip reason): on an oversubscribed host
@@ -401,7 +394,7 @@ ServeBench run_serve_bench(const exp::ExperimentScale& scale,
     fs::remove_all(dir);
     const auto start = Clock::now();
     const store::JournalRunSummary summary = store::run_journaled_campaign(
-        arr::warm_campaign_runner(cases, config, scale.duration), config,
+        arr::batched_campaign_runner(cases, config, scale.duration), config,
         dir);
     out.single_wall_s = seconds_since(start);
     out.total_runs = summary.total_runs;
@@ -434,7 +427,7 @@ ServeBench run_serve_bench(const exp::ExperimentScale& scale,
     const double wall = seconds_since(start);
     out.modes.push_back(
         {workers, wall, static_cast<double>(summary.total_runs) / wall,
-         summary.leases_completed});
+         summary.leases_completed, {}});
     fs::remove_all(dir);
   }
   return out;
@@ -446,7 +439,7 @@ ServeBench run_serve_bench(const exp::ExperimentScale& scale,
 int main() {
   using namespace propane;
   bench::banner("campaign throughput (flat traces, memcmp compare, "
-                "checkpointed warm start)");
+                "checkpointed lockstep batches)");
 
   const exp::ExperimentScale scale = exp::scale_from_env();
   const Workload w = make_workload(scale);
@@ -517,49 +510,35 @@ int main() {
                 compare_identical_ns, compare_diverged_ns, kCompareReps);
   }
 
-  // --- end-to-end campaign: cold vs warm ----------------------------------
-  const EndToEnd cold = run_end_to_end(w, /*warm=*/false);
-  std::printf("cold campaign: %zu runs in %.2f s  =>  %.0f runs/s\n",
+  // --- end-to-end campaign: cold scalar reference vs batched ---------------
+  const EndToEnd cold = run_end_to_end_cold(w);
+  std::printf("cold scalar campaign: %zu runs in %.2f s  =>  %.0f runs/s\n",
               cold.runs, cold.wall_s, cold.runs_per_s);
-  arr::WarmStartStats warm_stats;
-  fi::CampaignResult warm_campaign;
-  const EndToEnd warm =
-      run_end_to_end(w, /*warm=*/true, &warm_stats, &warm_campaign);
-  std::printf("warm campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%zu warm, %zu cold-fallback, %llu sim-ms skipped)\n",
-              warm.runs, warm.wall_s, warm.runs_per_s,
-              warm_stats.warm_runs.load(), warm_stats.cold_runs.load(),
-              static_cast<unsigned long long>(warm_stats.saved_ms.load()));
 
-  // --- lockstep batched campaign ------------------------------------------
   const std::size_t lane_width = fi::kDefaultBatchSize;
-  arr::BatchRunStats batch_stats;
-  const EndToEnd batch = run_end_to_end_batched(w, &batch_stats);
-  const double batch_occupancy = lane_occupancy(batch_stats, lane_width);
+  BatchCounts batch_counts;
+  fi::CampaignResult batch_campaign;
+  const EndToEnd batch = run_end_to_end_batched(w, batch_counts, batch_campaign);
+  const double batch_occupancy = batch_counts.occupancy(lane_width);
   std::printf("batch campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%zu batches, %zu lanes, occupancy %.2f, "
-              "%zu converged-early, %zu exhausted-early, %zu never-fire, "
-              "%llu lane-ms skipped; %.2fx vs warm)\n",
+              "(%llu batches, %llu lanes, occupancy %.2f, %llu retired "
+              "early, %llu never-fire; %.2fx vs cold scalar)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
-              batch_stats.batches.load(), batch_stats.batched_lanes.load(),
+              static_cast<unsigned long long>(batch_counts.batches),
+              static_cast<unsigned long long>(batch_counts.lanes),
               batch_occupancy,
-              batch_stats.retired_converged.load(),
-              batch_stats.retired_exhausted.load(),
-              batch_stats.never_fire_lanes.load(),
-              static_cast<unsigned long long>(
-                  batch_stats.saved_lane_ms.load()),
-              batch.runs_per_s / warm.runs_per_s);
+              static_cast<unsigned long long>(batch_counts.retired),
+              static_cast<unsigned long long>(batch_counts.never_fire),
+              batch.runs_per_s / cold.runs_per_s);
 
   // --- sparse plan: 1 bit x many instants (cross-group packing) -----------
   const SparseBench sparse = run_sparse_bench(w);
-  std::printf("sparse campaign (1 bit x %zu instants): scalar warm %zu runs "
-              "in %.2f s  =>  %.0f runs/s; batch %.2f s  =>  %.0f runs/s "
-              "(%zu batches, %zu lanes, occupancy %.2f, %.2fx vs scalar "
-              "warm)\n",
-              sparse.instants, sparse.runs, sparse.scalar_wall_s,
-              sparse.scalar_runs_per_s, sparse.batch_wall_s,
+  std::printf("sparse campaign (1 bit x %zu instants): batch %zu runs in "
+              "%.2f s  =>  %.0f runs/s (%zu batches, %zu lanes, occupancy "
+              "%.2f)\n",
+              sparse.instants, sparse.runs, sparse.batch_wall_s,
               sparse.batch_runs_per_s, sparse.batches, sparse.batched_lanes,
-              sparse.occupancy, sparse.speedup);
+              sparse.occupancy);
 
   // --- delta campaign: cold baseline vs incremental re-run ----------------
   const DeltaBench delta = run_delta_bench(w);
@@ -571,10 +550,10 @@ int main() {
               delta.delta_batches, delta.delta_batched_lanes,
               delta.delta_lane_occupancy);
 
-  // --- bootstrap resampling over the warm campaign's records --------------
+  // --- bootstrap resampling over the batched campaign's records -----------
   const std::size_t boot_replicates = w.scale == "smoke" ? 200 : 1000;
   const BootstrapBench boot =
-      run_bootstrap_bench(warm_campaign, boot_replicates);
+      run_bootstrap_bench(batch_campaign, boot_replicates);
   std::printf("bootstrap resample: %zu replicates over %zu records "
               "(%zu cells) in %.2f s  =>  %.0f replicates/s\n",
               boot.replicates, boot.records, boot.cells, boot.wall_s,
@@ -618,7 +597,7 @@ int main() {
   constexpr double kBaselineCompareIdenticalNs = 70.0;
   const bool comparable = w.scale == "default";
   const double speedup =
-      comparable ? warm.runs_per_s / kBaselineRunsPerS : 0.0;
+      comparable ? batch.runs_per_s / kBaselineRunsPerS : 0.0;
   if (comparable) {
     std::printf("\nspeedup vs baseline (%.0f runs/s at d9e9c5d): %.2fx\n",
                 kBaselineRunsPerS, speedup);
@@ -630,7 +609,7 @@ int main() {
   {
     std::ofstream json("BENCH_campaign.json");
     json << "{\"scale\":\"" << w.scale << "\""
-         << ",\"runs\":" << warm.runs
+         << ",\"runs\":" << batch.runs
          << ",\"samples_per_run\":" << samples
          << ",\"record_ns_per_sample\":" << record_ns
          << ",\"record_allocs_per_sample\":" << record_allocs
@@ -638,34 +617,24 @@ int main() {
          << ",\"compare_diverged_ns_per_sample\":" << compare_diverged_ns
          << ",\"cold\":{\"wall_s\":" << cold.wall_s
          << ",\"runs_per_s\":" << cold.runs_per_s << "}"
-         << ",\"warm\":{\"wall_s\":" << warm.wall_s
-         << ",\"runs_per_s\":" << warm.runs_per_s
-         << ",\"warm_runs\":" << warm_stats.warm_runs.load()
-         << ",\"cold_fallback_runs\":" << warm_stats.cold_runs.load()
-         << ",\"skipped_sim_ms\":" << warm_stats.saved_ms.load() << "}"
          << ",\"batch\":{\"wall_s\":" << batch.wall_s
          << ",\"runs_per_s\":" << batch.runs_per_s
-         << ",\"batches\":" << batch_stats.batches.load()
-         << ",\"batched_lanes\":" << batch_stats.batched_lanes.load()
+         << ",\"batches\":" << batch_counts.batches
+         << ",\"batched_lanes\":" << batch_counts.lanes
          << ",\"lane_width\":" << lane_width
          << ",\"lane_occupancy\":" << batch_occupancy
-         << ",\"retired_converged\":" << batch_stats.retired_converged.load()
-         << ",\"retired_exhausted\":" << batch_stats.retired_exhausted.load()
-         << ",\"never_fire_lanes\":" << batch_stats.never_fire_lanes.load()
-         << ",\"saved_lane_ms\":" << batch_stats.saved_lane_ms.load()
-         << ",\"speedup_vs_warm\":" << batch.runs_per_s / warm.runs_per_s
+         << ",\"retired_lanes\":" << batch_counts.retired
+         << ",\"never_fire_lanes\":" << batch_counts.never_fire
+         << ",\"speedup_vs_cold\":" << batch.runs_per_s / cold.runs_per_s
          << "}"
          << ",\"sparse\":{\"runs\":" << sparse.runs
          << ",\"instants\":" << sparse.instants
-         << ",\"scalar_warm\":{\"wall_s\":" << sparse.scalar_wall_s
-         << ",\"runs_per_s\":" << sparse.scalar_runs_per_s << "}"
          << ",\"batch\":{\"wall_s\":" << sparse.batch_wall_s
          << ",\"runs_per_s\":" << sparse.batch_runs_per_s
          << ",\"batches\":" << sparse.batches
          << ",\"batched_lanes\":" << sparse.batched_lanes
          << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << sparse.occupancy
-         << ",\"speedup_vs_scalar_warm\":" << sparse.speedup << "}}"
+         << ",\"lane_occupancy\":" << sparse.occupancy << "}}"
          << ",\"delta\":{\"total_runs\":" << delta.total_runs
          << ",\"cold_wall_s\":" << delta.cold_wall_s
          << ",\"executed\":" << delta.delta_executed

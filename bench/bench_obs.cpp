@@ -204,8 +204,7 @@ double run_batch_campaign(bool telemetry_on) {
 
   const auto start = std::chrono::steady_clock::now();
   const fi::CampaignResult result = fi::run_campaign(
-      arr::batched_campaign_runner(cases, config, scale.duration, nullptr,
-                                   nullptr,
+      arr::batched_campaign_runner(cases, config, scale.duration,
                                    telemetry_on ? &telemetry : nullptr),
       config);
   const double wall_s =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <utility>
 
 #include "arrestment/batch_system.hpp"
@@ -17,9 +18,10 @@ namespace {
 struct BatchInstruments {
   obs::Histogram* group_lanes = nullptr;
   obs::Histogram* retire_ticks = nullptr;
+  obs::Counter* kernel_batches = nullptr;
+  obs::Counter* kernel_lanes = nullptr;
   obs::Counter* kernel_ticks = nullptr;
-  obs::Counter* lut_gathers = nullptr;
-  obs::Counter* exact_div_ops = nullptr;
+  obs::Counter* never_fire_lanes = nullptr;
 
   explicit BatchInstruments(const obs::Telemetry* telemetry) {
     group_lanes = obs::find_histogram(
@@ -28,37 +30,30 @@ struct BatchInstruments {
     retire_ticks = obs::find_histogram(
         telemetry, "batch.retire.ticks",
         {16, 64, 256, 1024, 4096, 16384, 65536});
+    kernel_batches = obs::find_counter(telemetry, "batch.kernel.batches");
+    kernel_lanes = obs::find_counter(telemetry, "batch.kernel.lanes");
     kernel_ticks = obs::find_counter(telemetry, "batch.kernel.ticks");
-    lut_gathers = obs::find_counter(telemetry, "batch.kernel.lut_gathers");
-    exact_div_ops =
-        obs::find_counter(telemetry, "batch.kernel.exact_div_ops");
+    never_fire_lanes = obs::find_counter(telemetry, "batch.never_fire.lanes");
   }
 
-  /// Folds one finished batch in. Derived *after* the kernel ran, from
+  /// Folds one finished kernel run in. Derived *after* the kernel ran, from
   /// counts the batch already kept -- the tick loop stays untouched.
   void observe(const BatchedArrestmentSystem& batch,
-               std::size_t injection_lanes, std::size_t segment_count) const {
+               std::size_t live_lanes) const {
     if (retire_ticks != nullptr) {
       for (const std::uint64_t tick : batch.retirement_ticks()) {
         retire_ticks->observe(static_cast<double>(tick));
       }
     }
-    const std::uint64_t ticks = batch.ticks_simulated();
-    // Every executed tick sweeps all lanes (goldens included -- one per
-    // segment; retired lanes are dead but still swept branch-free): one
-    // commanded-pressure LUT gather and four ExactDivisor divides per lane
-    // per tick (environment.cpp's step_lanes_kernel).
-    const std::uint64_t lane_ticks =
-        ticks * static_cast<std::uint64_t>(injection_lanes + segment_count);
-    if (kernel_ticks != nullptr) kernel_ticks->add(ticks);
-    if (lut_gathers != nullptr) lut_gathers->add(lane_ticks);
-    if (exact_div_ops != nullptr) exact_div_ops->add(lane_ticks * 4);
+    if (kernel_batches != nullptr) kernel_batches->add(1);
+    if (kernel_lanes != nullptr) kernel_lanes->add(live_lanes);
+    if (kernel_ticks != nullptr) kernel_ticks->add(batch.ticks_simulated());
   }
 };
 
 std::vector<fi::DivergenceReport> run_batch(
     const WarmStartEngine& engine, const fi::BatchRunRequest& request,
-    BatchRunStats* stats, const BatchInstruments& instruments) {
+    const BatchInstruments& instruments) {
   PROPANE_REQUIRE(!request.lanes.empty());
   if (instruments.group_lanes != nullptr) {
     instruments.group_lanes->observe(
@@ -78,7 +73,7 @@ std::vector<fi::DivergenceReport> run_batch(
   for (std::size_t i = 0; i < request.lanes.size(); ++i) {
     const fi::BatchLaneRequest& lane = request.lanes[i];
     PROPANE_REQUIRE(lane.test_case < engine.cases().size());
-    const std::uint64_t fire_ms = injection_fire_ms(lane.spec->when);
+    const std::uint64_t fire_ms = fi::injection_fire_ms(lane.spec->when);
     if (fire_ms >= engine.duration_ms()) {
       reports[i].per_signal.resize(kAllSignals.size());
     } else {
@@ -86,11 +81,8 @@ std::vector<fi::DivergenceReport> run_batch(
       start_ms = std::min(start_ms, fire_ms);
     }
   }
-  const std::size_t never_fire = request.lanes.size() - live.size();
-  if (stats != nullptr && never_fire > 0) {
-    stats->never_fire_lanes.fetch_add(never_fire, std::memory_order_relaxed);
-    stats->saved_lane_ms.fetch_add(never_fire * engine.duration_ms(),
-                                   std::memory_order_relaxed);
+  if (instruments.never_fire_lanes != nullptr) {
+    instruments.never_fire_lanes->add(request.lanes.size() - live.size());
   }
   if (live.empty()) return reports;
 
@@ -117,9 +109,9 @@ std::vector<fi::DivergenceReport> run_batch(
   // Warm path: every segment restores its test case's golden checkpoint at
   // the shared start tick (the warm-start engine checkpoints every test
   // case at every distinct plan fire tick, so a packed batch warm-starts
-  // whenever any single-group batch would). fire tick 0 has no prefix, and
-  // a missing checkpoint for *any* segment sends the whole batch cold --
-  // all origins must sit at the same tick.
+  // whenever any single-group batch would). Fire tick 0 has no prefix, and
+  // a missing checkpoint for *any* segment (its golden has not run yet)
+  // sends the whole batch cold -- all origins must sit at the same tick.
   std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>> checkpoints;
   bool warm = start_ms > 0;
   if (warm) {
@@ -159,42 +151,26 @@ std::vector<fi::DivergenceReport> run_batch(
       reports[i] = std::move(live_reports[j++]);
     }
   }
-  instruments.observe(batch, live.size(), segments.size());
-
-  if (stats != nullptr) {
-    stats->batches.fetch_add(1, std::memory_order_relaxed);
-    stats->batched_lanes.fetch_add(live.size(), std::memory_order_relaxed);
-    stats->retired_converged.fetch_add(batch.lanes_retired_converged(),
-                                       std::memory_order_relaxed);
-    stats->retired_exhausted.fetch_add(batch.lanes_retired_exhausted(),
-                                       std::memory_order_relaxed);
-    // Early exit plus, on the warm path, the shared prefix each live lane
-    // did not re-simulate.
-    const std::uint64_t saved =
-        batch.saved_lane_ms() + (warm ? live.size() * start_ms : 0);
-    stats->saved_lane_ms.fetch_add(saved, std::memory_order_relaxed);
-  }
+  instruments.observe(batch, live.size());
   return reports;
 }
 
 }  // namespace
 
-fi::CampaignRunner batched_campaign_runner(
-    std::vector<TestCase> test_cases, const fi::CampaignConfig& config,
-    sim::SimTime duration, std::shared_ptr<WarmStartStats> warm_stats,
-    std::shared_ptr<BatchRunStats> batch_stats,
-    const obs::Telemetry* telemetry) {
+fi::CampaignRunner batched_campaign_runner(std::vector<TestCase> test_cases,
+                                           const fi::CampaignConfig& config,
+                                           sim::SimTime duration,
+                                           const obs::Telemetry* telemetry) {
   PROPANE_REQUIRE(!test_cases.empty());
-  auto engine = std::make_shared<WarmStartEngine>(
-      std::move(test_cases), config, duration, std::move(warm_stats));
+  auto engine = std::make_shared<WarmStartEngine>(std::move(test_cases),
+                                                  config, duration);
   return fi::CampaignRunner(
       [engine](const fi::RunRequest& request) {
-        return engine->run(request);
+        return engine->golden_run(request);
       },
-      [engine, stats = std::move(batch_stats),
-       instruments = BatchInstruments(telemetry)](
+      [engine, instruments = BatchInstruments(telemetry)](
           const fi::BatchRunRequest& request) {
-        return run_batch(*engine, request, stats.get(), instruments);
+        return run_batch(*engine, request, instruments);
       });
 }
 

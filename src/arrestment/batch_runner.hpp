@@ -14,9 +14,8 @@
 // -- to all-clear reports without simulating them at all.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "arrestment/warm_start.hpp"
@@ -27,46 +26,38 @@ struct Telemetry;
 
 namespace propane::arr {
 
-/// Observability counters for the batched runner (shared with the caller;
-/// updated from worker threads).
-struct BatchRunStats {
-  std::atomic<std::size_t> batches{0};
-  std::atomic<std::size_t> batched_lanes{0};
-  /// Lanes retired before the horizon because they provably re-converged
-  /// with the golden lane / resolved every signal's first divergence.
-  std::atomic<std::size_t> retired_converged{0};
-  std::atomic<std::size_t> retired_exhausted{0};
-  /// Lanes answered without simulation (injection never fires).
-  std::atomic<std::size_t> never_fire_lanes{0};
-  /// Simulated lane-milliseconds avoided (early exit + never-fire).
-  std::atomic<std::uint64_t> saved_lane_ms{0};
-};
-
-/// Drop-in replacement for warm_campaign_runner that additionally provides
-/// the lockstep BatchRunFunction: fi::run_campaign dispatches whole
-/// (test case, fire tick) groups to the SoA kernel, while golden runs (and
-/// any scalar fallback) execute through the shared WarmStartEngine.
-/// Results, records and journal CSVs are bit-identical to the scalar
-/// path for every batch size -- enforced by
+/// The production runner: golden runs execute through a WarmStartEngine
+/// (capturing its checkpoints), and every injection run executes in the
+/// SoA kernel as a lane of the batches fi::run_campaign plans. Results,
+/// records and journal CSVs are bit-identical to the cold scalar reference
+/// (campaign_runner) for every batch size -- enforced by
 /// tests/fi/batch_equivalence_test.cpp.
 ///
-/// `telemetry` (optional, non-owning) turns on per-batch profiling:
-///   batch.group.lanes      -- histogram, injection lanes per batch group;
-///   batch.retire.ticks     -- histogram, ticks into the batch at which
-///                             lanes retired (early-exit latency);
+/// `telemetry` (optional, non-owning) turns on the runner's counters:
+///   batch.group.lanes      -- histogram, lanes per batch request;
+///   batch.kernel.batches   -- counter, batches that ran the kernel;
+///   batch.kernel.lanes     -- counter, lanes the kernel simulated;
 ///   batch.kernel.ticks     -- counter, scheduler slots executed;
-///   batch.kernel.lut_gathers / batch.kernel.exact_div_ops -- counters,
-///     kernel work derived from ticks x lanes (the environment sweep does
-///     one commanded-pressure LUT gather and four ExactDivisor divides per
-///     lane per tick).
+///   batch.never_fire.lanes -- counter, lanes answered without simulation
+///                             (the injection fires at/after the horizon);
+///   batch.retire.ticks     -- histogram, ticks into the batch at which
+///                             lanes retired (early-exit latency).
 /// Handles resolve once here; each batch then costs a few relaxed
 /// atomic adds *after* its kernel run -- the tick loop itself carries no
-/// instrumentation, so null telemetry is exactly the old code path.
+/// instrumentation, so null telemetry is exactly the uninstrumented path.
 fi::CampaignRunner batched_campaign_runner(
     std::vector<TestCase> test_cases, const fi::CampaignConfig& config,
     sim::SimTime duration = kRunDuration,
-    std::shared_ptr<WarmStartStats> warm_stats = nullptr,
-    std::shared_ptr<BatchRunStats> batch_stats = nullptr,
     const obs::Telemetry* telemetry = nullptr);
+
+/// The former positional form, whose two middle arguments were statistics
+/// sinks; both must be null. Kept so existing callers compile unchanged.
+inline fi::CampaignRunner batched_campaign_runner(
+    std::vector<TestCase> test_cases, const fi::CampaignConfig& config,
+    sim::SimTime duration, std::nullptr_t, std::nullptr_t,
+    const obs::Telemetry* telemetry) {
+  return batched_campaign_runner(std::move(test_cases), config, duration,
+                                 telemetry);
+}
 
 }  // namespace propane::arr

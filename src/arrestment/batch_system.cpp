@@ -270,8 +270,7 @@ void BatchedArrestmentSystem::enable_recording(
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const fi::TraceSet* prefix = prefixes[s];
     // Only the rows before the origin tick seed the traces: the prefix may
-    // be exactly that long, or a full golden trace shared across fire
-    // ticks (WarmStartEngine::Checkpoint::golden).
+    // be exactly that long, or a full golden trace.
     const std::size_t prefix_rows = sim::to_milliseconds(scheduler_.now());
     if (prefix != nullptr) {
       PROPANE_REQUIRE_MSG(prefix->signal_count() == signals_,
@@ -499,7 +498,7 @@ void BatchedArrestmentSystem::note_divergences(std::size_t sig,
     d.golden_value = row[spec_golden_[j]];
     d.observed_value = row[spec_lane_[j]];
     if (--undiverged_[j] == 0 && !recording_ && active_.test(j)) {
-      retire(j, ms, /*was_converged=*/false);
+      retire(j, ms);
     }
   }
 }
@@ -535,25 +534,14 @@ void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
       if (pending_[sig].test(j)) pending_[sig].reset(j);
     }
     undiverged_[j] = 0;
-    retire(j, ms, /*was_converged=*/true);
+    retire(j, ms);
   });
 }
 
-void BatchedArrestmentSystem::retire(std::size_t lane, std::uint64_t now_ms,
-                                     bool was_converged) {
+void BatchedArrestmentSystem::retire(std::size_t lane, std::uint64_t now_ms) {
   active_.reset(lane);
   --active_count_;
-  if (was_converged) {
-    ++converged_;
-  } else {
-    ++exhausted_;
-  }
   retirement_ticks_.push_back(now_ms >= start_ms_ ? now_ms - start_ms_ : 0);
-  // The tick at now_ms has completed for this lane; everything after it
-  // is skipped work.
-  if (duration_ms_ > now_ms + 1) {
-    saved_lane_ms_ += duration_ms_ - now_ms - 1;
-  }
 }
 
 void BatchedArrestmentSystem::record_rows() {

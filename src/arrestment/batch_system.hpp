@@ -63,8 +63,8 @@ struct BatchSegment {
 class BatchedArrestmentSystem {
  public:
   /// Replicates `origin` -- a golden-run system at its current tick
-  /// (a warm-start checkpoint, or a fresh system for fire tick 0 / cold
-  /// runs) -- across `specs.size() + 1` lanes. The batch simulates from
+  /// (a warm-start checkpoint, or a fresh system for fire tick 0) --
+  /// across `specs.size() + 1` lanes. The batch simulates from
   /// origin.now() to `duration`. (Single-segment convenience form.)
   BatchedArrestmentSystem(const ArrestmentSystem& origin,
                           std::span<const BatchLaneSpec> specs,
@@ -97,16 +97,10 @@ class BatchedArrestmentSystem {
   std::vector<fi::DivergenceReport> run();
 
   // Post-run observability.
-  std::size_t lanes_retired_converged() const { return converged_; }
-  std::size_t lanes_retired_exhausted() const { return exhausted_; }
-  /// Lane-milliseconds not simulated thanks to early exit.
-  std::uint64_t saved_lane_ms() const { return saved_lane_ms_; }
-  /// Scheduler slots actually executed (one per simulated millisecond);
-  /// kernel work derives from this -- every tick sweeps all lanes once
-  /// through the LUT gather and the four exact-divisor ops per lane.
+  /// Scheduler slots actually executed (one per simulated millisecond).
   std::uint64_t ticks_simulated() const { return ticks_; }
   /// Per retirement: ticks into the batch when the lane retired, in
-  /// retirement order. Sized converged_ + exhausted_ after run().
+  /// retirement order; its size is the number of lanes retired early.
   const std::vector<std::uint64_t>& retirement_ticks() const {
     return retirement_ticks_;
   }
@@ -135,7 +129,7 @@ class BatchedArrestmentSystem {
   void note_divergences(std::size_t sig, std::size_t base,
                         std::uint64_t newly, std::uint64_t ms);
   void check_convergence(sim::SimTime now);
-  void retire(std::size_t lane, std::uint64_t now_ms, bool was_converged);
+  void retire(std::size_t lane, std::uint64_t now_ms);
 
   void record_rows();
 
@@ -177,9 +171,6 @@ class BatchedArrestmentSystem {
   std::uint64_t ticks_ = 0;
 
   // Early-exit accounting.
-  std::size_t converged_ = 0;
-  std::size_t exhausted_ = 0;
-  std::uint64_t saved_lane_ms_ = 0;
   std::uint64_t start_ms_ = 0;  // origin.now() in ms, for retirement ticks
   std::vector<std::uint64_t> retirement_ticks_;
 

@@ -9,46 +9,35 @@ namespace propane::arr {
 
 WarmStartEngine::WarmStartEngine(std::vector<TestCase> cases,
                                  const fi::CampaignConfig& config,
-                                 sim::SimTime duration,
-                                 std::shared_ptr<WarmStartStats> stats)
+                                 sim::SimTime duration)
     : cases_(std::move(cases)),
       duration_(duration),
-      duration_ms_(sim::to_milliseconds(duration)),
-      stats_(std::move(stats)) {
+      duration_ms_(sim::to_milliseconds(duration)) {
   PROPANE_REQUIRE(!cases_.empty());
   // Distinct fire ticks, ascending. A fire tick of 0 has no prefix to
-  // reuse, and one at/after the run end never fires: both run cold.
-  if (config.warm_start) {
-    for (const fi::InjectionSpec& spec : config.injections) {
-      const std::uint64_t fire = injection_fire_ms(spec.when);
-      if (fire > 0 && fire < duration_ms_) checkpoint_ms_.push_back(fire);
-    }
-    std::sort(checkpoint_ms_.begin(), checkpoint_ms_.end());
-    checkpoint_ms_.erase(
-        std::unique(checkpoint_ms_.begin(), checkpoint_ms_.end()),
-        checkpoint_ms_.end());
+  // reuse, and one at/after the run end never fires: both need none.
+  for (const fi::InjectionSpec& spec : config.injections) {
+    const std::uint64_t fire = fi::injection_fire_ms(spec.when);
+    if (fire > 0 && fire < duration_ms_) checkpoint_ms_.push_back(fire);
   }
+  std::sort(checkpoint_ms_.begin(), checkpoint_ms_.end());
+  checkpoint_ms_.erase(
+      std::unique(checkpoint_ms_.begin(), checkpoint_ms_.end()),
+      checkpoint_ms_.end());
   slots_.resize(cases_.size());
   for (auto& per_case : slots_) per_case.resize(checkpoint_ms_.size());
 }
 
-fi::TraceSet WarmStartEngine::run(const fi::RunRequest& request) {
-  PROPANE_REQUIRE(request.test_case < cases_.size());
-  return request.injection ? injection_run(request) : golden_run(request);
-}
-
 fi::TraceSet WarmStartEngine::golden_run(const fi::RunRequest& request) {
+  PROPANE_REQUIRE(request.test_case < cases_.size());
+  PROPANE_REQUIRE_MSG(!request.injection.has_value(),
+                      "injection runs execute as lockstep batches");
   ArrestmentSystem system(cases_[request.test_case]);
   fi::TraceRecorder recorder(system.bus(), duration_ms_);
   RunOptions options;
   options.duration = duration_;
   options.rng_seed = request.rng_seed;
 
-  // Snapshot systems during the run; the trace is attached afterwards, so
-  // all of this test case's checkpoints share ONE full golden trace copy
-  // instead of each holding a private prefix copy (for a sparse plan --
-  // many distinct fire ticks -- that per-tick copying used to dominate
-  // engine warm-up).
   std::vector<std::pair<std::size_t, std::unique_ptr<ArrestmentSystem>>>
       snapshots;
   std::size_t next = 0;
@@ -61,55 +50,18 @@ fi::TraceSet WarmStartEngine::golden_run(const fi::RunRequest& request) {
     system.tick(options);
     recorder.sample();
   }
-  fi::TraceSet trace = recorder.take();
-  if (!snapshots.empty()) {
-    publish(request.test_case, std::move(snapshots),
-            std::make_shared<const fi::TraceSet>(trace));
-  }
-  return trace;
-}
-
-fi::TraceSet WarmStartEngine::injection_run(const fi::RunRequest& request) {
-  const fi::InjectionSpec& spec = *request.injection;
-  RunOptions options;
-  options.duration = duration_;
-  options.injection = spec;
-  options.rng_seed = request.rng_seed;
-
-  const std::shared_ptr<const Checkpoint> checkpoint =
-      lookup(request.test_case, injection_fire_ms(spec.when));
-  if (checkpoint == nullptr) {
-    if (stats_ != nullptr) {
-      stats_->cold_runs.fetch_add(1, std::memory_order_relaxed);
-    }
-    return run_arrestment(cases_[request.test_case], options).trace;
-  }
-
-  ArrestmentSystem system(*checkpoint->system);
-  fi::TraceRecorder recorder(system.bus(), *checkpoint->golden,
-                             static_cast<std::size_t>(checkpoint->ms),
-                             duration_ms_);
-  while (system.now() < duration_) {
-    system.tick(options);
-    recorder.sample();
-  }
-  if (stats_ != nullptr) {
-    stats_->warm_runs.fetch_add(1, std::memory_order_relaxed);
-    stats_->saved_ms.fetch_add(checkpoint->ms, std::memory_order_relaxed);
-  }
+  publish(request.test_case, std::move(snapshots));
   return recorder.take();
 }
 
 void WarmStartEngine::publish(
     std::uint32_t test_case,
     std::vector<std::pair<std::size_t, std::unique_ptr<ArrestmentSystem>>>
-        snapshots,
-    std::shared_ptr<const fi::TraceSet> golden) {
+        snapshots) {
   std::scoped_lock lock(mutex_);
   for (auto& [slot, system] : snapshots) {
     auto checkpoint = std::make_shared<Checkpoint>();
     checkpoint->system = std::move(system);
-    checkpoint->golden = golden;
     checkpoint->ms = checkpoint_ms_[slot];
     slots_[test_case][slot] = std::move(checkpoint);
   }
@@ -124,22 +76,6 @@ std::shared_ptr<const WarmStartEngine::Checkpoint> WarmStartEngine::lookup(
   const auto slot = static_cast<std::size_t>(it - checkpoint_ms_.begin());
   std::scoped_lock lock(mutex_);
   return slots_[test_case][slot];
-}
-
-fi::RunFunction warm_campaign_runner(std::vector<TestCase> test_cases,
-                                     const fi::CampaignConfig& config,
-                                     sim::SimTime duration,
-                                     std::shared_ptr<WarmStartStats> stats) {
-  PROPANE_REQUIRE(!test_cases.empty());
-  if (!config.warm_start) {
-    return campaign_runner(std::move(test_cases), duration);
-  }
-  auto engine = std::make_shared<WarmStartEngine>(std::move(test_cases),
-                                                  config, duration,
-                                                  std::move(stats));
-  return [engine](const fi::RunRequest& request) {
-    return engine->run(request);
-  };
 }
 
 }  // namespace propane::arr

@@ -1,25 +1,21 @@
-// Checkpointed warm-start campaign execution (FastFlip-style prefix reuse).
+// Golden runs with checkpoint capture (FastFlip-style prefix reuse).
 //
 // Every injection run of a campaign re-executes, deterministically and
 // unchanged, the golden run's prefix up to the tick in which the injection
 // fires. The warm-start engine captures, during each test case's golden
-// run, a snapshot of the complete system state plus the recorded trace
-// prefix at the earliest possible fire tick of every planned injection
-// time, and starts injection runs from that snapshot instead of t=0.
+// run, a snapshot of the complete system state at the earliest possible
+// fire tick of every planned injection time; the lockstep batch runner
+// (batch_runner.hpp) starts each batch from those snapshots instead of
+// t=0.
 //
 // Per-run RNG streams are a pure function of (campaign seed, run identity)
 // and are only consumed from the fire tick onward, and an idle injection
-// driver has no side effect on the simulation, so a warm run is
-// bit-identical to a cold one -- enforced by tests/fi/warm_start_test.cpp
-// and the integration byte-identical-CSV test. CampaignConfig::warm_start
-// falls back to cold from-t=0 execution.
-//
-// The engine is shared by two consumers: the scalar warm_campaign_runner
-// below, and the lockstep batch runner (batch_runner.hpp), whose batches
-// start all lanes of a fire tick from the same checkpoint.
+// driver has no side effect on the simulation, so a warm-started run is
+// bit-identical to a cold one -- enforced against the cold scalar
+// reference by tests/fi/warm_start_test.cpp and the integration
+// byte-identical-CSV test.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -30,50 +26,26 @@
 
 namespace propane::arr {
 
-/// Observability counters for the warm-start runner (shared with the
-/// caller; updated from worker threads).
-struct WarmStartStats {
-  std::atomic<std::size_t> warm_runs{0};
-  std::atomic<std::size_t> cold_runs{0};
-  /// Simulated milliseconds *not* re-executed thanks to checkpoints.
-  std::atomic<std::uint64_t> saved_ms{0};
-};
-
-/// The first tick (in ms) in which an injection scheduled at `when` fires.
-/// (Canonical definition lives in fi/injection.hpp, shared with the
-/// campaign batch planner; this alias keeps existing arrestment-layer call
-/// sites working.)
-inline std::uint64_t injection_fire_ms(sim::SimTime when) {
-  return fi::injection_fire_ms(when);
-}
-
-/// Golden-run execution with checkpoint capture, plus checkpoint-resumed
-/// scalar injection runs. Thread-safe; checkpoints are kept for the
-/// engine's lifetime (memory is O(test_cases x (trace length + distinct
-/// fire times x system state)) -- the golden trace is shared across a test
-/// case's checkpoints, not copied per fire tick).
+/// Golden-run execution with checkpoint capture. Thread-safe; checkpoints
+/// are kept for the engine's lifetime (memory is O(test_cases x distinct
+/// fire times x system state); no trace prefix is kept, since the batch
+/// kernel tracks divergence online from the checkpoint tick).
 class WarmStartEngine {
  public:
   /// Run state frozen at the start of tick `ms`: the system after ticks
-  /// 0..ms-1, plus the test case's full golden trace -- shared by every
-  /// checkpoint of that case (the prefix is its first `ms` rows), so
-  /// capturing C checkpoints costs one trace copy, not C prefix copies.
+  /// 0..ms-1.
   struct Checkpoint {
     std::unique_ptr<ArrestmentSystem> system;
-    std::shared_ptr<const fi::TraceSet> golden;
     std::uint64_t ms = 0;
   };
 
-  /// Plans one checkpoint per distinct fire tick of `config.injections`
-  /// (none when `config.warm_start` is false -- goldens then run plain and
-  /// lookup() always misses).
+  /// Plans one checkpoint per distinct fire tick of `config.injections`.
   WarmStartEngine(std::vector<TestCase> cases,
-                  const fi::CampaignConfig& config, sim::SimTime duration,
-                  std::shared_ptr<WarmStartStats> stats);
+                  const fi::CampaignConfig& config, sim::SimTime duration);
 
-  /// Executes one campaign run: goldens capture checkpoints, injection
-  /// runs resume from the matching checkpoint (cold fallback otherwise).
-  fi::TraceSet run(const fi::RunRequest& request);
+  /// Executes the golden run `request` names (it must carry no
+  /// injection) and captures that test case's checkpoints on the way.
+  fi::TraceSet golden_run(const fi::RunRequest& request);
 
   /// The checkpoint frozen at fire tick `fire_ms` of `test_case`, or null
   /// when none exists (not planned, or that golden has not executed yet).
@@ -85,18 +57,14 @@ class WarmStartEngine {
   std::uint64_t duration_ms() const { return duration_ms_; }
 
  private:
-  fi::TraceSet golden_run(const fi::RunRequest& request);
-  fi::TraceSet injection_run(const fi::RunRequest& request);
   void publish(
       std::uint32_t test_case,
       std::vector<std::pair<std::size_t, std::unique_ptr<ArrestmentSystem>>>
-          snapshots,
-      std::shared_ptr<const fi::TraceSet> golden);
+          snapshots);
 
   std::vector<TestCase> cases_;
   sim::SimTime duration_;
   std::uint64_t duration_ms_;
-  std::shared_ptr<WarmStartStats> stats_;
   std::vector<std::uint64_t> checkpoint_ms_;  // ascending, unique
   /// slots_[test_case][i] holds the checkpoint at checkpoint_ms_[i], set
   /// once during that test case's golden run. The mutex covers publish/
@@ -105,17 +73,5 @@ class WarmStartEngine {
   mutable std::mutex mutex_;
   std::vector<std::vector<std::shared_ptr<const Checkpoint>>> slots_;
 };
-
-/// Drop-in replacement for campaign_runner: golden runs additionally
-/// capture checkpoints at every distinct fire tick of `config.injections`,
-/// and injection runs resume from the matching checkpoint. Falls back to
-/// the plain cold runner when `config.warm_start` is false, and to a cold
-/// run per request when no checkpoint matches (e.g. the golden run of that
-/// test case has not executed yet -- fi::run_campaign always runs goldens
-/// first, so this only happens for out-of-band calls).
-fi::RunFunction warm_campaign_runner(
-    std::vector<TestCase> test_cases, const fi::CampaignConfig& config,
-    sim::SimTime duration = kRunDuration,
-    std::shared_ptr<WarmStartStats> stats = nullptr);
 
 }  // namespace propane::arr

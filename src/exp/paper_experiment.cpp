@@ -1,7 +1,6 @@
 #include "exp/paper_experiment.hpp"
 
 #include "arrestment/batch_runner.hpp"
-#include "arrestment/warm_start.hpp"
 #include "common/env.hpp"
 #include "common/strings.hpp"
 

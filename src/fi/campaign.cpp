@@ -75,7 +75,7 @@ CampaignExecutor::CampaignExecutor(CampaignRunner runner,
     : runner_(std::move(runner)),
       config_(std::move(config)),
       hooks_(std::move(hooks)) {
-  PROPANE_REQUIRE(runner_.run != nullptr);
+  PROPANE_REQUIRE(runner_.run != nullptr && runner_.batch != nullptr);
   PROPANE_REQUIRE(config_.test_case_count > 0);
   total_ = static_cast<std::size_t>(config_.test_case_count) *
            config_.injections.size();
@@ -160,17 +160,6 @@ CampaignExecutor::CampaignExecutor(CampaignRunner runner,
 
 CampaignExecutor::~CampaignExecutor() = default;
 
-void CampaignExecutor::execute_range(RunRange range) {
-  range.end = std::min(range.end, total_);
-  range.begin = std::min(range.begin, range.end);
-  if (range.empty()) return;
-  if (runner_.batch != nullptr) {
-    execute_range_batched(range);
-  } else {
-    execute_range_scalar(range);
-  }
-}
-
 InjectionRecord CampaignExecutor::make_record_identity(
     std::size_t flat) const {
   const std::size_t inj = flat / config_.test_case_count;
@@ -183,98 +172,30 @@ InjectionRecord CampaignExecutor::make_record_identity(
   return record;
 }
 
-void CampaignExecutor::execute_range_scalar(RunRange range) {
+void CampaignExecutor::execute_range(RunRange range) {
+  range.end = std::min(range.end, total_);
+  range.begin = std::min(range.begin, range.end);
+  if (range.empty()) return;
   const obs::Telemetry* telemetry = hooks_.telemetry;
   const bool timed = instruments_->timed;
-
-  // Injection runs, injection-major. The per-run seed depends only on
-  // (config.seed, flat index), never on which runs the hooks filter out or
-  // how the plan was cut into ranges, so a resumed, process-split or
-  // lease-dispatched campaign reproduces the exact runs an uninterrupted
-  // single-process one would have performed.
-  obs::Span injection_phase(telemetry, "campaign.injection_phase");
-  pool_->parallel_for(range.begin, range.end, [&](std::size_t flat) {
-    const std::size_t inj = flat / config_.test_case_count;
-    const std::size_t tc = flat % config_.test_case_count;
-    InjectionRecord record;
-    record.injection_index = static_cast<std::uint32_t>(inj);
-    record.test_case = static_cast<std::uint32_t>(tc);
-    record.target = config_.injections[inj].target;
-    record.when = config_.injections[inj].when;
-
-    const bool execute =
-        !hooks_.should_run ||
-        hooks_.should_run(record.injection_index, record.test_case);
-    if (execute) {
-      obs::emit_event(telemetry, "campaign.run.start",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(flat)},
-                       {"injection", obs::Value(inj)},
-                       {"test_case", obs::Value(tc)}});
-      const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
-      RunRequest request;
-      request.test_case = static_cast<std::uint32_t>(tc);
-      request.injection = config_.injections[inj];
-      request.rng_seed = injection_run_seed(config_, flat);
-      const TraceSet trace = runner_.run(request);
-      record.report = compare_to_golden(result_.goldens[tc], trace);
-      const std::uint64_t dur_us =
-          timed ? obs::steady_now_us() - start_us : 0;
-      const std::size_t divergences = record.report.divergence_count();
-      if (instruments_->injection_runs != nullptr) {
-        instruments_->injection_runs->add(1);
-      }
-      if (divergences > 0) {
-        if (instruments_->diverged_runs != nullptr) {
-          instruments_->diverged_runs->add(1);
-        }
-        if (instruments_->diverged_signals != nullptr) {
-          instruments_->diverged_signals->add(divergences);
-        }
-      }
-      if (instruments_->run_latency != nullptr) {
-        instruments_->run_latency->observe(static_cast<double>(dur_us));
-      }
-      obs::emit_event(
-          telemetry, "injection.done",
-          {{"flat", obs::Value(flat)},
-           {"injection", obs::Value(inj)},
-           {"test_case", obs::Value(tc)},
-           {"target", obs::Value(record.target)},
-           {"model", obs::Value(config_.injections[inj].model.name)},
-           {"diverged_signals", obs::Value(divergences)},
-           {"dur_us", obs::Value(dur_us)}});
-      obs::emit_event(telemetry, "campaign.run.end",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(flat)},
-                       {"dur_us", obs::Value(dur_us)}});
-      if (hooks_.on_record) hooks_.on_record(record);
-    } else if (instruments_->skipped_runs != nullptr) {
-      instruments_->skipped_runs->add(1);
-    }
-    // Skipped runs keep their identity fields but an empty report; callers
-    // resuming from a journal overwrite them with the stored records.
-    if (hooks_.collect_records) result_.records[flat] = std::move(record);
-  });
-}
-
-void CampaignExecutor::execute_range_batched(RunRange range) {
-  const obs::Telemetry* telemetry = hooks_.telemetry;
-  const bool timed = instruments_->timed;
-  const std::size_t lanes_per_batch =
+  std::size_t lanes_per_batch =
       config_.batch_size > 0 ? config_.batch_size : kDefaultBatchSize;
+  if (runner_.max_lanes > 0) {
+    lanes_per_batch = std::min(lanes_per_batch, runner_.max_lanes);
+  }
 
   // --- Plan. Walk the range in flat order, filter through should_run
-  // (exactly like the scalar path -- skipped runs never reach a batch),
-  // order the survivors by (fire tick, test case) and pack them greedily
-  // into batches of at most `lanes_per_batch` lanes. Batches freely mix
-  // test cases (the runner gives each test case its own golden lane) and
-  // fire ticks (later-firing lanes ride along from the earliest fire tick
-  // and activate when their tick arrives), so thin groups -- sparse plans,
-  // delta-invalidated subsets, range tails -- still fill the SoA kernel.
-  // Batch composition is a pure execution detail: every lane's report is
-  // bit-identical to its scalar run whatever batch it lands in, so any
-  // range partition or batch size yields byte-identical records.
+  // (skipped runs never reach a batch), order the survivors by (fire tick,
+  // test case) and pack them greedily into batches of at most
+  // `lanes_per_batch` lanes. Batches freely mix test cases (the runner
+  // gives each test case its own golden lane) and fire ticks (later-firing
+  // lanes ride along from the earliest fire tick and activate when their
+  // tick arrives), so thin groups -- sparse plans, delta-invalidated
+  // subsets, range tails -- still fill the SoA kernel. The per-run seed
+  // depends only on (config.seed, flat index) and every lane's report is
+  // bit-identical to its scalar run whatever batch it lands in, so a
+  // resumed, process-split or lease-dispatched campaign, under any batch
+  // size, reproduces the exact records of an uninterrupted one.
   std::map<std::pair<std::uint64_t, std::uint32_t>,
            std::vector<BatchLaneRequest>>
       groups;
@@ -288,6 +209,8 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
       if (instruments_->skipped_runs != nullptr) {
         instruments_->skipped_runs->add(1);
       }
+      // Skipped runs keep their identity fields but an empty report;
+      // callers resuming from a journal overwrite them with stored records.
       if (hooks_.collect_records) {
         result_.records[flat] = make_record_identity(flat);
       }
@@ -317,12 +240,13 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
   }
   if (!open.lanes.empty()) batches.push_back(std::move(open));
 
-  // --- Execute. One pool task per batch; per-lane records keep the exact
-  // identity, seed and report content of the scalar path, so journals and
-  // the CSVs derived from them stay bit-identical.
+  // --- Execute. One pool task per batch; per-lane records keep their flat
+  // identity, seed and report content, so journals and the CSVs derived
+  // from them stay bit-identical.
   obs::Span injection_phase(telemetry, "campaign.injection_phase");
   pool_->parallel_for(0, batches.size(), [&](std::size_t b) {
-    const BatchRunRequest& batch = batches[b];
+    BatchRunRequest& batch = batches[b];
+    batch.goldens = &result_.goldens;
     for (const BatchLaneRequest& lane : batch.lanes) {
       obs::emit_event(telemetry, "campaign.run.start",
                       {{"kind", obs::Value("injection")},
@@ -340,18 +264,20 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
     // Batch shape for profiling: earliest fire tick (the tick the kernel
     // starts from), distinct test cases (one golden lane each) and lane
     // count -- occupancy is lanes / batch size.
-    std::uint64_t start_fire_ms = ~std::uint64_t{0};
-    std::set<std::uint32_t> batch_cases;
-    for (const BatchLaneRequest& lane : batch.lanes) {
-      start_fire_ms =
-          std::min(start_fire_ms, injection_fire_ms(lane.spec->when));
-      batch_cases.insert(lane.test_case);
+    if (telemetry != nullptr && telemetry->events != nullptr) {
+      std::uint64_t start_fire_ms = ~std::uint64_t{0};
+      std::set<std::uint32_t> batch_cases;
+      for (const BatchLaneRequest& lane : batch.lanes) {
+        start_fire_ms =
+            std::min(start_fire_ms, injection_fire_ms(lane.spec->when));
+        batch_cases.insert(lane.test_case);
+      }
+      obs::emit_event(telemetry, "campaign.batch.done",
+                      {{"fire_ms", obs::Value(start_fire_ms)},
+                       {"test_cases", obs::Value(batch_cases.size())},
+                       {"lanes", obs::Value(batch.lanes.size())},
+                       {"dur_us", obs::Value(dur_us)}});
     }
-    obs::emit_event(telemetry, "campaign.batch.done",
-                    {{"fire_ms", obs::Value(start_fire_ms)},
-                     {"test_cases", obs::Value(batch_cases.size())},
-                     {"lanes", obs::Value(batch.lanes.size())},
-                     {"dur_us", obs::Value(dur_us)}});
 
     for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
       const BatchLaneRequest& lane = batch.lanes[i];
@@ -392,6 +318,28 @@ void CampaignExecutor::execute_range_batched(RunRange range) {
       }
     }
   });
+}
+
+CampaignRunner CampaignRunner::from_scalar(RunFunction scalar_run) {
+  PROPANE_REQUIRE(scalar_run != nullptr);
+  CampaignRunner runner(
+      scalar_run, [scalar_run](const BatchRunRequest& request) {
+        PROPANE_REQUIRE_MSG(request.goldens != nullptr,
+                            "a scalar runner compares against the goldens");
+        std::vector<DivergenceReport> reports;
+        reports.reserve(request.lanes.size());
+        for (const BatchLaneRequest& lane : request.lanes) {
+          RunRequest run;
+          run.test_case = lane.test_case;
+          run.injection = *lane.spec;
+          run.rng_seed = lane.rng_seed;
+          reports.push_back(compare_to_golden(
+              request.goldens->at(lane.test_case), scalar_run(run)));
+        }
+        return reports;
+      });
+  runner.max_lanes = 1;
+  return runner;
 }
 
 CampaignResult run_campaign(const CampaignRunner& runner,

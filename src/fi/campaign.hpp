@@ -4,10 +4,11 @@
 // one Injection Run per planned injection, then reduces each IR trace to a
 // per-signal first-divergence report against that test case's GR.
 //
-// The system under test is supplied as a RunFunction that builds a *fresh*
-// system instance, runs it to completion and returns the trace. It must be
-// callable concurrently from multiple threads; determinism comes from the
-// per-run seed in the request, never from shared state.
+// The system under test is supplied as a CampaignRunner: golden runs plus
+// lockstep batches of injection runs, or simply a RunFunction that builds
+// a *fresh* system instance, runs it to completion and returns the trace.
+// Both must be callable concurrently from multiple threads; determinism
+// comes from the per-run seed in the request, never from shared state.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,7 @@ using RunFunction = std::function<TraceSet(const RunRequest&)>;
 
 /// One lane of a lockstep batch: an injection run plus its identity in the
 /// campaign's flat run enumeration (so records, journal entries and
-/// telemetry keep the exact same identity as the scalar path).
+/// telemetry keep the exact same identity whatever batch a run lands in).
 struct BatchLaneRequest {
   std::size_t flat = 0;
   std::uint32_t injection_index = 0;
@@ -63,34 +64,49 @@ struct BatchLaneRequest {
 /// fires (all-clear report).
 struct BatchRunRequest {
   std::vector<BatchLaneRequest> lanes;
+  /// The campaign's golden traces, indexed by test case; borrowed for the
+  /// call. Null when the caller has none (direct calls in tests).
+  const std::vector<TraceSet>* goldens = nullptr;
 };
 
 /// Executes a whole batch and returns one DivergenceReport per lane, in
-/// lane order, each bit-identical to what the scalar path's
-/// compare_to_golden would have produced for that run.
+/// lane order, each bit-identical to compare_to_golden of that run's
+/// scalar trace against its test case's golden trace.
 using BatchRunFunction =
     std::function<std::vector<DivergenceReport>(const BatchRunRequest&)>;
 
-/// The system under test, as handed to the campaign: a scalar per-run
-/// function (mandatory -- golden runs and the fallback path always use it)
-/// plus an optional lockstep batch function. Implicitly constructible from
-/// a plain RunFunction so scalar-only runners keep working unchanged.
+/// The system under test, as handed to the campaign: `run` executes the
+/// golden runs, `batch` executes every injection run.
+///
+/// Scalar-only systems (one trace per call) convert implicitly from a
+/// RunFunction into a width-1 batch adaptor: `run` serves the goldens, and
+/// each one-lane batch is one `run` call whose trace is compared against
+/// BatchRunRequest::goldens. The cold scalar reference
+/// (arr::campaign_runner) executes this way.
 struct CampaignRunner {
   RunFunction run;
-  BatchRunFunction batch;  // null = scalar-only runner
+  BatchRunFunction batch;
+  /// Upper bound on lanes per batch (0 = CampaignConfig::batch_size). The
+  /// width-1 adaptor sets 1: a batch is the unit a crash loses and the
+  /// unit the pool schedules, so scalar runs stay journaled and spread
+  /// over the threads one by one.
+  std::size_t max_lanes = 0;
 
   CampaignRunner() = default;
-  /// Implicit from anything a RunFunction can hold (lambda, function
-  /// pointer, RunFunction itself), so scalar-only call sites pass their
-  /// runner exactly as before.
+  /// The width-1 adaptor, implicit from anything a RunFunction can hold
+  /// (lambda, function pointer, RunFunction itself).
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, CampaignRunner> &&
                 std::is_constructible_v<RunFunction, F&&>>>
   CampaignRunner(F&& scalar_run)  // NOLINT(google-explicit-constructor)
-      : run(std::forward<F>(scalar_run)) {}
-  CampaignRunner(RunFunction scalar_run, BatchRunFunction batch_run)
-      : run(std::move(scalar_run)), batch(std::move(batch_run)) {}
+      : CampaignRunner(
+            from_scalar(RunFunction(std::forward<F>(scalar_run)))) {}
+  CampaignRunner(RunFunction golden_run, BatchRunFunction batch_run)
+      : run(std::move(golden_run)), batch(std::move(batch_run)) {}
+
+ private:
+  static CampaignRunner from_scalar(RunFunction scalar_run);
 };
 
 struct CampaignConfig {
@@ -103,16 +119,11 @@ struct CampaignConfig {
   std::uint64_t seed = 0x9E3779B9;
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Allow warm-starting injection runs from golden-run checkpoints taken
-  /// at each injection's fire time (honoured by checkpoint-capable runners
-  /// such as arr::warm_campaign_runner). Results are bit-identical either
-  /// way; disable to force every run to re-simulate from t=0.
-  bool warm_start = true;
-  /// Lanes per lockstep batch when the runner provides a BatchRunFunction
-  /// (0 = default). Pure execution knob: results and journals are
-  /// bit-identical for every batch size, and the journal plan hash
-  /// deliberately excludes it, so a campaign may be resumed under a
-  /// different batch size (or on the scalar path) without invalidation.
+  /// Lanes per lockstep batch (0 = default; CampaignRunner::max_lanes caps
+  /// it). Pure execution knob: results and journals are bit-identical for
+  /// every batch size, and the journal plan hash deliberately excludes it,
+  /// so a campaign may be resumed under a different batch size (or on the
+  /// scalar reference) without invalidation.
   std::size_t batch_size = 0;
 };
 
@@ -236,13 +247,12 @@ class CampaignExecutor {
   /// (clamped to the plan) and blocks until the range completes. Ranges may
   /// execute in any order; hooks.should_run is the seam that keeps a flat
   /// index from running twice when ranges overlap (e.g. a requeued lease).
-  /// When the runner has a BatchRunFunction, the range is planned into
-  /// lockstep batches (runs ordered by fire tick then test case and packed
-  /// greedily, so lanes of different test cases and fire ticks share a
-  /// batch); records keep their flat identity either way, and every lane
-  /// is bit-identical to its scalar run regardless of batch composition,
-  /// so journals and CSVs are bit-identical to the scalar path. Not
-  /// thread-safe: call from one thread at a time.
+  /// The range is planned into lockstep batches (runs ordered by fire tick
+  /// then test case and packed greedily, so lanes of different test cases
+  /// and fire ticks share a batch); records keep their flat identity, and
+  /// every lane is bit-identical to its scalar run regardless of batch
+  /// composition, so journals and CSVs are bit-identical to the scalar
+  /// reference. Not thread-safe: call from one thread at a time.
   void execute_range(RunRange range);
 
   const CampaignResult& result() const { return result_; }
@@ -252,8 +262,6 @@ class CampaignExecutor {
  private:
   struct Instruments;  // resolved telemetry handles
 
-  void execute_range_scalar(RunRange range);
-  void execute_range_batched(RunRange range);
   InjectionRecord make_record_identity(std::size_t flat) const;
 
   CampaignRunner runner_;
@@ -274,9 +282,6 @@ class CampaignExecutor {
 /// are a pure function of (config.seed, run identity), which also makes a
 /// journal-resumed campaign bit-identical to an uninterrupted one.
 /// (Wrapper over CampaignExecutor: one range covering the whole plan.)
-/// When `runner.batch` is set, injection runs execute as lockstep batches;
-/// scalar-only runners (or bare lambdas, via CampaignRunner's implicit
-/// constructor) run one trace at a time.
 CampaignResult run_campaign(const CampaignRunner& runner,
                             const CampaignConfig& config);
 CampaignResult run_campaign(const CampaignRunner& runner,

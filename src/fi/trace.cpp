@@ -89,25 +89,4 @@ TraceRecorder::TraceRecorder(const SignalBus& bus, std::size_t reserve_samples)
   trace_.reserve(reserve_samples);
 }
 
-TraceRecorder::TraceRecorder(const SignalBus& bus, const TraceSet& prefix,
-                             std::size_t reserve_samples)
-    : TraceRecorder(bus, prefix, prefix.sample_count(), reserve_samples) {}
-
-TraceRecorder::TraceRecorder(const SignalBus& bus, const TraceSet& prefix,
-                             std::size_t prefix_rows,
-                             std::size_t reserve_samples)
-    : bus_(bus), trace_(prefix.names() != nullptr
-                            ? TraceSet(prefix.names())
-                            : TraceSet(intern_signal_names(bus.names()))) {
-  PROPANE_REQUIRE_MSG(prefix.signal_count() == bus.signal_count(),
-                      "checkpoint prefix must cover the bus signals");
-  PROPANE_REQUIRE_MSG(prefix_rows <= prefix.sample_count(),
-                      "prefix rows must exist in the prefix trace");
-  trace_.reserve(reserve_samples);
-  if (prefix_rows > 0) {
-    trace_.append_rows(
-        {prefix.data(), prefix_rows * prefix.signal_count()});
-  }
-}
-
 }  // namespace propane::fi

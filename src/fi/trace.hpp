@@ -91,15 +91,6 @@ class TraceRecorder {
   /// `reserve_samples` pre-allocates the trace so that many samples record
   /// allocation-free (pass the run duration in milliseconds).
   explicit TraceRecorder(const SignalBus& bus, std::size_t reserve_samples = 0);
-  /// Starts from a checkpointed prefix (warm-start runs): the trace begins
-  /// as a copy of `prefix`, whose signals must match the bus.
-  TraceRecorder(const SignalBus& bus, const TraceSet& prefix,
-                std::size_t reserve_samples);
-  /// Same, but seeds only the first `prefix_rows` rows of `prefix`. Lets a
-  /// checkpoint share one full golden trace across every fire tick instead
-  /// of storing a per-tick prefix copy (arrestment/warm_start.hpp).
-  TraceRecorder(const SignalBus& bus, const TraceSet& prefix,
-                std::size_t prefix_rows, std::size_t reserve_samples);
 
   /// Records the current bus state as the next millisecond sample: one
   /// inlined range-insert of the bus's value array, no zero-fill, no

@@ -123,8 +123,8 @@ struct JournalRunSummary {
 /// appended to a shard before the campaign moves on, so the directory can
 /// be resumed after a crash at any point.
 ///
-/// Accepts a scalar fi::RunFunction (implicitly) or a full
-/// fi::CampaignRunner with a batch function; journals are bit-identical
+/// Accepts a scalar fi::RunFunction (implicitly, as a width-1 batch
+/// adaptor) or a batched fi::CampaignRunner; journals are bit-identical
 /// either way, and a directory written by one may be resumed by the other
 /// (batch size is deliberately outside the plan hash).
 JournalRunSummary run_journaled_campaign(const fi::CampaignRunner& runner,

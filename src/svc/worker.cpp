@@ -93,49 +93,54 @@ int run_worker_loop(const fi::CampaignRunner& runner,
     }
     std::uint64_t lease_span_id = 0;
     try {
-      // The whole lease -- directory rescan included -- runs under one
-      // span parented on the dispatcher's serve.lease span id from the
-      // wire, stitching this process into the campaign trace.
-      obs::Span lease_span(
-          telemetry, "worker.lease",
-          obs::SpanOptions{
-              lease->span_id,
-              {{"lease_id", obs::Value(lease->lease_id)},
-               {"worker_id", obs::Value(worker.worker_id)},
-               {"trace_id", obs::Value(lease->trace_id)},
-               {"begin", obs::Value(lease->begin)},
-               {"end", obs::Value(lease->end)},
-               {"rescan", obs::Value(lease->rescan)}}});
-      lease_span_id = lease_span.id();
-      if (lease->rescan) {
-        // The range may hold runs a dead worker already journaled; drop
-        // both session and executor so the fresh scan filters them.
-        executor.reset();
-        session.reset();
+      {
+        // The whole lease -- directory rescan included -- runs under one
+        // span parented on the dispatcher's serve.lease span id from the
+        // wire, stitching this process into the campaign trace. The span
+        // closes (and its event reaches the sinks, flight ring included)
+        // before DONE goes out, so a worker killed right after DONE still
+        // leaves the completed lease's span behind.
+        obs::Span lease_span(
+            telemetry, "worker.lease",
+            obs::SpanOptions{
+                lease->span_id,
+                {{"lease_id", obs::Value(lease->lease_id)},
+                 {"worker_id", obs::Value(worker.worker_id)},
+                 {"trace_id", obs::Value(lease->trace_id)},
+                 {"begin", obs::Value(lease->begin)},
+                 {"end", obs::Value(lease->end)},
+                 {"rescan", obs::Value(lease->rescan)}}});
+        lease_span_id = lease_span.id();
+        if (lease->rescan) {
+          // The range may hold runs a dead worker already journaled; drop
+          // both session and executor so the fresh scan filters them.
+          executor.reset();
+          session.reset();
+        }
+        if (session == nullptr) {
+          session = std::make_unique<store::JournaledCampaignSession>(
+              config, worker.journal_dir, options, session_tag);
+        }
+        if (executor == nullptr) {
+          fi::CampaignHooks hooks = session->hooks();
+          hooks.on_record = [&lease_executed, &lease_diverged,
+                             append = std::move(hooks.on_record)](
+                                const fi::InjectionRecord& record) {
+            append(record);
+            lease_executed.fetch_add(1, std::memory_order_relaxed);
+            if (record.report.any_divergence()) {
+              lease_diverged.fetch_add(1, std::memory_order_relaxed);
+            }
+          };
+          executor =
+              std::make_unique<fi::CampaignExecutor>(runner, config, hooks);
+        }
+        lease_executed.store(0, std::memory_order_relaxed);
+        lease_diverged.store(0, std::memory_order_relaxed);
+        executor->execute_range(
+            {static_cast<std::size_t>(lease->begin),
+             static_cast<std::size_t>(lease->end)});
       }
-      if (session == nullptr) {
-        session = std::make_unique<store::JournaledCampaignSession>(
-            config, worker.journal_dir, options, session_tag);
-      }
-      if (executor == nullptr) {
-        fi::CampaignHooks hooks = session->hooks();
-        hooks.on_record = [&lease_executed, &lease_diverged,
-                           append = std::move(hooks.on_record)](
-                              const fi::InjectionRecord& record) {
-          append(record);
-          lease_executed.fetch_add(1, std::memory_order_relaxed);
-          if (record.report.any_divergence()) {
-            lease_diverged.fetch_add(1, std::memory_order_relaxed);
-          }
-        };
-        executor =
-            std::make_unique<fi::CampaignExecutor>(runner, config, hooks);
-      }
-      lease_executed.store(0, std::memory_order_relaxed);
-      lease_diverged.store(0, std::memory_order_relaxed);
-      executor->execute_range(
-          {static_cast<std::size_t>(lease->begin),
-           static_cast<std::size_t>(lease->end)});
       const std::uint64_t executed =
           lease_executed.load(std::memory_order_relaxed);
       const std::uint64_t diverged =

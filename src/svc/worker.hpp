@@ -48,9 +48,10 @@ struct WorkerSummary {
 /// rebuilt from a fresh directory scan when a lease carries rescan=1 --
 /// the range may contain runs a dead worker already journaled, and the
 /// re-scan keeps them from executing twice.
-/// `runner` may be a plain scalar fi::RunFunction (implicit conversion) or
-/// carry a batch function; leased ranges then execute as lockstep batches
-/// with journal records identical to the scalar path.
+/// `runner` may be a plain scalar fi::RunFunction (implicit conversion to
+/// a width-1 batch adaptor) or a batched runner; leased ranges execute as
+/// lockstep batches with journal records identical to the scalar
+/// reference.
 int run_worker_loop(const fi::CampaignRunner& runner,
                     const fi::CampaignConfig& config,
                     const WorkerConfig& worker, std::istream& in,

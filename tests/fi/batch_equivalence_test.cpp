@@ -21,6 +21,7 @@
 #include "arrestment/batch_system.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
+#include "obs/telemetry.hpp"
 #include "store/result_cache.hpp"
 #include "store/resume.hpp"
 
@@ -103,6 +104,20 @@ fi::CampaignConfig short_config() {
   return ::testing::AssertionSuccess();
 }
 
+/// The batch runner's telemetry counters, read back after a campaign.
+struct BatchCounters {
+  obs::MetricsRegistry metrics;
+  const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
+
+  std::uint64_t batches() {
+    return metrics.counter("batch.kernel.batches").value();
+  }
+  std::uint64_t lanes() { return metrics.counter("batch.kernel.lanes").value(); }
+  std::uint64_t never_fire() {
+    return metrics.counter("batch.never_fire.lanes").value();
+  }
+};
+
 // --- Kernel-level trace identity -----------------------------------------
 
 TEST(BatchKernel, ColdBatchRecordsBitIdenticalLaneTraces) {
@@ -149,10 +164,9 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
   const std::vector<TestCase> cases = grid_test_cases(1, 1);
   fi::CampaignConfig config = short_config();
   config.test_case_count = 1;
-  WarmStartEngine engine(cases, config, kShortRun,
-                         std::make_shared<WarmStartStats>());
+  WarmStartEngine engine(cases, config, kShortRun);
   fi::RunRequest golden_request;  // captures the checkpoints
-  const fi::TraceSet golden = engine.run(golden_request);
+  const fi::TraceSet golden = engine.golden_run(golden_request);
 
   const std::shared_ptr<const WarmStartEngine::Checkpoint> checkpoint =
       engine.lookup(0, 50);
@@ -170,7 +184,7 @@ TEST(BatchKernel, WarmCheckpointBatchRecordsBitIdenticalLaneTraces) {
     lanes.push_back(BatchLaneSpec{&specs[i], 40 + i});
   }
   BatchedArrestmentSystem batch(*checkpoint->system, lanes, kShortRun);
-  batch.enable_recording(checkpoint->golden.get());
+  batch.enable_recording(&golden);
   batch.run();
 
   EXPECT_TRUE(traces_identical(batch.take_golden_trace(), golden));
@@ -196,16 +210,17 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
   for (const std::size_t batch_size : kBatchSizes) {
     SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
     config.batch_size = batch_size;
-    const auto stats = std::make_shared<BatchRunStats>();
+    BatchCounters counters;
     const fi::CampaignResult batched = fi::run_campaign(
-        batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+        batched_campaign_runner(cases, config, kShortRun,
+                                &counters.telemetry),
         config);
 
     // The batch path actually executed (never-firing lanes excepted).
-    EXPECT_GT(stats->batches.load(), 0u);
-    EXPECT_EQ(stats->batched_lanes.load() + stats->never_fire_lanes.load(),
+    EXPECT_GT(counters.batches(), 0u);
+    EXPECT_EQ(counters.lanes() + counters.never_fire(),
               config.injections.size() * config.test_case_count);
-    EXPECT_GT(stats->never_fire_lanes.load(), 0u);
+    EXPECT_GT(counters.never_fire(), 0u);
 
     ASSERT_EQ(batched.goldens.size(), scalar.goldens.size());
     for (std::size_t tc = 0; tc < scalar.goldens.size(); ++tc) {
@@ -222,27 +237,6 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
       EXPECT_TRUE(reports_identical(batched.records[r].report,
                                     scalar.records[r].report));
     }
-  }
-}
-
-TEST(BatchCampaign, ColdBatchesMatchScalarWhenWarmStartDisabled) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  fi::CampaignConfig config = short_config();
-  config.warm_start = false;
-  config.batch_size = 4;
-  const fi::CampaignResult scalar =
-      fi::run_campaign(campaign_runner(cases, kShortRun), config);
-  const auto stats = std::make_shared<BatchRunStats>();
-  const fi::CampaignResult batched = fi::run_campaign(
-      batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
-      config);
-
-  EXPECT_GT(stats->batches.load(), 0u);
-  ASSERT_EQ(batched.records.size(), scalar.records.size());
-  for (std::size_t r = 0; r < scalar.records.size(); ++r) {
-    EXPECT_TRUE(reports_identical(batched.records[r].report,
-                                  scalar.records[r].report))
-        << "record " << r;
   }
 }
 
@@ -441,17 +435,17 @@ TEST(BatchCampaign, SparsePlanPacksAcrossTestCasesAndFireTicks) {
       fi::run_campaign(campaign_runner(cases, kShortRun), config);
 
   config.batch_size = 32;
-  const auto stats = std::make_shared<BatchRunStats>();
+  BatchCounters counters;
   const fi::CampaignResult batched = fi::run_campaign(
-      batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config);
 
   // 24 single-lane (test case, fire tick) groups plus 2 never-fire lanes
   // pack into ONE kernel batch; the never-fire lanes are peeled before
   // simulation.
-  EXPECT_EQ(stats->batches.load(), 1u);
-  EXPECT_EQ(stats->batched_lanes.load(), 24u);
-  EXPECT_EQ(stats->never_fire_lanes.load(), 2u);
+  EXPECT_EQ(counters.batches(), 1u);
+  EXPECT_EQ(counters.lanes(), 24u);
+  EXPECT_EQ(counters.never_fire(), 2u);
 
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
@@ -474,14 +468,14 @@ TEST(BatchCampaign, NeverFirePlanAnswersWithoutSimulation) {
   const fi::CampaignResult scalar =
       fi::run_campaign(campaign_runner(cases, kShortRun), config);
 
-  const auto stats = std::make_shared<BatchRunStats>();
+  BatchCounters counters;
   const fi::CampaignResult batched = fi::run_campaign(
-      batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config);
 
-  EXPECT_EQ(stats->batches.load(), 0u);
-  EXPECT_EQ(stats->batched_lanes.load(), 0u);
-  EXPECT_EQ(stats->never_fire_lanes.load(), 4u);
+  EXPECT_EQ(counters.batches(), 0u);
+  EXPECT_EQ(counters.lanes(), 0u);
+  EXPECT_EQ(counters.never_fire(), 4u);
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
     EXPECT_TRUE(reports_identical(batched.records[r].report,
@@ -549,14 +543,14 @@ TEST(BatchJournal, ResumeOfCompleteJournalPlansNoBatches) {
 
   // Every run is journaled: the planner sees zero missing lanes and the
   // batch path must cope with an entirely empty plan.
-  const auto stats = std::make_shared<BatchRunStats>();
+  BatchCounters counters;
   const store::JournalRunSummary resumed = store::run_journaled_campaign(
-      batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config, dir);
   EXPECT_EQ(resumed.executed, 0u);
   EXPECT_EQ(resumed.skipped_completed,
             config.injections.size() * config.test_case_count);
-  EXPECT_EQ(stats->batches.load(), 0u);
+  EXPECT_EQ(counters.batches(), 0u);
   EXPECT_EQ(journal_csv(dir), csv);
 }
 
@@ -596,11 +590,12 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
   store::DeltaRunOptions changed;
   changed.module_versions =
       module_version_tokens({{"V_REG", 0x5EED5EED5EED5EEDULL}});
-  const auto stats = std::make_shared<BatchRunStats>();
+  BatchCounters counters;
   const fs::path delta_dir = fresh_dir("batch_delta_out");
   const store::DeltaJournalSummary summary =
       store::run_delta_journaled_campaign(
-          batched_campaign_runner(cases, config, kShortRun, nullptr, stats),
+          batched_campaign_runner(cases, config, kShortRun,
+                                  &counters.telemetry),
           config, model, binding, delta_dir,
           store::ResultCache::load(base_dir), changed);
 
@@ -608,8 +603,8 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
   EXPECT_EQ(summary.replayed, 12u);
   // Packing proof: 12 single-lane (test case, fire tick) groups ran as
   // ceil(12 / 8) = 2 batches, not 12.
-  EXPECT_EQ(stats->batches.load(), 2u);
-  EXPECT_EQ(stats->batched_lanes.load(), 12u);
+  EXPECT_EQ(counters.batches(), 2u);
+  EXPECT_EQ(counters.lanes(), 12u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
 }
 

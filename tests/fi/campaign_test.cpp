@@ -159,5 +159,33 @@ TEST(Campaign, GoldenRunsReceiveNoInjection) {
   EXPECT_EQ(golden_with_injection.load(), 0);
 }
 
+TEST(Campaign, ScalarRunnerIsAWidthOneBatchAdaptor) {
+  const CampaignRunner runner = toy_run;
+  EXPECT_EQ(runner.max_lanes, 1u);
+
+  // Each lane is one scalar run, compared against its test case's golden.
+  const CampaignConfig config = toy_config();
+  std::vector<TraceSet> goldens;
+  for (std::uint32_t tc = 0; tc < config.test_case_count; ++tc) {
+    goldens.push_back(toy_run(RunRequest{tc, std::nullopt, 0}));
+  }
+  BatchRunRequest request;
+  request.lanes = {{0, 1, 2, 7, &config.injections[1]},
+                   {0, 0, 1, 8, &config.injections[0]}};
+  request.goldens = &goldens;
+  const std::vector<DivergenceReport> reports = runner.batch(request);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].divergence_count(),
+            compare_to_golden(goldens[2],
+                              toy_run(RunRequest{2, config.injections[1], 7}))
+                .divergence_count());
+  EXPECT_GT(reports[0].divergence_count(), 0u);
+  EXPECT_EQ(reports[1].divergence_count(), 1u);  // src only; dst masks bit 0
+
+  // Without goldens there is nothing to compare against.
+  request.goldens = nullptr;
+  EXPECT_THROW(runner.batch(request), ContractViolation);
+}
+
 }  // namespace
 }  // namespace propane::fi

@@ -125,32 +125,6 @@ TEST(TraceRecorder, SamplesBusStateOverTime) {
   EXPECT_EQ(trace.signal_name(a), "a");
 }
 
-TEST(TraceRecorder, PrefixSeededRecorderContinuesTrace) {
-  SignalBus bus;
-  const BusSignalId a = bus.add_signal("a");
-
-  TraceSet prefix(std::vector<std::string>{"a"});
-  prefix.append({10});
-  prefix.append({11});
-
-  bus.write(a, 12);
-  TraceRecorder recorder(bus, prefix, /*reserve_samples=*/4);
-  EXPECT_EQ(recorder.trace().sample_count(), 2u);
-  recorder.sample();
-  bus.write(a, 13);
-  recorder.sample();
-  EXPECT_EQ(recorder.take().series(a),
-            (std::vector<std::uint16_t>{10, 11, 12, 13}));
-}
-
-TEST(TraceRecorder, PrefixWidthMismatchViolatesContract) {
-  SignalBus bus;
-  bus.add_signal("a");
-  bus.add_signal("b");
-  TraceSet narrow(std::vector<std::string>{"a"});
-  EXPECT_THROW(TraceRecorder(bus, narrow, 0), ContractViolation);
-}
-
 TEST(TraceRecorder, TakeMovesTraceOut) {
   SignalBus bus;
   bus.add_signal("a");

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
+#include "arrestment/batch_runner.hpp"
 #include "arrestment/testcase.hpp"
 
 namespace propane::arr {
@@ -49,20 +51,54 @@ fi::CampaignConfig short_config() {
   return ::testing::AssertionSuccess();
 }
 
+/// `suffix` equals `full` from row `from` on.
+::testing::AssertionResult suffix_identical(const fi::TraceSet& full,
+                                            const fi::TraceSet& suffix,
+                                            std::size_t from) {
+  if (full.sample_count() != from + suffix.sample_count()) {
+    return ::testing::AssertionFailure()
+           << "suffix has " << suffix.sample_count() << " rows, expected "
+           << full.sample_count() - from;
+  }
+  for (std::size_t ms = 0; ms < suffix.sample_count(); ++ms) {
+    const auto a = full.row(from + ms);
+    const auto b = suffix.row(ms);
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
+      return ::testing::AssertionFailure() << "row " << from + ms << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult reports_identical(const fi::DivergenceReport& a,
+                                             const fi::DivergenceReport& b) {
+  if (a.per_signal.size() != b.per_signal.size()) {
+    return ::testing::AssertionFailure() << "signal count mismatch";
+  }
+  for (std::size_t s = 0; s < a.per_signal.size(); ++s) {
+    const fi::Divergence& x = a.per_signal[s];
+    const fi::Divergence& y = b.per_signal[s];
+    if (x.diverged != y.diverged || x.first_ms != y.first_ms ||
+        x.golden_value != y.golden_value ||
+        x.observed_value != y.observed_value) {
+      return ::testing::AssertionFailure() << "signal " << s << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(WarmStart, FireTickRoundsUpToNextMillisecond) {
-  EXPECT_EQ(injection_fire_ms(0), 0u);
-  EXPECT_EQ(injection_fire_ms(1), 1u);
-  EXPECT_EQ(injection_fire_ms(sim::kMillisecond), 1u);
-  EXPECT_EQ(injection_fire_ms(sim::kMillisecond + 1), 2u);
-  EXPECT_EQ(injection_fire_ms(2500 * sim::kMillisecond), 2500u);
+  EXPECT_EQ(fi::injection_fire_ms(0), 0u);
+  EXPECT_EQ(fi::injection_fire_ms(1), 1u);
+  EXPECT_EQ(fi::injection_fire_ms(sim::kMillisecond), 1u);
+  EXPECT_EQ(fi::injection_fire_ms(sim::kMillisecond + 1), 2u);
+  EXPECT_EQ(fi::injection_fire_ms(2500 * sim::kMillisecond), 2500u);
 }
 
 TEST(WarmStart, WarmRunsBitIdenticalToCold) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
   const fi::CampaignConfig config = short_config();
-  const auto stats = std::make_shared<WarmStartStats>();
-  const fi::RunFunction warm =
-      warm_campaign_runner(cases, config, kShortRun, stats);
+  WarmStartEngine engine(cases, config, kShortRun);
   const fi::RunFunction cold = campaign_runner(cases, kShortRun);
 
   // Goldens first (they capture the checkpoints), as run_campaign does.
@@ -70,73 +106,65 @@ TEST(WarmStart, WarmRunsBitIdenticalToCold) {
     fi::RunRequest request;
     request.test_case = tc;
     request.rng_seed = 17 + tc;
-    EXPECT_TRUE(traces_identical(warm(request), cold(request)));
+    EXPECT_TRUE(traces_identical(engine.golden_run(request), cold(request)));
   }
+  // Every injection resumes from its fire tick's checkpoint and reproduces
+  // the cold run's trace from that tick on.
   for (std::size_t inj = 0; inj < config.injections.size(); ++inj) {
+    const fi::InjectionSpec& spec = config.injections[inj];
     for (std::uint32_t tc = 0; tc < config.test_case_count; ++tc) {
+      const auto checkpoint =
+          engine.lookup(tc, fi::injection_fire_ms(spec.when));
+      ASSERT_NE(checkpoint, nullptr);
+      RunOptions options;
+      options.duration = kShortRun;
+      options.injection = spec;
+      options.rng_seed = 1000 * inj + tc;
+      ArrestmentSystem system(*checkpoint->system);
+      fi::TraceRecorder recorder(system.bus());
+      while (system.now() < kShortRun) {
+        system.tick(options);
+        recorder.sample();
+      }
       fi::RunRequest request;
       request.test_case = tc;
-      request.injection = config.injections[inj];
-      request.rng_seed = 1000 * inj + tc;
-      EXPECT_TRUE(traces_identical(warm(request), cold(request)))
+      request.injection = spec;
+      request.rng_seed = options.rng_seed;
+      EXPECT_TRUE(suffix_identical(cold(request), recorder.take(),
+                                   checkpoint->ms))
           << "injection " << inj << " test case " << tc;
     }
   }
-  // Every injection run resumed from a checkpoint; none fell back cold.
-  EXPECT_EQ(stats->warm_runs.load(), 6u);
-  EXPECT_EQ(stats->cold_runs.load(), 0u);
-  EXPECT_GT(stats->saved_ms.load(), 0u);
 }
 
 TEST(WarmStart, InjectionBeforeGoldenFallsBackCold) {
   const std::vector<TestCase> cases = grid_test_cases(1, 1);
   fi::CampaignConfig config = short_config();
   config.test_case_count = 1;
-  const auto stats = std::make_shared<WarmStartStats>();
-  const fi::RunFunction warm =
-      warm_campaign_runner(cases, config, kShortRun, stats);
+  const fi::CampaignRunner runner =
+      batched_campaign_runner(cases, config, kShortRun);
 
-  fi::RunRequest request;
-  request.injection = config.injections[0];
-  request.rng_seed = 5;
-  const fi::TraceSet out = warm(request);  // no golden ran yet
+  // No golden ran yet, so no checkpoint exists: the batch starts cold.
+  fi::BatchRunRequest request;
+  request.lanes.push_back({0, 0, 0, 5, &config.injections[0]});
+  const std::vector<fi::DivergenceReport> reports = runner.batch(request);
+  ASSERT_EQ(reports.size(), 1u);
 
   RunOptions options;
   options.duration = kShortRun;
+  const fi::TraceSet golden = run_arrestment(cases[0], options).trace;
   options.injection = config.injections[0];
   options.rng_seed = 5;
-  EXPECT_TRUE(traces_identical(out, run_arrestment(cases[0], options).trace));
-  EXPECT_EQ(stats->cold_runs.load(), 1u);
-  EXPECT_EQ(stats->warm_runs.load(), 0u);
-}
-
-TEST(WarmStart, DisabledConfigUsesColdRunner) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 1);
-  fi::CampaignConfig config = short_config();
-  config.test_case_count = 1;
-  config.warm_start = false;
-  const auto stats = std::make_shared<WarmStartStats>();
-  const fi::RunFunction runner =
-      warm_campaign_runner(cases, config, kShortRun, stats);
-
-  fi::RunRequest request;
-  request.injection = config.injections[1];
-  request.rng_seed = 3;
-  RunOptions options;
-  options.duration = kShortRun;
-  options.injection = config.injections[1];
-  options.rng_seed = 3;
-  EXPECT_TRUE(traces_identical(runner(request),
-                               run_arrestment(cases[0], options).trace));
-  EXPECT_EQ(stats->warm_runs.load(), 0u);
-  EXPECT_EQ(stats->cold_runs.load(), 0u);
+  EXPECT_TRUE(reports_identical(
+      reports[0],
+      fi::compare_to_golden(golden, run_arrestment(cases[0], options).trace)));
 }
 
 TEST(WarmStart, FullCampaignMatchesColdRunnerExactly) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
   const fi::CampaignConfig config = short_config();
   const fi::CampaignResult warm = fi::run_campaign(
-      warm_campaign_runner(cases, config, kShortRun), config);
+      batched_campaign_runner(cases, config, kShortRun), config);
   const fi::CampaignResult cold =
       fi::run_campaign(campaign_runner(cases, kShortRun), config);
 
@@ -146,15 +174,9 @@ TEST(WarmStart, FullCampaignMatchesColdRunnerExactly) {
   }
   ASSERT_EQ(warm.records.size(), cold.records.size());
   for (std::size_t r = 0; r < warm.records.size(); ++r) {
-    const auto& a = warm.records[r].report.per_signal;
-    const auto& b = cold.records[r].report.per_signal;
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t s = 0; s < a.size(); ++s) {
-      EXPECT_EQ(a[s].diverged, b[s].diverged);
-      EXPECT_EQ(a[s].first_ms, b[s].first_ms);
-      EXPECT_EQ(a[s].golden_value, b[s].golden_value);
-      EXPECT_EQ(a[s].observed_value, b[s].observed_value);
-    }
+    EXPECT_TRUE(reports_identical(warm.records[r].report,
+                                  cold.records[r].report))
+        << "record " << r;
   }
 }
 

@@ -9,9 +9,9 @@
 #include <sstream>
 #include <string>
 
+#include "arrestment/batch_runner.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "store/result_cache.hpp"
 #include "store/resume.hpp"
 
@@ -61,13 +61,14 @@ TEST(DeltaCampaignCsv, OneInvalidatedModuleReplaysTheRestByteIdentically) {
   const core::SystemModel model = arr::make_arrestment_model();
   const fi::SignalBinding binding = arr::make_arrestment_binding(model);
 
-  // Cold baseline through the delta path, so the journal is fingerprinted.
+  // Cold baseline through the delta path, so the journal is fingerprinted,
+  // executed by the scalar reference; the delta below runs batched.
   const fs::path base_dir = fresh_dir("delta_csv_base");
   DeltaRunOptions options;
   options.module_versions = arr::module_version_tokens();
   const DeltaJournalSummary cold = run_delta_journaled_campaign(
-      arr::warm_campaign_runner(cases, config, kShortRun), config, model,
-      binding, base_dir, ResultCache{}, options);
+      arr::campaign_runner(cases, kShortRun), config, model, binding,
+      base_dir, ResultCache{}, options);
   EXPECT_EQ(cold.executed, cold.total_runs);
   const std::string cold_csv = journal_csv(base_dir);
   ASSERT_FALSE(cold_csv.empty());
@@ -78,7 +79,7 @@ TEST(DeltaCampaignCsv, OneInvalidatedModuleReplaysTheRestByteIdentically) {
   options.module_versions =
       arr::module_version_tokens({{"V_REG", 0x5EED5EED5EED5EEDULL}});
   const DeltaJournalSummary delta = run_delta_journaled_campaign(
-      arr::warm_campaign_runner(cases, config, kShortRun), config, model,
+      arr::batched_campaign_runner(cases, config, kShortRun), config, model,
       binding, delta_dir, ResultCache::load(base_dir), options);
 
   EXPECT_EQ(delta.executed + delta.replayed, delta.total_runs);

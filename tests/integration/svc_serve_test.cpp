@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
+#include "arrestment/batch_runner.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "exp/paper_experiment.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -64,7 +64,8 @@ void run_reference(const exp::ExperimentScale& scale,
           ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
           : scale.custom_cases;
   store::run_journaled_campaign(
-      arr::warm_campaign_runner(cases, config, scale.duration), config, dir);
+      arr::batched_campaign_runner(cases, config, scale.duration), config,
+      dir);
 }
 
 TEST(ServeCampaign, TwoWorkersMatchSingleProcessByteForByte) {

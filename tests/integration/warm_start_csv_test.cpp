@@ -1,17 +1,19 @@
 // Warm-started campaigns must be invisible in the results: the
-// permeability CSV streamed from a journal produced with checkpointed
-// warm-start runs must be byte-identical to one produced by cold from-t=0
-// runs -- including when the warm campaign is killed partway and resumed
-// in a fresh process (whose runner starts with no checkpoints).
+// permeability CSV streamed from a journal produced by the batch kernel,
+// whose batches start from golden-run checkpoints, must be byte-identical
+// to one produced by the cold scalar reference's from-t=0 runs --
+// including when the campaign is killed partway and resumed in a fresh
+// process (whose runner starts with no checkpoints).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
 #include <string>
 
+#include "arrestment/batch_runner.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
+#include "obs/telemetry.hpp"
 #include "store/resume.hpp"
 
 namespace propane::store {
@@ -27,14 +29,13 @@ fs::path fresh_dir(const std::string& name) {
   return dir;  // run_journaled_campaign creates it
 }
 
-fi::CampaignConfig short_config(bool warm_start) {
+fi::CampaignConfig short_config() {
   fi::SignalBus bus;
   arr::build_bus(bus);
   fi::CampaignConfig config;
   config.test_case_count = 2;
   config.seed = 0x5EED;
   config.threads = 2;
-  config.warm_start = warm_start;
   for (const std::string_view target : {"pulscnt", "SetValue", "PACNT"}) {
     const auto id = bus.find(target);
     EXPECT_TRUE(id.has_value());
@@ -54,30 +55,35 @@ std::string journal_csv(const fs::path& dir) {
   return out.str();
 }
 
+/// The cold scalar reference's CSV for `config`.
+std::string cold_csv(const std::vector<arr::TestCase>& cases,
+                     const fi::CampaignConfig& config,
+                     const std::string& name) {
+  const fs::path dir = fresh_dir(name);
+  run_journaled_campaign(arr::campaign_runner(cases, kShortRun), config, dir);
+  return journal_csv(dir);
+}
+
 TEST(WarmStartCsv, WarmJournalStreamsByteIdenticalCsvToCold) {
   const std::vector<arr::TestCase> cases = arr::grid_test_cases(1, 2);
-
-  const fs::path cold_dir = fresh_dir("warm_csv_cold");
-  const fi::CampaignConfig cold_config = short_config(/*warm_start=*/false);
-  run_journaled_campaign(
-      arr::warm_campaign_runner(cases, cold_config, kShortRun), cold_config,
-      cold_dir);
-  const std::string cold_csv = journal_csv(cold_dir);
-  ASSERT_FALSE(cold_csv.empty());
+  const fi::CampaignConfig config = short_config();
+  const std::string cold = cold_csv(cases, config, "warm_csv_cold");
+  ASSERT_FALSE(cold.empty());
 
   const fs::path warm_dir = fresh_dir("warm_csv_warm");
-  const fi::CampaignConfig warm_config = short_config(/*warm_start=*/true);
-  const auto stats = std::make_shared<arr::WarmStartStats>();
+  obs::MetricsRegistry metrics;
+  const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
   run_journaled_campaign(
-      arr::warm_campaign_runner(cases, warm_config, kShortRun, stats),
-      warm_config, warm_dir);
-  EXPECT_GT(stats->warm_runs.load(), 0u);  // warm path actually exercised
-  EXPECT_EQ(journal_csv(warm_dir), cold_csv);
+      arr::batched_campaign_runner(cases, config, kShortRun, &telemetry),
+      config, warm_dir);
+  // The kernel actually ran (every fire tick is past 0, so warm-started).
+  EXPECT_GT(metrics.counter("batch.kernel.batches").value(), 0u);
+  EXPECT_EQ(journal_csv(warm_dir), cold);
 }
 
 TEST(WarmStartCsv, KilledAndResumedWarmCampaignMatchesColdCsv) {
   const std::vector<arr::TestCase> cases = arr::grid_test_cases(1, 2);
-  const fi::CampaignConfig config = short_config(/*warm_start=*/true);
+  const fi::CampaignConfig config = short_config();
   const fs::path dir = fresh_dir("warm_csv_resume");
 
   // "Kill" partway: a process-split session that owns only half the flat
@@ -87,7 +93,7 @@ TEST(WarmStartCsv, KilledAndResumedWarmCampaignMatchesColdCsv) {
     options.process_count = 2;
     options.process_index = 0;
     const JournalRunSummary partial = run_journaled_campaign(
-        arr::warm_campaign_runner(cases, config, kShortRun), config, dir,
+        arr::batched_campaign_runner(cases, config, kShortRun), config, dir,
         options);
     ASSERT_GT(partial.executed, 0u);
     ASSERT_GT(partial.skipped_foreign, 0u);
@@ -95,19 +101,12 @@ TEST(WarmStartCsv, KilledAndResumedWarmCampaignMatchesColdCsv) {
 
   // Resume in a "new process": a fresh runner with empty checkpoint slots
   // re-runs the goldens, rebuilds its checkpoints and finishes the rest.
-  const auto stats = std::make_shared<arr::WarmStartStats>();
   const JournalRunSummary resumed = run_journaled_campaign(
-      arr::warm_campaign_runner(cases, config, kShortRun, stats), config, dir);
+      arr::batched_campaign_runner(cases, config, kShortRun), config, dir);
   EXPECT_GT(resumed.executed, 0u);
   EXPECT_GT(resumed.skipped_completed, 0u);
-  EXPECT_GT(stats->warm_runs.load(), 0u);
 
-  const fs::path cold_dir = fresh_dir("warm_csv_resume_cold");
-  const fi::CampaignConfig cold_config = short_config(/*warm_start=*/false);
-  run_journaled_campaign(
-      arr::warm_campaign_runner(cases, cold_config, kShortRun), cold_config,
-      cold_dir);
-  EXPECT_EQ(journal_csv(dir), journal_csv(cold_dir));
+  EXPECT_EQ(journal_csv(dir), cold_csv(cases, config, "warm_csv_resume_cold"));
 }
 
 }  // namespace

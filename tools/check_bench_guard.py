@@ -18,9 +18,8 @@ Two layers of checking, matching what is deterministic where:
      default scale the committed JSON was recorded at, so the guard only
      catches order-of-magnitude regressions: measured runs/s of the
      batch and sparse-batch sections must be at least reference / TOL.
-     Relative ratios (batch speedup_vs_warm, sparse
-     speedup_vs_scalar_warm) are NOT asserted -- on 1-2 vCPU CI runners
-     they swing far more than the absolute floor does.
+     The relative ratio (batch speedup_vs_cold) is NOT asserted -- on
+     1-2 vCPU CI runners it swings far more than the absolute floor does.
 
 Usage: check_bench_guard.py <measured.json> <reference.json> [tolerance]
 """

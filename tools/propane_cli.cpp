@@ -59,7 +59,6 @@
 #include "arrestment/model.hpp"
 #include "arrestment/system.hpp"
 #include "arrestment/testcase.hpp"
-#include "arrestment/warm_start.hpp"
 #include "common/contracts.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -481,8 +480,8 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
   options.module_versions = versions;
   const store::DeltaJournalSummary summary =
       store::run_delta_journaled_campaign(
-          arr::batched_campaign_runner(cases, config, scale.duration, nullptr,
-                                       nullptr, options.base.telemetry),
+          arr::batched_campaign_runner(cases, config, scale.duration,
+                                       options.base.telemetry),
           config, model, binding, args.journal, baseline, options);
   if (hud.has_value()) hud->finish();
   print_warnings(summary.warnings);
@@ -676,8 +675,8 @@ int cmd_campaign_worker(const CampaignArgs& args) {
 
   svc::WorkerSummary summary;
   const int code = svc::run_worker_loop(
-      arr::batched_campaign_runner(cases, config, scale.duration, nullptr,
-                                   nullptr, worker.journal.telemetry),
+      arr::batched_campaign_runner(cases, config, scale.duration,
+                                   worker.journal.telemetry),
       config, worker, std::cin, std::cout, &summary);
   if (sink.has_value()) {
     obs::publish_span_stats(&telemetry);
