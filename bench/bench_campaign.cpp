@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <new>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,19 +120,39 @@ Workload make_workload(const exp::ExperimentScale& scale) {
 /// The batched runner's counters over one campaign, read back from the
 /// telemetry registry the runner was built with.
 struct BatchCounts {
-  std::uint64_t batches = 0;
-  std::uint64_t lanes = 0;
+  std::uint64_t requests = 0;        // batch.group.lanes count
+  std::uint64_t request_lanes = 0;   // batch.group.lanes sum
+  std::uint64_t passes = 0;          // kernel passes
+  std::uint64_t lanes = 0;           // runs the passes simulated
   std::uint64_t never_fire = 0;
   std::uint64_t retired = 0;
+  std::uint64_t refilled = 0;
 
-  /// Lane occupancy: executed lanes over offered lane slots. The
-  /// denominator is batches x configured lane width, so packing quality
-  /// (not early exit) is what moves it -- 1.0 means every batch left the
-  /// planner full.
+  /// Lane occupancy: requested lanes over requests x configured lane
+  /// width, the same figure `propane campaign stats` prints. A request
+  /// may hold more runs than the kernel has slots (refill shares them),
+  /// so this may exceed 1.0.
   double occupancy(std::size_t lane_width) const {
-    if (batches == 0) return 0.0;
-    return static_cast<double>(lanes) /
-           static_cast<double>(batches * lane_width);
+    if (requests == 0) return 0.0;
+    return static_cast<double>(request_lanes) /
+           static_cast<double>(requests * lane_width);
+  }
+
+  /// The fields tools/check_bench_guard.py checks, as a JSON fragment.
+  /// `test_cases` is the number of per-test-case pools the planner saw
+  /// (each bench section plans one range).
+  std::string json_fields(std::size_t lane_width,
+                          std::size_t test_cases) const {
+    std::ostringstream out;
+    out << "\"requests\":" << requests
+        << ",\"request_lanes\":" << request_lanes
+        << ",\"passes\":" << passes << ",\"batched_lanes\":" << lanes
+        << ",\"refilled_lanes\":" << refilled
+        << ",\"test_cases\":" << test_cases
+        << ",\"lane_width\":" << lane_width
+        << ",\"lane_occupancy\":" << std::setprecision(17)
+        << occupancy(lane_width);
+    return out.str();
   }
 };
 
@@ -145,10 +167,19 @@ struct BatchTelemetry {
       const auto it = snapshot.counters.find(name);
       return it == snapshot.counters.end() ? 0 : it->second;
     };
-    const auto retired = snapshot.histograms.find("batch.retire.ticks");
-    return {counter("batch.kernel.batches"), counter("batch.kernel.lanes"),
+    const auto histogram = [&](const char* name) -> obs::HistogramSnapshot {
+      const auto it = snapshot.histograms.find(name);
+      return it == snapshot.histograms.end() ? obs::HistogramSnapshot{}
+                                             : it->second;
+    };
+    const obs::HistogramSnapshot requests = histogram("batch.group.lanes");
+    return {requests.count,
+            static_cast<std::uint64_t>(requests.sum),
+            counter("batch.kernel.batches"),
+            counter("batch.kernel.lanes"),
             counter("batch.never_fire.lanes"),
-            retired == snapshot.histograms.end() ? 0 : retired->second.count};
+            histogram("batch.retire.ticks").count,
+            counter("batch.refill.lanes")};
   }
 };
 
@@ -166,9 +197,7 @@ struct DeltaBench {
   std::size_t delta_replayed = 0;
   double delta_wall_s = 0.0;
   double speedup = 0.0;
-  std::size_t delta_batches = 0;
-  std::size_t delta_batched_lanes = 0;
-  double delta_lane_occupancy = 0.0;
+  BatchCounts delta_counts;
 };
 
 DeltaBench run_delta_bench(const Workload& w) {
@@ -220,10 +249,7 @@ DeltaBench run_delta_bench(const Workload& w) {
     out.delta_wall_s = seconds_since(start);
     out.delta_executed = delta.executed;
     out.delta_replayed = delta.replayed;
-    const BatchCounts counts = telemetry.counts();
-    out.delta_batches = counts.batches;
-    out.delta_batched_lanes = counts.lanes;
-    out.delta_lane_occupancy = counts.occupancy(fi::kDefaultBatchSize);
+    out.delta_counts = telemetry.counts();
   }
   out.speedup = out.delta_wall_s > 0.0 ? out.cold_wall_s / out.delta_wall_s
                                        : 0.0;
@@ -314,9 +340,7 @@ struct SparseBench {
   std::size_t instants = 0;
   double batch_wall_s = 0.0;
   double batch_runs_per_s = 0.0;
-  double occupancy = 0.0;        // batched_lanes / (batches x width)
-  std::size_t batches = 0;
-  std::size_t batched_lanes = 0;
+  BatchCounts counts;
 };
 
 SparseBench run_sparse_bench(const Workload& w) {
@@ -346,10 +370,7 @@ SparseBench run_sparse_bench(const Workload& w) {
   out.batch_wall_s = seconds_since(start);
   out.runs = result.run_count();
   out.batch_runs_per_s = static_cast<double>(out.runs) / out.batch_wall_s;
-  const BatchCounts counts = telemetry.counts();
-  out.batches = counts.batches;
-  out.batched_lanes = counts.lanes;
-  out.occupancy = counts.occupancy(fi::kDefaultBatchSize);
+  out.counts = telemetry.counts();
   return out;
 }
 
@@ -516,17 +537,19 @@ int main() {
               cold.runs, cold.wall_s, cold.runs_per_s);
 
   const std::size_t lane_width = fi::kDefaultBatchSize;
+  const std::size_t test_cases = w.cases.size();
   BatchCounts batch_counts;
   fi::CampaignResult batch_campaign;
   const EndToEnd batch = run_end_to_end_batched(w, batch_counts, batch_campaign);
-  const double batch_occupancy = batch_counts.occupancy(lane_width);
   std::printf("batch campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%llu batches, %llu lanes, occupancy %.2f, %llu retired "
-              "early, %llu never-fire; %.2fx vs cold scalar)\n",
+              "(%llu requests in %llu passes, %llu lanes, occupancy %.2f, "
+              "%llu retired early, %llu never-fire; %.2fx vs cold "
+              "scalar)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
-              static_cast<unsigned long long>(batch_counts.batches),
+              static_cast<unsigned long long>(batch_counts.requests),
+              static_cast<unsigned long long>(batch_counts.passes),
               static_cast<unsigned long long>(batch_counts.lanes),
-              batch_occupancy,
+              batch_counts.occupancy(lane_width),
               static_cast<unsigned long long>(batch_counts.retired),
               static_cast<unsigned long long>(batch_counts.never_fire),
               batch.runs_per_s / cold.runs_per_s);
@@ -534,21 +557,27 @@ int main() {
   // --- sparse plan: 1 bit x many instants (cross-group packing) -----------
   const SparseBench sparse = run_sparse_bench(w);
   std::printf("sparse campaign (1 bit x %zu instants): batch %zu runs in "
-              "%.2f s  =>  %.0f runs/s (%zu batches, %zu lanes, occupancy "
-              "%.2f)\n",
+              "%.2f s  =>  %.0f runs/s (%zu requests in %zu passes, %zu "
+              "lanes, occupancy %.2f)\n",
               sparse.instants, sparse.runs, sparse.batch_wall_s,
-              sparse.batch_runs_per_s, sparse.batches, sparse.batched_lanes,
-              sparse.occupancy);
+              sparse.batch_runs_per_s,
+              static_cast<std::size_t>(sparse.counts.requests),
+              static_cast<std::size_t>(sparse.counts.passes),
+              static_cast<std::size_t>(sparse.counts.lanes),
+              sparse.counts.occupancy(lane_width));
 
   // --- delta campaign: cold baseline vs incremental re-run ----------------
   const DeltaBench delta = run_delta_bench(w);
   std::printf("delta campaign (13 targets, V_REG invalidated): cold %zu runs "
               "in %.2f s; delta %zu executed + %zu replayed in %.2f s  =>  "
-              "%.1fx (%zu batches, %zu lanes, occupancy %.2f)\n",
+              "%.1fx (%zu requests in %zu passes, %zu lanes, occupancy "
+              "%.2f)\n",
               delta.total_runs, delta.cold_wall_s, delta.delta_executed,
               delta.delta_replayed, delta.delta_wall_s, delta.speedup,
-              delta.delta_batches, delta.delta_batched_lanes,
-              delta.delta_lane_occupancy);
+              static_cast<std::size_t>(delta.delta_counts.requests),
+              static_cast<std::size_t>(delta.delta_counts.passes),
+              static_cast<std::size_t>(delta.delta_counts.lanes),
+              delta.delta_counts.occupancy(lane_width));
 
   // --- bootstrap resampling over the batched campaign's records -----------
   const std::size_t boot_replicates = w.scale == "smoke" ? 200 : 1000;
@@ -619,10 +648,7 @@ int main() {
          << ",\"runs_per_s\":" << cold.runs_per_s << "}"
          << ",\"batch\":{\"wall_s\":" << batch.wall_s
          << ",\"runs_per_s\":" << batch.runs_per_s
-         << ",\"batches\":" << batch_counts.batches
-         << ",\"batched_lanes\":" << batch_counts.lanes
-         << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << batch_occupancy
+         << "," << batch_counts.json_fields(lane_width, test_cases)
          << ",\"retired_lanes\":" << batch_counts.retired
          << ",\"never_fire_lanes\":" << batch_counts.never_fire
          << ",\"speedup_vs_cold\":" << batch.runs_per_s / cold.runs_per_s
@@ -631,10 +657,7 @@ int main() {
          << ",\"instants\":" << sparse.instants
          << ",\"batch\":{\"wall_s\":" << sparse.batch_wall_s
          << ",\"runs_per_s\":" << sparse.batch_runs_per_s
-         << ",\"batches\":" << sparse.batches
-         << ",\"batched_lanes\":" << sparse.batched_lanes
-         << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << sparse.occupancy << "}}"
+         << "," << sparse.counts.json_fields(lane_width, test_cases) << "}}"
          << ",\"delta\":{\"total_runs\":" << delta.total_runs
          << ",\"cold_wall_s\":" << delta.cold_wall_s
          << ",\"executed\":" << delta.delta_executed
@@ -642,10 +665,9 @@ int main() {
          << ",\"delta_wall_s\":" << delta.delta_wall_s
          << ",\"invalidated\":\"V_REG\""
          << ",\"speedup_vs_cold\":" << delta.speedup
-         << ",\"batch\":{\"batches\":" << delta.delta_batches
-         << ",\"batched_lanes\":" << delta.delta_batched_lanes
-         << ",\"lane_width\":" << lane_width
-         << ",\"lane_occupancy\":" << delta.delta_lane_occupancy << "}}"
+         << ",\"batch\":{"
+         << delta.delta_counts.json_fields(lane_width, test_cases)
+         << "}}"
          << ",\"bootstrap\":{\"replicates\":" << boot.replicates
          << ",\"records\":" << boot.records
          << ",\"cells\":" << boot.cells

@@ -21,6 +21,9 @@ struct BatchInstruments {
   obs::Counter* kernel_batches = nullptr;
   obs::Counter* kernel_lanes = nullptr;
   obs::Counter* kernel_ticks = nullptr;
+  obs::Counter* slot_ticks = nullptr;
+  obs::Counter* live_slot_ticks = nullptr;
+  obs::Counter* refill_lanes = nullptr;
   obs::Counter* never_fire_lanes = nullptr;
 
   explicit BatchInstruments(const obs::Telemetry* telemetry) {
@@ -33,125 +36,174 @@ struct BatchInstruments {
     kernel_batches = obs::find_counter(telemetry, "batch.kernel.batches");
     kernel_lanes = obs::find_counter(telemetry, "batch.kernel.lanes");
     kernel_ticks = obs::find_counter(telemetry, "batch.kernel.ticks");
+    slot_ticks = obs::find_counter(telemetry, "batch.kernel.slot_ticks");
+    live_slot_ticks =
+        obs::find_counter(telemetry, "batch.kernel.live_slot_ticks");
+    refill_lanes = obs::find_counter(telemetry, "batch.refill.lanes");
     never_fire_lanes = obs::find_counter(telemetry, "batch.never_fire.lanes");
   }
 
-  /// Folds one finished kernel run in. Derived *after* the kernel ran, from
-  /// counts the batch already kept -- the tick loop stays untouched.
+  /// Folds one finished kernel pass in. Derived *after* the kernel ran,
+  /// from counts the batch already kept -- the tick loop stays untouched.
   void observe(const BatchedArrestmentSystem& batch,
-               std::size_t live_lanes) const {
+               std::size_t lanes) const {
+    const auto add = [](obs::Counter* counter, std::uint64_t n) {
+      if (counter != nullptr) counter->add(n);
+    };
     if (retire_ticks != nullptr) {
       for (const std::uint64_t tick : batch.retirement_ticks()) {
         retire_ticks->observe(static_cast<double>(tick));
       }
     }
-    if (kernel_batches != nullptr) kernel_batches->add(1);
-    if (kernel_lanes != nullptr) kernel_lanes->add(live_lanes);
-    if (kernel_ticks != nullptr) kernel_ticks->add(batch.ticks_simulated());
+    add(kernel_batches, 1);
+    add(kernel_lanes, lanes);
+    add(kernel_ticks, batch.ticks_simulated());
+    add(slot_ticks, batch.ticks_simulated() * batch.slot_count());
+    add(live_slot_ticks, batch.live_slot_ticks());
+    add(refill_lanes, batch.refills());
   }
 };
 
+/// One test case's pending runs: request lane indices in fire-tick order.
+struct Pool {
+  std::uint32_t test_case = 0;
+  std::vector<std::size_t> pending;
+};
+
+/// Runs `request` on `width` kernel slots (see the header comment).
 std::vector<fi::DivergenceReport> run_batch(
-    const WarmStartEngine& engine, const fi::BatchRunRequest& request,
-    const BatchInstruments& instruments) {
+    const WarmStartEngine& engine, std::size_t width,
+    const fi::BatchRunRequest& request, const BatchInstruments& instruments) {
   PROPANE_REQUIRE(!request.lanes.empty());
   if (instruments.group_lanes != nullptr) {
     instruments.group_lanes->observe(
         static_cast<double>(request.lanes.size()));
   }
+  const auto fire_ms = [&request](std::size_t i) {
+    return fi::injection_fire_ms(request.lanes[i].spec->when);
+  };
 
   std::vector<fi::DivergenceReport> reports(request.lanes.size());
 
   // Peel lanes whose injection fires at/after the horizon: those runs
   // *are* the golden run, every signal matches, and no simulation is
-  // needed. The rest ("live" lanes) go to the kernel; the batch starts at
-  // the earliest live fire tick, and later-firing lanes simply track their
-  // golden lane bit-identically until their tick arrives.
-  std::vector<std::size_t> live;  // request indices, request order
-  live.reserve(request.lanes.size());
-  std::uint64_t start_ms = ~std::uint64_t{0};
+  // needed. The rest ("live" lanes) form one pool per distinct test case,
+  // in first-appearance order, each in fire-tick order (request order
+  // among equal ticks) -- the order refill takes them in.
+  std::vector<Pool> pools;
+  std::size_t live = 0;
   for (std::size_t i = 0; i < request.lanes.size(); ++i) {
     const fi::BatchLaneRequest& lane = request.lanes[i];
     PROPANE_REQUIRE(lane.test_case < engine.cases().size());
-    const std::uint64_t fire_ms = fi::injection_fire_ms(lane.spec->when);
-    if (fire_ms >= engine.duration_ms()) {
+    if (fire_ms(i) >= engine.duration_ms()) {
       reports[i].per_signal.resize(kAllSignals.size());
-    } else {
-      live.push_back(i);
-      start_ms = std::min(start_ms, fire_ms);
+      continue;
     }
+    auto it = std::find_if(pools.begin(), pools.end(), [&](const Pool& p) {
+      return p.test_case == lane.test_case;
+    });
+    if (it == pools.end()) it = pools.insert(pools.end(), {lane.test_case, {}});
+    it->pending.push_back(i);
+    ++live;
   }
   if (instruments.never_fire_lanes != nullptr) {
-    instruments.never_fire_lanes->add(request.lanes.size() - live.size());
+    instruments.never_fire_lanes->add(request.lanes.size() - live);
   }
-  if (live.empty()) return reports;
-
-  // One segment per distinct test case, in first-appearance order; a
-  // segment's lanes keep request order (the planner's fire-tick order, so
-  // staggered lanes cluster late in the segment).
-  std::vector<std::uint32_t> seg_case;
-  std::vector<std::vector<BatchLaneSpec>> seg_specs;
-  std::vector<std::vector<std::size_t>> seg_request;
-  for (const std::size_t i : live) {
-    const fi::BatchLaneRequest& lane = request.lanes[i];
-    const auto it = std::find(seg_case.begin(), seg_case.end(),
-                              lane.test_case);
-    std::size_t s = static_cast<std::size_t>(it - seg_case.begin());
-    if (it == seg_case.end()) {
-      seg_case.push_back(lane.test_case);
-      seg_specs.emplace_back();
-      seg_request.emplace_back();
-    }
-    seg_specs[s].push_back({lane.spec, lane.rng_seed});
-    seg_request[s].push_back(i);
+  for (Pool& pool : pools) {
+    std::stable_sort(pool.pending.begin(), pool.pending.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return fire_ms(a) < fire_ms(b);
+                     });
   }
 
-  // Warm path: every segment restores its test case's golden checkpoint at
-  // the shared start tick (the warm-start engine checkpoints every test
-  // case at every distinct plan fire tick, so a packed batch warm-starts
-  // whenever any single-group batch would). Fire tick 0 has no prefix, and
-  // a missing checkpoint for *any* segment (its golden has not run yet)
-  // sends the whole batch cold -- all origins must sit at the same tick.
-  std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>> checkpoints;
-  bool warm = start_ms > 0;
-  if (warm) {
-    checkpoints.reserve(seg_case.size());
-    for (const std::uint32_t tc : seg_case) {
-      std::shared_ptr<const WarmStartEngine::Checkpoint> checkpoint =
-          engine.lookup(tc, start_ms);
-      if (checkpoint == nullptr) {
-        warm = false;
-        checkpoints.clear();
-        break;
+  // Passes: each starts at the earliest pending fire tick with every slot
+  // filled (fewer only when fewer runs are pending), refills retired slots
+  // as it goes, and hands back the runs whose fire tick passed before a
+  // slot came free. Every pass takes at least its first runs, so the loop
+  // ends.
+  while (live > 0) {
+    // Slots go round-robin to the pools that still have runs. A pass with
+    // fewer runs than the width keeps the full width all the same, its
+    // spare slots empty in the first segment: the kernel's lane sweeps run
+    // whole vector iterations at the full width, while an uneven lane
+    // count pays for a per-lane remainder loop on every tick.
+    const std::size_t fill = std::min(width, live);
+    std::vector<std::size_t> slots(pools.size(), 0);
+    for (std::size_t left = fill; left > 0;) {
+      for (std::size_t p = 0; p < pools.size() && left > 0; ++p) {
+        if (slots[p] < pools[p].pending.size()) {
+          ++slots[p];
+          --left;
+        }
       }
-      checkpoints.push_back(std::move(checkpoint));
     }
-  }
+    *std::find_if(slots.begin(), slots.end(),
+                  [](std::size_t n) { return n > 0; }) += width - fill;
+    std::uint64_t start_ms = ~std::uint64_t{0};
+    std::size_t queued = 0;
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      if (slots[p] == 0) continue;
+      start_ms = std::min(start_ms, fire_ms(pools[p].pending.front()));
+      queued += pools[p].pending.size();
+    }
 
-  std::deque<ArrestmentSystem> cold_origins;  // stable addresses
-  std::vector<BatchSegment> segments;
-  segments.reserve(seg_case.size());
-  for (std::size_t s = 0; s < seg_case.size(); ++s) {
-    const ArrestmentSystem* origin = nullptr;
-    if (warm) {
-      origin = checkpoints[s]->system.get();
-    } else {
-      origin = &cold_origins.emplace_back(engine.cases()[seg_case[s]]);
+    // Warm path: every segment restores its test case's golden checkpoint
+    // at the pass's start tick (the warm-start engine checkpoints every
+    // test case at every distinct plan fire tick). Fire tick 0 has no
+    // prefix, and a missing checkpoint for *any* segment (its golden has
+    // not run yet) sends the whole pass cold -- all origins must sit at
+    // the same tick.
+    std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>>
+        checkpoints;
+    bool warm = start_ms > 0;
+    for (std::size_t p = 0; p < pools.size() && warm; ++p) {
+      if (slots[p] == 0) continue;
+      checkpoints.push_back(engine.lookup(pools[p].test_case, start_ms));
+      warm = checkpoints.back() != nullptr;
     }
-    segments.push_back({origin, seg_specs[s]});
-  }
 
-  BatchedArrestmentSystem batch(segments, engine.duration());
-  std::vector<fi::DivergenceReport> live_reports = batch.run();
-  // Kernel reports come back in cross-segment spec order; scatter them to
-  // the request's lane slots.
-  std::size_t j = 0;
-  for (std::size_t s = 0; s < seg_request.size(); ++s) {
-    for (const std::size_t i : seg_request[s]) {
-      reports[i] = std::move(live_reports[j++]);
+    std::vector<BatchLaneSpec> specs;
+    std::vector<std::size_t> spec_lane;  // spec index -> request lane
+    std::vector<std::size_t> spec_pool;  // spec index -> pool
+    specs.reserve(queued);
+    std::deque<ArrestmentSystem> cold_origins;  // stable addresses
+    std::vector<BatchSegment> segments;
+    for (std::size_t p = 0, c = 0; p < pools.size(); ++p) {
+      if (slots[p] == 0) continue;
+      const std::size_t first = specs.size();
+      for (const std::size_t i : pools[p].pending) {
+        specs.push_back({request.lanes[i].spec, request.lanes[i].rng_seed});
+        spec_lane.push_back(i);
+        spec_pool.push_back(p);
+      }
+      pools[p].pending.clear();
+      const ArrestmentSystem* origin =
+          warm ? checkpoints[c++]->system.get()
+               : &cold_origins.emplace_back(
+                     engine.cases()[pools[p].test_case]);
+      segments.push_back({origin,
+                          std::span<const BatchLaneSpec>(specs).subspan(
+                              first, specs.size() - first),
+                          slots[p]});
     }
+
+    BatchedArrestmentSystem batch(segments, engine.duration());
+    std::vector<fi::DivergenceReport> results = batch.run();
+    // Taken runs' reports go to their request lanes; deferred runs return
+    // to their pools, still in fire-tick order.
+    const std::vector<std::size_t>& deferred = batch.deferred();
+    for (std::size_t j = 0, d = 0; j < specs.size(); ++j) {
+      if (d < deferred.size() && deferred[d] == j) {
+        pools[spec_pool[j]].pending.push_back(spec_lane[j]);
+        ++d;
+      } else {
+        reports[spec_lane[j]] = std::move(results[j]);
+      }
+    }
+    const std::size_t taken = queued - deferred.size();
+    live -= taken;
+    instruments.observe(batch, taken);
   }
-  instruments.observe(batch, live.size());
   return reports;
 }
 
@@ -168,9 +220,10 @@ fi::CampaignRunner batched_campaign_runner(std::vector<TestCase> test_cases,
       [engine](const fi::RunRequest& request) {
         return engine->golden_run(request);
       },
-      [engine, instruments = BatchInstruments(telemetry)](
+      [engine, width = fi::kernel_width(config),
+       instruments = BatchInstruments(telemetry)](
           const fi::BatchRunRequest& request) {
-        return run_batch(*engine, request, instruments);
+        return run_batch(*engine, width, request, instruments);
       });
 }
 

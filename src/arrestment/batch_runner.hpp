@@ -1,17 +1,20 @@
 // Lockstep batched campaign runner: the arrestment-side binding of the
-// campaign executor's batch planner (fi::BatchRunFunction) to the SoA
+// campaign executor's batch requests (fi::BatchRunFunction) to the SoA
 // batched kernel (BatchedArrestmentSystem).
 //
-// A batch is whatever lane set the planner packed -- lanes may mix test
-// cases (each distinct test case becomes a kernel segment with its own
-// golden lane) and fire ticks (the batch starts at the earliest live fire
-// tick; later lanes activate when their tick arrives). The runner restores
-// every segment from its test case's warm-start checkpoint at that start
-// tick when one exists (composing batching with prefix reuse: each shared
-// golden prefix is simulated zero times, not N times), falls back to fresh
-// t=0 origins otherwise, and short-circuits never-firing lanes -- the
-// injection time is at/after the horizon, so the run *is* the golden run
-// -- to all-clear reports without simulating them at all.
+// A request is whatever run set the planner handed over -- runs may mix
+// test cases (each distinct test case becomes a kernel segment with its
+// own golden lane) and fire ticks, and may outnumber the kernel width
+// (fi::kernel_width of the campaign config the runner is built with). The
+// runner multiplexes them onto that many slots in successive passes: each
+// pass starts at the earliest pending fire tick, restoring every segment
+// from its test case's warm-start checkpoint at that tick when one exists
+// (composing batching with prefix reuse: each shared golden prefix is
+// simulated zero times, not N times) or from fresh t=0 origins otherwise,
+// and refills retired slots with the next run of their test case whose
+// fire tick has not passed; runs whose tick passed wait for a later pass. Never-firing lanes -- the injection time is at/after
+// the horizon, so the run *is* the golden run -- are answered with
+// all-clear reports without simulating them at all.
 #pragma once
 
 #include <cstddef>
@@ -28,22 +31,26 @@ namespace propane::arr {
 
 /// The production runner: golden runs execute through a WarmStartEngine
 /// (capturing its checkpoints), and every injection run executes in the
-/// SoA kernel as a lane of the batches fi::run_campaign plans. Results,
-/// records and journal CSVs are bit-identical to the cold scalar reference
-/// (campaign_runner) for every batch size -- enforced by
+/// SoA kernel, on the slots of the requests fi::run_campaign plans.
+/// Results, records and journal CSVs are bit-identical to the cold scalar
+/// reference (campaign_runner) for every batch size -- enforced by
 /// tests/fi/batch_equivalence_test.cpp.
 ///
 /// `telemetry` (optional, non-owning) turns on the runner's counters:
 ///   batch.group.lanes      -- histogram, lanes per batch request;
-///   batch.kernel.batches   -- counter, batches that ran the kernel;
-///   batch.kernel.lanes     -- counter, lanes the kernel simulated;
+///   batch.kernel.batches   -- counter, kernel passes;
+///   batch.kernel.lanes     -- counter, runs the passes simulated;
 ///   batch.kernel.ticks     -- counter, scheduler slots executed;
+///   batch.kernel.slot_ticks, batch.kernel.live_slot_ticks
+///                          -- counters, slot-ticks swept and slot-ticks
+///                             that held a run;
+///   batch.refill.lanes     -- counter, runs loaded into a freed slot;
 ///   batch.never_fire.lanes -- counter, lanes answered without simulation
 ///                             (the injection fires at/after the horizon);
-///   batch.retire.ticks     -- histogram, ticks into the batch at which
-///                             lanes retired (early-exit latency).
-/// Handles resolve once here; each batch then costs a few relaxed
-/// atomic adds *after* its kernel run -- the tick loop itself carries no
+///   batch.retire.ticks     -- histogram, ticks from a run joining its slot
+///                             to its retirement (early-exit latency).
+/// Handles resolve once here; each pass then costs a few relaxed atomic
+/// adds *after* its kernel run -- the tick loop itself carries no
 /// instrumentation, so null telemetry is exactly the uninstrumented path.
 fi::CampaignRunner batched_campaign_runner(
     std::vector<TestCase> test_cases, const fi::CampaignConfig& config,

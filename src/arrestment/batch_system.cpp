@@ -71,10 +71,14 @@ const ArrestmentSystem& primary_origin(
   return *segments.front().origin;
 }
 
+std::size_t slots_of(const BatchSegment& segment) {
+  return segment.slots == 0 ? segment.specs.size() : segment.slots;
+}
+
 std::size_t total_lanes(std::span<const BatchSegment> segments) {
   std::size_t lanes = segments.size();  // one golden lane per segment
   for (const BatchSegment& segment : segments) {
-    lanes += segment.specs.size();
+    lanes += slots_of(segment);
   }
   return lanes;
 }
@@ -83,9 +87,9 @@ std::size_t total_lanes(std::span<const BatchSegment> segments) {
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(
     const ArrestmentSystem& origin, std::span<const BatchLaneSpec> specs,
-    sim::SimTime duration)
+    sim::SimTime duration, std::size_t slots)
     : BatchedArrestmentSystem(
-          std::vector<BatchSegment>{BatchSegment{&origin, specs}},
+          std::vector<BatchSegment>{BatchSegment{&origin, specs, slots}},
           duration) {}
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(
@@ -108,14 +112,12 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
   const ArrestmentSystem& origin0 = primary_origin(segments);
   PROPANE_REQUIRE_MSG(origin0.now() < duration,
                       "batch origin must precede the horizon");
-  start_ms_ = sim::to_milliseconds(origin0.now());
 
-  // Lane geometry, cross-segment spec table, and per-segment state
-  // seeding. The broadcast member constructors above replicated segment
-  // 0's origin across *every* lane; the other segments' lanes (golden
-  // included) are overwritten here with their own origin's state.
+  // Lane geometry, cross-segment spec and slot tables, and per-segment
+  // state seeding. The broadcast member constructors above replicated
+  // segment 0's origin across *every* lane; the other segments' lanes
+  // (golden included) are overwritten here with their own origin's state.
   std::size_t lane = 0;
-  std::size_t bit = 0;
   segments_.reserve(segments.size());
   for (const BatchSegment& segment : segments) {
     PROPANE_REQUIRE(segment.origin != nullptr);
@@ -127,11 +129,13 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
     SegmentInfo info;
     info.golden_lane = lane;
     info.first_lane = lane + 1;
-    info.first_bit = bit;
-    info.count = segment.specs.size();
+    info.first_slot = slot_lane_.size();
+    info.slots = slots_of(segment);
+    info.next_spec = specs_.size();
+    info.end_spec = specs_.size() + segment.specs.size();
     if (&origin != &origin0) {
       for (std::size_t l = info.golden_lane;
-           l <= info.golden_lane + info.count; ++l) {
+           l <= info.golden_lane + info.slots; ++l) {
         bus_.load_lane(l, origin.bus().values());
         env_.load_lane(l, origin.environment());
         dist_s_.load_lane(l, origin.dist_s());
@@ -139,16 +143,14 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
         calc_.load_lane(l, origin.calc());
       }
     }
-    for (const BatchLaneSpec& spec : segment.specs) {
-      specs_.push_back(spec);
-      spec_lane_.push_back(
-          static_cast<std::uint32_t>(info.first_lane +
-                                     (specs_.size() - 1 - info.first_bit)));
-      spec_golden_.push_back(static_cast<std::uint32_t>(info.golden_lane));
+    specs_.insert(specs_.end(), segment.specs.begin(), segment.specs.end());
+    for (std::size_t k = 0; k < info.slots; ++k) {
+      slot_lane_.push_back(static_cast<std::uint32_t>(info.first_lane + k));
+      slot_golden_.push_back(static_cast<std::uint32_t>(info.golden_lane));
+      slot_segment_.push_back(static_cast<std::uint32_t>(segments_.size()));
     }
     segments_.push_back(info);
-    lane += info.count + 1;
-    bit += info.count;
+    lane += info.slots + 1;
   }
   PROPANE_REQUIRE_MSG(!specs_.empty(), "batch needs at least one injection");
 
@@ -158,10 +160,10 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
     for (const SegmentInfo& seg : segments_) {
       golden_idx_[seg.golden_lane] =
           static_cast<std::uint16_t>(seg.golden_lane);
-      for (std::size_t k = 0; k < seg.count; ++k) {
+      for (std::size_t k = 0; k < seg.slots; ++k) {
         golden_idx_[seg.first_lane + k] =
             static_cast<std::uint16_t>(seg.golden_lane);
-        spec_lane_mask_ |= std::uint64_t{1} << (seg.first_lane + k);
+        slot_lane_mask_ |= std::uint64_t{1} << (seg.first_lane + k);
       }
     }
   }
@@ -172,22 +174,21 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
                         "injection targets unknown signal");
   }
 
-  fired_.assign(specs_.size(), 0);
-  unfired_ = specs_.size();
-  reports_.resize(specs_.size());
-  for (fi::DivergenceReport& report : reports_) {
-    report.per_signal.resize(signals_);
-  }
-  undiverged_.assign(specs_.size(), static_cast<std::uint32_t>(signals_));
-  conv_hint_.assign(specs_.size(), 0);
-  active_ = sim::LaneMask(specs_.size(), /*set=*/true);
-  active_count_ = specs_.size();
-  retirement_ticks_.reserve(specs_.size());
-  pending_.reserve(signals_);
-  for (std::size_t sig = 0; sig < signals_; ++sig) {
-    pending_.emplace_back(specs_.size(), /*set=*/true);
-  }
-  screen_words_.resize((specs_.size() + 63) / 64);
+  const std::size_t slots = slot_lane_.size();
+  results_.resize(specs_.size());
+  slot_run_.assign(slots, kNoRun);
+  armed_.assign(slots, 0);
+  joined_ms_.assign(slots, 0);
+  reports_.resize(slots);
+  undiverged_.assign(slots, 0);
+  conv_hint_.assign(slots, 0);
+  active_ = sim::LaneMask(slots);
+  pending_.assign(signals_, sim::LaneMask(slots));
+  screen_words_.resize((slots + 63) / 64);
+
+  // Every slot takes its segment's first run whose fire tick has not
+  // passed.
+  fill_free_slots(sim::to_milliseconds(origin0.now()));
 
   // Resume simulated time where the origin stopped: slot position is
   // now/1ms modulo the cycle, exactly where a scalar run from t=0 would be.
@@ -265,6 +266,8 @@ void BatchedArrestmentSystem::enable_recording(
   PROPANE_REQUIRE_MSG(ticks_ == 0, "enable_recording must precede run()");
   PROPANE_REQUIRE_MSG(prefixes.size() == segments_.size(),
                       "one prefix per segment");
+  PROPANE_REQUIRE_MSG(slot_lane_.size() == specs_.size() && deferred_.empty(),
+                      "recording needs one slot per run");
   recording_ = true;
   traces_.reserve(lanes_);
   for (std::size_t s = 0; s < segments_.size(); ++s) {
@@ -280,7 +283,7 @@ void BatchedArrestmentSystem::enable_recording(
     // This segment's golden lane plus its injection lanes, in lane order
     // (segments are laid out lane-contiguously, so traces_ indexes by bus
     // lane).
-    for (std::size_t l = 0; l <= segments_[s].count; ++l) {
+    for (std::size_t l = 0; l <= segments_[s].slots; ++l) {
       fi::TraceSet trace(names_);
       trace.reserve(duration_ms_);
       if (prefix != nullptr) {
@@ -293,20 +296,40 @@ void BatchedArrestmentSystem::enable_recording(
 }
 
 std::vector<fi::DivergenceReport> BatchedArrestmentSystem::run() {
-  while (scheduler_.now() < duration_ &&
-         (recording_ || active_count_ > 0)) {
+  while (scheduler_.now() < duration_) {
+    if (!recording_) {
+      // Between ticks: reseed slots freed by the previous tick's
+      // retirements.
+      if (refill_due_) {
+        refills_ += fill_free_slots(sim::to_milliseconds(scheduler_.now()));
+      }
+      if (active_count_ == 0) break;
+    }
+    live_slot_ticks_ += active_count_;
     scheduler_.run_slot(active_);
   }
-  // Lanes still live at the horizon simply keep their reports: signals
-  // that never diverged stay {diverged=false}, same as compare_to_golden
-  // on equal-length traces.
-  return reports_;
+  // Runs still in a slot at the horizon keep their reports: signals that
+  // never diverged stay {diverged=false}, same as compare_to_golden on
+  // equal-length traces. Queued runs no slot reached are deferred.
+  for (std::size_t k = 0; k < slot_run_.size(); ++k) {
+    if (slot_run_[k] != kNoRun) {
+      results_[slot_run_[k]] = std::move(reports_[k]);
+      slot_run_[k] = kNoRun;
+    }
+  }
+  for (SegmentInfo& seg : segments_) {
+    for (; seg.next_spec < seg.end_spec; ++seg.next_spec) {
+      deferred_.push_back(seg.next_spec);
+    }
+  }
+  std::sort(deferred_.begin(), deferred_.end());
+  return std::move(results_);
 }
 
 fi::TraceSet BatchedArrestmentSystem::take_lane_trace(std::size_t i) {
   PROPANE_REQUIRE_MSG(recording_, "recording mode only");
   PROPANE_REQUIRE(i < specs_.size());
-  return std::move(traces_[spec_lane_[i]]);
+  return std::move(traces_[slot_lane_[i]]);
 }
 
 fi::TraceSet BatchedArrestmentSystem::take_golden_trace(std::size_t segment) {
@@ -315,28 +338,81 @@ fi::TraceSet BatchedArrestmentSystem::take_golden_trace(std::size_t segment) {
   return std::move(traces_[segments_[segment].golden_lane]);
 }
 
+std::size_t BatchedArrestmentSystem::fill_free_slots(std::uint64_t now_ms) {
+  refill_due_ = false;
+  std::size_t loaded = 0;
+  for (std::size_t k = 0; k < slot_run_.size(); ++k) {
+    if (slot_run_[k] != kNoRun) continue;
+    SegmentInfo& seg = segments_[slot_segment_[k]];
+    // The queue is in fire-tick order: runs whose tick has passed are left
+    // for a later pass, the next one joins now.
+    while (seg.next_spec < seg.end_spec &&
+           fi::injection_fire_ms(specs_[seg.next_spec].spec->when) < now_ms) {
+      deferred_.push_back(seg.next_spec++);
+    }
+    if (seg.next_spec < seg.end_spec) {
+      load(k, seg.next_spec++, now_ms);
+      ++loaded;
+    }
+  }
+  return loaded;
+}
+
+void BatchedArrestmentSystem::load(std::size_t slot, std::size_t spec,
+                                   std::uint64_t now_ms) {
+  // Between ticks the golden lane holds the golden run's state at the
+  // start of tick now_ms -- exactly the state of every run that has not
+  // fired yet.
+  const std::size_t lane = slot_lane_[slot];
+  const std::size_t golden = slot_golden_[slot];
+  bus_.copy_lane(lane, golden);
+  env_.copy_lane(lane, golden);
+  dist_s_.copy_lane(lane, golden);
+  v_reg_.copy_lane(lane, golden);
+  calc_.copy_lane(lane, golden);
+
+  slot_run_[slot] = static_cast<std::uint32_t>(spec);
+  joined_ms_[slot] = now_ms;
+  const sim::SimTime when = specs_[spec].spec->when;
+  next_fire_ = armed_count_ == 0 ? when : std::min(next_fire_, when);
+  armed_[slot] = 1;
+  ++armed_count_;
+  reports_[slot].per_signal.assign(signals_, fi::Divergence{});
+  for (sim::LaneMask& pend : pending_) pend.set(slot);
+  undiverged_[slot] = static_cast<std::uint32_t>(signals_);
+  conv_hint_[slot] = 0;
+  active_.set(slot);
+  ++active_count_;
+}
+
 void BatchedArrestmentSystem::fire_injections(sim::SimTime now,
                                               fi::InjectionPhase phase) {
-  if (unfired_ == 0) return;
-  for (std::size_t j = 0; j < specs_.size(); ++j) {
-    if (fired_[j]) continue;
-    const fi::InjectionSpec& spec = *specs_[j].spec;
-    if (spec.phase != phase || now < spec.when) continue;
+  if (armed_count_ == 0 || now < next_fire_) return;
+  sim::SimTime next = ~sim::SimTime{0};
+  for (std::size_t k = 0; k < slot_run_.size(); ++k) {
+    if (!armed_[k]) continue;
+    const BatchLaneSpec& run = specs_[slot_run_[k]];
+    const fi::InjectionSpec& spec = *run.spec;
+    if (spec.phase != phase || now < spec.when) {
+      next = std::min(next, spec.when);
+      continue;
+    }
     // Replicates InjectionDriver byte for byte: the run's RNG stream is
     // fork(0) of the seeded generator (the scalar path forks stream 0 for
     // the primary injection), and the error model transforms the stored
-    // value in place. Staggered lanes (fire tick after the batch origin)
-    // activate here too: until this scan fires them they evolve
-    // bit-identically to their segment's golden lane.
-    const std::size_t lane = spec_lane_[j];
-    Rng seeder(specs_[j].rng_seed);
+    // value in place. Runs firing after they joined their slot activate
+    // here too: until this scan fires them they evolve bit-identically to
+    // their segment's golden lane.
+    const std::size_t lane = slot_lane_[k];
+    Rng seeder(run.rng_seed);
     Rng rng = seeder.fork(0);
     const std::uint16_t before = bus_.read(spec.target, lane);
     const std::uint16_t after = spec.model.apply(before, rng);
     bus_.poke(spec.target, lane, after);
-    fired_[j] = 1;
-    --unfired_;
+    armed_[k] = 0;
+    --armed_count_;
   }
+  next_fire_ = next;
 }
 
 void BatchedArrestmentSystem::step_environment(sim::SimTime now) {
@@ -344,7 +420,7 @@ void BatchedArrestmentSystem::step_environment(sim::SimTime now) {
 }
 
 void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
-  const std::size_t spec_count = specs_.size();
+  const std::size_t slot_count = slot_run_.size();
   // Screen phase: compute, for every signal, the lanes diverging from
   // their segment's golden lane on this very tick (per-segment vector
   // compare, shifted to the segment's bit range, intersected with the
@@ -394,7 +470,7 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
                   _mm512_mask_cmpneq_epu16_mask(m1, r1, g1))
               << 32;
       }
-      newly[sig] = _pext_u64(ne, spec_lane_mask_) & pend;
+      newly[sig] = _pext_u64(ne, slot_lane_mask_) & pend;
       any |= newly[sig];
     }
     if (any == 0) return;
@@ -408,7 +484,7 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
     return;
   }
 #endif
-  if (spec_count <= 64 && signals_ <= kMaxScreenSignals) [[likely]] {
+  if (slot_count <= 64 && signals_ <= kMaxScreenSignals) [[likely]] {
     std::uint64_t newly[kMaxScreenSignals];
     std::uint64_t any = 0;
     for (std::size_t sig = 0; sig < signals_; ++sig) {
@@ -425,10 +501,10 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
           bus_.lane_values(static_cast<fi::BusSignalId>(sig));
       std::uint64_t bits = 0;
       for (const SegmentInfo& seg : segments_) {
-        if (seg.count == 0) continue;
+        if (seg.slots == 0) continue;
         bits |= diff_bits(row.data() + seg.first_lane,
-                          row[seg.golden_lane], seg.count)
-                << seg.first_bit;
+                          row[seg.golden_lane], seg.slots)
+                << seg.first_slot;
       }
       newly[sig] = bits & pend;
       any |= newly[sig];
@@ -445,7 +521,7 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
   }
   // General path: batches wider than one mask word. Per segment, screen in
   // <= 64-lane chunks and scatter the chunk bits into the word-indexed
-  // scratch (a chunk may straddle two words when first_bit is unaligned).
+  // scratch (a chunk may straddle two words when first_slot is unaligned).
   const std::uint64_t ms = sim::to_milliseconds(now);
   for (std::size_t sig = 0; sig < signals_; ++sig) {
     sim::LaneMask& pend = pending_[sig];
@@ -456,12 +532,12 @@ void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
     bool any = false;
     for (const SegmentInfo& seg : segments_) {
       const std::uint16_t golden = row[seg.golden_lane];
-      for (std::size_t c = 0; c < seg.count; c += 64) {
-        const std::size_t n = std::min<std::size_t>(64, seg.count - c);
+      for (std::size_t c = 0; c < seg.slots; c += 64) {
+        const std::size_t n = std::min<std::size_t>(64, seg.slots - c);
         const std::uint64_t bits =
             diff_bits(row.data() + seg.first_lane + c, golden, n);
         if (bits == 0) continue;
-        const std::size_t pos = seg.first_bit + c;
+        const std::size_t pos = seg.first_slot + c;
         const std::size_t w = pos >> 6;
         const std::size_t shift = pos & 63;
         screen_words_[w] |= bits << shift;
@@ -495,8 +571,8 @@ void BatchedArrestmentSystem::note_divergences(std::size_t sig,
         reports_[j].per_signal[static_cast<fi::BusSignalId>(sig)];
     d.diverged = true;
     d.first_ms = ms;
-    d.golden_value = row[spec_golden_[j]];
-    d.observed_value = row[spec_lane_[j]];
+    d.golden_value = row[slot_golden_[j]];
+    d.observed_value = row[slot_lane_[j]];
     if (--undiverged_[j] == 0 && !recording_ && active_.test(j)) {
       retire(j, ms);
     }
@@ -508,9 +584,9 @@ void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
   active_.for_each([&](std::size_t j) {
     // Only a lane whose injection has fired may retire as converged: before
     // the fire, lane state trivially equals its golden lane's.
-    if (!fired_[j]) return;
-    const std::size_t lane = spec_lane_[j];
-    const std::size_t golden = spec_golden_[j];
+    if (armed_[j]) return;
+    const std::size_t lane = slot_lane_[j];
+    const std::size_t golden = slot_golden_[j];
     // A lane carrying a persistent error keeps mismatching on the same
     // signal check after check; probing that signal first turns the
     // common no-convergence outcome into a single compare.
@@ -538,10 +614,14 @@ void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
   });
 }
 
-void BatchedArrestmentSystem::retire(std::size_t lane, std::uint64_t now_ms) {
-  active_.reset(lane);
+void BatchedArrestmentSystem::retire(std::size_t slot, std::uint64_t now_ms) {
+  active_.reset(slot);
   --active_count_;
-  retirement_ticks_.push_back(now_ms >= start_ms_ ? now_ms - start_ms_ : 0);
+  retirement_ticks_.push_back(now_ms - joined_ms_[slot]);
+  results_[slot_run_[slot]] = std::move(reports_[slot]);
+  slot_run_[slot] = kNoRun;
+  const SegmentInfo& seg = segments_[slot_segment_[slot]];
+  refill_due_ = refill_due_ || seg.next_spec < seg.end_spec;
 }
 
 void BatchedArrestmentSystem::record_rows() {

@@ -24,9 +24,17 @@
 //   * converged: the lane's complete bus, module-internal and
 //     bus-observable environment state equals the golden lane's, so all
 //     its future samples equal the golden suffix.
-// Retired lanes may still be touched by the branch-free module sweeps
-// (their state is dead); the simulation stops once every injection lane
-// retired or the horizon is reached.
+//
+// Persistent lanes: a segment may hold more runs than it has injection
+// lanes ("slots"). Between ticks, a retired slot is reseeded from its
+// segment's golden lane (copy_lane on the bus and every stateful module)
+// and takes the segment's next queued run whose fire tick has not passed;
+// from the golden state at tick t, a run firing at or after t is exactly
+// its scalar run. Runs whose fire tick passed before a slot came free are
+// left for a later pass (deferred()). The simulation stops once no slot
+// holds a run and no queued run can still join, or at the horizon. Slots
+// without a run may still be touched by the branch-free module sweeps
+// (their state is dead until the next reseed).
 #pragma once
 
 #include <array>
@@ -52,29 +60,36 @@ struct BatchLaneSpec {
 };
 
 /// One test-case segment of a batch: a golden-run origin system at the
-/// batch's shared start tick, plus the injection lanes that compare
-/// against it. `origin` and `specs` are borrowed and must outlive the
-/// batch's construction (`origin`) / the batch (`specs` elements).
+/// batch's shared start tick, plus the runs that compare against it.
+/// `origin` and `specs` are borrowed and must outlive the batch's
+/// construction (`origin`) / the batch (`specs` elements).
 struct BatchSegment {
   const ArrestmentSystem* origin = nullptr;
+  /// The segment's runs, in non-decreasing fire-tick order when they
+  /// outnumber the slots (refill takes them in this order).
   std::span<const BatchLaneSpec> specs;
+  /// Injection lanes the runs share; 0 = one per run (no refill), which
+  /// recording mode requires. More slots than runs leaves the extra slots
+  /// empty.
+  std::size_t slots = 0;
 };
 
 class BatchedArrestmentSystem {
  public:
   /// Replicates `origin` -- a golden-run system at its current tick
   /// (a warm-start checkpoint, or a fresh system for fire tick 0) --
-  /// across `specs.size() + 1` lanes. The batch simulates from
-  /// origin.now() to `duration`. (Single-segment convenience form.)
+  /// across `slots + 1` lanes (`slots` 0 = one per spec). The batch
+  /// simulates from origin.now() to `duration`. (Single-segment
+  /// convenience form.)
   BatchedArrestmentSystem(const ArrestmentSystem& origin,
                           std::span<const BatchLaneSpec> specs,
-                          sim::SimTime duration);
+                          sim::SimTime duration, std::size_t slots = 0);
 
   /// Cross-test-case form: one golden lane per segment, every origin at
   /// the same current tick. Lanes are laid out segment-contiguously
-  /// ([golden 0, lanes 0..., golden 1, lanes 1...]); injection lane
-  /// indices (reports, take_lane_trace) count specs across segments in
-  /// order. At least one segment must carry an injection lane.
+  /// ([golden 0, slots 0..., golden 1, slots 1...]); run indices (reports,
+  /// deferred, take_lane_trace) count specs across segments in order. At
+  /// least one segment must carry a run.
   BatchedArrestmentSystem(std::span<const BatchSegment> segments,
                           sim::SimTime duration);
   ~BatchedArrestmentSystem();
@@ -84,6 +99,7 @@ class BatchedArrestmentSystem {
 
   /// Test/diagnostic mode: materialise a full per-lane trace (golden lane
   /// included) and disable early exit so every lane covers the horizon.
+  /// Every run needs its own slot (recording never refills).
   /// `prefix` seeds each trace with the rows before origin.now() (pass the
   /// checkpoint's shared golden trace -- rows past the origin tick are
   /// ignored -- or nullptr when the origin starts at t=0). Must be called
@@ -92,20 +108,33 @@ class BatchedArrestmentSystem {
   void enable_recording(const fi::TraceSet* prefix);
   void enable_recording(std::span<const fi::TraceSet* const> prefixes);
 
-  /// Simulates to the horizon (or until every injection lane retired) and
-  /// returns one final DivergenceReport per injection lane, in spec order.
+  /// Simulates until no slot holds a run and no queued run can still join
+  /// (or to the horizon) and returns one final DivergenceReport per run,
+  /// in spec order. A deferred run's entry stays empty.
   std::vector<fi::DivergenceReport> run();
 
   // Post-run observability.
+  /// Runs the batch did not take, ascending: their fire tick had passed
+  /// when a slot came free. A later pass must run them from an earlier
+  /// origin.
+  const std::vector<std::size_t>& deferred() const { return deferred_; }
   /// Scheduler slots actually executed (one per simulated millisecond).
   std::uint64_t ticks_simulated() const { return ticks_; }
-  /// Per retirement: ticks into the batch when the lane retired, in
-  /// retirement order; its size is the number of lanes retired early.
+  /// Injection lanes (slots) the batch sweeps.
+  std::size_t slot_count() const { return slot_run_.size(); }
+  /// Runs loaded into a slot a retired run had freed.
+  std::uint64_t refills() const { return refills_; }
+  /// Per tick, the slots holding a run, summed (divide by
+  /// ticks_simulated() * slot_count() for slot utilisation).
+  std::uint64_t live_slot_ticks() const { return live_slot_ticks_; }
+  /// Per retirement: ticks from the run joining its slot to its
+  /// retirement, in retirement order; its size is the number of runs
+  /// retired early.
   const std::vector<std::uint64_t>& retirement_ticks() const {
     return retirement_ticks_;
   }
 
-  /// Recorded traces (recording mode, after run()): injection lane `i` in
+  /// Recorded traces (recording mode, after run()): run `i` in
   /// cross-segment spec order, or a segment's golden lane (segment 0 by
   /// default, matching the single-segment constructor).
   fi::TraceSet take_lane_trace(std::size_t i);
@@ -113,27 +142,37 @@ class BatchedArrestmentSystem {
 
  private:
   /// One test-case segment's lane geometry: its golden bus lane, the bus
-  /// lane of its first injection lane (golden_lane + 1), the cross-segment
-  /// spec index of that lane (= its bit position in the pending masks) and
-  /// the number of injection lanes.
+  /// lane of its first slot (golden_lane + 1), the cross-segment index of
+  /// that slot (= its bit position in the pending and active masks), the
+  /// slot count, and its run queue [next_spec, end_spec) in cross-segment
+  /// spec indices.
   struct SegmentInfo {
     std::size_t golden_lane = 0;
     std::size_t first_lane = 0;
-    std::size_t first_bit = 0;
-    std::size_t count = 0;
+    std::size_t first_slot = 0;
+    std::size_t slots = 0;
+    std::size_t next_spec = 0;
+    std::size_t end_spec = 0;
   };
 
+  /// Marks a slot without a run.
+  static constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
+
+  /// Loads the next eligible queued run into every free slot; returns how
+  /// many it loaded.
+  std::size_t fill_free_slots(std::uint64_t now_ms);
+  void load(std::size_t slot, std::size_t spec, std::uint64_t now_ms);
   void fire_injections(sim::SimTime now, fi::InjectionPhase phase);
   void step_environment(sim::SimTime now);
   void check_divergence(sim::SimTime now);
   void note_divergences(std::size_t sig, std::size_t base,
                         std::uint64_t newly, std::uint64_t ms);
   void check_convergence(sim::SimTime now);
-  void retire(std::size_t lane, std::uint64_t now_ms);
+  void retire(std::size_t slot, std::uint64_t now_ms);
 
   void record_rows();
 
-  std::size_t lanes_;            // total specs + one golden per segment
+  std::size_t lanes_;            // total slots + one golden per segment
   std::size_t signals_;
   BusMap map_;
   sim::SimTime duration_;
@@ -150,41 +189,51 @@ class BatchedArrestmentSystem {
   BatchedVReg v_reg_;
   BatchedCalc calc_;
 
-  // Injection lanes in cross-segment spec order. Spec j occupies bus lane
-  // spec_lane_[j] and compares against golden lane spec_golden_[j] (its
-  // segment's golden); in the single-segment layout these collapse to
-  // j + 1 and 0.
+  // Runs in cross-segment spec order, and the final report of each run
+  // that has left its slot.
   std::vector<BatchLaneSpec> specs_;
+  std::vector<fi::DivergenceReport> results_;
+  std::vector<std::size_t> deferred_;
   std::vector<SegmentInfo> segments_;
-  std::vector<std::uint32_t> spec_lane_;
-  std::vector<std::uint32_t> spec_golden_;
-  std::vector<std::uint8_t> fired_;
-  std::size_t unfired_ = 0;
 
-  // Online divergence tracking.
-  std::vector<fi::DivergenceReport> reports_;   // per injection lane
+  // Per slot, in cross-segment slot order: bus lane, its segment's golden
+  // lane, segment index, the run it holds (kNoRun when free), whether that
+  // run's injection is still to fire, and the tick the run joined.
+  std::vector<std::uint32_t> slot_lane_;
+  std::vector<std::uint32_t> slot_golden_;
+  std::vector<std::uint32_t> slot_segment_;
+  std::vector<std::uint32_t> slot_run_;
+  std::vector<std::uint8_t> armed_;
+  std::vector<std::uint64_t> joined_ms_;
+  std::size_t armed_count_ = 0;
+  sim::SimTime next_fire_ = 0;  // earliest `when` among armed slots
+  bool refill_due_ = false;     // a slot freed while its queue is non-empty
+
+  // Online divergence tracking, per slot.
+  std::vector<fi::DivergenceReport> reports_;
   std::vector<sim::LaneMask> pending_;          // per signal: not yet diverged
-  std::vector<std::uint32_t> undiverged_;       // per lane: pending signals
-  std::vector<std::uint16_t> conv_hint_;        // per lane: last unequal signal
-  sim::LaneMask active_;                        // live injection lanes
+  std::vector<std::uint32_t> undiverged_;       // pending signals
+  std::vector<std::uint16_t> conv_hint_;        // last unequal signal
+  sim::LaneMask active_;                        // slots holding a run
   std::size_t active_count_ = 0;
   std::uint64_t ticks_ = 0;
 
-  // Early-exit accounting.
-  std::uint64_t start_ms_ = 0;  // origin.now() in ms, for retirement ticks
+  // Early-exit and refill accounting.
+  std::uint64_t refills_ = 0;
+  std::uint64_t live_slot_ticks_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
 
-  // General divergence screen scratch (batches wider than one mask word).
+  // General divergence screen scratch (more slots than one mask word).
   std::vector<std::uint64_t> screen_words_;
 
   // Golden-gather screen tables (valid when lanes_ <= 64): golden_idx_[l]
   // is the bus lane whose value lane l compares against (a golden lane
-  // maps to itself); spec_lane_mask_ has one bit per injection lane. A
+  // maps to itself); slot_lane_mask_ has one bit per slot lane. A
   // vector permute through golden_idx_ reduces the whole screen to one
   // row compare per signal, independent of how many test-case segments
   // the batch packs (check_divergence).
   std::array<std::uint16_t, 64> golden_idx_{};
-  std::uint64_t spec_lane_mask_ = 0;
+  std::uint64_t slot_lane_mask_ = 0;
 
   // Recording mode (tests): per-bus-lane traces, retirement disabled.
   bool recording_ = false;

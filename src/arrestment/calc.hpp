@@ -105,6 +105,16 @@ class BatchedCalc {
     gain_[lane] = snap.gain;
   }
 
+  /// Overwrites lane `dst`'s segment state with lane `src`'s (slot
+  /// refill).
+  void copy_lane(std::size_t dst, std::size_t src) {
+    seg_start_pulses_[dst] = seg_start_pulses_[src];
+    seg_start_ms_[dst] = seg_start_ms_[src];
+    seg_start_velocity_[dst] = seg_start_velocity_[src];
+    seg_set_value_[dst] = seg_set_value_[src];
+    gain_[dst] = gain_[src];
+  }
+
   /// One background-task invocation over all lanes.
   void step_lanes(fi::BatchedSignalBus& bus);
 

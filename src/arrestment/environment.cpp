@@ -86,6 +86,16 @@ void BatchedEnvironment::load_lane(std::size_t lane,
   peak_decel_[lane] = origin.peak_decel();
 }
 
+void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
+  mass_y_[dst] = mass_y_[src];
+  mass_recip_[dst] = mass_recip_[src];
+  velocity_[dst] = velocity_[src];
+  position_[dst] = position_[src];
+  pressure_[dst] = pressure_[src];
+  pulse_accumulator_[dst] = pulse_accumulator_[src];
+  peak_decel_[dst] = peak_decel_[src];
+}
+
 namespace {
 
 /// Commanded pressure for every possible TOC2 value. Each entry is

@@ -94,6 +94,11 @@ class BatchedEnvironment {
   /// non-primary segments. Must be called before the first step_lanes.
   void load_lane(std::size_t lane, const Environment& origin);
 
+  /// Overwrites lane `dst`'s complete physical state (mass divisor
+  /// included) with lane `src`'s -- how a retired batch slot is reseeded
+  /// from its segment's golden lane between ticks.
+  void copy_lane(std::size_t dst, std::size_t src);
+
   /// Advances every lane by one millisecond ending at `now`, publishing
   /// the sensor rows (PACNT, TIC1, TCNT, ADC) and consuming TOC2.
   void step_lanes(fi::BatchedSignalBus& bus, sim::SimTime now);

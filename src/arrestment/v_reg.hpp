@@ -58,6 +58,11 @@ class BatchedVReg {
     integrator_[lane] = prototype.integrator();
   }
 
+  /// Overwrites lane `dst`'s integrator with lane `src`'s (slot refill).
+  void copy_lane(std::size_t dst, std::size_t src) {
+    integrator_[dst] = integrator_[src];
+  }
+
   void step_lanes(fi::BatchedSignalBus& bus);
 
   bool lane_equals(std::size_t a, std::size_t b) const {

@@ -43,7 +43,8 @@ struct Renderer {
       text += "(" + info.name + ": " + info.input_names[n.arc.input] + "->" +
               info.output_names[n.arc.output] + ")";
     }
-    text += "=" + format_double(n.edge_weight, 3);
+    text += "=";
+    text += format_double(n.edge_weight, 3);
     return text;
   }
 

@@ -73,11 +73,13 @@ std::string to_dot(const SystemModel& model, const PermeabilityGraph& graph) {
         format_double(arc.weight, 3));
     std::string tail;
     if (arc.internal()) {
-      tail = "m" + std::to_string(arc.tail.output.module);
+      tail = "m";
+      tail += std::to_string(arc.tail.output.module);
     } else {
       // Draw each externally-sourced arc from its own terminal node so the
       // graph shows where external errors enter.
-      tail = "ext" + std::to_string(next_terminal++);
+      tail = "ext";
+      tail += std::to_string(next_terminal++);
       out += "  " + tail + " [shape=plaintext,label=\"" +
              escape(model.system_input_name(arc.tail.system_input)) +
              "\"];\n";

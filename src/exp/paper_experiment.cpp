@@ -103,12 +103,15 @@ TextTable table1_permeability(const core::SystemModel& model,
         "P^" + info.name + "(" + std::to_string(pair.pair.input + 1) + "," +
         std::to_string(pair.pair.output + 1) + ")";
     const auto ci = pair.confidence();
+    std::string interval = "[";
+    interval += format_double(ci.lo, 3);
+    interval += ",";
+    interval += format_double(ci.hi, 3);
+    interval += "]";
     table.add_row({info.name, pair.input_name + " -> " + pair.output_name,
                    symbol, format_double(pair.permeability(), 3),
                    std::to_string(pair.injections),
-                   std::to_string(pair.errors),
-                   "[" + format_double(ci.lo, 3) + "," +
-                       format_double(ci.hi, 3) + "]",
+                   std::to_string(pair.errors), interval,
                    format_double(interval_half_width(ci), 3)});
   }
   return table;

@@ -87,9 +87,11 @@ std::string bootstrap_confidence_dot(const core::SystemModel& model,
     }
     std::string tail;
     if (arc.internal()) {
-      tail = "m" + std::to_string(arc.tail.output.module);
+      tail = "m";
+      tail += std::to_string(arc.tail.output.module);
     } else {
-      tail = "ext" + std::to_string(next_terminal++);
+      tail = "ext";
+      tail += std::to_string(next_terminal++);
       out += "  " + tail + " [shape=plaintext,style=\"\",label=\"" +
              escape(model.system_input_name(arc.tail.system_input)) +
              "\"];\n";

@@ -84,6 +84,15 @@ class BatchedSignalBus {
     }
   }
 
+  /// Copies every signal of lane `src` into lane `dst` (refilling a
+  /// retired batch slot from its golden lane).
+  void copy_lane(std::size_t dst, std::size_t src) {
+    PROPANE_REQUIRE(dst < lanes_ && src < lanes_);
+    for (std::size_t sig = 0; sig < signals_; ++sig) {
+      values_[sig * lanes_ + dst] = values_[sig * lanes_ + src];
+    }
+  }
+
   /// Scatters `in` (one value per signal, id order) into one lane.
   void load_lane(std::size_t lane, std::span<const std::uint16_t> in) {
     PROPANE_REQUIRE(lane < lanes_);

@@ -1,7 +1,7 @@
 #include "fi/campaign.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
 #include <set>
 #include <utility>
 
@@ -42,6 +42,98 @@ std::uint64_t derive_seed(const CampaignConfig& config, std::uint64_t kind,
   std::uint64_t s = config.seed ^ (kind * 0xD1B54A32D192ED03ULL) ^
                     (index * 0x9E3779B97F4A7C15ULL);
   return splitmix64(s);
+}
+
+std::uint64_t fire_ms_of(const BatchLaneRequest& lane) {
+  return injection_fire_ms(lane.spec->when);
+}
+
+/// Most runs one request holds, in kernel widths: a request's reports stay
+/// in memory until its last pass ends, and a crash loses the whole request.
+constexpr std::size_t kMaxRequestWidths = 32;
+
+/// Chunks each pool of at least one kernel width is split into: the fewest
+/// that, with `thin` packed requests alongside, give `threads` workers an
+/// (almost) equal number of requests each.
+std::size_t chunks_per_pool(std::size_t pools, std::size_t thin,
+                            std::size_t threads) {
+  constexpr double kMinBalance = 0.99;
+  std::size_t chunks = 1;
+  for (; pools > 0 && chunks < 4 * threads; ++chunks) {
+    const std::size_t requests = pools * chunks + thin;
+    const std::size_t rounds = (requests + threads - 1) / threads;
+    if (static_cast<double>(requests) >=
+        kMinBalance * static_cast<double>(rounds * threads)) {
+      break;
+    }
+  }
+  return chunks;
+}
+
+/// Plans a range's runs, already split into per-test-case pools, into
+/// batch requests. A pool of at least `width` runs is dealt round-robin,
+/// one kernel width of consecutive runs at a time, into chunks, one
+/// request each: a chunk keeps the pool's fire-tick spread, so the
+/// kernel's slot refill always finds a next run, while its passes start
+/// full of a single fire tick. Thinner pools are packed across test cases
+/// (the runner gives each its own golden lane) and fire ticks, `width`
+/// runs per request, so sparse plans, delta-invalidated subsets and range
+/// tails still fill the kernel. Requests are ordered largest first, so the
+/// smallest ones even out the threads at the end.
+std::vector<BatchRunRequest> plan_requests(
+    std::vector<std::vector<BatchLaneRequest>> pools, std::size_t width,
+    std::size_t max_lanes, std::size_t threads) {
+  const auto by_fire = [](const BatchLaneRequest& a,
+                          const BatchLaneRequest& b) {
+    return fire_ms_of(a) < fire_ms_of(b);
+  };
+  std::vector<BatchLaneRequest> thin;
+  std::size_t thick = 0;
+  for (std::vector<BatchLaneRequest>& pool : pools) {
+    std::stable_sort(pool.begin(), pool.end(), by_fire);
+    if (pool.size() >= width) {
+      ++thick;
+    } else {
+      thin.insert(thin.end(), pool.begin(), pool.end());
+      pool.clear();
+    }
+  }
+  // Fire tick, then test case (pools were visited in test-case order).
+  std::stable_sort(thin.begin(), thin.end(), by_fire);
+  const std::size_t thin_requests = (thin.size() + width - 1) / width;
+  const std::size_t chunks = chunks_per_pool(thick, thin_requests, threads);
+
+  std::vector<BatchRunRequest> requests;
+  for (const std::vector<BatchLaneRequest>& pool : pools) {
+    if (pool.empty()) continue;
+    const std::size_t max_runs =
+        max_lanes > 0 ? max_lanes : kMaxRequestWidths * width;
+    const std::size_t blocks = (pool.size() + width - 1) / width;
+    const std::size_t pool_chunks = std::min(
+        blocks, std::max(chunks, (pool.size() + max_runs - 1) / max_runs));
+    for (std::size_t c = 0; c < pool_chunks; ++c) {
+      BatchRunRequest& request = requests.emplace_back();
+      for (std::size_t b = c * width; b < pool.size();
+           b += pool_chunks * width) {
+        request.lanes.insert(
+            request.lanes.end(), pool.begin() + static_cast<std::ptrdiff_t>(b),
+            pool.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(pool.size(), b + width)));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < thin.size(); i += width) {
+    BatchRunRequest& request = requests.emplace_back();
+    request.lanes.assign(
+        thin.begin() + static_cast<std::ptrdiff_t>(i),
+        thin.begin() + static_cast<std::ptrdiff_t>(
+                           std::min(thin.size(), i + width)));
+  }
+  std::stable_sort(requests.begin(), requests.end(),
+                   [](const BatchRunRequest& a, const BatchRunRequest& b) {
+                     return a.lanes.size() > b.lanes.size();
+                   });
+  return requests;
 }
 
 }  // namespace
@@ -178,27 +270,17 @@ void CampaignExecutor::execute_range(RunRange range) {
   if (range.empty()) return;
   const obs::Telemetry* telemetry = hooks_.telemetry;
   const bool timed = instruments_->timed;
-  std::size_t lanes_per_batch =
-      config_.batch_size > 0 ? config_.batch_size : kDefaultBatchSize;
-  if (runner_.max_lanes > 0) {
-    lanes_per_batch = std::min(lanes_per_batch, runner_.max_lanes);
-  }
+  std::size_t width = kernel_width(config_);
+  if (runner_.max_lanes > 0) width = std::min(width, runner_.max_lanes);
 
   // --- Plan. Walk the range in flat order, filter through should_run
-  // (skipped runs never reach a batch), order the survivors by (fire tick,
-  // test case) and pack them greedily into batches of at most
-  // `lanes_per_batch` lanes. Batches freely mix test cases (the runner
-  // gives each test case its own golden lane) and fire ticks (later-firing
-  // lanes ride along from the earliest fire tick and activate when their
-  // tick arrives), so thin groups -- sparse plans, delta-invalidated
-  // subsets, range tails -- still fill the SoA kernel. The per-run seed
-  // depends only on (config.seed, flat index) and every lane's report is
-  // bit-identical to its scalar run whatever batch it lands in, so a
+  // (skipped runs never reach a request) and collect the survivors into
+  // one pool per test case, in fire-tick order. The per-run seed depends
+  // only on (config.seed, flat index) and every lane's report is
+  // bit-identical to its scalar run whatever request it lands in, so a
   // resumed, process-split or lease-dispatched campaign, under any batch
   // size, reproduces the exact records of an uninterrupted one.
-  std::map<std::pair<std::uint64_t, std::uint32_t>,
-           std::vector<BatchLaneRequest>>
-      groups;
+  std::vector<std::vector<BatchLaneRequest>> pools(config_.test_case_count);
   for (std::size_t flat = range.begin; flat < range.end; ++flat) {
     const std::size_t inj = flat / config_.test_case_count;
     const std::size_t tc = flat % config_.test_case_count;
@@ -216,31 +298,19 @@ void CampaignExecutor::execute_range(RunRange range) {
       }
       continue;
     }
-    const InjectionSpec& spec = config_.injections[inj];
     BatchLaneRequest lane;
     lane.flat = flat;
     lane.injection_index = static_cast<std::uint32_t>(inj);
     lane.test_case = static_cast<std::uint32_t>(tc);
     lane.rng_seed = injection_run_seed(config_, flat);
-    lane.spec = &spec;
-    groups[{injection_fire_ms(spec.when), static_cast<std::uint32_t>(tc)}]
-        .push_back(lane);
+    lane.spec = &config_.injections[inj];
+    pools[tc].push_back(lane);
   }
+  std::vector<BatchRunRequest> batches =
+      plan_requests(std::move(pools), width, runner_.max_lanes,
+                    pool_->thread_count());
 
-  std::vector<BatchRunRequest> batches;
-  BatchRunRequest open;
-  for (auto& [key, lanes] : groups) {
-    for (BatchLaneRequest& lane : lanes) {
-      if (open.lanes.size() == lanes_per_batch) {
-        batches.push_back(std::move(open));
-        open = BatchRunRequest{};
-      }
-      open.lanes.push_back(lane);
-    }
-  }
-  if (!open.lanes.empty()) batches.push_back(std::move(open));
-
-  // --- Execute. One pool task per batch; per-lane records keep their flat
+  // --- Execute. One pool task per request; per-lane records keep their flat
   // identity, seed and report content, so journals and the CSVs derived
   // from them stay bit-identical.
   obs::Span injection_phase(telemetry, "campaign.injection_phase");
@@ -259,11 +329,12 @@ void CampaignExecutor::execute_range(RunRange range) {
     PROPANE_CHECK_MSG(reports.size() == batch.lanes.size(),
                       "batch runner must return one report per lane");
     const std::uint64_t dur_us = timed ? obs::steady_now_us() - start_us : 0;
-    // Whole-batch wall time attributed evenly across the lanes it covered.
+    // Whole-request wall time attributed evenly across the lanes it
+    // covered.
     const std::uint64_t lane_us = dur_us / batch.lanes.size();
-    // Batch shape for profiling: earliest fire tick (the tick the kernel
-    // starts from), distinct test cases (one golden lane each) and lane
-    // count -- occupancy is lanes / batch size.
+    // Request shape for profiling: earliest fire tick (the tick the first
+    // kernel pass starts from), distinct test cases (one golden lane each)
+    // and lane count -- occupancy is lanes / kernel width.
     if (telemetry != nullptr && telemetry->events != nullptr) {
       std::uint64_t start_fire_ms = ~std::uint64_t{0};
       std::set<std::uint32_t> batch_cases;

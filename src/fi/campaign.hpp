@@ -56,12 +56,13 @@ struct BatchLaneRequest {
   const InjectionSpec* spec = nullptr;
 };
 
-/// A lockstep batch: injection runs simulated together, each lane tracked
-/// against a golden lane of its own test case. Lanes may mix test cases
-/// and fire ticks freely (the planner packs them to saturate the SoA
-/// kernel); per-lane identity, test case and fire time travel in the lane
-/// entries. A lane whose injection fires at/after the run horizon never
-/// fires (all-clear report).
+/// A lockstep batch request: injection runs simulated together, each
+/// tracked against a golden lane of its own test case. Lanes may mix test
+/// cases and fire ticks freely; per-lane identity, test case and fire time
+/// travel in the lane entries, and there may be more lanes than the
+/// runner's kernel width (the runner shares its slots among them). A lane
+/// whose injection fires at/after the run horizon never fires (all-clear
+/// report).
 struct BatchRunRequest {
   std::vector<BatchLaneRequest> lanes;
   /// The campaign's golden traces, indexed by test case; borrowed for the
@@ -86,10 +87,10 @@ using BatchRunFunction =
 struct CampaignRunner {
   RunFunction run;
   BatchRunFunction batch;
-  /// Upper bound on lanes per batch (0 = CampaignConfig::batch_size). The
-  /// width-1 adaptor sets 1: a batch is the unit a crash loses and the
-  /// unit the pool schedules, so scalar runs stay journaled and spread
-  /// over the threads one by one.
+  /// Upper bound on lanes per request and on the kernel width (0 = no
+  /// bound). The width-1 adaptor sets 1: a request is the unit a crash
+  /// loses and the unit the pool schedules, so scalar runs stay journaled
+  /// and spread over the threads one by one.
   std::size_t max_lanes = 0;
 
   CampaignRunner() = default;
@@ -119,16 +120,22 @@ struct CampaignConfig {
   std::uint64_t seed = 0x9E3779B9;
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Lanes per lockstep batch (0 = default; CampaignRunner::max_lanes caps
-  /// it). Pure execution knob: results and journals are bit-identical for
-  /// every batch size, and the journal plan hash deliberately excludes it,
-  /// so a campaign may be resumed under a different batch size (or on the
-  /// scalar reference) without invalidation.
+  /// Kernel width: simulation slots per lockstep batch (0 = default;
+  /// CampaignRunner::max_lanes caps it). Pure execution knob: results and
+  /// journals are bit-identical for every batch size, and the journal plan
+  /// hash deliberately excludes it, so a campaign may be resumed under a
+  /// different batch size (or on the scalar reference) without
+  /// invalidation.
   std::size_t batch_size = 0;
 };
 
-/// Batch-lane count used when CampaignConfig::batch_size is 0.
+/// Kernel width (slots) used when CampaignConfig::batch_size is 0.
 inline constexpr std::size_t kDefaultBatchSize = 32;
+
+/// The kernel width `config` asks for: its batch_size, or the default.
+inline std::size_t kernel_width(const CampaignConfig& config) {
+  return config.batch_size > 0 ? config.batch_size : kDefaultBatchSize;
+}
 
 /// Outcome of one injection run, reduced to first divergences. The
 /// injection identity (index into the plan, target, time) is embedded so
@@ -247,12 +254,13 @@ class CampaignExecutor {
   /// (clamped to the plan) and blocks until the range completes. Ranges may
   /// execute in any order; hooks.should_run is the seam that keeps a flat
   /// index from running twice when ranges overlap (e.g. a requeued lease).
-  /// The range is planned into lockstep batches (runs ordered by fire tick
-  /// then test case and packed greedily, so lanes of different test cases
-  /// and fire ticks share a batch); records keep their flat identity, and
-  /// every lane is bit-identical to its scalar run regardless of batch
-  /// composition, so journals and CSVs are bit-identical to the scalar
-  /// reference. Not thread-safe: call from one thread at a time.
+  /// The range is planned into batch requests (one pool of runs per test
+  /// case, in fire-tick order, dealt into chunks; pools thinner than the
+  /// kernel width packed across test cases and fire ticks); records keep
+  /// their flat identity, and every lane is bit-identical to its scalar run
+  /// regardless of request composition, so journals and CSVs are
+  /// bit-identical to the scalar reference. Not thread-safe: call from one
+  /// thread at a time.
   void execute_range(RunRange range);
 
   const CampaignResult& result() const { return result_; }

@@ -42,7 +42,8 @@ int run_worker_loop(const fi::CampaignRunner& runner,
                     const fi::CampaignConfig& config,
                     const WorkerConfig& worker, std::istream& in,
                     std::ostream& out, WorkerSummary* summary) {
-  const std::string session_tag = "w" + std::to_string(worker.worker_id);
+  std::string session_tag = "w";
+  session_tag += std::to_string(worker.worker_id);
   store::JournalRunOptions options = worker.journal;
   options.process_count = 1;
   options.process_index = 0;

@@ -47,7 +47,8 @@ RandomSystem make_random_system(std::uint64_t seed) {
     const std::size_t modules_here = (l == layers - 1) ? 1 : per_layer;
     for (std::size_t j = 0; j < modules_here; ++j) {
       ModulePorts ports;
-      ports.name = "M" + std::to_string(counter++);
+      ports.name = "M";
+      ports.name += std::to_string(counter++);
       ports.outputs = 1 + rng.bounded(2);
       const std::size_t inputs = 1 + rng.bounded(3);
       std::vector<std::string> in_names;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -115,6 +116,13 @@ struct BatchCounters {
   std::uint64_t lanes() { return metrics.counter("batch.kernel.lanes").value(); }
   std::uint64_t never_fire() {
     return metrics.counter("batch.never_fire.lanes").value();
+  }
+  std::uint64_t ticks() { return metrics.counter("batch.kernel.ticks").value(); }
+  std::uint64_t refills() {
+    return metrics.counter("batch.refill.lanes").value();
+  }
+  std::uint64_t retirements() {
+    return metrics.snapshot().histograms.at("batch.retire.ticks").count;
   }
 };
 
@@ -606,6 +614,278 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
   EXPECT_EQ(counters.batches(), 2u);
   EXPECT_EQ(counters.lanes(), 12u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
+}
+
+// --- Persistent lanes: refill of retired slots ----------------------------
+
+/// The cold scalar oracle for one run: its own trace against a fresh
+/// golden run of the same test case.
+fi::DivergenceReport oracle_report(const TestCase& test_case,
+                                   const fi::InjectionSpec& spec,
+                                   std::uint64_t rng_seed) {
+  RunOptions golden_options;
+  golden_options.duration = kShortRun;
+  RunOptions options = golden_options;
+  options.injection = spec;
+  options.rng_seed = rng_seed;
+  return fi::compare_to_golden(run_arrestment(test_case, golden_options).trace,
+                               run_arrestment(test_case, options).trace);
+}
+
+/// Bit flips and stuck-at faults on transient (overwritten every tick) and
+/// persistent (module state) targets at staggered instants: slots free up
+/// by convergence while later runs are still queued, and persistent faults
+/// hold theirs to the horizon.
+fi::CampaignConfig refill_config() {
+  fi::CampaignConfig config;
+  config.test_case_count = 2;
+  config.seed = 0x2EF111;
+  const std::vector<fi::ErrorModel> models = {
+      fi::bit_flip(3), fi::bit_flip(12), fi::stuck_at_zero(1),
+      fi::stuck_at_one(14)};
+  for (const std::string_view target :
+       {"pulscnt", "SetValue", "PACNT", "TCNT", "i"}) {
+    for (const sim::SimTime ms : {20u, 45u, 70u, 120u, 121u}) {
+      const auto plan = fi::cross_product_plan(bus_id(target), models,
+                                               {ms * sim::kMillisecond});
+      config.injections.insert(config.injections.end(), plan.begin(),
+                               plan.end());
+    }
+  }
+  return config;
+}
+
+TEST(BatchRefill, RequestsWiderThanTheKernelMatchScalarForEveryWidth) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  fi::CampaignConfig config = refill_config();
+  config.threads = 2;
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, kShortRun), config);
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    config.batch_size = width;
+    BatchCounters counters;
+    const fi::CampaignResult batched = fi::run_campaign(
+        batched_campaign_runner(cases, config, kShortRun,
+                                &counters.telemetry),
+        config);
+    // 100 runs per test case share `width` slots: retired slots were
+    // refilled, and every run ran exactly once. (Slots come free by
+    // convergence here: the environment rewrites TCNT from the shared
+    // timer every tick, so no tick-start fault makes it diverge and no run
+    // of this plan retires by exhaustion.)
+    EXPECT_GT(counters.retirements(), 0u);
+    EXPECT_GT(counters.refills(), 0u);
+    EXPECT_EQ(counters.lanes(),
+              config.injections.size() * config.test_case_count);
+    ASSERT_EQ(batched.records.size(), scalar.records.size());
+    for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+      EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                    scalar.records[r].report))
+          << "record " << r;
+    }
+  }
+}
+
+TEST(BatchRefill, RefilledLanesJoinBeforeAndExactlyAtTheirFireTick) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  const ArrestmentSystem origin(cases[0]);
+  // A flip of TCNT at tick start is overwritten by the environment in the
+  // same tick: the lane converges and retires at the next convergence
+  // check. Learn when, from a one-run batch.
+  const fi::InjectionSpec first{bus_id("TCNT"), 20 * sim::kMillisecond,
+                                fi::bit_flip(5)};
+  std::uint64_t retired_ms = 0;
+  {
+    const BatchLaneSpec lane{&first, 7};
+    BatchedArrestmentSystem probe(origin, std::span(&lane, 1), kShortRun);
+    probe.run();
+    ASSERT_EQ(probe.retirement_ticks().size(), 1u);
+    retired_ms = probe.retirement_ticks()[0];  // the origin is t=0
+  }
+  // One slot, three runs: the second fires on the very tick its slot is
+  // reseeded (the tick after the first run retired), the third joins
+  // when the second retires, long before it fires.
+  const std::vector<fi::InjectionSpec> specs = {
+      first,
+      fi::InjectionSpec{bus_id("TCNT"), (retired_ms + 1) * sim::kMillisecond,
+                        fi::bit_flip(9)},
+      fi::InjectionSpec{bus_id("pulscnt"), 250 * sim::kMillisecond,
+                        fi::stuck_at_one(12)},
+  };
+  const std::vector<BatchLaneSpec> lanes = {
+      {&specs[0], 7}, {&specs[1], 8}, {&specs[2], 9}};
+  BatchedArrestmentSystem batch(origin, lanes, kShortRun, /*slots=*/1);
+  const std::vector<fi::DivergenceReport> reports = batch.run();
+  EXPECT_EQ(batch.slot_count(), 1u);
+  EXPECT_EQ(batch.refills(), 2u);
+  EXPECT_TRUE(batch.deferred().empty());
+  ASSERT_EQ(reports.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(reports_identical(reports[i],
+                                  oracle_report(cases[0], specs[i], 7 + i)))
+        << "run " << i;
+  }
+}
+
+TEST(BatchRefill, RunsWhoseFireTickPassedRunInALaterPass) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0xDEF3;
+  // Width 1: the second 30 ms run cannot join once the first has left
+  // its slot (tick 30 has passed), so it waits for a second pass from
+  // the 30 ms checkpoint; the 200 ms runs refill the first pass.
+  config.injections = {
+      fi::InjectionSpec{bus_id("TCNT"), 30 * sim::kMillisecond,
+                        fi::bit_flip(2)},
+      fi::InjectionSpec{bus_id("SetValue"), 30 * sim::kMillisecond,
+                        fi::stuck_at_zero(9)},
+      fi::InjectionSpec{bus_id("TCNT"), 200 * sim::kMillisecond,
+                        fi::bit_flip(4)},
+      fi::InjectionSpec{bus_id("pulscnt"), 200 * sim::kMillisecond,
+                        fi::bit_flip(0)},
+  };
+  config.batch_size = 1;
+  BatchCounters counters;
+  const fi::CampaignResult batched = fi::run_campaign(
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
+      config);
+  EXPECT_GT(counters.batches(), 1u);
+  EXPECT_EQ(counters.lanes(), config.injections.size());
+  for (std::size_t r = 0; r < batched.records.size(); ++r) {
+    const fi::InjectionSpec& spec =
+        config.injections[batched.records[r].injection_index];
+    EXPECT_TRUE(reports_identical(
+        batched.records[r].report,
+        oracle_report(cases[0], spec, fi::injection_run_seed(config, r))))
+        << "record " << r;
+  }
+}
+
+TEST(BatchRefill, MultiSegmentRequestSharesSlotsAcrossTestCases) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 3);
+  fi::CampaignConfig config = refill_config();
+  config.test_case_count = 3;
+  config.batch_size = 6;
+  const fi::CampaignRunner runner =
+      batched_campaign_runner(cases, config, kShortRun);
+  // Goldens first, so the passes warm-start from checkpoints.
+  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
+    fi::RunRequest golden;
+    golden.test_case = tc;
+    runner.run(golden);
+  }
+  // Six runs of each test case, two slots each: every segment refills
+  // within itself, and deferred runs come back in later passes.
+  fi::BatchRunRequest request;
+  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
+    for (std::uint32_t inj = 0; inj < 6; ++inj) {
+      const std::uint32_t index = inj * 13 + tc;
+      fi::BatchLaneRequest lane;
+      lane.flat = fi::campaign_flat_index(config, index, tc);
+      lane.injection_index = index;
+      lane.test_case = tc;
+      lane.rng_seed = fi::injection_run_seed(config, lane.flat);
+      lane.spec = &config.injections[index];
+      request.lanes.push_back(lane);
+    }
+  }
+  const std::vector<fi::DivergenceReport> reports = runner.batch(request);
+  ASSERT_EQ(reports.size(), request.lanes.size());
+  for (std::size_t i = 0; i < request.lanes.size(); ++i) {
+    const fi::BatchLaneRequest& lane = request.lanes[i];
+    EXPECT_TRUE(reports_identical(
+        reports[i],
+        oracle_report(cases[lane.test_case], *lane.spec, lane.rng_seed)))
+        << "lane " << i;
+  }
+}
+
+TEST(BatchRefill, ThinPoolsPackIntoMultiSegmentRequests) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 3);
+  fi::CampaignConfig config = refill_config();
+  config.test_case_count = 3;
+  config.injections.resize(5);  // 5 runs per test case, below the width
+  config.batch_size = 8;
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, kShortRun), config);
+  BatchCounters counters;
+  const fi::CampaignResult batched = fi::run_campaign(
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
+      config);
+  // 15 runs, three test cases, packed 8 + 7: two single-pass requests.
+  EXPECT_EQ(counters.batches(), 2u);
+  EXPECT_EQ(counters.refills(), 0u);
+  ASSERT_EQ(batched.records.size(), scalar.records.size());
+  for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+    EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                  scalar.records[r].report))
+        << "record " << r;
+  }
+}
+
+TEST(BatchRefill, StuckAtRequestRetiresAndRefillsLanes) {
+  // The stuck-at workload's shape on a short horizon: every injection
+  // target, all 32 stuck-at models, five instants.
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x57AC;
+  std::vector<fi::ErrorModel> models = fi::all_stuck_at_zero();
+  const std::vector<fi::ErrorModel> ones = fi::all_stuck_at_one();
+  models.insert(models.end(), ones.begin(), ones.end());
+  for (const fi::BusSignalId target : injection_target_bus_ids()) {
+    const auto plan = fi::cross_product_plan(
+        target, models,
+        {20 * sim::kMillisecond, 40 * sim::kMillisecond,
+         60 * sim::kMillisecond, 80 * sim::kMillisecond,
+         100 * sim::kMillisecond});
+    config.injections.insert(config.injections.end(), plan.begin(),
+                             plan.end());
+  }
+  config.threads = 1;
+  BatchCounters refill;
+  fi::run_campaign(
+      batched_campaign_runner(cases, config, kShortRun, &refill.telemetry),
+      config);
+  EXPECT_GT(refill.retirements(), 0u);
+  EXPECT_GT(refill.refills(), 0u);
+
+  // The same runs without refill: one request per kernel width of
+  // fire-tick-ordered runs, so every pass starts with all of its request's
+  // runs and a retired slot stays empty until the pass ends.
+  BatchCounters fixed;
+  const fi::CampaignRunner runner =
+      batched_campaign_runner(cases, config, kShortRun, &fixed.telemetry);
+  runner.run(fi::RunRequest{});  // golden run: captures the checkpoints
+  std::vector<fi::BatchLaneRequest> lanes;
+  for (std::uint32_t inj = 0; inj < config.injections.size(); ++inj) {
+    fi::BatchLaneRequest lane;
+    lane.flat = inj;
+    lane.injection_index = inj;
+    lane.rng_seed = fi::injection_run_seed(config, inj);
+    lane.spec = &config.injections[inj];
+    lanes.push_back(lane);
+  }
+  std::stable_sort(lanes.begin(), lanes.end(),
+                   [](const fi::BatchLaneRequest& a,
+                      const fi::BatchLaneRequest& b) {
+                     return a.spec->when < b.spec->when;
+                   });
+  for (std::size_t i = 0; i < lanes.size(); i += fi::kDefaultBatchSize) {
+    fi::BatchRunRequest request;
+    request.lanes.assign(
+        lanes.begin() + static_cast<std::ptrdiff_t>(i),
+        lanes.begin() + static_cast<std::ptrdiff_t>(std::min(
+                            lanes.size(), i + fi::kDefaultBatchSize)));
+    runner.batch(request);
+  }
+  EXPECT_EQ(fixed.refills(), 0u);
+  EXPECT_EQ(fixed.lanes(), refill.lanes());
+  EXPECT_LT(refill.ticks(), fixed.ticks());
 }
 
 }  // namespace

@@ -73,12 +73,14 @@ TEST(TraceSet, FlatStorageMatchesPerRowSemantics) {
     ASSERT_EQ(row.size(), kSignals);
     for (std::size_t s = 0; s < kSignals; ++s) {
       EXPECT_EQ(row[s], reference[ms][s]);
-      EXPECT_EQ(trace.value(ms, s), reference[ms][s]);
+      EXPECT_EQ(trace.value(ms, static_cast<BusSignalId>(s)),
+                reference[ms][s]);
       EXPECT_EQ(flat[ms * kSignals + s], reference[ms][s]);
     }
   }
   for (std::size_t s = 0; s < kSignals; ++s) {
-    const std::vector<std::uint16_t> column = trace.series(s);
+    const std::vector<std::uint16_t> column =
+        trace.series(static_cast<BusSignalId>(s));
     ASSERT_EQ(column.size(), kSamples);
     for (std::size_t ms = 0; ms < kSamples; ++ms) {
       EXPECT_EQ(column[ms], reference[ms][s]);

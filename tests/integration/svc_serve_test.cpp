@@ -249,9 +249,10 @@ TEST(ServeCampaign, TraceStreamsCarryTheFullSpanAncestry) {
   // rule the exporter uses to parent synthesized campaign.run spans.
   std::vector<obs::TraceStream> streams = {dispatcher};
   for (std::uint32_t worker_id = 0; worker_id < 2; ++worker_id) {
-    obs::TraceStream stream = load_stream(
-        dir / ("telemetry-w" + std::to_string(worker_id) + ".ndjson"),
-        "w" + std::to_string(worker_id));
+    std::string label = "w";
+    label += std::to_string(worker_id);
+    obs::TraceStream stream =
+        load_stream(dir / ("telemetry-" + label + ".ndjson"), label);
     stream.clock_offset_us = offsets.at(worker_id);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> lease_windows;
     for (const auto& row : stream.events) {

@@ -265,7 +265,8 @@ TEST(SpanBuffer, ConcurrentPushAndSnapshotKeepEveryInvariant) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kSpansPerWriter; ++i) {
         FinishedSpan span;
-        span.name = "w" + std::to_string(w);
+        span.name = "w";
+        span.name += std::to_string(w);
         span.id = buffer.next_id();
         buffer.push(std::move(span));
       }

@@ -343,18 +343,38 @@ void print_warnings(const std::vector<std::string>& warnings) {
   }
 }
 
-/// Lane-occupancy summary from batch.group.lanes histogram totals: batched
-/// injection lanes over total kernel lane slots (batches x lane width).
-/// 1.00 means the planner ran every batch full. Quiet when no batched
-/// session contributed.
-void print_batch_occupancy(std::uint64_t batches, double lanes) {
-  if (batches == 0) return;
+/// Batch-runner totals from the final "metric" events of the telemetry
+/// streams (one set per batched session per stream; sessions and workers
+/// sum).
+struct BatchTally {
+  std::uint64_t requests = 0;  // batch.group.lanes count
+  double lanes = 0.0;          // batch.group.lanes sum
+  double slot_ticks = 0.0;     // batch.kernel.slot_ticks
+  double live_slot_ticks = 0.0;  // batch.kernel.live_slot_ticks
+
+  /// Folds in one parsed "metric" event; other metrics are ignored.
+  void add(const std::vector<obs::Field>& fields);
+};
+
+/// Lane occupancy (requested lanes over requests x kernel width; above
+/// 1.00 when requests hold more runs than the kernel has slots, which
+/// refill then share) and slot utilisation (slot-ticks holding a run over
+/// slot-ticks swept). Quiet when no batched session contributed.
+void print_batch_occupancy(const BatchTally& tally) {
+  if (tally.requests == 0) return;
   const std::size_t width = fi::kDefaultBatchSize;
   std::printf(
-      "batch occupancy: %.2f (%.0f lane(s) across %llu batch(es), "
+      "batch occupancy: %.2f (%.0f lane(s) across %llu request(s), "
       "width %zu)\n",
-      lanes / (static_cast<double>(batches) * static_cast<double>(width)),
-      lanes, static_cast<unsigned long long>(batches), width);
+      tally.lanes /
+          (static_cast<double>(tally.requests) * static_cast<double>(width)),
+      tally.lanes, static_cast<unsigned long long>(tally.requests), width);
+  if (tally.slot_ticks > 0.0) {
+    std::printf("slot utilisation: %.2f (%.0f of %.0f slot-tick(s) held a "
+                "run)\n",
+                tally.live_slot_ticks / tally.slot_ticks,
+                tally.live_slot_ticks, tally.slot_ticks);
+  }
 }
 
 // Defined with the telemetry helpers below (campaign top section).
@@ -994,15 +1014,36 @@ std::vector<std::pair<std::string, std::filesystem::path>> telemetry_streams(
   return streams;
 }
 
-/// Best-effort scan of the journal's telemetry stream(s) for final
-/// batch.group.lanes histogram metrics (one per batched session per
-/// stream; sessions and workers sum), feeding print_batch_occupancy.
-/// Telemetry is an enrichment for `campaign stats`, so missing files and
-/// malformed lines are silently skipped here -- `campaign top` is the
-/// strict NDJSON validator.
+void BatchTally::add(const std::vector<obs::Field>& fields) {
+  const obs::Value* name = find_field(fields, "name");
+  if (name == nullptr || name->kind() != obs::Value::Kind::kString) return;
+  const auto number = [&](const char* key) -> const obs::Value* {
+    const obs::Value* v = find_field(fields, key);
+    return v != nullptr && v->is_number() ? v : nullptr;
+  };
+  if (name->as_string() == "batch.group.lanes") {
+    const obs::Value* count = number("count");
+    const obs::Value* sum = number("sum");
+    if (count != nullptr && sum != nullptr) {
+      requests += count->as_uint();
+      lanes += sum->as_double();
+    }
+  } else if (name->as_string() == "batch.kernel.slot_ticks") {
+    if (const obs::Value* v = number("value")) slot_ticks += v->as_double();
+  } else if (name->as_string() == "batch.kernel.live_slot_ticks") {
+    if (const obs::Value* v = number("value")) {
+      live_slot_ticks += v->as_double();
+    }
+  }
+}
+
+/// Best-effort scan of the journal's telemetry stream(s) for the final
+/// batch-runner metrics, feeding print_batch_occupancy. Telemetry is an
+/// enrichment for `campaign stats`, so missing files and malformed lines
+/// are silently skipped here -- `campaign top` is the strict NDJSON
+/// validator.
 void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
-  std::uint64_t batches = 0;
-  double lanes = 0.0;
+  BatchTally tally;
   for (const auto& [label, path] : telemetry_streams(args)) {
     std::ifstream in(path);
     if (!in) continue;
@@ -1010,25 +1051,13 @@ void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
       const auto fields = obs::parse_flat_json_object(line);
       if (!fields.has_value()) continue;
       const obs::Value* event = find_field(*fields, "event");
-      if (event == nullptr || event->kind() != obs::Value::Kind::kString ||
-          event->as_string() != "metric") {
-        continue;
-      }
-      const obs::Value* name = find_field(*fields, "name");
-      if (name == nullptr || name->kind() != obs::Value::Kind::kString ||
-          name->as_string() != "batch.group.lanes") {
-        continue;
-      }
-      const obs::Value* count = find_field(*fields, "count");
-      const obs::Value* sum = find_field(*fields, "sum");
-      if (count != nullptr && count->is_number() && sum != nullptr &&
-          sum->is_number()) {
-        batches += count->as_uint();
-        lanes += sum->as_double();
+      if (event != nullptr && event->kind() == obs::Value::Kind::kString &&
+          event->as_string() == "metric") {
+        tally.add(*fields);
       }
     }
   }
-  print_batch_occupancy(batches, lanes);
+  print_batch_occupancy(tally);
 }
 
 /// Per-stream tallies for the `campaign top` breakdown table.
@@ -1061,8 +1090,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
   std::map<std::string, std::uint64_t> shard_bytes;  // shard -> last total
   std::vector<obs::Field> last_done;   // most recent campaign.done
   std::map<std::string, std::string> final_metrics;  // last metric events
-  std::uint64_t batch_groups = 0;      // batch.group.lanes totals, summed
-  double batch_lanes = 0.0;            // across sessions and workers
+  BatchTally batch;                    // summed across sessions and workers
   std::size_t torn_lines = 0;
   std::vector<StreamTally> tallies;
 
@@ -1157,6 +1185,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
         // session ran last wins the "last session" line.
         last_done = *fields;
       } else if (event == "metric") {
+        batch.add(*fields);
         const obs::Value* metric = find_field(*fields, "name");
         if (metric != nullptr &&
             metric->kind() == obs::Value::Kind::kString) {
@@ -1171,15 +1200,6 @@ int cmd_campaign_top(const CampaignArgs& args) {
               cell += std::string(key) + "=" + render_value(*v);
             }
             final_metrics[metric->as_string()] = cell;
-            if (metric->as_string() == "batch.group.lanes") {
-              const obs::Value* count = find_field(*fields, "count");
-              const obs::Value* sum = find_field(*fields, "sum");
-              if (count != nullptr && count->is_number() && sum != nullptr &&
-                  sum->is_number()) {
-                batch_groups += count->as_uint();
-                batch_lanes += sum->as_double();
-              }
-            }
           } else if (const obs::Value* v = find_field(*fields, "value")) {
             final_metrics[metric->as_string()] = render_value(*v);
           }
@@ -1239,7 +1259,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
     std::printf("journal: %llu bytes across %zu shard(s)\n",
                 static_cast<unsigned long long>(total), shard_bytes.size());
   }
-  print_batch_occupancy(batch_groups, batch_lanes);
+  print_batch_occupancy(batch);
   if (!last_done.empty()) {
     std::string line = "last session:";
     for (const obs::Field& field : last_done) {
