@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "arrestment/batch_runner.hpp"
+#include "arrestment/batch_system.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
 #include "bench_util.hpp"
@@ -638,6 +639,8 @@ int main() {
   {
     std::ofstream json("BENCH_campaign.json");
     json << "{\"scale\":\"" << w.scale << "\""
+         << ",\"screen_isa\":\"" << arr::BatchedArrestmentSystem::screen_isa()
+         << "\",\"nproc\":" << cpus
          << ",\"runs\":" << batch.runs
          << ",\"samples_per_run\":" << samples
          << ",\"record_ns_per_sample\":" << record_ns

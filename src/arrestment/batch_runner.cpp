@@ -23,6 +23,7 @@ struct BatchInstruments {
   obs::Counter* kernel_ticks = nullptr;
   obs::Counter* slot_ticks = nullptr;
   obs::Counter* live_slot_ticks = nullptr;
+  obs::Counter* lane_ticks = nullptr;
   obs::Counter* refill_lanes = nullptr;
   obs::Counter* never_fire_lanes = nullptr;
 
@@ -39,6 +40,7 @@ struct BatchInstruments {
     slot_ticks = obs::find_counter(telemetry, "batch.kernel.slot_ticks");
     live_slot_ticks =
         obs::find_counter(telemetry, "batch.kernel.live_slot_ticks");
+    lane_ticks = obs::find_counter(telemetry, "batch.kernel.lane_ticks");
     refill_lanes = obs::find_counter(telemetry, "batch.refill.lanes");
     never_fire_lanes = obs::find_counter(telemetry, "batch.never_fire.lanes");
   }
@@ -60,9 +62,17 @@ struct BatchInstruments {
     add(kernel_ticks, batch.ticks_simulated());
     add(slot_ticks, batch.ticks_simulated() * batch.slot_count());
     add(live_slot_ticks, batch.live_slot_ticks());
+    add(lane_ticks, batch.ticks_simulated() * batch.lane_count());
     add(refill_lanes, batch.refills());
   }
 };
+
+/// Lanes in one vector row of the kernel's uint16 lane sweeps. A pass
+/// sweeps one row or two (BatchedArrestmentSystem::kMaxLanes), never a
+/// partial one: the compiled sweeps run whole rows and then a per-lane
+/// remainder loop, so a 33rd lane adds 15-20% to a tick, while
+/// padding a thin pass out to its row costs next to nothing.
+constexpr std::size_t kRowLanes = 32;
 
 /// One test case's pending runs: request lane indices in fire-tick order.
 struct Pool {
@@ -70,7 +80,8 @@ struct Pool {
   std::vector<std::size_t> pending;
 };
 
-/// Runs `request` on `width` kernel slots (see the header comment).
+/// Runs `request` in passes of at most `width` slots (see the header
+/// comment).
 std::vector<fi::DivergenceReport> run_batch(
     const WarmStartEngine& engine, std::size_t width,
     const fi::BatchRunRequest& request, const BatchInstruments& instruments) {
@@ -122,23 +133,39 @@ std::vector<fi::DivergenceReport> run_batch(
   // slot came free. Every pass takes at least its first runs, so the loop
   // ends.
   while (live > 0) {
-    // Slots go round-robin to the pools that still have runs. A pass with
-    // fewer runs than the width keeps the full width all the same, its
-    // spare slots empty in the first segment: the kernel's lane sweeps run
-    // whole vector iterations at the full width, while an uneven lane
-    // count pays for a per-lane remainder loop on every tick.
-    const std::size_t fill = std::min(width, live);
+    // A pass with k segments sweeps 64 lanes: 64 - k slots (fewer when
+    // `width` asks for fewer), which go round-robin to the pools that
+    // still have runs. At most 32 pools take part, so each keeps a slot.
+    // When every pending run has a slot, the spare slots stay empty in the
+    // first segment and pad the pass out to a whole row: 32 lanes when
+    // the runs and golden lanes fit in one, else 64.
+    const auto waiting = static_cast<std::size_t>(
+        std::count_if(pools.begin(), pools.end(), [](const Pool& pool) {
+          return !pool.pending.empty();
+        }));
+    const std::size_t fill = std::min(
+        {width, BatchedArrestmentSystem::kMaxLanes -
+                    std::min(waiting, kRowLanes),
+         live});
     std::vector<std::size_t> slots(pools.size(), 0);
+    std::size_t goldens = 0;  // one per pool given a slot
     for (std::size_t left = fill; left > 0;) {
       for (std::size_t p = 0; p < pools.size() && left > 0; ++p) {
         if (slots[p] < pools[p].pending.size()) {
+          if (slots[p] == 0) ++goldens;
           ++slots[p];
           --left;
         }
       }
     }
-    *std::find_if(slots.begin(), slots.end(),
-                  [](std::size_t n) { return n > 0; }) += width - fill;
+    if (fill == live) {
+      const std::size_t lanes = fill + goldens <= kRowLanes
+                                    ? kRowLanes
+                                    : BatchedArrestmentSystem::kMaxLanes;
+      *std::find_if(slots.begin(), slots.end(),
+                    [](std::size_t n) { return n > 0; }) +=
+          lanes - goldens - fill;
+    }
     std::uint64_t start_ms = ~std::uint64_t{0};
     std::size_t queued = 0;
     for (std::size_t p = 0; p < pools.size(); ++p) {

@@ -6,15 +6,21 @@
 // test cases (each distinct test case becomes a kernel segment with its
 // own golden lane) and fire ticks, and may outnumber the kernel width
 // (fi::kernel_width of the campaign config the runner is built with). The
-// runner multiplexes them onto that many slots in successive passes: each
-// pass starts at the earliest pending fire tick, restoring every segment
-// from its test case's warm-start checkpoint at that tick when one exists
-// (composing batching with prefix reuse: each shared golden prefix is
-// simulated zero times, not N times) or from fresh t=0 origins otherwise,
-// and refills retired slots with the next run of their test case whose
-// fire tick has not passed; runs whose tick passed wait for a later pass. Never-firing lanes -- the injection time is at/after
-// the horizon, so the run *is* the golden run -- are answered with
-// all-clear reports without simulating them at all.
+// runner multiplexes them onto the kernel's slots in successive passes:
+// each pass starts at the earliest pending fire tick, restoring every
+// segment from its test case's warm-start checkpoint at that tick when one
+// exists (composing batching with prefix reuse: each shared golden prefix
+// is simulated zero times, not N times) or from fresh t=0 origins
+// otherwise, and refills retired slots with the next run of their test
+// case whose fire tick has not passed; runs whose tick passed wait for a
+// later pass. Never-firing lanes -- the injection time is at/after the
+// horizon, so the run *is* the golden run -- are answered with all-clear
+// reports without simulating them at all.
+//
+// Row geometry: a pass with k segments gets 64 - k slots, or 32 - k when
+// all of its runs fit in one 32-lane row beside the k golden lanes, so
+// under the default width every pass sweeps exactly one or two whole
+// vector rows. An explicit width caps the slots further.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +50,8 @@ namespace propane::arr {
 ///   batch.kernel.slot_ticks, batch.kernel.live_slot_ticks
 ///                          -- counters, slot-ticks swept and slot-ticks
 ///                             that held a run;
+///   batch.kernel.lane_ticks -- counter, lane-ticks swept (slots, golden
+///                             lanes and padding);
 ///   batch.refill.lanes     -- counter, runs loaded into a freed slot;
 ///   batch.never_fire.lanes -- counter, lanes answered without simulation
 ///                             (the injection fires at/after the horizon);

@@ -20,33 +20,16 @@ namespace {
 /// (a full state compare per candidate lane) stays off the hot path.
 constexpr std::uint64_t kConvergenceCheckPeriod = 16;
 
+#if !(defined(__AVX512BW__) && defined(__BMI2__))
 /// Bit `l` of the result is set iff `row[l] != golden`, for `l` in
-/// [0, n); n <= 64. Each batch segment screens its own lane sub-row
-/// against its own golden value, so cross-test-case batches reuse this
-/// single compare kernel unchanged -- per-lane golden bases reduce to a
-/// per-segment base pointer plus broadcast golden. The divergence scan
-/// intersects the result with the pending mask, so the per-lane
-/// bookkeeping only runs for lanes that diverge on this very tick --
-/// almost always none.
+/// [0, n); n <= 64. The screen path without the golden gather: each batch
+/// segment screens its own lane sub-row against its own broadcast golden
+/// value.
 std::uint64_t diff_bits(const std::uint16_t* row, std::uint16_t golden,
                         std::size_t n) {
   std::uint64_t bits = 0;
   std::size_t l = 0;
-#if defined(__AVX512BW__)
-  // One masked word-compare covers up to 32 lanes; the mask both
-  // suppresses the tail load and zeroes tail compare bits.
-  const __m512i g512 = _mm512_set1_epi16(static_cast<short>(golden));
-  for (; l < n; l += 32) {
-    const std::size_t left = n - l;
-    const __mmask32 m = left >= 32
-                            ? ~__mmask32{0}
-                            : static_cast<__mmask32>((1u << left) - 1);
-    const __m512i v = _mm512_maskz_loadu_epi16(m, row + l);
-    bits |= static_cast<std::uint64_t>(
-                _mm512_mask_cmpneq_epu16_mask(m, v, g512))
-            << l;
-  }
-#elif defined(__AVX2__) && defined(__BMI2__)
+#if defined(__AVX2__) && defined(__BMI2__)
   const __m256i g = _mm256_set1_epi16(static_cast<short>(golden));
   for (; l + 16 <= n; l += 16) {
     const __m256i v =
@@ -63,6 +46,7 @@ std::uint64_t diff_bits(const std::uint16_t* row, std::uint16_t golden,
   }
   return bits;
 }
+#endif
 
 const ArrestmentSystem& primary_origin(
     std::span<const BatchSegment> segments) {
@@ -80,6 +64,8 @@ std::size_t total_lanes(std::span<const BatchSegment> segments) {
   for (const BatchSegment& segment : segments) {
     lanes += slots_of(segment);
   }
+  PROPANE_REQUIRE_MSG(lanes <= BatchedArrestmentSystem::kMaxLanes,
+                      "a batch sweeps at most 64 lanes");
   return lanes;
 }
 
@@ -112,6 +98,8 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
   const ArrestmentSystem& origin0 = primary_origin(segments);
   PROPANE_REQUIRE_MSG(origin0.now() < duration,
                       "batch origin must precede the horizon");
+  PROPANE_REQUIRE_MSG(signals_ <= kMaxSignals,
+                      "a batch screens at most 64 signals");
 
   // Lane geometry, cross-segment spec and slot tables, and per-segment
   // state seeding. The broadcast member constructors above replicated
@@ -154,17 +142,13 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
   }
   PROPANE_REQUIRE_MSG(!specs_.empty(), "batch needs at least one injection");
 
-  // Golden-gather tables for the vectorised screen (lanes_ <= 64; wider
-  // batches use the chunked general path in check_divergence).
-  if (lanes_ <= 64) {
-    for (const SegmentInfo& seg : segments_) {
-      golden_idx_[seg.golden_lane] =
+  // Golden-gather tables for the vectorised screen.
+  for (const SegmentInfo& seg : segments_) {
+    golden_idx_[seg.golden_lane] = static_cast<std::uint16_t>(seg.golden_lane);
+    for (std::size_t k = 0; k < seg.slots; ++k) {
+      golden_idx_[seg.first_lane + k] =
           static_cast<std::uint16_t>(seg.golden_lane);
-      for (std::size_t k = 0; k < seg.slots; ++k) {
-        golden_idx_[seg.first_lane + k] =
-            static_cast<std::uint16_t>(seg.golden_lane);
-        slot_lane_mask_ |= std::uint64_t{1} << (seg.first_lane + k);
-      }
+      slot_lane_mask_ |= std::uint64_t{1} << (seg.first_lane + k);
     }
   }
   for (const BatchLaneSpec& lane_spec : specs_) {
@@ -183,8 +167,7 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
   undiverged_.assign(slots, 0);
   conv_hint_.assign(slots, 0);
   active_ = sim::LaneMask(slots);
-  pending_.assign(signals_, sim::LaneMask(slots));
-  screen_words_.resize((slots + 63) / 64);
+  pending_.assign(signals_, 0);
 
   // Every slot takes its segment's first run whose fire tick has not
   // passed.
@@ -378,7 +361,7 @@ void BatchedArrestmentSystem::load(std::size_t slot, std::size_t spec,
   armed_[slot] = 1;
   ++armed_count_;
   reports_[slot].per_signal.assign(signals_, fi::Divergence{});
-  for (sim::LaneMask& pend : pending_) pend.set(slot);
+  for (std::uint64_t& pend : pending_) pend |= std::uint64_t{1} << slot;
   undiverged_[slot] = static_cast<std::uint32_t>(signals_);
   conv_hint_[slot] = 0;
   active_.set(slot);
@@ -419,154 +402,104 @@ void BatchedArrestmentSystem::step_environment(sim::SimTime now) {
   env_.step_lanes(bus_, now);
 }
 
+const char* BatchedArrestmentSystem::screen_isa() {
+#if defined(__AVX512BW__) && defined(__BMI2__)
+  return "avx512bw+bmi2";
+#elif defined(__AVX2__) && defined(__BMI2__)
+  return "avx2+bmi2";
+#else
+  return "scalar";
+#endif
+}
+
 void BatchedArrestmentSystem::check_divergence(sim::SimTime now) {
-  const std::size_t slot_count = slot_run_.size();
-  // Screen phase: compute, for every signal, the lanes diverging from
-  // their segment's golden lane on this very tick (per-segment vector
-  // compare, shifted to the segment's bit range, intersected with the
-  // pending set). The loop reads but never writes heap state, so the
-  // compiler keeps it tight; on the overwhelmingly common tick the
-  // accumulated mask is zero and the function is done.
-  constexpr std::size_t kMaxScreenSignals = 64;
+  // Screen phase: compute, for every signal, the slots diverging from
+  // their segment's golden lane on this very tick, intersected with the
+  // pending set. A signal every slot has already diverged on is settled for
+  // the rest of the run and skips its compares entirely (long
+  // post-divergence tails make this the common case for reactive signals).
+  // The loop reads but never writes heap state, so the compiler keeps it
+  // tight; on the overwhelmingly common tick the accumulated mask is zero
+  // and the function is done.
+  std::uint64_t newly[kMaxSignals];
+  std::uint64_t any = 0;
 #if defined(__AVX512BW__) && defined(__BMI2__)
   // Golden-gather screen: one permute maps every bus lane to its segment's
-  // golden value, one masked compare yields all divergence bits at once,
-  // and a pext compacts the injection-lane bits into cross-segment spec
-  // order (golden lanes compare equal to themselves and drop out) -- the
-  // per-signal cost is independent of how many test cases the batch packs.
-  if (lanes_ <= 64 && signals_ <= kMaxScreenSignals) [[likely]] {
-    const __mmask32 m0 =
-        lanes_ >= 32 ? ~__mmask32{0}
-                     : static_cast<__mmask32>((1u << lanes_) - 1);
-    const __mmask32 m1 =
-        lanes_ <= 32
-            ? __mmask32{0}
-            : (lanes_ >= 64
-                   ? ~__mmask32{0}
-                   : static_cast<__mmask32>((1u << (lanes_ - 32)) - 1));
-    const __m512i idx0 = _mm512_loadu_si512(golden_idx_.data());
-    const __m512i idx1 = _mm512_loadu_si512(golden_idx_.data() + 32);
-    std::uint64_t newly[kMaxScreenSignals];
-    std::uint64_t any = 0;
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      // A signal every lane has already diverged on is settled for the
-      // rest of the run: skip its compares entirely.
-      const std::uint64_t pend = pending_[sig].word(0);
-      if (pend == 0) {
-        newly[sig] = 0;
-        continue;
-      }
-      const std::span<const std::uint16_t> row =
-          bus_.lane_values(static_cast<fi::BusSignalId>(sig));
-      const __m512i r0 = _mm512_maskz_loadu_epi16(m0, row.data());
-      const __m512i r1 = m1 != 0
-                             ? _mm512_maskz_loadu_epi16(m1, row.data() + 32)
-                             : _mm512_setzero_si512();
-      const __m512i g0 = _mm512_permutex2var_epi16(r0, idx0, r1);
-      std::uint64_t ne = _mm512_mask_cmpneq_epu16_mask(m0, r0, g0);
-      if (m1 != 0) {
-        const __m512i g1 = _mm512_permutex2var_epi16(r0, idx1, r1);
-        ne |= static_cast<std::uint64_t>(
-                  _mm512_mask_cmpneq_epu16_mask(m1, r1, g1))
-              << 32;
-      }
-      newly[sig] = _pext_u64(ne, slot_lane_mask_) & pend;
-      any |= newly[sig];
-    }
-    if (any == 0) return;
-    const std::uint64_t ms = sim::to_milliseconds(now);
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      if (newly[sig] != 0) {
-        pending_[sig].reset_word_bits(0, newly[sig]);
-        note_divergences(sig, 0, newly[sig], ms);
-      }
-    }
-    return;
-  }
-#endif
-  if (slot_count <= 64 && signals_ <= kMaxScreenSignals) [[likely]] {
-    std::uint64_t newly[kMaxScreenSignals];
-    std::uint64_t any = 0;
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      // Once every lane has recorded its first divergence on a signal, the
-      // signal's screen is settled for the rest of the run -- skip the
-      // compares entirely (long post-divergence tails make this the common
-      // case for reactive signals).
-      const std::uint64_t pend = pending_[sig].word(0);
-      if (pend == 0) {
-        newly[sig] = 0;
-        continue;
-      }
-      const std::span<const std::uint16_t> row =
-          bus_.lane_values(static_cast<fi::BusSignalId>(sig));
-      std::uint64_t bits = 0;
-      for (const SegmentInfo& seg : segments_) {
-        if (seg.slots == 0) continue;
-        bits |= diff_bits(row.data() + seg.first_lane,
-                          row[seg.golden_lane], seg.slots)
-                << seg.first_slot;
-      }
-      newly[sig] = bits & pend;
-      any |= newly[sig];
-    }
-    if (any == 0) return;
-    const std::uint64_t ms = sim::to_milliseconds(now);
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      if (newly[sig] != 0) {
-        pending_[sig].reset_word_bits(0, newly[sig]);
-        note_divergences(sig, 0, newly[sig], ms);
-      }
-    }
-    return;
-  }
-  // General path: batches wider than one mask word. Per segment, screen in
-  // <= 64-lane chunks and scatter the chunk bits into the word-indexed
-  // scratch (a chunk may straddle two words when first_slot is unaligned).
-  const std::uint64_t ms = sim::to_milliseconds(now);
+  // golden value, one masked compare per 32-lane row yields all divergence
+  // bits at once, and a pext compacts the slot-lane bits into cross-segment
+  // slot order (golden lanes compare equal to themselves and drop out) --
+  // the per-signal cost is independent of how many test cases the batch
+  // packs.
+  const __mmask32 m0 = lanes_ >= 32
+                           ? ~__mmask32{0}
+                           : static_cast<__mmask32>((1u << lanes_) - 1);
+  const __mmask32 m1 =
+      lanes_ <= 32 ? __mmask32{0}
+                   : (lanes_ >= 64 ? ~__mmask32{0}
+                                   : static_cast<__mmask32>(
+                                         (1u << (lanes_ - 32)) - 1));
+  const __m512i idx0 = _mm512_loadu_si512(golden_idx_.data());
+  const __m512i idx1 = _mm512_loadu_si512(golden_idx_.data() + 32);
   for (std::size_t sig = 0; sig < signals_; ++sig) {
-    sim::LaneMask& pend = pending_[sig];
-    if (pend.none()) continue;  // settled: every lane recorded a divergence
+    const std::uint64_t pend = pending_[sig];
+    if (pend == 0) {
+      newly[sig] = 0;
+      continue;
+    }
     const std::span<const std::uint16_t> row =
         bus_.lane_values(static_cast<fi::BusSignalId>(sig));
-    std::fill(screen_words_.begin(), screen_words_.end(), 0);
-    bool any = false;
-    for (const SegmentInfo& seg : segments_) {
-      const std::uint16_t golden = row[seg.golden_lane];
-      for (std::size_t c = 0; c < seg.slots; c += 64) {
-        const std::size_t n = std::min<std::size_t>(64, seg.slots - c);
-        const std::uint64_t bits =
-            diff_bits(row.data() + seg.first_lane + c, golden, n);
-        if (bits == 0) continue;
-        const std::size_t pos = seg.first_slot + c;
-        const std::size_t w = pos >> 6;
-        const std::size_t shift = pos & 63;
-        screen_words_[w] |= bits << shift;
-        if (shift != 0 && n > 64 - shift) {
-          screen_words_[w + 1] |= bits >> (64 - shift);
-        }
-        any = true;
-      }
+    const __m512i r0 = _mm512_maskz_loadu_epi16(m0, row.data());
+    const __m512i r1 = m1 != 0 ? _mm512_maskz_loadu_epi16(m1, row.data() + 32)
+                               : _mm512_setzero_si512();
+    const __m512i g0 = _mm512_permutex2var_epi16(r0, idx0, r1);
+    std::uint64_t ne = _mm512_mask_cmpneq_epu16_mask(m0, r0, g0);
+    if (m1 != 0) {
+      const __m512i g1 = _mm512_permutex2var_epi16(r0, idx1, r1);
+      ne |= static_cast<std::uint64_t>(
+                _mm512_mask_cmpneq_epu16_mask(m1, r1, g1))
+            << 32;
     }
-    if (!any) continue;
-    for (std::size_t w = 0; w < pend.word_count(); ++w) {
-      const std::uint64_t newly = screen_words_[w] & pend.word(w);
-      if (newly == 0) continue;
-      pend.reset_word_bits(w, newly);
-      note_divergences(sig, w * 64, newly, ms);
+    newly[sig] = _pext_u64(ne, slot_lane_mask_) & pend;
+    any |= newly[sig];
+  }
+#else
+  for (std::size_t sig = 0; sig < signals_; ++sig) {
+    const std::uint64_t pend = pending_[sig];
+    if (pend == 0) {
+      newly[sig] = 0;
+      continue;
+    }
+    const std::span<const std::uint16_t> row =
+        bus_.lane_values(static_cast<fi::BusSignalId>(sig));
+    std::uint64_t bits = 0;
+    for (const SegmentInfo& seg : segments_) {
+      if (seg.slots == 0) continue;
+      bits |= diff_bits(row.data() + seg.first_lane, row[seg.golden_lane],
+                        seg.slots)
+              << seg.first_slot;
+    }
+    newly[sig] = bits & pend;
+    any |= newly[sig];
+  }
+#endif
+  if (any == 0) return;
+  const std::uint64_t ms = sim::to_milliseconds(now);
+  for (std::size_t sig = 0; sig < signals_; ++sig) {
+    if (newly[sig] != 0) {
+      pending_[sig] &= ~newly[sig];
+      note_divergences(sig, newly[sig], ms);
     }
   }
 }
 
 void BatchedArrestmentSystem::note_divergences(std::size_t sig,
-                                               std::size_t base,
                                                std::uint64_t newly,
                                                std::uint64_t ms) {
   const std::span<const std::uint16_t> row =
       bus_.lane_values(static_cast<fi::BusSignalId>(sig));
   while (newly != 0) {
-    const auto bit = static_cast<std::size_t>(__builtin_ctzll(newly));
+    const auto j = static_cast<std::size_t>(__builtin_ctzll(newly));
     newly &= newly - 1;
-    const std::size_t j = base + bit;
     fi::Divergence& d =
         reports_[j].per_signal[static_cast<fi::BusSignalId>(sig)];
     d.diverged = true;
@@ -606,9 +539,7 @@ void BatchedArrestmentSystem::check_convergence(sim::SimTime now) {
     // Complete state (bus + module-internal + bus-feeding environment)
     // equals the segment's golden lane: every future sample coincides, so
     // the report is final.
-    for (std::size_t sig = 0; sig < signals_; ++sig) {
-      if (pending_[sig].test(j)) pending_[sig].reset(j);
-    }
+    for (std::uint64_t& pend : pending_) pend &= ~(std::uint64_t{1} << j);
     undiverged_[j] = 0;
     retire(j, ms);
   });

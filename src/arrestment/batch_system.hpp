@@ -35,6 +35,12 @@
 // holds a run and no queued run can still join, or at the horizon. Slots
 // without a run may still be touched by the branch-free module sweeps
 // (their state is dead until the next reseed).
+//
+// Width: a batch sweeps at most kMaxLanes lanes (slots plus one golden lane
+// per segment) over at most kMaxSignals signals, so one 64-bit word holds
+// every per-signal lane set and the divergence screen compares whole rows
+// at once. The production runner sizes each pass to exactly one or two
+// 32-lane vector rows (batch_runner.cpp).
 #pragma once
 
 #include <array>
@@ -76,6 +82,14 @@ struct BatchSegment {
 
 class BatchedArrestmentSystem {
  public:
+  /// Most lanes (slots + golden lanes) and bus signals one batch sweeps.
+  static constexpr std::size_t kMaxLanes = 64;
+  static constexpr std::size_t kMaxSignals = 64;
+
+  /// The divergence screen the kernel compiled to: "avx512bw+bmi2" (golden
+  /// gather), "avx2+bmi2" or "scalar".
+  static const char* screen_isa();
+
   /// Replicates `origin` -- a golden-run system at its current tick
   /// (a warm-start checkpoint, or a fresh system for fire tick 0) --
   /// across `slots + 1` lanes (`slots` 0 = one per spec). The batch
@@ -122,6 +136,8 @@ class BatchedArrestmentSystem {
   std::uint64_t ticks_simulated() const { return ticks_; }
   /// Injection lanes (slots) the batch sweeps.
   std::size_t slot_count() const { return slot_run_.size(); }
+  /// Lanes the batch sweeps: slots plus one golden lane per segment.
+  std::size_t lane_count() const { return lanes_; }
   /// Runs loaded into a slot a retired run had freed.
   std::uint64_t refills() const { return refills_; }
   /// Per tick, the slots holding a run, summed (divide by
@@ -165,8 +181,8 @@ class BatchedArrestmentSystem {
   void fire_injections(sim::SimTime now, fi::InjectionPhase phase);
   void step_environment(sim::SimTime now);
   void check_divergence(sim::SimTime now);
-  void note_divergences(std::size_t sig, std::size_t base,
-                        std::uint64_t newly, std::uint64_t ms);
+  void note_divergences(std::size_t sig, std::uint64_t newly,
+                        std::uint64_t ms);
   void check_convergence(sim::SimTime now);
   void retire(std::size_t slot, std::uint64_t now_ms);
 
@@ -211,7 +227,7 @@ class BatchedArrestmentSystem {
 
   // Online divergence tracking, per slot.
   std::vector<fi::DivergenceReport> reports_;
-  std::vector<sim::LaneMask> pending_;          // per signal: not yet diverged
+  std::vector<std::uint64_t> pending_;          // per signal: undiverged slots
   std::vector<std::uint32_t> undiverged_;       // pending signals
   std::vector<std::uint16_t> conv_hint_;        // last unequal signal
   sim::LaneMask active_;                        // slots holding a run
@@ -223,16 +239,13 @@ class BatchedArrestmentSystem {
   std::uint64_t live_slot_ticks_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
 
-  // General divergence screen scratch (more slots than one mask word).
-  std::vector<std::uint64_t> screen_words_;
-
-  // Golden-gather screen tables (valid when lanes_ <= 64): golden_idx_[l]
-  // is the bus lane whose value lane l compares against (a golden lane
-  // maps to itself); slot_lane_mask_ has one bit per slot lane. A
-  // vector permute through golden_idx_ reduces the whole screen to one
-  // row compare per signal, independent of how many test-case segments
-  // the batch packs (check_divergence).
-  std::array<std::uint16_t, 64> golden_idx_{};
+  // Golden-gather screen tables: golden_idx_[l] is the bus lane whose
+  // value lane l compares against (a golden lane maps to itself);
+  // slot_lane_mask_ has one bit per slot lane. A vector permute through
+  // golden_idx_ reduces the whole screen to one row compare per signal,
+  // independent of how many test-case segments the batch packs
+  // (check_divergence).
+  std::array<std::uint16_t, kMaxLanes> golden_idx_{};
   std::uint64_t slot_lane_mask_ = 0;
 
   // Recording mode (tests): per-bus-lane traces, retirement disabled.

@@ -48,9 +48,9 @@ std::uint64_t fire_ms_of(const BatchLaneRequest& lane) {
   return injection_fire_ms(lane.spec->when);
 }
 
-/// Most runs one request holds, in kernel widths: a request's reports stay
-/// in memory until its last pass ends, and a crash loses the whole request.
-constexpr std::size_t kMaxRequestWidths = 32;
+/// Most runs one request holds: a request's reports stay in memory until
+/// its last pass ends, and a crash loses the whole request.
+constexpr std::size_t kMaxRequestRuns = 1024;
 
 /// Chunks each pool of at least one kernel width is split into: the fewest
 /// that, with `thin` packed requests alongside, give `threads` workers an
@@ -107,10 +107,11 @@ std::vector<BatchRunRequest> plan_requests(
   for (const std::vector<BatchLaneRequest>& pool : pools) {
     if (pool.empty()) continue;
     const std::size_t max_runs =
-        max_lanes > 0 ? max_lanes : kMaxRequestWidths * width;
+        max_lanes > 0 ? max_lanes : kMaxRequestRuns;
+    const std::size_t max_blocks = std::max<std::size_t>(1, max_runs / width);
     const std::size_t blocks = (pool.size() + width - 1) / width;
     const std::size_t pool_chunks = std::min(
-        blocks, std::max(chunks, (pool.size() + max_runs - 1) / max_runs));
+        blocks, std::max(chunks, (blocks + max_blocks - 1) / max_blocks));
     for (std::size_t c = 0; c < pool_chunks; ++c) {
       BatchRunRequest& request = requests.emplace_back();
       for (std::size_t b = c * width; b < pool.size();

@@ -120,17 +120,22 @@ struct CampaignConfig {
   std::uint64_t seed = 0x9E3779B9;
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Kernel width: simulation slots per lockstep batch (0 = default;
-  /// CampaignRunner::max_lanes caps it). Pure execution knob: results and
-  /// journals are bit-identical for every batch size, and the journal plan
-  /// hash deliberately excludes it, so a campaign may be resumed under a
+  /// Kernel width: the most runs one lockstep pass holds at a time, in
+  /// slots (0 = kDefaultBatchSize; CampaignRunner::max_lanes caps it). The
+  /// planner deals runs into requests by this width. Every pass also
+  /// sweeps one golden lane per test case it packs and is capped at 64
+  /// lanes in all, so a pass packing k test cases uses at most 64 - k
+  /// slots whatever the width. Pure execution knob: results and journals
+  /// are bit-identical for every batch size, and the journal plan hash
+  /// deliberately excludes it, so a campaign may be resumed under a
   /// different batch size (or on the scalar reference) without
   /// invalidation.
   std::size_t batch_size = 0;
 };
 
-/// Kernel width (slots) used when CampaignConfig::batch_size is 0.
-inline constexpr std::size_t kDefaultBatchSize = 32;
+/// Kernel width (slots) used when CampaignConfig::batch_size is 0: a
+/// 64-lane pass (two 32-lane vector rows) minus one golden lane.
+inline constexpr std::size_t kDefaultBatchSize = 63;
 
 /// The kernel width `config` asks for: its batch_size, or the default.
 inline std::size_t kernel_width(const CampaignConfig& config) {

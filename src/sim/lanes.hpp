@@ -80,21 +80,6 @@ class LaneMask {
 
   bool operator==(const LaneMask&) const = default;
 
-  // Word-level access for bulk set operations (64 lanes per word, lane
-  // `64 * w + b` at bit `b`). The batched divergence scan intersects a
-  // vector-computed difference bitmask with the pending set this way
-  // instead of visiting every pending lane.
-  std::size_t word_count() const { return words_.size(); }
-  std::uint64_t word(std::size_t w) const {
-    PROPANE_REQUIRE(w < words_.size());
-    return words_[w];
-  }
-  /// Clears every lane whose bit is set in `bits`.
-  void reset_word_bits(std::size_t w, std::uint64_t bits) {
-    PROPANE_REQUIRE(w < words_.size());
-    words_[w] &= ~bits;
-  }
-
  private:
   std::size_t lanes_ = 0;
   std::vector<std::uint64_t> words_;

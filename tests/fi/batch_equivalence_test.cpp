@@ -32,7 +32,8 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr sim::SimTime kShortRun = 300 * sim::kMillisecond;
-constexpr std::size_t kBatchSizes[] = {1, 4, 17, 64};
+// 0 is the default geometry: passes of one or two whole 32-lane rows.
+constexpr std::size_t kBatchSizes[] = {0, 1, 4, 17, 64};
 
 fi::BusSignalId bus_id(std::string_view name) {
   fi::SignalBus bus;
@@ -120,6 +121,12 @@ struct BatchCounters {
   std::uint64_t ticks() { return metrics.counter("batch.kernel.ticks").value(); }
   std::uint64_t refills() {
     return metrics.counter("batch.refill.lanes").value();
+  }
+  std::uint64_t slot_ticks() {
+    return metrics.counter("batch.kernel.slot_ticks").value();
+  }
+  std::uint64_t lane_ticks() {
+    return metrics.counter("batch.kernel.lane_ticks").value();
   }
   std::uint64_t retirements() {
     return metrics.snapshot().histograms.at("batch.retire.ticks").count;
@@ -886,6 +893,109 @@ TEST(BatchRefill, StuckAtRequestRetiresAndRefillsLanes) {
   EXPECT_EQ(fixed.refills(), 0u);
   EXPECT_EQ(fixed.lanes(), refill.lanes());
   EXPECT_LT(refill.ticks(), fixed.ticks());
+}
+
+// --- Row geometry: passes sweep one or two whole 32-lane rows -----------
+
+/// `runs` runs of each test case of refill_config(), flat-indexed like the
+/// campaign would.
+fi::BatchRunRequest refill_request(const fi::CampaignConfig& config,
+                                   std::uint32_t runs) {
+  fi::BatchRunRequest request;
+  for (std::uint32_t tc = 0; tc < config.test_case_count; ++tc) {
+    for (std::uint32_t inj = 0; inj < runs; ++inj) {
+      const std::uint32_t index = inj * config.test_case_count + tc;
+      fi::BatchLaneRequest lane;
+      lane.flat = fi::campaign_flat_index(config, index, tc);
+      lane.injection_index = index;
+      lane.test_case = tc;
+      lane.rng_seed = fi::injection_run_seed(config, lane.flat);
+      lane.spec = &config.injections[index];
+      request.lanes.push_back(lane);
+    }
+  }
+  return request;
+}
+
+TEST(BatchGeometry, ThinMultiTestCaseRequestsSweepWholeRows) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 3);
+  fi::CampaignConfig config = refill_config();
+  config.test_case_count = 3;
+  ASSERT_EQ(config.batch_size, 0u);  // the default geometry
+  BatchCounters counters;
+  const fi::CampaignRunner runner =
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry);
+  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
+    fi::RunRequest golden;
+    golden.test_case = tc;
+    runner.run(golden);
+  }
+  // 12 runs + 3 golden lanes fit in one row; 36 + 3 need two. Either way
+  // every run has a slot, so each request is one pass of a whole row pair
+  // or a single row.
+  for (const auto& [runs, lanes] :
+       {std::pair<std::uint32_t, std::uint64_t>{4, 32},
+        std::pair<std::uint32_t, std::uint64_t>{12, 64}}) {
+    SCOPED_TRACE("runs per test case=" + std::to_string(runs));
+    const std::uint64_t batches = counters.batches();
+    const std::uint64_t ticks = counters.ticks();
+    const std::uint64_t lane_ticks = counters.lane_ticks();
+    const fi::BatchRunRequest request = refill_request(config, runs);
+    const std::vector<fi::DivergenceReport> reports = runner.batch(request);
+    EXPECT_EQ(counters.batches() - batches, 1u);
+    EXPECT_EQ(counters.lane_ticks() - lane_ticks,
+              lanes * (counters.ticks() - ticks));
+    ASSERT_EQ(reports.size(), request.lanes.size());
+    for (std::size_t i = 0; i < request.lanes.size(); ++i) {
+      const fi::BatchLaneRequest& lane = request.lanes[i];
+      EXPECT_TRUE(reports_identical(
+          reports[i],
+          oracle_report(cases[lane.test_case], *lane.spec, lane.rng_seed)))
+          << "lane " << i;
+    }
+  }
+  // A request that needs several passes: each sweeps 32 or 64 lanes.
+  const std::uint64_t ticks = counters.ticks();
+  const std::uint64_t lane_ticks = counters.lane_ticks();
+  runner.batch(refill_request(config, 33));
+  const std::uint64_t swept = counters.lane_ticks() - lane_ticks;
+  EXPECT_EQ(swept % 32, 0u);
+  EXPECT_GE(swept, 32 * (counters.ticks() - ticks));
+  EXPECT_LE(swept, 64 * (counters.ticks() - ticks));
+}
+
+TEST(BatchGeometry, ExplicitWidth64IsCappedAt63Slots) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x6A64;
+  // 104 runs of one fire tick: 63 take the first pass's slots and the
+  // other 41 wait for a second pass (their tick has passed when a slot
+  // comes free), which still needs both rows.
+  for (const fi::BusSignalId target : injection_target_bus_ids()) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      config.injections.push_back(fi::InjectionSpec{
+          target, 40 * sim::kMillisecond, fi::bit_flip(bit)});
+    }
+  }
+  config.threads = 1;
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, kShortRun), config);
+
+  config.batch_size = 64;
+  BatchCounters counters;
+  const fi::CampaignResult batched = fi::run_campaign(
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
+      config);
+  EXPECT_EQ(counters.batches(), 2u);
+  EXPECT_EQ(counters.slot_ticks(), 63 * counters.ticks());
+  EXPECT_EQ(counters.lane_ticks(), 64 * counters.ticks());
+  ASSERT_EQ(batched.records.size(), scalar.records.size());
+  for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+    EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                  scalar.records[r].report))
+        << "record " << r;
+  }
 }
 
 }  // namespace

@@ -29,6 +29,11 @@ Two layers of checking, matching what is deterministic where:
      The relative ratio (batch speedup_vs_cold) is NOT asserted -- on
      1-2 vCPU CI runners it swings far more than the absolute floor does.
 
+Without checking them, the guard also prints the divergence-screen ISA
+path the batch kernel compiled to and the CPU count of the measured JSON
+and of the reference ("not recorded" in JSON written before bench_campaign
+recorded them), so a throughput comparison states what it compares.
+
 Usage: check_bench_guard.py <measured.json> <reference.json> [tolerance]
 """
 
@@ -113,6 +118,13 @@ def check_bootstrap(section: dict) -> None:
     )
 
 
+def print_provenance(label: str, bench: dict) -> None:
+    """Print the screen ISA path and CPU count `bench` was recorded with."""
+    isa = bench.get("screen_isa", "not recorded")
+    nproc = bench.get("nproc", "not recorded")
+    print(f"check_bench_guard: {label}: screen ISA {isa}, nproc {nproc}")
+
+
 def check_throughput(label: str, measured: dict, reference: dict,
                      tolerance: float) -> None:
     got = measured.get("runs_per_s")
@@ -165,6 +177,9 @@ def main() -> None:
     # Bootstrap resampling: schema only (no reference floor).
     if "bootstrap" in measured:
         check_bootstrap(measured["bootstrap"])
+
+    print_provenance("measured", measured)
+    print_provenance("reference", reference)
 
     # Throughput: generous lower bound against the committed reference.
     check_throughput("batch", measured["batch"], reference["batch"],

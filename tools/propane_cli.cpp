@@ -351,6 +351,7 @@ struct BatchTally {
   double lanes = 0.0;          // batch.group.lanes sum
   double slot_ticks = 0.0;     // batch.kernel.slot_ticks
   double live_slot_ticks = 0.0;  // batch.kernel.live_slot_ticks
+  double lane_ticks = 0.0;       // batch.kernel.lane_ticks
 
   /// Folds in one parsed "metric" event; other metrics are ignored.
   void add(const std::vector<obs::Field>& fields);
@@ -358,8 +359,10 @@ struct BatchTally {
 
 /// Lane occupancy (requested lanes over requests x kernel width; above
 /// 1.00 when requests hold more runs than the kernel has slots, which
-/// refill then share) and slot utilisation (slot-ticks holding a run over
-/// slot-ticks swept). Quiet when no batched session contributed.
+/// refill then share), slot utilisation (slot-ticks holding a run over
+/// slot-ticks swept) and sweep efficiency (slot-ticks holding a run over
+/// all lane-ticks swept, golden lanes and padding included). Quiet when no
+/// batched session contributed.
 void print_batch_occupancy(const BatchTally& tally) {
   if (tally.requests == 0) return;
   const std::size_t width = fi::kDefaultBatchSize;
@@ -374,6 +377,12 @@ void print_batch_occupancy(const BatchTally& tally) {
                 "run)\n",
                 tally.live_slot_ticks / tally.slot_ticks,
                 tally.live_slot_ticks, tally.slot_ticks);
+  }
+  if (tally.lane_ticks > 0.0) {
+    std::printf("sweep efficiency: %.2f (%.0f of %.0f lane-tick(s) swept "
+                "held a run)\n",
+                tally.live_slot_ticks / tally.lane_ticks,
+                tally.live_slot_ticks, tally.lane_ticks);
   }
 }
 
@@ -1034,6 +1043,8 @@ void BatchTally::add(const std::vector<obs::Field>& fields) {
     if (const obs::Value* v = number("value")) {
       live_slot_ticks += v->as_double();
     }
+  } else if (name->as_string() == "batch.kernel.lane_ticks") {
+    if (const obs::Value* v = number("value")) lane_ticks += v->as_double();
   }
 }
 
