@@ -123,8 +123,8 @@ Workload make_workload(const exp::ExperimentScale& scale) {
 struct BatchCounts {
   std::uint64_t requests = 0;        // batch.group.lanes count
   std::uint64_t request_lanes = 0;   // batch.group.lanes sum
-  std::uint64_t passes = 0;          // kernel passes
-  std::uint64_t lanes = 0;           // runs the passes simulated
+  std::uint64_t kernels = 0;         // one per request with a live run
+  std::uint64_t lanes = 0;           // runs the kernels simulated
   std::uint64_t never_fire = 0;
   std::uint64_t retired = 0;
   std::uint64_t refilled = 0;
@@ -147,7 +147,7 @@ struct BatchCounts {
     std::ostringstream out;
     out << "\"requests\":" << requests
         << ",\"request_lanes\":" << request_lanes
-        << ",\"passes\":" << passes << ",\"batched_lanes\":" << lanes
+        << ",\"kernels\":" << kernels << ",\"batched_lanes\":" << lanes
         << ",\"refilled_lanes\":" << refilled
         << ",\"test_cases\":" << test_cases
         << ",\"lane_width\":" << lane_width
@@ -543,12 +543,12 @@ int main() {
   fi::CampaignResult batch_campaign;
   const EndToEnd batch = run_end_to_end_batched(w, batch_counts, batch_campaign);
   std::printf("batch campaign: %zu runs in %.2f s  =>  %.0f runs/s "
-              "(%llu requests in %llu passes, %llu lanes, occupancy %.2f, "
+              "(%llu requests in %llu kernels, %llu lanes, occupancy %.2f, "
               "%llu retired early, %llu never-fire; %.2fx vs cold "
               "scalar)\n",
               batch.runs, batch.wall_s, batch.runs_per_s,
               static_cast<unsigned long long>(batch_counts.requests),
-              static_cast<unsigned long long>(batch_counts.passes),
+              static_cast<unsigned long long>(batch_counts.kernels),
               static_cast<unsigned long long>(batch_counts.lanes),
               batch_counts.occupancy(lane_width),
               static_cast<unsigned long long>(batch_counts.retired),
@@ -558,12 +558,12 @@ int main() {
   // --- sparse plan: 1 bit x many instants (cross-group packing) -----------
   const SparseBench sparse = run_sparse_bench(w);
   std::printf("sparse campaign (1 bit x %zu instants): batch %zu runs in "
-              "%.2f s  =>  %.0f runs/s (%zu requests in %zu passes, %zu "
+              "%.2f s  =>  %.0f runs/s (%zu requests in %zu kernels, %zu "
               "lanes, occupancy %.2f)\n",
               sparse.instants, sparse.runs, sparse.batch_wall_s,
               sparse.batch_runs_per_s,
               static_cast<std::size_t>(sparse.counts.requests),
-              static_cast<std::size_t>(sparse.counts.passes),
+              static_cast<std::size_t>(sparse.counts.kernels),
               static_cast<std::size_t>(sparse.counts.lanes),
               sparse.counts.occupancy(lane_width));
 
@@ -571,12 +571,12 @@ int main() {
   const DeltaBench delta = run_delta_bench(w);
   std::printf("delta campaign (13 targets, V_REG invalidated): cold %zu runs "
               "in %.2f s; delta %zu executed + %zu replayed in %.2f s  =>  "
-              "%.1fx (%zu requests in %zu passes, %zu lanes, occupancy "
+              "%.1fx (%zu requests in %zu kernels, %zu lanes, occupancy "
               "%.2f)\n",
               delta.total_runs, delta.cold_wall_s, delta.delta_executed,
               delta.delta_replayed, delta.delta_wall_s, delta.speedup,
               static_cast<std::size_t>(delta.delta_counts.requests),
-              static_cast<std::size_t>(delta.delta_counts.passes),
+              static_cast<std::size_t>(delta.delta_counts.kernels),
               static_cast<std::size_t>(delta.delta_counts.lanes),
               delta.delta_counts.occupancy(lane_width));
 

@@ -3,24 +3,21 @@
 // batched kernel (BatchedArrestmentSystem).
 //
 // A request is whatever run set the planner handed over -- runs may mix
-// test cases (each distinct test case becomes a kernel segment with its
-// own golden lane) and fire ticks, and may outnumber the kernel width
+// test cases and fire ticks, and may outnumber the kernel width
 // (fi::kernel_width of the campaign config the runner is built with). The
-// runner multiplexes them onto the kernel's slots in successive passes:
-// each pass starts at the earliest pending fire tick, restoring every
-// segment from its test case's warm-start checkpoint at that tick when one
-// exists (composing batching with prefix reuse: each shared golden prefix
-// is simulated zero times, not N times) or from fresh t=0 origins
-// otherwise, and refills retired slots with the next run of their test
-// case whose fire tick has not passed; runs whose tick passed wait for a
-// later pass. Never-firing lanes -- the injection time is at/after the
-// horizon, so the run *is* the golden run -- are answered with all-clear
-// reports without simulating them at all.
+// runner streams all of them through one kernel: each test case becomes a
+// pool of runs in fire-tick order, and the kernel opens segments from the
+// test case's warm-start checkpoint at a pool's earliest pending fire tick
+// (composing batching with prefix reuse: each shared golden prefix is
+// simulated zero times, not N times) or from a fresh t=0 origin when there
+// is none, joining later runs to open segments as lanes come free
+// (batch_system.hpp, "Rolling segments"). Never-firing lanes -- the
+// injection time is at/after the horizon, so the run *is* the golden run
+// -- are answered with all-clear reports without simulating them at all.
 //
-// Row geometry: a pass with k segments gets 64 - k slots, or 32 - k when
-// all of its runs fit in one 32-lane row beside the k golden lanes, so
-// under the default width every pass sweeps exactly one or two whole
-// vector rows. An explicit width caps the slots further.
+// Row geometry: a kernel sweeps 32 lanes when its runs (at most the width)
+// fit beside a golden lane per test case in one vector row, else 64, and
+// holds at most `width` runs at a time (one lane stays a golden lane).
 #pragma once
 
 #include <cstddef>
@@ -44,22 +41,26 @@ namespace propane::arr {
 ///
 /// `telemetry` (optional, non-owning) turns on the runner's counters:
 ///   batch.group.lanes      -- histogram, lanes per batch request;
-///   batch.kernel.batches   -- counter, kernel passes;
-///   batch.kernel.lanes     -- counter, runs the passes simulated;
-///   batch.kernel.ticks     -- counter, scheduler slots executed;
+///   batch.kernel.batches   -- counter, kernels (one per request with a
+///                             live run);
+///   batch.kernel.lanes     -- counter, runs the kernels simulated;
+///   batch.kernel.segments  -- counter, segments the kernels opened;
+///   batch.kernel.ticks     -- counter, kernel ticks executed;
 ///   batch.kernel.slot_ticks, batch.kernel.live_slot_ticks
-///                          -- counters, slot-ticks swept and slot-ticks
-///                             that held a run;
-///   batch.kernel.lane_ticks -- counter, lane-ticks swept (slots, golden
-///                             lanes and padding);
-///   batch.refill.lanes     -- counter, runs loaded into a freed slot;
+///                          -- counters, lane-ticks outside golden lanes
+///                             and lane-ticks that held a run;
+///   batch.kernel.lane_ticks -- counter, lane-ticks swept (golden and free
+///                             lanes included);
+///   batch.refill.lanes     -- counter, runs that joined an open segment;
 ///   batch.never_fire.lanes -- counter, lanes answered without simulation
 ///                             (the injection fires at/after the horizon);
-///   batch.retire.ticks     -- histogram, ticks from a run joining its slot
-///                             to its retirement (early-exit latency).
-/// Handles resolve once here; each pass then costs a few relaxed atomic
-/// adds *after* its kernel run -- the tick loop itself carries no
-/// instrumentation, so null telemetry is exactly the uninstrumented path.
+///   batch.retire.ticks     -- histogram, ticks from a run joining its lane
+///                             to its retirement (early-exit latency);
+///   batch.retire.converged, batch.retire.exhausted
+///                          -- counters, early retirements by cause.
+/// Handles resolve once here; each kernel then costs a few relaxed atomic
+/// adds *after* it ran -- the tick loop itself carries no instrumentation,
+/// so null telemetry is exactly the uninstrumented path.
 fi::CampaignRunner batched_campaign_runner(
     std::vector<TestCase> test_cases, const fi::CampaignConfig& config,
     sim::SimTime duration = kRunDuration,

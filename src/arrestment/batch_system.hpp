@@ -1,15 +1,20 @@
-// Lockstep batched execution of the target system: N injection runs,
+// Lockstep batched execution of the target system: many injection runs,
 // possibly of *different* test cases and fire ticks, simulated together --
 // the structure-of-arrays counterpart of ArrestmentSystem.
 //
-// A batch is a sequence of segments, one per test case, each contributing
-// one golden lane plus that test case's injection lanes. Every segment's
-// golden lane re-simulates its golden run from the shared origin tick, and
-// each injection lane tracks divergence online against *its own segment's*
-// golden lane, so the batch produces final DivergenceReports without
-// materialising a trace per run. Lanes whose injection fires after the
-// origin tick simply evolve bit-identically to their golden lane until the
-// fire scan triggers them (staggered activation needs no kernel masking).
+// Lanes and segments: the kernel sweeps a fixed pool of at most kMaxLanes
+// lanes. A segment is one test case's golden run resumed from a golden-run
+// state (a warm-start checkpoint, or t=0): one golden lane plus the lanes
+// ("slots") whose runs compare against it. Each injection lane tracks
+// divergence online against its own segment's golden lane, so the kernel
+// produces final DivergenceReports without materialising a trace per run.
+// Every segment keeps its own clock -- its simulated millisecond is the
+// kernel tick plus a per-segment offset -- so segments opened from
+// different checkpoints run side by side, each to its own horizon.
+// Everything that reads simulated time is per segment: the environment's
+// timer (TCNT), both fire scans, the first-divergence millisecond and the
+// horizon. Lanes whose injection fires after they joined evolve
+// bit-identically to their golden lane until the fire scan triggers them.
 // The batched module updates are exact by construction: integer modules
 // are pure re-implementations, and the double-precision paths
 // (BatchedEnvironment, calc_checkpoint_math) perform the scalar path's
@@ -18,42 +23,46 @@
 // scalar run at every tick -- the property
 // tests/fi/batch_equivalence_test.cpp enforces.
 //
-// Early exit: an injection lane retires from the batch when its report can
-// no longer change --
-//   * exhausted: every signal has recorded its first divergence, or
+// Early exit: a run retires from its lane when its report can no longer
+// change --
 //   * converged: the lane's complete bus, module-internal and
 //     bus-observable environment state equals the golden lane's, so all
-//     its future samples equal the golden suffix.
+//     its future samples equal the golden suffix, or
+//   * exhausted: every signal outside the closed set {TCNT, mscnt,
+//     ms_slot_nbr} has recorded its first divergence. Once a run has
+//     fired, TCNT is rewritten every tick from the timer its golden lane
+//     shares, and mscnt and ms_slot_nbr only ever advance from their own
+//     values (CLOCK), so a closed signal that still equals its golden
+//     lane at the end of a tick equals it for the rest of the run.
 //
-// Persistent lanes: a segment may hold more runs than it has injection
-// lanes ("slots"). Between ticks, a retired slot is reseeded from its
-// segment's golden lane (copy_lane on the bus and every stateful module)
-// and takes the segment's next queued run whose fire tick has not passed;
-// from the golden state at tick t, a run firing at or after t is exactly
-// its scalar run. Runs whose fire tick passed before a slot came free are
-// left for a later pass (deferred()). The simulation stops once no slot
-// holds a run and no queued run can still join, or at the horizon. Slots
-// without a run may still be touched by the branch-free module sweeps
-// (their state is dead until the next reseed).
+// Rolling segments: between ticks, a free lane joins an open segment when
+// a queued run of that segment's test case fires within kJoinWindowMs of
+// the segment's clock; from the golden state at tick t, a run firing at or
+// after t is exactly its scalar run. When lanes are free and no open
+// segment can take a queued run, the kernel opens a new segment at the
+// earliest pending fire tick -- a golden lane seeded from the pool's
+// origin, plus slots for the runs firing within the join window -- once
+// kOpenLanes lanes are free (or nothing else is open, or every queued run
+// fits). A segment closes when it holds no run or its clock reaches the
+// horizon. Free lanes may still be touched by the branch-free module
+// sweeps (their state is dead until the next seeding).
 //
-// Width: a batch sweeps at most kMaxLanes lanes (slots plus one golden lane
-// per segment) over at most kMaxSignals signals, so one 64-bit word holds
-// every per-signal lane set and the divergence screen compares whole rows
-// at once. The production runner sizes each pass to exactly one or two
-// 32-lane vector rows (batch_runner.cpp).
+// Width: a kernel sweeps at most kMaxLanes lanes over at most kMaxSignals
+// signals, so one 64-bit word holds every per-signal lane set and the
+// divergence screen compares whole rows at once. The production runner
+// sizes each kernel to exactly one or two 32-lane vector rows
+// (batch_runner.cpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "arrestment/system.hpp"
 #include "fi/batched_bus.hpp"
 #include "fi/golden.hpp"
-#include "sim/lanes.hpp"
-#include "sim/scheduler.hpp"
 
 namespace propane::arr {
 
@@ -65,45 +74,59 @@ struct BatchLaneSpec {
   std::uint64_t rng_seed = 0;
 };
 
-/// One test-case segment of a batch: a golden-run origin system at the
-/// batch's shared start tick, plus the runs that compare against it.
-/// `origin` and `specs` are borrowed and must outlive the batch's
-/// construction (`origin`) / the batch (`specs` elements).
+/// One test case's runs, and the golden-run states its segments open from.
+struct BatchPool {
+  /// The runs, in non-decreasing fire-tick order. Borrowed; must outlive
+  /// the batch.
+  std::span<const BatchLaneSpec> specs;
+  /// The golden-run system a segment whose earliest run fires at tick `ms`
+  /// opens from: the state at the start of tick `ms`, or of an earlier
+  /// tick (t=0) when none is kept. Read only while the segment opens.
+  std::function<const ArrestmentSystem&(std::uint64_t ms)> origin;
+};
+
+/// A fixed segment (the test-facing constructors): a golden-run origin
+/// system plus the runs that compare against it. `origin` and `specs` are
+/// borrowed and must outlive the batch.
 struct BatchSegment {
   const ArrestmentSystem* origin = nullptr;
-  /// The segment's runs, in non-decreasing fire-tick order when they
-  /// outnumber the slots (refill takes them in this order).
+  /// The segment's runs, in non-decreasing fire-tick order, none firing
+  /// before the origin tick.
   std::span<const BatchLaneSpec> specs;
-  /// Injection lanes the runs share; 0 = one per run (no refill), which
-  /// recording mode requires. More slots than runs leaves the extra slots
-  /// empty.
+  /// Slots the segment opens with; 0 = one per run (which recording mode
+  /// requires). Runs beyond the slots wait for a free lane.
   std::size_t slots = 0;
 };
 
 class BatchedArrestmentSystem {
  public:
-  /// Most lanes (slots + golden lanes) and bus signals one batch sweeps.
+  /// Most lanes (slots + golden lanes) and bus signals one kernel sweeps.
   static constexpr std::size_t kMaxLanes = 64;
   static constexpr std::size_t kMaxSignals = 64;
+  /// A free lane joins an open segment for a run firing at most this many
+  /// milliseconds after the segment's clock.
+  static constexpr std::uint64_t kJoinWindowMs = 500;
+  /// Free lanes a new segment waits for while other segments are open.
+  static constexpr std::size_t kOpenLanes = 8;
 
   /// The divergence screen the kernel compiled to: "avx512bw+bmi2" (golden
   /// gather), "avx2+bmi2" or "scalar".
   static const char* screen_isa();
 
-  /// Replicates `origin` -- a golden-run system at its current tick
-  /// (a warm-start checkpoint, or a fresh system for fire tick 0) --
-  /// across `slots + 1` lanes (`slots` 0 = one per spec). The batch
-  /// simulates from origin.now() to `duration`. (Single-segment
-  /// convenience form.)
+  /// Rolling form: streams every run of `pools` through `lanes` lanes
+  /// (at most kMaxLanes), holding at most `max_slots` runs at a time, each
+  /// segment simulating from its origin to `duration`.
+  BatchedArrestmentSystem(std::span<const BatchPool> pools, std::size_t lanes,
+                          std::size_t max_slots, sim::SimTime duration);
+
+  /// Fixed forms: every segment opens before the first tick with its
+  /// slots, in order; lanes number sum(slots + 1). Run indices (reports,
+  /// take_lane_trace) count specs across segments in order. The
+  /// single-segment form replicates `origin` -- a golden-run system at its
+  /// current tick -- across `slots + 1` lanes (`slots` 0 = one per spec).
   BatchedArrestmentSystem(const ArrestmentSystem& origin,
                           std::span<const BatchLaneSpec> specs,
                           sim::SimTime duration, std::size_t slots = 0);
-
-  /// Cross-test-case form: one golden lane per segment, every origin at
-  /// the same current tick. Lanes are laid out segment-contiguously
-  /// ([golden 0, slots 0..., golden 1, slots 1...]); run indices (reports,
-  /// deferred, take_lane_trace) count specs across segments in order. At
-  /// least one segment must carry a run.
   BatchedArrestmentSystem(std::span<const BatchSegment> segments,
                           sim::SimTime duration);
   ~BatchedArrestmentSystem();
@@ -111,44 +134,52 @@ class BatchedArrestmentSystem {
   BatchedArrestmentSystem(const BatchedArrestmentSystem&) = delete;
   BatchedArrestmentSystem& operator=(const BatchedArrestmentSystem&) = delete;
 
-  /// Test/diagnostic mode: materialise a full per-lane trace (golden lane
-  /// included) and disable early exit so every lane covers the horizon.
-  /// Every run needs its own slot (recording never refills).
-  /// `prefix` seeds each trace with the rows before origin.now() (pass the
-  /// checkpoint's shared golden trace -- rows past the origin tick are
-  /// ignored -- or nullptr when the origin starts at t=0). Must be called
-  /// before run(). Single-segment batches only; the span overload below
-  /// takes one prefix per segment.
+  /// Test/diagnostic mode (fixed forms): materialise a full per-lane trace
+  /// (golden lanes included) and disable early exit so every lane covers
+  /// its segment's horizon. Every run needs its own slot. `prefix` seeds
+  /// the traces with the rows before the origin tick (pass the
+  /// checkpoint's golden trace -- rows past the origin tick are ignored --
+  /// or nullptr when the origin starts at t=0). Must be called before
+  /// run(). The span overload takes one prefix per segment.
   void enable_recording(const fi::TraceSet* prefix);
   void enable_recording(std::span<const fi::TraceSet* const> prefixes);
 
-  /// Simulates until no slot holds a run and no queued run can still join
-  /// (or to the horizon) and returns one final DivergenceReport per run,
-  /// in spec order. A deferred run's entry stays empty.
+  /// Simulates until every run has left its lane and returns one final
+  /// DivergenceReport per run, in run order.
   std::vector<fi::DivergenceReport> run();
 
   // Post-run observability.
-  /// Runs the batch did not take, ascending: their fire tick had passed
-  /// when a slot came free. A later pass must run them from an earlier
-  /// origin.
-  const std::vector<std::size_t>& deferred() const { return deferred_; }
-  /// Scheduler slots actually executed (one per simulated millisecond).
+  /// Kernel ticks executed (each advances every open segment by 1 ms).
   std::uint64_t ticks_simulated() const { return ticks_; }
-  /// Injection lanes (slots) the batch sweeps.
-  std::size_t slot_count() const { return slot_run_.size(); }
-  /// Lanes the batch sweeps: slots plus one golden lane per segment.
+  /// Most runs the kernel holds at a time.
+  std::size_t slot_count() const { return max_slots_; }
+  /// Lanes the kernel sweeps every tick.
   std::size_t lane_count() const { return lanes_; }
-  /// Runs loaded into a slot a retired run had freed.
+  /// Segments opened.
+  std::size_t segment_count() const { return segments_.size(); }
+  /// Per segment, in opening order: the millisecond its clock started at
+  /// and the kernel tick it opened on.
+  struct SegmentOrigin {
+    std::uint64_t origin_ms = 0;
+    std::uint64_t opened_tick = 0;
+  };
+  std::vector<SegmentOrigin> segment_origins() const;
+  /// Runs that joined a segment already open (rather than one opening
+  /// for them).
   std::uint64_t refills() const { return refills_; }
-  /// Per tick, the slots holding a run, summed (divide by
-  /// ticks_simulated() * slot_count() for slot utilisation).
+  /// Per tick, the lanes that were not golden lanes, summed.
+  std::uint64_t slot_ticks() const { return slot_ticks_; }
+  /// Per tick, the lanes holding a run, summed.
   std::uint64_t live_slot_ticks() const { return live_slot_ticks_; }
-  /// Per retirement: ticks from the run joining its slot to its
+  /// Per retirement: ticks from the run joining its lane to its
   /// retirement, in retirement order; its size is the number of runs
   /// retired early.
   const std::vector<std::uint64_t>& retirement_ticks() const {
     return retirement_ticks_;
   }
+  /// Early retirements by cause (they sum to retirement_ticks().size()).
+  std::uint64_t converged_retirements() const { return converged_; }
+  std::uint64_t exhausted_retirements() const { return exhausted_; }
 
   /// Recorded traces (recording mode, after run()): run `i` in
   /// cross-segment spec order, or a segment's golden lane (segment 0 by
@@ -157,46 +188,68 @@ class BatchedArrestmentSystem {
   fi::TraceSet take_golden_trace(std::size_t segment = 0);
 
  private:
-  /// One test-case segment's lane geometry: its golden bus lane, the bus
-  /// lane of its first slot (golden_lane + 1), the cross-segment index of
-  /// that slot (= its bit position in the pending and active masks), the
-  /// slot count, and its run queue [next_spec, end_spec) in cross-segment
-  /// spec indices.
-  struct SegmentInfo {
-    std::size_t golden_lane = 0;
-    std::size_t first_lane = 0;
-    std::size_t first_slot = 0;
-    std::size_t slots = 0;
-    std::size_t next_spec = 0;
-    std::size_t end_spec = 0;
+  struct Pool {
+    std::function<const ArrestmentSystem&(std::uint64_t)> origin;
+    std::vector<std::uint32_t> queued;  // run indices, fire-tick order
+  };
+  struct Segment {
+    std::uint32_t pool = 0;
+    std::uint32_t golden = 0;    // golden bus lane
+    std::int64_t offset = 0;     // segment millisecond - kernel tick
+    std::uint64_t opened_tick = 0;
+    std::uint64_t end_tick = 0;  // kernel tick its clock reaches the horizon
+    std::uint64_t lanes = 0;     // golden lane plus the lanes holding runs
+    std::uint32_t runs = 0;
   };
 
-  /// Marks a slot without a run.
-  static constexpr std::uint32_t kNoRun = ~std::uint32_t{0};
+  /// Marks a lane without a segment or a run.
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  /// Loads the next eligible queued run into every free slot; returns how
-  /// many it loaded.
-  std::size_t fill_free_slots(std::uint64_t now_ms);
-  void load(std::size_t slot, std::size_t spec, std::uint64_t now_ms);
-  void fire_injections(sim::SimTime now, fi::InjectionPhase phase);
-  void step_environment(sim::SimTime now);
-  void check_divergence(sim::SimTime now);
+  BatchedArrestmentSystem(std::span<const BatchPool> pools, std::size_t lanes,
+                          std::size_t max_slots, sim::SimTime duration,
+                          const ArrestmentSystem& prototype);
+
+  std::uint64_t segment_ms(const Segment& seg) const {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(ticks_) +
+                                      seg.offset);
+  }
+  std::size_t in_flight() const {
+    return static_cast<std::size_t>(__builtin_popcountll(runs_));
+  }
+
+  /// Between ticks: joins free lanes to open segments, closes segments
+  /// without a run and opens new ones (see the header comment).
+  void schedule();
+  void refill();
+  /// Position in its pool's queue of the first run firing at or after the
+  /// segment's clock.
+  std::size_t next_queued(const Segment& segment) const;
+  void open_segment(std::size_t pool, const ArrestmentSystem& origin,
+                    std::size_t slots, std::uint64_t last_fire_ms);
+  void load(std::size_t lane, std::uint32_t seg, std::uint32_t run);
+  void release(std::size_t lane);
+  void close(std::uint32_t seg);
+
+  void tick();
+  void fire_injections(fi::InjectionPhase phase);
+  /// Bit l set iff lane l's value of `sig` differs from its golden lane's.
+  std::uint64_t golden_diff(std::size_t sig) const;
+  void check_divergence();
   void note_divergences(std::size_t sig, std::uint64_t newly,
-                        std::uint64_t ms);
-  void check_convergence(sim::SimTime now);
-  void retire(std::size_t slot, std::uint64_t now_ms);
+                        std::uint64_t& exhausted);
+  void check_convergence();
+  void retire(std::size_t lane, bool exhausted);
 
   void record_rows();
 
-  std::size_t lanes_;            // total slots + one golden per segment
+  std::size_t lanes_;
+  std::size_t max_slots_;
   std::size_t signals_;
   BusMap map_;
-  sim::SimTime duration_;
   std::uint64_t duration_ms_;
   fi::SignalNameTable names_;
 
   fi::BatchedSignalBus bus_;
-  sim::SlotScheduler scheduler_;
   BatchedEnvironment env_;
   BatchedClock clock_;
   BatchedDistS dist_s_;
@@ -205,48 +258,60 @@ class BatchedArrestmentSystem {
   BatchedVReg v_reg_;
   BatchedCalc calc_;
 
-  // Runs in cross-segment spec order, and the final report of each run
-  // that has left its slot.
+  // Runs in pool order, each pool's in fire-tick order; the final report of
+  // each run that has left its lane, and the lane each run ran on.
   std::vector<BatchLaneSpec> specs_;
+  std::vector<std::uint64_t> fire_ms_;
   std::vector<fi::DivergenceReport> results_;
-  std::vector<std::size_t> deferred_;
-  std::vector<SegmentInfo> segments_;
+  std::vector<std::uint32_t> run_lane_;
+  std::vector<Pool> pools_;
+  std::size_t queued_ = 0;
 
-  // Per slot, in cross-segment slot order: bus lane, its segment's golden
-  // lane, segment index, the run it holds (kNoRun when free), whether that
-  // run's injection is still to fire, and the tick the run joined.
-  std::vector<std::uint32_t> slot_lane_;
-  std::vector<std::uint32_t> slot_golden_;
-  std::vector<std::uint32_t> slot_segment_;
-  std::vector<std::uint32_t> slot_run_;
-  std::vector<std::uint8_t> armed_;
-  std::vector<std::uint64_t> joined_ms_;
-  std::size_t armed_count_ = 0;
-  sim::SimTime next_fire_ = 0;  // earliest `when` among armed slots
-  bool refill_due_ = false;     // a slot freed while its queue is non-empty
+  // Segments ever opened, and the indices of the open ones.
+  std::vector<Segment> segments_;
+  std::vector<std::uint32_t> open_;
 
-  // Online divergence tracking, per slot.
+  // Lane sets (bit l = lane l): lanes in no segment, lanes holding a run,
+  // and lanes whose run's injection is still to fire.
+  std::uint64_t free_ = 0;
+  std::uint64_t runs_ = 0;
+  std::uint64_t armed_ = 0;
+  std::uint64_t next_fire_tick_ = 0;  // earliest fire tick among armed lanes
+
+  // Per lane: its segment, the run it holds, the kernel tick that run fires
+  // at and the tick it joined.
+  std::vector<std::uint32_t> lane_seg_;
+  std::vector<std::uint32_t> lane_run_;
+  std::vector<std::uint64_t> fire_tick_;
+  std::vector<std::uint64_t> joined_tick_;
+
+  // Online divergence tracking, per lane. A signal's pending word holds
+  // the lanes whose run has not diverged on it yet; the undiverged count
+  // covers the signals outside the closed set only.
   std::vector<fi::DivergenceReport> reports_;
-  std::vector<std::uint64_t> pending_;          // per signal: undiverged slots
-  std::vector<std::uint32_t> undiverged_;       // pending signals
-  std::vector<std::uint16_t> conv_hint_;        // last unequal signal
-  sim::LaneMask active_;                        // slots holding a run
-  std::size_t active_count_ = 0;
+  std::vector<std::uint64_t> pending_;
+  std::vector<std::uint32_t> undiverged_;
+  std::uint64_t closed_signals_ = 0;      // bit per closed signal
+  std::uint32_t open_signals_ = 0;
+
+  // Golden-gather table: golden_idx_[l] is the bus lane whose value lane l
+  // compares against (golden and free lanes map to themselves). A vector
+  // permute through it reduces a signal's screen to one row compare,
+  // however many segments are open (golden_diff).
+  std::array<std::uint16_t, kMaxLanes> golden_idx_{};
+
+  std::uint64_t next_end_tick_ = ~std::uint64_t{0};  // earliest end_tick
+  bool schedule_due_ = true;          // a lane or segment came free
+  std::uint64_t wake_tick_ = ~std::uint64_t{0};  // a queued run joinable
   std::uint64_t ticks_ = 0;
 
-  // Early-exit and refill accounting.
+  // Accounting.
   std::uint64_t refills_ = 0;
+  std::uint64_t slot_ticks_ = 0;
   std::uint64_t live_slot_ticks_ = 0;
+  std::uint64_t converged_ = 0;
+  std::uint64_t exhausted_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
-
-  // Golden-gather screen tables: golden_idx_[l] is the bus lane whose
-  // value lane l compares against (a golden lane maps to itself);
-  // slot_lane_mask_ has one bit per slot lane. A vector permute through
-  // golden_idx_ reduces the whole screen to one row compare per signal,
-  // independent of how many test-case segments the batch packs
-  // (check_divergence).
-  std::array<std::uint16_t, kMaxLanes> golden_idx_{};
-  std::uint64_t slot_lane_mask_ = 0;
 
   // Recording mode (tests): per-bus-lane traces, retirement disabled.
   bool recording_ = false;

@@ -60,7 +60,7 @@ void Environment::step(fi::SignalBus& bus, sim::SimTime now) {
 }
 
 BatchedEnvironment::BatchedEnvironment(const Environment& origin,
-                                       const BusMap& map,
+                                       sim::SimTime now, const BusMap& map,
                                        std::size_t lane_count)
     : map_(map),
       timer_(kTimerTicksPerUs),
@@ -72,10 +72,11 @@ BatchedEnvironment::BatchedEnvironment(const Environment& origin,
       position_(lane_count, origin.position_m()),
       pressure_(lane_count, origin.pressure_pa()),
       pulse_accumulator_(lane_count, origin.pulse_accumulator()),
-      peak_decel_(lane_count, origin.peak_decel()) {}
+      peak_decel_(lane_count, origin.peak_decel()),
+      timer_lanes_(lane_count, timer_.read(now)) {}
 
-void BatchedEnvironment::load_lane(std::size_t lane,
-                                   const Environment& origin) {
+void BatchedEnvironment::load_lane(std::size_t lane, const Environment& origin,
+                                   sim::SimTime now) {
   const ExactDivisor div_mass(origin.mass_kg());
   mass_y_[lane] = div_mass.divisor();
   mass_recip_[lane] = div_mass.reciprocal();
@@ -84,6 +85,7 @@ void BatchedEnvironment::load_lane(std::size_t lane,
   pressure_[lane] = origin.pressure_pa();
   pulse_accumulator_[lane] = origin.pulse_accumulator();
   peak_decel_[lane] = origin.peak_decel();
+  timer_lanes_[lane] = timer_.read(now);
 }
 
 void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
@@ -94,6 +96,7 @@ void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
   pressure_[dst] = pressure_[src];
   pulse_accumulator_[dst] = pulse_accumulator_[src];
   peak_decel_[dst] = peak_decel_[src];
+  timer_lanes_[dst] = timer_lanes_[src];
 }
 
 namespace {
@@ -137,7 +140,8 @@ void step_lanes_kernel(std::size_t lanes,
                        const double* __restrict mass_y,
                        const double* __restrict mass_recip,
                        ExactDivisor div_span, sim::Adc adc,
-                       std::uint16_t tcnt,
+                       std::uint16_t timer_step,
+                       std::uint16_t* __restrict timer,
                        const double* __restrict cmd_lut,
                        const std::uint16_t* __restrict toc2,
                        std::uint16_t* __restrict pacnt,
@@ -160,6 +164,7 @@ void step_lanes_kernel(std::size_t lanes,
     double position = position_lanes[l];
     double peak_decel = peak_decel_lanes[l];
     double pulse_acc = pulse_acc_lanes[l];
+    const std::uint16_t tcnt = timer[l];
 
     const double commanded = cmd_lut[toc2[l]];
     pressure += (commanded - pressure) * (dt / kPressureTauS);
@@ -192,6 +197,7 @@ void step_lanes_kernel(std::size_t lanes,
                    : pacnt_old;
     tic1[l] = whole_pulses > 0 ? tcnt : tic1_old;
     tcnt_row[l] = tcnt;
+    timer[l] = static_cast<std::uint16_t>(tcnt + timer_step);
     // Adc::quantize's clamp / scale / round-half-up, with the divide
     // through the hoisted divisor.
     const double clamped =
@@ -203,11 +209,10 @@ void step_lanes_kernel(std::size_t lanes,
 
 }  // namespace
 
-void BatchedEnvironment::step_lanes(fi::BatchedSignalBus& bus,
-                                    sim::SimTime now) {
-  const std::uint16_t tcnt = timer_.read(now);  // lane-independent
+void BatchedEnvironment::step_lanes(fi::BatchedSignalBus& bus) {
   step_lanes_kernel(velocity_.size(), mass_y_.data(), mass_recip_.data(),
-                    div_adc_span_, adc_, tcnt,
+                    div_adc_span_, adc_, timer_.read(sim::kMillisecond),
+                    timer_lanes_.data(),
                     commanded_pressure_lut(),
                     bus.lane_values(map_.toc2).data(),
                     bus.lane_values(map_.pacnt).data(),

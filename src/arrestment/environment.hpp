@@ -85,23 +85,26 @@ class Environment {
 /// path compiles.
 class BatchedEnvironment {
  public:
-  /// Replicates `origin`'s physical state across `lane_count` lanes.
-  BatchedEnvironment(const Environment& origin, const BusMap& map,
-                     std::size_t lane_count);
+  /// Replicates `origin`'s physical state, and its timer at time `now`,
+  /// across `lane_count` lanes.
+  BatchedEnvironment(const Environment& origin, sim::SimTime now,
+                     const BusMap& map, std::size_t lane_count);
 
   /// Overwrites one lane's physical state (including its mass divisor)
-  /// with `origin`'s -- how a cross-test-case batch seeds the lanes of its
-  /// non-primary segments. Must be called before the first step_lanes.
-  void load_lane(std::size_t lane, const Environment& origin);
+  /// with `origin`'s, and its timer with the timer's value at `now` -- how
+  /// the batch kernel seeds a segment's golden lane from a golden-run
+  /// system stopped at `now`.
+  void load_lane(std::size_t lane, const Environment& origin,
+                 sim::SimTime now);
 
-  /// Overwrites lane `dst`'s complete physical state (mass divisor
-  /// included) with lane `src`'s -- how a retired batch slot is reseeded
-  /// from its segment's golden lane between ticks.
+  /// Overwrites lane `dst`'s complete physical state (mass divisor and
+  /// timer included) with lane `src`'s -- how a batch slot is seeded from
+  /// its segment's golden lane between ticks.
   void copy_lane(std::size_t dst, std::size_t src);
 
-  /// Advances every lane by one millisecond ending at `now`, publishing
+  /// Advances every lane by one millisecond of its own clock, publishing
   /// the sensor rows (PACNT, TIC1, TCNT, ADC) and consuming TOC2.
-  void step_lanes(fi::BatchedSignalBus& bus, sim::SimTime now);
+  void step_lanes(fi::BatchedSignalBus& bus);
 
   /// Lane-level bus_state_equals (velocity, pressure, pulse accumulator).
   /// The mass guard is defensive: convergence only ever compares a lane
@@ -129,6 +132,10 @@ class BatchedEnvironment {
   std::vector<double> pressure_;
   std::vector<double> pulse_accumulator_;
   std::vector<double> peak_decel_;
+  // Per-lane free-running timer value at the start of the lane's next
+  // tick. Lanes of different segments run different clocks; the timer is
+  // linear modulo 2^16, so each tick adds the same one-millisecond step.
+  std::vector<std::uint16_t> timer_lanes_;
 };
 
 }  // namespace propane::arr

@@ -49,7 +49,7 @@ std::uint64_t fire_ms_of(const BatchLaneRequest& lane) {
 }
 
 /// Most runs one request holds: a request's reports stay in memory until
-/// its last pass ends, and a crash loses the whole request.
+/// its kernel ends, and a crash loses the whole request.
 constexpr std::size_t kMaxRequestRuns = 1024;
 
 /// Chunks each pool of at least one kernel width is split into: the fewest
@@ -74,8 +74,8 @@ std::size_t chunks_per_pool(std::size_t pools, std::size_t thin,
 /// batch requests. A pool of at least `width` runs is dealt round-robin,
 /// one kernel width of consecutive runs at a time, into chunks, one
 /// request each: a chunk keeps the pool's fire-tick spread, so the
-/// kernel's slot refill always finds a next run, while its passes start
-/// full of a single fire tick. Thinner pools are packed across test cases
+/// kernel's refill always finds a next run, while it opens full of a
+/// single fire tick. Thinner pools are packed across test cases
 /// (the runner gives each its own golden lane) and fire ticks, `width`
 /// runs per request, so sparse plans, delta-invalidated subsets and range
 /// tails still fill the kernel. Requests are ordered largest first, so the
@@ -333,9 +333,10 @@ void CampaignExecutor::execute_range(RunRange range) {
     // Whole-request wall time attributed evenly across the lanes it
     // covered.
     const std::uint64_t lane_us = dur_us / batch.lanes.size();
-    // Request shape for profiling: earliest fire tick (the tick the first
-    // kernel pass starts from), distinct test cases (one golden lane each)
-    // and lane count -- occupancy is lanes / kernel width.
+    // Request shape for profiling: earliest fire tick (the tick the
+    // kernel's first segment starts from), distinct test cases (a golden
+    // lane per open segment) and lane count -- occupancy is lanes / kernel
+    // width.
     if (telemetry != nullptr && telemetry->events != nullptr) {
       std::uint64_t start_fire_ms = ~std::uint64_t{0};
       std::set<std::uint32_t> batch_cases;

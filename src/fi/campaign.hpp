@@ -120,21 +120,20 @@ struct CampaignConfig {
   std::uint64_t seed = 0x9E3779B9;
   /// Worker threads (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Kernel width: the most runs one lockstep pass holds at a time, in
+  /// Kernel width: the most runs one lockstep kernel holds at a time, in
   /// slots (0 = kDefaultBatchSize; CampaignRunner::max_lanes caps it). The
-  /// planner deals runs into requests by this width. Every pass also
-  /// sweeps one golden lane per test case it packs and is capped at 64
-  /// lanes in all, so a pass packing k test cases uses at most 64 - k
-  /// slots whatever the width. Pure execution knob: results and journals
-  /// are bit-identical for every batch size, and the journal plan hash
-  /// deliberately excludes it, so a campaign may be resumed under a
-  /// different batch size (or on the scalar reference) without
-  /// invalidation.
+  /// planner deals runs into requests by this width. Every kernel also
+  /// sweeps one golden lane per open segment and is capped at 64 lanes in
+  /// all, so it holds at most 63 runs whatever the width. Pure execution
+  /// knob: results and journals are bit-identical for every batch size,
+  /// and the journal plan hash deliberately excludes it, so a campaign may
+  /// be resumed under a different batch size (or on the scalar reference)
+  /// without invalidation.
   std::size_t batch_size = 0;
 };
 
 /// Kernel width (slots) used when CampaignConfig::batch_size is 0: a
-/// 64-lane pass (two 32-lane vector rows) minus one golden lane.
+/// 64-lane kernel (two 32-lane vector rows) minus one golden lane.
 inline constexpr std::size_t kDefaultBatchSize = 63;
 
 /// The kernel width `config` asks for: its batch_size, or the default.

@@ -37,16 +37,15 @@ class Value {
   Value(std::string v) : value_(std::move(v)) {}
   Value(std::string_view v) : value_(std::string(v)) {}
   Value(const char* v) : value_(std::string(v)) {}
+  // Constructs the integer alternative in place: assigning it over the
+  // default null alternative trips GCC 12's -Wmaybe-uninitialized on the
+  // string alternative wherever a Field list is built.
   template <typename T,
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
-  Value(T v) {
-    if constexpr (std::is_signed_v<T>) {
-      value_ = static_cast<std::int64_t>(v);
-    } else {
-      value_ = static_cast<std::uint64_t>(v);
-    }
-  }
+  Value(T v)
+      : value_(std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                                  std::uint64_t>(v)) {}
 
   Kind kind() const { return static_cast<Kind>(value_.index()); }
   bool is_number() const {

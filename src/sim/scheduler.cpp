@@ -12,59 +12,24 @@ void SlotScheduler::add_slot_task(std::size_t slot, std::string name,
                                   Task task) {
   PROPANE_REQUIRE(slot < slots_.size());
   PROPANE_REQUIRE(task != nullptr);
-  slots_[slot].push_back(
-      NamedTask{std::move(name), std::move(task), nullptr});
+  slots_[slot].push_back(NamedTask{std::move(name), std::move(task)});
 }
 
 void SlotScheduler::add_every_slot_task(std::string name, Task task) {
   PROPANE_REQUIRE(task != nullptr);
   for (std::size_t s = 0; s < slots_.size(); ++s) {
-    slots_[s].push_back(NamedTask{name, task, nullptr});
+    slots_[s].push_back(NamedTask{name, task});
   }
 }
 
 void SlotScheduler::add_background_task(std::string name, Task task) {
   PROPANE_REQUIRE(task != nullptr);
-  background_.push_back(NamedTask{std::move(name), std::move(task), nullptr});
+  background_.push_back(NamedTask{std::move(name), std::move(task)});
 }
 
-void SlotScheduler::add_slot_batch_task(std::size_t slot, std::string name,
-                                        BatchTask task) {
-  PROPANE_REQUIRE(slot < slots_.size());
-  PROPANE_REQUIRE(task != nullptr);
-  slots_[slot].push_back(
-      NamedTask{std::move(name), nullptr, std::move(task)});
-}
-
-void SlotScheduler::add_every_slot_batch_task(std::string name,
-                                              BatchTask task) {
-  PROPANE_REQUIRE(task != nullptr);
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    slots_[s].push_back(NamedTask{name, nullptr, task});
-  }
-}
-
-void SlotScheduler::add_background_batch_task(std::string name,
-                                              BatchTask task) {
-  PROPANE_REQUIRE(task != nullptr);
-  background_.push_back(NamedTask{std::move(name), nullptr, std::move(task)});
-}
-
-void SlotScheduler::dispatch(const LaneMask& live) {
-  for (const NamedTask& t : slots_[slot_]) {
-    if (t.batch) {
-      t.batch(now_, live);
-    } else {
-      t.task(now_);
-    }
-  }
-  for (const NamedTask& t : background_) {
-    if (t.batch) {
-      t.batch(now_, live);
-    } else {
-      t.task(now_);
-    }
-  }
+void SlotScheduler::run_slot() {
+  for (const NamedTask& t : slots_[slot_]) t.task(now_);
+  for (const NamedTask& t : background_) t.task(now_);
   now_ += kMillisecond;
   ++slot_;
   if (slot_ == slots_.size()) {
@@ -73,13 +38,6 @@ void SlotScheduler::dispatch(const LaneMask& live) {
   }
 }
 
-void SlotScheduler::run_slot() {
-  static const LaneMask kNoLanes;
-  dispatch(kNoLanes);
-}
-
-void SlotScheduler::run_slot(const LaneMask& live) { dispatch(live); }
-
 void SlotScheduler::run_cycles(std::size_t n) {
   const std::size_t total = n * slots_.size();
   for (std::size_t i = 0; i < total; ++i) run_slot();
@@ -87,12 +45,6 @@ void SlotScheduler::run_cycles(std::size_t n) {
 
 void SlotScheduler::run_until(SimTime deadline) {
   while (now_ < deadline) run_slot();
-}
-
-void SlotScheduler::seek(SimTime now, std::size_t slot) {
-  PROPANE_REQUIRE(slot < slots_.size());
-  now_ = now;
-  slot_ = slot;
 }
 
 std::vector<std::string> SlotScheduler::slot_task_names(

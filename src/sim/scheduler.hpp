@@ -7,14 +7,6 @@
 // list, plus background tasks executed at the end of every slot (the slack
 // left by the slot tasks -- in simulated time the slot tasks take zero
 // time, so the background task runs once per slot).
-//
-// Two task shapes share each slot's registration-ordered list:
-//   - scalar Tasks update one execution of the system, and
-//   - BatchTasks update N lockstep executions ("lanes") per invocation,
-//     receiving the LaneMask of lanes still live in the batch.
-// A batched run registers BatchTasks for the converted modules and plain
-// Tasks for anything still scalar; dispatch order is identical either way,
-// which is what keeps the batched kernel bit-equivalent to the scalar one.
 #pragma once
 
 #include <cstddef>
@@ -22,19 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "sim/lanes.hpp"
 #include "sim/simtime.hpp"
 
 namespace propane::sim {
 
 /// A schedulable activity. Receives the slot start time.
 using Task = std::function<void(SimTime now)>;
-
-/// A batched activity: updates every lane of a lockstep batch in one call.
-/// `live` names the lanes whose results are still observed; implementations
-/// may update retired lanes too (their state is dead by definition), which
-/// keeps the inner loops branch-free and vectorizable.
-using BatchTask = std::function<void(SimTime now, const LaneMask& live)>;
 
 class SlotScheduler {
  public:
@@ -54,32 +39,15 @@ class SlotScheduler {
   /// slot tasks (the paper's CALC).
   void add_background_task(std::string name, Task task);
 
-  /// Batch-task registration, mirroring the scalar forms. Batch and scalar
-  /// tasks interleave in one registration-ordered list per slot.
-  void add_slot_batch_task(std::size_t slot, std::string name,
-                           BatchTask task);
-  void add_every_slot_batch_task(std::string name, BatchTask task);
-  void add_background_batch_task(std::string name, BatchTask task);
-
   /// Executes the tasks of the current slot (plus background), then
-  /// advances time by one millisecond and moves to the next slot. Batch
-  /// tasks receive an empty lane mask (no lanes live).
+  /// advances time by one millisecond and moves to the next slot.
   void run_slot();
-
-  /// As run_slot(), but batch tasks receive `live`. Scalar tasks in the
-  /// same slot run unchanged (the fallback path for unconverted modules).
-  void run_slot(const LaneMask& live);
 
   /// Runs `n` full cycles (n * slot_count slots).
   void run_cycles(std::size_t n);
 
   /// Runs slots until `now() >= deadline`.
   void run_until(SimTime deadline);
-
-  /// Repositions the clock mid-cycle: the next run_slot() executes slot
-  /// `slot` at time `now`. Used by warm-started batches, which resume from
-  /// a checkpoint taken at an injection fire tick rather than from t=0.
-  void seek(SimTime now, std::size_t slot);
 
   SimTime now() const { return now_; }
   std::size_t current_slot() const { return slot_; }
@@ -91,11 +59,8 @@ class SlotScheduler {
  private:
   struct NamedTask {
     std::string name;
-    Task task;        // exactly one of task/batch is set
-    BatchTask batch;
+    Task task;
   };
-
-  void dispatch(const LaneMask& live);
 
   std::vector<std::vector<NamedTask>> slots_;
   std::vector<NamedTask> background_;

@@ -1,6 +1,7 @@
 #include "svc/wire.hpp"
 
 #include <charconv>
+#include <utility>
 #include <vector>
 
 namespace propane::svc {
@@ -96,7 +97,10 @@ std::optional<WireMessage> parse_wire(std::string_view line) {
   const std::string_view verb = tokens.front();
 
   if (verb == "SHUTDOWN") {
-    return WireMessage{ShutdownMsg{}};  // trailing tokens ignored
+    // Every message is built in place in the optional: moving a variant
+    // with a string alternative into it trips GCC 12's
+    // -Wmaybe-uninitialized.
+    return std::make_optional<WireMessage>(ShutdownMsg{});  // tail ignored
   }
   if (verb == "HELLO") {
     HelloMsg msg;
@@ -105,7 +109,7 @@ std::optional<WireMessage> parse_wire(std::string_view line) {
         !parse_optional_tail(tokens, 3, msg.steady_us)) {
       return std::nullopt;
     }
-    return WireMessage{msg};
+    return std::make_optional<WireMessage>(std::move(msg));
   }
   if (verb == "LEASE") {
     LeaseMsg msg;
@@ -118,7 +122,7 @@ std::optional<WireMessage> parse_wire(std::string_view line) {
       return std::nullopt;
     }
     msg.rescan = rescan == 1;
-    return WireMessage{msg};
+    return std::make_optional<WireMessage>(std::move(msg));
   }
   if (verb == "DONE") {
     DoneMsg msg;
@@ -128,7 +132,7 @@ std::optional<WireMessage> parse_wire(std::string_view line) {
         !parse_optional_tail(tokens, 4, msg.span_id)) {
       return std::nullopt;
     }
-    return WireMessage{msg};
+    return std::make_optional<WireMessage>(std::move(msg));
   }
   if (verb == "FAIL") {
     FailMsg msg;
@@ -142,7 +146,7 @@ std::optional<WireMessage> parse_wire(std::string_view line) {
     msg.message =
         head <= line.size() ? std::string(line.substr(head)) : std::string();
     if (has_control_chars(msg.message)) return std::nullopt;
-    return WireMessage{msg};
+    return std::make_optional<WireMessage>(std::move(msg));
   }
   return std::nullopt;
 }

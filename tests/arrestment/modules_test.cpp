@@ -48,6 +48,32 @@ TEST_F(ModulesTest, ClockSlotRecoversModuloRangeEvenFromWildValues) {
   EXPECT_LT(bus_.read(map_.ms_slot_nbr), kSlotCount);
 }
 
+TEST_F(ModulesTest, BatchedClockMatchesScalarForEverySlotValue) {
+  // Every 16-bit slot number and counter value, 64 lanes at a time,
+  // corrupted values included: each lane must step exactly as the scalar
+  // module does.
+  ClockModule clock(map_);
+  BatchedClock batched(map_);
+  fi::BatchedSignalBus lanes(bus_, 64);
+  for (std::uint32_t base = 0; base < 65536; base += 64) {
+    for (std::size_t l = 0; l < 64; ++l) {
+      const auto v = static_cast<std::uint16_t>(base + l);
+      lanes.write(map_.ms_slot_nbr, l, v);
+      lanes.write(map_.mscnt, l, v);
+    }
+    batched.step_lanes(lanes);
+    for (std::size_t l = 0; l < 64; ++l) {
+      const auto v = static_cast<std::uint16_t>(base + l);
+      bus_.write(map_.ms_slot_nbr, v);
+      bus_.write(map_.mscnt, v);
+      clock.step(bus_);
+      ASSERT_EQ(lanes.read(map_.ms_slot_nbr, l), bus_.read(map_.ms_slot_nbr))
+          << v;
+      ASSERT_EQ(lanes.read(map_.mscnt, l), bus_.read(map_.mscnt)) << v;
+    }
+  }
+}
+
 // --- DIST_S ----------------------------------------------------------------
 
 TEST_F(ModulesTest, DistSAccumulatesPulseDeltas) {

@@ -128,8 +128,20 @@ struct BatchCounters {
   std::uint64_t lane_ticks() {
     return metrics.counter("batch.kernel.lane_ticks").value();
   }
+  std::uint64_t live_slot_ticks() {
+    return metrics.counter("batch.kernel.live_slot_ticks").value();
+  }
+  std::uint64_t segments() {
+    return metrics.counter("batch.kernel.segments").value();
+  }
   std::uint64_t retirements() {
     return metrics.snapshot().histograms.at("batch.retire.ticks").count;
+  }
+  std::uint64_t converged() {
+    return metrics.counter("batch.retire.converged").value();
+  }
+  std::uint64_t exhausted() {
+    return metrics.counter("batch.retire.exhausted").value();
   }
 };
 
@@ -679,11 +691,10 @@ TEST(BatchRefill, RequestsWiderThanTheKernelMatchScalarForEveryWidth) {
                                 &counters.telemetry),
         config);
     // 100 runs per test case share `width` slots: retired slots were
-    // refilled, and every run ran exactly once. (Slots come free by
-    // convergence here: the environment rewrites TCNT from the shared
-    // timer every tick, so no tick-start fault makes it diverge and no run
-    // of this plan retires by exhaustion.)
+    // refilled, and every run ran exactly once.
     EXPECT_GT(counters.retirements(), 0u);
+    EXPECT_EQ(counters.converged() + counters.exhausted(),
+              counters.retirements());
     EXPECT_GT(counters.refills(), 0u);
     EXPECT_EQ(counters.lanes(),
               config.injections.size() * config.test_case_count);
@@ -728,7 +739,7 @@ TEST(BatchRefill, RefilledLanesJoinBeforeAndExactlyAtTheirFireTick) {
   const std::vector<fi::DivergenceReport> reports = batch.run();
   EXPECT_EQ(batch.slot_count(), 1u);
   EXPECT_EQ(batch.refills(), 2u);
-  EXPECT_TRUE(batch.deferred().empty());
+  EXPECT_EQ(batch.segment_count(), 1u);  // no run waited for a later start
   ASSERT_EQ(reports.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(reports_identical(reports[i],
@@ -737,14 +748,14 @@ TEST(BatchRefill, RefilledLanesJoinBeforeAndExactlyAtTheirFireTick) {
   }
 }
 
-TEST(BatchRefill, RunsWhoseFireTickPassedRunInALaterPass) {
+TEST(BatchRefill, RunsWhoseFireTickPassedRunInALaterSegment) {
   const std::vector<TestCase> cases = grid_test_cases(1, 1);
   fi::CampaignConfig config;
   config.test_case_count = 1;
   config.seed = 0xDEF3;
-  // Width 1: the second 30 ms run cannot join once the first has left
-  // its slot (tick 30 has passed), so it waits for a second pass from
-  // the 30 ms checkpoint; the 200 ms runs refill the first pass.
+  // Width 1, one request: the second 30 ms run cannot join once the first
+  // has left the slot (tick 30 has passed), so it runs in a later segment
+  // opened from the 30 ms checkpoint; a 200 ms run refills the first.
   config.injections = {
       fi::InjectionSpec{bus_id("TCNT"), 30 * sim::kMillisecond,
                         fi::bit_flip(2)},
@@ -756,11 +767,14 @@ TEST(BatchRefill, RunsWhoseFireTickPassedRunInALaterPass) {
                         fi::bit_flip(0)},
   };
   config.batch_size = 1;
+  config.threads = 1;
   BatchCounters counters;
   const fi::CampaignResult batched = fi::run_campaign(
       batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config);
-  EXPECT_GT(counters.batches(), 1u);
+  EXPECT_EQ(counters.batches(), 1u);
+  EXPECT_GT(counters.segments(), 1u);
+  EXPECT_GT(counters.refills(), 0u);
   EXPECT_EQ(counters.lanes(), config.injections.size());
   for (std::size_t r = 0; r < batched.records.size(); ++r) {
     const fi::InjectionSpec& spec =
@@ -862,8 +876,8 @@ TEST(BatchRefill, StuckAtRequestRetiresAndRefillsLanes) {
   EXPECT_GT(refill.refills(), 0u);
 
   // The same runs without refill: one request per kernel width of
-  // fire-tick-ordered runs, so every pass starts with all of its request's
-  // runs and a retired slot stays empty until the pass ends.
+  // fire-tick-ordered runs, so every kernel opens with all of its request's
+  // runs and a retired slot stays empty until the kernel ends.
   BatchCounters fixed;
   const fi::CampaignRunner runner =
       batched_campaign_runner(cases, config, kShortRun, &fixed.telemetry);
@@ -895,7 +909,7 @@ TEST(BatchRefill, StuckAtRequestRetiresAndRefillsLanes) {
   EXPECT_LT(refill.ticks(), fixed.ticks());
 }
 
-// --- Row geometry: passes sweep one or two whole 32-lane rows -----------
+// --- Row geometry: kernels sweep one or two whole 32-lane rows ----------
 
 /// `runs` runs of each test case of refill_config(), flat-indexed like the
 /// campaign would.
@@ -931,8 +945,7 @@ TEST(BatchGeometry, ThinMultiTestCaseRequestsSweepWholeRows) {
     runner.run(golden);
   }
   // 12 runs + 3 golden lanes fit in one row; 36 + 3 need two. Either way
-  // every run has a slot, so each request is one pass of a whole row pair
-  // or a single row.
+  // each request is one kernel of a single row or a whole row pair.
   for (const auto& [runs, lanes] :
        {std::pair<std::uint32_t, std::uint64_t>{4, 32},
         std::pair<std::uint32_t, std::uint64_t>{12, 64}}) {
@@ -954,7 +967,7 @@ TEST(BatchGeometry, ThinMultiTestCaseRequestsSweepWholeRows) {
           << "lane " << i;
     }
   }
-  // A request that needs several passes: each sweeps 32 or 64 lanes.
+  // A request of more runs than lanes streams through one kernel too.
   const std::uint64_t ticks = counters.ticks();
   const std::uint64_t lane_ticks = counters.lane_ticks();
   runner.batch(refill_request(config, 33));
@@ -969,9 +982,9 @@ TEST(BatchGeometry, ExplicitWidth64IsCappedAt63Slots) {
   fi::CampaignConfig config;
   config.test_case_count = 1;
   config.seed = 0x6A64;
-  // 104 runs of one fire tick: 63 take the first pass's slots and the
-  // other 41 wait for a second pass (their tick has passed when a slot
-  // comes free), which still needs both rows.
+  // 104 runs of one fire tick: 63 take the first segment's slots and the
+  // other 41 wait for a second segment (their tick has passed when a slot
+  // comes free); one kernel sweeps both rows throughout.
   for (const fi::BusSignalId target : injection_target_bus_ids()) {
     for (unsigned bit = 0; bit < 8; ++bit) {
       config.injections.push_back(fi::InjectionSpec{
@@ -987,14 +1000,156 @@ TEST(BatchGeometry, ExplicitWidth64IsCappedAt63Slots) {
   const fi::CampaignResult batched = fi::run_campaign(
       batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config);
-  EXPECT_EQ(counters.batches(), 2u);
-  EXPECT_EQ(counters.slot_ticks(), 63 * counters.ticks());
+  EXPECT_EQ(counters.batches(), 1u);
+  EXPECT_GE(counters.segments(), 2u);
+  EXPECT_LE(counters.live_slot_ticks(), counters.slot_ticks());
+  EXPECT_LE(counters.slot_ticks(), 63 * counters.ticks());
   EXPECT_EQ(counters.lane_ticks(), 64 * counters.ticks());
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
     EXPECT_TRUE(reports_identical(batched.records[r].report,
                                   scalar.records[r].report))
         << "record " << r;
+  }
+}
+
+// --- Exact exhaustion: the closed signals {TCNT, mscnt, ms_slot_nbr} ------
+
+/// Long enough for the aircraft to come to rest, so injected runs reach
+/// the stop-flag divergences exhaustion waits for.
+constexpr sim::SimTime kExhaustRun = 4 * sim::kSecond;
+
+/// Every record of `config` from the batch runner equals the cold scalar
+/// campaign's, field by field.
+void expect_records_match_scalar(const std::vector<TestCase>& cases,
+                                 const fi::CampaignConfig& config,
+                                 sim::SimTime duration,
+                                 BatchCounters& counters) {
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, duration), config);
+  const fi::CampaignResult batched = fi::run_campaign(
+      batched_campaign_runner(cases, config, duration, &counters.telemetry),
+      config);
+  ASSERT_EQ(batched.records.size(), scalar.records.size());
+  for (std::size_t r = 0; r < scalar.records.size(); ++r) {
+    EXPECT_TRUE(reports_identical(batched.records[r].report,
+                                  scalar.records[r].report))
+        << "record " << r;
+  }
+}
+
+TEST(BatchExhaustion, ClosedSignalInjectionsMatchTheScalarOracle) {
+  // Faults in the closed signals themselves -- TCNT at tick start
+  // (overwritten by the environment in the same tick) and before the
+  // background task (seen by CALC, then overwritten), mscnt and
+  // ms_slot_nbr (persistent) -- and in one loop signal of every module,
+  // early and late, over a horizon on which runs exhaust.
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0xC105ED;
+  const fi::BusSignalId tcnt = bus_id("TCNT");
+  for (const unsigned bit : {0u, 6u, 11u, 15u}) {
+    for (const sim::SimTime ms : {40u, 900u}) {
+      config.injections.push_back(fi::InjectionSpec{
+          tcnt, ms * sim::kMillisecond, fi::bit_flip(bit),
+          fi::InjectionPhase::kPreBackground});
+      for (const std::string_view target :
+           {"TCNT", "mscnt", "ms_slot_nbr", "pulscnt", "InValue", "i",
+            "OutValue", "TOC2"}) {
+        config.injections.push_back(fi::InjectionSpec{
+            bus_id(target), ms * sim::kMillisecond, fi::bit_flip(bit)});
+      }
+    }
+  }
+  BatchCounters counters;
+  expect_records_match_scalar(cases, config, kExhaustRun, counters);
+  EXPECT_GT(counters.exhausted(), 0u);
+  EXPECT_EQ(counters.converged() + counters.exhausted(),
+            counters.retirements());
+}
+
+TEST(BatchExhaustion, PaperShapeSliceRetiresRunsByExhaustion) {
+  // The paper plan's shape -- every injection target, all 16 bit flips --
+  // at two instants of one test case: some runs retire because every
+  // signal outside the closed set diverged, others by convergence.
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x9A9E2;
+  for (const fi::BusSignalId target : injection_target_bus_ids()) {
+    const auto plan =
+        fi::cross_product_plan(target, fi::all_bit_flips(),
+                               {500 * sim::kMillisecond, sim::kSecond});
+    config.injections.insert(config.injections.end(), plan.begin(),
+                             plan.end());
+  }
+  BatchCounters counters;
+  expect_records_match_scalar(cases, config, kExhaustRun, counters);
+  EXPECT_GT(counters.exhausted(), 0u);
+  EXPECT_GT(counters.converged(), 0u);
+  EXPECT_EQ(counters.converged() + counters.exhausted(),
+            counters.retirements());
+}
+
+// --- Rolling segments: per-segment clocks --------------------------------
+
+TEST(BatchRolling, EarlierTickOpensASecondSegmentPastTheLastFireTick) {
+  // One test case, runs at every 500 ms from 0.5 s to 5 s, more than the
+  // kernel's slots: the first segment opens at 0.5 s and refills its way
+  // forward through the later fire ticks; the 0.5 s runs it had no slot
+  // for run in a segment opened from the 0.5 s checkpoint after the first
+  // segment's clock has passed 5 s.
+  constexpr sim::SimTime kRun = 6 * sim::kSecond;
+  constexpr std::size_t kSlots = 4;
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x5E6;
+  for (std::uint64_t ms = 500; ms <= 5000; ms += 500) {
+    for (const std::string_view target : {"TCNT", "PACNT", "pulscnt"}) {
+      config.injections.push_back(fi::InjectionSpec{
+          bus_id(target), ms * sim::kMillisecond, fi::bit_flip(13)});
+    }
+  }
+  WarmStartEngine engine(cases, config, kRun);
+  const fi::TraceSet golden = engine.golden_run(fi::RunRequest{});
+
+  std::vector<BatchLaneSpec> specs;
+  for (std::size_t i = 0; i < config.injections.size(); ++i) {
+    specs.push_back({&config.injections[i], 0x100 + i});
+  }
+  std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>> held;
+  const BatchPool pool{specs, [&](std::uint64_t ms) -> const ArrestmentSystem& {
+                         held.push_back(engine.lookup(0, ms));
+                         return *held.back()->system;
+                       }};
+  BatchedArrestmentSystem batch(std::span(&pool, 1), 32, kSlots, kRun);
+  const std::vector<fi::DivergenceReport> reports = batch.run();
+
+  const std::vector<BatchedArrestmentSystem::SegmentOrigin> origins =
+      batch.segment_origins();
+  ASSERT_GE(origins.size(), 2u);
+  EXPECT_EQ(origins[0].origin_ms, 500u);
+  EXPECT_TRUE(std::any_of(
+      origins.begin() + 1, origins.end(),
+      [&](const BatchedArrestmentSystem::SegmentOrigin& later) {
+        const std::uint64_t first_clock =
+            origins[0].origin_ms + (later.opened_tick - origins[0].opened_tick);
+        return later.origin_ms < 5000 && first_clock > 5000;
+      }));
+  EXPECT_GT(batch.refills(), 0u);
+
+  RunOptions options;
+  options.duration = kRun;
+  ASSERT_EQ(reports.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    options.injection = *specs[i].spec;
+    options.rng_seed = specs[i].rng_seed;
+    EXPECT_TRUE(reports_identical(
+        reports[i],
+        fi::compare_to_golden(golden, run_arrestment(cases[0], options).trace)))
+        << "run " << i;
   }
 }
 

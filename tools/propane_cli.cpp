@@ -53,6 +53,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "arrestment/batch_runner.hpp"
@@ -352,6 +354,11 @@ struct BatchTally {
   double slot_ticks = 0.0;     // batch.kernel.slot_ticks
   double live_slot_ticks = 0.0;  // batch.kernel.live_slot_ticks
   double lane_ticks = 0.0;       // batch.kernel.lane_ticks
+  double kernels = 0.0;          // batch.kernel.batches
+  double runs = 0.0;             // batch.kernel.lanes
+  double segments = 0.0;         // batch.kernel.segments
+  double converged = 0.0;        // batch.retire.converged
+  double exhausted = 0.0;        // batch.retire.exhausted
 
   /// Folds in one parsed "metric" event; other metrics are ignored.
   void add(const std::vector<obs::Field>& fields);
@@ -360,9 +367,10 @@ struct BatchTally {
 /// Lane occupancy (requested lanes over requests x kernel width; above
 /// 1.00 when requests hold more runs than the kernel has slots, which
 /// refill then share), slot utilisation (slot-ticks holding a run over
-/// slot-ticks swept) and sweep efficiency (slot-ticks holding a run over
-/// all lane-ticks swept, golden lanes and padding included). Quiet when no
-/// batched session contributed.
+/// slot-ticks swept), sweep efficiency (slot-ticks holding a run over
+/// all lane-ticks swept, golden lanes and padding included), the segments
+/// the kernels opened and the runs they retired early, by cause. Quiet
+/// when no batched session contributed.
 void print_batch_occupancy(const BatchTally& tally) {
   if (tally.requests == 0) return;
   const std::size_t width = fi::kDefaultBatchSize;
@@ -383,6 +391,17 @@ void print_batch_occupancy(const BatchTally& tally) {
                 "held a run)\n",
                 tally.live_slot_ticks / tally.lane_ticks,
                 tally.live_slot_ticks, tally.lane_ticks);
+  }
+  if (tally.kernels > 0.0) {
+    std::printf("kernel segments: %.0f across %.0f kernel(s), %.2f each\n",
+                tally.segments, tally.kernels,
+                tally.segments / tally.kernels);
+  }
+  if (tally.runs > 0.0) {
+    std::printf("early retirements: %.0f converged + %.0f exhausted of %.0f "
+                "run(s) simulated (%.2f)\n",
+                tally.converged, tally.exhausted, tally.runs,
+                (tally.converged + tally.exhausted) / tally.runs);
   }
 }
 
@@ -1037,14 +1056,19 @@ void BatchTally::add(const std::vector<obs::Field>& fields) {
       requests += count->as_uint();
       lanes += sum->as_double();
     }
-  } else if (name->as_string() == "batch.kernel.slot_ticks") {
-    if (const obs::Value* v = number("value")) slot_ticks += v->as_double();
-  } else if (name->as_string() == "batch.kernel.live_slot_ticks") {
-    if (const obs::Value* v = number("value")) {
-      live_slot_ticks += v->as_double();
+  } else if (const obs::Value* v = number("value")) {
+    const std::pair<std::string_view, double*> counters[] = {
+        {"batch.kernel.slot_ticks", &slot_ticks},
+        {"batch.kernel.live_slot_ticks", &live_slot_ticks},
+        {"batch.kernel.lane_ticks", &lane_ticks},
+        {"batch.kernel.batches", &kernels},
+        {"batch.kernel.lanes", &runs},
+        {"batch.kernel.segments", &segments},
+        {"batch.retire.converged", &converged},
+        {"batch.retire.exhausted", &exhausted}};
+    for (const auto& [counter, total] : counters) {
+      if (name->as_string() == counter) *total += v->as_double();
     }
-  } else if (name->as_string() == "batch.kernel.lane_ticks") {
-    if (const obs::Value* v = number("value")) lane_ticks += v->as_double();
   }
 }
 
