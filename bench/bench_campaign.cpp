@@ -31,7 +31,6 @@
 #include "obs/telemetry.hpp"
 #include "store/resume.hpp"
 #include "store/result_cache.hpp"
-#include "svc/dispatcher.hpp"
 
 // ---- global allocation counter ------------------------------------------
 // Counts every heap allocation in the process so the bench can prove the
@@ -375,86 +374,6 @@ SparseBench run_sparse_bench(const Workload& w) {
   return out;
 }
 
-/// Multi-worker serve bench: the scale's standard plan (the one `campaign
-/// serve` dispatches, so workers spawned from the CLI re-derive the exact
-/// manifest) run three ways -- single process, serve with 1 worker, serve
-/// with 2 workers, all on the batched runner the workers use. Dispatch
-/// overhead is the 1-worker vs single-process
-/// gap; scaling is the 2-worker vs 1-worker gap (bounded by the machine's
-/// CPU count, which the JSON records). Worker counts beyond the CPU count
-/// are *skipped* (recorded with a skip reason): on an oversubscribed host
-/// the processes time-slice one core and the resulting "speedup" is
-/// scheduler noise, not signal.
-struct ServeModeBench {
-  std::uint32_t workers = 0;
-  double wall_s = 0.0;
-  double runs_per_s = 0.0;
-  std::uint64_t leases = 0;
-  /// Non-empty when the row was not measured (e.g. more workers than
-  /// CPUs); the other fields are then meaningless and stay zero.
-  std::string skipped_reason;
-};
-
-struct ServeBench {
-  std::size_t total_runs = 0;
-  double single_wall_s = 0.0;
-  double single_runs_per_s = 0.0;
-  std::vector<ServeModeBench> modes;  // 1 and 2 workers
-};
-
-ServeBench run_serve_bench(const exp::ExperimentScale& scale,
-                           unsigned cpus) {
-  namespace fs = std::filesystem;
-  ServeBench out;
-  const fi::CampaignConfig config = exp::make_campaign_config(scale);
-  const std::vector<arr::TestCase> cases =
-      scale.custom_cases.empty()
-          ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
-          : scale.custom_cases;
-  {
-    const fs::path dir = "bench_serve_single";
-    fs::remove_all(dir);
-    const auto start = Clock::now();
-    const store::JournalRunSummary summary = store::run_journaled_campaign(
-        arr::batched_campaign_runner(cases, config, scale.duration), config,
-        dir);
-    out.single_wall_s = seconds_since(start);
-    out.total_runs = summary.total_runs;
-    out.single_runs_per_s =
-        static_cast<double>(summary.total_runs) / out.single_wall_s;
-    fs::remove_all(dir);
-  }
-  for (const std::uint32_t workers : {1u, 2u}) {
-    if (cpus < workers) {
-      ServeModeBench skipped;
-      skipped.workers = workers;
-      skipped.skipped_reason = std::to_string(cpus) + " cpu(s) < " +
-                               std::to_string(workers) +
-                               " workers: processes would time-slice one "
-                               "core and the runs/s would be noise";
-      out.modes.push_back(std::move(skipped));
-      continue;
-    }
-    const fs::path dir = "bench_serve_w" + std::to_string(workers);
-    fs::remove_all(dir);
-    svc::ServeOptions options;
-    options.worker_count = workers;
-    options.worker_command = {PROPANE_CLI_PATH, "campaign",
-                              "worker",         "--journal",
-                              dir.string(),     "--scale",
-                              scale.name,       "--no-telemetry"};
-    const auto start = Clock::now();
-    const svc::ServeSummary summary =
-        svc::serve_campaign(config, dir, options);
-    const double wall = seconds_since(start);
-    out.modes.push_back(
-        {workers, wall, static_cast<double>(summary.total_runs) / wall,
-         summary.leases_completed, {}});
-    fs::remove_all(dir);
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace propane
 
@@ -589,33 +508,7 @@ int main() {
               boot.replicates, boot.records, boot.cells, boot.wall_s,
               boot.replicates_per_s);
 
-  // --- dispatched campaign: serve with 1 and 2 worker processes -----------
   const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-  const ServeBench serve = run_serve_bench(scale, cpus);
-  std::printf("serve campaign (standard '%s' plan, %u cpu(s)): "
-              "single-process %zu runs in %.2f s  =>  %.0f runs/s\n",
-              scale.name.c_str(), cpus, serve.total_runs,
-              serve.single_wall_s, serve.single_runs_per_s);
-  for (const ServeModeBench& mode : serve.modes) {
-    if (!mode.skipped_reason.empty()) {
-      std::printf("  %u worker(s): skipped (%s)\n", mode.workers,
-                  mode.skipped_reason.c_str());
-    } else if (cpus == 1) {
-      // With one worker on a 1-CPU runner the row still measures dispatch
-      // overhead, but a "speedup vs single-process" would be scheduler
-      // noise around 1.0x -- print (and record) a skip for the ratio.
-      std::printf("  %u worker(s): %.2f s  =>  %.0f runs/s "
-                  "(%llu leases; speedup-vs-single skipped on 1 cpu)\n",
-                  mode.workers, mode.wall_s, mode.runs_per_s,
-                  static_cast<unsigned long long>(mode.leases));
-    } else {
-      std::printf("  %u worker(s): %.2f s  =>  %.0f runs/s "
-                  "(%llu leases, %.2fx vs single-process)\n",
-                  mode.workers, mode.wall_s, mode.runs_per_s,
-                  static_cast<unsigned long long>(mode.leases),
-                  mode.runs_per_s / serve.single_runs_per_s);
-    }
-  }
 
   // Pre-optimisation baseline: seed commit d9e9c5d, this file's default
   // workload (1284 runs, 15000 samples/run), same container. Measured with
@@ -676,28 +569,6 @@ int main() {
          << ",\"cells\":" << boot.cells
          << ",\"wall_s\":" << boot.wall_s
          << ",\"replicates_per_s\":" << boot.replicates_per_s << "}"
-         << ",\"serve\":{\"total_runs\":" << serve.total_runs
-         << ",\"cpus\":" << cpus
-         << ",\"single\":{\"wall_s\":" << serve.single_wall_s
-         << ",\"runs_per_s\":" << serve.single_runs_per_s << "}";
-    for (const ServeModeBench& mode : serve.modes) {
-      json << ",\"workers_" << mode.workers << "\":{";
-      if (!mode.skipped_reason.empty()) {
-        json << "\"skipped_reason\":\"" << mode.skipped_reason << "\"}";
-        continue;
-      }
-      json << "\"wall_s\":" << mode.wall_s
-           << ",\"runs_per_s\":" << mode.runs_per_s
-           << ",\"leases\":" << mode.leases
-           << ",\"speedup_vs_single\":";
-      if (cpus == 1) {
-        json << "null";  // meaningless when workers time-slice one core
-      } else {
-        json << mode.runs_per_s / serve.single_runs_per_s;
-      }
-      json << "}";
-    }
-    json << "}"
          << ",\"baseline\":{\"commit\":\"d9e9c5d\",\"scale\":\"default\""
          << ",\"runs_per_s\":" << kBaselineRunsPerS
          << ",\"record_ns_per_sample\":" << kBaselineRecordNs

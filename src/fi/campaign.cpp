@@ -70,15 +70,15 @@ std::size_t chunks_per_pool(std::size_t pools, std::size_t thin,
   return chunks;
 }
 
-/// Plans a range's runs, already split into per-test-case pools, into
+/// Plans the runs to execute, already split into per-test-case pools, into
 /// batch requests. A pool of at least `width` runs is dealt round-robin,
 /// one kernel width of consecutive runs at a time, into chunks, one
 /// request each: a chunk keeps the pool's fire-tick spread, so the
 /// kernel's refill always finds a next run, while it opens full of a
 /// single fire tick. Thinner pools are packed across test cases
 /// (the runner gives each its own golden lane) and fire ticks, `width`
-/// runs per request, so sparse plans, delta-invalidated subsets and range
-/// tails still fill the kernel. Requests are ordered largest first, so the
+/// runs per request, so sparse plans, delta-invalidated subsets and
+/// resumed remainders still fill the kernel. Requests are ordered largest first, so the
 /// smallest ones even out the threads at the end.
 std::vector<BatchRunRequest> plan_requests(
     std::vector<std::vector<BatchLaneRequest>> pools, std::size_t width,
@@ -137,79 +137,55 @@ std::vector<BatchRunRequest> plan_requests(
   return requests;
 }
 
-}  // namespace
-
-std::uint64_t golden_run_seed(const CampaignConfig& config,
-                              std::uint32_t test_case) {
-  return derive_seed(config, 0, test_case);
-}
-
-std::uint64_t injection_run_seed(const CampaignConfig& config,
-                                 std::size_t flat) {
-  return derive_seed(config, 1, flat);
-}
-
-/// Telemetry handles, resolved once at construction; all null when
-/// telemetry is off, so the per-run overhead collapses to a few predictable
+/// Telemetry handles, resolved once per campaign; all null when telemetry
+/// is off, so the per-run overhead collapses to a few predictable
 /// branches.
-struct CampaignExecutor::Instruments {
-  obs::Counter* golden_runs = nullptr;
-  obs::Counter* injection_runs = nullptr;
-  obs::Counter* skipped_runs = nullptr;
-  obs::Counter* diverged_runs = nullptr;
-  obs::Counter* diverged_signals = nullptr;
-  obs::Histogram* run_latency = nullptr;
-  bool timed = false;
+struct Instruments {
+  explicit Instruments(const obs::Telemetry* telemetry)
+      : golden_runs(obs::find_counter(telemetry, "campaign.runs.golden")),
+        injection_runs(
+            obs::find_counter(telemetry, "campaign.runs.injection")),
+        skipped_runs(obs::find_counter(telemetry, "campaign.runs.skipped")),
+        diverged_runs(obs::find_counter(telemetry, "campaign.runs.diverged")),
+        diverged_signals(
+            obs::find_counter(telemetry, "campaign.divergence.signals")),
+        run_latency(obs::find_histogram(telemetry, "campaign.run.latency_us",
+                                        {1e3, 1e4, 1e5, 1e6, 1e7, 1e8})),
+        timed(run_latency != nullptr ||
+              (telemetry != nullptr && telemetry->events != nullptr)) {}
+
+  obs::Counter* golden_runs;
+  obs::Counter* injection_runs;
+  obs::Counter* skipped_runs;
+  obs::Counter* diverged_runs;
+  obs::Counter* diverged_signals;
+  obs::Histogram* run_latency;
+  bool timed;
 };
 
-CampaignExecutor::CampaignExecutor(CampaignRunner runner,
-                                   CampaignConfig config,
-                                   CampaignHooks hooks)
-    : runner_(std::move(runner)),
-      config_(std::move(config)),
-      hooks_(std::move(hooks)) {
-  PROPANE_REQUIRE(runner_.run != nullptr && runner_.batch != nullptr);
-  PROPANE_REQUIRE(config_.test_case_count > 0);
-  total_ = static_cast<std::size_t>(config_.test_case_count) *
-           config_.injections.size();
+InjectionRecord make_record_identity(const CampaignConfig& config,
+                                     std::size_t flat) {
+  const std::size_t inj = flat / config.test_case_count;
+  const std::size_t tc = flat % config.test_case_count;
+  InjectionRecord record;
+  record.injection_index = static_cast<std::uint32_t>(inj);
+  record.test_case = static_cast<std::uint32_t>(tc);
+  record.target = config.injections[inj].target;
+  record.when = config.injections[inj].when;
+  return record;
+}
 
-  result_.goldens.resize(config_.test_case_count);
-  // One model-name string per planned injection; records refer to it by
-  // index instead of each carrying a copy.
-  result_.injection_model_names.reserve(config_.injections.size());
-  for (const InjectionSpec& spec : config_.injections) {
-    result_.injection_model_names.push_back(spec.model.name);
-  }
-  if (hooks_.collect_records) result_.records.resize(total_);
-
-  const obs::Telemetry* telemetry = hooks_.telemetry;
-  instruments_ = std::make_unique<Instruments>();
-  instruments_->golden_runs =
-      obs::find_counter(telemetry, "campaign.runs.golden");
-  instruments_->injection_runs =
-      obs::find_counter(telemetry, "campaign.runs.injection");
-  instruments_->skipped_runs =
-      obs::find_counter(telemetry, "campaign.runs.skipped");
-  instruments_->diverged_runs =
-      obs::find_counter(telemetry, "campaign.runs.diverged");
-  instruments_->diverged_signals =
-      obs::find_counter(telemetry, "campaign.divergence.signals");
-  instruments_->run_latency = obs::find_histogram(
-      telemetry, "campaign.run.latency_us",
-      {1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
-  instruments_->timed =
-      instruments_->run_latency != nullptr ||
-      (telemetry != nullptr && telemetry->events != nullptr);
-
-  campaign_span_ = std::make_unique<obs::Span>(telemetry, "campaign");
-  pool_ = std::make_unique<ThreadPool>(config_.threads, telemetry);
-
-  // Golden runs execute up front: every injection range compares against
-  // them, whichever scheduler hands the ranges out.
-  const bool timed = instruments_->timed;
+/// Executes every test case's golden run (every injection run's comparison
+/// baseline) over the pool into result.goldens, then captures the signal
+/// names.
+void run_goldens(const CampaignRunner& runner, const CampaignConfig& config,
+                 const obs::Telemetry* telemetry,
+                 const Instruments& instruments, ThreadPool& pool,
+                 CampaignResult& result) {
+  const bool timed = instruments.timed;
   {
     obs::Span golden_phase(telemetry, "campaign.golden_phase");
-    pool_->parallel_for(0, config_.test_case_count, [&](std::size_t tc) {
+    pool.parallel_for(0, config.test_case_count, [&](std::size_t tc) {
       obs::emit_event(telemetry, "campaign.run.start",
                       {{"kind", obs::Value("golden")},
                        {"test_case", obs::Value(tc)}});
@@ -217,20 +193,20 @@ CampaignExecutor::CampaignExecutor(CampaignRunner runner,
       RunRequest request;
       request.test_case = static_cast<std::uint32_t>(tc);
       request.rng_seed =
-          golden_run_seed(config_, static_cast<std::uint32_t>(tc));
-      result_.goldens[tc] = runner_.run(request);
+          golden_run_seed(config, static_cast<std::uint32_t>(tc));
+      result.goldens[tc] = runner.run(request);
       const std::uint64_t dur_us =
           timed ? obs::steady_now_us() - start_us : 0;
-      if (instruments_->golden_runs != nullptr) {
-        instruments_->golden_runs->add(1);
+      if (instruments.golden_runs != nullptr) {
+        instruments.golden_runs->add(1);
       }
-      if (instruments_->run_latency != nullptr) {
-        instruments_->run_latency->observe(static_cast<double>(dur_us));
+      if (instruments.run_latency != nullptr) {
+        instruments.run_latency->observe(static_cast<double>(dur_us));
       }
       obs::emit_event(
           telemetry, "golden.done",
           {{"test_case", obs::Value(tc)},
-           {"samples", obs::Value(result_.goldens[tc].sample_count())},
+           {"samples", obs::Value(result.goldens[tc].sample_count())},
            {"dur_us", obs::Value(dur_us)}});
       obs::emit_event(telemetry, "campaign.run.end",
                       {{"kind", obs::Value("golden")},
@@ -239,63 +215,51 @@ CampaignExecutor::CampaignExecutor(CampaignRunner runner,
     });
   }
 
-  for (const TraceSet& golden : result_.goldens) {
+  for (const TraceSet& golden : result.goldens) {
     PROPANE_CHECK_MSG(golden.sample_count() > 0,
                       "golden run produced an empty trace");
   }
   // All runs cover the same signal set; capture the names once.
-  result_.signal_names.reserve(result_.goldens.front().signal_count());
-  for (BusSignalId s = 0; s < result_.goldens.front().signal_count(); ++s) {
-    result_.signal_names.push_back(result_.goldens.front().signal_name(s));
+  result.signal_names.reserve(result.goldens.front().signal_count());
+  for (BusSignalId s = 0; s < result.goldens.front().signal_count(); ++s) {
+    result.signal_names.push_back(result.goldens.front().signal_name(s));
   }
-  result_.rebuild_signal_index();
+  result.rebuild_signal_index();
 }
 
-CampaignExecutor::~CampaignExecutor() = default;
+/// Plans the injection runs hooks.should_run keeps into batch requests and
+/// executes them over the pool, handing every record to the hooks and,
+/// when collected, into result.records.
+void run_injections(const CampaignRunner& runner,
+                    const CampaignConfig& config, const CampaignHooks& hooks,
+                    const Instruments& instruments, ThreadPool& pool,
+                    CampaignResult& result) {
+  const obs::Telemetry* telemetry = hooks.telemetry;
+  const bool timed = instruments.timed;
+  const std::size_t total =
+      static_cast<std::size_t>(config.test_case_count) *
+      config.injections.size();
+  std::size_t width = kernel_width(config);
+  if (runner.max_lanes > 0) width = std::min(width, runner.max_lanes);
 
-InjectionRecord CampaignExecutor::make_record_identity(
-    std::size_t flat) const {
-  const std::size_t inj = flat / config_.test_case_count;
-  const std::size_t tc = flat % config_.test_case_count;
-  InjectionRecord record;
-  record.injection_index = static_cast<std::uint32_t>(inj);
-  record.test_case = static_cast<std::uint32_t>(tc);
-  record.target = config_.injections[inj].target;
-  record.when = config_.injections[inj].when;
-  return record;
-}
-
-void CampaignExecutor::execute_range(RunRange range) {
-  range.end = std::min(range.end, total_);
-  range.begin = std::min(range.begin, range.end);
-  if (range.empty()) return;
-  const obs::Telemetry* telemetry = hooks_.telemetry;
-  const bool timed = instruments_->timed;
-  std::size_t width = kernel_width(config_);
-  if (runner_.max_lanes > 0) width = std::min(width, runner_.max_lanes);
-
-  // --- Plan. Walk the range in flat order, filter through should_run
+  // --- Plan. Walk the plan in flat order, filter through should_run
   // (skipped runs never reach a request) and collect the survivors into
-  // one pool per test case, in fire-tick order. The per-run seed depends
-  // only on (config.seed, flat index) and every lane's report is
-  // bit-identical to its scalar run whatever request it lands in, so a
-  // resumed, process-split or lease-dispatched campaign, under any batch
-  // size, reproduces the exact records of an uninterrupted one.
-  std::vector<std::vector<BatchLaneRequest>> pools(config_.test_case_count);
-  for (std::size_t flat = range.begin; flat < range.end; ++flat) {
-    const std::size_t inj = flat / config_.test_case_count;
-    const std::size_t tc = flat % config_.test_case_count;
-    const bool execute = !hooks_.should_run ||
-                         hooks_.should_run(static_cast<std::uint32_t>(inj),
-                                           static_cast<std::uint32_t>(tc));
+  // one pool per test case, in fire-tick order.
+  std::vector<std::vector<BatchLaneRequest>> pools(config.test_case_count);
+  for (std::size_t flat = 0; flat < total; ++flat) {
+    const std::size_t inj = flat / config.test_case_count;
+    const std::size_t tc = flat % config.test_case_count;
+    const bool execute = !hooks.should_run ||
+                         hooks.should_run(static_cast<std::uint32_t>(inj),
+                                          static_cast<std::uint32_t>(tc));
     if (!execute) {
-      if (instruments_->skipped_runs != nullptr) {
-        instruments_->skipped_runs->add(1);
+      if (instruments.skipped_runs != nullptr) {
+        instruments.skipped_runs->add(1);
       }
       // Skipped runs keep their identity fields but an empty report;
       // callers resuming from a journal overwrite them with stored records.
-      if (hooks_.collect_records) {
-        result_.records[flat] = make_record_identity(flat);
+      if (hooks.collect_records) {
+        result.records[flat] = make_record_identity(config, flat);
       }
       continue;
     }
@@ -303,21 +267,20 @@ void CampaignExecutor::execute_range(RunRange range) {
     lane.flat = flat;
     lane.injection_index = static_cast<std::uint32_t>(inj);
     lane.test_case = static_cast<std::uint32_t>(tc);
-    lane.rng_seed = injection_run_seed(config_, flat);
-    lane.spec = &config_.injections[inj];
+    lane.rng_seed = injection_run_seed(config, flat);
+    lane.spec = &config.injections[inj];
     pools[tc].push_back(lane);
   }
-  std::vector<BatchRunRequest> batches =
-      plan_requests(std::move(pools), width, runner_.max_lanes,
-                    pool_->thread_count());
+  std::vector<BatchRunRequest> batches = plan_requests(
+      std::move(pools), width, runner.max_lanes, pool.thread_count());
 
   // --- Execute. One pool task per request; per-lane records keep their flat
   // identity, seed and report content, so journals and the CSVs derived
   // from them stay bit-identical.
   obs::Span injection_phase(telemetry, "campaign.injection_phase");
-  pool_->parallel_for(0, batches.size(), [&](std::size_t b) {
+  pool.parallel_for(0, batches.size(), [&](std::size_t b) {
     BatchRunRequest& batch = batches[b];
-    batch.goldens = &result_.goldens;
+    batch.goldens = &result.goldens;
     for (const BatchLaneRequest& lane : batch.lanes) {
       obs::emit_event(telemetry, "campaign.run.start",
                       {{"kind", obs::Value("injection")},
@@ -326,7 +289,7 @@ void CampaignExecutor::execute_range(RunRange range) {
                        {"test_case", obs::Value(lane.test_case)}});
     }
     const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
-    std::vector<DivergenceReport> reports = runner_.batch(batch);
+    std::vector<DivergenceReport> reports = runner.batch(batch);
     PROPANE_CHECK_MSG(reports.size() == batch.lanes.size(),
                       "batch runner must return one report per lane");
     const std::uint64_t dur_us = timed ? obs::steady_now_us() - start_us : 0;
@@ -354,22 +317,22 @@ void CampaignExecutor::execute_range(RunRange range) {
 
     for (std::size_t i = 0; i < batch.lanes.size(); ++i) {
       const BatchLaneRequest& lane = batch.lanes[i];
-      InjectionRecord record = make_record_identity(lane.flat);
+      InjectionRecord record = make_record_identity(config, lane.flat);
       record.report = std::move(reports[i]);
       const std::size_t divergences = record.report.divergence_count();
-      if (instruments_->injection_runs != nullptr) {
-        instruments_->injection_runs->add(1);
+      if (instruments.injection_runs != nullptr) {
+        instruments.injection_runs->add(1);
       }
       if (divergences > 0) {
-        if (instruments_->diverged_runs != nullptr) {
-          instruments_->diverged_runs->add(1);
+        if (instruments.diverged_runs != nullptr) {
+          instruments.diverged_runs->add(1);
         }
-        if (instruments_->diverged_signals != nullptr) {
-          instruments_->diverged_signals->add(divergences);
+        if (instruments.diverged_signals != nullptr) {
+          instruments.diverged_signals->add(divergences);
         }
       }
-      if (instruments_->run_latency != nullptr) {
-        instruments_->run_latency->observe(static_cast<double>(lane_us));
+      if (instruments.run_latency != nullptr) {
+        instruments.run_latency->observe(static_cast<double>(lane_us));
       }
       obs::emit_event(
           telemetry, "injection.done",
@@ -378,19 +341,31 @@ void CampaignExecutor::execute_range(RunRange range) {
            {"test_case", obs::Value(lane.test_case)},
            {"target", obs::Value(record.target)},
            {"model",
-            obs::Value(config_.injections[lane.injection_index].model.name)},
+            obs::Value(config.injections[lane.injection_index].model.name)},
            {"diverged_signals", obs::Value(divergences)},
            {"dur_us", obs::Value(lane_us)}});
       obs::emit_event(telemetry, "campaign.run.end",
                       {{"kind", obs::Value("injection")},
                        {"flat", obs::Value(lane.flat)},
                        {"dur_us", obs::Value(lane_us)}});
-      if (hooks_.on_record) hooks_.on_record(record);
-      if (hooks_.collect_records) {
-        result_.records[lane.flat] = std::move(record);
+      if (hooks.on_record) hooks.on_record(record);
+      if (hooks.collect_records) {
+        result.records[lane.flat] = std::move(record);
       }
     }
   });
+}
+
+}  // namespace
+
+std::uint64_t golden_run_seed(const CampaignConfig& config,
+                              std::uint32_t test_case) {
+  return derive_seed(config, 0, test_case);
+}
+
+std::uint64_t injection_run_seed(const CampaignConfig& config,
+                                 std::size_t flat) {
+  return derive_seed(config, 1, flat);
 }
 
 CampaignRunner CampaignRunner::from_scalar(RunFunction scalar_run) {
@@ -423,9 +398,29 @@ CampaignResult run_campaign(const CampaignRunner& runner,
 CampaignResult run_campaign(const CampaignRunner& runner,
                             const CampaignConfig& config,
                             const CampaignHooks& hooks) {
-  CampaignExecutor executor(runner, config, hooks);
-  executor.execute_range({0, executor.total_runs()});
-  return executor.take_result();
+  PROPANE_REQUIRE(runner.run != nullptr && runner.batch != nullptr);
+  PROPANE_REQUIRE(config.test_case_count > 0);
+  CampaignResult result;
+  result.goldens.resize(config.test_case_count);
+  // One model-name string per planned injection; records refer to it by
+  // index instead of each carrying a copy.
+  result.injection_model_names.reserve(config.injections.size());
+  for (const InjectionSpec& spec : config.injections) {
+    result.injection_model_names.push_back(spec.model.name);
+  }
+  if (hooks.collect_records) {
+    result.records.resize(static_cast<std::size_t>(config.test_case_count) *
+                          config.injections.size());
+  }
+
+  const Instruments instruments(hooks.telemetry);
+  // Declaration order is lifetime order: the campaign span opens before
+  // the pool spawns and closes after it drains.
+  const obs::Span campaign_span(hooks.telemetry, "campaign");
+  ThreadPool pool(config.threads, hooks.telemetry);
+  run_goldens(runner, config, hooks.telemetry, instruments, pool, result);
+  run_injections(runner, config, hooks, instruments, pool, result);
+  return result;
 }
 
 }  // namespace propane::fi

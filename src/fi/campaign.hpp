@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -24,12 +23,7 @@
 #include "fi/injection.hpp"
 #include "fi/trace.hpp"
 
-namespace propane {
-class ThreadPool;
-}  // namespace propane
-
 namespace propane::obs {
-class Span;
 struct Telemetry;
 }  // namespace propane::obs
 
@@ -216,84 +210,16 @@ struct CampaignHooks {
   const obs::Telemetry* telemetry = nullptr;
 };
 
-/// Half-open range of flat injection-run indices (campaign_flat_index
-/// order): the unit of work the scheduler-agnostic executor accepts. The
-/// local thread-pool path executes one range covering the whole plan; the
-/// campaign service (src/svc) leases ranges to worker processes.
-struct RunRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-
-  std::size_t size() const { return end > begin ? end - begin : 0; }
-  bool empty() const { return size() == 0; }
-  bool operator==(const RunRange&) const = default;
-};
-
-/// Scheduler-agnostic campaign core. Construction executes the golden runs
-/// (every injection run's comparison baseline) over the worker pool;
-/// injection ranges then execute on demand via execute_range. run_campaign
-/// is a thin wrapper that executes one range covering the whole plan, so
-/// the local and distributed paths share this single code path and stay
-/// bit-identical.
+/// Executes the campaign. Golden runs execute first (in parallel), then all
+/// injection runs that hooks.should_run keeps are planned into batch
+/// requests and fan out over the worker pool.
 ///
 /// Determinism: per-run RNG seeds are a pure function of (config.seed, run
-/// identity), never of range boundaries or execution order, so any
-/// partition of the plan into ranges -- including a journal-resumed or
-/// lease-reassigned one -- reproduces the exact runs a single uninterrupted
-/// session would have performed.
-class CampaignExecutor {
- public:
-  CampaignExecutor(CampaignRunner runner, CampaignConfig config,
-                   CampaignHooks hooks);
-  ~CampaignExecutor();
-
-  CampaignExecutor(const CampaignExecutor&) = delete;
-  CampaignExecutor& operator=(const CampaignExecutor&) = delete;
-
-  /// Flat injection-run indices the plan covers: [0, total_runs()).
-  std::size_t total_runs() const { return total_; }
-  const CampaignConfig& config() const { return config_; }
-
-  /// Executes every injection run whose flat index falls in `range`
-  /// (clamped to the plan) and blocks until the range completes. Ranges may
-  /// execute in any order; hooks.should_run is the seam that keeps a flat
-  /// index from running twice when ranges overlap (e.g. a requeued lease).
-  /// The range is planned into batch requests (one pool of runs per test
-  /// case, in fire-tick order, dealt into chunks; pools thinner than the
-  /// kernel width packed across test cases and fire ticks); records keep
-  /// their flat identity, and every lane is bit-identical to its scalar run
-  /// regardless of request composition, so journals and CSVs are
-  /// bit-identical to the scalar reference. Not thread-safe: call from one
-  /// thread at a time.
-  void execute_range(RunRange range);
-
-  const CampaignResult& result() const { return result_; }
-  /// Moves the result out; the executor is spent afterwards.
-  CampaignResult take_result() { return std::move(result_); }
-
- private:
-  struct Instruments;  // resolved telemetry handles
-
-  InjectionRecord make_record_identity(std::size_t flat) const;
-
-  CampaignRunner runner_;
-  CampaignConfig config_;
-  CampaignHooks hooks_;
-  std::size_t total_ = 0;
-  CampaignResult result_;
-  std::unique_ptr<Instruments> instruments_;
-  // Declaration order is lifetime order: the campaign span must open before
-  // the pool spawns and close after it drains.
-  std::unique_ptr<obs::Span> campaign_span_;
-  std::unique_ptr<ThreadPool> pool_;
-};
-
-/// Executes the campaign. Golden runs execute first (in parallel), then all
-/// injection runs fan out over the worker pool. Results are deterministic
-/// in (config, run function) regardless of thread count: per-run RNG seeds
-/// are a pure function of (config.seed, run identity), which also makes a
-/// journal-resumed campaign bit-identical to an uninterrupted one.
-/// (Wrapper over CampaignExecutor: one range covering the whole plan.)
+/// identity), never of thread count, execution order or which runs
+/// should_run filtered out, and every lane's report is bit-identical to
+/// its scalar run whatever request it lands in. So a journal-resumed or
+/// process-split campaign, under any batch size, reproduces the exact
+/// records of a single uninterrupted session.
 CampaignResult run_campaign(const CampaignRunner& runner,
                             const CampaignConfig& config);
 CampaignResult run_campaign(const CampaignRunner& runner,

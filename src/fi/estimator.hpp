@@ -144,9 +144,8 @@ class PermeabilityAccumulator {
   /// must have been constructed over the same model / binding layout
   /// (checked). Because every count is a plain sum and the latency stats
   /// are min/max/sum/count, merge(a, b) equals folding a's and b's records
-  /// into one accumulator in any order -- the property the campaign
-  /// dispatcher relies on to stream partial estimates from per-worker
-  /// shards as they land.
+  /// into one accumulator in any order, so per-shard folds can be
+  /// combined without re-reading the records.
   void merge(const PermeabilityAccumulator& other);
 
   std::size_t record_count() const { return record_count_; }

@@ -3,14 +3,10 @@
 // Event timestamps and span durations use the steady clock, expressed in
 // microseconds since the first telemetry call in the process: numbers stay
 // small, strictly monotonic, and immune to wall-clock adjustments. The
-// epoch is process-local, so raw timestamps from different processes of a
-// split campaign are only comparable within one file -- `propane campaign
-// top` therefore reports per-file wall spans, never cross-file deltas.
-// For served campaigns, the wire HELLO handshake records each worker's
-// steady reading against the dispatcher's receipt time
-// (serve.worker.hello's worker_steady_us), and `propane campaign trace`
-// uses that per-worker offset to place all streams on the dispatcher's
-// time base when it merges them.
+// epoch is process-local: every session that appends to a journal's
+// telemetry log restarts the clock, so timestamps compare only within one
+// session. `propane campaign trace` therefore renders each session as its
+// own process track, and no two processes' timestamps are ever merged.
 #pragma once
 
 #include <atomic>

@@ -86,7 +86,7 @@ struct Event {
 Event make_event(std::string name, std::vector<Field> fields = {});
 
 /// Where events go. Implementations must be thread-safe; emit() is called
-/// from campaign worker threads.
+/// from the campaign's worker threads.
 class EventSink {
  public:
   virtual ~EventSink() = default;

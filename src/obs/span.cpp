@@ -17,15 +17,11 @@ std::vector<Field> span_event_fields(const std::string& name,
                                      std::uint64_t id, std::uint64_t parent_id,
                                      std::uint32_t depth, std::uint32_t tid,
                                      std::uint64_t start_us,
-                                     std::uint64_t duration_us,
-                                     std::vector<Field> extra) {
-  std::vector<Field> fields = {
-      {"name", Value(name)},         {"id", Value(id)},
-      {"parent_id", Value(parent_id)}, {"depth", Value(depth)},
-      {"tid", Value(tid)},           {"start_us", Value(start_us)},
-      {"dur_us", Value(duration_us)}};
-  for (Field& field : extra) fields.push_back(std::move(field));
-  return fields;
+                                     std::uint64_t duration_us) {
+  return {{"name", Value(name)},         {"id", Value(id)},
+          {"parent_id", Value(parent_id)}, {"depth", Value(depth)},
+          {"tid", Value(tid)},           {"start_us", Value(start_us)},
+          {"dur_us", Value(duration_us)}};
 }
 
 }  // namespace
@@ -59,11 +55,7 @@ std::size_t SpanBuffer::size() const {
   return spans_.size();
 }
 
-Span::Span(const Telemetry* telemetry, std::string_view name)
-    : Span(telemetry, name, SpanOptions{}) {}
-
-Span::Span(const Telemetry* telemetry, std::string_view name,
-           SpanOptions options) {
+Span::Span(const Telemetry* telemetry, std::string_view name) {
   if (telemetry == nullptr ||
       (telemetry->spans == nullptr && telemetry->events == nullptr)) {
     return;  // disabled: destructor sees null buffer_ and events_
@@ -71,13 +63,10 @@ Span::Span(const Telemetry* telemetry, std::string_view name,
   buffer_ = telemetry->spans;
   events_ = telemetry->events;
   name_ = name;
-  extra_fields_ = std::move(options.fields);
   id_ = buffer_ != nullptr
             ? buffer_->next_id()
             : g_fallback_ids.fetch_add(1, std::memory_order_relaxed) + 1;
-  parent_id_ = options.parent_id != 0
-                   ? options.parent_id
-                   : (t_active_spans.empty() ? 0 : t_active_spans.back());
+  parent_id_ = t_active_spans.empty() ? 0 : t_active_spans.back();
   depth_ = static_cast<std::uint32_t>(t_active_spans.size());
   t_active_spans.push_back(id_);
   start_us_ = steady_now_us();
@@ -95,26 +84,7 @@ Span::~Span() {
   if (events_ != nullptr) {
     events_->emit(make_event(
         "span", span_event_fields(name_, id_, parent_id_, depth_, tid,
-                                  start_us_, duration,
-                                  std::move(extra_fields_))));
-  }
-}
-
-void emit_manual_span(const Telemetry* telemetry, std::string_view name,
-                      std::uint64_t id, std::uint64_t parent_id,
-                      std::uint64_t start_us, std::uint64_t duration_us,
-                      std::vector<Field> fields) {
-  if (telemetry == nullptr) return;
-  const std::string owned_name(name);
-  const std::uint32_t tid = thread_ordinal();
-  if (telemetry->spans != nullptr) {
-    telemetry->spans->push(FinishedSpan{owned_name, id, parent_id, /*depth=*/0,
-                                        tid, start_us, duration_us});
-  }
-  if (telemetry->events != nullptr) {
-    telemetry->events->emit(make_event(
-        "span", span_event_fields(owned_name, id, parent_id, /*depth=*/0, tid,
-                                  start_us, duration_us, std::move(fields))));
+                                  start_us_, duration)));
   }
 }
 

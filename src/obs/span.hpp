@@ -7,11 +7,9 @@
 // in a bounded ring buffer (newest kept, oldest dropped, drops counted)
 // and, when an event sink is attached, are also streamed as "span" events.
 //
-// Cross-process tracing: span ids are unique only within one SpanBuffer,
-// so a process that shares a trace with others (a campaign worker) calls
-// set_id_base() with a disjoint id range. A span whose logical parent
-// lives in *another* process (a worker lease parenting under a dispatcher
-// lease span) passes the wire-carried parent id through SpanOptions.
+// Span ids are unique within one SpanBuffer, which is one process's
+// telemetry: a campaign's trace is the single NDJSON stream its process
+// wrote, so ids never need namespacing across processes.
 #pragma once
 
 #include <atomic>
@@ -61,14 +59,8 @@ class SpanBuffer {
     return dropped_.load(std::memory_order_relaxed);
   }
   std::uint64_t next_id() {
-    return id_base_ + ids_.fetch_add(1, std::memory_order_relaxed) + 1;
+    return ids_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-
-  /// Offsets every id this buffer hands out, so processes sharing one
-  /// trace (dispatcher + workers) draw from disjoint id ranges. Call
-  /// before the first span; ids already handed out keep their old base.
-  void set_id_base(std::uint64_t base) { id_base_ = base; }
-  std::uint64_t id_base() const { return id_base_; }
 
  private:
   mutable std::mutex mu_;
@@ -76,28 +68,15 @@ class SpanBuffer {
   std::deque<FinishedSpan> spans_;
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> ids_{0};
-  std::uint64_t id_base_ = 0;
 };
 
 struct Telemetry;
-
-/// Extra knobs for spans that participate in cross-process traces.
-struct SpanOptions {
-  /// Non-zero: the parent span id, overriding the thread's active-span
-  /// stack (used when the parent lives in another process and arrived
-  /// over the wire). Zero keeps the default per-thread nesting.
-  std::uint64_t parent_id = 0;
-  /// Extra fields appended to the emitted "span" event (lease ids, worker
-  /// ids); not stored in the ring buffer.
-  std::vector<Field> fields;
-};
 
 /// RAII scope timer. Construction with a null/disabled telemetry bundle is
 /// a no-op (two pointer loads); nothing is recorded on destruction.
 class Span {
  public:
   Span(const Telemetry* telemetry, std::string_view name);
-  Span(const Telemetry* telemetry, std::string_view name, SpanOptions options);
   ~Span();
 
   Span(const Span&) = delete;
@@ -114,17 +93,7 @@ class Span {
   std::uint64_t parent_id_ = 0;
   std::uint32_t depth_ = 0;
   std::uint64_t start_us_ = 0;
-  std::vector<Field> extra_fields_;
 };
-
-/// Records an externally-timed span -- one whose start and end are two
-/// protocol messages rather than one C++ scope (the dispatcher's
-/// serve.lease spans) -- into the buffer and event sink exactly as a
-/// scoped Span would. No interaction with the per-thread nesting stack.
-void emit_manual_span(const Telemetry* telemetry, std::string_view name,
-                      std::uint64_t id, std::uint64_t parent_id,
-                      std::uint64_t start_us, std::uint64_t duration_us,
-                      std::vector<Field> fields = {});
 
 /// Publishes the span buffer's occupancy and drop-oldest eviction count as
 /// gauges (obs.spans.buffered / obs.spans.dropped) so they surface in the

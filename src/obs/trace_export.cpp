@@ -1,10 +1,10 @@
 #include "obs/trace_export.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <string_view>
 
 namespace propane::obs {
@@ -120,8 +120,8 @@ std::string trace_event(char phase, std::string_view name, std::int64_t pid,
   return out;
 }
 
-/// Span keys consumed into the X event envelope; every other field of a
-/// "span" event (lease_id, worker_id, ...) passes through into args.
+/// Span keys consumed into the X event envelope; any other field of a
+/// "span" event passes through into args.
 bool is_span_envelope_key(std::string_view key) {
   return key == "event" || key == "name" || key == "id" ||
          key == "parent_id" || key == "depth" || key == "tid" ||
@@ -133,11 +133,42 @@ bool is_span_envelope_key(std::string_view key) {
 constexpr std::int64_t kRunsTid = 99;
 constexpr std::int64_t kBatchesTid = 98;
 
-struct LeaseInterval {
-  std::int64_t start_ts = 0;
-  std::int64_t end_ts = 0;
-  std::uint64_t span_id = 0;
+/// Interval [start, end] of an event that carries its own duration: a
+/// span (start_us + dur_us) or a run/batch end event (t_us - dur_us, t_us).
+struct Interval {
+  std::int64_t start = 0;
+  std::int64_t end = 0;
 };
+
+Interval interval_of(const std::vector<Field>& event, bool is_span) {
+  const auto dur = static_cast<std::int64_t>(u64_or(event, "dur_us", 0));
+  const auto t_us = static_cast<std::int64_t>(u64_or(event, "t_us", 0));
+  if (is_span) {
+    const auto start = static_cast<std::int64_t>(
+        u64_or(event, "start_us", static_cast<std::uint64_t>(t_us - dur)));
+    return {start, start + dur};
+  }
+  return {t_us - dur, t_us};
+}
+
+/// Index of the first event of each session: a new one opens at a
+/// delta.plan or journal.resume_scan event once the current session has
+/// already scanned its journal.
+std::vector<std::size_t> session_starts(
+    const std::vector<std::vector<Field>>& events) {
+  std::vector<std::size_t> starts = {0};
+  bool scanned = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::string name = str_or(events[i], "event", "");
+    if (name != "delta.plan" && name != "journal.resume_scan") continue;
+    if (scanned) {
+      starts.push_back(i);
+      scanned = false;
+    }
+    if (name == "journal.resume_scan") scanned = true;
+  }
+  return starts;
+}
 
 }  // namespace
 
@@ -157,104 +188,62 @@ std::size_t parse_ndjson_stream(std::istream& in,
   return skipped;
 }
 
-std::map<std::uint32_t, std::int64_t> hello_clock_offsets(
-    const TraceStream& dispatcher) {
-  std::map<std::uint32_t, std::int64_t> offsets;
-  for (const std::vector<Field>& event : dispatcher.events) {
-    if (str_or(event, "event", "") != "serve.worker.hello") continue;
-    const Value* steady = find(event, "worker_steady_us");
-    if (steady == nullptr || !steady->is_number()) continue;
-    const auto worker_id =
-        static_cast<std::uint32_t>(u64_or(event, "worker_id", 0));
-    const auto receipt =
-        static_cast<std::int64_t>(u64_or(event, "t_us", 0)) +
-        dispatcher.clock_offset_us;
-    offsets[worker_id] =
-        receipt - static_cast<std::int64_t>(steady->as_uint());
-  }
-  return offsets;
-}
-
-TraceExportSummary write_chrome_trace(
-    std::ostream& out, const std::vector<TraceStream>& streams) {
+TraceExportSummary write_chrome_trace(std::ostream& out,
+                                      const TraceStream& stream) {
   TraceExportSummary summary;
   std::vector<std::string> events;
 
-  // Dispatcher serve.lease intervals, across all streams: the fallback
-  // parent for runs whose own worker.lease span never made it out (a
-  // worker SIGKILLed mid-lease emits no span; its flight-recovered runs
-  // still fall inside the dispatcher's lease window, which the dispatcher
-  // closes itself when it detects the death).
-  std::vector<LeaseInterval> serve_leases;
-  for (const TraceStream& stream : streams) {
-    for (const std::vector<Field>& event : stream.events) {
-      if (str_or(event, "event", "") != "span" ||
-          str_or(event, "name", "") != "serve.lease") {
-        continue;
-      }
-      const std::uint64_t dur = u64_or(event, "dur_us", 0);
-      const std::int64_t start =
-          stream.clock_offset_us +
-          static_cast<std::int64_t>(
-              u64_or(event, "start_us", u64_or(event, "t_us", 0) - dur));
-      serve_leases.push_back(LeaseInterval{
-          start, start + static_cast<std::int64_t>(dur),
-          u64_or(event, "id", 0)});
-    }
-  }
-
-  for (const TraceStream& stream : streams) {
+  std::vector<std::size_t> starts = session_starts(stream.events);
+  summary.sessions = starts.size();
+  starts.push_back(stream.events.size());
+  for (std::size_t session = 0; session + 1 < starts.size(); ++session) {
+    const std::size_t first = starts[session];
+    const std::size_t last = starts[session + 1];
+    const auto pid = static_cast<std::int64_t>(session + 1);
     events.push_back(trace_event(
-        'M', "process_name", stream.pid, 0, 0, 0,
-        {{"name", Value(stream.name)}}));
+        'M', "process_name", pid, 0, 0, 0,
+        {{"name", Value(stream.name + " session " +
+                        std::to_string(session + 1))}}));
 
-    // Pass 1: worker.lease intervals, for parenting synthesized run and
-    // batch spans by time containment (runs execute on pool threads, so
-    // the per-thread span stack cannot relate them to the lease).
-    std::vector<LeaseInterval> leases;
-    bool used_runs_tid = false;
-    bool used_batches_tid = false;
-    for (const std::vector<Field>& event : stream.events) {
-      if (str_or(event, "event", "") != "span" ||
-          str_or(event, "name", "") != "worker.lease") {
-        continue;
+    // Pass 1: the session's span intervals, to parent synthesized run and
+    // batch events by containment.
+    struct SpanInterval {
+      Interval interval;
+      std::uint64_t id = 0;
+    };
+    std::vector<SpanInterval> spans;
+    for (std::size_t i = first; i < last; ++i) {
+      if (str_or(stream.events[i], "event", "") == "span") {
+        spans.push_back({interval_of(stream.events[i], /*is_span=*/true),
+                         u64_or(stream.events[i], "id", 0)});
       }
-      const std::uint64_t dur = u64_or(event, "dur_us", 0);
-      const std::int64_t start =
-          stream.clock_offset_us +
-          static_cast<std::int64_t>(
-              u64_or(event, "start_us", u64_or(event, "t_us", 0) - dur));
-      leases.push_back(LeaseInterval{
-          start, start + static_cast<std::int64_t>(dur),
-          u64_or(event, "id", 0)});
     }
-    const auto containing_lease =
-        [&leases, &serve_leases](std::int64_t ts) -> std::uint64_t {
-      for (const LeaseInterval& lease : leases) {
-        if (ts >= lease.start_ts && ts <= lease.end_ts) return lease.span_id;
+    const auto innermost_container =
+        [&spans](const Interval& inner) -> std::uint64_t {
+      std::uint64_t parent = 0;
+      std::int64_t parent_length = 0;
+      for (const SpanInterval& span : spans) {
+        const std::int64_t length = span.interval.end - span.interval.start;
+        if (span.interval.start <= inner.start &&
+            inner.end <= span.interval.end &&
+            (parent == 0 || length < parent_length)) {
+          parent = span.id;
+          parent_length = length;
+        }
       }
-      for (const LeaseInterval& lease : serve_leases) {
-        if (ts >= lease.start_ts && ts <= lease.end_ts) return lease.span_id;
-      }
-      return 0;
+      return parent;
     };
 
     // Pass 2: render.
-    std::uint64_t done_runs = 0;
-    std::int64_t last_done_ts = 0;
-    for (const std::vector<Field>& event : stream.events) {
+    bool used_runs_tid = false;
+    bool used_batches_tid = false;
+    for (std::size_t i = first; i < last; ++i) {
+      const std::vector<Field>& event = stream.events[i];
       const std::string name = str_or(event, "event", "");
-      const std::int64_t t_us =
-          stream.clock_offset_us +
-          static_cast<std::int64_t>(u64_or(event, "t_us", 0));
+      const auto t_us = static_cast<std::int64_t>(u64_or(event, "t_us", 0));
 
       if (name == "span") {
-        const std::uint64_t dur = u64_or(event, "dur_us", 0);
-        const std::int64_t start =
-            stream.clock_offset_us +
-            static_cast<std::int64_t>(u64_or(
-                event, "start_us",
-                u64_or(event, "t_us", 0) - dur));
+        const Interval span = interval_of(event, /*is_span=*/true);
         std::vector<Field> args = {
             {"span_id", Value(u64_or(event, "id", 0))},
             {"parent_span_id", Value(u64_or(event, "parent_id", 0))}};
@@ -262,116 +251,70 @@ TraceExportSummary write_chrome_trace(
           if (!is_span_envelope_key(field.key)) args.push_back(field);
         }
         events.push_back(trace_event(
-            'X', str_or(event, "name", "span"), stream.pid,
-            static_cast<std::int64_t>(u64_or(event, "tid", 0)), start,
-            static_cast<std::int64_t>(dur), args));
+            'X', str_or(event, "name", "span"), pid,
+            static_cast<std::int64_t>(u64_or(event, "tid", 0)), span.start,
+            span.end - span.start, args));
         ++summary.spans;
         continue;
       }
 
-      if (name == "campaign.run.end") {
-        const std::uint64_t dur = u64_or(event, "dur_us", 0);
-        const std::int64_t start = t_us - static_cast<std::int64_t>(dur);
-        std::vector<Field> args = {
-            {"kind", Value(str_or(event, "kind", "run"))},
-            {"flat", Value(u64_or(event, "flat", 0))}};
-        if (const std::uint64_t lease = containing_lease(t_us); lease != 0) {
-          args.push_back({"parent_span_id", Value(lease)});
+      if (name == "campaign.run.end" || name == "campaign.batch.done") {
+        const bool run = name == "campaign.run.end";
+        const Interval interval = interval_of(event, /*is_span=*/false);
+        std::vector<Field> args;
+        if (run) {
+          args = {{"kind", Value(str_or(event, "kind", "run"))},
+                  {"flat", Value(u64_or(event, "flat", 0))}};
+        } else {
+          args = {{"fire_ms", Value(u64_or(event, "fire_ms", 0))},
+                  {"test_cases", Value(u64_or(event, "test_cases", 1))},
+                  {"lanes", Value(u64_or(event, "lanes", 0))}};
         }
-        events.push_back(trace_event('X', "campaign.run", stream.pid,
-                                     kRunsTid, start,
-                                     static_cast<std::int64_t>(dur), args));
-        used_runs_tid = true;
+        if (const std::uint64_t parent = innermost_container(interval);
+            parent != 0) {
+          args.push_back({"parent_span_id", Value(parent)});
+        }
+        events.push_back(trace_event(
+            'X', run ? "campaign.run" : "campaign.batch", pid,
+            run ? kRunsTid : kBatchesTid, interval.start,
+            interval.end - interval.start, args));
+        (run ? used_runs_tid : used_batches_tid) = true;
         ++summary.synthesized;
         continue;
       }
 
-      if (name == "campaign.batch.done") {
-        const std::uint64_t dur = u64_or(event, "dur_us", 0);
-        const std::int64_t start = t_us - static_cast<std::int64_t>(dur);
-        std::vector<Field> args = {
-            {"fire_ms", Value(u64_or(event, "fire_ms", 0))},
-            {"test_cases", Value(u64_or(event, "test_cases", 1))},
-            {"lanes", Value(u64_or(event, "lanes", 0))}};
-        if (const std::uint64_t lease = containing_lease(t_us); lease != 0) {
-          args.push_back({"parent_span_id", Value(lease)});
-        }
-        events.push_back(trace_event('X', "campaign.batch", stream.pid,
-                                     kBatchesTid, start,
-                                     static_cast<std::int64_t>(dur), args));
-        used_batches_tid = true;
-        ++summary.synthesized;
-        continue;
-      }
-
-      // Counter tracks.
-      if (const Value* pending = find(event, "pending");
-          pending != nullptr && pending->is_number()) {
-        events.push_back(trace_event(
-            'C', "serve.pending_ranges", stream.pid, 0, t_us, 0,
-            {{"value", *pending}}));
-        ++summary.counter_samples;
-      }
-      if (name == "serve.partial_estimate") {
-        events.push_back(trace_event(
-            'C', "serve.runs_covered", stream.pid, 0, t_us, 0,
-            {{"value", Value(u64_or(event, "runs_covered", 0))}}));
-        ++summary.counter_samples;
-      }
-      if (name == "serve.lease.complete") {
-        const std::uint64_t executed = u64_or(event, "executed", 0);
-        if (last_done_ts != 0 && t_us > last_done_ts) {
-          const double rate =
-              static_cast<double>(executed) * 1e6 /
-              static_cast<double>(t_us - last_done_ts);
-          events.push_back(trace_event('C', "serve.runs_per_s", stream.pid,
-                                       0, t_us, 0, {{"value", Value(rate)}}));
-          ++summary.counter_samples;
-        }
-        done_runs += executed;
-        last_done_ts = t_us;
-        events.push_back(trace_event('C', "serve.runs_done", stream.pid, 0,
-                                     t_us, 0,
-                                     {{"value", Value(done_runs)}}));
-        ++summary.counter_samples;
-      }
       if (name == "metric" && str_or(event, "kind", "") == "counter") {
         const Value* value = find(event, "value");
         if (value != nullptr && value->is_number()) {
-          events.push_back(trace_event(
-              'C', "metric." + str_or(event, "name", "?"), stream.pid, 0,
-              t_us, 0, {{"value", *value}}));
+          events.push_back(trace_event('C',
+                                       "metric." + str_or(event, "name", "?"),
+                                       pid, 0, t_us, 0, {{"value", *value}}));
           ++summary.counter_samples;
         }
+        continue;
       }
 
       // Instants: lifecycle events worth a timeline mark. Per-run noise
-      // (run.start, injection.done, journal.append, metric) is skipped.
-      const bool instant =
-          name.rfind("serve.", 0) == 0 || name.rfind("worker.", 0) == 0 ||
-          name.rfind("flight.", 0) == 0 || name == "golden.done" ||
-          name == "campaign.done" || name == "delta.done" ||
-          name == "journal.resume_scan";
-      if (instant) {
+      // (run.start, injection.done, journal.append) is skipped.
+      if (name == "golden.done" || name == "campaign.done" ||
+          name == "delta.done" || name == "journal.resume_scan") {
         std::vector<Field> args;
         for (const Field& field : event) {
           if (field.key != "event" && field.key != "t_us") {
             args.push_back(field);
           }
         }
-        events.push_back(
-            trace_event('i', name, stream.pid, 0, t_us, 0, args, "p"));
+        events.push_back(trace_event('i', name, pid, 0, t_us, 0, args, "p"));
         ++summary.instants;
       }
     }
 
     if (used_runs_tid) {
-      events.push_back(trace_event('M', "thread_name", stream.pid, kRunsTid,
-                                   0, 0, {{"name", Value("runs")}}));
+      events.push_back(trace_event('M', "thread_name", pid, kRunsTid, 0, 0,
+                                   {{"name", Value("runs")}}));
     }
     if (used_batches_tid) {
-      events.push_back(trace_event('M', "thread_name", stream.pid,
-                                   kBatchesTid, 0, 0,
+      events.push_back(trace_event('M', "thread_name", pid, kBatchesTid, 0, 0,
                                    {{"name", Value("batches")}}));
     }
   }

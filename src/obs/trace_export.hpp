@@ -1,41 +1,43 @@
-// Merged Chrome/Perfetto trace export for cross-process campaigns.
+// Chrome/Perfetto trace export of a campaign's telemetry stream.
 //
-// A served campaign leaves one NDJSON telemetry stream per process: the
-// dispatcher's telemetry.ndjson plus one telemetry-w<id>.ndjson per
-// worker. Each stream's timestamps count from that process's own
-// steady-clock epoch (obs/clock.hpp), so merging them needs a per-stream
-// clock offset -- recovered from the HELLO handshake: the worker stamps
-// its own steady_us on HELLO, the dispatcher logs its receipt time, and
-// the difference dates one clock against the other (pipe latency, tens of
-// microseconds, is the error bound).
+// A journaled campaign appends its NDJSON events to one log
+// (<journal>/telemetry.ndjson); every `campaign run`, `resume` or `delta`
+// invocation on the journal adds one session. Each session's timestamps
+// and span ids count from its own process (obs/clock.hpp, obs/span.hpp),
+// so the exporter splits the stream into sessions and renders each one as
+// its own process track. A session opens at its journal.resume_scan event
+// (or the delta.plan event just before it): every session opens the
+// journal exactly once.
 //
-// The exporter renders the merged streams as Chrome trace-event JSON
+// The exporter renders the sessions as Chrome trace-event JSON
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 // -- the format both chrome://tracing and ui.perfetto.dev load):
 //
 //   * "span" events         -> "X" complete events on their thread track,
 //                              args carrying span_id/parent_span_id so the
-//                              cross-process parent chain (worker run ->
-//                              worker.lease -> serve.lease) is navigable;
+//                              chain campaign.*_phase -> campaign is
+//                              navigable;
 //   * campaign.run.end      -> synthesized "campaign.run" X events (the
 //                              hot path emits paired start/end events, not
-//                              per-run spans), parented by time containment
-//                              under the enclosing worker.lease span;
-//   * campaign.batch.done   -> synthesized "campaign.batch" X events;
-//   * pending/runs_covered/ -> "C" counter tracks (queue depth, partial-
-//     runs-per-second          estimate progress, completion rate);
+//                              per-run spans), parented under the
+//                              innermost span of their session whose
+//                              interval contains them (the golden or
+//                              injection phase: runs execute on pool
+//                              threads, so the per-thread span stack
+//                              cannot relate them to the phase);
+//   * campaign.batch.done   -> synthesized "campaign.batch" X events,
+//                              parented the same way;
 //   * final "metric" counter
 //     events                -> one "C" sample each (batch-kernel tick
 //                              counters land here);
-//   * remaining serve.*/
-//     worker/golden events  -> "i" instants;
+//   * golden.done, journal.resume_scan and the session's done event
+//                           -> "i" instants;
 //   * per-run noise (run.start, injection.done, journal.append) is
 //     consumed or skipped -- a trace is a timeline, not a replay log.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -43,17 +45,16 @@
 
 namespace propane::obs {
 
-/// One process's parsed telemetry stream, with the clock offset that maps
-/// its process-local timestamps onto the merged timeline.
+/// One parsed telemetry stream: the events of every session that appended
+/// to the log, in file order.
 struct TraceStream {
-  std::string name;                 // track name, e.g. "dispatcher"
-  std::int64_t pid = 0;             // trace process id (the real pid)
-  std::int64_t clock_offset_us = 0; // added to every t_us/start_us
+  std::string name;  // process-track name, e.g. "campaign"
   std::vector<std::vector<Field>> events;
 };
 
 struct TraceExportSummary {
   std::size_t trace_events = 0;     // total entries in traceEvents
+  std::size_t sessions = 0;         // process tracks (one per session)
   std::size_t spans = 0;            // X events from real "span" events
   std::size_t synthesized = 0;      // X events synthesized from run/batch
   std::size_t counter_samples = 0;  // C samples
@@ -66,15 +67,9 @@ struct TraceExportSummary {
 std::size_t parse_ndjson_stream(std::istream& in,
                                 std::vector<std::vector<Field>>& out);
 
-/// Clock offsets for worker streams, from the dispatcher's
-/// serve.worker.hello events: offset = dispatcher receipt t_us - the
-/// worker_steady_us the worker stamped on HELLO. Workers whose hello
-/// predates the trace context (no worker_steady_us field) are absent.
-std::map<std::uint32_t, std::int64_t> hello_clock_offsets(
-    const TraceStream& dispatcher);
-
-/// Writes the merged streams as one Chrome trace-event JSON object.
+/// Writes the stream as one Chrome trace-event JSON object, session k
+/// (from 1) as process k.
 TraceExportSummary write_chrome_trace(std::ostream& out,
-                                      const std::vector<TraceStream>& streams);
+                                      const TraceStream& stream);
 
 }  // namespace propane::obs

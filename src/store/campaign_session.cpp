@@ -34,7 +34,7 @@ void require_same_manifest(const Manifest& expected, const Manifest& found,
 
 JournaledCampaignSession::JournaledCampaignSession(
     const fi::CampaignConfig& config, const std::filesystem::path& dir,
-    const JournalRunOptions& options, const std::string& session_tag)
+    const JournalRunOptions& options)
     : manifest_(manifest_for(config)), options_(options) {
   PROPANE_REQUIRE(options_.process_count > 0);
   PROPANE_REQUIRE(options_.process_index < options_.process_count);
@@ -78,10 +78,9 @@ JournaledCampaignSession::JournaledCampaignSession(
   }
   warnings_ = std::move(state.warnings);
   completed_ = std::move(state.completed);
-  completed_count_ = state.completed_count;
   if (completed_.empty()) completed_.assign(manifest_.total_runs(), false);
 
-  // shard_count 0 = auto: one shard per campaign worker thread, so the
+  // shard_count 0 = auto: one shard per campaign pool thread, so the
   // parallel batch path appends journal records without shard contention.
   std::size_t shard_count = options_.shard_count;
   if (shard_count == 0) {
@@ -91,7 +90,7 @@ JournaledCampaignSession::JournaledCampaignSession(
             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   writer_ = std::make_unique<ShardedJournalWriter>(
-      dir, manifest_, shard_count, telemetry_, session_tag);
+      dir, manifest_, shard_count, telemetry_);
   if (progress_ != nullptr) {
     progress_->set_total(manifest_.total_runs());
     progress_->set_journal(writer_->bytes_written(), writer_->shard_count());

@@ -1,14 +1,13 @@
 // Journal-backed campaign session: the resume/append mechanics shared by
-// run_journaled_campaign, run_delta_journaled_campaign and the campaign
-// service's worker loop (src/svc).
+// run_journaled_campaign and run_delta_journaled_campaign.
 //
 // A session owns one pass over a campaign directory: it resume-scans the
 // shards into the completed-run set, opens this session's own shard files,
 // and hands out fi::CampaignHooks that (a) filter runs already journaled or
 // owned by another process of a split and (b) append every executed record
-// durably before the worker thread picks up another run. The three callers
-// differ only in what they layer on top (nothing, delta replay bookkeeping,
-// or lease-range execution) -- the crash-safety story lives here, once.
+// durably before the worker thread picks up another run. The two callers
+// differ only in what they layer on top (nothing, or delta replay
+// bookkeeping) -- the crash-safety story lives here, once.
 #pragma once
 
 #include <atomic>
@@ -48,28 +47,18 @@ struct SessionTally {
 class JournaledCampaignSession {
  public:
   /// Resume-scans `dir` (a hard error if it belongs to a different plan
-  /// than `config`) and opens this session's shard writer. `session_tag`
-  /// disambiguates shard names across concurrent writer processes (see
-  /// ShardedJournalWriter).
+  /// than `config`) and opens this session's shard writer.
   JournaledCampaignSession(const fi::CampaignConfig& config,
                            const std::filesystem::path& dir,
-                           const JournalRunOptions& options,
-                           const std::string& session_tag = {});
+                           const JournalRunOptions& options);
   ~JournaledCampaignSession();
 
   JournaledCampaignSession(const JournaledCampaignSession&) = delete;
   JournaledCampaignSession& operator=(const JournaledCampaignSession&) =
       delete;
 
-  const Manifest& manifest() const { return manifest_; }
   std::size_t total_runs() const { return manifest_.total_runs(); }
-  /// Telemetry after the enabled() collapse: null when absent or disabled.
-  const obs::Telemetry* telemetry() const { return telemetry_; }
-  obs::ProgressReporter* progress() const { return progress_; }
   const std::vector<std::string>& warnings() const { return warnings_; }
-  std::size_t completed_count() const { return completed_count_; }
-  bool is_completed(std::size_t flat) const { return completed_[flat]; }
-  ShardedJournalWriter& writer() { return *writer_; }
 
   /// Hooks wired to this session's filter and journal sink. Callers may
   /// copy and extend them (the delta path wraps on_record and adds replay
@@ -101,7 +90,6 @@ class JournaledCampaignSession {
   obs::ProgressReporter* progress_ = nullptr;
   std::vector<std::string> warnings_;
   std::vector<bool> completed_;
-  std::size_t completed_count_ = 0;
   std::vector<std::pair<std::size_t, fi::InjectionRecord>> reloaded_;
   std::unique_ptr<ShardedJournalWriter> writer_;
   std::uint64_t journal_base_bytes_ = 0;

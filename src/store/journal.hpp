@@ -140,8 +140,8 @@ struct JournalTailScan {
 /// frame the reader can see is immutable, so polling with the returned
 /// next_offset yields every record exactly once. A CRC mismatch on a
 /// complete frame is still a hard error (corruption, never an in-flight
-/// write). The campaign dispatcher polls this to stream partial
-/// permeability estimates while workers are appending.
+/// write). A reader can poll this to follow a campaign that is still
+/// appending.
 JournalTailScan scan_journal_tail(
     const std::filesystem::path& path, std::size_t resume_offset,
     const std::function<void(fi::InjectionRecord&&)>& sink);

@@ -80,7 +80,7 @@ CampaignDirState for_each_journal_record(
 
 struct JournalRunOptions {
   /// Shard files this session writes (>= worker threads removes
-  /// contention). 0 = auto: one shard per campaign worker thread
+  /// contention). 0 = auto: one shard per campaign pool thread
   /// (config.threads, or hardware concurrency when that is 0), so
   /// thread-parallel batch execution appends without shard-mutex
   /// contention by default. Estimates and CSVs are pure functions of

@@ -10,18 +10,16 @@ namespace propane::store {
 
 namespace {
 
-std::string shard_name(const std::string& tag, std::size_t index) {
-  char buffer[96];
-  if (tag.empty()) {
-    std::snprintf(buffer, sizeof(buffer), "shard-%06zu.pjl", index);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "shard-%s-%06zu.pjl", tag.c_str(),
-                  index);
-  }
+std::string shard_name(std::size_t index) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "shard-%06zu.pjl", index);
   return buffer;
 }
 
-/// Index one past the highest existing shard number in `dir`.
+/// Index one past the highest existing shard number in `dir`. The number
+/// follows the stem's last dash, so journals that also hold tagged shards
+/// (shard-<tag>-NNNNNN.pjl, written by older builds) still number past
+/// them.
 std::size_t next_shard_index(const std::filesystem::path& dir) {
   std::size_t next = 0;
   for (const auto& path : ShardedJournalWriter::list_shards(dir)) {
@@ -41,25 +39,18 @@ std::size_t next_shard_index(const std::filesystem::path& dir) {
 ShardedJournalWriter::ShardedJournalWriter(const std::filesystem::path& dir,
                                            const Manifest& manifest,
                                            std::size_t shard_count,
-                                           const obs::Telemetry* telemetry,
-                                           const std::string& session_tag)
+                                           const obs::Telemetry* telemetry)
     : manifest_(manifest) {
   PROPANE_REQUIRE(shard_count > 0);
-  for (const char c : session_tag) {
-    PROPANE_REQUIRE_MSG(
-        (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-            (c >= '0' && c <= '9') || c == '_',
-        "shard session tag must match [A-Za-z0-9_]: " + session_tag);
-  }
   std::filesystem::create_directories(dir);
-  // Numbering still starts past every shard already present (any tag), so
-  // sorted shard names preserve session order even across mixed sessions.
+  // Numbering starts past every shard already present, so sorted shard
+  // names preserve session order.
   const std::size_t base = next_shard_index(dir);
   shards_.reserve(shard_count);
   std::uint64_t header_bytes = 0;
   for (std::size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->writer.emplace(dir / shard_name(session_tag, base + i), manifest_,
+    shard->writer.emplace(dir / shard_name(base + i), manifest_,
                           telemetry);
     header_bytes += shard->writer->bytes_written();
     shards_.push_back(std::move(shard));

@@ -26,16 +26,11 @@ class ShardedJournalWriter {
  public:
   /// Creates `shard_count` fresh shard files in `dir` (the directory is
   /// created if missing), each carrying `manifest`. `telemetry` (optional,
-  /// non-owning) is forwarded to every shard writer. `session_tag`, when
-  /// non-empty, is woven into the shard file names (shard-<tag>-NNNNNN.pjl)
-  /// so concurrent writer processes sharing one directory -- e.g. campaign
-  /// service workers -- cannot race each other to the same next free shard
-  /// number. Tags must be unique per live process and may contain only
-  /// [A-Za-z0-9_] (checked).
+  /// non-owning) is forwarded to every shard writer. Shards are named
+  /// shard-NNNNNN.pjl, numbered past every shard already in `dir`.
   ShardedJournalWriter(const std::filesystem::path& dir,
                        const Manifest& manifest, std::size_t shard_count = 1,
-                       const obs::Telemetry* telemetry = nullptr,
-                       const std::string& session_tag = {});
+                       const obs::Telemetry* telemetry = nullptr);
 
   /// Thread-safe append. The record's flat run index picks the shard, so
   /// the record-to-shard assignment is deterministic and two threads only

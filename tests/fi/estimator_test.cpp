@@ -285,8 +285,7 @@ TEST(Accumulator, MergeOfShardedFoldsMatchesSingleFold) {
   PermeabilityAccumulator whole(model, binding, 3);
   for (const InjectionRecord& record : campaign.records) whole.add(record);
 
-  // Split the records across per-worker accumulators and merge -- the
-  // dispatcher's streaming-partial-estimate path.
+  // Split the records across per-shard accumulators and merge.
   PermeabilityAccumulator shard_a(model, binding, 3);
   PermeabilityAccumulator shard_b(model, binding, 3);
   PermeabilityAccumulator shard_empty(model, binding, 3);

@@ -1,14 +1,19 @@
 // Telemetry must be pure observation: a campaign with metrics, events,
 // spans and a progress reporter attached must produce a byte-identical
 // permeability CSV to one with everything disabled, and every NDJSON line
-// it streams must parse back.
+// it streams must parse back. The trace exported from a journal's
+// sessions must parent every run under its session's campaign span.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/system_model.hpp"
 #include "obs/metrics.hpp"
@@ -16,6 +21,7 @@
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace_export.hpp"
 #include "store/resume.hpp"
 
 namespace propane::store {
@@ -178,6 +184,83 @@ TEST(TelemetryCampaign, ResumedSessionKeepsCsvIdenticalToo) {
   run_journaled_campaign(toy_run, toy_config(), split_dir, second_half);
 
   EXPECT_EQ(journal_csv(reference_dir), journal_csv(split_dir));
+}
+
+/// The number after `"key":` in one rendered trace-event line; `fallback`
+/// when the key is absent.
+std::uint64_t number_after(const std::string& line, const std::string& key,
+                           std::uint64_t fallback = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return fallback;
+  return std::strtoull(line.c_str() + at + needle.size(), nullptr, 10);
+}
+
+std::string name_of(const std::string& line) {
+  const std::string needle = "\"name\":\"";
+  const std::size_t at = line.find(needle) + needle.size();
+  return line.substr(at, line.find('"', at) - at);
+}
+
+TEST(TelemetryCampaign, TraceParentsEveryRunUnderItsSessionsCampaignSpan) {
+  // Two sessions append to one telemetry log, as `campaign run` and a
+  // later `campaign resume` do: the first executes half the plan, the
+  // second the rest. Each session gets its own span buffer, so both
+  // number their spans from 1, as two processes would.
+  const fs::path dir = fresh_dir("telemetry_trace");
+  std::ostringstream log;
+  for (std::uint32_t index = 0; index < 2; ++index) {
+    obs::NdjsonSink sink(log);
+    obs::SpanBuffer spans;
+    obs::Telemetry telemetry{nullptr, &sink, &spans};
+    JournalRunOptions options;
+    options.process_count = 2;
+    options.process_index = index;
+    options.telemetry = &telemetry;
+    run_journaled_campaign(toy_run, toy_config(), dir, options);
+    sink.flush();
+  }
+
+  obs::TraceStream stream;
+  stream.name = "campaign";
+  std::istringstream in(log.str());
+  EXPECT_EQ(obs::parse_ndjson_stream(in, stream.events), 0u);
+  std::ostringstream out;
+  const obs::TraceExportSummary summary = obs::write_chrome_trace(out, stream);
+  EXPECT_EQ(summary.sessions, 2u);
+
+  // Span table per process track: (pid, span_id) -> (name, parent).
+  std::map<std::pair<std::uint64_t, std::uint64_t>,
+           std::pair<std::string, std::uint64_t>>
+      span_table;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;  // pid, parent
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const std::uint64_t pid = number_after(line, "pid");
+    if (name_of(line) == "campaign.run") {
+      runs.emplace_back(pid, number_after(line, "parent_span_id"));
+    } else if (line.find("\"span_id\":") != std::string::npos) {
+      span_table[{pid, number_after(line, "span_id")}] = {
+          name_of(line), number_after(line, "parent_span_id")};
+    }
+  }
+  // 3 goldens per session plus the 12 injection runs between them.
+  EXPECT_EQ(runs.size(), 18u);
+  // Plus one batch per injection run: the toy runner is width 1.
+  EXPECT_EQ(summary.synthesized, runs.size() + 12);
+  for (const auto& [pid, first_parent] : runs) {
+    std::uint64_t parent = first_parent;
+    std::string reached = "detached";
+    for (int hop = 0; parent != 0 && hop < 8; ++hop) {
+      const auto span = span_table.find({pid, parent});
+      ASSERT_NE(span, span_table.end())
+          << "parent " << parent << " is not a span of process " << pid;
+      reached = span->second.first;
+      parent = span->second.second;
+    }
+    EXPECT_EQ(reached, "campaign") << "a run in process " << pid;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Scoped spans: per-thread nesting, completion ordering, the bounded
-// buffer's drop-oldest policy, the null-telemetry no-op path, and the
-// cross-process additions (explicit parents, id namespacing, manual spans,
-// span stats) plus concurrent push/snapshot safety.
+// buffer's drop-oldest policy, the null-telemetry no-op path, span stats
+// and concurrent push/snapshot safety.
 #include "obs/span.hpp"
 
 #include <atomic>
@@ -133,83 +132,6 @@ TEST(Span, DurationsAreOrderedByInclusion) {
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_LE(spans[0].duration_us, spans[1].duration_us);
   EXPECT_GE(spans[0].start_us, spans[1].start_us);
-}
-
-TEST(Span, ExplicitParentOverridesTheThreadStack) {
-  SpanBuffer buffer;
-  Telemetry telemetry;
-  telemetry.spans = &buffer;
-  {
-    Span local_parent(&telemetry, "local");
-    // A wire-carried parent id (another process's span) wins over the
-    // active local span.
-    SpanOptions options;
-    options.parent_id = 0xABCD;
-    Span remote_child(&telemetry, "remote_child", options);
-  }
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "remote_child");
-  EXPECT_EQ(spans[0].parent_id, 0xABCDu);
-}
-
-TEST(Span, OptionFieldsLandInTheSpanEvent) {
-  std::ostringstream out;
-  NdjsonSink sink(out);
-  Telemetry telemetry;
-  telemetry.events = &sink;
-  SpanOptions options;
-  options.parent_id = 7;
-  options.fields = {{"lease_id", Value(std::uint64_t{11})}};
-  { Span span(&telemetry, "worker.lease", options); }
-  const auto fields = parse_flat_json_object(
-      out.str().substr(0, out.str().find('\n')));
-  ASSERT_TRUE(fields.has_value());
-  bool saw_lease = false, saw_parent = false, saw_start = false;
-  for (const Field& field : *fields) {
-    if (field.key == "lease_id") {
-      EXPECT_EQ(field.value.as_uint(), 11u);
-      saw_lease = true;
-    }
-    if (field.key == "parent_id") {
-      EXPECT_EQ(field.value.as_uint(), 7u);
-      saw_parent = true;
-    }
-    if (field.key == "start_us") saw_start = true;
-  }
-  EXPECT_TRUE(saw_lease);
-  EXPECT_TRUE(saw_parent);
-  EXPECT_TRUE(saw_start);
-}
-
-TEST(SpanBuffer, IdBaseNamespacesProcesses) {
-  SpanBuffer dispatcher;
-  SpanBuffer worker;
-  worker.set_id_base(std::uint64_t{1} << 40);
-  EXPECT_EQ(dispatcher.next_id(), 1u);
-  EXPECT_EQ(worker.next_id(), (std::uint64_t{1} << 40) + 1);
-  EXPECT_EQ(worker.id_base(), std::uint64_t{1} << 40);
-}
-
-TEST(Span, ManualSpanRecordsLikeAScopedOne) {
-  SpanBuffer buffer;
-  std::ostringstream out;
-  NdjsonSink sink(out);
-  Telemetry telemetry;
-  telemetry.spans = &buffer;
-  telemetry.events = &sink;
-  emit_manual_span(&telemetry, "serve.lease", 42, 7, 1000, 250,
-                   {{"lease_id", Value(std::uint64_t{3})}});
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "serve.lease");
-  EXPECT_EQ(spans[0].id, 42u);
-  EXPECT_EQ(spans[0].parent_id, 7u);
-  EXPECT_EQ(spans[0].start_us, 1000u);
-  EXPECT_EQ(spans[0].duration_us, 250u);
-  EXPECT_NE(out.str().find("\"serve.lease\""), std::string::npos);
-  // Null telemetry: a no-op, not a crash.
-  emit_manual_span(nullptr, "nothing", 1, 0, 0, 0);
 }
 
 TEST(Span, RecordsTheEmittingThreadOrdinal) {

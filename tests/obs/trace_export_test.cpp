@@ -1,7 +1,7 @@
-// Merged Chrome-trace export: torn-line-tolerant stream parsing, HELLO
-// clock-offset recovery, and the render pass -- span X events with the
-// cross-process parent chain in args, synthesized run/batch spans parented
-// by lease containment, counter tracks, instants and metadata rows.
+// Chrome-trace export: torn-line-tolerant stream parsing and the render
+// pass -- span X events with their parent chain in args, synthesized
+// run/batch spans parented by phase containment, one process track per
+// session, counter tracks, instants and metadata rows.
 #include "obs/trace_export.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +21,34 @@ std::vector<Field> event_row(std::string name,
   return row;
 }
 
+std::vector<Field> span_row(std::string name, std::uint64_t id,
+                            std::uint64_t parent_id, std::uint64_t start_us,
+                            std::uint64_t dur_us) {
+  return event_row("span", {{"name", Value(std::move(name))},
+                            {"id", Value(id)},
+                            {"parent_id", Value(parent_id)},
+                            {"tid", Value(std::uint64_t{0})},
+                            {"start_us", Value(start_us)},
+                            {"dur_us", Value(dur_us)},
+                            {"t_us", Value(start_us + dur_us)}});
+}
+
+std::vector<Field> run_end_row(std::uint64_t t_us, std::uint64_t dur_us,
+                               std::uint64_t flat) {
+  return event_row("campaign.run.end", {{"t_us", Value(t_us)},
+                                        {"dur_us", Value(dur_us)},
+                                        {"kind", Value("injection")},
+                                        {"flat", Value(flat)}});
+}
+
+/// The line of the rendered trace that contains `needle` (empty if none).
+std::string line_with(const std::string& trace, const std::string& needle) {
+  const std::size_t at = trace.find(needle);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = trace.rfind('\n', at) + 1;
+  return trace.substr(begin, trace.find('\n', at) - begin);
+}
+
 TEST(ParseNdjsonStream, CountsTornLinesInsteadOfFailing) {
   std::istringstream in(
       "{\"event\":\"a\",\"t_us\":1}\n"
@@ -34,196 +62,170 @@ TEST(ParseNdjsonStream, CountsTornLinesInsteadOfFailing) {
   EXPECT_EQ(rows[1][0].value.as_string(), "b");
 }
 
-TEST(HelloClockOffsets, DatesWorkerClocksAgainstTheDispatcher) {
-  TraceStream dispatcher;
-  dispatcher.events.push_back(event_row(
-      "serve.worker.hello", {{"worker_id", Value(std::uint64_t{0})},
-                             {"t_us", Value(std::uint64_t{5000})},
-                             {"worker_steady_us", Value(std::uint64_t{40})}}));
-  dispatcher.events.push_back(event_row(
-      "serve.worker.hello", {{"worker_id", Value(std::uint64_t{1})},
-                             {"t_us", Value(std::uint64_t{9000})},
-                             {"worker_steady_us", Value(std::uint64_t{25})}}));
-  // A pre-trace-context hello (no worker_steady_us) contributes nothing.
-  dispatcher.events.push_back(event_row(
-      "serve.worker.hello", {{"worker_id", Value(std::uint64_t{2})},
-                             {"t_us", Value(std::uint64_t{9500})}}));
-  const auto offsets = hello_clock_offsets(dispatcher);
-  ASSERT_EQ(offsets.size(), 2u);
-  EXPECT_EQ(offsets.at(0), 4960);
-  EXPECT_EQ(offsets.at(1), 8975);
-  EXPECT_EQ(offsets.count(2), 0u);
-}
-
-TEST(HelloClockOffsets, ShiftsByTheDispatcherOwnOffset) {
-  TraceStream dispatcher;
-  dispatcher.clock_offset_us = 100;
-  dispatcher.events.push_back(event_row(
-      "serve.worker.hello", {{"worker_id", Value(std::uint64_t{0})},
-                             {"t_us", Value(std::uint64_t{1000})},
-                             {"worker_steady_us", Value(std::uint64_t{10})}}));
-  EXPECT_EQ(hello_clock_offsets(dispatcher).at(0), 1090);
-}
-
-TEST(WriteChromeTrace, RendersSpansWithTheCrossProcessParentChain) {
-  TraceStream worker;
-  worker.name = "w0";
-  worker.pid = 4242;
-  worker.clock_offset_us = 1000;
-  worker.events.push_back(event_row(
-      "span", {{"name", Value("worker.lease")},
-               {"id", Value(std::uint64_t{77})},
-               {"parent_id", Value(std::uint64_t{5})},
-               {"tid", Value(std::uint64_t{1})},
-               {"start_us", Value(std::uint64_t{100})},
-               {"dur_us", Value(std::uint64_t{900})},
-               {"t_us", Value(std::uint64_t{1000})},
-               {"lease_id", Value(std::uint64_t{3})}}));
+TEST(WriteChromeTrace, RendersSpansWithTheirParentChain) {
+  TraceStream stream;
+  stream.name = "campaign";
+  stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 100, 900));
+  stream.events.back().push_back({"extra", Value(std::uint64_t{3})});
+  stream.events.push_back(span_row("campaign", 2, 0, 50, 1000));
   std::ostringstream out;
-  const TraceExportSummary summary = write_chrome_trace(out, {worker});
+  const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
 
-  EXPECT_EQ(summary.spans, 1u);
-  EXPECT_EQ(summary.trace_events, 2u);  // process_name M + the X event
+  EXPECT_EQ(summary.sessions, 1u);
+  EXPECT_EQ(summary.spans, 2u);
+  EXPECT_EQ(summary.trace_events, 3u);  // process_name M + two X events
   EXPECT_NE(trace.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(trace.find("\"traceEvents\":["), std::string::npos);
-  // Process metadata names the track.
-  EXPECT_NE(trace.find("\"ph\":\"M\",\"name\":\"process_name\",\"pid\":4242"),
+  // Process metadata names the session's track.
+  EXPECT_NE(trace.find("\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"w0\""), std::string::npos);
-  // The span renders as a complete event at the clock-shifted start, with
-  // the wire parent and pass-through fields in args.
-  EXPECT_NE(trace.find("\"ph\":\"X\",\"name\":\"worker.lease\""),
+  EXPECT_NE(trace.find("\"name\":\"campaign session 1\""), std::string::npos);
+  // Each span renders as a complete event at its start, with its parent
+  // and pass-through fields in args.
+  const std::string phase = line_with(trace, "\"name\":\"campaign.injection_phase\"");
+  EXPECT_NE(phase.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(phase.find("\"ts\":100,\"dur\":900"), std::string::npos);
+  EXPECT_NE(phase.find("\"span_id\":4,\"parent_span_id\":2,\"extra\":3"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"ts\":1100,\"dur\":900"), std::string::npos);
-  EXPECT_NE(trace.find("\"span_id\":77"), std::string::npos);
-  EXPECT_NE(trace.find("\"parent_span_id\":5"), std::string::npos);
-  EXPECT_NE(trace.find("\"lease_id\":3"), std::string::npos);
+  const std::string root = line_with(trace, "\"name\":\"campaign\",");
+  EXPECT_NE(root.find("\"ts\":50,\"dur\":1000"), std::string::npos);
+  EXPECT_NE(root.find("\"span_id\":2,\"parent_span_id\":0"),
+            std::string::npos);
 }
 
-TEST(WriteChromeTrace, ParentsSynthesizedRunsByLeaseContainment) {
-  TraceStream worker;
-  worker.name = "w1";
-  worker.pid = 7;
-  worker.events.push_back(event_row(
-      "span", {{"name", Value("worker.lease")},
-               {"id", Value(std::uint64_t{55})},
-               {"start_us", Value(std::uint64_t{1000})},
-               {"dur_us", Value(std::uint64_t{4000})}}));
-  // Inside the lease window: adopted.
-  worker.events.push_back(event_row(
-      "campaign.run.end", {{"t_us", Value(std::uint64_t{3000})},
+TEST(WriteChromeTrace, ParentsSynthesizedRunsByPhaseContainment) {
+  TraceStream stream;
+  stream.name = "campaign";
+  // Runs and batches end before the spans that contain them close, so
+  // their events precede the span events in the stream.
+  stream.events.push_back(event_row(
+      "campaign.run.end", {{"t_us", Value(std::uint64_t{900})},
                            {"dur_us", Value(std::uint64_t{100})},
-                           {"kind", Value("faulty")}}));
-  // Outside any lease: synthesized without a parent.
-  worker.events.push_back(event_row(
-      "campaign.run.end", {{"t_us", Value(std::uint64_t{9000})},
-                           {"dur_us", Value(std::uint64_t{50})}}));
-  worker.events.push_back(event_row(
+                           {"kind", Value("golden")}}));
+  stream.events.push_back(span_row("campaign.golden_phase", 3, 2, 100, 1000));
+  stream.events.push_back(run_end_row(3000, 100, 7));
+  stream.events.push_back(event_row(
       "campaign.batch.done", {{"t_us", Value(std::uint64_t{4000})},
                               {"dur_us", Value(std::uint64_t{200})},
                               {"lanes", Value(std::uint64_t{16})}}));
+  // Straddles the injection phase's start: only the root contains it.
+  stream.events.push_back(run_end_row(1300, 200, 8));
+  stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 1200, 7800));
+  stream.events.push_back(span_row("campaign", 2, 0, 50, 9000));
+  // After every span closed: no container, so no parent.
+  stream.events.push_back(run_end_row(20000, 50, 9));
   std::ostringstream out;
-  const TraceExportSummary summary = write_chrome_trace(out, {worker});
+  const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
 
-  EXPECT_EQ(summary.synthesized, 3u);
+  EXPECT_EQ(summary.synthesized, 5u);  // four runs and a batch
   // Runs and batches land on their virtual tracks, named via metadata.
-  EXPECT_NE(trace.find("\"name\":\"campaign.run\",\"pid\":7,\"tid\":99"),
+  EXPECT_NE(trace.find("\"name\":\"campaign.run\",\"pid\":1,\"tid\":99"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"campaign.batch\",\"pid\":7,\"tid\":98"),
+  EXPECT_NE(trace.find("\"name\":\"campaign.batch\",\"pid\":1,\"tid\":98"),
             std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"runs\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"batches\""), std::string::npos);
-  // The contained run (and batch) carry the lease span as parent; the
-  // orphan run must not.
-  EXPECT_NE(trace.find("\"ts\":2900,\"dur\":100,\"args\":{\"kind\":\"faulty\","
-                       "\"flat\":0,\"parent_span_id\":55}"),
+  // Each run takes the innermost span containing its whole interval.
+  EXPECT_NE(trace.find("\"ts\":800,\"dur\":100,\"args\":{\"kind\":\"golden\","
+                       "\"flat\":0,\"parent_span_id\":3}"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"parent_span_id\":55}"), std::string::npos);
-  const std::size_t orphan = trace.find("\"ts\":8950,\"dur\":50");
-  ASSERT_NE(orphan, std::string::npos);
-  const std::size_t orphan_end = trace.find('\n', orphan);
-  EXPECT_EQ(trace.substr(orphan, orphan_end - orphan).find("parent_span_id"),
+  EXPECT_NE(trace.find("\"ts\":2900,\"dur\":100,\"args\":{\"kind\":"
+                       "\"injection\",\"flat\":7,\"parent_span_id\":4}"),
             std::string::npos);
+  EXPECT_NE(line_with(trace, "\"name\":\"campaign.batch\"")
+                .find("\"ts\":3800,\"dur\":200,\"args\":{\"fire_ms\":0,"
+                      "\"test_cases\":1,\"lanes\":16,\"parent_span_id\":4}"),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"flat\":8,\"parent_span_id\":2}"),
+            std::string::npos);
+  const std::string orphan = line_with(trace, "\"flat\":9");
+  ASSERT_FALSE(orphan.empty());
+  EXPECT_EQ(orphan.find("parent_span_id"), std::string::npos);
 }
 
-TEST(WriteChromeTrace, FallsBackToDispatcherLeaseWhenTheWorkerSpanIsLost) {
-  // A worker SIGKILLed mid-lease never emits its worker.lease span; its
-  // flight-recovered runs must still parent to the dispatcher's
-  // serve.lease span, which the dispatcher closes on detecting the death.
-  TraceStream dispatcher;
-  dispatcher.name = "dispatcher";
-  dispatcher.pid = 1;
-  dispatcher.events.push_back(event_row(
-      "span", {{"name", Value("serve.lease")},
-               {"id", Value(std::uint64_t{12})},
-               {"start_us", Value(std::uint64_t{1000})},
-               {"dur_us", Value(std::uint64_t{8000})}}));
-  TraceStream worker;
-  worker.name = "w0";
-  worker.pid = 2;
-  worker.clock_offset_us = 500;  // HELLO-aligned onto dispatcher time
-  worker.events.push_back(event_row(
-      "campaign.run.end", {{"t_us", Value(std::uint64_t{2000})},
-                           {"dur_us", Value(std::uint64_t{100})}}));
+TEST(WriteChromeTrace, RendersEachSessionAsItsOwnProcess) {
+  // Two sessions appended to one log: the second restarts its clock and
+  // its span ids, so neither may adopt the other's spans.
+  TraceStream stream;
+  stream.name = "campaign";
+  stream.events.push_back(event_row("delta.plan"));
+  stream.events.push_back(event_row("journal.resume_scan"));
+  stream.events.push_back(run_end_row(3000, 100, 1));
+  stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 1000, 4000));
+  stream.events.push_back(span_row("campaign", 2, 0, 500, 5000));
+  stream.events.push_back(event_row("delta.done"));
+  stream.events.push_back(event_row("delta.plan"));
+  stream.events.push_back(event_row("journal.resume_scan"));
+  // Inside session 1's injection phase, but not inside session 2's.
+  stream.events.push_back(run_end_row(2000, 100, 2));
+  stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 2500, 100));
+  stream.events.push_back(span_row("campaign", 2, 0, 1500, 6000));
   std::ostringstream out;
-  write_chrome_trace(out, {dispatcher, worker});
+  const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
 
-  // Aligned run ts 2500 falls inside the dispatcher lease [1000, 9000].
-  EXPECT_NE(trace.find("\"ts\":2400,\"dur\":100,\"args\":{\"kind\":\"run\","
-                       "\"flat\":0,\"parent_span_id\":12}"),
+  EXPECT_EQ(summary.sessions, 2u);
+  EXPECT_EQ(summary.spans, 4u);
+  EXPECT_NE(trace.find("\"pid\":2,\"tid\":0,\"args\":{\"name\":"
+                       "\"campaign session 2\"}"),
             std::string::npos);
+  const std::string first = line_with(trace, "\"flat\":1");
+  EXPECT_NE(first.find("\"pid\":1,"), std::string::npos);
+  EXPECT_NE(first.find("\"parent_span_id\":4}"), std::string::npos);
+  const std::string second = line_with(trace, "\"flat\":2");
+  EXPECT_NE(second.find("\"pid\":2,"), std::string::npos);
+  EXPECT_NE(second.find("\"parent_span_id\":2}"), std::string::npos);
 }
 
 TEST(WriteChromeTrace, EmitsCounterTracksAndInstants) {
-  TraceStream dispatcher;
-  dispatcher.name = "dispatcher";
-  dispatcher.pid = 1;
-  dispatcher.events.push_back(event_row(
-      "serve.lease.grant", {{"t_us", Value(std::uint64_t{100})},
-                            {"pending", Value(std::uint64_t{9})}}));
-  dispatcher.events.push_back(event_row(
-      "serve.partial_estimate",
-      {{"t_us", Value(std::uint64_t{200})},
-       {"runs_covered", Value(std::uint64_t{64})}}));
-  dispatcher.events.push_back(event_row(
-      "serve.lease.complete", {{"t_us", Value(std::uint64_t{300})},
-                               {"executed", Value(std::uint64_t{50})}}));
-  dispatcher.events.push_back(event_row(
-      "serve.lease.complete", {{"t_us", Value(std::uint64_t{500})},
-                               {"executed", Value(std::uint64_t{30})}}));
-  dispatcher.events.push_back(event_row(
+  TraceStream stream;
+  stream.name = "campaign";
+  stream.events.push_back(event_row(
+      "journal.resume_scan", {{"t_us", Value(std::uint64_t{100})},
+                              {"completed", Value(std::uint64_t{9})}}));
+  stream.events.push_back(event_row(
+      "golden.done", {{"t_us", Value(std::uint64_t{200})},
+                      {"test_case", Value(std::uint64_t{0})}}));
+  stream.events.push_back(event_row(
+      "delta.done", {{"t_us", Value(std::uint64_t{500})},
+                     {"executed", Value(std::uint64_t{30})}}));
+  stream.events.push_back(event_row(
       "metric", {{"t_us", Value(std::uint64_t{600})},
                  {"kind", Value("counter")},
                  {"name", Value("batch.kernel.ticks")},
                  {"value", Value(std::uint64_t{1234})}}));
-  dispatcher.events.push_back(
-      event_row("run.start", {{"t_us", Value(std::uint64_t{50})}}));
+  stream.events.push_back(event_row(
+      "metric", {{"t_us", Value(std::uint64_t{600})},
+                 {"kind", Value("gauge")},
+                 {"name", Value("journal.resume.scan_ms")},
+                 {"value", Value(0.5)}}));
+  stream.events.push_back(
+      event_row("campaign.run.start", {{"t_us", Value(std::uint64_t{50})}}));
+  stream.events.push_back(
+      event_row("injection.done", {{"t_us", Value(std::uint64_t{60})}}));
   std::ostringstream out;
-  const TraceExportSummary summary = write_chrome_trace(out, {dispatcher});
+  const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
 
-  EXPECT_NE(trace.find("\"ph\":\"C\",\"name\":\"serve.pending_ranges\""),
+  EXPECT_NE(trace.find("\"ph\":\"C\",\"name\":\"metric.batch.kernel.ticks\","
+                       "\"pid\":1,\"tid\":0,\"ts\":600,\"args\":{\"value\":1234}"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"C\",\"name\":\"serve.runs_covered\""),
+  // Only counters become tracks; gauges are end-of-session snapshots.
+  EXPECT_EQ(trace.find("scan_ms"), std::string::npos);
+  // Lifecycle events double as instants; per-run noise does not.
+  EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"journal.resume_scan\",\"pid\":1,"
+                       "\"tid\":0,\"ts\":100,\"s\":\"p\",\"args\":{\"completed\":9}"),
             std::string::npos);
-  // runs_done samples at both completions; runs_per_s needs a prior
-  // completion to compute a rate, so only the second emits one.
-  EXPECT_NE(trace.find("\"name\":\"serve.runs_done\",\"pid\":1,\"tid\":0,"
-                       "\"ts\":300,\"args\":{\"value\":50}"),
+  EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"golden.done\""),
             std::string::npos);
-  EXPECT_NE(trace.find("\"args\":{\"value\":80}"), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"serve.runs_per_s\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"C\",\"name\":\"metric.batch.kernel.ticks\""),
-            std::string::npos);
-  // serve.* lifecycle events double as instants; per-run noise does not.
-  EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"serve.lease.grant\""),
+  EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"delta.done\""),
             std::string::npos);
   EXPECT_EQ(trace.find("run.start"), std::string::npos);
-  EXPECT_EQ(summary.instants, 4u);  // grant + partial + 2x complete
-  EXPECT_GE(summary.counter_samples, 6u);
+  EXPECT_EQ(trace.find("injection.done"), std::string::npos);
+  EXPECT_EQ(summary.instants, 3u);
+  EXPECT_EQ(summary.counter_samples, 1u);
   EXPECT_EQ(summary.spans, 0u);
   EXPECT_EQ(summary.synthesized, 0u);
 }

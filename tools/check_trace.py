@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates a merged `propane campaign trace` Chrome trace-event JSON file.
+"""Validates a `propane campaign trace` Chrome trace-event JSON file.
 
 Two layers of checking:
 
@@ -8,12 +8,14 @@ Two layers of checking:
      them, a duration on complete ("X") events, a numeric args.value on
      counter ("C") samples and a scope on instants ("i").
 
-  2. Ancestry: every synthesized campaign.run span must reach a dispatcher
-     serve.lease span by walking args.parent_span_id through the span map
-     (campaign.run -> worker.lease -> serve.lease). This is the
-     cross-process contract of the wire-propagated trace context -- if a
-     worker span ever detaches from its dispatcher lease, the trace is
-     still loadable but the campaign timeline is lies, so CI fails here.
+  2. Ancestry: every synthesized campaign.run span must reach its
+     session's `campaign` root span (parent_span_id 0) by walking
+     args.parent_span_id through the spans of its own process track
+     (campaign.run -> campaign.golden_phase or campaign.injection_phase
+     -> campaign). Each session numbers its spans from 1, so span ids are
+     looked up per pid. A run that detaches from its phase leaves the
+     trace loadable but the campaign timeline unexplained, so CI fails
+     here.
 
 Usage: check_trace.py <trace.json>
 """
@@ -44,7 +46,7 @@ def main() -> None:
     if not isinstance(events, list) or not events:
         fail("traceEvents missing or empty")
 
-    spans = {}  # span_id -> (name, parent_span_id)
+    spans = {}  # (pid, span_id) -> (name, parent_span_id)
     runs = []
     counts = {phase: 0 for phase in VALID_PHASES}
     for index, event in enumerate(events):
@@ -64,9 +66,11 @@ def main() -> None:
                 fail(f"{where}: X event without integer dur")
             span_id = args.get("span_id")
             if span_id:
-                spans[span_id] = (event["name"], args.get("parent_span_id", 0))
+                spans[(event["pid"], span_id)] = (
+                    event["name"], args.get("parent_span_id", 0))
             if event["name"] == "campaign.run":
-                runs.append((where, args.get("parent_span_id", 0)))
+                runs.append((where, event["pid"],
+                             args.get("parent_span_id", 0)))
         elif phase == "C":
             if not isinstance(args.get("value"), (int, float)):
                 fail(f"{where}: counter without numeric args.value")
@@ -76,29 +80,26 @@ def main() -> None:
 
     if not runs:
         fail("no campaign.run spans in the trace")
-    if not any(name == "serve.lease" for name, _ in spans.values()):
-        fail("no serve.lease spans in the trace")
 
-    for where, parent in runs:
+    for where, pid, parent in runs:
         chain = []
         while parent:
-            if parent not in spans:
-                fail(f"{where}: parent_span_id {parent} is not in the trace")
-            name, parent = spans[parent]
+            if (pid, parent) not in spans:
+                fail(f"{where}: parent_span_id {parent} is not a span of "
+                     f"pid {pid}")
+            name, parent = spans[(pid, parent)]
             chain.append(name)
-            if name == "serve.lease":
-                break
             if len(chain) > 16:
                 fail(f"{where}: ancestry loop through {chain}")
-        if "serve.lease" not in chain:
-            fail(f"{where}: campaign.run never reaches a serve.lease "
-                 f"ancestor (chain: {chain or 'detached'})")
+        if not chain or chain[-1] != "campaign":
+            fail(f"{where}: campaign.run never reaches the campaign root "
+                 f"span (chain: {chain or 'detached'})")
 
     print(
         f"check_trace: OK: {len(events)} events "
         f"({counts['X']} X, {counts['C']} C, {counts['i']} i, "
-        f"{counts['M']} M); all {len(runs)} campaign.run spans reach a "
-        f"serve.lease ancestor"
+        f"{counts['M']} M); all {len(runs)} campaign.run spans reach the "
+        f"campaign root span"
     )
 
 

@@ -25,19 +25,15 @@
 //   propane campaign stats  --journal <dir> [--csv <perm.csv>]
 //   propane campaign top    --journal <dir> [--metrics-out <file.ndjson>]
 //   propane campaign trace  --journal <dir> [--out <trace.json>]
-//                           [--postmortem]
 //
 // Telemetry: campaign run streams NDJSON events (src/obs) to
 // <journal>/telemetry.ndjson by default (--metrics-out redirects,
 // --no-telemetry disables) and shows a live progress HUD on a TTY
 // (--progress forces it on, --no-progress off). `campaign top` summarises
-// the event log(s) -- the dispatcher's plus every worker's
-// telemetry-w<id>.ndjson: per-event counts, injection latencies,
-// divergence rate, journal growth, the final metric values and a
-// per-stream breakdown. `campaign trace` merges the same streams (clocks
-// aligned via the HELLO handshake) into one Chrome/Perfetto trace-event
-// JSON; --postmortem additionally recovers the tail events a SIGKILLed
-// worker left in its flight-w<id>.bin ring.
+// the event log: per-event counts, injection latencies, divergence rate,
+// journal growth and the final metric values. `campaign trace` renders
+// the same log as one Chrome/Perfetto trace-event JSON, one process track
+// per session.
 //
 // The model file uses the text format of core/model_parser.hpp; the
 // optional CSV supplies permeabilities (core/permeability_io.hpp). Without
@@ -51,7 +47,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -69,7 +64,6 @@
 #include "exp/report/bootstrap_report.hpp"
 #include "fi/bootstrap.hpp"
 #include "fi/campaign.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ndjson.hpp"
 #include "obs/progress.hpp"
@@ -78,8 +72,6 @@
 #include "obs/trace_export.hpp"
 #include "store/result_cache.hpp"
 #include "store/resume.hpp"
-#include "svc/dispatcher.hpp"
-#include "svc/worker.hpp"
 
 namespace {
 
@@ -101,10 +93,6 @@ constexpr char kCampaignUsage[] =
     "       propane campaign delta --journal <dir> --baseline <dir>"
     " [--invalidate MODULE[,MODULE...]] [--explain]\n"
     "                        [plus any campaign run flag]\n"
-    "       propane campaign serve --journal <dir> [--workers N]"
-    " [--lease-runs N] [plus any campaign run flag]\n"
-    "       propane campaign worker --journal <dir> --worker-id N"
-    " [plus any campaign run flag]\n"
     "       propane campaign merge --journal <dest-dir> <src-dir>...\n"
     "       propane campaign stats --journal <dir> [--csv <perm.csv>]\n"
     "       propane campaign bootstrap --journal <dir> [-B N] [--seed N]"
@@ -113,8 +101,7 @@ constexpr char kCampaignUsage[] =
     " [--out <report-dir>]\n"
     "       propane campaign top   --journal <dir>"
     " [--metrics-out <file.ndjson>]\n"
-    "       propane campaign trace --journal <dir> [--out <trace.json>]"
-    " [--postmortem]\n";
+    "       propane campaign trace --journal <dir> [--out <trace.json>]\n";
 constexpr char kTrailerUsage[] =
     "       propane --help\n"
     "exit codes: 0 success, 1 runtime/contract error, 2 usage error,"
@@ -226,11 +213,7 @@ struct CampaignArgs {
   std::string invalidate;    // delta: comma-separated module names
   bool explain = false;      // delta: per-module hit/miss table
   std::vector<std::filesystem::path> sources;  // merge positionals
-  std::uint32_t workers = 2;     // serve: worker processes to spawn
-  std::uint64_t lease_runs = 0;  // serve: runs per lease (0 = auto)
-  std::uint32_t worker_id = 0;   // worker: dispatcher-assigned identity
-  std::string trace_out;         // trace: output path (empty: <journal>/trace.json)
-  bool postmortem = false;       // trace: recover flight-recorder tails
+  std::string trace_out;     // trace: output path (empty: <journal>/trace.json)
   std::size_t replicates = 1000;   // bootstrap: -B
   std::uint64_t boot_seed = 42;    // bootstrap: --seed (resampling streams)
   std::size_t top_k = 3;           // bootstrap: ranking-stability threshold
@@ -286,18 +269,8 @@ bool parse_campaign_args(int argc, char** argv, CampaignArgs& args) {
       args.progress = 1;
     } else if (arg == "--no-progress") {
       args.progress = 0;
-    } else if (arg == "--workers") {
-      args.workers =
-          static_cast<std::uint32_t>(parse_count("--workers", value()));
-    } else if (arg == "--lease-runs") {
-      args.lease_runs = parse_count("--lease-runs", value());
-    } else if (arg == "--worker-id") {
-      args.worker_id =
-          static_cast<std::uint32_t>(parse_count("--worker-id", value()));
     } else if (arg == "--out") {
       args.trace_out = value();
-    } else if (arg == "--postmortem") {
-      args.postmortem = true;
     } else if (arg == "-B" || arg == "--replicates") {
       args.replicates =
           static_cast<std::size_t>(parse_count("-B", value()));
@@ -346,8 +319,7 @@ void print_warnings(const std::vector<std::string>& warnings) {
 }
 
 /// Batch-runner totals from the final "metric" events of the telemetry
-/// streams (one set per batched session per stream; sessions and workers
-/// sum).
+/// log (one set per batched session; sessions sum).
 struct BatchTally {
   std::uint64_t requests = 0;  // batch.group.lanes count
   double lanes = 0.0;          // batch.group.lanes sum
@@ -573,172 +545,6 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
                 sink->event_count(), telemetry_path(args).string().c_str());
   }
   return 0;
-}
-
-/// Path workers are spawned from: the running binary itself, resolved via
-/// /proc/self/exe so a PATH-looked-up argv[0] still execs.
-std::string executable_path(const char* argv0) {
-  std::error_code ec;
-  const std::filesystem::path exe =
-      std::filesystem::read_symlink("/proc/self/exe", ec);
-  return ec ? std::string(argv0) : exe.string();
-}
-
-int cmd_campaign_serve(const CampaignArgs& args, const char* argv0) {
-  const exp::ExperimentScale scale = pick_scale(args.scale_name);
-  std::printf("%s\n", exp::describe(scale).c_str());
-  const fi::CampaignConfig config = exp::make_campaign_config(scale);
-  const SystemModel model = arr::make_arrestment_model();
-  const fi::SignalBinding binding = arr::make_arrestment_binding(model);
-
-  obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
-  obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    const std::filesystem::path events_path = telemetry_path(args);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*sink;
-    telemetry.spans = &spans;
-  }
-
-  svc::ServeOptions options;
-  options.worker_count = args.workers;
-  options.lease_runs = args.lease_runs;
-  // Workers re-derive the same config from the scale's canonical name (the
-  // plan hash check in their resume scan catches any drift). Telemetry is
-  // per-worker NDJSON files; sharing the dispatcher's would tear lines.
-  options.worker_command = {executable_path(argv0),
-                            "campaign",
-                            "worker",
-                            "--journal",
-                            args.journal.string(),
-                            "--scale",
-                            scale.name,
-                            "--shards",
-                            std::to_string(args.shards)};
-  if (args.no_telemetry) options.worker_command.push_back("--no-telemetry");
-  options.telemetry = telemetry.enabled() ? &telemetry : nullptr;
-  options.model = &model;
-  options.binding = &binding;
-  options.bus_signal_count = binding.bus_upper_bound();
-  const svc::ServeSummary summary =
-      svc::serve_campaign(config, args.journal, options);
-
-  std::printf(
-      "serve %s: %llu lease(s) granted, %llu completed, %llu requeued, "
-      "%u worker(s) spawned (%u died), %llu executed, %llu diverged, "
-      "%.2fs wall\n",
-      args.journal.string().c_str(),
-      static_cast<unsigned long long>(summary.leases_granted),
-      static_cast<unsigned long long>(summary.leases_completed),
-      static_cast<unsigned long long>(summary.leases_requeued),
-      summary.workers_spawned, summary.workers_died,
-      static_cast<unsigned long long>(summary.executed),
-      static_cast<unsigned long long>(summary.diverged),
-      summary.wall_seconds);
-  if (summary.partial_estimates > 0) {
-    std::printf("partial estimates: %llu emitted, final covers %llu of %zu "
-                "run(s)\n",
-                static_cast<unsigned long long>(summary.partial_estimates),
-                static_cast<unsigned long long>(summary.estimated_runs),
-                summary.total_runs);
-  }
-  std::printf("lease log: %s\n", summary.lease_log_path.string().c_str());
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
-    emit_metric_events(*sink, metrics.snapshot());
-    sink->flush();
-    std::printf("telemetry: %zu event(s) appended to %s\n",
-                sink->event_count(), telemetry_path(args).string().c_str());
-  }
-  if (summary.workers_died > 0 && !args.no_telemetry) {
-    std::printf(
-        "worker death(s) detected -- `propane campaign trace --journal %s "
-        "--postmortem` recovers the dead workers' final events from their "
-        "flight recorders\n",
-        args.journal.string().c_str());
-  }
-  return 0;
-}
-
-/// `campaign worker`: stdout belongs to the wire protocol, so every human
-/// readable line goes to stderr.
-int cmd_campaign_worker(const CampaignArgs& args) {
-  const exp::ExperimentScale scale = pick_scale(args.scale_name);
-  const fi::CampaignConfig config = exp::make_campaign_config(scale);
-  const std::vector<arr::TestCase> cases =
-      scale.custom_cases.empty()
-          ? arr::grid_test_cases(scale.mass_count, scale.velocity_count)
-          : scale.custom_cases;
-
-  obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
-  std::optional<obs::FlightRecorder> flight;
-  std::optional<obs::FlightSink> flight_sink;
-  std::optional<obs::TeeSink> tee;
-  obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    // One event log per worker: concurrent appends from several processes
-    // into one NDJSON file could interleave mid-line, and `campaign top`
-    // treats a malformed mid-file line as a hard error.
-    const std::filesystem::path events_path =
-        args.metrics_out.empty()
-            ? args.journal / ("telemetry-w" + std::to_string(args.worker_id) +
-                              ".ndjson")
-            : std::filesystem::path(args.metrics_out);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    // Every event also lands in the mmap'd flight ring, which survives
-    // SIGKILL where the buffered ofstream tail does not; `campaign trace
-    // --postmortem` merges it back.
-    std::filesystem::create_directories(args.journal);
-    flight.emplace(args.journal /
-                       ("flight-w" + std::to_string(args.worker_id) + ".bin"),
-                   args.worker_id);
-    flight_sink.emplace(*flight);
-    tee.emplace(&*sink, &*flight_sink);
-    // Disjoint span-id range per process: worker w draws from
-    // (w+1) << 40, the dispatcher from 0, so ids never collide in the
-    // merged trace.
-    spans.set_id_base((static_cast<std::uint64_t>(args.worker_id) + 1)
-                      << 40);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*tee;
-    telemetry.spans = &spans;
-  }
-
-  svc::WorkerConfig worker;
-  worker.worker_id = args.worker_id;
-  worker.journal_dir = args.journal;
-  worker.journal.shard_count = args.shards;
-  worker.journal.telemetry = telemetry.enabled() ? &telemetry : nullptr;
-
-  svc::WorkerSummary summary;
-  const int code = svc::run_worker_loop(
-      arr::batched_campaign_runner(cases, config, scale.duration,
-                                   worker.journal.telemetry),
-      config, worker, std::cin, std::cout, &summary);
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
-    emit_metric_events(*sink, metrics.snapshot());
-    sink->flush();
-  }
-  if (flight.has_value() && code == 0) flight->mark_clean_exit();
-  std::fprintf(stderr,
-               "propane worker %u: %llu lease(s), %llu executed, "
-               "%llu diverged, exit %d\n",
-               args.worker_id, static_cast<unsigned long long>(summary.leases),
-               static_cast<unsigned long long>(summary.executed),
-               static_cast<unsigned long long>(summary.diverged), code);
-  return code;
 }
 
 int cmd_campaign_merge(const CampaignArgs& args) {
@@ -998,50 +804,6 @@ std::string render_value(const obs::Value& value) {
   return "?";
 }
 
-/// The telemetry streams of a journal, label -> path: the
-/// dispatcher/single-process log first, then every worker's
-/// telemetry-w<id>.ndjson in id order. --metrics-out narrows the set to
-/// that one file.
-std::vector<std::pair<std::string, std::filesystem::path>> telemetry_streams(
-    const CampaignArgs& args) {
-  std::vector<std::pair<std::string, std::filesystem::path>> streams;
-  if (!args.metrics_out.empty()) {
-    streams.emplace_back("dispatcher", std::filesystem::path(args.metrics_out));
-    return streams;
-  }
-  const std::filesystem::path main_path = args.journal / "telemetry.ndjson";
-  if (std::filesystem::exists(main_path)) {
-    streams.emplace_back("dispatcher", main_path);
-  }
-  std::map<unsigned long, std::filesystem::path> workers;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator
-           it(args.journal, ec),
-       end;
-       !ec && it != end; ++it) {
-    const std::string name = it->path().filename().string();
-    constexpr std::string_view kPrefix = "telemetry-w";
-    constexpr std::string_view kSuffix = ".ndjson";
-    if (name.size() <= kPrefix.size() + kSuffix.size() ||
-        name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string id_text = name.substr(
-        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-    char* tail = nullptr;
-    const unsigned long id = std::strtoul(id_text.c_str(), &tail, 10);
-    if (tail != nullptr && *tail == '\0' && !id_text.empty()) {
-      workers[id] = it->path();
-    }
-  }
-  for (const auto& [id, path] : workers) {
-    streams.emplace_back("w" + std::to_string(id), path);
-  }
-  return streams;
-}
-
 void BatchTally::add(const std::vector<obs::Field>& fields) {
   const obs::Value* name = find_field(fields, "name");
   if (name == nullptr || name->kind() != obs::Value::Kind::kString) return;
@@ -1072,50 +834,37 @@ void BatchTally::add(const std::vector<obs::Field>& fields) {
   }
 }
 
-/// Best-effort scan of the journal's telemetry stream(s) for the final
+/// Best-effort scan of the journal's telemetry log for the final
 /// batch-runner metrics, feeding print_batch_occupancy. Telemetry is an
-/// enrichment for `campaign stats`, so missing files and malformed lines
+/// enrichment for `campaign stats`, so a missing file and malformed lines
 /// are silently skipped here -- `campaign top` is the strict NDJSON
 /// validator.
 void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
   BatchTally tally;
-  for (const auto& [label, path] : telemetry_streams(args)) {
-    std::ifstream in(path);
-    if (!in) continue;
-    for (std::string line; std::getline(in, line);) {
-      const auto fields = obs::parse_flat_json_object(line);
-      if (!fields.has_value()) continue;
-      const obs::Value* event = find_field(*fields, "event");
-      if (event != nullptr && event->kind() == obs::Value::Kind::kString &&
-          event->as_string() == "metric") {
-        tally.add(*fields);
-      }
+  std::ifstream in(telemetry_path(args));
+  for (std::string line; std::getline(in, line);) {
+    const auto fields = obs::parse_flat_json_object(line);
+    if (!fields.has_value()) continue;
+    const obs::Value* event = find_field(*fields, "event");
+    if (event != nullptr && event->kind() == obs::Value::Kind::kString &&
+        event->as_string() == "metric") {
+      tally.add(*fields);
     }
   }
   print_batch_occupancy(tally);
 }
 
-/// Per-stream tallies for the `campaign top` breakdown table.
-struct StreamTally {
-  std::string label;
-  std::size_t events = 0;
-  std::size_t injections = 0;
-  std::size_t diverged = 0;
-  std::size_t torn = 0;
-  double span_s = 0.0;
-};
-
-/// Summarises the campaign telemetry logs -- the dispatcher's plus every
-/// worker's. Doubles as an NDJSON validity check: any malformed line other
-/// than a torn final one (the residue of a live or killed writer) is a
-/// hard error.
+/// Summarises the campaign telemetry log. Doubles as an NDJSON validity
+/// check: any malformed line other than a torn final one (the residue of a
+/// live or killed writer) is a hard error.
 int cmd_campaign_top(const CampaignArgs& args) {
-  const auto streams = telemetry_streams(args);
-  if (streams.empty()) {
+  const std::filesystem::path path = telemetry_path(args);
+  std::ifstream in(path);
+  if (!in) {
     std::fprintf(stderr,
                  "propane: no telemetry log at '%s' (campaign run writes it; "
                  "--metrics-out overrides the location)\n",
-                 telemetry_path(args).string().c_str());
+                 path.string().c_str());
     return 1;
   }
 
@@ -1125,158 +874,123 @@ int cmd_campaign_top(const CampaignArgs& args) {
   std::map<std::string, std::uint64_t> shard_bytes;  // shard -> last total
   std::vector<obs::Field> last_done;   // most recent campaign.done
   std::map<std::string, std::string> final_metrics;  // last metric events
-  BatchTally batch;                    // summed across sessions and workers
+  BatchTally batch;                    // summed across sessions
   std::size_t torn_lines = 0;
-  std::vector<StreamTally> tallies;
+  std::uint64_t t_first = 0, t_last = 0;
+  bool any_time = false;
 
-  for (const auto& [label, path] : streams) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "propane: cannot open telemetry log '%s'\n",
-                   path.string().c_str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(std::move(line));
+  }
+
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const auto fields = obs::parse_flat_json_object(lines[i]);
+    if (!fields.has_value()) {
+      if (i + 1 == lines.size()) {
+        // The writer died (or is still running) mid-line: expected
+        // residue, same stance the journal reader takes on a torn tail
+        // frame.
+        ++torn_lines;
+        break;
+      }
+      // A session killed mid-line leaves its residue where the next
+      // session's first event (always journal.resume_scan) follows; that
+      // is crash residue too, not corruption.
+      const auto next = obs::parse_flat_json_object(lines[i + 1]);
+      const obs::Value* next_event =
+          next.has_value() ? find_field(*next, "event") : nullptr;
+      if (next_event != nullptr &&
+          next_event->kind() == obs::Value::Kind::kString &&
+          next_event->as_string() == "journal.resume_scan") {
+        ++torn_lines;
+        continue;
+      }
+      std::fprintf(stderr,
+                   "propane: malformed telemetry line %zu in %s: %s\n",
+                   i + 1, path.string().c_str(), lines[i].c_str());
       return 1;
     }
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) lines.push_back(std::move(line));
+    const obs::Value* name = find_field(*fields, "event");
+    const obs::Value* t_us = find_field(*fields, "t_us");
+    if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
+      std::fprintf(stderr,
+                   "propane: telemetry line %zu in %s has no event name\n",
+                   i + 1, path.string().c_str());
+      return 1;
     }
-
-    StreamTally tally;
-    tally.label = label;
-    std::uint64_t t_first = 0, t_last = 0;
-    bool any_time = false;
-
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      const auto fields = obs::parse_flat_json_object(lines[i]);
-      if (!fields.has_value()) {
-        if (i + 1 == lines.size()) {
-          // The writer died (or is still running) mid-line: expected
-          // residue, same stance the journal reader takes on a torn tail
-          // frame.
-          ++torn_lines;
-          ++tally.torn;
-          break;
-        }
-        // A session killed mid-line leaves its residue where the next
-        // session's first event (always journal.resume_scan) follows; that
-        // is crash residue too, not corruption.
-        const auto next = obs::parse_flat_json_object(lines[i + 1]);
-        const obs::Value* next_event =
-            next.has_value() ? find_field(*next, "event") : nullptr;
-        if (next_event != nullptr &&
-            next_event->kind() == obs::Value::Kind::kString &&
-            next_event->as_string() == "journal.resume_scan") {
-          ++torn_lines;
-          ++tally.torn;
-          continue;
-        }
-        std::fprintf(stderr,
-                     "propane: malformed telemetry line %zu in %s: %s\n",
-                     i + 1, path.string().c_str(), lines[i].c_str());
-        return 1;
+    const std::string& event = name->as_string();
+    ++event_counts[event];
+    if (t_us != nullptr && t_us->is_number()) {
+      if (!any_time) {
+        t_first = t_us->as_uint();
+        any_time = true;
       }
-      const obs::Value* name = find_field(*fields, "event");
-      const obs::Value* t_us = find_field(*fields, "t_us");
-      if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
-        std::fprintf(stderr,
-                     "propane: telemetry line %zu in %s has no event name\n",
-                     i + 1, path.string().c_str());
-        return 1;
+      t_last = t_us->as_uint();
+      t_first = std::min(t_first, t_us->as_uint());
+    }
+    if (event == "injection.done") {
+      ++injections;
+      if (const obs::Value* d = find_field(*fields, "diverged_signals");
+          d != nullptr && d->is_number() && d->as_uint() > 0) {
+        ++injections_diverged;
       }
-      const std::string& event = name->as_string();
-      ++event_counts[event];
-      ++tally.events;
-      if (t_us != nullptr && t_us->is_number()) {
-        if (!any_time) {
-          t_first = t_us->as_uint();
-          any_time = true;
-        }
-        t_last = t_us->as_uint();
-        t_first = std::min(t_first, t_us->as_uint());
+      if (const obs::Value* dur = find_field(*fields, "dur_us");
+          dur != nullptr && dur->is_number()) {
+        injection_dur_sum_us += dur->as_double();
+        injection_dur_max_us = std::max(injection_dur_max_us,
+                                        dur->as_double());
       }
-      if (event == "injection.done") {
-        ++injections;
-        ++tally.injections;
-        if (const obs::Value* d = find_field(*fields, "diverged_signals");
-            d != nullptr && d->is_number() && d->as_uint() > 0) {
-          ++injections_diverged;
-          ++tally.diverged;
-        }
-        if (const obs::Value* dur = find_field(*fields, "dur_us");
-            dur != nullptr && dur->is_number()) {
-          injection_dur_sum_us += dur->as_double();
-          injection_dur_max_us = std::max(injection_dur_max_us,
-                                          dur->as_double());
-        }
-      } else if (event == "journal.append") {
-        const obs::Value* shard = find_field(*fields, "shard");
-        const obs::Value* total = find_field(*fields, "total_bytes");
-        if (shard != nullptr && shard->kind() == obs::Value::Kind::kString &&
-            total != nullptr && total->is_number()) {
-          shard_bytes[shard->as_string()] = total->as_uint();
-        }
-      } else if (event == "campaign.done" || event == "delta.done") {
-        // delta.done carries replayed-vs-executed counts; whichever kind of
-        // session ran last wins the "last session" line.
-        last_done = *fields;
-      } else if (event == "metric") {
-        batch.add(*fields);
-        const obs::Value* metric = find_field(*fields, "name");
-        if (metric != nullptr &&
-            metric->kind() == obs::Value::Kind::kString) {
-          const obs::Value* kind = find_field(*fields, "kind");
-          if (kind != nullptr && kind->kind() == obs::Value::Kind::kString &&
-              kind->as_string() == "histogram") {
-            std::string cell;
-            for (const char* key : {"count", "p50", "p90", "p99"}) {
-              const obs::Value* v = find_field(*fields, key);
-              if (v == nullptr) continue;
-              if (!cell.empty()) cell += ", ";
-              cell += std::string(key) + "=" + render_value(*v);
-            }
-            final_metrics[metric->as_string()] = cell;
-          } else if (const obs::Value* v = find_field(*fields, "value")) {
-            final_metrics[metric->as_string()] = render_value(*v);
+    } else if (event == "journal.append") {
+      const obs::Value* shard = find_field(*fields, "shard");
+      const obs::Value* total = find_field(*fields, "total_bytes");
+      if (shard != nullptr && shard->kind() == obs::Value::Kind::kString &&
+          total != nullptr && total->is_number()) {
+        shard_bytes[shard->as_string()] = total->as_uint();
+      }
+    } else if (event == "campaign.done" || event == "delta.done") {
+      // delta.done carries replayed-vs-executed counts; whichever kind of
+      // session ran last wins the "last session" line.
+      last_done = *fields;
+    } else if (event == "metric") {
+      batch.add(*fields);
+      const obs::Value* metric = find_field(*fields, "name");
+      if (metric != nullptr &&
+          metric->kind() == obs::Value::Kind::kString) {
+        const obs::Value* kind = find_field(*fields, "kind");
+        if (kind != nullptr && kind->kind() == obs::Value::Kind::kString &&
+            kind->as_string() == "histogram") {
+          std::string cell;
+          for (const char* key : {"count", "p50", "p90", "p99"}) {
+            const obs::Value* v = find_field(*fields, key);
+            if (v == nullptr) continue;
+            if (!cell.empty()) cell += ", ";
+            cell += std::string(key) + "=" + render_value(*v);
           }
+          final_metrics[metric->as_string()] = cell;
+        } else if (const obs::Value* v = find_field(*fields, "value")) {
+          final_metrics[metric->as_string()] = render_value(*v);
         }
       }
     }
-    tally.span_s = static_cast<double>(t_last - t_first) / 1e6;
-    tallies.push_back(std::move(tally));
   }
 
   std::size_t total_events = 0;
   for (const auto& [_, count] : event_counts) total_events += count;
-  double span_s = 0.0;
-  for (const StreamTally& tally : tallies) {
-    span_s = std::max(span_s, tally.span_s);
-  }
+  const double span_s = static_cast<double>(t_last - t_first) / 1e6;
   std::string torn_note;
   if (torn_lines > 0) {
     torn_note = " (" + std::to_string(torn_lines) + " torn line(s) skipped)";
   }
-  std::printf("telemetry %s: %zu event(s) across %zu stream(s), %.2fs%s\n",
-              args.journal.string().c_str(), total_events, streams.size(),
-              span_s, torn_note.c_str());
+  std::printf("telemetry %s: %zu event(s), %.2fs%s\n",
+              args.journal.string().c_str(), total_events, span_s,
+              torn_note.c_str());
 
   TextTable events_table({"Event", "Count"});
   for (const auto& [event, count] : event_counts) {
     events_table.add_row({event, std::to_string(count)});
   }
   std::puts(events_table.render().c_str());
-
-  if (tallies.size() > 1) {
-    TextTable streams_table(
-        {"Stream", "Events", "Injections", "Diverged", "Span s"});
-    for (const StreamTally& tally : tallies) {
-      char span_cell[32];
-      std::snprintf(span_cell, sizeof(span_cell), "%.2f", tally.span_s);
-      streams_table.add_row({tally.label, std::to_string(tally.events),
-                             std::to_string(tally.injections),
-                             std::to_string(tally.diverged), span_cell});
-    }
-    std::puts(streams_table.render().c_str());
-  }
 
   if (injections > 0) {
     std::printf(
@@ -1315,173 +1029,23 @@ int cmd_campaign_top(const CampaignArgs& args) {
 
 // --- propane campaign trace ----------------------------------------------
 
-/// Worker id out of a "w<id>" stream label (telemetry_streams invariant).
-std::uint32_t stream_worker_id(const std::string& label) {
-  return static_cast<std::uint32_t>(
-      std::strtoul(label.c_str() + 1, nullptr, 10));
-}
-
-/// Merges the dispatcher's and every worker's telemetry into one
-/// Chrome/Perfetto trace-event JSON. Worker clocks align via the HELLO
-/// handshake offsets recorded in the dispatcher's serve.worker.hello
-/// events; --postmortem folds in the tail events dead workers left in
-/// their flight-recorder rings.
+/// Renders the journal's telemetry log as one Chrome/Perfetto trace-event
+/// JSON, each session that appended to it as its own process track.
 int cmd_campaign_trace(const CampaignArgs& args) {
-  const auto stream_paths = telemetry_streams(args);
-  if (stream_paths.empty()) {
+  const std::filesystem::path path = telemetry_path(args);
+  std::ifstream in(path);
+  if (!in) {
     std::fprintf(stderr,
                  "propane: no telemetry log at '%s' -- `campaign trace` "
-                 "needs the NDJSON streams a telemetry-enabled campaign "
+                 "needs the NDJSON log a telemetry-enabled campaign "
                  "writes\n",
-                 telemetry_path(args).string().c_str());
+                 path.string().c_str());
     return 1;
   }
-
-  std::vector<obs::TraceStream> streams;
-  // Raw lines per worker id, for deduplicating flight-recorder recoveries
-  // (the ring holds events the NDJSON file usually also has).
-  std::map<std::uint32_t, std::set<std::string>> worker_lines;
-  std::map<std::uint32_t, std::size_t> worker_stream_index;
-  std::size_t skipped_lines = 0;
-
-  for (const auto& [label, path] : stream_paths) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "propane: cannot open telemetry log '%s'\n",
-                   path.string().c_str());
-      return 1;
-    }
-    obs::TraceStream stream;
-    stream.name = label;
-    if (label == "dispatcher") {
-      stream.pid = 1;  // refined from serve.done below
-      skipped_lines += obs::parse_ndjson_stream(in, stream.events);
-    } else {
-      const std::uint32_t id = stream_worker_id(label);
-      worker_stream_index[id] = streams.size();
-      std::set<std::string>& seen = worker_lines[id];
-      for (std::string line; std::getline(in, line);) {
-        if (line.empty()) continue;
-        auto fields = obs::parse_flat_json_object(line);
-        if (!fields.has_value()) {
-          ++skipped_lines;  // torn tail of a killed worker
-          continue;
-        }
-        seen.insert(line);
-        stream.events.push_back(std::move(*fields));
-      }
-    }
-    streams.push_back(std::move(stream));
-  }
-
-  // The dispatcher stream anchors the merged timeline: its pid from
-  // serve.done, worker pids from serve.worker.spawn, worker clock offsets
-  // from the HELLO handshake.
-  std::map<std::uint32_t, std::int64_t> worker_pids;
-  std::map<std::uint32_t, std::int64_t> offsets;
-  for (obs::TraceStream& stream : streams) {
-    if (stream.name != "dispatcher") continue;
-    for (const std::vector<obs::Field>& event : stream.events) {
-      const obs::Value* name = find_field(event, "event");
-      if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
-        continue;
-      }
-      const obs::Value* pid = find_field(event, "pid");
-      if (name->as_string() == "serve.worker.spawn") {
-        const obs::Value* id = find_field(event, "worker_id");
-        if (id != nullptr && id->is_number() && pid != nullptr &&
-            pid->is_number()) {
-          worker_pids[static_cast<std::uint32_t>(id->as_uint())] =
-              static_cast<std::int64_t>(pid->as_uint());
-        }
-      } else if (name->as_string() == "serve.done" && pid != nullptr &&
-                 pid->is_number()) {
-        stream.pid = static_cast<std::int64_t>(pid->as_uint());
-      }
-    }
-    offsets = obs::hello_clock_offsets(stream);
-  }
-  for (const auto& [id, index] : worker_stream_index) {
-    obs::TraceStream& stream = streams[index];
-    if (const auto pid = worker_pids.find(id); pid != worker_pids.end()) {
-      stream.pid = pid->second;
-    } else {
-      stream.pid = 1000 + static_cast<std::int64_t>(id);
-    }
-    if (const auto offset = offsets.find(id); offset != offsets.end()) {
-      stream.clock_offset_us = offset->second;
-    }
-  }
-
-  // Flight recorders: always surface crashed workers; --postmortem merges
-  // their surviving ring lines (the NDJSON tail a buffered ofstream lost)
-  // back into the worker's stream.
-  std::size_t crashed = 0;
-  std::error_code ec;
-  for (std::filesystem::directory_iterator it(args.journal, ec), end;
-       !ec && it != end; ++it) {
-    const std::string name = it->path().filename().string();
-    constexpr std::string_view kPrefix = "flight-w";
-    constexpr std::string_view kSuffix = ".bin";
-    if (name.size() <= kPrefix.size() + kSuffix.size() ||
-        name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const auto recording = obs::read_flight_recording(it->path());
-    if (!recording.has_value()) continue;
-    const std::uint32_t id = recording->worker_id;
-    if (!recording->clean_exit) ++crashed;
-    if (!args.postmortem) continue;
-
-    if (worker_stream_index.find(id) == worker_stream_index.end()) {
-      obs::TraceStream stream;
-      stream.name = "w" + std::to_string(id);
-      stream.pid = static_cast<std::int64_t>(recording->pid);
-      if (const auto offset = offsets.find(id); offset != offsets.end()) {
-        stream.clock_offset_us = offset->second;
-      }
-      worker_stream_index[id] = streams.size();
-      streams.push_back(std::move(stream));
-    }
-    obs::TraceStream& stream = streams[worker_stream_index[id]];
-    const std::set<std::string>& seen = worker_lines[id];
-    std::size_t recovered = 0;
-    std::uint64_t last_t_us = 0;
-    for (const std::string& line : recording->lines) {
-      if (seen.find(line) != seen.end()) continue;
-      auto fields = obs::parse_flat_json_object(line);
-      if (!fields.has_value()) continue;  // reader already filtered; belt
-      if (const obs::Value* t = find_field(*fields, "t_us");
-          t != nullptr && t->is_number()) {
-        last_t_us = std::max(last_t_us, t->as_uint());
-      }
-      stream.events.push_back(std::move(*fields));
-      ++recovered;
-    }
-    if (recovered > 0) {
-      stream.events.push_back(
-          {{"event", obs::Value("flight.recovered")},
-           {"t_us", obs::Value(last_t_us)},
-           {"worker_id", obs::Value(id)},
-           {"recovered", obs::Value(recovered)},
-           {"last_seq", obs::Value(recording->last_seq)},
-           {"clean_exit", obs::Value(recording->clean_exit)}});
-    }
-    std::printf(
-        "postmortem w%u: pid %llu, %s, %zu ring event(s), %zu recovered "
-        "(missing from the NDJSON stream)\n",
-        id, static_cast<unsigned long long>(recording->pid),
-        recording->clean_exit ? "clean exit" : "crashed (no clean-exit flag)",
-        recording->lines.size(), recovered);
-  }
-  if (crashed > 0 && !args.postmortem) {
-    std::printf(
-        "%zu flight recorder(s) flag a crash; re-run with --postmortem to "
-        "fold their final events into the trace\n",
-        crashed);
-  }
+  obs::TraceStream stream;
+  stream.name = "campaign";
+  const std::size_t skipped_lines =
+      obs::parse_ndjson_stream(in, stream.events);
 
   const std::filesystem::path out_path =
       args.trace_out.empty() ? args.journal / "trace.json"
@@ -1493,7 +1057,7 @@ int cmd_campaign_trace(const CampaignArgs& args) {
     return 1;
   }
   const obs::TraceExportSummary summary =
-      obs::write_chrome_trace(out, streams);
+      obs::write_chrome_trace(out, stream);
   out.flush();
   if (!out) {
     std::fprintf(stderr, "propane: write failed for trace '%s'\n",
@@ -1506,9 +1070,9 @@ int cmd_campaign_trace(const CampaignArgs& args) {
         " (" + std::to_string(skipped_lines) + " torn line(s) skipped)";
   }
   std::printf(
-      "trace %s: %zu event(s) from %zu stream(s) -- %zu span(s), "
+      "trace %s: %zu event(s) from %zu session(s) -- %zu span(s), "
       "%zu synthesized, %zu counter sample(s), %zu instant(s)%s\n",
-      out_path.string().c_str(), summary.trace_events, streams.size(),
+      out_path.string().c_str(), summary.trace_events, summary.sessions,
       summary.spans, summary.synthesized, summary.counter_samples,
       summary.instants, skipped_note.c_str());
   std::printf("open in ui.perfetto.dev or chrome://tracing\n");
@@ -1523,8 +1087,6 @@ int cmd_campaign(int argc, char** argv) {
     return cmd_campaign_execute(args, /*delta_mode=*/false);
   }
   if (args.sub == "delta") return cmd_campaign_execute(args, /*delta_mode=*/true);
-  if (args.sub == "serve") return cmd_campaign_serve(args, argv[0]);
-  if (args.sub == "worker") return cmd_campaign_worker(args);
   if (args.sub == "merge") return cmd_campaign_merge(args);
   if (args.sub == "stats") return cmd_campaign_stats(args);
   if (args.sub == "bootstrap") return cmd_campaign_bootstrap(args);
