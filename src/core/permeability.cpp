@@ -90,20 +90,4 @@ std::size_t SystemPermeability::output_count(ModuleId module) const {
   return matrix(module).outputs;
 }
 
-void splice_module_permeability(const SystemModel& model,
-                                SystemPermeability& into,
-                                const SystemPermeability& from,
-                                ModuleId module) {
-  PROPANE_REQUIRE(module < model.module_count());
-  PROPANE_REQUIRE_MSG(into.module_count() == model.module_count() &&
-                          from.module_count() == model.module_count(),
-                      "permeability does not describe this model");
-  const ModuleInfo& info = model.module(module);
-  for (PortIndex i = 0; i < info.input_count(); ++i) {
-    for (PortIndex k = 0; k < info.output_count(); ++k) {
-      into.set(module, i, k, from.get(module, i, k));
-    }
-  }
-}
-
 }  // namespace propane::core

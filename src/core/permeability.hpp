@@ -59,17 +59,4 @@ class SystemPermeability {
   std::vector<ModuleMatrix> per_module_;
 };
 
-/// Compositional recombination (FastFlip-style): copies every P^M_{i,k} of
-/// `module` from `from` into `into`, leaving all other modules untouched.
-/// Both sides must describe `model`. Because a module's permeability values
-/// derive solely from injections into its own inputs, splicing a freshly
-/// re-estimated module into an otherwise cached SystemPermeability is
-/// exact, not approximate -- the delta-campaign engine
-/// (fi/delta_campaign.hpp) relies on this to re-analyse a system after a
-/// single-module change without re-estimating the rest.
-void splice_module_permeability(const SystemModel& model,
-                                SystemPermeability& into,
-                                const SystemPermeability& from,
-                                ModuleId module);
-
 }  // namespace propane::core

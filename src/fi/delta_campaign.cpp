@@ -1,12 +1,10 @@
 #include "fi/delta_campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
-#include "obs/telemetry.hpp"
 
 namespace propane::fi {
 
@@ -98,92 +96,6 @@ std::vector<std::uint64_t> run_fingerprints(const CampaignConfig& config,
     fingerprints[flat] = fp == 0 ? 1 : fp;
   }
   return fingerprints;
-}
-
-DeltaResult run_delta_campaign(const CampaignRunner& runner,
-                               const CampaignConfig& config,
-                               const core::SystemModel& model,
-                               const SignalBinding& binding,
-                               const DeltaOptions& options) {
-  const std::vector<std::uint64_t> fingerprints =
-      run_fingerprints(config, model, binding, options.module_versions);
-  const std::size_t total = fingerprints.size();
-
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> misses{0};
-  std::atomic<std::size_t> skipped{0};
-  obs::Counter* hit_counter =
-      obs::find_counter(options.hooks.telemetry, "delta.hits");
-  obs::Counter* miss_counter =
-      obs::find_counter(options.hooks.telemetry, "delta.misses");
-
-  // Replayed records, filled from worker threads at distinct flat indices
-  // (each run is resolved by exactly one worker, so no element races).
-  std::vector<InjectionRecord> replays(options.hooks.collect_records ? total
-                                                                     : 0);
-  std::vector<std::uint8_t> replayed(total, 0);
-
-  CampaignHooks inner = options.hooks;
-  inner.should_run = [&](std::uint32_t injection_index,
-                         std::uint32_t test_case) {
-    if (options.hooks.should_run &&
-        !options.hooks.should_run(injection_index, test_case)) {
-      skipped.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    const std::size_t flat =
-        campaign_flat_index(config, injection_index, test_case);
-    const InjectionRecord* cached =
-        options.lookup ? options.lookup(fingerprints[flat]) : nullptr;
-    if (cached == nullptr) {
-      misses.fetch_add(1, std::memory_order_relaxed);
-      if (miss_counter != nullptr) miss_counter->add(1);
-      return true;
-    }
-    // Cache hit: replay the stored report under the *current* plan's
-    // identity (the baseline may have recorded it at a different flat
-    // position, e.g. after injections were added to the plan).
-    InjectionRecord record = *cached;
-    record.injection_index = injection_index;
-    record.test_case = test_case;
-    record.target = config.injections[injection_index].target;
-    record.when = config.injections[injection_index].when;
-    record.fingerprint = fingerprints[flat];
-    record.replayed = true;
-    hits.fetch_add(1, std::memory_order_relaxed);
-    if (hit_counter != nullptr) hit_counter->add(1);
-    if (options.on_replay) options.on_replay(record);
-    if (options.hooks.collect_records) {
-      replays[flat] = std::move(record);
-      replayed[flat] = 1;
-    }
-    return false;
-  };
-  if (options.hooks.on_record) {
-    inner.on_record = [&](const InjectionRecord& record) {
-      InjectionRecord stamped = record;
-      stamped.fingerprint = fingerprints[campaign_flat_index(
-          config, record.injection_index, record.test_case)];
-      options.hooks.on_record(stamped);
-    };
-  }
-
-  DeltaResult result;
-  result.campaign = run_campaign(runner, config, inner);
-  if (options.hooks.collect_records) {
-    for (std::size_t flat = 0; flat < total; ++flat) {
-      if (replayed[flat] != 0) {
-        result.campaign.records[flat] = std::move(replays[flat]);
-      } else {
-        result.campaign.records[flat].fingerprint = fingerprints[flat];
-      }
-    }
-  }
-  result.stats.total = total;
-  result.stats.hits = hits.load();
-  result.stats.misses = misses.load();
-  result.stats.skipped = skipped.load();
-  return result;
 }
 
 }  // namespace propane::fi

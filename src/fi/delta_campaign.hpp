@@ -22,18 +22,17 @@
 // the reuse compositional (FastFlip-style): a record for target signal S
 // contributes permeability counts only to pairs of S's consumer modules
 // (fi/estimator.hpp attribution), so a change elsewhere cannot alter what
-// the record contributes, and core::splice_module_permeability /
-// fi::splice_estimation recombine cached and fresh per-module results
-// exactly.
+// the record contributes, and replaying cached records next to freshly
+// executed ones into one complete journal estimates exactly what a cold
+// run of the changed system does.
 //
-// The engine itself is storage-agnostic: it asks an abstract
-// DeltaCacheLookup for a cached record per fingerprint. The durable cache
-// over journal directories lives in store/result_cache.hpp (src/store
+// This header holds only the fingerprint recipe. The engine that resolves
+// runs against a baseline journal, replays the hits and executes the rest
+// is store::run_delta_journaled_campaign (store/result_cache.hpp; src/store
 // layers above src/fi, not below it).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,58 +69,5 @@ std::vector<std::uint64_t> run_fingerprints(const CampaignConfig& config,
                                             const core::SystemModel& model,
                                             const SignalBinding& binding,
                                             const ModuleVersionMap& versions);
-
-/// Resolves a fingerprint to a cached record, or nullptr for a miss. Called
-/// from worker threads; must be thread-safe (a read-only map is). The
-/// returned pointer must stay valid for the duration of run_delta_campaign.
-using DeltaCacheLookup =
-    std::function<const InjectionRecord*(std::uint64_t fingerprint)>;
-
-struct DeltaOptions {
-  /// Cache resolver; null means every run misses (degenerates to
-  /// run_campaign + fingerprint stamping).
-  DeltaCacheLookup lookup;
-  /// Version tokens fed into the fingerprints.
-  ModuleVersionMap module_versions;
-  /// Inner campaign hooks. `hooks.should_run` filters *before* the cache is
-  /// consulted (a run the caller owns elsewhere is neither replayed nor
-  /// executed); `hooks.on_record` fires only for executed runs, with the
-  /// fingerprint already stamped.
-  CampaignHooks hooks;
-  /// Called once per cache hit with the replayed record (fingerprint
-  /// stamped, replayed = true), from a worker thread; must be thread-safe.
-  /// This is the replay-side twin of hooks.on_record -- a journal sink that
-  /// appends both ends up with a complete, self-contained output journal.
-  std::function<void(const InjectionRecord& record)> on_replay;
-};
-
-struct DeltaStats {
-  std::size_t total = 0;   // injection runs in the plan
-  std::size_t hits = 0;    // replayed from the cache
-  std::size_t misses = 0;  // executed this session
-  std::size_t skipped = 0; // filtered out by the caller's should_run
-};
-
-struct DeltaResult {
-  CampaignResult campaign;
-  DeltaStats stats;
-};
-
-/// Runs `config` incrementally: golden runs always execute (they are the
-/// comparison baseline and cheap relative to the injection fan-out), then
-/// every injection run is resolved against the cache by fingerprint --
-/// hits are replayed (report copied, identity re-stamped from the current
-/// plan, replayed = true), misses execute through `runner` exactly as
-/// run_campaign would, with identical derived seeds (a runner with a batch
-/// function executes the misses as lockstep batches). With collect_records,
-/// the returned CampaignResult is therefore record-for-record identical to
-/// a cold run_campaign apart from the fingerprint/replayed metadata, and
-/// everything estimated from it (fi/estimator.hpp ignores that metadata)
-/// is bit-identical.
-DeltaResult run_delta_campaign(const CampaignRunner& runner,
-                               const CampaignConfig& config,
-                               const core::SystemModel& model,
-                               const SignalBinding& binding,
-                               const DeltaOptions& options);
 
 }  // namespace propane::fi

@@ -245,31 +245,6 @@ void PermeabilityAccumulator::add(const InjectionRecord& record) {
   }
 }
 
-void PermeabilityAccumulator::merge(const PermeabilityAccumulator& other) {
-  PROPANE_CHECK_MSG(
-      pairs_.size() == other.pairs_.size() &&
-          min_report_size_ == other.min_report_size_,
-      "merging permeability accumulators built over different layouts");
-  record_count_ += other.record_count_;
-  for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    PairEstimate& dst = pairs_[p];
-    const PairEstimate& src = other.pairs_[p];
-    dst.injections += src.injections;
-    dst.errors += src.errors;
-    dst.indirect_errors += src.indirect_errors;
-    if (src.latency_count == 0) continue;
-    if (dst.latency_count == 0) {
-      dst.latency_min_ms = src.latency_min_ms;
-      dst.latency_max_ms = src.latency_max_ms;
-    } else {
-      dst.latency_min_ms = std::min(dst.latency_min_ms, src.latency_min_ms);
-      dst.latency_max_ms = std::max(dst.latency_max_ms, src.latency_max_ms);
-    }
-    dst.latency_sum_ms += src.latency_sum_ms;
-    dst.latency_count += src.latency_count;
-  }
-}
-
 EstimationResult PermeabilityAccumulator::finish() const {
   EstimationResult result{core::SystemPermeability(model_), pairs_};
   for (const PairEstimate& estimate : result.pairs) {
@@ -290,36 +265,6 @@ EstimationResult estimate_permeability(const SystemModel& model,
     accumulator.add(record);
   }
   return accumulator.finish();
-}
-
-EstimationResult splice_estimation(
-    const core::SystemModel& model, const EstimationResult& cached,
-    const EstimationResult& fresh,
-    const std::vector<core::ModuleId>& invalidated) {
-  PROPANE_REQUIRE_MSG(cached.pairs.size() == fresh.pairs.size(),
-                      "estimation results describe different pair tables");
-  PROPANE_REQUIRE_MSG(
-      cached.permeability.module_count() == model.module_count() &&
-          fresh.permeability.module_count() == model.module_count(),
-      "estimation results do not describe this model");
-  EstimationResult result = cached;
-  std::vector<bool> take_fresh(model.module_count(), false);
-  for (core::ModuleId m : invalidated) {
-    PROPANE_REQUIRE(m < model.module_count());
-    take_fresh[m] = true;
-    core::splice_module_permeability(model, result.permeability,
-                                     fresh.permeability, m);
-  }
-  for (std::size_t i = 0; i < result.pairs.size(); ++i) {
-    // Both sides were produced by PermeabilityAccumulator over the same
-    // model, so pair i refers to the same (module, input, output) triple.
-    PROPANE_REQUIRE_MSG(cached.pairs[i].pair.module == fresh.pairs[i].pair.module,
-                        "estimation results describe different pair tables");
-    if (take_fresh[result.pairs[i].pair.module]) {
-      result.pairs[i] = fresh.pairs[i];
-    }
-  }
-  return result;
 }
 
 std::vector<LocationPropagation> location_propagation_stats(

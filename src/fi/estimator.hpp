@@ -140,14 +140,6 @@ class PermeabilityAccumulator {
   /// output-major); PairContribution::pair_index indexes into it.
   std::span<const PairEstimate> pairs() const { return pairs_; }
 
-  /// Folds another accumulator's counts into this one. Both accumulators
-  /// must have been constructed over the same model / binding layout
-  /// (checked). Because every count is a plain sum and the latency stats
-  /// are min/max/sum/count, merge(a, b) equals folding a's and b's records
-  /// into one accumulator in any order, so per-shard folds can be
-  /// combined without re-reading the records.
-  void merge(const PermeabilityAccumulator& other);
-
   std::size_t record_count() const { return record_count_; }
 
   /// Builds the estimation result from the counts folded so far.
@@ -180,19 +172,6 @@ EstimationResult estimate_permeability(const core::SystemModel& model,
                                        const SignalBinding& binding,
                                        const CampaignResult& campaign,
                                        EstimationOptions options = {});
-
-/// Compositional recombination (FastFlip-style): takes `cached` (estimated
-/// from a previous campaign) and `fresh` (estimated from a re-run), both
-/// over the same `model`, and returns `cached` with every pair belonging to
-/// a module in `invalidated` replaced by the corresponding `fresh` pair
-/// (counts, latencies and the permeability matrix entries alike). Because a
-/// module's PairEstimate counts derive solely from injections into that
-/// module's own inputs, the splice is exact: it equals a full cold
-/// re-estimation whenever the invalidated modules' records were re-run.
-EstimationResult splice_estimation(const core::SystemModel& model,
-                                   const EstimationResult& cached,
-                                   const EstimationResult& fresh,
-                                   const std::vector<core::ModuleId>& invalidated);
 
 /// Uniform-propagation statistics (related-work check against [12]): for
 /// every injection *location* -- a (target signal, error model) pair -- the

@@ -296,8 +296,8 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
 
       // Instants: lifecycle events worth a timeline mark. Per-run noise
       // (run.start, injection.done, journal.append) is skipped.
-      if (name == "golden.done" || name == "campaign.done" ||
-          name == "delta.done" || name == "journal.resume_scan") {
+      if (name == "golden.done" || name == "delta.done" ||
+          name == "journal.resume_scan") {
         std::vector<Field> args;
         for (const Field& field : event) {
           if (field.key != "event" && field.key != "t_us") {

@@ -166,76 +166,6 @@ JournalScan scan_journal_file(
   return scan;
 }
 
-JournalTailScan scan_journal_tail(
-    const std::filesystem::path& path, std::size_t resume_offset,
-    const std::function<void(fi::InjectionRecord&&)>& sink) {
-  std::ifstream in(path, std::ios::binary);
-  PROPANE_REQUIRE_MSG(in.is_open(),
-                      "cannot open journal shard: " + path.string());
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  JournalTailScan scan;
-  scan.next_offset = resume_offset;
-  const std::size_t header_size = sizeof(kJournalMagic) + 4;
-  if (bytes.size() < header_size) return scan;  // header still in flight
-  PROPANE_CHECK_MSG(
-      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) == 0,
-      "not a campaign journal (bad magic): " + path.string());
-  ByteReader version_reader(bytes.data() + sizeof(kJournalMagic), 4);
-  const std::uint32_t version = version_reader.u32();
-  PROPANE_CHECK_MSG(
-      version >= kMinJournalVersion && version <= kJournalVersion,
-      "unsupported journal version " + std::to_string(version) + ": " +
-          path.string());
-
-  std::size_t pos = std::max(resume_offset, header_size);
-  // Resuming at or before the header means the manifest frame (always the
-  // first frame) has not been consumed yet.
-  bool expect_manifest = resume_offset <= header_size;
-  while (pos < bytes.size()) {
-    const std::size_t remaining = bytes.size() - pos;
-    if (remaining < 8) break;  // frame header in flight
-    ByteReader frame_reader(bytes.data() + pos, 8);
-    const std::uint32_t length = frame_reader.u32();
-    const std::uint32_t stored_crc = frame_reader.u32();
-    // A complete frame header holds the writer's genuine length word
-    // (appends are sequential, so a reader sees a prefix of the byte
-    // stream); an absurd length is therefore corruption, not in-flight.
-    PROPANE_CHECK_MSG(length <= kMaxRecordBytes,
-                      "journal frame length " + std::to_string(length) +
-                          " exceeds the record bound at offset " +
-                          std::to_string(pos) + ": " + path.string());
-    if (remaining - 8 < length) break;  // payload in flight
-    const std::uint8_t* payload = bytes.data() + pos + 8;
-    PROPANE_CHECK_MSG(
-        crc32(payload, length) == stored_crc,
-        "journal CRC mismatch at offset " + std::to_string(pos) + ": " +
-            path.string() + " (mid-file corruption, refusing to continue)");
-    PROPANE_CHECK_MSG(length >= 1, "empty journal frame: " + path.string());
-    const auto type = static_cast<RecordType>(payload[0]);
-    if (expect_manifest) {
-      PROPANE_CHECK_MSG(type == RecordType::kManifest,
-                        "first journal record is not a manifest: " +
-                            path.string());
-      scan.manifest = decode_manifest(payload + 1, length - 1);
-      scan.has_manifest = true;
-      expect_manifest = false;
-    } else {
-      PROPANE_CHECK_MSG(type == RecordType::kInjectionResult,
-                        "unknown journal record type " +
-                            std::to_string(payload[0]) + ": " + path.string());
-      fi::InjectionRecord record =
-          decode_injection_record(payload + 1, length - 1, version);
-      ++scan.record_count;
-      if (sink) sink(std::move(record));
-    }
-    pos += 8 + length;
-    scan.next_offset = pos;
-  }
-  return scan;
-}
-
 JournalScan peek_journal_manifest(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   PROPANE_REQUIRE_MSG(in.is_open(),

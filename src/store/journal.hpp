@@ -119,31 +119,4 @@ JournalScan scan_journal_file(
 /// record_count is always 0 here; has_manifest is false for crash residue.
 JournalScan peek_journal_manifest(const std::filesystem::path& path);
 
-/// Outcome of one incremental tail scan (see scan_journal_tail).
-struct JournalTailScan {
-  /// True when this call decoded the manifest frame (only possible when the
-  /// scan resumed from the start of the frame stream).
-  bool has_manifest = false;
-  Manifest manifest;
-  /// Injection records decoded by this call (not cumulative).
-  std::size_t record_count = 0;
-  /// Offset just past the last complete frame; pass back as `resume_offset`
-  /// to decode only frames appended since.
-  std::size_t next_offset = 0;
-};
-
-/// Incremental scan of a shard that may still be growing: decodes complete
-/// frames starting at `resume_offset` (0 = from the file header) and stops
-/// at the first incomplete frame *without* flagging it -- while a writer is
-/// alive, an incomplete tail frame is simply in flight, not crash residue.
-/// Because appends are sequential and flushed whole-frame, any complete
-/// frame the reader can see is immutable, so polling with the returned
-/// next_offset yields every record exactly once. A CRC mismatch on a
-/// complete frame is still a hard error (corruption, never an in-flight
-/// write). A reader can poll this to follow a campaign that is still
-/// appending.
-JournalTailScan scan_journal_tail(
-    const std::filesystem::path& path, std::size_t resume_offset,
-    const std::function<void(fi::InjectionRecord&&)>& sink);
-
 }  // namespace propane::store

@@ -1,13 +1,15 @@
 #include "store/result_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
+#include <thread>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "obs/clock.hpp"
+#include "obs/progress.hpp"
+#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "store/campaign_session.hpp"
 
 namespace propane::store {
 
@@ -35,21 +37,81 @@ const fi::InjectionRecord* ResultCache::find(std::uint64_t fingerprint) const {
   return it == by_fingerprint_.end() ? nullptr : &it->second;
 }
 
-fi::DeltaCacheLookup ResultCache::lookup() const {
-  return [this](std::uint64_t fingerprint) { return find(fingerprint); };
-}
-
 std::uint64_t ResultCache::fingerprint_of_flat(std::size_t flat) const {
   return flat < fingerprint_by_flat_.size() ? fingerprint_by_flat_[flat] : 0;
 }
+
+namespace {
+
+/// How one session resolved a flat run of the plan. Every run count of the
+/// summary, every delta.done field and every --explain row is a tally over
+/// one vector of these.
+enum class RunOutcome : std::uint8_t {
+  kPending,           // not reached (the campaign threw first)
+  kJournaled,         // already in the output journal
+  kForeign,           // owned by another process of a split
+  kReplayed,          // baseline hit, appended from the cache
+  kExecuted,          // simulated this session, no divergence
+  kExecutedDiverged,  // simulated this session, >= 1 diverged signal
+};
+constexpr std::size_t kOutcomeCount =
+    static_cast<std::size_t>(RunOutcome::kExecutedDiverged) + 1;
+
+/// Resume scan of the output directory: the completed-run set (sized to
+/// the plan even when the directory is fresh), timed and reported as a
+/// journal.resume_scan event + journal.resume.scan_ms gauge. A directory
+/// of another plan is a hard error.
+CampaignDirState resume_scan(const std::filesystem::path& dir,
+                             const Manifest& manifest,
+                             const obs::Telemetry* telemetry) {
+  CampaignDirState state;
+  {
+    obs::Span scan_span(telemetry, "journal.resume_scan");
+    const std::uint64_t scan_start_us = obs::steady_now_us();
+    state = scan_campaign_dir(dir);
+    if (telemetry != nullptr) {
+      const std::uint64_t scan_us = obs::steady_now_us() - scan_start_us;
+      if (auto* gauge =
+              obs::find_gauge(telemetry, "journal.resume.scan_ms")) {
+        gauge->set(static_cast<double>(scan_us) / 1000.0);
+      }
+      obs::emit_event(telemetry, "journal.resume_scan",
+                      {{"dir", obs::Value(dir.string())},
+                       {"completed", obs::Value(state.completed_count)},
+                       {"duplicates", obs::Value(state.duplicate_count)},
+                       {"warnings", obs::Value(state.warnings.size())},
+                       {"dur_us", obs::Value(scan_us)}});
+    }
+  }
+  if (!state.fresh) {
+    detail::require_same_manifest(manifest, state.manifest, dir.string());
+  }
+  if (state.completed.empty()) {
+    state.completed.assign(manifest.total_runs(), false);
+  }
+  return state;
+}
+
+/// shard_count 0 = auto: one shard per campaign pool thread, so the
+/// parallel batch path appends journal records without shard contention.
+std::size_t session_shard_count(const JournalRunOptions& options,
+                                const fi::CampaignConfig& config) {
+  if (options.shard_count > 0) return options.shard_count;
+  return config.threads > 0
+             ? config.threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+}  // namespace
 
 DeltaJournalSummary run_delta_journaled_campaign(
     const fi::CampaignRunner& runner, const fi::CampaignConfig& config,
     const core::SystemModel& model, const fi::SignalBinding& binding,
     const std::filesystem::path& dir, const ResultCache& baseline,
     const DeltaRunOptions& options) {
-  PROPANE_REQUIRE(options.base.process_count > 0);
-  PROPANE_REQUIRE(options.base.process_index < options.base.process_count);
+  const JournalRunOptions& session = options.base;
+  PROPANE_REQUIRE(session.process_count > 0);
+  PROPANE_REQUIRE(session.process_index < session.process_count);
 
   const Manifest manifest = manifest_for(config);
   DeltaJournalSummary summary;
@@ -59,9 +121,10 @@ DeltaJournalSummary run_delta_journaled_campaign(
   summary.warnings = baseline.warnings();
 
   const obs::Telemetry* telemetry =
-      (options.base.telemetry != nullptr && options.base.telemetry->enabled())
-          ? options.base.telemetry
+      (session.telemetry != nullptr && session.telemetry->enabled())
+          ? session.telemetry
           : nullptr;
+  obs::ProgressReporter* progress = session.progress;
   const std::uint64_t wall_start_us = obs::steady_now_us();
 
   const std::vector<std::uint64_t> fingerprints =
@@ -116,52 +179,113 @@ DeltaJournalSummary run_delta_journaled_campaign(
                      {"total_runs", obs::Value(summary.total_runs)}});
   }
 
-  // Session core: resume scan of the *output* directory, shard writer and
-  // the completed/foreign filtering + durable-append hooks, shared with
-  // run_journaled_campaign and the campaign service workers.
-  JournaledCampaignSession session(config, dir, options.base);
-  summary.warnings.insert(summary.warnings.end(), session.warnings().begin(),
-                          session.warnings().end());
-
-  // Per-run outcome for the --explain table; each flat is resolved by
-  // exactly one worker, so plain elements suffice.
-  enum : std::uint8_t { kUntouched = 0, kExecuted = 1, kReplayed = 2 };
-  std::vector<std::uint8_t> outcome(manifest.total_runs(), kUntouched);
-
-  fi::DeltaOptions delta;
-  delta.lookup = baseline.lookup();
-  delta.module_versions = options.module_versions;
-  delta.hooks = session.hooks();
-  delta.hooks.on_record = [&, append = std::move(delta.hooks.on_record)](
-                              const fi::InjectionRecord& record) {
-    append(record);
-    outcome[manifest.flat_index(record.injection_index, record.test_case)] =
-        kExecuted;
+  const CampaignDirState state = resume_scan(dir, manifest, telemetry);
+  summary.warnings.insert(summary.warnings.end(), state.warnings.begin(),
+                          state.warnings.end());
+  ShardedJournalWriter writer(dir, manifest,
+                              session_shard_count(session, config), telemetry);
+  const std::uint64_t journal_base_bytes = writer.bytes_written();
+  const auto show_journal = [&] {
+    if (progress != nullptr) {
+      progress->set_journal(writer.bytes_written(), writer.shard_count());
+    }
   };
-  // Replayed records are re-appended too: the output directory is a
-  // complete journal of the plan, usable as the next delta's baseline and
-  // yielding byte-identical estimates to a cold run of the same plan.
-  delta.on_replay = [&](const fi::InjectionRecord& record) {
-    session.append_replayed(record);
-    outcome[manifest.flat_index(record.injection_index, record.test_case)] =
-        kReplayed;
+  if (progress != nullptr) progress->set_total(manifest.total_runs());
+  show_journal();
+
+  // Each flat is resolved exactly once, by should_run or by the worker that
+  // executed it, so plain elements suffice; run_campaign joins its pool
+  // before the tally below reads them.
+  std::vector<RunOutcome> outcome(manifest.total_runs(), RunOutcome::kPending);
+
+  fi::CampaignHooks hooks;
+  hooks.collect_records = false;  // the journal is the result
+  hooks.telemetry = telemetry;
+  hooks.should_run = [&](std::uint32_t injection_index,
+                         std::uint32_t test_case) {
+    const std::size_t flat = manifest.flat_index(injection_index, test_case);
+    if (state.completed[flat]) {
+      outcome[flat] = RunOutcome::kJournaled;
+      if (progress != nullptr) progress->add_skipped(1);
+      return false;
+    }
+    if (flat % session.process_count != session.process_index) {
+      outcome[flat] = RunOutcome::kForeign;
+      if (progress != nullptr) progress->add_skipped(1);
+      return false;
+    }
+    const fi::InjectionRecord* cached = baseline.find(fingerprints[flat]);
+    if (cached == nullptr) return true;
+    // Cache hit: replay the stored report under the *current* plan's
+    // identity (the baseline may have recorded it at a different flat
+    // position, e.g. after injections were added to the plan), and append
+    // it like an executed record, so the output directory is a complete
+    // journal of the plan.
+    fi::InjectionRecord record = *cached;
+    record.injection_index = injection_index;
+    record.test_case = test_case;
+    record.target = config.injections[injection_index].target;
+    record.when = config.injections[injection_index].when;
+    record.fingerprint = fingerprints[flat];
+    record.replayed = true;
+    writer.append(record);
+    outcome[flat] = RunOutcome::kReplayed;
+    show_journal();
+    if (progress != nullptr) progress->add_replayed(1);
+    return false;
   };
+  // Durability point: the record reaches its shard (and is flushed) before
+  // the worker picks up another run, so a crash can lose at most the runs
+  // still in flight -- never a completed one.
+  hooks.on_record = [&](const fi::InjectionRecord& record) {
+    const std::size_t flat =
+        manifest.flat_index(record.injection_index, record.test_case);
+    fi::InjectionRecord stamped = record;
+    stamped.fingerprint = fingerprints[flat];
+    writer.append(stamped);
+    const bool diverged = record.report.any_divergence();
+    outcome[flat] =
+        diverged ? RunOutcome::kExecutedDiverged : RunOutcome::kExecuted;
+    show_journal();
+    if (progress != nullptr) progress->add_completed(1, diverged);
+  };
+  fi::run_campaign(runner, config, hooks);
 
-  fi::DeltaResult delta_result =
-      fi::run_delta_campaign(runner, config, model, binding, delta);
-  summary.replayed = delta_result.stats.hits;
-
-  const SessionTally tally = session.finish(
-      "delta.done", {{"replayed", obs::Value(summary.replayed)}});
-  summary.executed = tally.executed;
-  summary.skipped_completed = tally.skipped_completed;
-  summary.skipped_foreign = tally.skipped_foreign;
-  summary.diverged = tally.diverged;
-  summary.journal_bytes = tally.journal_bytes;
+  std::array<std::size_t, kOutcomeCount> tally{};
+  for (const RunOutcome o : outcome) ++tally[static_cast<std::size_t>(o)];
+  const auto count = [&](RunOutcome o) {
+    return tally[static_cast<std::size_t>(o)];
+  };
+  summary.diverged = count(RunOutcome::kExecutedDiverged);
+  summary.executed = count(RunOutcome::kExecuted) + summary.diverged;
+  summary.replayed = count(RunOutcome::kReplayed);
+  summary.skipped_completed = count(RunOutcome::kJournaled);
+  summary.skipped_foreign = count(RunOutcome::kForeign);
+  summary.journal_bytes = writer.bytes_written() - journal_base_bytes;
   // Wall time spans the delta planning (fingerprints, stale detection)
-  // too, not just the session.
+  // and the resume scan too, not just the campaign.
   summary.wall_seconds =
       static_cast<double>(obs::steady_now_us() - wall_start_us) / 1e6;
+
+  if (auto* hits = obs::find_counter(telemetry, "delta.hits")) {
+    hits->add(summary.replayed);
+  }
+  if (auto* misses = obs::find_counter(telemetry, "delta.misses")) {
+    misses->add(summary.executed);
+  }
+  if (progress != nullptr) progress->finish();
+  if (telemetry != nullptr) {
+    obs::emit_event(
+        telemetry, "delta.done",
+        {{"executed", obs::Value(summary.executed)},
+         {"skipped_completed", obs::Value(summary.skipped_completed)},
+         {"skipped_foreign", obs::Value(summary.skipped_foreign)},
+         {"total_runs", obs::Value(summary.total_runs)},
+         {"diverged", obs::Value(summary.diverged)},
+         {"journal_bytes", obs::Value(summary.journal_bytes)},
+         {"wall_s", obs::Value(summary.wall_seconds)},
+         {"replayed", obs::Value(summary.replayed)}});
+  }
 
   summary.per_module.resize(model.module_count());
   for (core::ModuleId m = 0; m < model.module_count(); ++m) {
@@ -169,20 +293,13 @@ DeltaJournalSummary run_delta_journaled_campaign(
     summary.per_module[m].invalidated = module_stale[m];
   }
   for (std::size_t flat = 0; flat < outcome.size(); ++flat) {
-    if (outcome[flat] == kUntouched) continue;
+    const bool replayed = outcome[flat] == RunOutcome::kReplayed;
+    const bool executed = outcome[flat] == RunOutcome::kExecuted ||
+                          outcome[flat] == RunOutcome::kExecutedDiverged;
+    if (!replayed && !executed) continue;
     for (core::ModuleId m : consumers_of_flat(flat)) {
-      if (outcome[flat] == kReplayed) {
-        ++summary.per_module[m].replayed;
-      } else {
-        ++summary.per_module[m].executed;
-      }
-    }
-  }
-
-  summary.result = std::move(delta_result.campaign);
-  if (options.base.collect_records) {
-    for (auto& [flat, record] : session.reloaded()) {
-      summary.result.records[flat] = std::move(record);
+      ++(replayed ? summary.per_module[m].replayed
+                  : summary.per_module[m].executed);
     }
   }
   return summary;

@@ -1,15 +1,17 @@
-// Content-addressed campaign result cache: the durable half of the delta
-// engine (fi/delta_campaign.hpp).
+// Content-addressed campaign result cache and the one journaled campaign
+// entry point.
 //
-// A baseline journal directory is loaded into a fingerprint-keyed index;
-// run_delta_journaled_campaign then runs a (possibly changed) plan against
-// a fresh output directory, replaying every run whose fingerprint the
-// baseline holds and executing only the rest. The output directory is a
-// complete, ordinary campaign journal -- replayed records are re-appended
-// with their `replayed` flag set -- so it resumes, merges, estimates and
-// serves as the next delta's baseline with no special cases, and the
-// permeability CSV derived from it is byte-identical to one from a cold
-// full run (estimation is order-independent and never consults the
+// A baseline journal directory is loaded into a fingerprint-keyed index
+// (fingerprints: fi/delta_campaign.hpp); run_delta_journaled_campaign then
+// runs a (possibly changed) plan against an output directory, replaying
+// every run whose fingerprint the baseline holds and executing only the
+// rest. A plain campaign is a delta against an empty baseline
+// (ResultCache{}): every lookup misses and every run executes. The output
+// directory is a complete, ordinary campaign journal -- replayed records
+// are re-appended with their `replayed` flag set -- so it resumes, merges,
+// estimates and serves as the next delta's baseline with no special cases,
+// and the permeability CSV derived from it is byte-identical to one from a
+// cold full run (estimation is order-independent and never consults the
 // fingerprint/replayed metadata).
 //
 // Cache-invalidation rules (what turns a baseline record stale):
@@ -47,9 +49,6 @@ class ResultCache {
   /// Cached record for `fingerprint`, or nullptr. Fingerprint 0 ("none")
   /// never matches. Thread-safe (read-only).
   const fi::InjectionRecord* find(std::uint64_t fingerprint) const;
-  /// The find() bound as the delta engine's lookup. Non-owning: the cache
-  /// must outlive the campaign using it.
-  fi::DeltaCacheLookup lookup() const;
 
   bool loaded() const { return !state_.fresh; }
   const Manifest& manifest() const { return state_.manifest; }
@@ -71,9 +70,9 @@ class ResultCache {
 };
 
 struct DeltaRunOptions {
-  /// Shard count / process split / collect_records / telemetry / progress,
-  /// exactly as for run_journaled_campaign. Replays respect the process
-  /// split too: each process appends only its own share of the hits.
+  /// Shard count / process split / telemetry / progress. Replays respect
+  /// the process split too: each process appends only its own share of the
+  /// hits.
   JournalRunOptions base;
   /// Version tokens fed into the run fingerprints (fi::ModuleVersionMap).
   fi::ModuleVersionMap module_versions;
@@ -92,6 +91,10 @@ struct ModuleDeltaExplain {
   bool invalidated = false;
 };
 
+/// What one session did. The run counts, the delta.done fields and the
+/// per_module rows are all tallied from one per-run outcome, so after a
+/// session that returns, executed + replayed + skipped_completed +
+/// skipped_foreign == total_runs.
 struct DeltaJournalSummary {
   std::size_t executed = 0;           // runs simulated this session
   std::size_t replayed = 0;           // cache hits copied from the baseline
@@ -110,19 +113,27 @@ struct DeltaJournalSummary {
   std::vector<core::ModuleId> invalidated_modules;
   /// One entry per model module, ModuleId order.
   std::vector<ModuleDeltaExplain> per_module;
-  /// Golden traces + signal names always; records only when
-  /// base.collect_records (then complete: executed + replayed + reloaded).
-  fi::CampaignResult result;
 };
 
-/// Incremental counterpart of run_journaled_campaign: runs `config`
-/// against output directory `dir`, resolving runs against `baseline`
-/// first. Fresh output directories start from the cache; non-empty ones
-/// resume (already-journaled runs are neither replayed nor executed
-/// again). With an empty baseline this is exactly run_journaled_campaign
-/// plus fingerprint stamping. Emits delta.hits / delta.misses /
-/// delta.invalidated_modules counters and a delta.plan event when
-/// telemetry is on.
+/// Runs `config` against journal directory `dir`, resolving each run, in
+/// order, as: already in `dir` (skipped), owned by another process of a
+/// split (skipped), a `baseline` hit (replayed: appended with its
+/// `replayed` flag set) or a miss (executed through `runner` and appended
+/// with its fingerprint). Fresh directories start from scratch, non-empty
+/// ones resume; `dir` must belong to the same plan (manifest mismatch is a
+/// hard error). Every resolved run is appended to a shard before the
+/// campaign moves on, so the directory can be resumed after a crash at any
+/// point, and it is a complete journal of the plan: it merges, estimates
+/// and serves as the next delta's baseline with no special cases.
+///
+/// Accepts a scalar fi::RunFunction (implicitly, as a width-1 batch
+/// adaptor) or a batched fi::CampaignRunner; journals are bit-identical
+/// either way, and a directory written by one may be resumed by the other
+/// (batch size is deliberately outside the plan hash).
+///
+/// With telemetry on it emits delta.plan, journal.resume_scan and
+/// delta.done events, in that order, and the delta.hits / delta.misses /
+/// delta.invalidated_modules counters.
 DeltaJournalSummary run_delta_journaled_campaign(
     const fi::CampaignRunner& runner, const fi::CampaignConfig& config,
     const core::SystemModel& model, const fi::SignalBinding& binding,

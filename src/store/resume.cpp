@@ -1,14 +1,35 @@
 #include "store/resume.hpp"
 
+#include <cstdio>
 #include <optional>
 #include <ostream>
 #include <set>
 
 #include "common/contracts.hpp"
 #include "core/permeability_io.hpp"
-#include "store/campaign_session.hpp"
 
 namespace propane::store {
+
+namespace detail {
+
+std::string hex64(std::uint64_t value) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+void require_same_manifest(const Manifest& expected, const Manifest& found,
+                           const std::string& where) {
+  PROPANE_REQUIRE_MSG(
+      expected == found,
+      "journal manifest mismatch (" + where + "): expected plan " +
+          hex64(expected.plan_hash) + " seed " + hex64(expected.seed) +
+          ", found plan " + hex64(found.plan_hash) + " seed " +
+          hex64(found.seed) + " -- shards belong to different campaigns");
+}
+
+}  // namespace detail
 
 using detail::hex64;
 using detail::require_same_manifest;
@@ -70,33 +91,6 @@ CampaignDirState for_each_journal_record(
   PROPANE_REQUIRE_MSG(!state.fresh,
                       "no campaign journal in " + dir.string());
   return state;
-}
-
-JournalRunSummary run_journaled_campaign(const fi::CampaignRunner& runner,
-                                         const fi::CampaignConfig& config,
-                                         const std::filesystem::path& dir,
-                                         const JournalRunOptions& options) {
-  JournaledCampaignSession session(config, dir, options);
-  JournalRunSummary summary;
-  summary.total_runs = session.total_runs();
-  summary.warnings = session.warnings();
-
-  summary.result = fi::run_campaign(runner, config, session.hooks());
-
-  const SessionTally tally = session.finish("campaign.done");
-  summary.executed = tally.executed;
-  summary.skipped_completed = tally.skipped_completed;
-  summary.skipped_foreign = tally.skipped_foreign;
-  summary.diverged = tally.diverged;
-  summary.journal_bytes = tally.journal_bytes;
-  summary.wall_seconds = tally.wall_seconds;
-
-  if (options.collect_records) {
-    for (auto& [flat, record] : session.reloaded()) {
-      summary.result.records[flat] = std::move(record);
-    }
-  }
-  return summary;
 }
 
 MergeSummary merge_journals(

@@ -6,8 +6,9 @@
 // next one started, the directory *is* the campaign state:
 //
 //   * resume: scan the shards, rebuild the set of completed
-//     (injection_index, test_case) pairs, then run only the missing runs.
-//     Per-run RNG seeds are a pure function of (config seed, run identity)
+//     (injection_index, test_case) pairs, then run only the missing runs
+//     (run_delta_journaled_campaign, store/result_cache.hpp). Per-run RNG
+//     seeds are a pure function of (config seed, run identity)
 //     (fi/campaign.cpp), so a resumed campaign is bit-identical to an
 //     uninterrupted one;
 //   * split: N processes run the same plan with process_count=N and
@@ -38,6 +39,14 @@ struct Telemetry;
 }  // namespace propane::obs
 
 namespace propane::store {
+
+namespace detail {
+/// "0x%016llx" formatting for manifest identities in diagnostics.
+std::string hex64(std::uint64_t value);
+/// Hard error unless the two manifests describe the same campaign plan.
+void require_same_manifest(const Manifest& expected, const Manifest& found,
+                           const std::string& where);
+}  // namespace detail
 
 /// What a scan of a campaign directory found.
 struct CampaignDirState {
@@ -78,6 +87,7 @@ CampaignDirState for_each_journal_record(
     const std::function<void(const fi::InjectionRecord&, std::size_t flat)>&
         sink);
 
+/// Session options of run_delta_journaled_campaign (store/result_cache.hpp).
 struct JournalRunOptions {
   /// Shard files this session writes (>= worker threads removes
   /// contention). 0 = auto: one shard per campaign pool thread
@@ -90,9 +100,6 @@ struct JournalRunOptions {
   /// to process_index modulo process_count.
   std::uint32_t process_count = 1;
   std::uint32_t process_index = 0;
-  /// Also materialise records in the returned CampaignResult (memory-heavy;
-  /// off by default -- the journal is the result).
-  bool collect_records = false;
   /// Optional telemetry (non-owning): threaded into the campaign, the pool
   /// and every shard writer; the resume scan is timed and reported as a
   /// journal.resume_scan event + journal.resume.scan_ms gauge.
@@ -101,36 +108,6 @@ struct JournalRunOptions {
   /// with the journal's byte footprint. Observation-only.
   obs::ProgressReporter* progress = nullptr;
 };
-
-struct JournalRunSummary {
-  std::size_t executed = 0;           // runs performed this session
-  std::size_t skipped_completed = 0;  // already in the journal
-  std::size_t skipped_foreign = 0;    // owned by another process index
-  std::size_t total_runs = 0;         // the plan's injection-run count
-  std::size_t diverged = 0;           // executed runs with >= 1 divergence
-  double wall_seconds = 0.0;          // scan + campaign wall time
-  std::uint64_t journal_bytes = 0;    // bytes this session appended
-  std::vector<std::string> warnings;  // from the pre-run directory scan
-  /// Golden traces and signal names always; records only when
-  /// collect_records (journaled-but-skipped runs are reloaded from disk, so
-  /// the result is complete for a single-process resume).
-  fi::CampaignResult result;
-};
-
-/// Runs `config` against journal directory `dir`: fresh directories start
-/// from scratch, non-empty ones resume. The directory must belong to the
-/// same plan (manifest mismatch is a hard error). Every completed run is
-/// appended to a shard before the campaign moves on, so the directory can
-/// be resumed after a crash at any point.
-///
-/// Accepts a scalar fi::RunFunction (implicitly, as a width-1 batch
-/// adaptor) or a batched fi::CampaignRunner; journals are bit-identical
-/// either way, and a directory written by one may be resumed by the other
-/// (batch size is deliberately outside the plan hash).
-JournalRunSummary run_journaled_campaign(const fi::CampaignRunner& runner,
-                                         const fi::CampaignConfig& config,
-                                         const std::filesystem::path& dir,
-                                         const JournalRunOptions& options = {});
 
 struct MergeSummary {
   std::size_t record_count = 0;     // unique records now in dest

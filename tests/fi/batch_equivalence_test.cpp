@@ -272,7 +272,20 @@ TEST(BatchCampaign, RecordsMatchScalarForEveryBatchSize) {
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;
   fs::remove_all(dir);
-  return dir;  // run_journaled_campaign creates it
+  return dir;  // the campaign creates it
+}
+
+/// A plain journaled run: the one journaled entry point with an empty
+/// baseline, exactly as `campaign run` executes it.
+store::DeltaJournalSummary run_journaled(
+    const fi::CampaignRunner& runner, const fi::CampaignConfig& config,
+    const fs::path& dir, const store::JournalRunOptions& options = {}) {
+  const core::SystemModel model = make_arrestment_model();
+  store::DeltaRunOptions delta;
+  delta.base = options;
+  return store::run_delta_journaled_campaign(
+      runner, config, model, make_arrestment_binding(model), dir,
+      store::ResultCache{}, delta);
 }
 
 std::string journal_csv(const fs::path& dir) {
@@ -288,8 +301,7 @@ TEST(BatchJournal, CsvByteIdenticalToScalarForEveryBatchSize) {
   fi::CampaignConfig config = short_config();
 
   const fs::path scalar_dir = fresh_dir("batch_csv_scalar");
-  store::run_journaled_campaign(campaign_runner(cases, kShortRun), config,
-                                scalar_dir);
+  run_journaled(campaign_runner(cases, kShortRun), config, scalar_dir);
   const std::string scalar_csv = journal_csv(scalar_dir);
   ASSERT_FALSE(scalar_csv.empty());
 
@@ -298,7 +310,7 @@ TEST(BatchJournal, CsvByteIdenticalToScalarForEveryBatchSize) {
     config.batch_size = batch_size;
     const fs::path dir =
         fresh_dir("batch_csv_" + std::to_string(batch_size));
-    store::run_journaled_campaign(
+    run_journaled(
         batched_campaign_runner(cases, config, kShortRun), config, dir);
     EXPECT_EQ(journal_csv(dir), scalar_csv);
   }
@@ -311,8 +323,7 @@ TEST(BatchJournal, MidBatchKillAndResumeUnderDifferentBatchSize) {
   config.batch_size = 4;
 
   const fs::path scalar_dir = fresh_dir("batch_resume_scalar");
-  store::run_journaled_campaign(campaign_runner(cases, kShortRun), config,
-                                scalar_dir);
+  run_journaled(campaign_runner(cases, kShortRun), config, scalar_dir);
   const std::string scalar_csv = journal_csv(scalar_dir);
 
   // "Kill" mid-campaign: the first batch completes and journals its
@@ -329,8 +340,7 @@ TEST(BatchJournal, MidBatchKillAndResumeUnderDifferentBatchSize) {
         }
         return inner.batch(request);
       });
-  EXPECT_THROW(store::run_journaled_campaign(crashing, config, dir),
-               std::runtime_error);
+  EXPECT_THROW(run_journaled(crashing, config, dir), std::runtime_error);
   const store::CampaignDirState partial = store::scan_campaign_dir(dir);
   const std::size_t total =
       config.injections.size() * config.test_case_count;
@@ -340,7 +350,7 @@ TEST(BatchJournal, MidBatchKillAndResumeUnderDifferentBatchSize) {
   // Resume under a *different* batch size (the plan hash excludes it):
   // only the missing runs execute, regrouped into new batches.
   config.batch_size = 17;
-  const store::JournalRunSummary resumed = store::run_journaled_campaign(
+  const store::DeltaJournalSummary resumed = run_journaled(
       batched_campaign_runner(cases, config, kShortRun), config, dir);
   EXPECT_EQ(resumed.executed + resumed.skipped_completed, total);
   EXPECT_EQ(resumed.skipped_completed, partial.completed_count);
@@ -516,8 +526,7 @@ TEST(BatchJournal, SparsePackedPlanCsvByteIdenticalToScalar) {
   fi::CampaignConfig config = sparse_plan_config();
 
   const fs::path scalar_dir = fresh_dir("batch_sparse_scalar");
-  store::run_journaled_campaign(campaign_runner(cases, kShortRun), config,
-                                scalar_dir);
+  run_journaled(campaign_runner(cases, kShortRun), config, scalar_dir);
   const std::string scalar_csv = journal_csv(scalar_dir);
   ASSERT_FALSE(scalar_csv.empty());
 
@@ -526,7 +535,7 @@ TEST(BatchJournal, SparsePackedPlanCsvByteIdenticalToScalar) {
     config.batch_size = batch_size;
     const fs::path dir =
         fresh_dir("batch_sparse_" + std::to_string(batch_size));
-    store::run_journaled_campaign(
+    run_journaled(
         batched_campaign_runner(cases, config, kShortRun), config, dir);
     EXPECT_EQ(journal_csv(dir), scalar_csv);
   }
@@ -537,8 +546,7 @@ TEST(BatchJournal, ThreadedAutoShardedJournalCsvByteIdenticalToScalar) {
   fi::CampaignConfig config = sparse_plan_config();
 
   const fs::path scalar_dir = fresh_dir("batch_mt_scalar");
-  store::run_journaled_campaign(campaign_runner(cases, kShortRun), config,
-                                scalar_dir);
+  run_journaled(campaign_runner(cases, kShortRun), config, scalar_dir);
   const std::string scalar_csv = journal_csv(scalar_dir);
 
   // Four worker threads, several batches each; shard_count 0 auto-scales
@@ -550,7 +558,7 @@ TEST(BatchJournal, ThreadedAutoShardedJournalCsvByteIdenticalToScalar) {
   store::JournalRunOptions options;
   options.shard_count = 0;
   const fs::path dir = fresh_dir("batch_mt_sharded");
-  const store::JournalRunSummary summary = store::run_journaled_campaign(
+  const store::DeltaJournalSummary summary = run_journaled(
       batched_campaign_runner(cases, config, kShortRun), config, dir,
       options);
   EXPECT_EQ(summary.executed,
@@ -564,14 +572,14 @@ TEST(BatchJournal, ResumeOfCompleteJournalPlansNoBatches) {
   config.batch_size = 8;
 
   const fs::path dir = fresh_dir("batch_resume_complete");
-  store::run_journaled_campaign(
+  run_journaled(
       batched_campaign_runner(cases, config, kShortRun), config, dir);
   const std::string csv = journal_csv(dir);
 
   // Every run is journaled: the planner sees zero missing lanes and the
   // batch path must cope with an entirely empty plan.
   BatchCounters counters;
-  const store::JournalRunSummary resumed = store::run_journaled_campaign(
+  const store::DeltaJournalSummary resumed = run_journaled(
       batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config, dir);
   EXPECT_EQ(resumed.executed, 0u);

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "fi/estimator.hpp"
@@ -12,42 +10,7 @@
 namespace propane::fi {
 namespace {
 
-/// Two-module accumulator chain: src -> M1 -> mid -> M2 -> dst. Every
-/// signal accumulates (reads its own previous value), so an injected
-/// corruption persists and keeps propagating downstream -- src errors
-/// reach mid and dst, mid errors reach dst only. M2's behaviour is
-/// parameterised by `m2_mask`: v1 (0xFFFF) lets every diverged mid bit
-/// through, a "changed" M2 (0xFF00) masks low-byte divergence, altering
-/// dst without ever touching mid.
-TraceSet chain_run(const RunRequest& request, std::uint16_t m2_mask) {
-  SignalBus bus;
-  const BusSignalId src = bus.add_signal("src");
-  const BusSignalId mid = bus.add_signal("mid");
-  const BusSignalId dst = bus.add_signal("dst");
-
-  std::optional<InjectionDriver> injector;
-  if (request.injection) {
-    injector.emplace(bus, *request.injection, Rng(request.rng_seed));
-  }
-  TraceRecorder recorder(bus);
-  for (std::uint64_t ms = 0; ms < 10; ++ms) {
-    if (injector) injector->maybe_fire(ms * sim::kMillisecond);
-    bus.write(src, static_cast<std::uint16_t>(
-                       bus.read(src) + request.test_case + 3 * ms + 1));
-    bus.write(mid, static_cast<std::uint16_t>(bus.read(mid) + bus.read(src)));
-    bus.write(dst, static_cast<std::uint16_t>(
-                       bus.read(dst) + (bus.read(mid) & m2_mask)));
-    recorder.sample();
-  }
-  return recorder.take();
-}
-
-RunFunction chain_runner(std::uint16_t m2_mask = 0xFFFF) {
-  return [m2_mask](const RunRequest& request) {
-    return chain_run(request, m2_mask);
-  };
-}
-
+/// Two-module chain: src -> M1 -> mid -> M2 -> dst.
 core::SystemModel chain_model() {
   core::SystemModelBuilder builder;
   builder.add_module("M1", {"src"}, {"mid"});
@@ -87,47 +50,6 @@ ModuleVersionMap v1_tokens() { return {{"M1", 1}, {"M2", 1}}; }
 bool src_targeted(const CampaignConfig& config, std::size_t flat) {
   return config.injections[flat / config.test_case_count].target == 0;
 }
-
-void expect_same_report(const DivergenceReport& a, const DivergenceReport& b) {
-  ASSERT_EQ(a.per_signal.size(), b.per_signal.size());
-  for (std::size_t s = 0; s < a.per_signal.size(); ++s) {
-    EXPECT_EQ(a.per_signal[s].diverged, b.per_signal[s].diverged);
-    EXPECT_EQ(a.per_signal[s].first_ms, b.per_signal[s].first_ms);
-  }
-}
-
-void expect_same_estimates(const EstimationResult& a,
-                           const EstimationResult& b) {
-  ASSERT_EQ(a.pairs.size(), b.pairs.size());
-  for (std::size_t i = 0; i < a.pairs.size(); ++i) {
-    EXPECT_EQ(a.pairs[i].pair.module, b.pairs[i].pair.module);
-    EXPECT_EQ(a.pairs[i].injections, b.pairs[i].injections);
-    EXPECT_EQ(a.pairs[i].errors, b.pairs[i].errors);
-    EXPECT_EQ(a.pairs[i].indirect_errors, b.pairs[i].indirect_errors);
-    EXPECT_EQ(a.pairs[i].latency_sum_ms, b.pairs[i].latency_sum_ms);
-    EXPECT_EQ(a.pairs[i].latency_count, b.pairs[i].latency_count);
-  }
-}
-
-/// In-memory cache over a finished campaign, keyed by fingerprint.
-class MapCache {
- public:
-  void add(const CampaignResult& result) {
-    for (const InjectionRecord& record : result.records) {
-      ASSERT_NE(record.fingerprint, 0u);
-      map_[record.fingerprint] = record;
-    }
-  }
-  DeltaCacheLookup lookup() const {
-    return [this](std::uint64_t fp) -> const InjectionRecord* {
-      const auto it = map_.find(fp);
-      return it == map_.end() ? nullptr : &it->second;
-    };
-  }
-
- private:
-  std::unordered_map<std::uint64_t, InjectionRecord> map_;
-};
 
 TEST(DeltaCampaign, ConsumersByBusFollowsModelWiring) {
   const core::SystemModel model = chain_model();
@@ -199,145 +121,6 @@ TEST(DeltaCampaign, PlanDetailsChangeTheFingerprint) {
   CampaignConfig phase = config;
   phase.injections[0].phase = InjectionPhase::kPreBackground;
   EXPECT_NE(run_fingerprints(phase, model, binding, v1_tokens())[0], base[0]);
-}
-
-TEST(DeltaCampaign, EmptyCacheMatchesRunCampaign) {
-  const core::SystemModel model = chain_model();
-  const SignalBinding binding = chain_binding(model);
-  const CampaignConfig config = chain_config();
-
-  const CampaignResult cold = run_campaign(chain_runner(), config);
-  DeltaOptions options;
-  options.module_versions = v1_tokens();
-  const DeltaResult delta =
-      run_delta_campaign(chain_runner(), config, model, binding, options);
-
-  EXPECT_EQ(delta.stats.total, 16u);
-  EXPECT_EQ(delta.stats.hits, 0u);
-  EXPECT_EQ(delta.stats.misses, 16u);
-  ASSERT_EQ(delta.campaign.records.size(), cold.records.size());
-  for (std::size_t i = 0; i < cold.records.size(); ++i) {
-    const InjectionRecord& d = delta.campaign.records[i];
-    EXPECT_EQ(d.injection_index, cold.records[i].injection_index);
-    EXPECT_EQ(d.test_case, cold.records[i].test_case);
-    EXPECT_NE(d.fingerprint, 0u);  // stamped, unlike plain run_campaign
-    EXPECT_FALSE(d.replayed);
-    expect_same_report(d.report, cold.records[i].report);
-  }
-}
-
-TEST(DeltaCampaign, FullCacheReplaysEverything) {
-  const core::SystemModel model = chain_model();
-  const SignalBinding binding = chain_binding(model);
-  const CampaignConfig config = chain_config();
-
-  DeltaOptions options;
-  options.module_versions = v1_tokens();
-  const DeltaResult first =
-      run_delta_campaign(chain_runner(), config, model, binding, options);
-  MapCache cache;
-  cache.add(first.campaign);
-
-  std::mutex mu;
-  std::size_t replay_callbacks = 0;
-  options.lookup = cache.lookup();
-  options.on_replay = [&](const InjectionRecord& record) {
-    const std::lock_guard<std::mutex> lock(mu);
-    ++replay_callbacks;
-    EXPECT_TRUE(record.replayed);
-    EXPECT_NE(record.fingerprint, 0u);
-  };
-  const DeltaResult second =
-      run_delta_campaign(chain_runner(), config, model, binding, options);
-
-  EXPECT_EQ(second.stats.hits, 16u);
-  EXPECT_EQ(second.stats.misses, 0u);
-  EXPECT_EQ(replay_callbacks, 16u);
-  ASSERT_EQ(second.campaign.records.size(), first.campaign.records.size());
-  for (std::size_t i = 0; i < first.campaign.records.size(); ++i) {
-    EXPECT_TRUE(second.campaign.records[i].replayed);
-    expect_same_report(second.campaign.records[i].report,
-                       first.campaign.records[i].report);
-  }
-}
-
-TEST(DeltaCampaign, ChangedModuleReExecutesOnlyItsRuns) {
-  const core::SystemModel model = chain_model();
-  const SignalBinding binding = chain_binding(model);
-  const CampaignConfig config = chain_config();
-
-  DeltaOptions options;
-  options.module_versions = v1_tokens();
-  const DeltaResult baseline =
-      run_delta_campaign(chain_runner(0xFFFF), config, model, binding,
-                         options);
-  MapCache cache;
-  cache.add(baseline.campaign);
-
-  // "Edit" M2: new behaviour (mask 0xFF00) and a bumped version token.
-  options.lookup = cache.lookup();
-  options.module_versions = {{"M1", 1}, {"M2", 2}};
-  const DeltaResult delta = run_delta_campaign(chain_runner(0xFF00), config,
-                                               model, binding, options);
-  EXPECT_EQ(delta.stats.hits, 8u);    // src-targeted runs (consumer M1)
-  EXPECT_EQ(delta.stats.misses, 8u);  // mid-targeted runs (consumer M2)
-  for (std::size_t flat = 0; flat < delta.campaign.records.size(); ++flat) {
-    EXPECT_EQ(delta.campaign.records[flat].replayed,
-              src_targeted(config, flat));
-  }
-
-  // Compositional exactness: the mixed record set estimates exactly what a
-  // cold full campaign of the changed system estimates. Replayed
-  // src-targeted records carry stale *downstream* (dst) divergence data,
-  // but estimation attributes them only to M1's src->mid pair, which M2
-  // cannot influence.
-  const CampaignResult cold = run_campaign(chain_runner(0xFF00), config);
-  const EstimationResult from_delta =
-      estimate_permeability(model, binding, delta.campaign);
-  const EstimationResult from_cold =
-      estimate_permeability(model, binding, cold);
-  expect_same_estimates(from_delta, from_cold);
-}
-
-TEST(DeltaCampaign, SpliceEstimationEqualsColdReEstimation) {
-  const core::SystemModel model = chain_model();
-  const SignalBinding binding = chain_binding(model);
-  const CampaignConfig config = chain_config();
-
-  const CampaignResult old_campaign = run_campaign(chain_runner(0xFFFF),
-                                                   config);
-  const CampaignResult new_campaign = run_campaign(chain_runner(0xFF00),
-                                                   config);
-  const EstimationResult cached =
-      estimate_permeability(model, binding, old_campaign);
-  const EstimationResult fresh =
-      estimate_permeability(model, binding, new_campaign);
-
-  // Only M2 changed, so splicing M2's fresh rows into the cached estimate
-  // must reproduce the cold re-estimation exactly -- pairs and
-  // permeability matrix alike.
-  const EstimationResult spliced =
-      splice_estimation(model, cached, fresh, {core::ModuleId{1}});
-  expect_same_estimates(spliced, fresh);
-  for (core::ModuleId m = 0; m < model.module_count(); ++m) {
-    for (core::PortIndex i = 0; i < model.module(m).input_count(); ++i) {
-      for (core::PortIndex k = 0; k < model.module(m).output_count(); ++k) {
-        EXPECT_DOUBLE_EQ(spliced.permeability.get(m, i, k),
-                         fresh.permeability.get(m, i, k));
-      }
-    }
-  }
-
-  // Sanity: the two behaviours actually differ somewhere in M2, otherwise
-  // this test would pass vacuously.
-  bool m2_differs = false;
-  for (std::size_t i = 0; i < cached.pairs.size(); ++i) {
-    if (cached.pairs[i].pair.module == 1 &&
-        cached.pairs[i].errors != fresh.pairs[i].errors) {
-      m2_differs = true;
-    }
-  }
-  EXPECT_TRUE(m2_differs);
 }
 
 }  // namespace

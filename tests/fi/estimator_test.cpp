@@ -272,58 +272,6 @@ TEST(Accumulator, StreamingFoldMatchesBatchInAnyOrder) {
   }
 }
 
-TEST(Accumulator, MergeOfShardedFoldsMatchesSingleFold) {
-  const SystemModel model = feedback_model();
-  const SignalBinding binding = bind_names(model, {"x", "a", "b"});
-  const CampaignResult campaign = fake_campaign(
-      {"x", "a", "b"}, {{0, {2, 5, 9}},
-                        {0, {2, SIZE_MAX, SIZE_MAX}},
-                        {1, {SIZE_MAX, 3, 3}},
-                        {1, {SIZE_MAX, 4, SIZE_MAX}},
-                        {2, {SIZE_MAX, SIZE_MAX, 6}}});
-
-  PermeabilityAccumulator whole(model, binding, 3);
-  for (const InjectionRecord& record : campaign.records) whole.add(record);
-
-  // Split the records across per-shard accumulators and merge.
-  PermeabilityAccumulator shard_a(model, binding, 3);
-  PermeabilityAccumulator shard_b(model, binding, 3);
-  PermeabilityAccumulator shard_empty(model, binding, 3);
-  for (std::size_t i = 0; i < campaign.records.size(); ++i) {
-    (i % 2 == 0 ? shard_a : shard_b).add(campaign.records[i]);
-  }
-  PermeabilityAccumulator merged(model, binding, 3);
-  merged.merge(shard_b);
-  merged.merge(shard_empty);
-  merged.merge(shard_a);
-
-  EXPECT_EQ(merged.record_count(), whole.record_count());
-  const EstimationResult lhs = merged.finish();
-  const EstimationResult rhs = whole.finish();
-  ASSERT_EQ(lhs.pairs.size(), rhs.pairs.size());
-  for (std::size_t p = 0; p < rhs.pairs.size(); ++p) {
-    EXPECT_EQ(lhs.pairs[p].injections, rhs.pairs[p].injections);
-    EXPECT_EQ(lhs.pairs[p].errors, rhs.pairs[p].errors);
-    EXPECT_EQ(lhs.pairs[p].indirect_errors, rhs.pairs[p].indirect_errors);
-    EXPECT_EQ(lhs.pairs[p].latency_min_ms, rhs.pairs[p].latency_min_ms);
-    EXPECT_EQ(lhs.pairs[p].latency_max_ms, rhs.pairs[p].latency_max_ms);
-    EXPECT_EQ(lhs.pairs[p].latency_count, rhs.pairs[p].latency_count);
-    EXPECT_DOUBLE_EQ(lhs.pairs[p].latency_sum_ms,
-                     rhs.pairs[p].latency_sum_ms);
-    EXPECT_DOUBLE_EQ(lhs.pairs[p].permeability(),
-                     rhs.pairs[p].permeability());
-  }
-}
-
-TEST(Accumulator, MergeAcrossLayoutsViolatesContract) {
-  const SystemModel chain = chain_model();
-  const SystemModel feedback = feedback_model();
-  PermeabilityAccumulator lhs(chain, bind_names(chain, {"src", "dst"}), 2);
-  PermeabilityAccumulator rhs(feedback, bind_names(feedback, {"x", "a", "b"}),
-                              3);
-  EXPECT_THROW(lhs.merge(rhs), ContractViolation);
-}
-
 TEST(Accumulator, SkippedRunPlaceholdersAreIgnored) {
   const SystemModel model = chain_model();
   const SignalBinding binding = bind_names(model, {"src", "dst"});

@@ -22,6 +22,7 @@
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
+#include "store/result_cache.hpp"
 #include "store/resume.hpp"
 
 namespace propane::store {
@@ -32,7 +33,7 @@ namespace fs = std::filesystem;
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;
   fs::remove_all(dir);
-  return dir;  // run_journaled_campaign creates it
+  return dir;  // the campaign creates it
 }
 
 /// The toy system of tests/store/resume_test.cpp: "src" is freshly
@@ -68,25 +69,40 @@ fi::CampaignConfig toy_config() {
   return config;
 }
 
-std::string journal_csv(const fs::path& dir) {
+core::SystemModel toy_model() {
   core::SystemModelBuilder builder;
   builder.add_module("M", {"in"}, {"dst"});
   builder.add_system_input("src");
   builder.connect_system_input("src", "M", "in");
   builder.add_system_output("out", "M", "dst");
-  const core::SystemModel model = std::move(builder).build();
-  const fi::SignalBinding binding =
-      fi::SignalBinding::by_name(model, {"src", "dst"});
+  return std::move(builder).build();
+}
+
+/// A plain journaled run of the toy campaign: the one journaled entry
+/// point with an empty baseline, exactly as `campaign run` executes it.
+DeltaJournalSummary run_journaled(const fs::path& dir,
+                                  const JournalRunOptions& options = {}) {
+  const core::SystemModel model = toy_model();
+  DeltaRunOptions delta;
+  delta.base = options;
+  return run_delta_journaled_campaign(
+      toy_run, toy_config(), model,
+      fi::SignalBinding::by_name(model, {"src", "dst"}), dir, ResultCache{},
+      delta);
+}
+
+std::string journal_csv(const fs::path& dir) {
+  const core::SystemModel model = toy_model();
   std::ostringstream out;
-  write_permeability_csv_from_journal(out, dir, model, binding);
+  write_permeability_csv_from_journal(
+      out, dir, model, fi::SignalBinding::by_name(model, {"src", "dst"}));
   return out.str();
 }
 
 TEST(TelemetryCampaign, CsvIsByteIdenticalWithTelemetryOnOrOff) {
   // Plain campaign: no telemetry at all.
   const fs::path plain_dir = fresh_dir("telemetry_off");
-  const JournalRunSummary plain =
-      run_journaled_campaign(toy_run, toy_config(), plain_dir);
+  const DeltaJournalSummary plain = run_journaled(plain_dir);
   ASSERT_EQ(plain.executed, 12u);
 
   // Fully instrumented campaign: metrics + NDJSON events + spans + HUD
@@ -110,8 +126,7 @@ TEST(TelemetryCampaign, CsvIsByteIdenticalWithTelemetryOnOrOff) {
   options.telemetry = &telemetry;
   options.progress = &hud;
   options.shard_count = 2;
-  const JournalRunSummary traced =
-      run_journaled_campaign(toy_run, toy_config(), traced_dir, options);
+  const DeltaJournalSummary traced = run_journaled(traced_dir, options);
   hud.finish();
   std::fclose(hud_out);
 
@@ -128,7 +143,8 @@ TEST(TelemetryCampaign, CsvIsByteIdenticalWithTelemetryOnOrOff) {
   EXPECT_EQ(metrics.counter("campaign.runs.golden").value(), 3u);
   EXPECT_EQ(metrics.counter("campaign.runs.diverged").value(),
             traced.diverged);
-  EXPECT_EQ(metrics.counter("journal.appends").value(), traced.executed);
+  EXPECT_EQ(metrics.counter("journal.appends").value(),
+            traced.executed + traced.replayed);
   EXPECT_EQ(metrics.counter("journal.append.bytes").value(),
             traced.journal_bytes);
   EXPECT_GT(traced.wall_seconds, 0.0);
@@ -166,7 +182,7 @@ TEST(TelemetryCampaign, ResumedSessionKeepsCsvIdenticalToo) {
   // Journal half the runs with telemetry on, the rest with it off: the
   // final CSV must still match a clean untraced run.
   const fs::path reference_dir = fresh_dir("telemetry_reference");
-  run_journaled_campaign(toy_run, toy_config(), reference_dir);
+  run_journaled(reference_dir);
 
   const fs::path split_dir = fresh_dir("telemetry_split");
   {
@@ -176,12 +192,12 @@ TEST(TelemetryCampaign, ResumedSessionKeepsCsvIdenticalToo) {
     first_half.process_count = 2;
     first_half.process_index = 0;
     first_half.telemetry = &telemetry;
-    run_journaled_campaign(toy_run, toy_config(), split_dir, first_half);
+    run_journaled(split_dir, first_half);
   }
   JournalRunOptions second_half;
   second_half.process_count = 2;
   second_half.process_index = 1;
-  run_journaled_campaign(toy_run, toy_config(), split_dir, second_half);
+  run_journaled(split_dir, second_half);
 
   EXPECT_EQ(journal_csv(reference_dir), journal_csv(split_dir));
 }
@@ -217,7 +233,7 @@ TEST(TelemetryCampaign, TraceParentsEveryRunUnderItsSessionsCampaignSpan) {
     options.process_count = 2;
     options.process_index = index;
     options.telemetry = &telemetry;
-    run_journaled_campaign(toy_run, toy_config(), dir, options);
+    run_journaled(dir, options);
     sink.flush();
   }
 

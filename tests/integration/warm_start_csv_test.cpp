@@ -14,6 +14,7 @@
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
 #include "obs/telemetry.hpp"
+#include "store/result_cache.hpp"
 #include "store/resume.hpp"
 
 namespace propane::store {
@@ -26,7 +27,7 @@ constexpr sim::SimTime kShortRun = 300 * sim::kMillisecond;
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;
   fs::remove_all(dir);
-  return dir;  // run_journaled_campaign creates it
+  return dir;  // the campaign creates it
 }
 
 fi::CampaignConfig short_config() {
@@ -47,6 +48,20 @@ fi::CampaignConfig short_config() {
   return config;
 }
 
+/// A plain journaled run: the one journaled entry point with an empty
+/// baseline, exactly as `campaign run` executes it.
+DeltaJournalSummary run_journaled(const fi::CampaignRunner& runner,
+                                  const fi::CampaignConfig& config,
+                                  const fs::path& dir,
+                                  const JournalRunOptions& options = {}) {
+  const core::SystemModel model = arr::make_arrestment_model();
+  DeltaRunOptions delta;
+  delta.base = options;
+  return run_delta_journaled_campaign(runner, config, model,
+                                      arr::make_arrestment_binding(model),
+                                      dir, ResultCache{}, delta);
+}
+
 std::string journal_csv(const fs::path& dir) {
   const core::SystemModel model = arr::make_arrestment_model();
   const fi::SignalBinding binding = arr::make_arrestment_binding(model);
@@ -60,7 +75,7 @@ std::string cold_csv(const std::vector<arr::TestCase>& cases,
                      const fi::CampaignConfig& config,
                      const std::string& name) {
   const fs::path dir = fresh_dir(name);
-  run_journaled_campaign(arr::campaign_runner(cases, kShortRun), config, dir);
+  run_journaled(arr::campaign_runner(cases, kShortRun), config, dir);
   return journal_csv(dir);
 }
 
@@ -73,7 +88,7 @@ TEST(WarmStartCsv, WarmJournalStreamsByteIdenticalCsvToCold) {
   const fs::path warm_dir = fresh_dir("warm_csv_warm");
   obs::MetricsRegistry metrics;
   const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
-  run_journaled_campaign(
+  run_journaled(
       arr::batched_campaign_runner(cases, config, kShortRun, &telemetry),
       config, warm_dir);
   // The kernel actually ran (every fire tick is past 0, so warm-started).
@@ -92,7 +107,7 @@ TEST(WarmStartCsv, KilledAndResumedWarmCampaignMatchesColdCsv) {
     JournalRunOptions options;
     options.process_count = 2;
     options.process_index = 0;
-    const JournalRunSummary partial = run_journaled_campaign(
+    const DeltaJournalSummary partial = run_journaled(
         arr::batched_campaign_runner(cases, config, kShortRun), config, dir,
         options);
     ASSERT_GT(partial.executed, 0u);
@@ -101,7 +116,7 @@ TEST(WarmStartCsv, KilledAndResumedWarmCampaignMatchesColdCsv) {
 
   // Resume in a "new process": a fresh runner with empty checkpoint slots
   // re-runs the goldens, rebuilds its checkpoints and finishes the rest.
-  const JournalRunSummary resumed = run_journaled_campaign(
+  const DeltaJournalSummary resumed = run_journaled(
       arr::batched_campaign_runner(cases, config, kShortRun), config, dir);
   EXPECT_GT(resumed.executed, 0u);
   EXPECT_GT(resumed.skipped_completed, 0u);

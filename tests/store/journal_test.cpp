@@ -164,82 +164,6 @@ TEST(Journal, GarbageMagicIsAHardError) {
   EXPECT_THROW(scan_records(file), ContractViolation);
 }
 
-TEST(JournalTail, IncrementalScanSeesOnlyNewRecords) {
-  const fs::path dir = fresh_dir("journal_tail");
-  const fs::path file = dir / "shard-000000.pjl";
-  JournalWriter writer(file, test_manifest());
-  writer.append(make_record(0, 0));
-
-  std::vector<fi::InjectionRecord> records;
-  const auto sink = [&](fi::InjectionRecord&& r) {
-    records.push_back(std::move(r));
-  };
-  JournalTailScan first = scan_journal_tail(file, 0, sink);
-  EXPECT_TRUE(first.has_manifest);
-  EXPECT_EQ(first.manifest, test_manifest());
-  EXPECT_EQ(first.record_count, 1u);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].injection_index, 0u);
-
-  // Nothing new: the scan is a no-op that keeps the offset put.
-  JournalTailScan idle = scan_journal_tail(file, first.next_offset, sink);
-  EXPECT_FALSE(idle.has_manifest);
-  EXPECT_EQ(idle.record_count, 0u);
-  EXPECT_EQ(idle.next_offset, first.next_offset);
-
-  // Two more appends while the writer is still live: only they decode.
-  writer.append(make_record(1, 0));
-  writer.append(make_record(1, 1));
-  JournalTailScan second = scan_journal_tail(file, first.next_offset, sink);
-  EXPECT_FALSE(second.has_manifest);
-  EXPECT_EQ(second.record_count, 2u);
-  EXPECT_GT(second.next_offset, first.next_offset);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[2].test_case, 1u);
-}
-
-TEST(JournalTail, InFlightTailFrameIsNotConsumed) {
-  const fs::path dir = fresh_dir("journal_tail_inflight");
-  const fs::path file = dir / "shard-000000.pjl";
-  { JournalWriter writer(file, test_manifest()); }
-  const auto full_size = fs::file_size(file);
-  // Simulate a frame mid-write: append half a frame header by hand.
-  {
-    std::ofstream out(file, std::ios::binary | std::ios::app);
-    const char half[4] = {42, 0, 0, 0};
-    out.write(half, sizeof(half));
-  }
-  JournalTailScan scan = scan_journal_tail(file, 0, nullptr);
-  EXPECT_TRUE(scan.has_manifest);
-  EXPECT_EQ(scan.record_count, 0u);
-  // The scan stops *before* the partial frame and does not flag it; a live
-  // writer finishing the frame would make the next poll consume it whole.
-  EXPECT_EQ(scan.next_offset, full_size);
-}
-
-TEST(JournalTail, CompleteFrameWithBadCrcIsAHardError) {
-  const fs::path dir = fresh_dir("journal_tail_crc");
-  const fs::path file = dir / "shard-000000.pjl";
-  std::size_t manifest_end = 0;
-  {
-    JournalWriter writer(file, test_manifest());
-    manifest_end = writer.bytes_written();
-    writer.append(make_record(0, 0));
-  }
-  // Flip one payload byte of the (complete) record frame.
-  {
-    std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(manifest_end) + 12);
-    char byte = 0;
-    f.seekg(static_cast<std::streamoff>(manifest_end) + 12);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x01);
-    f.seekp(static_cast<std::streamoff>(manifest_end) + 12);
-    f.write(&byte, 1);
-  }
-  EXPECT_THROW(scan_journal_tail(file, 0, nullptr), ContractViolation);
-}
-
 TEST(ShardedWriter, DistributesRecordsAndListsShards) {
   const fs::path dir = fresh_dir("journal_sharded");
   Manifest manifest = test_manifest();

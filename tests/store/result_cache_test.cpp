@@ -14,6 +14,8 @@
 
 #include "common/contracts.hpp"
 #include "core/system_model.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "store/journal.hpp"
 #include "store/resume.hpp"
 
@@ -113,10 +115,11 @@ std::string journal_csv(const fs::path& dir) {
 /// Runs the reference cold campaign into `dir` through the delta runner
 /// with an empty baseline (so its records carry fingerprints and can serve
 /// as the next delta's baseline).
-DeltaJournalSummary cold_delta_run(const fs::path& dir) {
+DeltaJournalSummary cold_delta_run(const fs::path& dir,
+                                   std::uint16_t m2_mask = 0xFFFF) {
   const core::SystemModel model = chain_model();
-  return run_delta_journaled_campaign(chain_runner(), chain_config(), model,
-                                      chain_binding(model), dir,
+  return run_delta_journaled_campaign(chain_runner(m2_mask), chain_config(),
+                                      model, chain_binding(model), dir,
                                       ResultCache{}, delta_options());
 }
 
@@ -129,26 +132,44 @@ TEST(ResultCache, MissingDirectoryLoadsAsEmptyCache) {
   EXPECT_EQ(cache.fingerprint_of_flat(0), 0u);
 }
 
+// A plain journaled run is this same path with an empty baseline; what it
+// must match is the in-memory campaign, record for record, with every
+// record fingerprinted so the journal can serve as a baseline.
 TEST(ResultCache, EmptyBaselineDeltaMatchesPlainJournaledRunByteForByte) {
-  const fs::path plain_dir = fresh_dir("cache_plain");
-  run_journaled_campaign(chain_runner(), chain_config(), plain_dir);
-
-  const fs::path delta_dir = fresh_dir("cache_empty_baseline");
-  const DeltaJournalSummary summary = cold_delta_run(delta_dir);
+  const fs::path dir = fresh_dir("cache_empty_baseline");
+  const DeltaJournalSummary summary = cold_delta_run(dir);
   EXPECT_EQ(summary.executed, 16u);
   EXPECT_EQ(summary.replayed, 0u);
   EXPECT_TRUE(summary.invalidated_modules.empty());
 
-  EXPECT_EQ(journal_csv(delta_dir), journal_csv(plain_dir));
-
-  // Unlike the plain run, the delta journal is fingerprinted throughout --
-  // ready to be a baseline.
-  const ResultCache reloaded = ResultCache::load(delta_dir);
-  EXPECT_EQ(reloaded.record_count(), 16u);
-  EXPECT_EQ(reloaded.unfingerprinted(), 0u);
-  const ResultCache plain = ResultCache::load(plain_dir);
-  EXPECT_EQ(plain.record_count(), 16u);
-  EXPECT_EQ(plain.unfingerprinted(), 16u);
+  const fi::CampaignResult cold =
+      fi::run_campaign(chain_runner(), chain_config());
+  const core::SystemModel model = chain_model();
+  const std::vector<std::uint64_t> fingerprints = fi::run_fingerprints(
+      chain_config(), model, chain_binding(model), v1_tokens());
+  const CampaignDirState state = for_each_journal_record(
+      dir, [&](const fi::InjectionRecord& got, std::size_t flat) {
+        ASSERT_LT(flat, cold.records.size());
+        const fi::InjectionRecord& want = cold.records[flat];
+        EXPECT_EQ(got.injection_index, want.injection_index);
+        EXPECT_EQ(got.test_case, want.test_case);
+        EXPECT_EQ(got.target, want.target);
+        EXPECT_EQ(got.when, want.when);
+        EXPECT_EQ(got.fingerprint, fingerprints[flat]);
+        EXPECT_NE(got.fingerprint, 0u);
+        EXPECT_FALSE(got.replayed);
+        ASSERT_EQ(got.report.per_signal.size(), want.report.per_signal.size());
+        for (std::size_t s = 0; s < want.report.per_signal.size(); ++s) {
+          const fi::Divergence& a = got.report.per_signal[s];
+          const fi::Divergence& b = want.report.per_signal[s];
+          EXPECT_EQ(a.diverged, b.diverged) << "flat " << flat;
+          EXPECT_EQ(a.first_ms, b.first_ms) << "flat " << flat;
+          EXPECT_EQ(a.golden_value, b.golden_value) << "flat " << flat;
+          EXPECT_EQ(a.observed_value, b.observed_value) << "flat " << flat;
+        }
+      });
+  EXPECT_EQ(state.completed_count, 16u);
+  EXPECT_EQ(state.duplicate_count, 0u);
 }
 
 TEST(ResultCache, FullBaselineReplaysEverythingAndChains) {
@@ -181,11 +202,13 @@ TEST(ResultCache, InvalidatedModuleReExecutesOnlyItsRuns) {
   const fs::path base_dir = fresh_dir("cache_invalidate_base");
   cold_delta_run(base_dir);
 
+  // "Edit" M2: new behaviour (mask 0xFF00) and a bumped version token.
   const core::SystemModel model = chain_model();
   const fs::path delta_dir = fresh_dir("cache_invalidate_delta");
   const DeltaJournalSummary summary = run_delta_journaled_campaign(
-      chain_runner(), chain_config(), model, chain_binding(model), delta_dir,
-      ResultCache::load(base_dir), delta_options({{"M1", 1}, {"M2", 2}}));
+      chain_runner(0xFF00), chain_config(), model, chain_binding(model),
+      delta_dir, ResultCache::load(base_dir),
+      delta_options({{"M1", 1}, {"M2", 2}}));
 
   EXPECT_EQ(summary.executed, 8u);  // mid-targeted runs (consumer M2)
   EXPECT_EQ(summary.replayed, 8u);  // src-targeted runs (consumer M1)
@@ -201,9 +224,16 @@ TEST(ResultCache, InvalidatedModuleReExecutesOnlyItsRuns) {
   EXPECT_EQ(summary.per_module[1].replayed, 0u);
   EXPECT_EQ(summary.per_module[1].executed, 8u);
 
-  // The code did not actually change, so the incremental journal estimates
-  // byte-for-byte what the cold baseline does.
-  EXPECT_EQ(journal_csv(delta_dir), journal_csv(base_dir));
+  // Compositional exactness: the mixed journal estimates byte for byte
+  // what a cold full campaign of the changed system does. Replayed
+  // src-targeted records carry stale *downstream* (dst) divergence data,
+  // but estimation attributes them only to M1's src->mid pair, which M2
+  // cannot influence.
+  const fs::path changed_dir = fresh_dir("cache_invalidate_changed_cold");
+  cold_delta_run(changed_dir, 0xFF00);
+  EXPECT_EQ(journal_csv(delta_dir), journal_csv(changed_dir));
+  // Not vacuous: the edit does change M2's estimates.
+  EXPECT_NE(journal_csv(delta_dir), journal_csv(base_dir));
 }
 
 TEST(ResultCache, KilledDeltaSessionResumesToAByteIdenticalCsv) {
@@ -238,6 +268,101 @@ TEST(ResultCache, KilledDeltaSessionResumesToAByteIdenticalCsv) {
   EXPECT_EQ(resumed.executed + resumed.replayed + resumed.skipped_completed,
             16u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
+}
+
+/// One session's summary checked against the journal it appended to and
+/// the metrics it published: every count comes from the same per-run
+/// outcome, so none may drift from the others.
+void expect_session_counts_agree(const DeltaJournalSummary& summary,
+                                 const fs::path& dir,
+                                 const std::vector<bool>& journaled_before,
+                                 const obs::MetricsRegistry& metrics) {
+  EXPECT_EQ(summary.executed + summary.replayed + summary.skipped_completed +
+                summary.skipped_foreign,
+            summary.total_runs);
+
+  std::size_t appended_executed = 0, appended_replayed = 0;
+  std::size_t appended_diverged = 0;
+  scan_campaign_dir(dir, [&](fi::InjectionRecord&& record, std::size_t flat) {
+    if (flat < journaled_before.size() && journaled_before[flat]) return;
+    if (record.replayed) {
+      ++appended_replayed;
+    } else {
+      ++appended_executed;
+      if (record.report.any_divergence()) ++appended_diverged;
+    }
+  });
+  EXPECT_EQ(summary.executed, appended_executed);
+  EXPECT_EQ(summary.replayed, appended_replayed);
+  EXPECT_EQ(summary.diverged, appended_diverged);
+
+  // Each chain target has exactly one consumer module, so the per-module
+  // rows partition the session's runs.
+  std::size_t module_executed = 0, module_replayed = 0;
+  for (const ModuleDeltaExplain& row : summary.per_module) {
+    module_executed += row.executed;
+    module_replayed += row.replayed;
+  }
+  EXPECT_EQ(module_executed, summary.executed);
+  EXPECT_EQ(module_replayed, summary.replayed);
+
+  const auto counters = metrics.snapshot().counters;
+  const auto counter = [&](const std::string& name) {
+    const auto it = counters.find(name);
+    return it == counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(counter("delta.hits"), summary.replayed);
+  EXPECT_EQ(counter("delta.misses"), summary.executed);
+  EXPECT_EQ(counter("journal.appends"), summary.executed + summary.replayed);
+}
+
+TEST(ResultCache, SessionCountsAgreeWithJournalAndRegistry) {
+  const core::SystemModel model = chain_model();
+  const fi::SignalBinding binding = chain_binding(model);
+  const auto session = [&](const fs::path& dir, const ResultCache& baseline,
+                           fi::ModuleVersionMap versions,
+                           std::uint32_t process_count,
+                           std::uint32_t process_index) {
+    const std::vector<bool> before = scan_campaign_dir(dir).completed;
+    obs::MetricsRegistry metrics;
+    const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
+    DeltaRunOptions options = delta_options(std::move(versions));
+    options.base.process_count = process_count;
+    options.base.process_index = process_index;
+    options.base.telemetry = &telemetry;
+    const DeltaJournalSummary summary = run_delta_journaled_campaign(
+        chain_runner(), chain_config(), model, binding, dir, baseline,
+        options);
+    expect_session_counts_agree(summary, dir, before, metrics);
+    return summary;
+  };
+
+  const fs::path base_dir = fresh_dir("cache_counts_base");
+  const DeltaJournalSummary base =
+      session(base_dir, ResultCache{}, v1_tokens(), 1, 0);
+  EXPECT_EQ(base.executed, 16u);
+  EXPECT_GT(base.diverged, 0u);
+
+  // Index 0 of a two-process split with M2 invalidated: of its 8 flats, the
+  // 4 src-targeted ones replay and the 4 mid-targeted ones execute.
+  const ResultCache baseline = ResultCache::load(base_dir);
+  const fs::path dir = fresh_dir("cache_counts_delta");
+  const DeltaJournalSummary first =
+      session(dir, baseline, {{"M1", 1}, {"M2", 2}}, 2, 0);
+  EXPECT_EQ(first.replayed, 4u);
+  EXPECT_EQ(first.executed, 4u);
+  EXPECT_EQ(first.skipped_foreign, 8u);
+  EXPECT_EQ(first.skipped_completed, 0u);
+
+  // Index 1 resumes the same directory: index 0's runs are journaled, the
+  // rest are its own.
+  const DeltaJournalSummary second =
+      session(dir, baseline, {{"M1", 1}, {"M2", 2}}, 2, 1);
+  EXPECT_EQ(second.skipped_completed, 8u);
+  EXPECT_EQ(second.skipped_foreign, 0u);
+  EXPECT_EQ(second.replayed, 4u);
+  EXPECT_EQ(second.executed, 4u);
+  EXPECT_EQ(journal_csv(dir), journal_csv(base_dir));
 }
 
 /// Hand-crafts a v2 shard (no fingerprint/flags words) to pin down

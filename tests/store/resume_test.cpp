@@ -13,6 +13,7 @@
 
 #include "common/contracts.hpp"
 #include "core/system_model.hpp"
+#include "store/result_cache.hpp"
 
 namespace propane::store {
 namespace {
@@ -22,7 +23,7 @@ namespace fs = std::filesystem;
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / name;
   fs::remove_all(dir);
-  return dir;  // run_journaled_campaign creates it
+  return dir;  // the campaign creates it
 }
 
 /// The miniature system of tests/fi/campaign_test.cpp: "src" is freshly
@@ -68,19 +69,35 @@ core::SystemModel toy_model() {
   return std::move(builder).build();
 }
 
+fi::SignalBinding toy_binding(const core::SystemModel& model) {
+  return fi::SignalBinding::by_name(model, {"src", "dst"});
+}
+
+/// A plain journaled run of `config`: the one journaled entry point with
+/// an empty baseline, exactly as `campaign run` executes it.
+DeltaJournalSummary run_journaled(const fi::CampaignRunner& runner,
+                                  const fi::CampaignConfig& config,
+                                  const fs::path& dir,
+                                  const JournalRunOptions& options = {}) {
+  const core::SystemModel model = toy_model();
+  DeltaRunOptions delta;
+  delta.base = options;
+  return run_delta_journaled_campaign(runner, config, model,
+                                      toy_binding(model), dir, ResultCache{},
+                                      delta);
+}
+
 std::string journal_csv(const fs::path& dir) {
   const core::SystemModel model = toy_model();
-  const fi::SignalBinding binding =
-      fi::SignalBinding::by_name(model, {"src", "dst"});
   std::ostringstream out;
-  write_permeability_csv_from_journal(out, dir, model, binding);
+  write_permeability_csv_from_journal(out, dir, model, toy_binding(model));
   return out.str();
 }
 
 TEST(Resume, FreshDirectoryRunsTheWholeCampaign) {
   const fs::path dir = fresh_dir("resume_fresh");
-  const JournalRunSummary summary =
-      run_journaled_campaign(toy_run, toy_config(), dir);
+  const DeltaJournalSummary summary =
+      run_journaled(toy_run, toy_config(), dir);
   EXPECT_EQ(summary.total_runs, 12u);
   EXPECT_EQ(summary.executed, 12u);
   EXPECT_EQ(summary.skipped_completed, 0u);
@@ -103,9 +120,9 @@ TEST(Resume, EmptyDirectoryMeansFreshCampaign) {
 
 TEST(Resume, CompletedCampaignResumesAsNoOp) {
   const fs::path dir = fresh_dir("resume_noop");
-  run_journaled_campaign(toy_run, toy_config(), dir);
-  const JournalRunSummary again =
-      run_journaled_campaign(toy_run, toy_config(), dir);
+  run_journaled(toy_run, toy_config(), dir);
+  const DeltaJournalSummary again =
+      run_journaled(toy_run, toy_config(), dir);
   EXPECT_EQ(again.executed, 0u);
   EXPECT_EQ(again.skipped_completed, 12u);
 }
@@ -113,7 +130,7 @@ TEST(Resume, CompletedCampaignResumesAsNoOp) {
 TEST(Resume, KilledCampaignResumesToAByteIdenticalCsv) {
   // Uninterrupted reference run.
   const fs::path clean_dir = fresh_dir("resume_clean");
-  run_journaled_campaign(toy_run, toy_config(), clean_dir);
+  run_journaled(toy_run, toy_config(), clean_dir);
   const std::string clean_csv = journal_csv(clean_dir);
 
   // "Kill" a second campaign partway: after ~half the runs have been
@@ -128,7 +145,7 @@ TEST(Resume, KilledCampaignResumesToAByteIdenticalCsv) {
     }
     return toy_run(request);
   };
-  EXPECT_THROW(run_journaled_campaign(crashing_run, toy_config(), killed_dir),
+  EXPECT_THROW(run_journaled(crashing_run, toy_config(), killed_dir),
                std::runtime_error);
   const CampaignDirState partial = scan_campaign_dir(killed_dir);
   EXPECT_FALSE(partial.fresh);
@@ -137,56 +154,26 @@ TEST(Resume, KilledCampaignResumesToAByteIdenticalCsv) {
 
   // Resume. Only the missing runs execute, with the same derived seeds the
   // uninterrupted campaign used.
-  const JournalRunSummary resumed =
-      run_journaled_campaign(toy_run, toy_config(), killed_dir);
+  const DeltaJournalSummary resumed =
+      run_journaled(toy_run, toy_config(), killed_dir);
   EXPECT_EQ(resumed.executed + resumed.skipped_completed, 12u);
   EXPECT_EQ(resumed.skipped_completed, partial.completed_count);
 
   EXPECT_EQ(journal_csv(killed_dir), clean_csv);
 }
 
-TEST(Resume, CollectRecordsRebuildsTheFullResultAcrossSessions) {
-  const fs::path dir = fresh_dir("resume_collect");
-  // First session: even flat indices only (a process split against itself).
-  JournalRunOptions first;
-  first.process_count = 2;
-  first.process_index = 0;
-  run_journaled_campaign(toy_run, toy_config(), dir, first);
-
-  // Second session: the rest, with records materialised. Journaled runs of
-  // the first session are reloaded from disk into the result.
-  JournalRunOptions second;
-  second.collect_records = true;
-  const JournalRunSummary summary =
-      run_journaled_campaign(toy_run, toy_config(), dir, second);
-  EXPECT_EQ(summary.executed, 6u);
-  EXPECT_EQ(summary.skipped_completed, 6u);
-  ASSERT_EQ(summary.result.records.size(), 12u);
-  const fi::CampaignResult reference = fi::run_campaign(toy_run, toy_config());
-  for (std::size_t i = 0; i < 12; ++i) {
-    const auto& got = summary.result.records[i].report.per_signal;
-    const auto& want = reference.records[i].report.per_signal;
-    ASSERT_EQ(got.size(), want.size()) << "record " << i;
-    for (std::size_t s = 0; s < got.size(); ++s) {
-      EXPECT_EQ(got[s].diverged, want[s].diverged);
-      EXPECT_EQ(got[s].first_ms, want[s].first_ms);
-      EXPECT_EQ(got[s].observed_value, want[s].observed_value);
-    }
-  }
-}
-
 TEST(Resume, MismatchedPlanIsRefused) {
   const fs::path dir = fresh_dir("resume_mismatch");
-  run_journaled_campaign(toy_run, toy_config(), dir);
+  run_journaled(toy_run, toy_config(), dir);
   fi::CampaignConfig other = toy_config();
   other.seed += 1;
-  EXPECT_THROW(run_journaled_campaign(toy_run, other, dir),
+  EXPECT_THROW(run_journaled(toy_run, other, dir),
                ContractViolation);
 }
 
 TEST(Merge, ProcessSplitMergedEqualsSingleProcessRun) {
   const fs::path single_dir = fresh_dir("merge_single");
-  run_journaled_campaign(toy_run, toy_config(), single_dir);
+  run_journaled(toy_run, toy_config(), single_dir);
 
   const fs::path part0 = fresh_dir("merge_part0");
   const fs::path part1 = fresh_dir("merge_part1");
@@ -195,7 +182,7 @@ TEST(Merge, ProcessSplitMergedEqualsSingleProcessRun) {
     options.process_count = 2;
     options.process_index = index;
     options.shard_count = 2;
-    const JournalRunSummary summary = run_journaled_campaign(
+    const DeltaJournalSummary summary = run_journaled(
         toy_run, toy_config(), index == 0 ? part0 : part1, options);
     EXPECT_EQ(summary.executed, 6u);
     EXPECT_EQ(summary.skipped_foreign, 6u);
@@ -212,8 +199,8 @@ TEST(Merge, ProcessSplitMergedEqualsSingleProcessRun) {
 TEST(Merge, OverlappingSourcesDeduplicate) {
   const fs::path full_a = fresh_dir("merge_dup_a");
   const fs::path full_b = fresh_dir("merge_dup_b");
-  run_journaled_campaign(toy_run, toy_config(), full_a);
-  run_journaled_campaign(toy_run, toy_config(), full_b);
+  run_journaled(toy_run, toy_config(), full_a);
+  run_journaled(toy_run, toy_config(), full_b);
 
   const fs::path merged = fresh_dir("merge_dup_dest");
   const MergeSummary summary = merge_journals(merged, {full_a, full_b});
@@ -224,11 +211,11 @@ TEST(Merge, OverlappingSourcesDeduplicate) {
 
 TEST(Merge, MismatchedSourcesAreRefusedBeforeWriting) {
   const fs::path a = fresh_dir("merge_bad_a");
-  run_journaled_campaign(toy_run, toy_config(), a);
+  run_journaled(toy_run, toy_config(), a);
   fi::CampaignConfig other = toy_config();
   other.test_case_count = 2;
   const fs::path b = fresh_dir("merge_bad_b");
-  run_journaled_campaign(toy_run, other, b);
+  run_journaled(toy_run, other, b);
 
   const fs::path merged = fresh_dir("merge_bad_dest");
   EXPECT_THROW(merge_journals(merged, {a, b}), ContractViolation);
@@ -238,7 +225,7 @@ TEST(Merge, MismatchedSourcesAreRefusedBeforeWriting) {
 
 TEST(Merge, SourceWithoutShardsIsRefusedBeforeWriting) {
   const fs::path a = fresh_dir("merge_empty_a");
-  run_journaled_campaign(toy_run, toy_config(), a);
+  run_journaled(toy_run, toy_config(), a);
   const fs::path empty = fresh_dir("merge_empty_src");
   fs::create_directories(empty);
 
@@ -249,7 +236,7 @@ TEST(Merge, SourceWithoutShardsIsRefusedBeforeWriting) {
 
 TEST(Merge, DuplicatedSourceDirectoryIsRefusedBeforeWriting) {
   const fs::path a = fresh_dir("merge_twice_a");
-  run_journaled_campaign(toy_run, toy_config(), a);
+  run_journaled(toy_run, toy_config(), a);
 
   // The same directory listed twice would silently fold into an
   // all-duplicates no-op; it is almost certainly a caller mistake.
@@ -260,17 +247,16 @@ TEST(Merge, DuplicatedSourceDirectoryIsRefusedBeforeWriting) {
 
 TEST(Merge, DestinationGivenAsASourceIsRefused) {
   const fs::path a = fresh_dir("merge_self_a");
-  run_journaled_campaign(toy_run, toy_config(), a);
+  run_journaled(toy_run, toy_config(), a);
   EXPECT_THROW(merge_journals(a, {a}), ContractViolation);
 }
 
 TEST(Stats, StreamingEstimateMatchesInMemoryEstimation) {
   const fs::path dir = fresh_dir("stats_match");
-  run_journaled_campaign(toy_run, toy_config(), dir);
+  run_journaled(toy_run, toy_config(), dir);
 
   const core::SystemModel model = toy_model();
-  const fi::SignalBinding binding =
-      fi::SignalBinding::by_name(model, {"src", "dst"});
+  const fi::SignalBinding binding = toy_binding(model);
   const JournalStats stats = estimate_from_journal(dir, model, binding);
   EXPECT_EQ(stats.record_count, 12u);
 

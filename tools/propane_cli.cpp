@@ -39,12 +39,14 @@
 // optional CSV supplies permeabilities (core/permeability_io.hpp). Without
 // a CSV all permeabilities are 0 and only structural outputs are useful.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -221,15 +223,27 @@ struct CampaignArgs {
   std::size_t threads = 0;         // bootstrap: worker threads (0 = auto)
 };
 
-std::uint64_t parse_count(const char* flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    std::exit(usage_error(std::string(flag) + " expects a number, got '" +
-                              text + "'",
+/// Parses a decimal count for `flag` into T: digits only (strtoull alone
+/// would accept a sign or leading blanks and wrap "-1" to the maximum) and
+/// no larger than T holds. Anything else is a usage error, exit 2.
+template <typename T>
+T parse_count(const char* flag, const char* text) {
+  const auto reject = [&] {
+    std::exit(usage_error(std::string(flag) +
+                              " expects a whole number from 0 to " +
+                              std::to_string(std::numeric_limits<T>::max()) +
+                              ", got '" + text + "'",
                           kCampaignUsage));
+  };
+  if (*text < '0' || *text > '9') reject();
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE ||
+      value > std::numeric_limits<T>::max()) {
+    reject();
   }
-  return value;
+  return static_cast<T>(value);
 }
 
 bool parse_campaign_args(int argc, char** argv, CampaignArgs& args) {
@@ -247,12 +261,11 @@ bool parse_campaign_args(int argc, char** argv, CampaignArgs& args) {
     } else if (arg == "--scale") {
       args.scale_name = value();
     } else if (arg == "--shards") {
-      args.shards = static_cast<std::size_t>(parse_count("--shards", value()));
+      args.shards = parse_count<std::size_t>("--shards", value());
     } else if (arg == "--processes") {
-      args.processes =
-          static_cast<std::uint32_t>(parse_count("--processes", value()));
+      args.processes = parse_count<std::uint32_t>("--processes", value());
     } else if (arg == "--index") {
-      args.index = static_cast<std::uint32_t>(parse_count("--index", value()));
+      args.index = parse_count<std::uint32_t>("--index", value());
     } else if (arg == "--csv") {
       args.csv_path = value();
     } else if (arg == "--metrics-out") {
@@ -272,17 +285,15 @@ bool parse_campaign_args(int argc, char** argv, CampaignArgs& args) {
     } else if (arg == "--out") {
       args.trace_out = value();
     } else if (arg == "-B" || arg == "--replicates") {
-      args.replicates =
-          static_cast<std::size_t>(parse_count("-B", value()));
+      args.replicates = parse_count<std::size_t>("-B", value());
     } else if (arg == "--seed") {
-      args.boot_seed = parse_count("--seed", value());
+      args.boot_seed = parse_count<std::uint64_t>("--seed", value());
     } else if (arg == "--top-k") {
-      args.top_k = static_cast<std::size_t>(parse_count("--top-k", value()));
+      args.top_k = parse_count<std::size_t>("--top-k", value());
     } else if (arg == "--fractions") {
       args.fractions = value();
     } else if (arg == "--threads") {
-      args.threads =
-          static_cast<std::size_t>(parse_count("--threads", value()));
+      args.threads = parse_count<std::size_t>("--threads", value());
     } else if (!arg.empty() && arg.front() == '-') {
       usage_error("unknown campaign flag '" + arg + "'", kCampaignUsage);
       return false;
@@ -298,6 +309,18 @@ bool parse_campaign_args(int argc, char** argv, CampaignArgs& args) {
   }
   if (args.journal.empty()) {
     usage_error("campaign commands need --journal <dir>", kCampaignUsage);
+    return false;
+  }
+  // Checked here, before any subcommand creates the journal directory.
+  if (args.processes == 0) {
+    usage_error("--processes must be at least 1", kCampaignUsage);
+    return false;
+  }
+  if (args.index >= args.processes) {
+    usage_error("--index " + std::to_string(args.index) +
+                    " must be below --processes " +
+                    std::to_string(args.processes),
+                kCampaignUsage);
     return false;
   }
   return true;
@@ -872,7 +895,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
   std::size_t injections = 0, injections_diverged = 0;
   double injection_dur_sum_us = 0.0, injection_dur_max_us = 0.0;
   std::map<std::string, std::uint64_t> shard_bytes;  // shard -> last total
-  std::vector<obs::Field> last_done;   // most recent campaign.done
+  std::vector<obs::Field> last_done;   // most recent delta.done
   std::map<std::string, std::string> final_metrics;  // last metric events
   BatchTally batch;                    // summed across sessions
   std::size_t torn_lines = 0;
@@ -895,14 +918,14 @@ int cmd_campaign_top(const CampaignArgs& args) {
         break;
       }
       // A session killed mid-line leaves its residue where the next
-      // session's first event (always journal.resume_scan) follows; that
-      // is crash residue too, not corruption.
+      // session's first event (always delta.plan) follows; that is crash
+      // residue too, not corruption.
       const auto next = obs::parse_flat_json_object(lines[i + 1]);
       const obs::Value* next_event =
           next.has_value() ? find_field(*next, "event") : nullptr;
       if (next_event != nullptr &&
           next_event->kind() == obs::Value::Kind::kString &&
-          next_event->as_string() == "journal.resume_scan") {
+          next_event->as_string() == "delta.plan") {
         ++torn_lines;
         continue;
       }
@@ -948,9 +971,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
           total != nullptr && total->is_number()) {
         shard_bytes[shard->as_string()] = total->as_uint();
       }
-    } else if (event == "campaign.done" || event == "delta.done") {
-      // delta.done carries replayed-vs-executed counts; whichever kind of
-      // session ran last wins the "last session" line.
+    } else if (event == "delta.done") {
       last_done = *fields;
     } else if (event == "metric") {
       batch.add(*fields);
