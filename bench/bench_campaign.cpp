@@ -4,9 +4,11 @@
 // BENCH_campaign.json including the pre-optimisation baseline measured on
 // the same workload, so the speedup is tracked in-repo.
 //
-// PROPANE_SCALE=small runs a seconds-scale smoke workload (CI);
-// default/full reproduce the measured workload (speedup is only reported
-// for the default scale, which the baseline numbers were captured on).
+// PROPANE_SCALE=small runs a smoke workload whose sections time fixed
+// costs more than throughput; default (what CI runs, and the scale the
+// checked-in reference is recorded at) and full reproduce the measured
+// workload (speedup is only reported for the default scale, which the
+// baseline numbers were captured on).
 #include <atomic>
 #include <chrono>
 #include <cstdio>

@@ -161,17 +161,13 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
   fire_tick_.assign(lanes_, 0);
   joined_tick_.assign(lanes_, 0);
   reports_.resize(lanes_);
-  undiverged_.assign(lanes_, 0);
   pending_.assign(signals_, 0);
   for (std::size_t l = 0; l < kMaxLanes; ++l) {
     golden_idx_[l] = static_cast<std::uint16_t>(l);
   }
-  closed_signals_ = std::uint64_t{1} << map_.tcnt |
-                    std::uint64_t{1} << map_.mscnt |
-                    std::uint64_t{1} << map_.ms_slot_nbr;
-  open_signals_ = static_cast<std::uint32_t>(signals_) -
-                  static_cast<std::uint32_t>(
-                      __builtin_popcountll(closed_signals_));
+  for (const fi::BusSignalId sig : {map_.tcnt, map_.mscnt, map_.ms_slot_nbr}) {
+    static_closed_[sig] = ~std::uint64_t{0};
+  }
 }
 
 BatchedArrestmentSystem::~BatchedArrestmentSystem() = default;
@@ -413,7 +409,6 @@ void BatchedArrestmentSystem::load(std::size_t lane, std::uint32_t seg,
   armed_ |= bit;
   reports_[lane].per_signal.assign(signals_, fi::Divergence{});
   for (std::uint64_t& pend : pending_) pend |= bit;
-  undiverged_[lane] = open_signals_;
 }
 
 void BatchedArrestmentSystem::release(std::size_t lane) {
@@ -570,28 +565,27 @@ void BatchedArrestmentSystem::check_divergence() {
     any |= newly[sig];
   }
   if (any == 0) return;
-  std::uint64_t exhausted = 0;
   for (std::size_t sig = 0; sig < signals_; ++sig) {
     if (newly[sig] != 0) {
       pending_[sig] &= ~newly[sig];
-      note_divergences(sig, newly[sig], exhausted);
+      note_divergences(sig, newly[sig]);
     }
   }
   // Retire only once every signal of the tick is noted: a closed signal
   // diverging on the tick a run's last open signal does belongs in its
-  // report.
+  // report. A run outside `any` cannot have just lost its last open
+  // signal.
   if (recording_) return;
-  for (; exhausted != 0; exhausted &= exhausted - 1) {
-    retire(lowest_lane(exhausted), true);
+  for (std::uint64_t done = any & ~open_lanes(static_closed_);
+       done != 0; done &= done - 1) {
+    retire(lowest_lane(done), true);
   }
 }
 
 void BatchedArrestmentSystem::note_divergences(std::size_t sig,
-                                               std::uint64_t newly,
-                                               std::uint64_t& exhausted) {
+                                               std::uint64_t newly) {
   const std::span<const std::uint16_t> row =
       bus_.lane_values(static_cast<fi::BusSignalId>(sig));
-  const bool closed = (closed_signals_ >> sig & 1u) != 0;
   while (newly != 0) {
     const std::size_t lane = lowest_lane(newly);
     newly &= newly - 1;
@@ -601,8 +595,24 @@ void BatchedArrestmentSystem::note_divergences(std::size_t sig,
     d.first_ms = segment_ms(segments_[lane_seg_[lane]]);
     d.golden_value = row[golden_idx_[lane]];
     d.observed_value = row[lane];
-    if (!closed && --undiverged_[lane] == 0) exhausted |= lane_bit(lane);
   }
+}
+
+std::uint64_t BatchedArrestmentSystem::open_lanes(
+    const std::array<std::uint64_t, kMaxSignals>& closed) const {
+  std::uint64_t open = 0;
+  for (std::size_t sig = 0; sig < signals_; ++sig) {
+    open |= pending_[sig] & ~closed[sig];
+  }
+  return open;
+}
+
+std::uint64_t BatchedArrestmentSystem::with_golden(std::uint64_t lanes) const {
+  std::uint64_t golden = 0;
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    golden |= (lanes >> golden_idx_[l] & 1u) << l;
+  }
+  return lanes & golden;
 }
 
 void BatchedArrestmentSystem::check_convergence() {
@@ -624,6 +634,25 @@ void BatchedArrestmentSystem::check_convergence() {
         calc_.lane_equals(lane, golden) && env_.lane_equals(lane, golden)) {
       retire(lane, false);
     }
+  }
+
+  // Standstill exhaustion: with the lane and its golden lane at rest, the
+  // standstill signals join the static closed set wherever their
+  // predicates hold for both lanes (see the header comment).
+  const std::uint64_t rest =
+      with_golden(env_.at_rest_lanes() & dist_s_.idle_lanes(bus_));
+  const std::uint64_t touched = runs_ & ~armed_ & rest;
+  if (touched == 0) return;
+  std::array<std::uint64_t, kMaxSignals> closed = static_closed_;
+  closed[map_.pacnt] = closed[map_.tic1] = closed[map_.pulscnt] = rest;
+  closed[map_.slow_speed] =
+      rest & with_golden(dist_s_.slow_latched_lanes());
+  closed[map_.stopped] = closed[map_.set_value] =
+      rest & with_golden(dist_s_.stopped_latched_lanes());
+  closed[map_.checkpoint_i] = rest & with_golden(calc_.settled_lanes(bus_));
+  for (std::uint64_t done = touched & ~open_lanes(closed); done != 0;
+       done &= done - 1) {
+    retire(lowest_lane(done), true);
   }
 }
 

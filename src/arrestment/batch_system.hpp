@@ -28,12 +28,26 @@
 //   * converged: the lane's complete bus, module-internal and
 //     bus-observable environment state equals the golden lane's, so all
 //     its future samples equal the golden suffix, or
-//   * exhausted: every signal outside the closed set {TCNT, mscnt,
-//     ms_slot_nbr} has recorded its first divergence. Once a run has
-//     fired, TCNT is rewritten every tick from the timer its golden lane
-//     shares, and mscnt and ms_slot_nbr only ever advance from their own
-//     values (CLOCK), so a closed signal that still equals its golden
-//     lane at the end of a tick equals it for the rest of the run.
+//   * exhausted: every signal it has not diverged on yet is closed for
+//     it -- a closed signal that still equals its golden lane at the end
+//     of a tick equals it for the rest of the run. Once a run has fired,
+//     only the system itself writes its bus, and two sets are closed:
+//       - statically, {TCNT, mscnt, ms_slot_nbr}, for every lane: TCNT is
+//         rewritten every tick from the timer the lane shares with its
+//         golden lane, and mscnt and ms_slot_nbr only ever advance from
+//         their own values (CLOCK);
+//       - at standstill, for a lane that is at rest together with its
+//         golden lane (velocity 0, and DIST_S's last pulse count equal to
+//         PACNT): PACNT, TIC1 and pulscnt (no pulse ever again), plus
+//         slow_speed once both lanes are pulse-free for kSlowSpeedGapMs,
+//         stopped and SetValue once both are pulse-free for kStoppedGapMs
+//         (DIST_S latches stopped, CALC then writes SetValue = 0 every
+//         tick), and CALC's i once both lanes' i is settled (no reachable
+//         checkpoint while pulscnt holds). Each module states its
+//         predicates as lane masks beside its lane_equals.
+//     The static rule is applied on every tick a run diverges, the
+//     standstill rule in the periodic convergence pass; both retire
+//     `touched & ~OR_sig(pending[sig] & ~closed[sig])`.
 //
 // Rolling segments: between ticks, a free lane joins an open segment when
 // a queued run of that segment's test case fires within kJoinWindowMs of
@@ -235,9 +249,15 @@ class BatchedArrestmentSystem {
   /// Bit l set iff lane l's value of `sig` differs from its golden lane's.
   std::uint64_t golden_diff(std::size_t sig) const;
   void check_divergence();
-  void note_divergences(std::size_t sig, std::uint64_t newly,
-                        std::uint64_t& exhausted);
+  void note_divergences(std::size_t sig, std::uint64_t newly);
   void check_convergence();
+  /// The lanes of `lanes` whose golden lane is in `lanes` too.
+  std::uint64_t with_golden(std::uint64_t lanes) const;
+  /// The lanes with a pending signal that is not closed for them, given
+  /// one closed-lane mask per signal: `touched` minus this set is
+  /// exhausted.
+  std::uint64_t open_lanes(
+      const std::array<std::uint64_t, kMaxSignals>& closed) const;
   void retire(std::size_t lane, bool exhausted);
 
   void record_rows();
@@ -286,13 +306,11 @@ class BatchedArrestmentSystem {
   std::vector<std::uint64_t> joined_tick_;
 
   // Online divergence tracking, per lane. A signal's pending word holds
-  // the lanes whose run has not diverged on it yet; the undiverged count
-  // covers the signals outside the closed set only.
+  // the lanes whose run has not diverged on it yet; its static-closed word
+  // is every lane for TCNT, mscnt and ms_slot_nbr, and none otherwise.
   std::vector<fi::DivergenceReport> reports_;
   std::vector<std::uint64_t> pending_;
-  std::vector<std::uint32_t> undiverged_;
-  std::uint64_t closed_signals_ = 0;      // bit per closed signal
-  std::uint32_t open_signals_ = 0;
+  std::array<std::uint64_t, kMaxSignals> static_closed_{};
 
   // Golden-gather table: golden_idx_[l] is the bus lane whose value lane l
   // compares against (golden and free lanes map to themselves). A vector

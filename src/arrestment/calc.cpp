@@ -170,4 +170,20 @@ void BatchedCalc::step_lanes(fi::BatchedSignalBus& bus) {
   }
 }
 
+std::uint64_t BatchedCalc::settled_lanes(
+    const fi::BatchedSignalBus& bus) const {
+  const std::span<const std::uint16_t> pulscnt =
+      bus.lane_values(map_.pulscnt);
+  const std::span<const std::uint16_t> checkpoint_i =
+      bus.lane_values(map_.checkpoint_i);
+  std::uint64_t lanes = 0;
+  for (std::size_t l = 0; l < bus.lane_count(); ++l) {
+    const std::uint16_t i = checkpoint_i[l];
+    const bool settled =
+        i >= kCheckpointCount || pulscnt[l] < checkpoint_pulses_[i];
+    lanes |= static_cast<std::uint64_t>(settled) << l;
+  }
+  return lanes;
+}
+
 }  // namespace propane::arr

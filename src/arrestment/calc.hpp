@@ -126,6 +126,13 @@ class BatchedCalc {
            seg_set_value_[a] == seg_set_value_[b] && gain_[a] == gain_[b];
   }
 
+  /// Lanes whose checkpoint index is settled (batch_system.hpp, "Early
+  /// exit"): i >= kCheckpointCount or pulscnt < checkpoint_pulses(i).
+  /// CALC is the only writer of i and advances it only past a reached
+  /// checkpoint, so while pulscnt holds a settled lane's i never changes,
+  /// whatever stopped, slow_speed and mscnt hold.
+  std::uint64_t settled_lanes(const fi::BatchedSignalBus& bus) const;
+
  private:
   BusMap map_;
   std::uint16_t checkpoint_pulses_[kCheckpointCount];

@@ -4,12 +4,6 @@
 
 namespace propane::arr {
 
-namespace {
-/// Consecutive pulse-free milliseconds before the counter path declares
-/// slow_speed (matches kSlowSpeedGapUs at the pulse pitch).
-constexpr std::uint32_t kSlowSpeedGapMs = 13;
-}  // namespace
-
 void DistSModule::step(fi::SignalBus& bus) {
   const std::uint16_t pacnt = bus.read(map_.pacnt);
   const std::uint16_t tic1 = bus.read(map_.tic1);
@@ -88,6 +82,31 @@ void BatchedDistS::step_lanes(fi::BatchedSignalBus& bus) {
                 bus.lane_values(map_.slow_speed).data(),
                 bus.lane_values(map_.stopped).data(), last_pacnt_.data(),
                 no_pulse_ms_.data());
+}
+
+std::uint64_t BatchedDistS::idle_lanes(const fi::BatchedSignalBus& bus) const {
+  const std::span<const std::uint16_t> pacnt = bus.lane_values(map_.pacnt);
+  std::uint64_t lanes = 0;
+  for (std::size_t l = 0; l < last_pacnt_.size(); ++l) {
+    lanes |= static_cast<std::uint64_t>(last_pacnt_[l] == pacnt[l]) << l;
+  }
+  return lanes;
+}
+
+std::uint64_t BatchedDistS::pulse_free_lanes(std::uint32_t ms) const {
+  std::uint64_t lanes = 0;
+  for (std::size_t l = 0; l < no_pulse_ms_.size(); ++l) {
+    lanes |= static_cast<std::uint64_t>(no_pulse_ms_[l] >= ms) << l;
+  }
+  return lanes;
+}
+
+std::uint64_t BatchedDistS::slow_latched_lanes() const {
+  return pulse_free_lanes(kSlowSpeedGapMs);
+}
+
+std::uint64_t BatchedDistS::stopped_latched_lanes() const {
+  return pulse_free_lanes(kStoppedGapMs);
 }
 
 }  // namespace propane::arr

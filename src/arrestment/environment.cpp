@@ -99,6 +99,14 @@ void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
   timer_lanes_[dst] = timer_lanes_[src];
 }
 
+std::uint64_t BatchedEnvironment::at_rest_lanes() const {
+  std::uint64_t lanes = 0;
+  for (std::size_t l = 0; l < velocity_.size(); ++l) {
+    lanes |= static_cast<std::uint64_t>(velocity_[l] == 0.0) << l;
+  }
+  return lanes;
+}
+
 namespace {
 
 /// Commanded pressure for every possible TOC2 value. Each entry is

@@ -115,6 +115,13 @@ class BatchedEnvironment {
            pulse_accumulator_[a] == pulse_accumulator_[b];
   }
 
+  /// Lanes standing still (bit l: velocity exactly 0). step_lanes never
+  /// raises a zero velocity (the `velocity > 0` guard), and it adds
+  /// exactly 0 to a pulse accumulator that holds [0, 1) after every tick,
+  /// so such a lane never writes PACNT or TIC1 again -- the environment's
+  /// half of the standstill closure (batch_system.hpp, "Early exit").
+  std::uint64_t at_rest_lanes() const;
+
  private:
   BusMap map_;
   sim::FreeRunningTimer timer_;

@@ -1,6 +1,8 @@
 // Unit tests for the six control modules, each driven directly on a bus.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arrestment/calc.hpp"
 #include "arrestment/clock_module.hpp"
 #include "arrestment/constants.hpp"
@@ -8,6 +10,7 @@
 #include "arrestment/pres_a.hpp"
 #include "arrestment/pres_s.hpp"
 #include "arrestment/v_reg.hpp"
+#include "common/rng.hpp"
 
 namespace propane::arr {
 namespace {
@@ -143,6 +146,77 @@ TEST_F(ModulesTest, DistSStoppedAfterLongGap) {
   EXPECT_EQ(bus_.read(map_.slow_speed), 0u);
 }
 
+// The premises of the batch kernel's standstill closure (batch_system.hpp,
+// "Early exit"): while PACNT holds, DIST_S keeps pulscnt and latches its
+// flags, and its lane masks mark exactly the latched lanes.
+
+TEST_F(ModulesTest, DistSAtConstantPacntKeepsPulscntAndLatchesItsFlags) {
+  constexpr std::uint16_t kPacnts[] = {1, 4321, 65535};
+  constexpr std::uint16_t kPulscnts[] = {0, 977, 65535};
+  Rng rng(0xD157);
+  for (const std::uint16_t pacnt : kPacnts) {
+    for (const std::uint16_t pulscnt : kPulscnts) {
+      DistSModule dist(map_);
+      bus_.write(map_.pacnt, pacnt);
+      dist.step(bus_);  // the last pulse
+      bus_.write(map_.pulscnt, pulscnt);
+      for (std::uint32_t quiet = 1; quiet <= kStoppedGapMs + 64; ++quiet) {
+        // Any capture and timer values: only the pulse-free count may
+        // latch the flags.
+        bus_.write(map_.tic1, static_cast<std::uint16_t>(rng.bounded(65536)));
+        bus_.write(map_.tcnt, static_cast<std::uint16_t>(rng.bounded(65536)));
+        dist.step(bus_);
+        ASSERT_EQ(bus_.read(map_.pulscnt), pulscnt) << quiet;
+        if (quiet >= kSlowSpeedGapMs) {
+          ASSERT_EQ(bus_.read(map_.slow_speed), 1u) << quiet;
+        }
+        ASSERT_EQ(bus_.read(map_.stopped), quiet >= kStoppedGapMs ? 1u : 0u)
+            << quiet;
+      }
+    }
+  }
+}
+
+TEST_F(ModulesTest, BatchedDistSStandstillMasksMarkTheLatchedLanes) {
+  // 64 lanes, lane l taking its last pulse on tick 5 * l (lane 0 never
+  // pulses).
+  constexpr std::size_t kLanes = 64;
+  DistSModule prototype(map_);
+  BatchedDistS dist(map_, prototype, kLanes);
+  fi::BatchedSignalBus lanes(bus_, kLanes);
+  std::vector<std::uint32_t> quiet(kLanes, 0);
+  for (std::uint32_t t = 1; t <= 5 * 63 + kStoppedGapMs + 8; ++t) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (t <= 5 * l) {
+        lanes.write(map_.pacnt, l,
+                    static_cast<std::uint16_t>(lanes.read(map_.pacnt, l) + 1));
+      }
+    }
+    dist.step_lanes(lanes);
+    std::uint64_t slow = 0;
+    std::uint64_t stopped = 0;
+    std::uint64_t stopped_flag = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      quiet[l] = t <= 5 * l ? 0 : quiet[l] + 1;
+      slow |= std::uint64_t{quiet[l] >= kSlowSpeedGapMs} << l;
+      stopped |= std::uint64_t{quiet[l] >= kStoppedGapMs} << l;
+      stopped_flag |= std::uint64_t{lanes.read(map_.stopped, l) != 0} << l;
+    }
+    ASSERT_EQ(dist.idle_lanes(lanes), ~std::uint64_t{0}) << t;
+    ASSERT_EQ(dist.slow_latched_lanes(), slow) << t;
+    ASSERT_EQ(dist.stopped_latched_lanes(), stopped) << t;
+    ASSERT_EQ(stopped, stopped_flag) << t;
+  }
+  // A PACNT write after the sweep (an injection before the background
+  // task) leaves its lane non-idle: the next sweep sees a pulse.
+  for (const std::size_t l : {std::size_t{3}, std::size_t{40}}) {
+    lanes.write(map_.pacnt, l,
+                static_cast<std::uint16_t>(lanes.read(map_.pacnt, l) + 1));
+  }
+  EXPECT_EQ(dist.idle_lanes(lanes),
+            ~(std::uint64_t{1} << 3 | std::uint64_t{1} << 40));
+}
+
 // --- PRES_S ----------------------------------------------------------------
 
 TEST_F(ModulesTest, PresSCopiesAdcToInValue) {
@@ -176,6 +250,83 @@ TEST_F(ModulesTest, CalcCheckpointThresholdsAreMonotone) {
   for (int i = 1; i < kCheckpointCount; ++i) {
     EXPECT_GT(CalcModule::checkpoint_pulses(i),
               CalcModule::checkpoint_pulses(i - 1));
+  }
+}
+
+constexpr bool checkpoints_strictly_ascending() {
+  for (int i = 1; i < kCheckpointCount; ++i) {
+    if (!(kCheckpointM[i - 1] < kCheckpointM[i])) return false;
+  }
+  return true;
+}
+// CALC advances i one checkpoint at a time while pulscnt has reached the
+// next one; with ascending checkpoints a held pulscnt stops it for good.
+static_assert(checkpoints_strictly_ascending(),
+              "checkpoint positions must be strictly ascending");
+
+TEST_F(ModulesTest, CalcAtASettledCheckpointNeverChangesI) {
+  // Settled: i >= kCheckpointCount (corrupted indices included) or
+  // pulscnt below checkpoint i. With pulscnt held, no CALC step may move
+  // i, whatever stopped, slow_speed and mscnt hold.
+  Rng rng(0xCA1C);
+  CalcModule calc(map_);
+  const auto random16 = [&rng] {
+    return static_cast<std::uint16_t>(rng.bounded(65536));
+  };
+  for (std::uint32_t i = 0; i < 65536; ++i) {
+    const int samples = i < kCheckpointCount ? 512 : 1;
+    for (int n = 0; n < samples; ++n) {
+      std::uint16_t pulscnt = random16();
+      if (i < kCheckpointCount) {
+        const std::uint16_t threshold =
+            CalcModule::checkpoint_pulses(static_cast<int>(i));
+        pulscnt = n == 0 ? static_cast<std::uint16_t>(threshold - 1)
+                         : static_cast<std::uint16_t>(
+                               rng.bounded(threshold));
+      }
+      bus_.write(map_.checkpoint_i, static_cast<std::uint16_t>(i));
+      bus_.write(map_.pulscnt, pulscnt);
+      bus_.write(map_.stopped, rng.bounded(2) == 0 ? 0 : random16());
+      bus_.write(map_.slow_speed, rng.bounded(2) == 0 ? 0 : random16());
+      bus_.write(map_.mscnt, random16());
+      calc.step(bus_);
+      ASSERT_EQ(bus_.read(map_.checkpoint_i), i) << pulscnt;
+    }
+  }
+}
+
+TEST_F(ModulesTest, BatchedCalcSettledLanesAreTheScalarFixedPoints) {
+  // Every 16-bit i against pulscnt values at each checkpoint edge: a lane
+  // is settled exactly when a scalar CALC step with stopped clear leaves
+  // its i as it is.
+  std::vector<std::uint16_t> pulses = {0, 65535};
+  for (int k = 0; k < kCheckpointCount; ++k) {
+    const std::uint16_t threshold = CalcModule::checkpoint_pulses(k);
+    for (const int d : {-1, 0, 1}) {
+      pulses.push_back(static_cast<std::uint16_t>(threshold + d));
+    }
+  }
+  constexpr std::size_t kLanes = 64;
+  CalcModule calc(map_);
+  BatchedCalc batched(map_, calc, kLanes);
+  fi::BatchedSignalBus lanes(bus_, kLanes);
+  for (const std::uint16_t pulscnt : pulses) {
+    for (std::uint32_t base = 0; base < 65536; base += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        lanes.write(map_.checkpoint_i, l, static_cast<std::uint16_t>(base + l));
+        lanes.write(map_.pulscnt, l, pulscnt);
+      }
+      const std::uint64_t settled = batched.settled_lanes(lanes);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const auto i = static_cast<std::uint16_t>(base + l);
+        bus_.write(map_.checkpoint_i, i);
+        bus_.write(map_.pulscnt, pulscnt);
+        bus_.write(map_.stopped, 0);
+        calc.step(bus_);
+        ASSERT_EQ((settled >> l & 1u) != 0, bus_.read(map_.checkpoint_i) == i)
+            << "i=" << i << " pulscnt=" << pulscnt;
+      }
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "arrestment/batch_system.hpp"
+#include "arrestment/constants.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
 #include "obs/telemetry.hpp"
@@ -1098,6 +1099,92 @@ TEST(BatchExhaustion, PaperShapeSliceRetiresRunsByExhaustion) {
   EXPECT_GT(counters.converged(), 0u);
   EXPECT_EQ(counters.converged() + counters.exhausted(),
             counters.retirements());
+}
+
+// --- Standstill exhaustion: closed signals of lanes at rest --------------
+
+TEST(BatchExhaustion, StandstillInjectionsMatchTheScalarOracle) {
+  // Faults in every signal of the standstill set that can be injected --
+  // PACNT, pulscnt, i, stopped, slow_speed and SetValue -- in both phases,
+  // on each of the 16 milliseconds around the golden run's standstill
+  // (so every phase of the 16-tick convergence pass sees a fresh fire),
+  // plus SetValue high-bit flips that brake a run to rest seconds before
+  // its golden run: a lane at rest may treat the standstill set as closed
+  // only while its golden lane rests too.
+  constexpr sim::SimTime kRun = 7 * sim::kSecond;
+  const std::vector<TestCase> cases = {TestCase{11000, 40}};
+  RunOptions golden_options;
+  golden_options.duration = kRun;
+  const RunOutcome golden = run_arrestment(cases[0], golden_options);
+  ASSERT_TRUE(golden.arrested);
+  const std::uint64_t stop_ms = golden.stop_ms;
+  ASSERT_LT(stop_ms + kStoppedGapMs + 500, sim::to_milliseconds(kRun));
+  // The braked runs fire in [1.4 s, 2 s] and rest with the golden run's
+  // checkpoint index, which the golden run advances only after they rest.
+  const fi::BusSignalId checkpoint_i = bus_id("i");
+  const std::uint16_t braked_i = golden.trace.value(1399, checkpoint_i);
+  ASSERT_EQ(golden.trace.value(3500, checkpoint_i), braked_i);
+  ASSERT_GT(golden.trace.value(stop_ms, checkpoint_i), braked_i);
+
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x57A11D;
+  const auto add = [&](std::string_view target, std::uint64_t ms,
+                       unsigned bit, fi::InjectionPhase phase) {
+    config.injections.push_back(fi::InjectionSpec{
+        bus_id(target), ms * sim::kMillisecond, fi::bit_flip(bit), phase});
+  };
+  constexpr fi::InjectionPhase kPhases[] = {
+      fi::InjectionPhase::kTickStart, fi::InjectionPhase::kPreBackground};
+  for (const fi::InjectionPhase phase : kPhases) {
+    for (std::uint64_t ms = stop_ms - 8; ms < stop_ms + 8; ++ms) {
+      for (const std::string_view target :
+           {"PACNT", "pulscnt", "i", "stopped", "slow_speed", "SetValue"}) {
+        for (const unsigned bit : {0u, 9u, 15u}) add(target, ms, bit, phase);
+      }
+    }
+    for (const std::uint64_t ms : {1400u, 1600u, 1800u, 2000u}) {
+      for (const unsigned bit : {13u, 14u, 15u}) {
+        add("SetValue", ms, bit, phase);
+      }
+    }
+  }
+  BatchCounters counters;
+  expect_records_match_scalar(cases, config, kRun, counters);
+  EXPECT_GT(counters.exhausted(), 0u);
+  EXPECT_EQ(counters.converged() + counters.exhausted(),
+            counters.retirements());
+
+  // The runs firing once both lanes rest: TIC1 never diverges for them,
+  // so every one keeps a signal outside {TCNT, mscnt, ms_slot_nbr}
+  // pending to the horizon and the static rule alone exhausts none of
+  // them. Exhaustions here are standstill closures.
+  fi::CampaignConfig slice = config;
+  slice.injections.clear();
+  for (const fi::InjectionSpec& spec : config.injections) {
+    if (fi::injection_fire_ms(spec.when) > stop_ms) {
+      slice.injections.push_back(spec);
+    }
+  }
+  ASSERT_FALSE(slice.injections.empty());
+  const fi::BusSignalId static_closed[] = {bus_id("TCNT"), bus_id("mscnt"),
+                                           bus_id("ms_slot_nbr")};
+  const fi::CampaignResult scalar =
+      fi::run_campaign(campaign_runner(cases, kRun), slice);
+  for (const fi::InjectionRecord& record : scalar.records) {
+    bool open_pending = false;
+    for (fi::BusSignalId sig = 0; sig < record.report.per_signal.size();
+         ++sig) {
+      open_pending |= !record.report.per_signal[sig].diverged &&
+                      std::find(std::begin(static_closed),
+                                std::end(static_closed),
+                                sig) == std::end(static_closed);
+    }
+    EXPECT_TRUE(open_pending);
+  }
+  BatchCounters standstill;
+  expect_records_match_scalar(cases, slice, kRun, standstill);
+  EXPECT_GT(standstill.exhausted(), 0u);
 }
 
 // --- Rolling segments: per-segment clocks --------------------------------
