@@ -1,7 +1,7 @@
 // Journal subsystem throughput: how fast records append to a sharded
 // campaign journal (the per-run durability cost), the overhead of the
-// telemetry layer on that path (metrics only, then metrics + NDJSON
-// events), and how fast a resume scan rebuilds the completed-run set --
+// telemetry layer's counters on that path (the journal logs no event per
+// record), and how fast a resume scan rebuilds the completed-run set --
 // the numbers that decide whether journaling and observability are
 // affordable at production campaign scale.
 //
@@ -17,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
-#include "obs/ndjson.hpp"
 #include "obs/telemetry.hpp"
 #include "store/resume.hpp"
 
@@ -94,11 +93,9 @@ int main() {
               static_cast<double>(bytes) / 1e6 / append_s);
 
   // --- append with telemetry --------------------------------------------
-  // Same workload with the obs layer attached: first metrics only (the
-  // counters the campaign keeps hot), then metrics + per-append NDJSON
-  // events (the full `campaign run` default). Overhead is relative to the
-  // untelemetered pass above, whose null-handle branches cost nothing
-  // measurable.
+  // Same workload with the metrics registry attached (the counters the
+  // campaign keeps hot). Overhead is relative to the untelemetered pass
+  // above, whose null-handle branches cost nothing measurable.
   obs::MetricsRegistry metrics;
   obs::Telemetry telemetry;
   telemetry.metrics = &metrics;
@@ -117,35 +114,11 @@ int main() {
   const double metrics_s = seconds_since(metrics_start);
   fs::remove_all(metrics_dir);
 
-  const fs::path events_dir =
-      fs::temp_directory_path() / "propane_bench_journal_events";
-  fs::remove_all(events_dir);
-  fs::create_directories(events_dir);
-  obs::NdjsonSink sink(events_dir / "telemetry.ndjson");
-  telemetry.events = &sink;
-  const auto events_start = Clock::now();
-  {
-    store::ShardedJournalWriter writer(events_dir, manifest, shard_count,
-                                       &telemetry);
-    for (std::size_t flat = 0; flat < records; ++flat) {
-      writer.append(synthetic_record(manifest, flat));
-    }
-  }
-  const double events_s = seconds_since(events_start);
-  telemetry.events = nullptr;
-  const std::size_t event_count = sink.event_count();
-  fs::remove_all(events_dir);
-
   const double metrics_overhead = 100.0 * (metrics_s - append_s) / append_s;
-  const double events_overhead = 100.0 * (events_s - append_s) / append_s;
   std::printf("append + metrics: %.2f s  =>  %.0f records/s "
-              "(%+.1f%% vs untelemetered)\n",
+              "(%+.1f%% vs untelemetered)\n\n",
               metrics_s, static_cast<double>(records) / metrics_s,
               metrics_overhead);
-  std::printf("append + metrics + ndjson events: %.2f s  =>  "
-              "%.0f records/s (%+.1f%%, %zu events)\n\n",
-              events_s, static_cast<double>(records) / events_s,
-              events_overhead, event_count);
 
   // --- resume scan -------------------------------------------------------
   const auto scan_start = Clock::now();
@@ -165,9 +138,7 @@ int main() {
          << ",\"bytes\":" << bytes
          << ",\"append_s\":" << append_s
          << ",\"append_metrics_s\":" << metrics_s
-         << ",\"append_events_s\":" << events_s
          << ",\"metrics_overhead_pct\":" << metrics_overhead
-         << ",\"events_overhead_pct\":" << events_overhead
          << ",\"resume_scan_s\":" << scan_s
          << ",\"metrics\":"
          << obs::metrics_snapshot_to_json(metrics.snapshot()) << "}\n";

@@ -112,31 +112,18 @@ void BM_Span_Disabled(benchmark::State& state) {
 }
 BENCHMARK(BM_Span_Disabled);
 
-void BM_Span_Buffered(benchmark::State& state) {
-  obs::SpanBuffer buffer;
-  obs::Telemetry telemetry;
-  telemetry.spans = &buffer;
-  for (auto _ : state) {
-    obs::Span span(&telemetry, "bench.scope");
-    benchmark::DoNotOptimize(span.id());
-  }
-}
-BENCHMARK(BM_Span_Buffered);
-
-void BM_Span_BufferedAndStreamed(benchmark::State& state) {
+void BM_Span_Streamed(benchmark::State& state) {
   NullBuffer null_buffer;
   std::ostream null_stream(&null_buffer);
   obs::NdjsonSink sink(null_stream);
-  obs::SpanBuffer buffer;
   obs::Telemetry telemetry;
-  telemetry.spans = &buffer;
   telemetry.events = &sink;
   for (auto _ : state) {
     obs::Span span(&telemetry, "bench.scope");
     benchmark::DoNotOptimize(span.id());
   }
 }
-BENCHMARK(BM_Span_BufferedAndStreamed);
+BENCHMARK(BM_Span_Streamed);
 
 void BM_EventEmit(benchmark::State& state) {
   NullBuffer null_buffer;
@@ -155,10 +142,10 @@ BENCHMARK(BM_EventEmit);
 
 void BM_ParseFlatJsonObject(benchmark::State& state) {
   const std::string line = obs::event_to_json(obs::make_event(
-      "injection.done", {{"flat", obs::Value(1234)},
-                         {"target", obs::Value("pressure_sensor")},
-                         {"diverged_signals", obs::Value(3)},
-                         {"dur_us", obs::Value(2512.7)}}));
+      "campaign.batch.done", {{"fire_ms", obs::Value(1234)},
+                              {"test_cases", obs::Value(2)},
+                              {"lanes", obs::Value(63)},
+                              {"dur_us", obs::Value(2512)}}));
   for (auto _ : state) {
     benchmark::DoNotOptimize(obs::parse_flat_json_object(line));
   }
@@ -181,9 +168,9 @@ BENCHMARK(BM_MetricsSnapshotToJson);
 // --- batch-section telemetry overhead ------------------------------------
 
 /// One smoke-scale lockstep batched campaign; telemetry optional. Returns
-/// wall seconds. The telemetry bundle is the worker's real configuration:
-/// metrics registry, span buffer and an NDJSON sink (into a null stream,
-/// so the measurement is instrumentation cost, not disk).
+/// wall seconds. The telemetry bundle is the CLI's real configuration:
+/// metrics registry and an NDJSON sink (into a null stream, so the
+/// measurement is instrumentation cost, not disk).
 double run_batch_campaign(bool telemetry_on) {
   const exp::ExperimentScale scale = exp::smoke_scale();
   const fi::CampaignConfig config = exp::make_campaign_config(scale);
@@ -193,14 +180,12 @@ double run_batch_campaign(bool telemetry_on) {
           : scale.custom_cases;
 
   obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
   NullBuffer null_buffer;
   std::ostream null_stream(&null_buffer);
   obs::NdjsonSink sink(null_stream);
   obs::Telemetry telemetry;
   telemetry.metrics = &metrics;
   telemetry.events = &sink;
-  telemetry.spans = &spans;
 
   const auto start = std::chrono::steady_clock::now();
   const fi::CampaignResult result = fi::run_campaign(

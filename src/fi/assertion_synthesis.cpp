@@ -57,7 +57,8 @@ std::uint16_t scaled_delta(const SignalProfile& profile,
   const double scaled =
       std::max(1.0, static_cast<double>(profile.max_delta)) *
       options.rate_factor;
-  return scaled > 65535.0 ? 65535 : static_cast<std::uint16_t>(scaled);
+  return scaled > 65535.0 ? std::uint16_t{0xFFFF}
+                          : static_cast<std::uint16_t>(scaled);
 }
 
 bool is_wrapping(const SignalProfile& profile,

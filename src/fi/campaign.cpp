@@ -139,7 +139,8 @@ std::vector<BatchRunRequest> plan_requests(
 
 /// Telemetry handles, resolved once per campaign; all null when telemetry
 /// is off, so the per-run overhead collapses to a few predictable
-/// branches.
+/// branches. Durations are taken only for the event log: golden.done per
+/// golden run and campaign.batch.done per request.
 struct Instruments {
   explicit Instruments(const obs::Telemetry* telemetry)
       : golden_runs(obs::find_counter(telemetry, "campaign.runs.golden")),
@@ -149,17 +150,13 @@ struct Instruments {
         diverged_runs(obs::find_counter(telemetry, "campaign.runs.diverged")),
         diverged_signals(
             obs::find_counter(telemetry, "campaign.divergence.signals")),
-        run_latency(obs::find_histogram(telemetry, "campaign.run.latency_us",
-                                        {1e3, 1e4, 1e5, 1e6, 1e7, 1e8})),
-        timed(run_latency != nullptr ||
-              (telemetry != nullptr && telemetry->events != nullptr)) {}
+        timed(telemetry != nullptr && telemetry->events != nullptr) {}
 
   obs::Counter* golden_runs;
   obs::Counter* injection_runs;
   obs::Counter* skipped_runs;
   obs::Counter* diverged_runs;
   obs::Counter* diverged_signals;
-  obs::Histogram* run_latency;
   bool timed;
 };
 
@@ -186,9 +183,6 @@ void run_goldens(const CampaignRunner& runner, const CampaignConfig& config,
   {
     obs::Span golden_phase(telemetry, "campaign.golden_phase");
     pool.parallel_for(0, config.test_case_count, [&](std::size_t tc) {
-      obs::emit_event(telemetry, "campaign.run.start",
-                      {{"kind", obs::Value("golden")},
-                       {"test_case", obs::Value(tc)}});
       const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
       RunRequest request;
       request.test_case = static_cast<std::uint32_t>(tc);
@@ -200,20 +194,14 @@ void run_goldens(const CampaignRunner& runner, const CampaignConfig& config,
       if (instruments.golden_runs != nullptr) {
         instruments.golden_runs->add(1);
       }
-      if (instruments.run_latency != nullptr) {
-        instruments.run_latency->observe(static_cast<double>(dur_us));
-      }
       obs::emit_event(
           telemetry, "golden.done",
           {{"test_case", obs::Value(tc)},
            {"samples", obs::Value(result.goldens[tc].sample_count())},
            {"dur_us", obs::Value(dur_us)}});
-      obs::emit_event(telemetry, "campaign.run.end",
-                      {{"kind", obs::Value("golden")},
-                       {"test_case", obs::Value(tc)},
-                       {"dur_us", obs::Value(dur_us)}});
     });
   }
+  obs::render_progress(telemetry);
 
   for (const TraceSet& golden : result.goldens) {
     PROPANE_CHECK_MSG(golden.sample_count() > 0,
@@ -281,21 +269,11 @@ void run_injections(const CampaignRunner& runner,
   pool.parallel_for(0, batches.size(), [&](std::size_t b) {
     BatchRunRequest& batch = batches[b];
     batch.goldens = &result.goldens;
-    for (const BatchLaneRequest& lane : batch.lanes) {
-      obs::emit_event(telemetry, "campaign.run.start",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(lane.flat)},
-                       {"injection", obs::Value(lane.injection_index)},
-                       {"test_case", obs::Value(lane.test_case)}});
-    }
     const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
     std::vector<DivergenceReport> reports = runner.batch(batch);
     PROPANE_CHECK_MSG(reports.size() == batch.lanes.size(),
                       "batch runner must return one report per lane");
     const std::uint64_t dur_us = timed ? obs::steady_now_us() - start_us : 0;
-    // Whole-request wall time attributed evenly across the lanes it
-    // covered.
-    const std::uint64_t lane_us = dur_us / batch.lanes.size();
     // Request shape for profiling: earliest fire tick (the tick the
     // kernel's first segment starts from), distinct test cases (a golden
     // lane per open segment) and lane count -- occupancy is lanes / kernel
@@ -331,28 +309,12 @@ void run_injections(const CampaignRunner& runner,
           instruments.diverged_signals->add(divergences);
         }
       }
-      if (instruments.run_latency != nullptr) {
-        instruments.run_latency->observe(static_cast<double>(lane_us));
-      }
-      obs::emit_event(
-          telemetry, "injection.done",
-          {{"flat", obs::Value(lane.flat)},
-           {"injection", obs::Value(lane.injection_index)},
-           {"test_case", obs::Value(lane.test_case)},
-           {"target", obs::Value(record.target)},
-           {"model",
-            obs::Value(config.injections[lane.injection_index].model.name)},
-           {"diverged_signals", obs::Value(divergences)},
-           {"dur_us", obs::Value(lane_us)}});
-      obs::emit_event(telemetry, "campaign.run.end",
-                      {{"kind", obs::Value("injection")},
-                       {"flat", obs::Value(lane.flat)},
-                       {"dur_us", obs::Value(lane_us)}});
       if (hooks.on_record) hooks.on_record(record);
       if (hooks.collect_records) {
         result.records[lane.flat] = std::move(record);
       }
     }
+    obs::render_progress(telemetry);
   });
 }
 

@@ -39,8 +39,8 @@ struct RunRequest {
 using RunFunction = std::function<TraceSet(const RunRequest&)>;
 
 /// One lane of a lockstep batch: an injection run plus its identity in the
-/// campaign's flat run enumeration (so records, journal entries and
-/// telemetry keep the exact same identity whatever batch a run lands in).
+/// campaign's flat run enumeration (so records and journal entries keep
+/// the exact same identity whatever batch a run lands in).
 struct BatchLaneRequest {
   std::size_t flat = 0;
   std::uint32_t injection_index = 0;
@@ -204,9 +204,11 @@ struct CampaignHooks {
   /// sink is the only consumer and memory stays O(goldens), not O(runs)).
   bool collect_records = true;
   /// Optional telemetry (non-owning, must outlive the campaign). Purely
-  /// observational: counters, run spans and campaign.run.start/end,
-  /// golden.done and injection.done events. Never consulted for
-  /// scheduling or seeding, so enabling it cannot change any result.
+  /// observational: the campaign.runs.* counters, the campaign and phase
+  /// spans, one golden.done event per golden run, one campaign.batch.done
+  /// event per request, and a HUD frame after the golden phase and after
+  /// each request. Never consulted for scheduling or seeding, so enabling
+  /// it cannot change any result.
   const obs::Telemetry* telemetry = nullptr;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/clock.hpp"
@@ -46,8 +47,12 @@ std::uint64_t Value::as_uint() const {
     case Kind::kUint:
       return std::get<std::uint64_t>(value_);
     case Kind::kDouble: {
+      // Saturating: a persisted line may hold any double, and casting one
+      // outside [0, 2^64) -- or a NaN -- to uint64_t is undefined.
       const double v = std::get<double>(value_);
-      return v < 0 ? 0 : static_cast<std::uint64_t>(v);
+      if (!(v > 0.0)) return 0;
+      if (v >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+      return static_cast<std::uint64_t>(v);
     }
     default:
       throw std::logic_error("Value::as_uint on non-numeric value");

@@ -2,7 +2,7 @@
 //
 // Every event is one flat JSON object per line:
 //
-//   {"event":"injection.done","t_us":8123901,"test_case":3,"diverged":2}
+//   {"event":"golden.done","t_us":8123901,"test_case":3,"dur_us":412}
 //
 // Flat on purpose: a line can be consumed by jq, a spreadsheet importer, or
 // the bundled parse_flat_json_object() -- a deliberately minimal parser
@@ -58,7 +58,8 @@ class Value {
   const std::string& as_string() const { return std::get<std::string>(value_); }
   /// Any numeric kind, widened to double.
   double as_double() const;
-  /// Any numeric kind, truncated toward zero.
+  /// Any numeric kind, truncated toward zero and saturated to
+  /// [0, UINT64_MAX] (negative and NaN read 0).
   std::uint64_t as_uint() const;
 
   bool operator==(const Value&) const = default;

@@ -54,53 +54,36 @@ std::string format_eta(double seconds) {
 
 }  // namespace
 
-ProgressReporter::ProgressReporter() : ProgressReporter(Options{}) {}
-
-ProgressReporter::ProgressReporter(const Options& options)
-    : out_(options.out != nullptr ? options.out : stderr),
+ProgressReporter::ProgressReporter(MetricsRegistry& metrics,
+                                   const Options& options)
+    : executed_(metrics.counter("campaign.runs.injection")),
+      skipped_(metrics.counter("campaign.runs.skipped")),
+      diverged_(metrics.counter("campaign.runs.diverged")),
+      replayed_(metrics.counter("delta.hits")),
+      journal_bytes_(metrics.counter("journal.append.bytes")),
+      total_(options.total_runs),
+      enabled_(options.force ||
+               stream_is_tty(options.out != nullptr ? options.out : stderr)),
+      out_(options.out != nullptr ? options.out : stderr),
       throttle_(options.min_interval_us),
-      started_us_(steady_now_us()) {
-  enabled_ = options.force || stream_is_tty(out_);
-  total_.store(options.total_runs, std::memory_order_relaxed);
-}
+      started_us_(steady_now_us()) {}
 
 ProgressReporter::~ProgressReporter() { finish(); }
 
-void ProgressReporter::add_completed(std::size_t n, bool diverged) {
-  completed_.fetch_add(n, std::memory_order_relaxed);
-  if (diverged) diverged_.fetch_add(1, std::memory_order_relaxed);
-  maybe_render();
-}
-
-void ProgressReporter::add_skipped(std::size_t n) {
-  skipped_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void ProgressReporter::add_replayed(std::size_t n) {
-  replayed_.fetch_add(n, std::memory_order_relaxed);
-  maybe_render();
-}
-
-void ProgressReporter::set_journal(std::uint64_t bytes, std::size_t shards) {
-  journal_bytes_.store(bytes, std::memory_order_relaxed);
-  journal_shards_.store(shards, std::memory_order_relaxed);
-}
-
 ProgressReporter::Snapshot ProgressReporter::snapshot() const {
   Snapshot snap;
-  snap.completed = completed_.load(std::memory_order_relaxed);
-  snap.skipped = skipped_.load(std::memory_order_relaxed);
-  snap.replayed = replayed_.load(std::memory_order_relaxed);
-  snap.diverged = diverged_.load(std::memory_order_relaxed);
-  snap.total = total_.load(std::memory_order_relaxed);
-  snap.journal_bytes = journal_bytes_.load(std::memory_order_relaxed);
-  snap.journal_shards = journal_shards_.load(std::memory_order_relaxed);
+  snap.completed = executed_.value();
+  snap.skipped = skipped_.value();
+  snap.replayed = replayed_.value();
+  snap.diverged = diverged_.value();
+  snap.total = total_;
+  snap.journal_bytes = journal_bytes_.value();
   snap.elapsed_s =
       static_cast<double>(steady_now_us() - started_us_) / 1e6;
   if (snap.elapsed_s > 0.0) {
     snap.runs_per_s = static_cast<double>(snap.completed) / snap.elapsed_s;
   }
-  const std::size_t done = snap.completed + snap.skipped + snap.replayed;
+  const std::size_t done = snap.completed + snap.skipped;
   if (snap.total > done && snap.runs_per_s > 0.0) {
     snap.eta_s =
         static_cast<double>(snap.total - done) / snap.runs_per_s;
@@ -114,7 +97,7 @@ ProgressReporter::Snapshot ProgressReporter::snapshot() const {
 
 std::string ProgressReporter::render_line() const {
   const Snapshot s = snapshot();
-  const std::size_t done = s.completed + s.skipped + s.replayed;
+  const std::size_t done = s.completed + s.skipped;
   const double pct =
       s.total > 0
           ? 100.0 * static_cast<double>(done) / static_cast<double>(s.total)
@@ -129,33 +112,27 @@ std::string ProgressReporter::render_line() const {
   if (s.replayed > 0) {
     std::snprintf(replay, sizeof(replay), " | replay %zu", s.replayed);
   }
-  char tail[128];
-  std::snprintf(tail, sizeof(tail), " | div %.1f%% | journal %s / %zu shard%s",
+  char tail[96];
+  std::snprintf(tail, sizeof(tail), " | div %.1f%% | journal %s",
                 100.0 * s.divergence_rate,
-                format_bytes(s.journal_bytes).c_str(), s.journal_shards,
-                s.journal_shards == 1 ? "" : "s");
+                format_bytes(s.journal_bytes).c_str());
   return std::string(head) + replay + tail;
 }
 
 void ProgressReporter::maybe_render() {
-  if (!enabled_ || finished_.load(std::memory_order_relaxed)) return;
-  if (!throttle_.ready(steady_now_us())) return;
-  render();
-}
-
-void ProgressReporter::render() {
+  if (!enabled_ || !throttle_.ready(steady_now_us())) return;
   // Only one frame at a time; a losing thread just skips its frame.
   std::unique_lock lock(render_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
+  if (!lock.owns_lock() || finished_) return;
   std::fprintf(out_, "\r%s\x1b[K", render_line().c_str());
   std::fflush(out_);
-  rendered_once_.store(true, std::memory_order_relaxed);
 }
 
 void ProgressReporter::finish() {
   if (!enabled_) return;
-  if (finished_.exchange(true)) return;
   std::lock_guard lock(render_mu_);
+  if (finished_) return;
+  finished_ = true;
   std::fprintf(out_, "\r%s\x1b[K\n", render_line().c_str());
   std::fflush(out_);
 }

@@ -1,30 +1,33 @@
 // Live campaign progress HUD.
 //
-// Worker threads feed completion counts through relaxed atomics; a
-// throttle lets roughly two frames per second through, and whichever
-// thread wins the throttle renders one carriage-return-overwritten stderr
-// line:
+// The HUD holds no counters of its own: it resolves the registry's
+// campaign.runs.{injection,skipped,diverged}, delta.hits and
+// journal.append.bytes counters once and renders from them. Whoever
+// drives the campaign calls maybe_render(); a throttle lets roughly two
+// frames per second through, and the thread that wins it renders one
+// carriage-return-overwritten stderr line:
 //
 //   [campaign] 1234/4000 runs 30.9% | 412.3 runs/s | ETA 7s | div 12.4% |
-//   journal 3.1 MB / 8 shards
+//   journal 3.1 MB
 //
 // The HUD auto-disables when the output stream is not a TTY (so piped or
 // CI output stays clean) and can be forced on/off by the CLI flags. It is
 // pure observation: disabling it changes nothing about the campaign.
 #pragma once
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <string>
 
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 
 namespace propane::obs {
 
 class ProgressReporter {
  public:
   struct Options {
+    /// Runs the campaign plans; the one figure the registry cannot know.
     std::size_t total_runs = 0;
     /// Minimum microseconds between frames (~2 Hz default).
     std::uint64_t min_interval_us = 500'000;
@@ -34,38 +37,24 @@ class ProgressReporter {
     std::FILE* out = nullptr;
   };
 
-  ProgressReporter();  // defaults: see Options
-  explicit ProgressReporter(const Options& options);
+  /// Resolves the HUD's counters in `metrics`, which must outlive it.
+  ProgressReporter(MetricsRegistry& metrics, const Options& options);
   ~ProgressReporter();
 
   ProgressReporter(const ProgressReporter&) = delete;
   ProgressReporter& operator=(const ProgressReporter&) = delete;
 
-  /// False when the destination is not a TTY and force was off; all calls
-  /// are then no-ops beyond the counter updates (snapshot() still works).
+  /// False when the destination is not a TTY and force was off; rendering
+  /// is then a no-op (snapshot() still works).
   bool enabled() const { return enabled_; }
-
-  void set_total(std::size_t total_runs) {
-    total_.store(total_runs, std::memory_order_relaxed);
-  }
-  /// One run finished this session. Renders a frame if the throttle allows.
-  void add_completed(std::size_t n, bool diverged);
-  /// One planned run was skipped (already journaled / foreign process).
-  void add_skipped(std::size_t n);
-  /// One run was replayed from a delta-campaign baseline cache (counts
-  /// toward done but not toward the executed runs/s rate).
-  void add_replayed(std::size_t n);
-  /// Latest journal footprint, shown verbatim in the HUD.
-  void set_journal(std::uint64_t bytes, std::size_t shards);
 
   struct Snapshot {
     std::size_t completed = 0;  // executed this session
-    std::size_t skipped = 0;
+    std::size_t skipped = 0;    // journaled, foreign or replayed
     std::size_t replayed = 0;   // cache hits copied from a baseline
     std::size_t diverged = 0;
     std::size_t total = 0;
-    std::uint64_t journal_bytes = 0;
-    std::size_t journal_shards = 0;
+    std::uint64_t journal_bytes = 0;  // appended this session
     double elapsed_s = 0.0;
     double runs_per_s = 0.0;      // executed / elapsed
     double eta_s = 0.0;           // remaining / runs_per_s (0 when unknown)
@@ -83,22 +72,18 @@ class ProgressReporter {
   void finish();
 
  private:
-  void render();
-
-  bool enabled_ = false;
-  std::FILE* out_ = nullptr;
+  const Counter& executed_;
+  const Counter& skipped_;
+  const Counter& diverged_;
+  const Counter& replayed_;
+  const Counter& journal_bytes_;
+  std::size_t total_;
+  bool enabled_;
+  std::FILE* out_;
   Throttle throttle_;
-  std::uint64_t started_us_ = 0;
-  std::atomic<std::size_t> total_{0};
-  std::atomic<std::size_t> completed_{0};
-  std::atomic<std::size_t> skipped_{0};
-  std::atomic<std::size_t> replayed_{0};
-  std::atomic<std::size_t> diverged_{0};
-  std::atomic<std::uint64_t> journal_bytes_{0};
-  std::atomic<std::size_t> journal_shards_{0};
-  std::atomic<bool> rendered_once_{false};
-  std::atomic<bool> finished_{false};
+  std::uint64_t started_us_;
   std::mutex render_mu_;
+  bool finished_ = false;  // guarded by render_mu_
 };
 
 }  // namespace propane::obs

@@ -6,6 +6,11 @@
 // setup and keep raw pointers, so the per-event cost when disabled is one
 // pointer test (the "null-sink fast path").
 //
+// The registry is the one source of every count. Events describe what the
+// engine executes -- golden runs, kernel requests, sessions -- never one
+// line per injection run, so the log grows with requests, not runs. The
+// progress HUD reads the same registry and is only rendered here.
+//
 // Telemetry is strictly observation-only. Nothing read from these objects
 // may feed back into run scheduling, RNG seeding or any other input of the
 // campaign: a telemetry-enabled campaign must produce bit-identical
@@ -15,6 +20,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/ndjson.hpp"
+#include "obs/progress.hpp"
 #include "obs/span.hpp"
 
 namespace propane::obs {
@@ -22,10 +28,12 @@ namespace propane::obs {
 struct Telemetry {
   MetricsRegistry* metrics = nullptr;
   EventSink* events = nullptr;
-  SpanBuffer* spans = nullptr;
+  /// Live HUD over `metrics`; run_campaign renders it (throttled) after
+  /// the golden phase and after each request.
+  ProgressReporter* progress = nullptr;
 
   bool enabled() const {
-    return metrics != nullptr || events != nullptr || spans != nullptr;
+    return metrics != nullptr || events != nullptr || progress != nullptr;
   }
 };
 
@@ -52,6 +60,11 @@ inline void emit_event(const Telemetry* t, std::string name,
   if (t != nullptr && t->events != nullptr) {
     t->events->emit(make_event(std::move(name), std::move(fields)));
   }
+}
+
+/// Null-safe throttled HUD frame.
+inline void render_progress(const Telemetry* t) {
+  if (t != nullptr && t->progress != nullptr) t->progress->maybe_render();
 }
 
 }  // namespace propane::obs

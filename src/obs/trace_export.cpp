@@ -1,8 +1,10 @@
 #include "obs/trace_export.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -133,27 +135,36 @@ bool is_span_envelope_key(std::string_view key) {
 constexpr std::int64_t kRunsTid = 99;
 constexpr std::int64_t kBatchesTid = 98;
 
+/// A persisted time or duration as a trace timestamp: the log may hold any
+/// uint64, and trace times are int64, so values past INT64_MAX saturate.
+std::int64_t trace_time(std::uint64_t us) {
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>(us, std::numeric_limits<std::int64_t>::max()));
+}
+
 /// Interval [start, end] of an event that carries its own duration: a
-/// span (start_us + dur_us) or a run/batch end event (t_us - dur_us, t_us).
+/// span (start_us + dur_us) or a golden/batch done event (t_us - dur_us,
+/// t_us). Both ends stay inside [0, INT64_MAX] whatever the line holds.
 struct Interval {
   std::int64_t start = 0;
   std::int64_t end = 0;
 };
 
 Interval interval_of(const std::vector<Field>& event, bool is_span) {
-  const auto dur = static_cast<std::int64_t>(u64_or(event, "dur_us", 0));
-  const auto t_us = static_cast<std::int64_t>(u64_or(event, "t_us", 0));
+  const std::int64_t dur = trace_time(u64_or(event, "dur_us", 0));
+  const std::int64_t t_us = trace_time(u64_or(event, "t_us", 0));
+  const std::int64_t before_t = dur > t_us ? 0 : t_us - dur;
   if (is_span) {
-    const auto start = static_cast<std::int64_t>(
-        u64_or(event, "start_us", static_cast<std::uint64_t>(t_us - dur)));
-    return {start, start + dur};
+    const std::int64_t start = trace_time(
+        u64_or(event, "start_us", static_cast<std::uint64_t>(before_t)));
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    return {start, start > max - dur ? max : start + dur};
   }
-  return {t_us - dur, t_us};
+  return {before_t, t_us};
 }
 
-/// Index of the first event of each session: a new one opens at a
-/// delta.plan or journal.resume_scan event once the current session has
-/// already scanned its journal.
+}  // namespace
+
 std::vector<std::size_t> session_starts(
     const std::vector<std::vector<Field>>& events) {
   std::vector<std::size_t> starts = {0};
@@ -169,8 +180,6 @@ std::vector<std::size_t> session_starts(
   }
   return starts;
 }
-
-}  // namespace
 
 std::size_t parse_ndjson_stream(std::istream& in,
                                 std::vector<std::vector<Field>>& out) {
@@ -240,7 +249,7 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
     for (std::size_t i = first; i < last; ++i) {
       const std::vector<Field>& event = stream.events[i];
       const std::string name = str_or(event, "event", "");
-      const auto t_us = static_cast<std::int64_t>(u64_or(event, "t_us", 0));
+      const std::int64_t t_us = trace_time(u64_or(event, "t_us", 0));
 
       if (name == "span") {
         const Interval span = interval_of(event, /*is_span=*/true);
@@ -252,19 +261,18 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
         }
         events.push_back(trace_event(
             'X', str_or(event, "name", "span"), pid,
-            static_cast<std::int64_t>(u64_or(event, "tid", 0)), span.start,
+            trace_time(u64_or(event, "tid", 0)), span.start,
             span.end - span.start, args));
         ++summary.spans;
         continue;
       }
 
-      if (name == "campaign.run.end" || name == "campaign.batch.done") {
-        const bool run = name == "campaign.run.end";
+      if (name == "golden.done" || name == "campaign.batch.done") {
+        const bool run = name == "golden.done";
         const Interval interval = interval_of(event, /*is_span=*/false);
         std::vector<Field> args;
         if (run) {
-          args = {{"kind", Value(str_or(event, "kind", "run"))},
-                  {"flat", Value(u64_or(event, "flat", 0))}};
+          args = {{"test_case", Value(u64_or(event, "test_case", 0))}};
         } else {
           args = {{"fire_ms", Value(u64_or(event, "fire_ms", 0))},
                   {"test_cases", Value(u64_or(event, "test_cases", 1))},
@@ -294,10 +302,8 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
         continue;
       }
 
-      // Instants: lifecycle events worth a timeline mark. Per-run noise
-      // (run.start, injection.done, journal.append) is skipped.
-      if (name == "golden.done" || name == "delta.done" ||
-          name == "journal.resume_scan") {
+      // Instants: session lifecycle events worth a timeline mark.
+      if (name == "delta.done" || name == "journal.resume_scan") {
         std::vector<Field> args;
         for (const Field& field : event) {
           if (field.key != "event" && field.key != "t_us") {

@@ -17,23 +17,23 @@
 //                              args carrying span_id/parent_span_id so the
 //                              chain campaign.*_phase -> campaign is
 //                              navigable;
-//   * campaign.run.end      -> synthesized "campaign.run" X events (the
-//                              hot path emits paired start/end events, not
-//                              per-run spans), parented under the
+//   * golden.done           -> synthesized "campaign.run" X events (one
+//                              per golden run), parented under the
 //                              innermost span of their session whose
-//                              interval contains them (the golden or
-//                              injection phase: runs execute on pool
-//                              threads, so the per-thread span stack
-//                              cannot relate them to the phase);
-//   * campaign.batch.done   -> synthesized "campaign.batch" X events,
-//                              parented the same way;
+//                              interval contains them (the golden phase:
+//                              runs execute on pool threads, so the
+//                              per-thread span stack cannot relate them to
+//                              the phase);
+//   * campaign.batch.done   -> synthesized "campaign.batch" X events (one
+//                              per kernel request), parented the same way;
 //   * final "metric" counter
 //     events                -> one "C" sample each (batch-kernel tick
 //                              counters land here);
-//   * golden.done, journal.resume_scan and the session's done event
-//                           -> "i" instants;
-//   * per-run noise (run.start, injection.done, journal.append) is
-//     consumed or skipped -- a trace is a timeline, not a replay log.
+//   * journal.resume_scan and the session's delta.done
+//                           -> "i" instants.
+//
+// Times and durations are read saturated to [0, INT64_MAX], so a hostile
+// line cannot overflow the trace arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +56,17 @@ struct TraceExportSummary {
   std::size_t trace_events = 0;     // total entries in traceEvents
   std::size_t sessions = 0;         // process tracks (one per session)
   std::size_t spans = 0;            // X events from real "span" events
-  std::size_t synthesized = 0;      // X events synthesized from run/batch
+  std::size_t synthesized = 0;      // X events from golden/batch done
   std::size_t counter_samples = 0;  // C samples
   std::size_t instants = 0;         // i events
 };
+
+/// Index of the first event of each session (always starts with 0): a new
+/// session opens at a delta.plan or journal.resume_scan event once the
+/// current session has already scanned its journal. `campaign top` splits
+/// its wall time with the same rule.
+std::vector<std::size_t> session_starts(
+    const std::vector<std::vector<Field>>& events);
 
 /// Parses NDJSON lines from `in` into parsed-field rows, appending to
 /// `out`. Malformed lines (a killed writer's torn tail) are counted, not

@@ -12,12 +12,9 @@ JournalWriter::JournalWriter(const std::filesystem::path& path,
                              const Manifest& manifest,
                              const obs::Telemetry* telemetry)
     : path_(path) {
-  if (telemetry != nullptr) {
-    appends_ = obs::find_counter(telemetry, "journal.appends");
-    append_bytes_ = obs::find_counter(telemetry, "journal.append.bytes");
-    flushes_ = obs::find_counter(telemetry, "journal.flushes");
-    events_ = telemetry->events;
-  }
+  appends_ = obs::find_counter(telemetry, "journal.appends");
+  append_bytes_ = obs::find_counter(telemetry, "journal.append.bytes");
+  flushes_ = obs::find_counter(telemetry, "journal.flushes");
   PROPANE_REQUIRE_MSG(!std::filesystem::exists(path_),
                       "journal shard already exists: " + path_.string());
   out_.open(path_, std::ios::binary | std::ios::trunc);
@@ -59,17 +56,8 @@ void JournalWriter::append(const fi::InjectionRecord& record) {
   // disk (modulo OS buffers) and at most the in-flight frame is torn.
   flush();
   ++record_count_;
-  const std::size_t frame_bytes = bytes_written_ - before;
   if (appends_ != nullptr) appends_->add(1);
-  if (append_bytes_ != nullptr) append_bytes_->add(frame_bytes);
-  if (events_ != nullptr) {
-    events_->emit(obs::make_event(
-        "journal.append",
-        {{"shard", obs::Value(path_.filename().string())},
-         {"bytes", obs::Value(frame_bytes)},
-         {"total_bytes", obs::Value(bytes_written_)},
-         {"records", obs::Value(record_count_)}}));
-  }
+  if (append_bytes_ != nullptr) append_bytes_->add(bytes_written_ - before);
 }
 
 void JournalWriter::flush() {

@@ -65,8 +65,8 @@ class JournalWriter {
   /// `path` must not already exist (shards are never appended to across
   /// sessions -- resume opens fresh shard files instead, leaving any torn
   /// tail behind for the reader to skip). `telemetry` (optional,
-  /// non-owning) adds journal.appends / journal.append.bytes /
-  /// journal.flushes counters and a journal.append event per record.
+  /// non-owning) adds the journal.appends / journal.append.bytes /
+  /// journal.flushes counters; no event is logged per record.
   JournalWriter(const std::filesystem::path& path, const Manifest& manifest,
                 const obs::Telemetry* telemetry = nullptr);
 
@@ -91,7 +91,6 @@ class JournalWriter {
   obs::Counter* appends_ = nullptr;
   obs::Counter* append_bytes_ = nullptr;
   obs::Counter* flushes_ = nullptr;
-  obs::EventSink* events_ = nullptr;
 };
 
 /// Outcome of scanning one shard file.

@@ -7,7 +7,6 @@
 
 #include "common/contracts.hpp"
 #include "obs/clock.hpp"
-#include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 
@@ -124,7 +123,6 @@ DeltaJournalSummary run_delta_journaled_campaign(
       (session.telemetry != nullptr && session.telemetry->enabled())
           ? session.telemetry
           : nullptr;
-  obs::ProgressReporter* progress = session.progress;
   const std::uint64_t wall_start_us = obs::steady_now_us();
 
   const std::vector<std::uint64_t> fingerprints =
@@ -185,13 +183,8 @@ DeltaJournalSummary run_delta_journaled_campaign(
   ShardedJournalWriter writer(dir, manifest,
                               session_shard_count(session, config), telemetry);
   const std::uint64_t journal_base_bytes = writer.bytes_written();
-  const auto show_journal = [&] {
-    if (progress != nullptr) {
-      progress->set_journal(writer.bytes_written(), writer.shard_count());
-    }
-  };
-  if (progress != nullptr) progress->set_total(manifest.total_runs());
-  show_journal();
+  obs::Counter* const hits = obs::find_counter(telemetry, "delta.hits");
+  obs::Counter* const misses = obs::find_counter(telemetry, "delta.misses");
 
   // Each flat is resolved exactly once, by should_run or by the worker that
   // executed it, so plain elements suffice; run_campaign joins its pool
@@ -206,12 +199,10 @@ DeltaJournalSummary run_delta_journaled_campaign(
     const std::size_t flat = manifest.flat_index(injection_index, test_case);
     if (state.completed[flat]) {
       outcome[flat] = RunOutcome::kJournaled;
-      if (progress != nullptr) progress->add_skipped(1);
       return false;
     }
     if (flat % session.process_count != session.process_index) {
       outcome[flat] = RunOutcome::kForeign;
-      if (progress != nullptr) progress->add_skipped(1);
       return false;
     }
     const fi::InjectionRecord* cached = baseline.find(fingerprints[flat]);
@@ -230,8 +221,7 @@ DeltaJournalSummary run_delta_journaled_campaign(
     record.replayed = true;
     writer.append(record);
     outcome[flat] = RunOutcome::kReplayed;
-    show_journal();
-    if (progress != nullptr) progress->add_replayed(1);
+    if (hits != nullptr) hits->add(1);
     return false;
   };
   // Durability point: the record reaches its shard (and is flushed) before
@@ -243,11 +233,10 @@ DeltaJournalSummary run_delta_journaled_campaign(
     fi::InjectionRecord stamped = record;
     stamped.fingerprint = fingerprints[flat];
     writer.append(stamped);
-    const bool diverged = record.report.any_divergence();
-    outcome[flat] =
-        diverged ? RunOutcome::kExecutedDiverged : RunOutcome::kExecuted;
-    show_journal();
-    if (progress != nullptr) progress->add_completed(1, diverged);
+    outcome[flat] = record.report.any_divergence()
+                        ? RunOutcome::kExecutedDiverged
+                        : RunOutcome::kExecuted;
+    if (misses != nullptr) misses->add(1);
   };
   fi::run_campaign(runner, config, hooks);
 
@@ -267,13 +256,6 @@ DeltaJournalSummary run_delta_journaled_campaign(
   summary.wall_seconds =
       static_cast<double>(obs::steady_now_us() - wall_start_us) / 1e6;
 
-  if (auto* hits = obs::find_counter(telemetry, "delta.hits")) {
-    hits->add(summary.replayed);
-  }
-  if (auto* misses = obs::find_counter(telemetry, "delta.misses")) {
-    misses->add(summary.executed);
-  }
-  if (progress != nullptr) progress->finish();
   if (telemetry != nullptr) {
     obs::emit_event(
         telemetry, "delta.done",

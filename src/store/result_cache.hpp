@@ -70,7 +70,7 @@ class ResultCache {
 };
 
 struct DeltaRunOptions {
-  /// Shard count / process split / telemetry / progress. Replays respect
+  /// Shard count / process split / telemetry. Replays respect
   /// the process split too: each process appends only its own share of the
   /// hits.
   JournalRunOptions base;

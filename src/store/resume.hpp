@@ -34,7 +34,6 @@
 #include "store/sharded_writer.hpp"
 
 namespace propane::obs {
-class ProgressReporter;
 struct Telemetry;
 }  // namespace propane::obs
 
@@ -102,11 +101,9 @@ struct JournalRunOptions {
   std::uint32_t process_index = 0;
   /// Optional telemetry (non-owning): threaded into the campaign, the pool
   /// and every shard writer; the resume scan is timed and reported as a
-  /// journal.resume_scan event + journal.resume.scan_ms gauge.
+  /// journal.resume_scan event + journal.resume.scan_ms gauge. The
+  /// bundle's HUD, if any, renders from its registry.
   const obs::Telemetry* telemetry = nullptr;
-  /// Optional live HUD (non-owning): fed per completed/skipped run and
-  /// with the journal's byte footprint. Observation-only.
-  obs::ProgressReporter* progress = nullptr;
 };
 
 struct MergeSummary {

@@ -47,29 +47,20 @@ ShardedJournalWriter::ShardedJournalWriter(const std::filesystem::path& dir,
   // names preserve session order.
   const std::size_t base = next_shard_index(dir);
   shards_.reserve(shard_count);
-  std::uint64_t header_bytes = 0;
   for (std::size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->writer.emplace(dir / shard_name(base + i), manifest_,
                           telemetry);
-    header_bytes += shard->writer->bytes_written();
     shards_.push_back(std::move(shard));
   }
-  total_bytes_.store(header_bytes, std::memory_order_relaxed);
 }
 
 void ShardedJournalWriter::append(const fi::InjectionRecord& record) {
   const std::size_t flat =
       manifest_.flat_index(record.injection_index, record.test_case);
   Shard& shard = *shards_[flat % shards_.size()];
-  std::uint64_t delta = 0;
-  {
-    std::lock_guard lock(shard.mu);
-    const std::size_t before = shard.writer->bytes_written();
-    shard.writer->append(record);
-    delta = shard.writer->bytes_written() - before;
-  }
-  total_bytes_.fetch_add(delta, std::memory_order_relaxed);
+  std::lock_guard lock(shard.mu);
+  shard.writer->append(record);
 }
 
 void ShardedJournalWriter::flush_all() {
@@ -84,6 +75,15 @@ std::size_t ShardedJournalWriter::record_count() const {
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
     total += shard->writer->record_count();
+  }
+  return total;
+}
+
+std::uint64_t ShardedJournalWriter::bytes_written() const {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    total += shard->writer->bytes_written();
   }
   return total;
 }

@@ -10,7 +10,6 @@
 // gone -- which is what makes merge and resume trivially safe.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -41,11 +40,9 @@ class ShardedJournalWriter {
 
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t record_count() const;
-  /// Bytes appended across all shards this session, kept in a relaxed
-  /// atomic so HUD reads never take the shard locks.
-  std::uint64_t bytes_written() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Bytes written across all shards this session, headers included; sums
+  /// the shards under their locks.
+  std::uint64_t bytes_written() const;
 
   /// Shard files of a campaign directory, sorted by name (and thus by
   /// creation order).
@@ -60,7 +57,6 @@ class ShardedJournalWriter {
 
   Manifest manifest_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> total_bytes_{0};
 };
 
 }  // namespace propane::store

@@ -1,8 +1,11 @@
 // Telemetry must be pure observation: a campaign with metrics, events,
 // spans and a progress reporter attached must produce a byte-identical
 // permeability CSV to one with everything disabled, and every NDJSON line
-// it streams must parse back. The trace exported from a journal's
-// sessions must parent every run under its session's campaign span.
+// it streams must parse back. The log describes what the engine executes
+// -- golden runs, kernel requests, sessions -- so no event's count grows
+// with the injection runs. The trace exported from a journal's sessions
+// must parent every golden run and batch under its session's campaign
+// span.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,16 +13,19 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 
+#include "arrestment/batch_runner.hpp"
+#include "arrestment/model.hpp"
+#include "arrestment/testcase.hpp"
 #include "core/system_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ndjson.hpp"
 #include "obs/progress.hpp"
-#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "store/result_cache.hpp"
@@ -99,34 +105,77 @@ std::string journal_csv(const fs::path& dir) {
   return out.str();
 }
 
+/// Every injectable arrestment signal x 2 models x 2 instants x 2 test
+/// cases = 104 runs: the production batched runner at smoke scale.
+fi::CampaignConfig arrestment_config() {
+  fi::CampaignConfig config;
+  config.test_case_count = 2;
+  config.seed = 0x7E1E;
+  config.threads = 2;
+  const std::vector<fi::ErrorModel> models = {fi::bit_flip(3),
+                                              fi::bit_flip(12)};
+  const std::vector<sim::SimTime> instants = {50 * sim::kMillisecond,
+                                              150 * sim::kMillisecond};
+  for (const fi::BusSignalId target : arr::injection_target_bus_ids()) {
+    const auto plan = fi::cross_product_plan(target, models, instants);
+    config.injections.insert(config.injections.end(), plan.begin(),
+                             plan.end());
+  }
+  return config;
+}
+
+/// A journaled arrestment campaign through the batched runner, with the
+/// same telemetry bundle handed to the runner and the session.
+DeltaJournalSummary run_arrestment(const fs::path& dir,
+                                   const JournalRunOptions& options = {}) {
+  const fi::CampaignConfig config = arrestment_config();
+  const core::SystemModel model = arr::make_arrestment_model();
+  DeltaRunOptions delta;
+  delta.base = options;
+  return run_delta_journaled_campaign(
+      arr::batched_campaign_runner(arr::grid_test_cases(1, 2), config,
+                                   300 * sim::kMillisecond,
+                                   options.telemetry),
+      config, model, arr::make_arrestment_binding(model), dir, ResultCache{},
+      delta);
+}
+
+std::string arrestment_csv(const fs::path& dir) {
+  const core::SystemModel model = arr::make_arrestment_model();
+  std::ostringstream out;
+  write_permeability_csv_from_journal(out, dir, model,
+                                      arr::make_arrestment_binding(model));
+  return out.str();
+}
+
 TEST(TelemetryCampaign, CsvIsByteIdenticalWithTelemetryOnOrOff) {
   // Plain campaign: no telemetry at all.
   const fs::path plain_dir = fresh_dir("telemetry_off");
-  const DeltaJournalSummary plain = run_journaled(plain_dir);
-  ASSERT_EQ(plain.executed, 12u);
+  const DeltaJournalSummary plain = run_arrestment(plain_dir);
+  ASSERT_EQ(plain.executed, 104u);
 
-  // Fully instrumented campaign: metrics + NDJSON events + spans + HUD
-  // (forced on, rendering into a tmpfile so no terminal is involved).
+  // Fully instrumented campaign: metrics + NDJSON events (spans stream
+  // into them) + HUD (forced on, rendering into a tmpfile so no terminal
+  // is involved).
   const fs::path traced_dir = fresh_dir("telemetry_on");
   obs::MetricsRegistry metrics;
   std::ostringstream events_out;
   obs::NdjsonSink sink(events_out);
-  obs::SpanBuffer spans;
-  obs::Telemetry telemetry{&metrics, &sink, &spans};
 
   std::FILE* hud_out = std::tmpfile();
   ASSERT_NE(hud_out, nullptr);
   obs::ProgressReporter::Options hud_options;
+  hud_options.total_runs = plain.total_runs;
   hud_options.force = true;
   hud_options.min_interval_us = 0;
   hud_options.out = hud_out;
-  obs::ProgressReporter hud(hud_options);
+  obs::ProgressReporter hud(metrics, hud_options);
+  obs::Telemetry telemetry{&metrics, &sink, &hud};
 
   JournalRunOptions options;
   options.telemetry = &telemetry;
-  options.progress = &hud;
   options.shard_count = 2;
-  const DeltaJournalSummary traced = run_journaled(traced_dir, options);
+  const DeltaJournalSummary traced = run_arrestment(traced_dir, options);
   hud.finish();
   std::fclose(hud_out);
 
@@ -135,47 +184,62 @@ TEST(TelemetryCampaign, CsvIsByteIdenticalWithTelemetryOnOrOff) {
 
   // The observable artefact -- the permeability CSV -- must not differ by
   // a single byte.
-  EXPECT_EQ(journal_csv(plain_dir), journal_csv(traced_dir));
+  EXPECT_EQ(arrestment_csv(plain_dir), arrestment_csv(traced_dir));
 
-  // The telemetry itself must be consistent with the campaign...
+  // The registry must be consistent with the campaign...
   EXPECT_EQ(metrics.counter("campaign.runs.injection").value(),
             traced.executed);
-  EXPECT_EQ(metrics.counter("campaign.runs.golden").value(), 3u);
+  EXPECT_EQ(metrics.counter("campaign.runs.golden").value(), 2u);
   EXPECT_EQ(metrics.counter("campaign.runs.diverged").value(),
             traced.diverged);
+  EXPECT_EQ(metrics.counter("delta.misses").value(), traced.executed);
   EXPECT_EQ(metrics.counter("journal.appends").value(),
             traced.executed + traced.replayed);
   EXPECT_EQ(metrics.counter("journal.append.bytes").value(),
             traced.journal_bytes);
   EXPECT_GT(traced.wall_seconds, 0.0);
+  const std::uint64_t requests =
+      metrics.snapshot().histograms.at("batch.group.lanes").count;
+  EXPECT_GT(requests, 0u);
+  EXPECT_LT(requests, traced.executed);  // requests pack many runs
 
-  // ...every event line must parse back...
+  // ...every event line must parse back, and the log must stay
+  // O(requests): one golden.done per test case, one campaign.batch.done
+  // per kernel request, and otherwise only per-session events.
+  const std::set<std::string> per_session = {
+      "delta.plan", "journal.resume_scan", "delta.done", "span",
+      "pool.queue_depth"};
+  std::map<std::string, std::size_t> counts;
   std::istringstream lines(events_out.str());
-  std::size_t event_lines = 0, injection_done = 0;
   for (std::string line; std::getline(lines, line);) {
     const auto fields = obs::parse_flat_json_object(line);
     ASSERT_TRUE(fields.has_value()) << line;
-    ++event_lines;
-    for (const obs::Field& field : *fields) {
-      if (field.key == "event" &&
-          field.value == obs::Value("injection.done")) {
-        ++injection_done;
+    ASSERT_FALSE(fields->empty());
+    ASSERT_EQ(fields->front().key, "event");
+    const std::string& event = fields->front().value.as_string();
+    ++counts[event];
+    if (event == "span") {
+      for (const obs::Field& field : *fields) {
+        if (field.key == "name") ++counts["span:" + field.value.as_string()];
       }
     }
   }
-  EXPECT_GT(event_lines, 0u);
-  EXPECT_EQ(injection_done, traced.executed);
-
-  // ...and the spans must include the campaign phases.
-  bool saw_campaign_span = false;
-  for (const obs::FinishedSpan& span : spans.snapshot()) {
-    if (span.name == "campaign") saw_campaign_span = true;
+  EXPECT_EQ(counts["golden.done"], 2u);
+  EXPECT_EQ(counts["campaign.batch.done"], requests);
+  EXPECT_EQ(counts["span:campaign"], 1u);
+  for (const auto& [event, count] : counts) {
+    if (event == "golden.done" || event == "campaign.batch.done" ||
+        event.starts_with("span:")) {
+      continue;
+    }
+    EXPECT_TRUE(per_session.contains(event)) << event << " x" << count;
   }
-  EXPECT_TRUE(saw_campaign_span);
+  EXPECT_LE(counts["span"], 4u);  // campaign, two phases, resume scan
 
-  // The HUD tracked the same counts the summary reports.
+  // The HUD rendered from the same registry the summary agrees with.
   EXPECT_EQ(hud.snapshot().completed, traced.executed);
   EXPECT_EQ(hud.snapshot().diverged, traced.diverged);
+  EXPECT_EQ(hud.snapshot().journal_bytes, traced.journal_bytes);
 }
 
 TEST(TelemetryCampaign, ResumedSessionKeepsCsvIdenticalToo) {
@@ -221,14 +285,12 @@ std::string name_of(const std::string& line) {
 TEST(TelemetryCampaign, TraceParentsEveryRunUnderItsSessionsCampaignSpan) {
   // Two sessions append to one telemetry log, as `campaign run` and a
   // later `campaign resume` do: the first executes half the plan, the
-  // second the rest. Each session gets its own span buffer, so both
-  // number their spans from 1, as two processes would.
+  // second the rest.
   const fs::path dir = fresh_dir("telemetry_trace");
   std::ostringstream log;
   for (std::uint32_t index = 0; index < 2; ++index) {
     obs::NdjsonSink sink(log);
-    obs::SpanBuffer spans;
-    obs::Telemetry telemetry{nullptr, &sink, &spans};
+    obs::Telemetry telemetry{nullptr, &sink, nullptr};
     JournalRunOptions options;
     options.process_count = 2;
     options.process_index = index;
@@ -249,22 +311,27 @@ TEST(TelemetryCampaign, TraceParentsEveryRunUnderItsSessionsCampaignSpan) {
   std::map<std::pair<std::uint64_t, std::uint64_t>,
            std::pair<std::string, std::uint64_t>>
       span_table;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;  // pid, parent
+  // Synthesized spans: pid, parent.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs, batches;
   std::istringstream lines(out.str());
   for (std::string line; std::getline(lines, line);) {
     if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
     const std::uint64_t pid = number_after(line, "pid");
     if (name_of(line) == "campaign.run") {
       runs.emplace_back(pid, number_after(line, "parent_span_id"));
+    } else if (name_of(line) == "campaign.batch") {
+      batches.emplace_back(pid, number_after(line, "parent_span_id"));
     } else if (line.find("\"span_id\":") != std::string::npos) {
       span_table[{pid, number_after(line, "span_id")}] = {
           name_of(line), number_after(line, "parent_span_id")};
     }
   }
-  // 3 goldens per session plus the 12 injection runs between them.
-  EXPECT_EQ(runs.size(), 18u);
-  // Plus one batch per injection run: the toy runner is width 1.
-  EXPECT_EQ(summary.synthesized, runs.size() + 12);
+  // 3 golden runs per session.
+  EXPECT_EQ(runs.size(), 6u);
+  // One batch per injection run: the toy runner is width 1.
+  EXPECT_EQ(batches.size(), 12u);
+  EXPECT_EQ(summary.synthesized, runs.size() + batches.size());
+  runs.insert(runs.end(), batches.begin(), batches.end());
   for (const auto& [pid, first_parent] : runs) {
     std::uint64_t parent = first_parent;
     std::string reached = "detached";
@@ -275,7 +342,7 @@ TEST(TelemetryCampaign, TraceParentsEveryRunUnderItsSessionsCampaignSpan) {
       reached = span->second.first;
       parent = span->second.second;
     }
-    EXPECT_EQ(reached, "campaign") << "a run in process " << pid;
+    EXPECT_EQ(reached, "campaign") << "a span in process " << pid;
   }
 }
 

@@ -80,6 +80,26 @@ TEST(Numbers, NonFiniteDoublesSerialiseAsNull) {
   EXPECT_EQ(find(fields, "inf")->kind(), Value::Kind::kNull);
 }
 
+TEST(Numbers, AsUintSaturatesHostileDoubles) {
+  // A persisted line may carry any double; reading it as a count must
+  // clamp, never hit the undefined out-of-range cast.
+  const auto line = parse_flat_json_object(
+      "{\"event\":\"x\",\"t_us\":1e300,\"neg\":-1e300,"
+      "\"two64\":18446744073709551616.0,\"below\":18446744073709549568.0,"
+      "\"frac\":2.75}");
+  ASSERT_TRUE(line.has_value());
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(find(*line, "t_us")->as_uint(), kMax);
+  EXPECT_EQ(find(*line, "neg")->as_uint(), 0u);
+  EXPECT_EQ(find(*line, "two64")->as_uint(), kMax);
+  // The largest double below 2^64 still converts exactly.
+  EXPECT_EQ(find(*line, "below")->as_uint(), 18446744073709549568ULL);
+  EXPECT_EQ(find(*line, "frac")->as_uint(), 2u);
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).as_uint(), 0u);
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).as_uint(), kMax);
+  EXPECT_EQ(Value(std::int64_t{-5}).as_uint(), 0u);
+}
+
 TEST(Parser, RejectsMalformedLines) {
   EXPECT_FALSE(parse_flat_json_object("").has_value());
   EXPECT_FALSE(parse_flat_json_object("{").has_value());

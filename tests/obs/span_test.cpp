@@ -1,12 +1,15 @@
-// Scoped spans: per-thread nesting, completion ordering, the bounded
-// buffer's drop-oldest policy, the null-telemetry no-op path, span stats
-// and concurrent push/snapshot safety.
+// Scoped spans: per-thread nesting, completion ordering, the no-sink no-op
+// path, the streamed "span" event and id uniqueness under concurrency.
+// Spans are observed through a capturing EventSink, the way the campaign's
+// NDJSON log sees them.
 #include "obs/span.hpp"
 
-#include <atomic>
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,53 @@
 namespace propane::obs {
 namespace {
 
+/// Keeps every emitted event; thread-safe like any EventSink.
+class CapturingSink : public EventSink {
+ public:
+  void emit(const Event& event) override {
+    std::lock_guard lock(mu_);
+    events_.push_back(event);
+  }
+  std::vector<Event> events() const {
+    std::lock_guard lock(mu_);
+    return events_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Event> events_;
+};
+
+/// One finished span, read back from its "span" event.
+struct SpanRow {
+  std::string name;
+  std::uint64_t id = 0;
+  std::uint64_t parent_id = 0;
+  std::uint64_t depth = 0;
+  std::uint64_t tid = 0;
+  std::uint64_t start_us = 0;
+  std::uint64_t dur_us = 0;
+};
+
+std::vector<SpanRow> spans_of(const CapturingSink& sink) {
+  std::vector<SpanRow> rows;
+  for (const Event& event : sink.events()) {
+    if (event.name != "span") continue;
+    SpanRow row;
+    for (const Field& field : event.fields) {
+      if (field.key == "name") row.name = field.value.as_string();
+      if (field.key == "id") row.id = field.value.as_uint();
+      if (field.key == "parent_id") row.parent_id = field.value.as_uint();
+      if (field.key == "depth") row.depth = field.value.as_uint();
+      if (field.key == "tid") row.tid = field.value.as_uint();
+      if (field.key == "start_us") row.start_us = field.value.as_uint();
+      if (field.key == "dur_us") row.dur_us = field.value.as_uint();
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 TEST(Span, NullTelemetryIsANoop) {
   Span null_span(nullptr, "nothing");
   EXPECT_FALSE(null_span.enabled());
@@ -23,12 +73,18 @@ TEST(Span, NullTelemetryIsANoop) {
   Telemetry empty;  // all members null: still disabled
   Span empty_span(&empty, "nothing");
   EXPECT_FALSE(empty_span.enabled());
+
+  MetricsRegistry metrics;
+  Telemetry metrics_only{&metrics, nullptr, nullptr};  // no sink: no span
+  Span metrics_span(&metrics_only, "nothing");
+  EXPECT_FALSE(metrics_span.enabled());
+  EXPECT_EQ(metrics_span.id(), 0u);
 }
 
 TEST(Span, NestedSpansRecordParentAndDepth) {
-  SpanBuffer buffer;
+  CapturingSink sink;
   Telemetry telemetry;
-  telemetry.spans = &buffer;
+  telemetry.events = &sink;
   {
     Span outer(&telemetry, "outer");
     {
@@ -38,7 +94,7 @@ TEST(Span, NestedSpansRecordParentAndDepth) {
     }
   }
   // Completion order: innermost scopes close first.
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
+  const std::vector<SpanRow> spans = spans_of(sink);
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].name, "inner");
   EXPECT_EQ(spans[1].name, "middle");
@@ -52,15 +108,15 @@ TEST(Span, NestedSpansRecordParentAndDepth) {
 }
 
 TEST(Span, SiblingSpansShareAParent) {
-  SpanBuffer buffer;
+  CapturingSink sink;
   Telemetry telemetry;
-  telemetry.spans = &buffer;
+  telemetry.events = &sink;
   {
     Span parent(&telemetry, "parent");
     { Span first(&telemetry, "first"); }
     { Span second(&telemetry, "second"); }
   }
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
+  const std::vector<SpanRow> spans = spans_of(sink);
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].parent_id, spans[2].id);
   EXPECT_EQ(spans[1].parent_id, spans[2].id);
@@ -69,9 +125,9 @@ TEST(Span, SiblingSpansShareAParent) {
 }
 
 TEST(Span, NestingIsPerThread) {
-  SpanBuffer buffer;
+  CapturingSink sink;
   Telemetry telemetry;
-  telemetry.spans = &buffer;
+  telemetry.events = &sink;
   {
     Span outer(&telemetry, "outer");
     std::thread worker([&] {
@@ -80,25 +136,15 @@ TEST(Span, NestingIsPerThread) {
     });
     worker.join();
   }
-  for (const FinishedSpan& span : buffer.snapshot()) {
+  bool saw_detached = false;
+  for (const SpanRow& span : spans_of(sink)) {
     if (span.name == "detached") {
+      saw_detached = true;
       EXPECT_EQ(span.parent_id, 0u);
       EXPECT_EQ(span.depth, 0u);
     }
   }
-}
-
-TEST(SpanBuffer, DropsOldestWhenFull) {
-  SpanBuffer buffer(2);
-  buffer.push(FinishedSpan{.name = "a"});
-  buffer.push(FinishedSpan{.name = "b"});
-  buffer.push(FinishedSpan{.name = "c"});
-  EXPECT_EQ(buffer.size(), 2u);
-  EXPECT_EQ(buffer.dropped(), 1u);
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "b");
-  EXPECT_EQ(spans[1].name, "c");
+  EXPECT_TRUE(saw_detached);
 }
 
 TEST(Span, EmitsSpanEventsWhenSinkAttached) {
@@ -121,85 +167,58 @@ TEST(Span, EmitsSpanEventsWhenSinkAttached) {
 }
 
 TEST(Span, DurationsAreOrderedByInclusion) {
-  SpanBuffer buffer;
+  CapturingSink sink;
   Telemetry telemetry;
-  telemetry.spans = &buffer;
+  telemetry.events = &sink;
   {
     Span outer(&telemetry, "outer");
     { Span inner(&telemetry, "inner"); }
   }
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
+  const std::vector<SpanRow> spans = spans_of(sink);
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_LE(spans[0].duration_us, spans[1].duration_us);
+  EXPECT_LE(spans[0].dur_us, spans[1].dur_us);
   EXPECT_GE(spans[0].start_us, spans[1].start_us);
 }
 
 TEST(Span, RecordsTheEmittingThreadOrdinal) {
-  SpanBuffer buffer;
+  CapturingSink sink;
   Telemetry telemetry;
-  telemetry.spans = &buffer;
+  telemetry.events = &sink;
   { Span here(&telemetry, "here"); }
   std::thread other([&] { Span there(&telemetry, "there"); });
   other.join();
-  const std::vector<FinishedSpan> spans = buffer.snapshot();
+  const std::vector<SpanRow> spans = spans_of(sink);
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_NE(spans[0].tid, spans[1].tid);
 }
 
-TEST(Span, PublishSpanStatsExportsGauges) {
-  MetricsRegistry metrics;
-  SpanBuffer buffer(2);
+TEST(Span, ConcurrentSpansGetDistinctIds) {
+  // Exercised under TSan in CI: threads open and close spans at once, all
+  // streaming into one sink.
+  CapturingSink sink;
   Telemetry telemetry;
-  telemetry.metrics = &metrics;
-  telemetry.spans = &buffer;
-  buffer.push(FinishedSpan{.name = "a"});
-  buffer.push(FinishedSpan{.name = "b"});
-  buffer.push(FinishedSpan{.name = "c"});  // evicts "a"
-  publish_span_stats(&telemetry);
-  const MetricsSnapshot snapshot = metrics.snapshot();
-  EXPECT_EQ(snapshot.gauges.at("obs.spans.buffered"), 2.0);
-  EXPECT_EQ(snapshot.gauges.at("obs.spans.dropped"), 1.0);
-  // The gauges ride the same snapshot the CLI serialises, so drop-oldest
-  // evictions surface in the metrics JSON.
-  EXPECT_NE(metrics_snapshot_to_json(snapshot).find("obs.spans.dropped"),
-            std::string::npos);
-  publish_span_stats(nullptr);  // null bundle: no-op
-}
-
-TEST(SpanBuffer, ConcurrentPushAndSnapshotKeepEveryInvariant) {
-  // Exercised under TSan in CI: writers race push() against readers
-  // calling snapshot()/size()/dropped().
-  SpanBuffer buffer(64);
-  constexpr int kWriters = 4;
-  constexpr int kSpansPerWriter = 500;
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const std::vector<FinishedSpan> spans = buffer.snapshot();
-      EXPECT_LE(spans.size(), buffer.capacity());
-      for (const FinishedSpan& span : spans) {
-        EXPECT_FALSE(span.name.empty());
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (int i = 0; i < kSpansPerWriter; ++i) {
-        FinishedSpan span;
-        span.name = "w";
-        span.name += std::to_string(w);
-        span.id = buffer.next_id();
-        buffer.push(std::move(span));
+  telemetry.events = &sink;
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        Span span(&telemetry, "worker");
       }
     });
   }
-  for (std::thread& writer : writers) writer.join();
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-  EXPECT_EQ(buffer.size() + buffer.dropped(),
-            static_cast<std::size_t>(kWriters * kSpansPerWriter));
-  EXPECT_EQ(buffer.size(), buffer.capacity());
+  for (std::thread& thread : threads) thread.join();
+  const std::vector<SpanRow> spans = spans_of(sink);
+  ASSERT_EQ(spans.size(),
+            static_cast<std::size_t>(kThreads * kSpansPerThread));
+  std::set<std::uint64_t> ids;
+  for (const SpanRow& span : spans) {
+    EXPECT_NE(span.id, 0u);
+    EXPECT_EQ(span.parent_id, 0u);
+    ids.insert(span.id);
+  }
+  EXPECT_EQ(ids.size(), spans.size());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Chrome-trace export: torn-line-tolerant stream parsing and the render
-// pass -- span X events with their parent chain in args, synthesized
-// run/batch spans parented by phase containment, one process track per
-// session, counter tracks, instants and metadata rows.
+// pass -- span X events with their parent chain in args, golden-run and
+// batch spans synthesized from golden.done / campaign.batch.done and
+// parented by phase containment, one process track per session, counter
+// tracks, instants, metadata rows, and saturated times on hostile lines.
 #include "obs/trace_export.hpp"
 
 #include <gtest/gtest.h>
@@ -33,12 +34,12 @@ std::vector<Field> span_row(std::string name, std::uint64_t id,
                             {"t_us", Value(start_us + dur_us)}});
 }
 
-std::vector<Field> run_end_row(std::uint64_t t_us, std::uint64_t dur_us,
-                               std::uint64_t flat) {
-  return event_row("campaign.run.end", {{"t_us", Value(t_us)},
-                                        {"dur_us", Value(dur_us)},
-                                        {"kind", Value("injection")},
-                                        {"flat", Value(flat)}});
+std::vector<Field> golden_row(std::uint64_t t_us, std::uint64_t dur_us,
+                              std::uint64_t test_case) {
+  return event_row("golden.done", {{"t_us", Value(t_us)},
+                                   {"dur_us", Value(dur_us)},
+                                   {"test_case", Value(test_case)},
+                                   {"samples", Value(std::uint64_t{40})}});
 }
 
 /// The line of the rendered trace that contains `needle` (empty if none).
@@ -97,29 +98,31 @@ TEST(WriteChromeTrace, RendersSpansWithTheirParentChain) {
 TEST(WriteChromeTrace, ParentsSynthesizedRunsByPhaseContainment) {
   TraceStream stream;
   stream.name = "campaign";
-  // Runs and batches end before the spans that contain them close, so
-  // their events precede the span events in the stream.
-  stream.events.push_back(event_row(
-      "campaign.run.end", {{"t_us", Value(std::uint64_t{900})},
-                           {"dur_us", Value(std::uint64_t{100})},
-                           {"kind", Value("golden")}}));
+  // Golden runs and batches end before the spans that contain them close,
+  // so their events precede the span events in the stream.
+  stream.events.push_back(golden_row(900, 100, 0));
   stream.events.push_back(span_row("campaign.golden_phase", 3, 2, 100, 1000));
-  stream.events.push_back(run_end_row(3000, 100, 7));
   stream.events.push_back(event_row(
-      "campaign.batch.done", {{"t_us", Value(std::uint64_t{4000})},
-                              {"dur_us", Value(std::uint64_t{200})},
+      "campaign.batch.done", {{"t_us", Value(std::uint64_t{3000})},
+                              {"dur_us", Value(std::uint64_t{100})},
+                              {"fire_ms", Value(std::uint64_t{7})},
+                              {"test_cases", Value(std::uint64_t{2})},
                               {"lanes", Value(std::uint64_t{16})}}));
   // Straddles the injection phase's start: only the root contains it.
-  stream.events.push_back(run_end_row(1300, 200, 8));
+  stream.events.push_back(event_row(
+      "campaign.batch.done", {{"t_us", Value(std::uint64_t{1300})},
+                              {"dur_us", Value(std::uint64_t{200})},
+                              {"fire_ms", Value(std::uint64_t{8})}}));
   stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 1200, 7800));
   stream.events.push_back(span_row("campaign", 2, 0, 50, 9000));
   // After every span closed: no container, so no parent.
-  stream.events.push_back(run_end_row(20000, 50, 9));
+  stream.events.push_back(golden_row(20000, 50, 9));
   std::ostringstream out;
   const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
 
-  EXPECT_EQ(summary.synthesized, 5u);  // four runs and a batch
+  EXPECT_EQ(summary.synthesized, 4u);  // two golden runs and two batches
+  EXPECT_EQ(summary.instants, 0u);     // golden.done is a span, not a mark
   // Runs and batches land on their virtual tracks, named via metadata.
   EXPECT_NE(trace.find("\"name\":\"campaign.run\",\"pid\":1,\"tid\":99"),
             std::string::npos);
@@ -127,20 +130,17 @@ TEST(WriteChromeTrace, ParentsSynthesizedRunsByPhaseContainment) {
             std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"runs\""), std::string::npos);
   EXPECT_NE(trace.find("\"name\":\"batches\""), std::string::npos);
-  // Each run takes the innermost span containing its whole interval.
-  EXPECT_NE(trace.find("\"ts\":800,\"dur\":100,\"args\":{\"kind\":\"golden\","
-                       "\"flat\":0,\"parent_span_id\":3}"),
+  // Each event takes the innermost span containing its whole interval.
+  EXPECT_NE(trace.find("\"ts\":800,\"dur\":100,\"args\":{\"test_case\":0,"
+                       "\"parent_span_id\":3}"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"ts\":2900,\"dur\":100,\"args\":{\"kind\":"
-                       "\"injection\",\"flat\":7,\"parent_span_id\":4}"),
+  EXPECT_NE(trace.find("\"ts\":2900,\"dur\":100,\"args\":{\"fire_ms\":7,"
+                       "\"test_cases\":2,\"lanes\":16,\"parent_span_id\":4}"),
             std::string::npos);
-  EXPECT_NE(line_with(trace, "\"name\":\"campaign.batch\"")
-                .find("\"ts\":3800,\"dur\":200,\"args\":{\"fire_ms\":0,"
-                      "\"test_cases\":1,\"lanes\":16,\"parent_span_id\":4}"),
+  EXPECT_NE(trace.find("\"ts\":1100,\"dur\":200,\"args\":{\"fire_ms\":8,"
+                       "\"test_cases\":1,\"lanes\":0,\"parent_span_id\":2}"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"flat\":8,\"parent_span_id\":2}"),
-            std::string::npos);
-  const std::string orphan = line_with(trace, "\"flat\":9");
+  const std::string orphan = line_with(trace, "\"test_case\":9");
   ASSERT_FALSE(orphan.empty());
   EXPECT_EQ(orphan.find("parent_span_id"), std::string::npos);
 }
@@ -152,29 +152,31 @@ TEST(WriteChromeTrace, RendersEachSessionAsItsOwnProcess) {
   stream.name = "campaign";
   stream.events.push_back(event_row("delta.plan"));
   stream.events.push_back(event_row("journal.resume_scan"));
-  stream.events.push_back(run_end_row(3000, 100, 1));
-  stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 1000, 4000));
+  stream.events.push_back(golden_row(3000, 100, 1));
+  stream.events.push_back(span_row("campaign.golden_phase", 4, 2, 1000, 4000));
   stream.events.push_back(span_row("campaign", 2, 0, 500, 5000));
   stream.events.push_back(event_row("delta.done"));
   stream.events.push_back(event_row("delta.plan"));
   stream.events.push_back(event_row("journal.resume_scan"));
-  // Inside session 1's injection phase, but not inside session 2's.
-  stream.events.push_back(run_end_row(2000, 100, 2));
-  stream.events.push_back(span_row("campaign.injection_phase", 4, 2, 2500, 100));
+  // Inside session 1's golden phase, but not inside session 2's.
+  stream.events.push_back(golden_row(2000, 100, 2));
+  stream.events.push_back(span_row("campaign.golden_phase", 4, 2, 2500, 100));
   stream.events.push_back(span_row("campaign", 2, 0, 1500, 6000));
   std::ostringstream out;
   const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
 
   EXPECT_EQ(summary.sessions, 2u);
+  EXPECT_EQ(session_starts(stream.events),
+            (std::vector<std::size_t>{0, 6}));
   EXPECT_EQ(summary.spans, 4u);
   EXPECT_NE(trace.find("\"pid\":2,\"tid\":0,\"args\":{\"name\":"
                        "\"campaign session 2\"}"),
             std::string::npos);
-  const std::string first = line_with(trace, "\"flat\":1");
+  const std::string first = line_with(trace, "\"test_case\":1");
   EXPECT_NE(first.find("\"pid\":1,"), std::string::npos);
   EXPECT_NE(first.find("\"parent_span_id\":4}"), std::string::npos);
-  const std::string second = line_with(trace, "\"flat\":2");
+  const std::string second = line_with(trace, "\"test_case\":2");
   EXPECT_NE(second.find("\"pid\":2,"), std::string::npos);
   EXPECT_NE(second.find("\"parent_span_id\":2}"), std::string::npos);
 }
@@ -185,9 +187,6 @@ TEST(WriteChromeTrace, EmitsCounterTracksAndInstants) {
   stream.events.push_back(event_row(
       "journal.resume_scan", {{"t_us", Value(std::uint64_t{100})},
                               {"completed", Value(std::uint64_t{9})}}));
-  stream.events.push_back(event_row(
-      "golden.done", {{"t_us", Value(std::uint64_t{200})},
-                      {"test_case", Value(std::uint64_t{0})}}));
   stream.events.push_back(event_row(
       "delta.done", {{"t_us", Value(std::uint64_t{500})},
                      {"executed", Value(std::uint64_t{30})}}));
@@ -202,9 +201,7 @@ TEST(WriteChromeTrace, EmitsCounterTracksAndInstants) {
                  {"name", Value("journal.resume.scan_ms")},
                  {"value", Value(0.5)}}));
   stream.events.push_back(
-      event_row("campaign.run.start", {{"t_us", Value(std::uint64_t{50})}}));
-  stream.events.push_back(
-      event_row("injection.done", {{"t_us", Value(std::uint64_t{60})}}));
+      event_row("pool.queue_depth", {{"t_us", Value(std::uint64_t{50})}}));
   std::ostringstream out;
   const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();
@@ -214,20 +211,57 @@ TEST(WriteChromeTrace, EmitsCounterTracksAndInstants) {
             std::string::npos);
   // Only counters become tracks; gauges are end-of-session snapshots.
   EXPECT_EQ(trace.find("scan_ms"), std::string::npos);
-  // Lifecycle events double as instants; per-run noise does not.
+  // Session lifecycle events double as instants; other events do not.
   EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"journal.resume_scan\",\"pid\":1,"
                        "\"tid\":0,\"ts\":100,\"s\":\"p\",\"args\":{\"completed\":9}"),
             std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"golden.done\""),
-            std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"i\",\"name\":\"delta.done\""),
             std::string::npos);
-  EXPECT_EQ(trace.find("run.start"), std::string::npos);
-  EXPECT_EQ(trace.find("injection.done"), std::string::npos);
-  EXPECT_EQ(summary.instants, 3u);
+  EXPECT_EQ(trace.find("queue_depth"), std::string::npos);
+  EXPECT_EQ(summary.instants, 2u);
   EXPECT_EQ(summary.counter_samples, 1u);
   EXPECT_EQ(summary.spans, 0u);
   EXPECT_EQ(summary.synthesized, 0u);
+}
+
+TEST(WriteChromeTrace, HostileTimesSaturateInsteadOfOverflowing) {
+  // Times past INT64_MAX, a start that overflows when its duration is
+  // added, a duration longer than its end time, and a double far outside
+  // any integer range: every trace time clamps into [0, INT64_MAX].
+  std::istringstream in(
+      "{\"event\":\"span\",\"name\":\"edge\",\"id\":1,\"parent_id\":0,"
+      "\"tid\":0,\"start_us\":9223372036854775807,\"dur_us\":5,"
+      "\"t_us\":1}\n"
+      "{\"event\":\"golden.done\",\"t_us\":18446744073709551615,"
+      "\"dur_us\":5,\"test_case\":1}\n"
+      "{\"event\":\"campaign.batch.done\",\"t_us\":3,"
+      "\"dur_us\":18446744073709551615,\"lanes\":2}\n"
+      "{\"event\":\"delta.done\",\"t_us\":1e300}\n");
+  TraceStream stream;
+  stream.name = "campaign";
+  ASSERT_EQ(parse_ndjson_stream(in, stream.events), 0u);
+  std::ostringstream out;
+  const TraceExportSummary summary = write_chrome_trace(out, stream);
+  const std::string trace = out.str();
+
+  EXPECT_EQ(summary.spans, 1u);
+  EXPECT_EQ(summary.synthesized, 2u);
+  EXPECT_EQ(summary.instants, 1u);
+  EXPECT_NE(line_with(trace, "\"name\":\"edge\"")
+                .find("\"ts\":9223372036854775807,\"dur\":0"),
+            std::string::npos);
+  EXPECT_NE(line_with(trace, "\"name\":\"campaign.run\"")
+                .find("\"ts\":9223372036854775802,\"dur\":5"),
+            std::string::npos);
+  EXPECT_NE(line_with(trace, "\"name\":\"campaign.batch\"")
+                .find("\"ts\":0,\"dur\":3"),
+            std::string::npos);
+  EXPECT_NE(line_with(trace, "\"name\":\"delta.done\"")
+                .find("\"ts\":9223372036854775807"),
+            std::string::npos);
+  // Still one well-formed trace object: no negative time anywhere.
+  EXPECT_EQ(trace.find("\":-"), std::string::npos);
+  EXPECT_EQ(trace.rfind("\n]}\n"), trace.size() - 4);
 }
 
 }  // namespace

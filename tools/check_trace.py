@@ -8,14 +8,16 @@ Two layers of checking:
      them, a duration on complete ("X") events, a numeric args.value on
      counter ("C") samples and a scope on instants ("i").
 
-  2. Ancestry: every synthesized campaign.run span must reach its
-     session's `campaign` root span (parent_span_id 0) by walking
+  2. Ancestry: every synthesized campaign.run (golden run) and
+     campaign.batch (kernel request) span must reach its session's
+     `campaign` root span (parent_span_id 0) by walking
      args.parent_span_id through the spans of its own process track
-     (campaign.run -> campaign.golden_phase or campaign.injection_phase
-     -> campaign). Each session numbers its spans from 1, so span ids are
-     looked up per pid. A run that detaches from its phase leaves the
-     trace loadable but the campaign timeline unexplained, so CI fails
-     here.
+     (campaign.run -> campaign.golden_phase -> campaign, campaign.batch ->
+     campaign.injection_phase -> campaign), and the trace must hold at
+     least one of each. Each session numbers its spans from 1, so span
+     ids are looked up per pid. A span that detaches from its phase
+     leaves the trace loadable but the campaign timeline unexplained, so
+     CI fails here.
 
 Usage: check_trace.py <trace.json>
 """
@@ -47,7 +49,7 @@ def main() -> None:
         fail("traceEvents missing or empty")
 
     spans = {}  # (pid, span_id) -> (name, parent_span_id)
-    runs = []
+    synthesized = {"campaign.run": [], "campaign.batch": []}
     counts = {phase: 0 for phase in VALID_PHASES}
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
@@ -68,9 +70,9 @@ def main() -> None:
             if span_id:
                 spans[(event["pid"], span_id)] = (
                     event["name"], args.get("parent_span_id", 0))
-            if event["name"] == "campaign.run":
-                runs.append((where, event["pid"],
-                             args.get("parent_span_id", 0)))
+            if event["name"] in synthesized:
+                synthesized[event["name"]].append(
+                    (where, event["pid"], args.get("parent_span_id", 0)))
         elif phase == "C":
             if not isinstance(args.get("value"), (int, float)):
                 fail(f"{where}: counter without numeric args.value")
@@ -78,10 +80,13 @@ def main() -> None:
             if event.get("s") != "p":
                 fail(f"{where}: instant without process scope")
 
-    if not runs:
-        fail("no campaign.run spans in the trace")
+    for name, found in synthesized.items():
+        if not found:
+            fail(f"no {name} spans in the trace")
 
-    for where, pid, parent in runs:
+    checked = [(name, *entry) for name, found in synthesized.items()
+               for entry in found]
+    for kind, where, pid, parent in checked:
         chain = []
         while parent:
             if (pid, parent) not in spans:
@@ -92,14 +97,15 @@ def main() -> None:
             if len(chain) > 16:
                 fail(f"{where}: ancestry loop through {chain}")
         if not chain or chain[-1] != "campaign":
-            fail(f"{where}: campaign.run never reaches the campaign root "
+            fail(f"{where}: {kind} never reaches the campaign root "
                  f"span (chain: {chain or 'detached'})")
 
     print(
         f"check_trace: OK: {len(events)} events "
         f"({counts['X']} X, {counts['C']} C, {counts['i']} i, "
-        f"{counts['M']} M); all {len(runs)} campaign.run spans reach the "
-        f"campaign root span"
+        f"{counts['M']} M); all {len(synthesized['campaign.run'])} "
+        f"campaign.run and {len(synthesized['campaign.batch'])} "
+        f"campaign.batch spans reach the campaign root span"
     )
 
 

@@ -30,8 +30,9 @@
 // <journal>/telemetry.ndjson by default (--metrics-out redirects,
 // --no-telemetry disables) and shows a live progress HUD on a TTY
 // (--progress forces it on, --no-progress off). `campaign top` summarises
-// the event log: per-event counts, injection latencies, divergence rate,
-// journal growth and the final metric values. `campaign trace` renders
+// the event log: sessions and their summed wall time, per-event counts,
+// kernel requests and their latencies, executed and diverged runs, the
+// journal's size and the final metric values. `campaign trace` renders
 // the same log as one Chrome/Perfetto trace-event JSON, one process track
 // per session.
 //
@@ -48,6 +49,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -409,6 +411,17 @@ std::filesystem::path telemetry_path(const CampaignArgs& args) {
              : std::filesystem::path(args.metrics_out);
 }
 
+/// The session's event log, appended to telemetry_path(); none under
+/// --no-telemetry.
+std::unique_ptr<obs::NdjsonSink> open_event_log(const CampaignArgs& args) {
+  if (args.no_telemetry) return nullptr;
+  const std::filesystem::path events_path = telemetry_path(args);
+  if (!events_path.parent_path().empty()) {
+    std::filesystem::create_directories(events_path.parent_path());
+  }
+  return std::make_unique<obs::NdjsonSink>(events_path, /*append=*/true);
+}
+
 /// Appends the final value of every metric to the event log, one flat
 /// "metric" event each, so `campaign top` can show end-of-session values
 /// without re-deriving them from the raw event stream.
@@ -493,33 +506,29 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
 
   // Telemetry is on by default and appends to <journal>/telemetry.ndjson,
   // so resumed sessions concatenate into one log and `campaign top` works
-  // without extra flags. Observation-only: results are bit-identical with
-  // --no-telemetry.
+  // without extra flags. The HUD renders from the same registry, so
+  // metrics are wired only when the log or the HUD is on: a non-TTY
+  // --no-telemetry run takes the null-telemetry path. Observation-only:
+  // results are bit-identical with --no-telemetry.
   obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
+  const std::unique_ptr<obs::NdjsonSink> sink = open_event_log(args);
   obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    const std::filesystem::path events_path = telemetry_path(args);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
-    telemetry.metrics = &metrics;
-    telemetry.events = &*sink;
-    telemetry.spans = &spans;
-  }
+  telemetry.events = sink.get();
   obs::ProgressReporter::Options hud_options;
+  hud_options.total_runs =
+      static_cast<std::size_t>(config.test_case_count) *
+      config.injections.size();
   hud_options.force = args.progress == 1;
   std::optional<obs::ProgressReporter> hud;
-  if (args.progress != 0) hud.emplace(hud_options);
+  if (args.progress != 0) hud.emplace(metrics, hud_options);
+  if (hud.has_value() && hud->enabled()) telemetry.progress = &*hud;
+  if (telemetry.enabled()) telemetry.metrics = &metrics;
 
   store::DeltaRunOptions options;
   options.base.shard_count = args.shards;
   options.base.process_count = args.processes;
   options.base.process_index = args.index;
   options.base.telemetry = telemetry.enabled() ? &telemetry : nullptr;
-  options.base.progress = hud.has_value() ? &*hud : nullptr;
   options.module_versions = versions;
   const store::DeltaJournalSummary summary =
       store::run_delta_journaled_campaign(
@@ -560,8 +569,7 @@ int cmd_campaign_execute(const CampaignArgs& args, bool delta_mode) {
     }
     std::puts(table.render().c_str());
   }
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
+  if (sink != nullptr) {
     emit_metric_events(*sink, metrics.snapshot());
     sink->flush();
     std::printf("telemetry: %zu event(s) appended to %s\n",
@@ -654,18 +662,11 @@ int cmd_campaign_bootstrap(const CampaignArgs& args) {
   // to <journal>/telemetry.ndjson unless told otherwise. Observation-only;
   // the artifacts are bit-identical with --no-telemetry.
   obs::MetricsRegistry metrics;
-  obs::SpanBuffer spans;
-  std::optional<obs::NdjsonSink> sink;
+  const std::unique_ptr<obs::NdjsonSink> sink = open_event_log(args);
   obs::Telemetry telemetry;
-  if (!args.no_telemetry) {
-    const std::filesystem::path events_path = telemetry_path(args);
-    if (!events_path.parent_path().empty()) {
-      std::filesystem::create_directories(events_path.parent_path());
-    }
-    sink.emplace(events_path, /*append=*/true);
+  if (sink != nullptr) {
     telemetry.metrics = &metrics;
-    telemetry.events = &*sink;
-    telemetry.spans = &spans;
+    telemetry.events = sink.get();
   }
 
   // Stream the journal once; the resampler's bus width comes from the
@@ -783,8 +784,7 @@ int cmd_campaign_bootstrap(const CampaignArgs& args) {
   std::printf("bootstrap summary: %.2fs wall, %.0f replicate(s)/s\n",
               result.wall_seconds, replicates_per_s);
 
-  if (sink.has_value()) {
-    obs::publish_span_stats(&telemetry);
+  if (sink != nullptr) {
     emit_metric_events(*sink, metrics.snapshot());
     sink->flush();
     std::printf("telemetry: %zu event(s) appended to %s\n",
@@ -892,15 +892,15 @@ int cmd_campaign_top(const CampaignArgs& args) {
   }
 
   std::map<std::string, std::size_t> event_counts;
-  std::size_t injections = 0, injections_diverged = 0;
-  double injection_dur_sum_us = 0.0, injection_dur_max_us = 0.0;
-  std::map<std::string, std::uint64_t> shard_bytes;  // shard -> last total
+  std::vector<std::vector<obs::Field>> events;  // every parsed line
+  std::size_t requests = 0;
+  std::uint64_t request_lanes = 0;
+  double request_dur_sum_us = 0.0, request_dur_max_us = 0.0;
+  std::uint64_t executed = 0, diverged = 0;  // summed over sessions
   std::vector<obs::Field> last_done;   // most recent delta.done
   std::map<std::string, std::string> final_metrics;  // last metric events
   BatchTally batch;                    // summed across sessions
   std::size_t torn_lines = 0;
-  std::uint64_t t_first = 0, t_last = 0;
-  bool any_time = false;
 
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) {
@@ -908,7 +908,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
   }
 
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    const auto fields = obs::parse_flat_json_object(lines[i]);
+    auto fields = obs::parse_flat_json_object(lines[i]);
     if (!fields.has_value()) {
       if (i + 1 == lines.size()) {
         // The writer died (or is still running) mid-line: expected
@@ -935,7 +935,6 @@ int cmd_campaign_top(const CampaignArgs& args) {
       return 1;
     }
     const obs::Value* name = find_field(*fields, "event");
-    const obs::Value* t_us = find_field(*fields, "t_us");
     if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
       std::fprintf(stderr,
                    "propane: telemetry line %zu in %s has no event name\n",
@@ -944,32 +943,16 @@ int cmd_campaign_top(const CampaignArgs& args) {
     }
     const std::string& event = name->as_string();
     ++event_counts[event];
-    if (t_us != nullptr && t_us->is_number()) {
-      if (!any_time) {
-        t_first = t_us->as_uint();
-        any_time = true;
-      }
-      t_last = t_us->as_uint();
-      t_first = std::min(t_first, t_us->as_uint());
-    }
-    if (event == "injection.done") {
-      ++injections;
-      if (const obs::Value* d = find_field(*fields, "diverged_signals");
-          d != nullptr && d->is_number() && d->as_uint() > 0) {
-        ++injections_diverged;
+    if (event == "campaign.batch.done") {
+      ++requests;
+      if (const obs::Value* lanes = find_field(*fields, "lanes");
+          lanes != nullptr && lanes->is_number()) {
+        request_lanes += lanes->as_uint();
       }
       if (const obs::Value* dur = find_field(*fields, "dur_us");
           dur != nullptr && dur->is_number()) {
-        injection_dur_sum_us += dur->as_double();
-        injection_dur_max_us = std::max(injection_dur_max_us,
-                                        dur->as_double());
-      }
-    } else if (event == "journal.append") {
-      const obs::Value* shard = find_field(*fields, "shard");
-      const obs::Value* total = find_field(*fields, "total_bytes");
-      if (shard != nullptr && shard->kind() == obs::Value::Kind::kString &&
-          total != nullptr && total->is_number()) {
-        shard_bytes[shard->as_string()] = total->as_uint();
+        request_dur_sum_us += dur->as_double();
+        request_dur_max_us = std::max(request_dur_max_us, dur->as_double());
       }
     } else if (event == "delta.done") {
       last_done = *fields;
@@ -979,6 +962,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
       if (metric != nullptr &&
           metric->kind() == obs::Value::Kind::kString) {
         const obs::Value* kind = find_field(*fields, "kind");
+        const obs::Value* value = find_field(*fields, "value");
         if (kind != nullptr && kind->kind() == obs::Value::Kind::kString &&
             kind->as_string() == "histogram") {
           std::string cell;
@@ -989,22 +973,47 @@ int cmd_campaign_top(const CampaignArgs& args) {
             cell += std::string(key) + "=" + render_value(*v);
           }
           final_metrics[metric->as_string()] = cell;
-        } else if (const obs::Value* v = find_field(*fields, "value")) {
-          final_metrics[metric->as_string()] = render_value(*v);
+        } else if (value != nullptr) {
+          final_metrics[metric->as_string()] = render_value(*value);
+          if (value->is_number()) {
+            if (metric->as_string() == "campaign.runs.injection") {
+              executed += value->as_uint();
+            } else if (metric->as_string() == "campaign.runs.diverged") {
+              diverged += value->as_uint();
+            }
+          }
         }
       }
     }
+    events.push_back(std::move(*fields));
   }
 
-  std::size_t total_events = 0;
-  for (const auto& [_, count] : event_counts) total_events += count;
-  const double span_s = static_cast<double>(t_last - t_first) / 1e6;
+  // Every session's clock starts at its own process epoch (obs/clock.hpp),
+  // so the wall time is the sum of the per-session spans, split by the
+  // rule the trace exporter uses.
+  std::vector<std::size_t> starts = obs::session_starts(events);
+  const std::size_t sessions = events.empty() ? 0 : starts.size();
+  starts.push_back(events.size());
+  double span_s = 0.0;
+  for (std::size_t session = 0; session + 1 < starts.size(); ++session) {
+    bool any_time = false;
+    std::uint64_t t_first = 0, t_last = 0;
+    for (std::size_t i = starts[session]; i < starts[session + 1]; ++i) {
+      const obs::Value* t_us = find_field(events[i], "t_us");
+      if (t_us == nullptr || !t_us->is_number()) continue;
+      const std::uint64_t t = t_us->as_uint();
+      t_first = any_time ? std::min(t_first, t) : t;
+      t_last = any_time ? std::max(t_last, t) : t;
+      any_time = true;
+    }
+    span_s += static_cast<double>(t_last - t_first) / 1e6;
+  }
   std::string torn_note;
   if (torn_lines > 0) {
     torn_note = " (" + std::to_string(torn_lines) + " torn line(s) skipped)";
   }
-  std::printf("telemetry %s: %zu event(s), %.2fs%s\n",
-              args.journal.string().c_str(), total_events, span_s,
+  std::printf("telemetry %s: %zu event(s) in %zu session(s), %.2fs%s\n",
+              args.journal.string().c_str(), events.size(), sessions, span_s,
               torn_note.c_str());
 
   TextTable events_table({"Event", "Count"});
@@ -1013,21 +1022,28 @@ int cmd_campaign_top(const CampaignArgs& args) {
   }
   std::puts(events_table.render().c_str());
 
-  if (injections > 0) {
-    std::printf(
-        "injections: %zu done, %zu diverged (%.1f%%), "
-        "mean %.1f ms, max %.1f ms\n",
-        injections, injections_diverged,
-        100.0 * static_cast<double>(injections_diverged) /
-            static_cast<double>(injections),
-        injection_dur_sum_us / static_cast<double>(injections) / 1e3,
-        injection_dur_max_us / 1e3);
+  if (requests > 0) {
+    std::printf("requests: %zu, %llu lane(s), mean %.1f ms, max %.1f ms\n",
+                requests, static_cast<unsigned long long>(request_lanes),
+                request_dur_sum_us / static_cast<double>(requests) / 1e3,
+                request_dur_max_us / 1e3);
   }
-  if (!shard_bytes.empty()) {
-    std::uint64_t total = 0;
-    for (const auto& [_, bytes] : shard_bytes) total += bytes;
+  if (executed > 0) {
+    std::printf("runs: %llu executed, %llu diverged (%.1f%%)\n",
+                static_cast<unsigned long long>(executed),
+                static_cast<unsigned long long>(diverged),
+                100.0 * static_cast<double>(diverged) /
+                    static_cast<double>(executed));
+  }
+  const std::vector<std::filesystem::path> shards =
+      store::ShardedJournalWriter::list_shards(args.journal);
+  if (!shards.empty()) {
+    std::uintmax_t bytes = 0;
+    for (const std::filesystem::path& shard : shards) {
+      bytes += std::filesystem::file_size(shard);
+    }
     std::printf("journal: %llu bytes across %zu shard(s)\n",
-                static_cast<unsigned long long>(total), shard_bytes.size());
+                static_cast<unsigned long long>(bytes), shards.size());
   }
   print_batch_occupancy(batch);
   if (!last_done.empty()) {
