@@ -20,13 +20,6 @@ inline void banner(const std::string& artefact,
   std::printf("%s\n\n", exp::describe(scale).c_str());
 }
 
-/// Banner variant for benches that do not run a campaign (no scale line).
-inline void banner(const std::string& artefact) {
-  std::printf("=== %s ===\n", artefact.c_str());
-  std::printf("Hiller/Jhumka/Suri, \"An Approach for Analysing the "
-              "Propagation of Data Errors in Software\", DSN 2001\n\n");
-}
-
 /// Runs the experiment and reports the wall-clock cost.
 inline exp::PaperExperiment timed_experiment(
     const exp::ExperimentScale& scale) {

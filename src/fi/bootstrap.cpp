@@ -161,6 +161,13 @@ BootstrapResult BootstrapResampler::run(
   fractions.erase(std::unique(fractions.begin(), fractions.end()),
                   fractions.end());
   fractions.push_back(1.0);
+  // Opens the bootstrap's session in a telemetry log it shares with the
+  // campaign's run and resume sessions (obs::session_starts).
+  obs::emit_event(telemetry, "bootstrap.plan",
+                  {{"replicates", obs::Value(B)},
+                   {"fractions", obs::Value(fractions.size())},
+                   {"records", obs::Value(accumulator_.record_count())},
+                   {"cells", obs::Value(cells_.size())}});
 
   // Evaluation view of the cells: key order and sorted masks make every
   // draw a pure function of journal *content* -- shard layout, merge order

@@ -171,6 +171,11 @@ std::vector<std::size_t> session_starts(
   bool scanned = false;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const std::string name = str_or(events[i], "event", "");
+    if (name == "bootstrap.plan") {
+      if (i > starts.back()) starts.push_back(i);
+      scanned = true;
+      continue;
+    }
     if (name != "delta.plan" && name != "journal.resume_scan") continue;
     if (scanned) {
       starts.push_back(i);

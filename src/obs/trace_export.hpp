@@ -63,8 +63,9 @@ struct TraceExportSummary {
 
 /// Index of the first event of each session (always starts with 0): a new
 /// session opens at a delta.plan or journal.resume_scan event once the
-/// current session has already scanned its journal. `campaign top` splits
-/// its wall time with the same rule.
+/// current session has already scanned its journal or resampled it, and at
+/// every bootstrap.plan event that is not the log's first event. `campaign
+/// top` splits its wall time with the same rule.
 std::vector<std::size_t> session_starts(
     const std::vector<std::vector<Field>>& events);
 

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "exp/report/bootstrap_report.hpp"
+#include "obs/ndjson.hpp"
+#include "obs/telemetry.hpp"
 
 namespace propane::fi {
 namespace {
@@ -104,6 +108,32 @@ TEST(Bootstrap, ArtifactsAreByteIdenticalAcrossThreadCountsAndRepeats) {
   EXPECT_EQ(exp::bootstrap_bands_svg(one), exp::bootstrap_bands_svg(four));
   EXPECT_EQ(exp::bootstrap_confidence_dot(model, one),
             exp::bootstrap_confidence_dot(model, four));
+}
+
+TEST(Bootstrap, ReportsItsShapeAndOpensItsTelemetrySession) {
+  // The counts and rate a benchmark reads off a bootstrap, and the
+  // bootstrap.plan event that opens its session in a telemetry log it
+  // shares with the campaign's run and resume sessions.
+  const SystemModel model = feedback_model();
+  const std::vector<InjectionRecord> records = mixed_records();
+  const BootstrapResampler resampler = make_resampler(model, records);
+  obs::MetricsRegistry metrics;
+  std::ostringstream events;
+  obs::NdjsonSink sink(events);
+  const obs::Telemetry telemetry{&metrics, &sink, nullptr};
+  const BootstrapResult result = resampler.run(small_options(2), &telemetry);
+
+  EXPECT_EQ(result.replicates, 64u);
+  EXPECT_EQ(result.record_count, records.size());
+  EXPECT_EQ(result.cell_count, resampler.cell_count());
+  EXPECT_GT(result.cell_count, 0u);
+  EXPECT_GT(result.wall_seconds, 0.0);
+  // 64 replicates at each of the fractions 0.5 and 1.0.
+  EXPECT_EQ(metrics.counter("bootstrap.replicates").value(), 128u);
+  EXPECT_GT(metrics.gauge("bootstrap.replicates_per_s").value(), 0.0);
+  const std::string log = events.str();
+  EXPECT_EQ(log.rfind("{\"event\":\"bootstrap.plan\"", 0), 0u) << log;
+  EXPECT_NE(log.find("\"event\":\"bootstrap.done\""), std::string::npos);
 }
 
 TEST(Bootstrap, RecordArrivalOrderDoesNotChangeTheDraws) {

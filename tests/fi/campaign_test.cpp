@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <mutex>
+#include <numeric>
+#include <string>
 
 #include "common/contracts.hpp"
 
@@ -185,6 +190,108 @@ TEST(Campaign, ScalarRunnerIsAWidthOneBatchAdaptor) {
   // Without goldens there is nothing to compare against.
   request.goldens = nullptr;
   EXPECT_THROW(runner.batch(request), ContractViolation);
+}
+
+/// A system that simulates nothing: its golden run is one row, and each
+/// batch lane gets an empty report. It records the lane count of every
+/// request the planner hands it.
+struct PlanProbe {
+  std::mutex mutex;
+  std::vector<std::size_t> request_lanes;
+
+  CampaignRunner runner() {
+    return CampaignRunner(
+        [](const RunRequest&) {
+          TraceSet trace(std::vector<std::string>{"s"});
+          trace.append({0});
+          return trace;
+        },
+        [this](const BatchRunRequest& request) {
+          const std::lock_guard<std::mutex> lock(mutex);
+          request_lanes.push_back(request.lanes.size());
+          return std::vector<DivergenceReport>(request.lanes.size());
+        });
+  }
+};
+
+/// `test_cases` x (every model x instant on each of `targets` targets).
+CampaignConfig plan_shape(std::uint32_t test_cases, std::size_t targets,
+                          const std::vector<ErrorModel>& models,
+                          const std::vector<sim::SimTime>& instants) {
+  CampaignConfig config;
+  config.test_case_count = test_cases;
+  for (std::size_t t = 0; t < targets; ++t) {
+    const std::vector<InjectionSpec> plan = cross_product_plan(
+        static_cast<BusSignalId>(t), models, instants);
+    config.injections.insert(config.injections.end(), plan.begin(),
+                             plan.end());
+  }
+  return config;
+}
+
+// The planner packs S runs into N requests of kernel width W. Each test
+// case's pool of at least W runs is dealt into whole widths, so at most one
+// of its requests is short; thinner pools are packed across test cases W
+// runs at a time, leaving one more short request at most. With T =
+// min(test cases + 1, S) short requests, N <= T + (S - T) / W at any thread
+// count. A planner that issues one request per (test case, fire tick)
+// group breaks the bound on every shape below except the full paper plan.
+TEST(Campaign, PlannerPacksRequestsToTheKernelWidth) {
+  const std::vector<ErrorModel> one_bit = {bit_flip(3)};
+  std::vector<sim::SimTime> sparse_instants;
+  for (sim::SimTime i = 0; i < 128; ++i) {
+    sparse_instants.push_back((50 + 100 * i) * sim::kMillisecond);
+  }
+  struct Shape {
+    const char* name;
+    CampaignConfig config;
+    std::function<bool(std::uint32_t, std::uint32_t)> should_run;
+    std::size_t runs;
+  };
+  const std::vector<Shape> shapes = {
+      // 2x2 test cases, two targets, 16 flips x the 10 paper instants.
+      {"default", plan_shape(4, 2, all_bit_flips(), paper_injection_instants()),
+       nullptr, 1280},
+      // One flip at 128 instants: every (test case, fire tick) group holds
+      // a single run.
+      {"sparse", plan_shape(4, 1, one_bit, sparse_instants), nullptr, 512},
+      // A delta that invalidated one consumer keeps a thin slice: here 4
+      // flips x 10 instants of the last target (160 injections per
+      // target), 40 runs per test case, below the width, so every pool is
+      // packed across test cases.
+      {"thin slice",
+       plan_shape(25, 13, all_bit_flips(), paper_injection_instants()),
+       [](std::uint32_t injection, std::uint32_t) {
+         return injection / 160 == 12 && injection % 160 < 40;
+       },
+       1000},
+      // The paper's 25 x 13 x 16 x 10 campaign.
+      {"paper", plan_shape(25, 13, all_bit_flips(), paper_injection_instants()),
+       nullptr, 52000},
+  };
+  for (const Shape& shape : shapes) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      PlanProbe probe;
+      CampaignConfig config = shape.config;
+      config.threads = threads;
+      CampaignHooks hooks;
+      hooks.should_run = shape.should_run;
+      hooks.collect_records = false;
+      run_campaign(probe.runner(), config, hooks);
+
+      const std::size_t requests = probe.request_lanes.size();
+      const std::size_t runs =
+          std::accumulate(probe.request_lanes.begin(),
+                          probe.request_lanes.end(), std::size_t{0});
+      const std::size_t width = kDefaultBatchSize;
+      const std::size_t tails =
+          std::min<std::size_t>(config.test_case_count + 1, runs);
+      EXPECT_EQ(runs, shape.runs) << shape.name << ", threads " << threads;
+      EXPECT_LE(requests, tails + (runs - tails) / width)
+          << shape.name << ", threads " << threads << ": " << runs
+          << " run(s) in " << requests << " request(s)";
+    }
+  }
 }
 
 }  // namespace

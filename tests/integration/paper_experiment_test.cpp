@@ -156,6 +156,31 @@ PAPER_SHAPE_TEST(CalcHasTheHighestNonweightedExposure) {
   EXPECT_GT(calc, best_other) << "runner-up: " << best_name;
 }
 
+TEST_F(PaperScaleTest, Table2OrdersTheModulesAsMeasured) {
+  // The full-scale Table 2 orders (EXPERIMENTS.md). X~ (Eq. 5) opens with
+  // OB1's "CALC and V_REG, in that order"; DIST_S and PRES_S have no
+  // exposure. On P~ (Eq. 3) DIST_S (1.101) ranks above CLOCK (1.000).
+  const PaperExperiment& exp = full_experiment();
+  std::map<std::string, const core::ModuleMeasures*> by_name;
+  for (const auto& m : exp.report.modules) by_name[m.name] = &m;
+  const auto exposure = [&](const char* name) {
+    return by_name.at(name)->nonweighted_exposure;
+  };
+  const auto permeability = [&](const char* name) {
+    return by_name.at(name)->nonweighted_permeability;
+  };
+  EXPECT_GT(exposure("CALC"), exposure("V_REG"));
+  EXPECT_GT(exposure("V_REG"), exposure("CLOCK"));
+  EXPECT_GT(exposure("CLOCK"), exposure("PRES_A"));
+
+  EXPECT_GT(permeability("CALC"), permeability("V_REG"));
+  EXPECT_GT(permeability("V_REG"), permeability("DIST_S"));
+  EXPECT_GT(permeability("DIST_S"), permeability("CLOCK"));
+  EXPECT_GT(permeability("CLOCK"), permeability("PRES_A"));
+  EXPECT_GT(permeability("PRES_A"), permeability("PRES_S"));
+  EXPECT_DOUBLE_EQ(permeability("PRES_S"), 0.0);
+}
+
 PAPER_SHAPE_TEST(SetValueAndOutValueOnEveryNonzeroPath) {
   // OB5: "SetValue and OutValue are part of all propagation paths in
   // Table 4" -- they are cut signals.

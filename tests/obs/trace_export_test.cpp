@@ -181,6 +181,22 @@ TEST(WriteChromeTrace, RendersEachSessionAsItsOwnProcess) {
   EXPECT_NE(second.find("\"parent_span_id\":2}"), std::string::npos);
 }
 
+TEST(SessionStarts, BootstrapOpensItsOwnSession) {
+  // run, bootstrap, run: a bootstrap session scans no journal and plans no
+  // delta, so its bootstrap.plan event opens it; a log that starts with a
+  // bootstrap has one session there, not two.
+  const std::vector<std::vector<Field>> events = {
+      event_row("delta.plan"),       event_row("journal.resume_scan"),
+      event_row("delta.done"),       event_row("bootstrap.plan"),
+      event_row("pool.queue_depth"), event_row("bootstrap.done"),
+      event_row("delta.plan"),       event_row("journal.resume_scan")};
+  EXPECT_EQ(session_starts(events), (std::vector<std::size_t>{0, 3, 6}));
+  const std::vector<std::vector<Field>> bootstrap_first(events.begin() + 3,
+                                                        events.end());
+  EXPECT_EQ(session_starts(bootstrap_first),
+            (std::vector<std::size_t>{0, 3}));
+}
+
 TEST(WriteChromeTrace, EmitsCounterTracksAndInstants) {
   TraceStream stream;
   stream.name = "campaign";
