@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace propane {
@@ -27,11 +28,22 @@ std::uint64_t fnv1a64(const void* data, std::size_t size,
 /// Little-endian byte-string assembler.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Continues after the contents of `buffer`, reusing its capacity; take()
+  /// hands the grown buffer back.
+  explicit ByteWriter(std::vector<std::uint8_t> buffer)
+      : bytes_(std::move(buffer)) {}
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void str(std::string_view v);  // u32 length + bytes
+  /// Overwrites the u32 at `offset`, a placeholder written earlier (a frame
+  /// length or checksum known only once the bytes after it are written).
+  void patch_u32(std::size_t offset, std::uint32_t v);
+
+  std::size_t size() const { return bytes_.size(); }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }

@@ -193,7 +193,8 @@ struct CampaignHooks {
   /// the run entirely (used for runs already journaled, or owned by another
   /// process of a split campaign). Golden runs always execute -- they are
   /// the comparison baseline and are cheap relative to the injection fan-out.
-  /// Called from worker threads; must be thread-safe.
+  /// Called once per run, in flat order, on the calling thread while the
+  /// runs are planned (after the golden runs, before any injection run).
   std::function<bool(std::uint32_t injection_index, std::uint32_t test_case)>
       should_run;
   /// Called once per *executed* injection run with its finished record,

@@ -20,44 +20,68 @@ JournalWriter::JournalWriter(const std::filesystem::path& path,
   out_.open(path_, std::ios::binary | std::ios::trunc);
   PROPANE_REQUIRE_MSG(out_.is_open(),
                       "cannot create journal shard: " + path_.string());
-  out_.write(kJournalMagic, sizeof(kJournalMagic));
   ByteWriter header;
+  for (const char c : kJournalMagic) header.u8(static_cast<std::uint8_t>(c));
   header.u32(kJournalVersion);
-  out_.write(reinterpret_cast<const char*>(header.bytes().data()),
-             static_cast<std::streamsize>(header.bytes().size()));
-  bytes_written_ = sizeof(kJournalMagic) + header.bytes().size();
-  write_frame(RecordType::kManifest, encode_manifest(manifest));
+  pending_ = header.take();
+  frame(RecordType::kManifest,
+        [&](ByteWriter& out) { encode_manifest(out, manifest); });
+  write_pending();
+}
+
+/// The one framing routine: appends `u32 length | u32 crc | payload` to the
+/// pending buffer, encoding the payload in place and patching the length
+/// and CRC words once it is complete.
+template <typename EncodeBody>
+void JournalWriter::frame(RecordType type, const EncodeBody& encode_body) {
+  ByteWriter out(std::move(pending_));
+  const std::size_t start = out.size();
+  out.u32(0);  // length, patched below
+  out.u32(0);  // crc32(payload), patched below
+  out.u8(static_cast<std::uint8_t>(type));
+  encode_body(out);
+  const std::size_t length = out.size() - start - 8;
+  out.patch_u32(start, static_cast<std::uint32_t>(length));
+  out.patch_u32(start + 4, crc32(out.bytes().data() + start + 8, length));
+  pending_ = out.take();
+}
+
+void JournalWriter::write_pending() {
+  out_.write(reinterpret_cast<const char*>(pending_.data()),
+             static_cast<std::streamsize>(pending_.size()));
+  PROPANE_CHECK_MSG(out_.good(),
+                    "journal shard write failed: " + path_.string());
+  bytes_written_ += pending_.size();
+  pending_.clear();  // keeps its capacity for the next run
   flush();
 }
 
-void JournalWriter::write_frame(RecordType type,
-                                const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(1 + body.size());
-  payload.push_back(static_cast<std::uint8_t>(type));
-  payload.insert(payload.end(), body.begin(), body.end());
+void JournalWriter::stage(const RecordStamp& stamp,
+                          const fi::DivergenceReport& report) {
+  frame(RecordType::kInjectionResult, [&](ByteWriter& out) {
+    encode_injection_record(out, stamp, report);
+  });
+  ++staged_records_;
+}
 
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(crc32(payload.data(), payload.size()));
-  out_.write(reinterpret_cast<const char*>(frame.bytes().data()),
-             static_cast<std::streamsize>(frame.bytes().size()));
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  PROPANE_CHECK_MSG(out_.good(),
-                    "journal shard write failed: " + path_.string());
-  bytes_written_ += frame.bytes().size() + payload.size();
+void JournalWriter::commit() {
+  if (staged_records_ == 0) return;
+  const std::size_t bytes = pending_.size();
+  write_pending();
+  record_count_ += staged_records_;
+  if (appends_ != nullptr) appends_->add(staged_records_);
+  if (append_bytes_ != nullptr) append_bytes_->add(bytes);
+  staged_records_ = 0;
+}
+
+void JournalWriter::append(const RecordStamp& stamp,
+                           const fi::DivergenceReport& report) {
+  stage(stamp, report);
+  commit();
 }
 
 void JournalWriter::append(const fi::InjectionRecord& record) {
-  const std::size_t before = bytes_written_;
-  write_frame(RecordType::kInjectionResult, encode_injection_record(record));
-  // Per-record flush: after a crash, every record appended so far is on
-  // disk (modulo OS buffers) and at most the in-flight frame is torn.
-  flush();
-  ++record_count_;
-  if (appends_ != nullptr) appends_->add(1);
-  if (append_bytes_ != nullptr) append_bytes_->add(bytes_written_ - before);
+  append(stamp_of(record), record.report);
 }
 
 void JournalWriter::flush() {
@@ -70,11 +94,18 @@ void JournalWriter::flush() {
 JournalScan scan_journal_file(
     const std::filesystem::path& path,
     const std::function<void(fi::InjectionRecord&&)>& sink) {
-  std::ifstream in(path, std::ios::binary);
+  // One sized read: opened at its end, the stream's position is the shard's
+  // size. A file cut short meanwhile simply reads fewer bytes, and the
+  // checks below treat what is missing as a torn tail.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   PROPANE_REQUIRE_MSG(in.is_open(),
                       "cannot open journal shard: " + path.string());
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::streamoff size = in.tellg();
+  PROPANE_CHECK_MSG(size >= 0, "cannot read journal shard: " + path.string());
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
 
   JournalScan scan;
   const std::size_t header_size = sizeof(kJournalMagic) + 4;

@@ -11,8 +11,12 @@
 //   payload:    u8 RecordType | type-specific body (store/record_codec.hpp)
 //
 // The first frame is always the campaign manifest; every later frame is one
-// injection result. Appends are flushed per record, so after a crash the
-// file holds every completed run plus at most one torn tail frame.
+// injection result. Frames are written in runs: an executed record is a run
+// of one, flushed before the worker moves on; delta-campaign replays
+// (store/result_cache.hpp) go out in bounded runs, one write and one flush
+// each. After a crash the file holds every committed run plus at most one
+// torn tail -- and a replay run lost that way is rebuilt from the baseline
+// on resume.
 //
 // Reader semantics (exercised by tests/store/journal_test.cpp):
 //   * a truncated tail frame (header or payload runs past EOF) is the
@@ -28,6 +32,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "store/record_codec.hpp"
 
@@ -58,33 +63,50 @@ inline constexpr std::uint32_t kMaxRecordBytes = 1u << 26;
 
 /// Writes one journal shard. The constructor creates the file and persists
 /// the header + manifest immediately, so even an empty shard identifies its
-/// campaign. append() flushes each frame; a crash can tear at most the
-/// frame being written, never a previously appended one.
+/// campaign. Records are framed into one reusable buffer by stage() and
+/// reach the file, with one write and one flush, at commit(); append() is
+/// the run of one record. A crash can tear at most the run being written,
+/// never a committed one.
 class JournalWriter {
  public:
   /// `path` must not already exist (shards are never appended to across
   /// sessions -- resume opens fresh shard files instead, leaving any torn
   /// tail behind for the reader to skip). `telemetry` (optional,
   /// non-owning) adds the journal.appends / journal.append.bytes /
-  /// journal.flushes counters; no event is logged per record.
+  /// journal.flushes counters, counted at commit; no event is logged per
+  /// record.
   JournalWriter(const std::filesystem::path& path, const Manifest& manifest,
                 const obs::Telemetry* telemetry = nullptr);
 
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
+  /// Frames one record into the pending run; nothing is written yet.
+  void stage(const RecordStamp& stamp, const fi::DivergenceReport& report);
+  /// Writes the pending run with one call and flushes it. Executed records
+  /// commit one by one; replays commit in bounded runs.
+  void commit();
+  /// stage() + commit(): one record, durable on return.
+  void append(const RecordStamp& stamp, const fi::DivergenceReport& report);
   void append(const fi::InjectionRecord& record);
   void flush();
 
   const std::filesystem::path& path() const { return path_; }
+  /// Committed records and bytes (header included).
   std::size_t record_count() const { return record_count_; }
   std::size_t bytes_written() const { return bytes_written_; }
+  /// Bytes framed by stage() and not yet committed.
+  std::size_t staged_bytes() const { return pending_.size(); }
 
  private:
-  void write_frame(RecordType type, const std::vector<std::uint8_t>& body);
+  template <typename EncodeBody>
+  void frame(RecordType type, const EncodeBody& encode_body);
+  void write_pending();
 
   std::filesystem::path path_;
   std::ofstream out_;
+  std::vector<std::uint8_t> pending_;  // framed, not yet written
+  std::size_t staged_records_ = 0;
   std::size_t record_count_ = 0;
   std::size_t bytes_written_ = 0;
   // Telemetry handles, resolved at construction; null when disabled.

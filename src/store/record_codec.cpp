@@ -30,12 +30,21 @@ Manifest manifest_for(const fi::CampaignConfig& config) {
   return manifest;
 }
 
+RecordStamp stamp_of(const fi::InjectionRecord& record) {
+  return {record.injection_index, record.test_case, record.target,
+          record.when,            record.fingerprint, record.replayed};
+}
+
+void encode_manifest(ByteWriter& out, const Manifest& manifest) {
+  out.u64(manifest.plan_hash);
+  out.u64(manifest.seed);
+  out.u32(manifest.test_case_count);
+  out.u32(manifest.injection_count);
+}
+
 std::vector<std::uint8_t> encode_manifest(const Manifest& manifest) {
   ByteWriter writer;
-  writer.u64(manifest.plan_hash);
-  writer.u64(manifest.seed);
-  writer.u32(manifest.test_case_count);
-  writer.u32(manifest.injection_count);
+  encode_manifest(writer, manifest);
   return writer.take();
 }
 
@@ -51,29 +60,30 @@ Manifest decode_manifest(const std::uint8_t* data, std::size_t size) {
   return manifest;
 }
 
+void encode_injection_record(ByteWriter& out, const RecordStamp& stamp,
+                             const fi::DivergenceReport& report) {
+  out.u32(stamp.injection_index);
+  out.u32(stamp.test_case);
+  out.u32(stamp.target);
+  out.u64(stamp.when);
+  out.u64(stamp.fingerprint);
+  out.u8(stamp.replayed ? kRecordFlagReplayed : 0);
+  out.u32(static_cast<std::uint32_t>(report.per_signal.size()));
+  out.u32(static_cast<std::uint32_t>(report.divergence_count()));
+  for (std::size_t s = 0; s < report.per_signal.size(); ++s) {
+    const fi::Divergence& d = report.per_signal[s];
+    if (!d.diverged) continue;
+    out.u32(static_cast<std::uint32_t>(s));
+    out.u64(d.first_ms);
+    out.u16(d.golden_value);
+    out.u16(d.observed_value);
+  }
+}
+
 std::vector<std::uint8_t> encode_injection_record(
     const fi::InjectionRecord& record) {
   ByteWriter writer;
-  writer.u32(record.injection_index);
-  writer.u32(record.test_case);
-  writer.u32(record.target);
-  writer.u64(record.when);
-  writer.u64(record.fingerprint);
-  writer.u8(record.replayed ? kRecordFlagReplayed : 0);
-  writer.u32(static_cast<std::uint32_t>(record.report.per_signal.size()));
-  std::uint32_t diverged = 0;
-  for (const fi::Divergence& d : record.report.per_signal) {
-    if (d.diverged) ++diverged;
-  }
-  writer.u32(diverged);
-  for (std::size_t s = 0; s < record.report.per_signal.size(); ++s) {
-    const fi::Divergence& d = record.report.per_signal[s];
-    if (!d.diverged) continue;
-    writer.u32(static_cast<std::uint32_t>(s));
-    writer.u64(d.first_ms);
-    writer.u16(d.golden_value);
-    writer.u16(d.observed_value);
-  }
+  encode_injection_record(writer, stamp_of(record), record.report);
   return writer.take();
 }
 

@@ -90,12 +90,30 @@ Manifest manifest_for(const fi::CampaignConfig& config);
 /// Replayed-from-cache marker in the v3 record flags byte.
 inline constexpr std::uint8_t kRecordFlagReplayed = 0x01;
 
+/// The fixed words of an injection record's payload: its identity under
+/// the plan and its metadata. A replay re-stamps these for the current plan
+/// and encodes them next to the cached report, so the record itself is
+/// never copied.
+struct RecordStamp {
+  std::uint32_t injection_index = 0;
+  std::uint32_t test_case = 0;
+  fi::BusSignalId target = 0;
+  sim::SimTime when = 0;
+  std::uint64_t fingerprint = 0;
+  bool replayed = false;
+};
+
+RecordStamp stamp_of(const fi::InjectionRecord& record);
+
+void encode_manifest(ByteWriter& out, const Manifest& manifest);
 std::vector<std::uint8_t> encode_manifest(const Manifest& manifest);
 Manifest decode_manifest(const std::uint8_t* data, std::size_t size);
 
 /// Encoding always writes the current (v3) layout; decoding accepts any
 /// supported shard version (store/journal.hpp) so old journals stay
 /// readable -- their records simply carry no fingerprint.
+void encode_injection_record(ByteWriter& out, const RecordStamp& stamp,
+                             const fi::DivergenceReport& report);
 std::vector<std::uint8_t> encode_injection_record(
     const fi::InjectionRecord& record);
 fi::InjectionRecord decode_injection_record(const std::uint8_t* data,

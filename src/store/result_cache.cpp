@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/clock.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -91,14 +92,65 @@ CampaignDirState resume_scan(const std::filesystem::path& dir,
   return state;
 }
 
+/// Worker threads of the campaign pool (ThreadPool's 0 = hardware
+/// concurrency rule).
+std::size_t session_threads(const fi::CampaignConfig& config) {
+  return config.threads > 0
+             ? config.threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 /// shard_count 0 = auto: one shard per campaign pool thread, so the
 /// parallel batch path appends journal records without shard contention.
 std::size_t session_shard_count(const JournalRunOptions& options,
                                 const fi::CampaignConfig& config) {
-  if (options.shard_count > 0) return options.shard_count;
-  return config.threads > 0
-             ? config.threads
-             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return options.shard_count > 0 ? options.shard_count
+                                 : session_threads(config);
+}
+
+/// Replays commit in runs of at most about this many framed bytes: one
+/// write and one flush per run, and a pending buffer that stays small
+/// whatever the baseline's size.
+constexpr std::size_t kReplayRunBytes = 64 * 1024;
+
+/// Appends every kReplayed flat's cached record to its shard before the
+/// campaign starts. One pool task per shard walks that shard's flats in
+/// order, so the shard layout does not depend on the thread count. Each
+/// record is re-stamped under the *current* plan's identity (the baseline
+/// may have recorded it at a different flat position, e.g. after injections
+/// were added to the plan), so the output directory is a complete journal
+/// of the plan. A crash that loses an uncommitted run only means those
+/// replays are replayed again on resume.
+void append_replays(ShardedJournalWriter& writer,
+                    const std::vector<RunOutcome>& outcome,
+                    const std::vector<std::uint64_t>& fingerprints,
+                    const ResultCache& baseline,
+                    const fi::CampaignConfig& config) {
+  const std::size_t shard_count = writer.shard_count();
+  ThreadPool pool(std::min(shard_count, session_threads(config)));
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    pool.submit([&, s] {
+      writer.with_shard(s, [&](JournalWriter& shard) {
+        for (std::size_t flat = s; flat < outcome.size();
+             flat += shard_count) {
+          if (outcome[flat] != RunOutcome::kReplayed) continue;
+          const std::size_t inj = flat / config.test_case_count;
+          RecordStamp stamp;
+          stamp.injection_index = static_cast<std::uint32_t>(inj);
+          stamp.test_case =
+              static_cast<std::uint32_t>(flat % config.test_case_count);
+          stamp.target = config.injections[inj].target;
+          stamp.when = config.injections[inj].when;
+          stamp.fingerprint = fingerprints[flat];
+          stamp.replayed = true;
+          shard.stage(stamp, baseline.find(fingerprints[flat])->report);
+          if (shard.staged_bytes() >= kReplayRunBytes) shard.commit();
+        }
+        shard.commit();
+      });
+    });
+  }
+  pool.wait_idle();
 }
 
 }  // namespace
@@ -183,46 +235,38 @@ DeltaJournalSummary run_delta_journaled_campaign(
   ShardedJournalWriter writer(dir, manifest,
                               session_shard_count(session, config), telemetry);
   const std::uint64_t journal_base_bytes = writer.bytes_written();
-  obs::Counter* const hits = obs::find_counter(telemetry, "delta.hits");
-  obs::Counter* const misses = obs::find_counter(telemetry, "delta.misses");
 
-  // Each flat is resolved exactly once, by should_run or by the worker that
-  // executed it, so plain elements suffice; run_campaign joins its pool
-  // before the tally below reads them.
+  // Classify every flat before anything runs. Each flat is resolved exactly
+  // once -- here, or later by the worker that executes it -- so plain
+  // elements suffice; run_campaign joins its pool before the tally below
+  // reads them.
   std::vector<RunOutcome> outcome(manifest.total_runs(), RunOutcome::kPending);
+  std::size_t replay_count = 0;
+  for (std::size_t flat = 0; flat < outcome.size(); ++flat) {
+    if (state.completed[flat]) {
+      outcome[flat] = RunOutcome::kJournaled;
+    } else if (flat % session.process_count != session.process_index) {
+      outcome[flat] = RunOutcome::kForeign;
+    } else if (baseline.find(fingerprints[flat]) != nullptr) {
+      outcome[flat] = RunOutcome::kReplayed;
+      ++replay_count;
+    }
+  }
+  if (replay_count > 0) {
+    append_replays(writer, outcome, fingerprints, baseline, config);
+  }
+  if (auto* hits = obs::find_counter(telemetry, "delta.hits")) {
+    hits->add(replay_count);
+  }
+  obs::Counter* const misses = obs::find_counter(telemetry, "delta.misses");
 
   fi::CampaignHooks hooks;
   hooks.collect_records = false;  // the journal is the result
   hooks.telemetry = telemetry;
   hooks.should_run = [&](std::uint32_t injection_index,
                          std::uint32_t test_case) {
-    const std::size_t flat = manifest.flat_index(injection_index, test_case);
-    if (state.completed[flat]) {
-      outcome[flat] = RunOutcome::kJournaled;
-      return false;
-    }
-    if (flat % session.process_count != session.process_index) {
-      outcome[flat] = RunOutcome::kForeign;
-      return false;
-    }
-    const fi::InjectionRecord* cached = baseline.find(fingerprints[flat]);
-    if (cached == nullptr) return true;
-    // Cache hit: replay the stored report under the *current* plan's
-    // identity (the baseline may have recorded it at a different flat
-    // position, e.g. after injections were added to the plan), and append
-    // it like an executed record, so the output directory is a complete
-    // journal of the plan.
-    fi::InjectionRecord record = *cached;
-    record.injection_index = injection_index;
-    record.test_case = test_case;
-    record.target = config.injections[injection_index].target;
-    record.when = config.injections[injection_index].when;
-    record.fingerprint = fingerprints[flat];
-    record.replayed = true;
-    writer.append(record);
-    outcome[flat] = RunOutcome::kReplayed;
-    if (hits != nullptr) hits->add(1);
-    return false;
+    return outcome[manifest.flat_index(injection_index, test_case)] ==
+           RunOutcome::kPending;
   };
   // Durability point: the record reaches its shard (and is flushed) before
   // the worker picks up another run, so a crash can lose at most the runs
@@ -230,9 +274,9 @@ DeltaJournalSummary run_delta_journaled_campaign(
   hooks.on_record = [&](const fi::InjectionRecord& record) {
     const std::size_t flat =
         manifest.flat_index(record.injection_index, record.test_case);
-    fi::InjectionRecord stamped = record;
-    stamped.fingerprint = fingerprints[flat];
-    writer.append(stamped);
+    RecordStamp stamp = stamp_of(record);
+    stamp.fingerprint = fingerprints[flat];
+    writer.append(stamp, record.report);
     outcome[flat] = record.report.any_divergence()
                         ? RunOutcome::kExecutedDiverged
                         : RunOutcome::kExecuted;

@@ -115,16 +115,19 @@ struct DeltaJournalSummary {
   std::vector<ModuleDeltaExplain> per_module;
 };
 
-/// Runs `config` against journal directory `dir`, resolving each run, in
-/// order, as: already in `dir` (skipped), owned by another process of a
-/// split (skipped), a `baseline` hit (replayed: appended with its
-/// `replayed` flag set) or a miss (executed through `runner` and appended
-/// with its fingerprint). Fresh directories start from scratch, non-empty
-/// ones resume; `dir` must belong to the same plan (manifest mismatch is a
-/// hard error). Every resolved run is appended to a shard before the
-/// campaign moves on, so the directory can be resumed after a crash at any
-/// point, and it is a complete journal of the plan: it merges, estimates
-/// and serves as the next delta's baseline with no special cases.
+/// Runs `config` against journal directory `dir`, classifying each run,
+/// before the campaign starts, as: already in `dir` (skipped), owned by
+/// another process of a split (skipped), a `baseline` hit (replayed) or a
+/// miss. Every hit is then appended, with its `replayed` flag set, before
+/// the first golden run: one pool task per shard, in flat order, in
+/// bounded runs of one write and one flush each. Misses execute through
+/// `runner` and are appended, with their fingerprint, one flushed record at
+/// a time. Fresh directories start from scratch, non-empty ones resume;
+/// `dir` must belong to the same plan (manifest mismatch is a hard error).
+/// So the directory can be resumed after a crash at any point -- a replay
+/// run lost unflushed is simply replayed again -- and it is a complete
+/// journal of the plan: it merges, estimates and serves as the next
+/// delta's baseline with no special cases.
 ///
 /// Accepts a scalar fi::RunFunction (implicitly, as a width-1 batch
 /// adaptor) or a batched fi::CampaignRunner; journals are bit-identical

@@ -55,12 +55,23 @@ ShardedJournalWriter::ShardedJournalWriter(const std::filesystem::path& dir,
   }
 }
 
+void ShardedJournalWriter::append(const RecordStamp& stamp,
+                                  const fi::DivergenceReport& report) {
+  with_shard(shard_of(manifest_.flat_index(stamp.injection_index,
+                                           stamp.test_case)),
+             [&](JournalWriter& shard) { shard.append(stamp, report); });
+}
+
 void ShardedJournalWriter::append(const fi::InjectionRecord& record) {
-  const std::size_t flat =
-      manifest_.flat_index(record.injection_index, record.test_case);
-  Shard& shard = *shards_[flat % shards_.size()];
-  std::lock_guard lock(shard.mu);
-  shard.writer->append(record);
+  append(stamp_of(record), record.report);
+}
+
+void ShardedJournalWriter::with_shard(
+    std::size_t shard, const std::function<void(JournalWriter&)>& write) {
+  PROPANE_REQUIRE(shard < shards_.size());
+  Shard& slot = *shards_[shard];
+  std::lock_guard lock(slot.mu);
+  write(*slot.writer);
 }
 
 void ShardedJournalWriter::flush_all() {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -31,10 +32,19 @@ class ShardedJournalWriter {
                        const Manifest& manifest, std::size_t shard_count = 1,
                        const obs::Telemetry* telemetry = nullptr);
 
-  /// Thread-safe append. The record's flat run index picks the shard, so
-  /// the record-to-shard assignment is deterministic and two threads only
-  /// contend when they finish runs of the same shard at the same moment.
+  /// Thread-safe append of one record, durable on return. The record's
+  /// flat run index picks the shard (shard_of), so the record-to-shard
+  /// assignment is deterministic and two threads only contend when they
+  /// finish runs of the same shard at the same moment.
+  void append(const RecordStamp& stamp, const fi::DivergenceReport& report);
   void append(const fi::InjectionRecord& record);
+
+  /// Shard that holds flat run index `flat`.
+  std::size_t shard_of(std::size_t flat) const { return flat % shards_.size(); }
+  /// Runs `write` on shard `shard`'s writer under its lock, so a sequence
+  /// of stage()/commit() calls lands in that shard uninterrupted.
+  void with_shard(std::size_t shard,
+                  const std::function<void(JournalWriter&)>& write);
 
   void flush_all();
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "store/resume.hpp"
 #include "store/sharded_writer.hpp"
 
 namespace propane::store {
@@ -155,6 +156,62 @@ TEST(Journal, MidFileCorruptionIsAHardError) {
     stream.write(&byte, 1);
   }
   EXPECT_THROW(scan_records(file), ContractViolation);
+}
+
+TEST(Journal, StagedRecordsReachTheFileOnlyAtCommit) {
+  const fs::path dir = fresh_dir("journal_staged_run");
+  const fs::path file = dir / "shard-000000.pjl";
+  JournalWriter writer(file, test_manifest());
+  const std::uintmax_t header_bytes = fs::file_size(file);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const fi::InjectionRecord record = make_record(i, 1);
+    writer.stage(stamp_of(record), record.report);
+  }
+  EXPECT_GT(writer.staged_bytes(), 0u);
+  EXPECT_EQ(writer.record_count(), 0u);
+  EXPECT_EQ(fs::file_size(file), header_bytes);
+
+  writer.commit();
+  EXPECT_EQ(writer.staged_bytes(), 0u);
+  EXPECT_EQ(writer.record_count(), 3u);
+  EXPECT_EQ(fs::file_size(file), writer.bytes_written());
+  const auto records = scan_records(file);
+  ASSERT_EQ(records.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(records[i].injection_index, i);
+    EXPECT_EQ(records[i].report.per_signal[2].first_ms, 10u + i);
+  }
+}
+
+// A writer that died before its header reached the disk leaves a shard
+// shorter than the 12-byte header: crash residue, reported and skipped.
+TEST(Journal, ShardsShorterThanTheHeaderAreTornTails) {
+  const fs::path dir = fresh_dir("journal_short_shards");
+  {
+    ShardedJournalWriter writer(dir, test_manifest(), 1);
+    writer.append(make_record(0, 0));
+    writer.append(make_record(1, 1));
+  }
+  const std::vector<char> header_prefix(11, 'P');
+  std::ofstream(dir / "shard-000001.pjl", std::ios::binary);
+  std::ofstream(dir / "shard-000002.pjl", std::ios::binary)
+      .write(header_prefix.data(),
+             static_cast<std::streamsize>(header_prefix.size()));
+  for (const char* name : {"shard-000001.pjl", "shard-000002.pjl"}) {
+    JournalScan scan;
+    EXPECT_TRUE(scan_records(dir / name, &scan).empty()) << name;
+    EXPECT_TRUE(scan.torn_tail) << name;
+    EXPECT_FALSE(scan.has_manifest) << name;
+    EXPECT_NE(scan.warning.find("file shorter than the journal header"),
+              std::string::npos)
+        << scan.warning;
+  }
+
+  const CampaignDirState state = scan_campaign_dir(dir);
+  EXPECT_FALSE(state.fresh);
+  EXPECT_EQ(state.manifest, test_manifest());
+  EXPECT_EQ(state.completed_count, 2u);
+  EXPECT_EQ(state.warnings.size(), 2u);
 }
 
 TEST(Journal, GarbageMagicIsAHardError) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/contracts.hpp"
 
 namespace propane::store {
@@ -12,6 +14,39 @@ TEST(Crc32, MatchesTheStandardCheckValue) {
   const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(digits, sizeof(digits)), 0xCBF43926u);
   EXPECT_EQ(crc32(digits, 0), 0u);
+}
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320: the
+/// definition, sharing no table with the production code.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// crc32 consumes eight bytes per step; every length around that step, at
+// every alignment, must give the byte-wise value, so every CRC already on
+// disk stays valid.
+TEST(Crc32, SlicingByEightMatchesAByteWiseReference) {
+  std::vector<std::uint8_t> buffer(4096 + 8);
+  std::uint32_t state = 0x12345678u;
+  for (std::uint8_t& byte : buffer) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<std::uint8_t>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::uint8_t* data = buffer.data() + offset;
+      EXPECT_EQ(crc32(data, length), bitwise_crc32(data, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  EXPECT_EQ(crc32(buffer.data(), 4096), bitwise_crc32(buffer.data(), 4096));
 }
 
 TEST(Crc32, SensitiveToSingleBitFlips) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -268,6 +269,92 @@ TEST(ResultCache, KilledDeltaSessionResumesToAByteIdenticalCsv) {
   EXPECT_EQ(resumed.executed + resumed.replayed + resumed.skipped_completed,
             16u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
+}
+
+// Replays are classified and journaled before the first golden run, so a
+// session that dies in its goldens has already made every replay durable.
+TEST(ResultCache, ReplaysAreDurableBeforeAnythingExecutes) {
+  const fs::path base_dir = fresh_dir("cache_durable_base");
+  cold_delta_run(base_dir);
+  const std::string cold_csv = journal_csv(base_dir);
+
+  const core::SystemModel model = chain_model();
+  const fs::path delta_dir = fresh_dir("cache_durable_delta");
+  const fi::RunFunction dies_in_golden = [](const fi::RunRequest& request) {
+    if (!request.injection) throw std::runtime_error("simulated crash");
+    return chain_run(request, 0xFFFF);
+  };
+  EXPECT_ANY_THROW(run_delta_journaled_campaign(
+      dies_in_golden, chain_config(), model, chain_binding(model), delta_dir,
+      ResultCache::load(base_dir), delta_options({{"M1", 1}, {"M2", 2}})));
+  const CampaignDirState partial = scan_campaign_dir(delta_dir);
+  EXPECT_EQ(partial.completed_count, 8u);  // every src-targeted replay
+  EXPECT_EQ(partial.replayed_count, 8u);
+
+  const DeltaJournalSummary resumed = run_delta_journaled_campaign(
+      chain_runner(), chain_config(), model, chain_binding(model), delta_dir,
+      ResultCache::load(base_dir), delta_options({{"M1", 1}, {"M2", 2}}));
+  EXPECT_EQ(resumed.skipped_completed, 8u);
+  EXPECT_EQ(resumed.replayed, 0u);
+  EXPECT_EQ(resumed.executed, 8u);
+  EXPECT_EQ(journal_csv(delta_dir), cold_csv);
+}
+
+// Replays commit in runs: one write and one flush per run, not per record.
+TEST(ResultCache, AllReplaySessionFlushesFarLessThanItAppends) {
+  const fs::path base_dir = fresh_dir("cache_flush_base");
+  cold_delta_run(base_dir);
+  const core::SystemModel model = chain_model();
+  obs::MetricsRegistry metrics;
+  const obs::Telemetry telemetry{&metrics, nullptr, nullptr};
+  DeltaRunOptions options = delta_options();
+  options.base.telemetry = &telemetry;
+  const DeltaJournalSummary summary = run_delta_journaled_campaign(
+      chain_runner(), chain_config(), model, chain_binding(model),
+      fresh_dir("cache_flush_delta"), ResultCache::load(base_dir), options);
+  ASSERT_EQ(summary.replayed, 16u);
+  const auto counters = metrics.snapshot().counters;
+  const std::uint64_t appends = counters.at("journal.appends");
+  const std::uint64_t flushes = counters.at("journal.flushes");
+  EXPECT_EQ(appends, 16u);
+  EXPECT_LT(4 * flushes, appends);
+}
+
+// Each shard is written by one task in flat order, so the thread count
+// cannot change a byte of any shard.
+TEST(ResultCache, ReplayLayoutIsIndependentOfTheThreadCount) {
+  const fs::path base_dir = fresh_dir("cache_layout_base");
+  cold_delta_run(base_dir);
+  const ResultCache baseline = ResultCache::load(base_dir);
+  const core::SystemModel model = chain_model();
+  const auto replay_all = [&](std::size_t threads) {
+    fi::CampaignConfig config = chain_config();
+    config.threads = threads;
+    DeltaRunOptions options = delta_options();
+    options.base.shard_count = 3;
+    const fs::path dir =
+        fresh_dir("cache_layout_threads" + std::to_string(threads));
+    const DeltaJournalSummary summary = run_delta_journaled_campaign(
+        chain_runner(), config, model, chain_binding(model), dir, baseline,
+        options);
+    EXPECT_EQ(summary.replayed, 16u);
+    return dir;
+  };
+  const fs::path one = replay_all(1);
+  const fs::path four = replay_all(4);
+  const auto slurp = [](const fs::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto shards_one = ShardedJournalWriter::list_shards(one);
+  const auto shards_four = ShardedJournalWriter::list_shards(four);
+  ASSERT_EQ(shards_one.size(), 3u);
+  ASSERT_EQ(shards_four.size(), 3u);
+  for (std::size_t i = 0; i < shards_one.size(); ++i) {
+    EXPECT_EQ(shards_one[i].filename(), shards_four[i].filename());
+    EXPECT_EQ(slurp(shards_one[i]), slurp(shards_four[i]))
+        << shards_one[i].filename();
+  }
 }
 
 /// One session's summary checked against the journal it appended to and
