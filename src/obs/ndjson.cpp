@@ -406,4 +406,20 @@ std::optional<std::vector<Field>> parse_flat_json_object(
   return fields;
 }
 
+const Value* find_field(const std::vector<Field>& fields,
+                        std::string_view key) {
+  for (const Field& field : fields) {
+    if (field.key == key) return &field.value;
+  }
+  return nullptr;
+}
+
+std::string string_field(const std::vector<Field>& fields,
+                         std::string_view key) {
+  const Value* value = find_field(fields, key);
+  return value != nullptr && value->kind() == Value::Kind::kString
+             ? value->as_string()
+             : std::string();
+}
+
 }  // namespace propane::obs

@@ -7,8 +7,9 @@
 // Flat on purpose: a line can be consumed by jq, a spreadsheet importer, or
 // the bundled parse_flat_json_object() -- a deliberately minimal parser
 // that understands exactly what the sink emits (string/number/bool/null
-// scalars, full string escaping) and nothing more. `propane campaign top`
-// is built on it, so the writer and reader round-trip by construction.
+// scalars, full string escaping) and nothing more. The telemetry log
+// reader, obs::read_telemetry_log (obs/trace_export.hpp), is built on it,
+// so the writer and reader round-trip by construction.
 #pragma once
 
 #include <cstdint>
@@ -133,5 +134,11 @@ std::string event_to_json(const Event& event);
 /// or non-scalar values this schema never emits.
 std::optional<std::vector<Field>> parse_flat_json_object(
     std::string_view line);
+
+/// The value of `key` in a parsed line, or null when it is absent.
+const Value* find_field(const std::vector<Field>& fields, std::string_view key);
+/// The string value of `key`, or "" when it is absent or not a string.
+std::string string_field(const std::vector<Field>& fields,
+                         std::string_view key);
 
 }  // namespace propane::obs

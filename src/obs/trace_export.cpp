@@ -4,7 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -13,25 +15,38 @@ namespace propane::obs {
 
 namespace {
 
-const Value* find(const std::vector<Field>& fields, std::string_view key) {
-  for (const Field& field : fields) {
-    if (field.key == key) return &field.value;
-  }
-  return nullptr;
-}
-
 std::uint64_t u64_or(const std::vector<Field>& fields, std::string_view key,
                      std::uint64_t fallback) {
-  const Value* value = find(fields, key);
+  const Value* value = find_field(fields, key);
   return value != nullptr && value->is_number() ? value->as_uint() : fallback;
 }
 
 std::string str_or(const std::vector<Field>& fields, std::string_view key,
                    std::string fallback) {
-  const Value* value = find(fields, key);
+  const Value* value = find_field(fields, key);
   return value != nullptr && value->kind() == Value::Kind::kString
              ? value->as_string()
              : fallback;
+}
+
+/// The events a session emits first, and no other event.
+constexpr std::string_view kSessionOpeners[] = {"delta.plan",
+                                                "bootstrap.plan"};
+
+/// One log line as an event: a flat JSON object with a string "event"
+/// field, or nullopt.
+std::optional<std::vector<Field>> parse_event(std::string_view line) {
+  std::optional<std::vector<Field>> event = parse_flat_json_object(line);
+  if (event.has_value() && string_field(*event, "event").empty()) {
+    event.reset();
+  }
+  return event;
+}
+
+bool opens_session(const std::vector<Field>& event) {
+  const std::string name = string_field(event, "event");
+  return std::find(std::begin(kSessionOpeners), std::end(kSessionOpeners),
+                   name) != std::end(kSessionOpeners);
 }
 
 void append_number(std::string& out, std::int64_t v) {
@@ -168,38 +183,45 @@ Interval interval_of(const std::vector<Field>& event, bool is_span) {
 std::vector<std::size_t> session_starts(
     const std::vector<std::vector<Field>>& events) {
   std::vector<std::size_t> starts = {0};
-  bool scanned = false;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::string name = str_or(events[i], "event", "");
-    if (name == "bootstrap.plan") {
-      if (i > starts.back()) starts.push_back(i);
-      scanned = true;
-      continue;
-    }
-    if (name != "delta.plan" && name != "journal.resume_scan") continue;
-    if (scanned) {
-      starts.push_back(i);
-      scanned = false;
-    }
-    if (name == "journal.resume_scan") scanned = true;
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (opens_session(events[i])) starts.push_back(i);
   }
   return starts;
 }
 
-std::size_t parse_ndjson_stream(std::istream& in,
-                                std::vector<std::vector<Field>>& out) {
-  std::size_t skipped = 0;
-  std::string line;
-  while (std::getline(in, line)) {
+MalformedTelemetryLine::MalformedTelemetryLine(std::size_t line,
+                                               const std::string& text)
+    : std::runtime_error("malformed telemetry line " + std::to_string(line) +
+                         ": " + text),
+      line_(line) {}
+
+TelemetryLog read_telemetry_log(std::istream& in) {
+  TelemetryLog log;
+  // A malformed line waits here until the next line shows whether it is
+  // residue; suspect_line 0 means none waits.
+  std::size_t suspect_line = 0;
+  std::string suspect;
+  std::size_t number = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++number;
     if (line.empty()) continue;
-    auto fields = parse_flat_json_object(line);
-    if (!fields.has_value()) {
-      ++skipped;  // torn tail of a killed writer, or mid-file crash residue
+    std::optional<std::vector<Field>> event = parse_event(line);
+    if (suspect_line != 0) {
+      if (!event.has_value() || !opens_session(*event)) {
+        throw MalformedTelemetryLine(suspect_line, suspect);
+      }
+      ++log.torn_lines;
+      suspect_line = 0;
+    }
+    if (!event.has_value()) {
+      suspect_line = number;
+      suspect = std::move(line);
       continue;
     }
-    out.push_back(std::move(*fields));
+    log.events.push_back(std::move(*event));
   }
-  return skipped;
+  if (suspect_line != 0) ++log.torn_lines;
+  return log;
 }
 
 TraceExportSummary write_chrome_trace(std::ostream& out,
@@ -227,7 +249,7 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
     };
     std::vector<SpanInterval> spans;
     for (std::size_t i = first; i < last; ++i) {
-      if (str_or(stream.events[i], "event", "") == "span") {
+      if (string_field(stream.events[i], "event") == "span") {
         spans.push_back({interval_of(stream.events[i], /*is_span=*/true),
                          u64_or(stream.events[i], "id", 0)});
       }
@@ -253,7 +275,7 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
     bool used_batches_tid = false;
     for (std::size_t i = first; i < last; ++i) {
       const std::vector<Field>& event = stream.events[i];
-      const std::string name = str_or(event, "event", "");
+      const std::string name = string_field(event, "event");
       const std::int64_t t_us = trace_time(u64_or(event, "t_us", 0));
 
       if (name == "span") {
@@ -296,8 +318,8 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
         continue;
       }
 
-      if (name == "metric" && str_or(event, "kind", "") == "counter") {
-        const Value* value = find(event, "value");
+      if (name == "metric" && string_field(event, "kind") == "counter") {
+        const Value* value = find_field(event, "value");
         if (value != nullptr && value->is_number()) {
           events.push_back(trace_event('C',
                                        "metric." + str_or(event, "name", "?"),

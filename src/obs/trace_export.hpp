@@ -5,9 +5,9 @@
 // invocation on the journal adds one session. Each session's timestamps
 // and span ids count from its own process (obs/clock.hpp, obs/span.hpp),
 // so the exporter splits the stream into sessions and renders each one as
-// its own process track. A session opens at its journal.resume_scan event
-// (or the delta.plan event just before it): every session opens the
-// journal exactly once.
+// its own process track. A session opens at its first event: delta.plan
+// for a `campaign run`, `resume` or `delta`, bootstrap.plan for a
+// `campaign bootstrap`.
 //
 // The exporter renders the sessions as Chrome trace-event JSON
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,19 +62,35 @@ struct TraceExportSummary {
   std::size_t instants = 0;         // i events
 };
 
-/// Index of the first event of each session (always starts with 0): a new
-/// session opens at a delta.plan or journal.resume_scan event once the
-/// current session has already scanned its journal or resampled it, and at
-/// every bootstrap.plan event that is not the log's first event. `campaign
-/// top` splits its wall time with the same rule.
+/// Index of the first event of each session (always starts with 0): each
+/// session-opening event after the log's first opens one. `campaign top`
+/// splits its wall time with the same rule.
 std::vector<std::size_t> session_starts(
     const std::vector<std::vector<Field>>& events);
 
-/// Parses NDJSON lines from `in` into parsed-field rows, appending to
-/// `out`. Malformed lines (a killed writer's torn tail) are counted, not
-/// fatal. Returns the number of lines skipped.
-std::size_t parse_ndjson_stream(std::istream& in,
-                                std::vector<std::vector<Field>>& out);
+/// A telemetry log as read_telemetry_log found it.
+struct TelemetryLog {
+  std::vector<std::vector<Field>> events;  // file order
+  std::size_t torn_lines = 0;              // crash residue skipped
+};
+
+/// The first line of a log that is neither an event nor crash residue.
+class MalformedTelemetryLine : public std::runtime_error {
+ public:
+  MalformedTelemetryLine(std::size_t line, const std::string& text);
+  std::size_t line() const { return line_; }  // 1-based
+
+ private:
+  std::size_t line_;
+};
+
+/// The one reader of a telemetry log. Every non-empty line must be a flat
+/// JSON object with a non-empty string "event" field. A line that is not
+/// is crash residue -- a session killed mid-line -- only when it is the
+/// last line or the next line opens a session (the sink heals a missing
+/// newline when it reopens the log); residue is counted and skipped. Any
+/// other malformed line throws MalformedTelemetryLine naming the first.
+TelemetryLog read_telemetry_log(std::istream& in);
 
 /// Writes the stream as one Chrome trace-event JSON object, session k
 /// (from 1) as process k.

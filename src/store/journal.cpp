@@ -93,6 +93,7 @@ void JournalWriter::flush() {
 
 JournalScan scan_journal_file(
     const std::filesystem::path& path,
+    const std::function<void(const Manifest&)>& on_manifest,
     const std::function<void(fi::InjectionRecord&&)>& sink) {
   // One sized read: opened at its end, the stream's position is the shard's
   // size. A file cut short meanwhile simply reads fewer bytes, and the
@@ -160,9 +161,9 @@ JournalScan scan_journal_file(
       PROPANE_CHECK_MSG(type == RecordType::kManifest,
                         "first journal record is not a manifest: " +
                             path.string());
-      scan.manifest = decode_manifest(payload + 1, length - 1);
-      scan.has_manifest = true;
+      const Manifest manifest = decode_manifest(payload + 1, length - 1);
       manifest_seen = true;
+      if (on_manifest) on_manifest(manifest);
     } else {
       PROPANE_CHECK_MSG(type == RecordType::kInjectionResult,
                         "unknown journal record type " +
@@ -182,56 +183,6 @@ JournalScan scan_journal_file(
       scan.warning = path.string() + ": missing manifest record";
     }
   }
-  return scan;
-}
-
-JournalScan peek_journal_manifest(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  PROPANE_REQUIRE_MSG(in.is_open(),
-                      "cannot open journal shard: " + path.string());
-  const std::size_t header_size = sizeof(kJournalMagic) + 4;
-  std::vector<std::uint8_t> head(header_size + 8);
-  in.read(reinterpret_cast<char*>(head.data()),
-          static_cast<std::streamsize>(head.size()));
-  JournalScan scan;
-  if (static_cast<std::size_t>(in.gcount()) < head.size()) {
-    scan.torn_tail = true;
-    scan.warning = path.string() + ": file shorter than the journal header";
-    return scan;
-  }
-  PROPANE_CHECK_MSG(
-      std::memcmp(head.data(), kJournalMagic, sizeof(kJournalMagic)) == 0,
-      "not a campaign journal (bad magic): " + path.string());
-  ByteReader reader(head.data() + sizeof(kJournalMagic), 12);
-  const std::uint32_t version = reader.u32();
-  PROPANE_CHECK_MSG(
-      version >= kMinJournalVersion && version <= kJournalVersion,
-      "unsupported journal version " + std::to_string(version) + ": " +
-          path.string());
-  const std::uint32_t length = reader.u32();
-  const std::uint32_t stored_crc = reader.u32();
-  if (length > kMaxRecordBytes) {
-    scan.torn_tail = true;
-    scan.warning = path.string() + ": truncated manifest frame";
-    return scan;
-  }
-  std::vector<std::uint8_t> payload(length);
-  in.read(reinterpret_cast<char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  if (static_cast<std::size_t>(in.gcount()) < payload.size()) {
-    scan.torn_tail = true;
-    scan.warning = path.string() + ": truncated manifest frame";
-    return scan;
-  }
-  PROPANE_CHECK_MSG(length >= 1 &&
-                        crc32(payload.data(), length) == stored_crc,
-                    "journal CRC mismatch in manifest frame: " +
-                        path.string());
-  PROPANE_CHECK_MSG(
-      static_cast<RecordType>(payload[0]) == RecordType::kManifest,
-      "first journal record is not a manifest: " + path.string());
-  scan.manifest = decode_manifest(payload.data() + 1, length - 1);
-  scan.has_manifest = true;
   return scan;
 }
 

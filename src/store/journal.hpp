@@ -18,7 +18,9 @@
 // torn tail -- and a replay run lost that way is rebuilt from the baseline
 // on resume.
 //
-// Reader semantics (exercised by tests/store/journal_test.cpp):
+// Reader semantics (exercised by tests/store/journal_test.cpp): one
+// reader, scan_journal_file, parses every shard in one read and hands its
+// caller the manifest before the first record;
 //   * a truncated tail frame (header or payload runs past EOF) is the
 //     expected residue of a crash: it is skipped and reported as a warning;
 //   * a CRC mismatch on a *complete* frame means real corruption and is a
@@ -117,27 +119,25 @@ class JournalWriter {
 
 /// Outcome of scanning one shard file.
 struct JournalScan {
-  /// False when the shard tore before its manifest frame hit the disk; the
-  /// shard then contributes nothing and `manifest` is meaningless.
-  bool has_manifest = false;
-  Manifest manifest;
   std::size_t record_count = 0;
   /// True when the file ended inside a frame (crash residue); the partial
-  /// frame was skipped and `warning` describes it.
+  /// frame was skipped and `warning` describes it. A shard that tore
+  /// before its manifest frame hit the disk is torn and contributes
+  /// nothing.
   bool torn_tail = false;
   std::string warning;
 };
 
-/// Scans a shard, invoking `sink` for every decoded injection record (sink
-/// may be null to just validate / count). See the header comment for the
-/// torn-tail vs. corruption semantics.
+/// Scans a shard in one read: `on_manifest` (may be null) receives the
+/// manifest before the first record is decoded -- it is not called when
+/// the manifest frame tore -- then `sink` (may be null to just validate /
+/// count) every injection record. A throw from
+/// `on_manifest` -- a manifest of another campaign -- stops the scan before
+/// any record reaches `sink`. See the header comment for the torn-tail vs.
+/// corruption semantics.
 JournalScan scan_journal_file(
     const std::filesystem::path& path,
+    const std::function<void(const Manifest&)>& on_manifest,
     const std::function<void(fi::InjectionRecord&&)>& sink);
-
-/// Reads only the header and manifest frame of a shard -- a cheap identity
-/// peek (merge uses it to validate every source before streaming records).
-/// record_count is always 0 here; has_manifest is false for crash residue.
-JournalScan peek_journal_manifest(const std::filesystem::path& path);
 
 }  // namespace propane::store

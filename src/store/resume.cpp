@@ -40,25 +40,20 @@ CampaignDirState scan_campaign_dir(
         sink) {
   CampaignDirState state;
   for (const auto& shard : ShardedJournalWriter::list_shards(dir)) {
-    // The record sink below indexes state.completed, so the shard's
-    // manifest must be checked in *before* the full scan streams records:
-    // peek just the first frame first.
-    const JournalScan peek = peek_journal_manifest(shard);
-    if (!peek.has_manifest) {
-      // Writer died before its manifest hit the disk; the shard carries no
-      // records by construction, so skipping it loses nothing.
-      state.warnings.push_back(peek.warning);
-      continue;
-    }
-    if (state.fresh) {
-      state.fresh = false;
-      state.manifest = peek.manifest;
-      state.completed.assign(state.manifest.total_runs(), false);
-    } else {
-      require_same_manifest(state.manifest, peek.manifest, shard.string());
-    }
+    // The record sink below indexes state.completed, so the scan hands over
+    // the shard's manifest to be adopted or checked before any record.
     const JournalScan scan = scan_journal_file(
-        shard, [&](fi::InjectionRecord&& record) {
+        shard,
+        [&](const Manifest& manifest) {
+          if (state.fresh) {
+            state.fresh = false;
+            state.manifest = manifest;
+            state.completed.assign(state.manifest.total_runs(), false);
+          } else {
+            require_same_manifest(state.manifest, manifest, shard.string());
+          }
+        },
+        [&](fi::InjectionRecord&& record) {
           PROPANE_CHECK_MSG(
               record.injection_index < state.manifest.injection_count &&
                   record.test_case < state.manifest.test_case_count,
@@ -74,6 +69,8 @@ CampaignDirState scan_campaign_dir(
           if (record.replayed) ++state.replayed_count;
           if (sink) sink(std::move(record), flat);
         });
+    // A shard whose writer died before its manifest hit the disk carries no
+    // records by construction; it is torn, so it only warns.
     if (scan.torn_tail) state.warnings.push_back(scan.warning);
   }
   return state;
@@ -109,7 +106,8 @@ MergeSummary merge_journals(
   // leave a half-merged destination behind: each must hold at least one
   // shard, no shard file may be merged twice (the same directory listed
   // twice, or the destination named as a source, would otherwise silently
-  // fold into an all-duplicates no-op), and all manifests must agree.
+  // fold into an all-duplicates no-op), all manifests must agree, and every
+  // frame must pass the full scan the copy below repeats.
   std::set<std::filesystem::path> seen_shards;
   for (const auto& shard : ShardedJournalWriter::list_shards(dest)) {
     seen_shards.insert(std::filesystem::weakly_canonical(shard));
@@ -127,13 +125,15 @@ MergeSummary merge_journals(
               shard.string() +
               " (same directory listed twice, or the destination given as a "
               "source)");
-      const JournalScan peek = peek_journal_manifest(shard);
-      if (!peek.has_manifest) continue;  // crash residue; scan warns later
-      if (!manifest) {
-        manifest = peek.manifest;
-      } else {
-        require_same_manifest(*manifest, peek.manifest, shard.string());
-      }
+    }
+    const CampaignDirState state = scan_campaign_dir(source);
+    summary.warnings.insert(summary.warnings.end(), state.warnings.begin(),
+                            state.warnings.end());
+    if (state.fresh) continue;  // only crash residue; it was warned above
+    if (!manifest) {
+      manifest = state.manifest;
+    } else {
+      require_same_manifest(*manifest, state.manifest, source.string());
     }
   }
   PROPANE_REQUIRE_MSG(manifest.has_value(),
@@ -157,8 +157,6 @@ MergeSummary merge_journals(
           ++summary.record_count;
         });
     summary.duplicate_count += state.duplicate_count;
-    summary.warnings.insert(summary.warnings.end(), state.warnings.begin(),
-                            state.warnings.end());
   }
   return summary;
 }

@@ -115,10 +115,12 @@ struct MergeSummary {
 /// Merges the unique records of `sources` (directories of the same plan)
 /// into `dest`. `dest` may be empty or already hold shards of that plan;
 /// records it already has are not duplicated. Estimates over the merged
-/// directory equal those of a single-process run of the union. Hard errors
-/// (before anything is written): a source with no shards, a shard file
-/// encountered twice (a source listed twice, or `dest` given as a source),
-/// or disagreeing manifests.
+/// directory equal those of a single-process run of the union. Every
+/// source is scanned in full before `dest` gains a shard, so these hard
+/// errors come before anything is written: a source with no shards, a
+/// shard file encountered twice (a source listed twice, or `dest` given as
+/// a source), disagreeing manifests, or a corrupt frame (CRC mismatch, bad
+/// magic, unsupported version) in any source. Torn tails only warn.
 MergeSummary merge_journals(const std::filesystem::path& dest,
                             const std::vector<std::filesystem::path>& sources);
 

@@ -299,10 +299,10 @@ TEST(TelemetryCampaign, TraceParentsEveryRunUnderItsSessionsCampaignSpan) {
     sink.flush();
   }
 
-  obs::TraceStream stream;
-  stream.name = "campaign";
   std::istringstream in(log.str());
-  EXPECT_EQ(obs::parse_ndjson_stream(in, stream.events), 0u);
+  obs::TelemetryLog parsed = obs::read_telemetry_log(in);
+  EXPECT_EQ(parsed.torn_lines, 0u);
+  const obs::TraceStream stream{"campaign", std::move(parsed.events)};
   std::ostringstream out;
   const obs::TraceExportSummary summary = obs::write_chrome_trace(out, stream);
   EXPECT_EQ(summary.sessions, 2u);

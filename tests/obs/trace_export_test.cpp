@@ -1,8 +1,9 @@
-// Chrome-trace export: torn-line-tolerant stream parsing and the render
-// pass -- span X events with their parent chain in args, golden-run and
-// batch spans synthesized from golden.done / campaign.batch.done and
-// parented by phase containment, one process track per session, counter
-// tracks, instants, metadata rows, and saturated times on hostile lines.
+// Chrome-trace export: the telemetry log reader's crash-residue rule and
+// the render pass -- span X events with their parent chain in args,
+// golden-run and batch spans synthesized from golden.done /
+// campaign.batch.done and parented by phase containment, one process track
+// per session, counter tracks, instants, metadata rows, and saturated
+// times on hostile lines.
 #include "obs/trace_export.hpp"
 
 #include <gtest/gtest.h>
@@ -50,17 +51,90 @@ std::string line_with(const std::string& trace, const std::string& needle) {
   return trace.substr(begin, trace.find('\n', at) - begin);
 }
 
-TEST(ParseNdjsonStream, CountsTornLinesInsteadOfFailing) {
+/// The `event` names of a parsed log, in order.
+std::vector<std::string> names_of(const TelemetryLog& log) {
+  std::vector<std::string> names;
+  for (const std::vector<Field>& event : log.events) {
+    names.push_back(event[0].value.as_string());
+  }
+  return names;
+}
+
+TEST(ReadTelemetryLog, SkipsATornLastLine) {
   std::istringstream in(
       "{\"event\":\"a\",\"t_us\":1}\n"
       "\n"
       "{\"event\":\"b\",\"t_us\":2}\n"
       "{\"event\":\"torn\",\"t_us\":3");  // killed writer: no closing brace
-  std::vector<std::vector<Field>> rows;
-  EXPECT_EQ(parse_ndjson_stream(in, rows), 1u);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0].value.as_string(), "a");
-  EXPECT_EQ(rows[1][0].value.as_string(), "b");
+  const TelemetryLog log = read_telemetry_log(in);
+  EXPECT_EQ(log.torn_lines, 1u);
+  EXPECT_EQ(names_of(log), (std::vector<std::string>{"a", "b"}));
+}
+
+/// A session killed mid-line, then the next session's first event.
+void expect_torn_line_skipped_before(const std::string& opener) {
+  std::istringstream in("{\"event\":\"delta.plan\",\"t_us\":0}\n"
+                        "{\"event\":\"golden.done\",\"t_\n"
+                        "{\"event\":\"" + opener + "\",\"t_us\":0}\n"
+                        "{\"event\":\"delta.done\",\"t_us\":5}\n");
+  const TelemetryLog log = read_telemetry_log(in);
+  EXPECT_EQ(log.torn_lines, 1u);
+  EXPECT_EQ(names_of(log),
+            (std::vector<std::string>{"delta.plan", opener, "delta.done"}));
+  EXPECT_EQ(session_starts(log.events), (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(ReadTelemetryLog, SkipsATornLineBeforeDeltaPlan) {
+  expect_torn_line_skipped_before("delta.plan");  // a run, resume or delta
+}
+
+TEST(ReadTelemetryLog, SkipsATornLineBeforeBootstrapPlan) {
+  expect_torn_line_skipped_before("bootstrap.plan");  // a bootstrap
+}
+
+TEST(ReadTelemetryLog, MalformedLineBeforeAnOrdinaryEventIsAnError) {
+  // Garbage, a torn line followed by another torn line, and a well-formed
+  // object without an event name: none of them is crash residue.
+  const std::string cases[] = {
+      "{\"event\":\"a\"}\nnot json\n{\"event\":\"b\"}\n",
+      "{\"event\":\"a\"}\n{\"event\":\"b\",\n{\"ev\n{\"event\":\"c\"}\n",
+      "{\"event\":\"a\"}\n{\"t_us\":1}\n{\"event\":\"b\"}\n",
+  };
+  for (const std::string& text : cases) {
+    std::istringstream in(text);
+    try {
+      read_telemetry_log(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const MalformedTelemetryLine& err) {
+      EXPECT_EQ(err.line(), 2u) << text;
+      EXPECT_NE(std::string(err.what()).find("malformed telemetry line 2"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(ReadTelemetryLog, IgnoresEmptyLines) {
+  // Empty lines count toward line numbers but are neither events nor
+  // residue: the torn line is the last non-empty one.
+  std::istringstream in(
+      "\n"
+      "{\"event\":\"a\",\"t_us\":1}\n"
+      "\n"
+      "{\"event\":\"b\",\"t_us\":2}\n"
+      "{\"event\":\"torn\",\"t_us\":3\n"
+      "\n");
+  const TelemetryLog log = read_telemetry_log(in);
+  EXPECT_EQ(log.torn_lines, 1u);
+  EXPECT_EQ(names_of(log), (std::vector<std::string>{"a", "b"}));
+
+  std::istringstream bad(
+      "\n{\"event\":\"a\"}\n\nnot json\n{\"event\":\"b\"}\n");
+  try {
+    read_telemetry_log(bad);
+    ADD_FAILURE() << "accepted mid-file garbage";
+  } catch (const MalformedTelemetryLine& err) {
+    EXPECT_EQ(err.line(), 4u);
+  }
 }
 
 TEST(WriteChromeTrace, RendersSpansWithTheirParentChain) {
@@ -253,9 +327,9 @@ TEST(WriteChromeTrace, HostileTimesSaturateInsteadOfOverflowing) {
       "{\"event\":\"campaign.batch.done\",\"t_us\":3,"
       "\"dur_us\":18446744073709551615,\"lanes\":2}\n"
       "{\"event\":\"delta.done\",\"t_us\":1e300}\n");
-  TraceStream stream;
-  stream.name = "campaign";
-  ASSERT_EQ(parse_ndjson_stream(in, stream.events), 0u);
+  TelemetryLog log = read_telemetry_log(in);
+  ASSERT_EQ(log.torn_lines, 0u);
+  const TraceStream stream{"campaign", std::move(log.events)};
   std::ostringstream out;
   const TraceExportSummary summary = write_chrome_trace(out, stream);
   const std::string trace = out.str();

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -43,13 +46,19 @@ fi::InjectionRecord make_record(std::uint32_t injection,
   return record;
 }
 
-std::vector<fi::InjectionRecord> scan_records(const fs::path& path,
-                                              JournalScan* out = nullptr) {
+/// What one scan of a shard handed over, and its outcome.
+struct ShardScan {
+  std::optional<Manifest> manifest;
   std::vector<fi::InjectionRecord> records;
-  const JournalScan scan = scan_journal_file(
-      path, [&](fi::InjectionRecord&& r) { records.push_back(std::move(r)); });
-  if (out != nullptr) *out = scan;
-  return records;
+  JournalScan outcome;
+};
+
+ShardScan scan_shard(const fs::path& path) {
+  ShardScan shard;
+  shard.outcome = scan_journal_file(
+      path, [&](const Manifest& manifest) { shard.manifest = manifest; },
+      [&](fi::InjectionRecord&& r) { shard.records.push_back(std::move(r)); });
+  return shard;
 }
 
 TEST(Journal, WriteThenScanRoundTrips) {
@@ -62,11 +71,10 @@ TEST(Journal, WriteThenScanRoundTrips) {
     EXPECT_EQ(writer.record_count(), 2u);
     EXPECT_GT(writer.bytes_written(), 0u);
   }
-  JournalScan scan;
-  const auto records = scan_records(file, &scan);
-  EXPECT_TRUE(scan.has_manifest);
-  EXPECT_EQ(scan.manifest, test_manifest());
-  EXPECT_FALSE(scan.torn_tail);
+  const ShardScan shard = scan_shard(file);
+  EXPECT_EQ(shard.manifest, test_manifest());
+  EXPECT_FALSE(shard.outcome.torn_tail);
+  const auto& records = shard.records;
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].injection_index, 0u);
   EXPECT_EQ(records[1].test_case, 1u);
@@ -81,17 +89,36 @@ TEST(Journal, WriterRefusesExistingFile) {
   EXPECT_THROW(JournalWriter(file, test_manifest()), ContractViolation);
 }
 
-TEST(Journal, PeekReadsOnlyTheManifest) {
-  const fs::path dir = fresh_dir("journal_peek");
+TEST(Journal, ManifestReachesTheCallerBeforeAnyRecord) {
+  const fs::path dir = fresh_dir("journal_manifest_first");
   const fs::path file = dir / "shard-000000.pjl";
   {
     JournalWriter writer(file, test_manifest());
     writer.append(make_record(0, 0));
+    writer.append(make_record(1, 0));
   }
-  const JournalScan peek = peek_journal_manifest(file);
-  EXPECT_TRUE(peek.has_manifest);
-  EXPECT_EQ(peek.manifest, test_manifest());
-  EXPECT_EQ(peek.record_count, 0u);  // records not scanned
+  std::vector<std::string> order;
+  const JournalScan scan = scan_journal_file(
+      file,
+      [&](const Manifest& manifest) {
+        EXPECT_EQ(manifest, test_manifest());
+        order.push_back("manifest");
+      },
+      [&](fi::InjectionRecord&&) { order.push_back("record"); });
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"manifest", "record", "record"}));
+  EXPECT_EQ(scan.record_count, 2u);
+
+  // A manifest the caller refuses stops the scan before any record.
+  std::size_t records = 0;
+  EXPECT_THROW(scan_journal_file(
+                   file,
+                   [](const Manifest&) {
+                     throw std::runtime_error("another campaign");
+                   },
+                   [&](fi::InjectionRecord&&) { ++records; }),
+               std::runtime_error);
+  EXPECT_EQ(records, 0u);
 }
 
 TEST(Journal, TruncatedTailIsSkippedWithWarning) {
@@ -106,13 +133,12 @@ TEST(Journal, TruncatedTailIsSkippedWithWarning) {
   const auto full_size = fs::file_size(file);
   fs::resize_file(file, full_size - 5);
 
-  JournalScan scan;
-  const auto records = scan_records(file, &scan);
-  EXPECT_TRUE(scan.has_manifest);
-  EXPECT_TRUE(scan.torn_tail);
-  EXPECT_FALSE(scan.warning.empty());
-  ASSERT_EQ(records.size(), 1u);  // the complete record survives
-  EXPECT_EQ(records[0].injection_index, 0u);
+  const ShardScan shard = scan_shard(file);
+  EXPECT_TRUE(shard.manifest.has_value());
+  EXPECT_TRUE(shard.outcome.torn_tail);
+  EXPECT_FALSE(shard.outcome.warning.empty());
+  ASSERT_EQ(shard.records.size(), 1u);  // the complete record survives
+  EXPECT_EQ(shard.records[0].injection_index, 0u);
 }
 
 TEST(Journal, TailTornInsideTheFrameHeaderIsAlsoSkipped) {
@@ -126,11 +152,10 @@ TEST(Journal, TailTornInsideTheFrameHeaderIsAlsoSkipped) {
   }
   // Keep only 3 bytes of the record frame's length/CRC header.
   fs::resize_file(file, manifest_only_size + 3);
-  JournalScan scan;
-  const auto records = scan_records(file, &scan);
-  EXPECT_TRUE(scan.has_manifest);
-  EXPECT_TRUE(scan.torn_tail);
-  EXPECT_TRUE(records.empty());
+  const ShardScan shard = scan_shard(file);
+  EXPECT_TRUE(shard.manifest.has_value());
+  EXPECT_TRUE(shard.outcome.torn_tail);
+  EXPECT_TRUE(shard.records.empty());
 }
 
 TEST(Journal, MidFileCorruptionIsAHardError) {
@@ -155,7 +180,7 @@ TEST(Journal, MidFileCorruptionIsAHardError) {
     byte = static_cast<char>(byte ^ 0x40);
     stream.write(&byte, 1);
   }
-  EXPECT_THROW(scan_records(file), ContractViolation);
+  EXPECT_THROW(scan_shard(file), ContractViolation);
 }
 
 TEST(Journal, StagedRecordsReachTheFileOnlyAtCommit) {
@@ -175,7 +200,7 @@ TEST(Journal, StagedRecordsReachTheFileOnlyAtCommit) {
   EXPECT_EQ(writer.staged_bytes(), 0u);
   EXPECT_EQ(writer.record_count(), 3u);
   EXPECT_EQ(fs::file_size(file), writer.bytes_written());
-  const auto records = scan_records(file);
+  const auto records = scan_shard(file).records;
   ASSERT_EQ(records.size(), 3u);
   for (std::uint32_t i = 0; i < 3; ++i) {
     EXPECT_EQ(records[i].injection_index, i);
@@ -198,13 +223,14 @@ TEST(Journal, ShardsShorterThanTheHeaderAreTornTails) {
       .write(header_prefix.data(),
              static_cast<std::streamsize>(header_prefix.size()));
   for (const char* name : {"shard-000001.pjl", "shard-000002.pjl"}) {
-    JournalScan scan;
-    EXPECT_TRUE(scan_records(dir / name, &scan).empty()) << name;
-    EXPECT_TRUE(scan.torn_tail) << name;
-    EXPECT_FALSE(scan.has_manifest) << name;
-    EXPECT_NE(scan.warning.find("file shorter than the journal header"),
+    const ShardScan shard = scan_shard(dir / name);
+    EXPECT_TRUE(shard.records.empty()) << name;
+    EXPECT_TRUE(shard.outcome.torn_tail) << name;
+    EXPECT_FALSE(shard.manifest.has_value()) << name;
+    const std::string& warning = shard.outcome.warning;
+    EXPECT_NE(warning.find("file shorter than the journal header"),
               std::string::npos)
-        << scan.warning;
+        << warning;
   }
 
   const CampaignDirState state = scan_campaign_dir(dir);
@@ -218,7 +244,7 @@ TEST(Journal, GarbageMagicIsAHardError) {
   const fs::path dir = fresh_dir("journal_magic");
   const fs::path file = dir / "shard-000000.pjl";
   std::ofstream(file, std::ios::binary) << "NOTAJRNL garbage";
-  EXPECT_THROW(scan_records(file), ContractViolation);
+  EXPECT_THROW(scan_shard(file), ContractViolation);
 }
 
 TEST(ShardedWriter, DistributesRecordsAndListsShards) {
@@ -238,8 +264,8 @@ TEST(ShardedWriter, DistributesRecordsAndListsShards) {
   ASSERT_EQ(shards.size(), 3u);
   std::size_t total = 0;
   for (const auto& shard : shards) {
-    JournalScan scan;
-    total += scan_records(shard, &scan).size();
+    const ShardScan scan = scan_shard(shard);
+    total += scan.records.size();
     EXPECT_EQ(scan.manifest, manifest);
   }
   EXPECT_EQ(total, manifest.total_runs());

@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "core/system_model.hpp"
@@ -220,6 +222,54 @@ TEST(Merge, MismatchedSourcesAreRefusedBeforeWriting) {
   const fs::path merged = fresh_dir("merge_bad_dest");
   EXPECT_THROW(merge_journals(merged, {a, b}), ContractViolation);
   // Validation happens before any write: no shard files appeared.
+  EXPECT_TRUE(ShardedJournalWriter::list_shards(merged).empty());
+}
+
+/// Flips one payload byte in the middle of the first record frame of the
+/// first shard in `dir` that holds one: a complete frame whose CRC no
+/// longer matches, i.e. corruption rather than crash residue.
+void corrupt_first_record(const fs::path& dir) {
+  const auto u32_at = [](const std::vector<char>& bytes, std::size_t at) {
+    std::uint32_t value = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      value |= static_cast<std::uint32_t>(
+                   static_cast<unsigned char>(bytes[at + i]))
+               << (8 * i);
+    }
+    return value;
+  };
+  for (const fs::path& shard : ShardedJournalWriter::list_shards(dir)) {
+    std::vector<char> bytes(fs::file_size(shard));
+    std::ifstream(shard, std::ios::binary)
+        .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    // Header (magic + version), then the manifest frame, then records.
+    const std::size_t header = sizeof(kJournalMagic) + 4;
+    const std::size_t record = header + 8 + u32_at(bytes, header);
+    if (bytes.size() <= record + 8) continue;
+    bytes[record + 8 + u32_at(bytes, record) / 2] ^= 0x40;
+    std::ofstream(shard, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return;
+  }
+  FAIL() << "no record frame in " << dir;
+}
+
+TEST(Merge, CorruptSourceIsRefusedBeforeWriting) {
+  const fs::path part0 = fresh_dir("merge_corrupt_part0");
+  const fs::path part1 = fresh_dir("merge_corrupt_part1");
+  for (std::uint32_t index = 0; index < 2; ++index) {
+    JournalRunOptions options;
+    options.process_count = 2;
+    options.process_index = index;
+    run_journaled(toy_run, toy_config(), index == 0 ? part0 : part1,
+                  options);
+  }
+  corrupt_first_record(part1);
+
+  // The first source is sound; only a full scan of the second finds the
+  // bad frame, and it must do so before the first is copied.
+  const fs::path merged = fresh_dir("merge_corrupt_dest");
+  EXPECT_THROW(merge_journals(merged, {part0, part1}), ContractViolation);
   EXPECT_TRUE(ShardedJournalWriter::list_shards(merged).empty());
 }
 

@@ -51,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -402,13 +403,50 @@ void print_batch_occupancy(const BatchTally& tally) {
   }
 }
 
-// Defined with the telemetry helpers below (campaign top section).
-void print_batch_occupancy_from_telemetry(const CampaignArgs& args);
-
 std::filesystem::path telemetry_path(const CampaignArgs& args) {
   return args.metrics_out.empty()
              ? args.journal / "telemetry.ndjson"
              : std::filesystem::path(args.metrics_out);
+}
+
+/// The telemetry log at telemetry_path(), read by obs::read_telemetry_log,
+/// the one reader of the format and the one place its crash-residue rule
+/// lives; nullopt when there is no log. A malformed line throws a
+/// std::runtime_error naming the file and the line.
+std::optional<obs::TelemetryLog> read_event_log(const CampaignArgs& args) {
+  const std::filesystem::path path = telemetry_path(args);
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  try {
+    return obs::read_telemetry_log(in);
+  } catch (const obs::MalformedTelemetryLine& err) {
+    throw std::runtime_error(path.string() + ": " + err.what());
+  }
+}
+
+/// " (N torn line(s) skipped)" when the reader skipped crash residue.
+std::string torn_note(const obs::TelemetryLog& log) {
+  if (log.torn_lines == 0) return {};
+  return " (" + std::to_string(log.torn_lines) + " torn line(s) skipped)";
+}
+
+/// Feeds print_batch_occupancy from the final batch-runner metrics of the
+/// journal's telemetry log. Telemetry is an enrichment for `campaign
+/// stats`: a missing log prints nothing, a corrupt one a single warning.
+void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
+  std::optional<obs::TelemetryLog> log;
+  try {
+    log = read_event_log(args);
+  } catch (const std::runtime_error& err) {
+    print_warnings({std::string(err.what()) + " (batch occupancy left out)"});
+    return;
+  }
+  if (!log) return;
+  BatchTally tally;
+  for (const std::vector<obs::Field>& event : log->events) {
+    if (obs::string_field(event, "event") == "metric") tally.add(event);
+  }
+  print_batch_occupancy(tally);
 }
 
 /// The session's event log, appended to telemetry_path(); none under
@@ -795,14 +833,6 @@ int cmd_campaign_bootstrap(const CampaignArgs& args) {
 
 // --- propane campaign top ------------------------------------------------
 
-const obs::Value* find_field(const std::vector<obs::Field>& fields,
-                             std::string_view key) {
-  for (const obs::Field& field : fields) {
-    if (field.key == key) return &field.value;
-  }
-  return nullptr;
-}
-
 std::string render_value(const obs::Value& value) {
   char buffer[64];
   switch (value.kind()) {
@@ -828,13 +858,12 @@ std::string render_value(const obs::Value& value) {
 }
 
 void BatchTally::add(const std::vector<obs::Field>& fields) {
-  const obs::Value* name = find_field(fields, "name");
-  if (name == nullptr || name->kind() != obs::Value::Kind::kString) return;
+  const std::string name = obs::string_field(fields, "name");
   const auto number = [&](const char* key) -> const obs::Value* {
-    const obs::Value* v = find_field(fields, key);
+    const obs::Value* v = obs::find_field(fields, key);
     return v != nullptr && v->is_number() ? v : nullptr;
   };
-  if (name->as_string() == "batch.group.lanes") {
+  if (name == "batch.group.lanes") {
     const obs::Value* count = number("count");
     const obs::Value* sum = number("sum");
     if (count != nullptr && sum != nullptr) {
@@ -852,47 +881,25 @@ void BatchTally::add(const std::vector<obs::Field>& fields) {
         {"batch.retire.converged", &converged},
         {"batch.retire.exhausted", &exhausted}};
     for (const auto& [counter, total] : counters) {
-      if (name->as_string() == counter) *total += v->as_double();
+      if (name == counter) *total += v->as_double();
     }
   }
-}
-
-/// Best-effort scan of the journal's telemetry log for the final
-/// batch-runner metrics, feeding print_batch_occupancy. Telemetry is an
-/// enrichment for `campaign stats`, so a missing file and malformed lines
-/// are silently skipped here -- `campaign top` is the strict NDJSON
-/// validator.
-void print_batch_occupancy_from_telemetry(const CampaignArgs& args) {
-  BatchTally tally;
-  std::ifstream in(telemetry_path(args));
-  for (std::string line; std::getline(in, line);) {
-    const auto fields = obs::parse_flat_json_object(line);
-    if (!fields.has_value()) continue;
-    const obs::Value* event = find_field(*fields, "event");
-    if (event != nullptr && event->kind() == obs::Value::Kind::kString &&
-        event->as_string() == "metric") {
-      tally.add(*fields);
-    }
-  }
-  print_batch_occupancy(tally);
 }
 
 /// Summarises the campaign telemetry log. Doubles as an NDJSON validity
-/// check: any malformed line other than a torn final one (the residue of a
-/// live or killed writer) is a hard error.
+/// check: any malformed line other than crash residue is a hard error.
 int cmd_campaign_top(const CampaignArgs& args) {
-  const std::filesystem::path path = telemetry_path(args);
-  std::ifstream in(path);
-  if (!in) {
+  const std::optional<obs::TelemetryLog> log = read_event_log(args);
+  if (!log) {
     std::fprintf(stderr,
                  "propane: no telemetry log at '%s' (campaign run writes it; "
                  "--metrics-out overrides the location)\n",
-                 path.string().c_str());
+                 telemetry_path(args).string().c_str());
     return 1;
   }
+  const std::vector<std::vector<obs::Field>>& events = log->events;
 
   std::map<std::string, std::size_t> event_counts;
-  std::vector<std::vector<obs::Field>> events;  // every parsed line
   std::size_t requests = 0;
   std::uint64_t request_lanes = 0;
   double request_dur_sum_us = 0.0, request_dur_max_us = 0.0;
@@ -900,92 +907,46 @@ int cmd_campaign_top(const CampaignArgs& args) {
   std::vector<obs::Field> last_done;   // most recent delta.done
   std::map<std::string, std::string> final_metrics;  // last metric events
   BatchTally batch;                    // summed across sessions
-  std::size_t torn_lines = 0;
 
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) lines.push_back(std::move(line));
-  }
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    auto fields = obs::parse_flat_json_object(lines[i]);
-    if (!fields.has_value()) {
-      if (i + 1 == lines.size()) {
-        // The writer died (or is still running) mid-line: expected
-        // residue, same stance the journal reader takes on a torn tail
-        // frame.
-        ++torn_lines;
-        break;
-      }
-      // A session killed mid-line leaves its residue where the next
-      // session's first event (always delta.plan) follows; that is crash
-      // residue too, not corruption.
-      const auto next = obs::parse_flat_json_object(lines[i + 1]);
-      const obs::Value* next_event =
-          next.has_value() ? find_field(*next, "event") : nullptr;
-      if (next_event != nullptr &&
-          next_event->kind() == obs::Value::Kind::kString &&
-          next_event->as_string() == "delta.plan") {
-        ++torn_lines;
-        continue;
-      }
-      std::fprintf(stderr,
-                   "propane: malformed telemetry line %zu in %s: %s\n",
-                   i + 1, path.string().c_str(), lines[i].c_str());
-      return 1;
-    }
-    const obs::Value* name = find_field(*fields, "event");
-    if (name == nullptr || name->kind() != obs::Value::Kind::kString) {
-      std::fprintf(stderr,
-                   "propane: telemetry line %zu in %s has no event name\n",
-                   i + 1, path.string().c_str());
-      return 1;
-    }
-    const std::string& event = name->as_string();
+  for (const std::vector<obs::Field>& fields : events) {
+    const std::string event = obs::string_field(fields, "event");
     ++event_counts[event];
     if (event == "campaign.batch.done") {
       ++requests;
-      if (const obs::Value* lanes = find_field(*fields, "lanes");
+      if (const obs::Value* lanes = obs::find_field(fields, "lanes");
           lanes != nullptr && lanes->is_number()) {
         request_lanes += lanes->as_uint();
       }
-      if (const obs::Value* dur = find_field(*fields, "dur_us");
+      if (const obs::Value* dur = obs::find_field(fields, "dur_us");
           dur != nullptr && dur->is_number()) {
         request_dur_sum_us += dur->as_double();
         request_dur_max_us = std::max(request_dur_max_us, dur->as_double());
       }
     } else if (event == "delta.done") {
-      last_done = *fields;
+      last_done = fields;
     } else if (event == "metric") {
-      batch.add(*fields);
-      const obs::Value* metric = find_field(*fields, "name");
-      if (metric != nullptr &&
-          metric->kind() == obs::Value::Kind::kString) {
-        const obs::Value* kind = find_field(*fields, "kind");
-        const obs::Value* value = find_field(*fields, "value");
-        if (kind != nullptr && kind->kind() == obs::Value::Kind::kString &&
-            kind->as_string() == "histogram") {
-          std::string cell;
-          for (const char* key : {"count", "p50", "p90", "p99"}) {
-            const obs::Value* v = find_field(*fields, key);
-            if (v == nullptr) continue;
-            if (!cell.empty()) cell += ", ";
-            cell += std::string(key) + "=" + render_value(*v);
-          }
-          final_metrics[metric->as_string()] = cell;
-        } else if (value != nullptr) {
-          final_metrics[metric->as_string()] = render_value(*value);
-          if (value->is_number()) {
-            if (metric->as_string() == "campaign.runs.injection") {
-              executed += value->as_uint();
-            } else if (metric->as_string() == "campaign.runs.diverged") {
-              diverged += value->as_uint();
-            }
-          }
+      batch.add(fields);
+      const std::string metric = obs::string_field(fields, "name");
+      if (metric.empty()) continue;
+      const obs::Value* value = obs::find_field(fields, "value");
+      if (obs::string_field(fields, "kind") == "histogram") {
+        std::string cell;
+        for (const char* key : {"count", "p50", "p90", "p99"}) {
+          const obs::Value* v = obs::find_field(fields, key);
+          if (v == nullptr) continue;
+          if (!cell.empty()) cell += ", ";
+          cell += std::string(key) + "=" + render_value(*v);
+        }
+        final_metrics[metric] = cell;
+      } else if (value != nullptr) {
+        final_metrics[metric] = render_value(*value);
+        if (value->is_number() && metric == "campaign.runs.injection") {
+          executed += value->as_uint();
+        } else if (value->is_number() && metric == "campaign.runs.diverged") {
+          diverged += value->as_uint();
         }
       }
     }
-    events.push_back(std::move(*fields));
   }
 
   // Every session's clock starts at its own process epoch (obs/clock.hpp),
@@ -999,7 +960,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
     bool any_time = false;
     std::uint64_t t_first = 0, t_last = 0;
     for (std::size_t i = starts[session]; i < starts[session + 1]; ++i) {
-      const obs::Value* t_us = find_field(events[i], "t_us");
+      const obs::Value* t_us = obs::find_field(events[i], "t_us");
       if (t_us == nullptr || !t_us->is_number()) continue;
       const std::uint64_t t = t_us->as_uint();
       t_first = any_time ? std::min(t_first, t) : t;
@@ -1008,13 +969,9 @@ int cmd_campaign_top(const CampaignArgs& args) {
     }
     span_s += static_cast<double>(t_last - t_first) / 1e6;
   }
-  std::string torn_note;
-  if (torn_lines > 0) {
-    torn_note = " (" + std::to_string(torn_lines) + " torn line(s) skipped)";
-  }
   std::printf("telemetry %s: %zu event(s) in %zu session(s), %.2fs%s\n",
               args.journal.string().c_str(), events.size(), sessions, span_s,
-              torn_note.c_str());
+              torn_note(*log).c_str());
 
   TextTable events_table({"Event", "Count"});
   for (const auto& [event, count] : event_counts) {
@@ -1069,20 +1026,16 @@ int cmd_campaign_top(const CampaignArgs& args) {
 /// Renders the journal's telemetry log as one Chrome/Perfetto trace-event
 /// JSON, each session that appended to it as its own process track.
 int cmd_campaign_trace(const CampaignArgs& args) {
-  const std::filesystem::path path = telemetry_path(args);
-  std::ifstream in(path);
-  if (!in) {
+  std::optional<obs::TelemetryLog> log = read_event_log(args);
+  if (!log) {
     std::fprintf(stderr,
                  "propane: no telemetry log at '%s' -- `campaign trace` "
                  "needs the NDJSON log a telemetry-enabled campaign "
                  "writes\n",
-                 path.string().c_str());
+                 telemetry_path(args).string().c_str());
     return 1;
   }
-  obs::TraceStream stream;
-  stream.name = "campaign";
-  const std::size_t skipped_lines =
-      obs::parse_ndjson_stream(in, stream.events);
+  const obs::TraceStream stream{"campaign", std::move(log->events)};
 
   const std::filesystem::path out_path =
       args.trace_out.empty() ? args.journal / "trace.json"
@@ -1101,17 +1054,12 @@ int cmd_campaign_trace(const CampaignArgs& args) {
                  out_path.string().c_str());
     return 1;
   }
-  std::string skipped_note;
-  if (skipped_lines > 0) {
-    skipped_note =
-        " (" + std::to_string(skipped_lines) + " torn line(s) skipped)";
-  }
   std::printf(
       "trace %s: %zu event(s) from %zu session(s) -- %zu span(s), "
       "%zu synthesized, %zu counter sample(s), %zu instant(s)%s\n",
       out_path.string().c_str(), summary.trace_events, summary.sessions,
       summary.spans, summary.synthesized, summary.counter_samples,
-      summary.instants, skipped_note.c_str());
+      summary.instants, torn_note(*log).c_str());
   std::printf("open in ui.perfetto.dev or chrome://tracing\n");
   return 0;
 }
