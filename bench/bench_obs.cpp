@@ -143,7 +143,6 @@ BENCHMARK(BM_EventEmit);
 void BM_ParseFlatJsonObject(benchmark::State& state) {
   const std::string line = obs::event_to_json(obs::make_event(
       "campaign.batch.done", {{"fire_ms", obs::Value(1234)},
-                              {"test_cases", obs::Value(2)},
                               {"lanes", obs::Value(63)},
                               {"dur_us", obs::Value(2512)}}));
   for (auto _ : state) {

@@ -84,20 +84,14 @@ struct BatchInstruments {
 /// padding a thin kernel out to its row costs next to nothing.
 constexpr std::size_t kRowLanes = 32;
 
-/// One test case's runs: request lane indices in fire-tick order, and
-/// their kernel specs in the same order.
-struct Pool {
-  std::uint32_t test_case = 0;
-  std::vector<std::size_t> lanes;
-  std::vector<BatchLaneSpec> specs;
-};
-
-/// Streams `request` through one kernel of at most `width` slots (see the
-/// header comment).
+/// Streams `request` -- the runs of one test case -- through one kernel of
+/// at most `width` slots (see the header comment).
 std::vector<fi::DivergenceReport> run_batch(
     const WarmStartEngine& engine, std::size_t width,
     const fi::BatchRunRequest& request, const BatchInstruments& instruments) {
   PROPANE_REQUIRE(!request.lanes.empty());
+  const std::uint32_t test_case = request.lanes.front().test_case;
+  PROPANE_REQUIRE(test_case < engine.cases().size());
   if (instruments.group_lanes != nullptr) {
     instruments.group_lanes->observe(
         static_cast<double>(request.lanes.size()));
@@ -110,31 +104,30 @@ std::vector<fi::DivergenceReport> run_batch(
 
   // Peel lanes whose injection fires at/after the horizon: those runs
   // *are* the golden run, every signal matches, and no simulation is
-  // needed. The rest ("live" lanes) form one pool per distinct test case,
-  // in first-appearance order, each in fire-tick order (request order
+  // needed. The rest ("live" lanes) run in fire-tick order (request order
   // among equal ticks).
-  std::vector<Pool> pools;
-  std::size_t live = 0;
+  std::vector<std::size_t> live;
   for (std::size_t i = 0; i < request.lanes.size(); ++i) {
-    const fi::BatchLaneRequest& lane = request.lanes[i];
-    PROPANE_REQUIRE(lane.test_case < engine.cases().size());
+    PROPANE_REQUIRE_MSG(request.lanes[i].test_case == test_case,
+                        "a batch request holds the runs of one test case");
     if (fire_ms(i) >= engine.duration_ms()) {
       reports[i].per_signal.resize(kAllSignals.size());
-      continue;
+    } else {
+      live.push_back(i);
     }
-    auto it = std::find_if(pools.begin(), pools.end(), [&](const Pool& p) {
-      return p.test_case == lane.test_case;
-    });
-    if (it == pools.end()) {
-      it = pools.insert(pools.end(), Pool{lane.test_case, {}, {}});
-    }
-    it->lanes.push_back(i);
-    ++live;
   }
   if (instruments.never_fire_lanes != nullptr) {
-    instruments.never_fire_lanes->add(request.lanes.size() - live);
+    instruments.never_fire_lanes->add(request.lanes.size() - live.size());
   }
-  if (live == 0) return reports;
+  if (live.empty()) return reports;
+  std::stable_sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
+    return fire_ms(a) < fire_ms(b);
+  });
+  std::vector<BatchLaneSpec> specs;
+  specs.reserve(live.size());
+  for (const std::size_t i : live) {
+    specs.push_back({request.lanes[i].spec, request.lanes[i].rng_seed});
+  }
 
   // Segments open from the test case's warm-start checkpoint at their
   // first run's fire tick (the engine checkpoints every test case at every
@@ -143,43 +136,29 @@ std::vector<fi::DivergenceReport> run_batch(
   // has published no checkpoints.
   std::vector<std::shared_ptr<const WarmStartEngine::Checkpoint>> held;
   std::deque<ArrestmentSystem> cold_origins;  // stable addresses
-  std::vector<BatchPool> kernel_pools;
-  for (Pool& pool : pools) {
-    std::stable_sort(pool.lanes.begin(), pool.lanes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return fire_ms(a) < fire_ms(b);
-                     });
-    for (const std::size_t i : pool.lanes) {
-      pool.specs.push_back({request.lanes[i].spec, request.lanes[i].rng_seed});
-    }
-    kernel_pools.push_back(
-        {pool.specs,
-         [&engine, &held, &cold_origins, test_case = pool.test_case](
-             std::uint64_t ms) -> const ArrestmentSystem& {
-           if (auto checkpoint = engine.lookup(test_case, ms)) {
-             return *held.emplace_back(std::move(checkpoint))->system;
-           }
-           return cold_origins.emplace_back(engine.cases()[test_case]);
-         }});
-  }
+  const BatchPool pool{
+      specs, [&](std::uint64_t ms) -> const ArrestmentSystem& {
+        if (auto checkpoint = engine.lookup(test_case, ms)) {
+          return *held.emplace_back(std::move(checkpoint))->system;
+        }
+        return cold_origins.emplace_back(engine.cases()[test_case]);
+      }};
 
   // At most `width` runs in flight (and one lane for at least one golden
-  // lane), in one whole row when they fit beside a golden lane per test
-  // case, else in two.
-  const std::size_t runs = std::min(width, live);
-  const std::size_t lanes = runs + std::min(pools.size(), runs) <= kRowLanes
+  // lane), in one whole row when they fit beside a golden lane, else in
+  // two.
+  const std::size_t runs = std::min(width, live.size());
+  const std::size_t lanes = runs + 1 <= kRowLanes
                                 ? kRowLanes
                                 : BatchedArrestmentSystem::kMaxLanes;
-  BatchedArrestmentSystem batch(kernel_pools, lanes,
-                                std::min(width, lanes - 1),
+  BatchedArrestmentSystem batch(pool, lanes, std::min(width, lanes - 1),
                                 engine.duration());
   std::vector<fi::DivergenceReport> results = batch.run();
-  // Kernel run order is pool order, each pool in fire-tick order.
-  std::size_t run = 0;
-  for (const Pool& pool : pools) {
-    for (const std::size_t i : pool.lanes) reports[i] = std::move(results[run++]);
+  // Kernel run order is fire-tick order.
+  for (std::size_t r = 0; r < live.size(); ++r) {
+    reports[live[r]] = std::move(results[r]);
   }
-  instruments.observe(batch, live);
+  instruments.observe(batch, live.size());
   return reports;
 }
 

@@ -2,22 +2,23 @@
 // campaign executor's batch requests (fi::BatchRunFunction) to the SoA
 // batched kernel (BatchedArrestmentSystem).
 //
-// A request is whatever run set the planner handed over -- runs may mix
-// test cases and fire ticks, and may outnumber the kernel width
+// A request holds the runs of one test case -- the campaign planner
+// (fi::plan_requests) never mixes two, and the runner rejects a request
+// that does -- in any fire-tick order, and may outnumber the kernel width
 // (fi::kernel_width of the campaign config the runner is built with). The
-// runner streams all of them through one kernel: each test case becomes a
-// pool of runs in fire-tick order, and the kernel opens segments from the
-// test case's warm-start checkpoint at a pool's earliest pending fire tick
-// (composing batching with prefix reuse: each shared golden prefix is
-// simulated zero times, not N times) or from a fresh t=0 origin when there
-// is none, joining later runs to open segments as lanes come free
-// (batch_system.hpp, "Rolling segments"). Never-firing lanes -- the
-// injection time is at/after the horizon, so the run *is* the golden run
-// -- are answered with all-clear reports without simulating them at all.
+// runner streams all of them through one kernel, in fire-tick order: the
+// kernel opens segments from the test case's warm-start checkpoint at the
+// earliest pending fire tick (composing batching with prefix reuse: each
+// shared golden prefix is simulated zero times, not N times) or from a
+// fresh t=0 origin when there is none, joining later runs to open segments
+// as lanes come free (batch_system.hpp, "Rolling segments"). Never-firing
+// lanes -- the injection time is at/after the horizon, so the run *is* the
+// golden run -- are answered with all-clear reports without simulating
+// them at all.
 //
 // Row geometry: a kernel sweeps 32 lanes when its runs (at most the width)
-// fit beside a golden lane per test case in one vector row, else 64, and
-// holds at most `width` runs at a time (one lane stays a golden lane).
+// fit beside a golden lane in one vector row, else 64, and holds at most
+// `width` runs at a time (one lane stays a golden lane).
 #pragma once
 
 #include <cstddef>

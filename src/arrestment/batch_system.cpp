@@ -53,67 +53,41 @@ std::size_t lowest_lane(std::uint64_t lanes) {
   return static_cast<std::size_t>(__builtin_ctzll(lanes));
 }
 
-const ArrestmentSystem& first_origin(std::span<const BatchPool> pools) {
-  PROPANE_REQUIRE_MSG(!pools.empty(), "batch needs at least one pool");
-  for (const BatchPool& pool : pools) PROPANE_REQUIRE(pool.origin != nullptr);
-  const BatchPool& pool = pools.front();
-  if (pool.specs.empty()) return pool.origin(0);
+/// The golden-run system the kernel's state is first shaped from: the
+/// origin of the pool's earliest run.
+const ArrestmentSystem& earliest_origin(const BatchPool& pool) {
+  PROPANE_REQUIRE(pool.origin != nullptr);
+  PROPANE_REQUIRE_MSG(!pool.specs.empty(),
+                      "batch needs at least one injection");
   PROPANE_REQUIRE(pool.specs.front().spec != nullptr);
   return pool.origin(fi::injection_fire_ms(pool.specs.front().spec->when));
 }
 
-std::size_t slots_of(const BatchSegment& segment) {
-  return segment.slots == 0 ? segment.specs.size() : segment.slots;
-}
-
-std::vector<BatchPool> fixed_pools(std::span<const BatchSegment> segments) {
-  std::vector<BatchPool> pools;
-  for (const BatchSegment& segment : segments) {
-    PROPANE_REQUIRE(segment.origin != nullptr);
-    const ArrestmentSystem* origin = segment.origin;
-    pools.push_back(
-        {segment.specs,
-         [origin](std::uint64_t) -> const ArrestmentSystem& { return *origin; }});
-  }
-  return pools;
-}
-
-std::size_t fixed_slots(std::span<const BatchSegment> segments) {
-  std::size_t slots = 0;
-  for (const BatchSegment& segment : segments) slots += slots_of(segment);
-  return slots;
-}
-
 }  // namespace
 
-BatchedArrestmentSystem::BatchedArrestmentSystem(
-    std::span<const BatchPool> pools, std::size_t lanes,
-    std::size_t max_slots, sim::SimTime duration)
-    : BatchedArrestmentSystem(pools, lanes, max_slots, duration,
-                              first_origin(pools)) {}
+BatchedArrestmentSystem::BatchedArrestmentSystem(const BatchPool& pool,
+                                                 std::size_t lanes,
+                                                 std::size_t max_slots,
+                                                 sim::SimTime duration)
+    : BatchedArrestmentSystem(pool, lanes, max_slots, duration,
+                              earliest_origin(pool)) {}
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(
     const ArrestmentSystem& origin, std::span<const BatchLaneSpec> specs,
     sim::SimTime duration, std::size_t slots)
     : BatchedArrestmentSystem(
-          std::vector<BatchSegment>{BatchSegment{&origin, specs, slots}},
-          duration) {}
-
-BatchedArrestmentSystem::BatchedArrestmentSystem(
-    std::span<const BatchSegment> segments, sim::SimTime duration)
-    : BatchedArrestmentSystem(fixed_pools(segments),
-                              fixed_slots(segments) + segments.size(),
-                              fixed_slots(segments), duration) {
-  for (std::size_t s = 0; s < segments.size(); ++s) {
-    open_segment(s, *segments[s].origin, slots_of(segments[s]),
-                 ~std::uint64_t{0});
-  }
+          BatchPool{specs,
+                    [&origin](std::uint64_t) -> const ArrestmentSystem& {
+                      return origin;
+                    }},
+          (slots == 0 ? specs.size() : slots) + 1,
+          slots == 0 ? specs.size() : slots, duration, origin) {
+  open_segment(origin, max_slots_, ~std::uint64_t{0});
 }
 
 BatchedArrestmentSystem::BatchedArrestmentSystem(
-    std::span<const BatchPool> pools, std::size_t lanes,
-    std::size_t max_slots, sim::SimTime duration,
-    const ArrestmentSystem& prototype)
+    const BatchPool& pool, std::size_t lanes, std::size_t max_slots,
+    sim::SimTime duration, const ArrestmentSystem& prototype)
     : lanes_(lanes),
       max_slots_(max_slots),
       signals_(prototype.bus().signal_count()),
@@ -127,31 +101,28 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
       pres_s_(map_),
       pres_a_(map_),
       v_reg_(map_, prototype.v_reg(), lanes_),
-      calc_(map_, prototype.calc(), lanes_) {
+      calc_(map_, prototype.calc(), lanes_),
+      origin_(pool.origin) {
   PROPANE_REQUIRE_MSG(lanes_ <= kMaxLanes, "a batch sweeps at most 64 lanes");
   PROPANE_REQUIRE_MSG(max_slots_ > 0 && max_slots_ < lanes_,
                       "a batch needs a slot and a golden lane");
   PROPANE_REQUIRE_MSG(signals_ <= kMaxSignals,
                       "a batch screens at most 64 signals");
+  PROPANE_REQUIRE_MSG(!pool.specs.empty(),
+                      "batch needs at least one injection");
 
-  for (const BatchPool& pool : pools) {
-    Pool& state = pools_.emplace_back();
-    state.origin = pool.origin;
-    for (const BatchLaneSpec& lane_spec : pool.specs) {
-      PROPANE_REQUIRE(lane_spec.spec != nullptr);
-      PROPANE_REQUIRE(lane_spec.spec->model.apply != nullptr);
-      PROPANE_REQUIRE_MSG(lane_spec.spec->target < signals_,
-                          "injection targets unknown signal");
-      const std::uint64_t fire = fi::injection_fire_ms(lane_spec.spec->when);
-      PROPANE_REQUIRE_MSG(state.queued.empty() || fire >= fire_ms_.back(),
-                          "a pool's runs must be in fire-tick order");
-      state.queued.push_back(static_cast<std::uint32_t>(specs_.size()));
-      specs_.push_back(lane_spec);
-      fire_ms_.push_back(fire);
-    }
+  for (const BatchLaneSpec& lane_spec : pool.specs) {
+    PROPANE_REQUIRE(lane_spec.spec != nullptr);
+    PROPANE_REQUIRE(lane_spec.spec->model.apply != nullptr);
+    PROPANE_REQUIRE_MSG(lane_spec.spec->target < signals_,
+                        "injection targets unknown signal");
+    const std::uint64_t fire = fi::injection_fire_ms(lane_spec.spec->when);
+    PROPANE_REQUIRE_MSG(fire_ms_.empty() || fire >= fire_ms_.back(),
+                        "a pool's runs must be in fire-tick order");
+    queue_.push_back(static_cast<std::uint32_t>(specs_.size()));
+    specs_.push_back(lane_spec);
+    fire_ms_.push_back(fire);
   }
-  PROPANE_REQUIRE_MSG(!specs_.empty(), "batch needs at least one injection");
-  queued_ = specs_.size();
   results_.resize(specs_.size());
   run_lane_.assign(specs_.size(), kNone);
 
@@ -173,38 +144,26 @@ BatchedArrestmentSystem::BatchedArrestmentSystem(
 BatchedArrestmentSystem::~BatchedArrestmentSystem() = default;
 
 void BatchedArrestmentSystem::enable_recording(const fi::TraceSet* prefix) {
-  PROPANE_REQUIRE_MSG(segments_.size() == 1,
-                      "multi-segment batches take one prefix per segment");
-  const fi::TraceSet* prefixes[] = {prefix};
-  enable_recording(std::span<const fi::TraceSet* const>(prefixes, 1));
-}
-
-void BatchedArrestmentSystem::enable_recording(
-    std::span<const fi::TraceSet* const> prefixes) {
   PROPANE_REQUIRE_MSG(ticks_ == 0, "enable_recording must precede run()");
-  PROPANE_REQUIRE_MSG(prefixes.size() == segments_.size(),
-                      "one prefix per segment");
-  PROPANE_REQUIRE_MSG(queued_ == 0, "recording needs one slot per run");
+  PROPANE_REQUIRE_MSG(segments_.size() == 1 && queue_.empty(),
+                      "recording needs the fixed form, one slot per run");
   recording_ = true;
   traces_.resize(lanes_);
-  for (std::size_t s = 0; s < segments_.size(); ++s) {
-    const fi::TraceSet* prefix = prefixes[s];
-    // Only the rows before the origin tick seed the traces: the prefix may
-    // be exactly that long, or a full golden trace.
-    const std::size_t prefix_rows = segment_ms(segments_[s]);
+  // Only the rows before the origin tick seed the traces: the prefix may
+  // be exactly that long, or a full golden trace.
+  const std::size_t prefix_rows = segment_ms(segments_.front());
+  if (prefix != nullptr) {
+    PROPANE_REQUIRE_MSG(prefix->signal_count() == signals_,
+                        "prefix signals must match the bus");
+    PROPANE_REQUIRE(prefix->sample_count() >= prefix_rows);
+  }
+  for (std::uint64_t lanes = segments_.front().lanes; lanes != 0;
+       lanes &= lanes - 1) {
+    fi::TraceSet& trace = traces_[lowest_lane(lanes)];
+    trace = fi::TraceSet(names_);
+    trace.reserve(duration_ms_);
     if (prefix != nullptr) {
-      PROPANE_REQUIRE_MSG(prefix->signal_count() == signals_,
-                          "prefix signals must match the bus");
-      PROPANE_REQUIRE(prefix->sample_count() >= prefix_rows);
-    }
-    for (std::uint64_t lanes = segments_[s].lanes; lanes != 0;
-         lanes &= lanes - 1) {
-      fi::TraceSet& trace = traces_[lowest_lane(lanes)];
-      trace = fi::TraceSet(names_);
-      trace.reserve(duration_ms_);
-      if (prefix != nullptr) {
-        trace.append_rows({prefix->data(), prefix_rows * signals_});
-      }
+      trace.append_rows({prefix->data(), prefix_rows * signals_});
     }
   }
   row_scratch_.resize(signals_);
@@ -218,7 +177,7 @@ std::vector<fi::DivergenceReport> BatchedArrestmentSystem::run() {
     live_slot_ticks_ += in_flight();
     tick();
   }
-  PROPANE_CHECK(queued_ == 0);
+  PROPANE_CHECK(queue_.empty());
   return std::move(results_);
 }
 
@@ -240,17 +199,16 @@ fi::TraceSet BatchedArrestmentSystem::take_lane_trace(std::size_t i) {
   return std::move(traces_[run_lane_[i]]);
 }
 
-fi::TraceSet BatchedArrestmentSystem::take_golden_trace(std::size_t segment) {
+fi::TraceSet BatchedArrestmentSystem::take_golden_trace() {
   PROPANE_REQUIRE_MSG(recording_, "recording mode only");
-  PROPANE_REQUIRE(segment < segments_.size());
-  return std::move(traces_[segments_[segment].golden]);
+  return std::move(traces_[segments_.front().golden]);
 }
 
 void BatchedArrestmentSystem::schedule() {
   // Queued runs first join segments already open; segments left without a
   // run then close, their golden lanes coming free; and while lanes are
   // free, the earliest queued run no open segment can take opens a new
-  // segment from its pool's origin.
+  // segment from its origin.
   refill();
   bool closed = false;
   for (std::size_t i = open_.size(); i-- > 0;) {
@@ -260,22 +218,14 @@ void BatchedArrestmentSystem::schedule() {
     }
   }
   if (closed) refill();
-  while (queued_ > 0 && in_flight() < max_slots_) {
+  while (!queue_.empty() && in_flight() < max_slots_) {
     const auto free = static_cast<std::size_t>(__builtin_popcountll(free_));
-    if (free < 2 || (free < kOpenLanes && !open_.empty() && free <= queued_)) {
+    if (free < 2 ||
+        (free < kOpenLanes && !open_.empty() && free <= queue_.size())) {
       break;
     }
-    std::size_t pool = pools_.size();
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (!pools_[p].queued.empty() &&
-          (pool == pools_.size() || fire_ms_[pools_[p].queued.front()] <
-                                        fire_ms_[pools_[pool].queued.front()])) {
-        pool = p;
-      }
-    }
-    const std::uint64_t first = fire_ms_[pools_[pool].queued.front()];
-    open_segment(pool, pools_[pool].origin(first),
-                 std::min(free - 1, max_slots_ - in_flight()),
+    const std::uint64_t first = fire_ms_[queue_.front()];
+    open_segment(origin_(first), std::min(free - 1, max_slots_ - in_flight()),
                  first + kJoinWindowMs);
   }
   // With lanes still free, wake when a segment's clock brings its next
@@ -283,12 +233,10 @@ void BatchedArrestmentSystem::schedule() {
   wake_tick_ = ~std::uint64_t{0};
   if (free_ != 0 && in_flight() < max_slots_) {
     for (const std::uint32_t seg : open_) {
-      const std::vector<std::uint32_t>& queued =
-          pools_[segments_[seg].pool].queued;
       const std::size_t pos = next_queued(segments_[seg]);
-      if (pos < queued.size()) {
+      if (pos < queue_.size()) {
         const std::uint64_t gap =
-            fire_ms_[queued[pos]] - segment_ms(segments_[seg]);
+            fire_ms_[queue_[pos]] - segment_ms(segments_[seg]);
         wake_tick_ = std::min(
             wake_tick_, ticks_ + (gap > kJoinWindowMs ? gap - kJoinWindowMs : 0));
       }
@@ -298,13 +246,12 @@ void BatchedArrestmentSystem::schedule() {
 }
 
 std::size_t BatchedArrestmentSystem::next_queued(const Segment& segment) const {
-  const std::vector<std::uint32_t>& queued = pools_[segment.pool].queued;
   return static_cast<std::size_t>(
-      std::lower_bound(queued.begin(), queued.end(), segment_ms(segment),
+      std::lower_bound(queue_.begin(), queue_.end(), segment_ms(segment),
                        [this](std::uint32_t run, std::uint64_t ms) {
                          return fire_ms_[run] < ms;
                        }) -
-      queued.begin());
+      queue_.begin());
 }
 
 void BatchedArrestmentSystem::refill() {
@@ -315,12 +262,10 @@ void BatchedArrestmentSystem::refill() {
     std::uint32_t best_seg = kNone;
     std::size_t best_pos = 0;
     for (const std::uint32_t seg : open_) {
-      const std::vector<std::uint32_t>& queued =
-          pools_[segments_[seg].pool].queued;
       const std::size_t pos = next_queued(segments_[seg]);
-      if (pos == queued.size()) continue;
+      if (pos == queue_.size()) continue;
       const std::uint64_t gap =
-          fire_ms_[queued[pos]] - segment_ms(segments_[seg]);
+          fire_ms_[queue_[pos]] - segment_ms(segments_[seg]);
       if (gap < best_gap) {
         best_gap = gap;
         best_seg = seg;
@@ -328,16 +273,13 @@ void BatchedArrestmentSystem::refill() {
       }
     }
     if (best_seg == kNone) return;
-    std::vector<std::uint32_t>& queued = pools_[segments_[best_seg].pool].queued;
-    load(lowest_lane(free_), best_seg, queued[best_pos]);
-    queued.erase(queued.begin() + static_cast<std::ptrdiff_t>(best_pos));
-    --queued_;
+    load(lowest_lane(free_), best_seg, queue_[best_pos]);
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best_pos));
     ++refills_;
   }
 }
 
-void BatchedArrestmentSystem::open_segment(std::size_t pool,
-                                           const ArrestmentSystem& origin,
+void BatchedArrestmentSystem::open_segment(const ArrestmentSystem& origin,
                                            std::size_t slots,
                                            std::uint64_t last_fire_ms) {
   PROPANE_REQUIRE(free_ != 0);
@@ -348,7 +290,6 @@ void BatchedArrestmentSystem::open_segment(std::size_t pool,
   const auto seg = static_cast<std::uint32_t>(segments_.size());
   const std::size_t golden = lowest_lane(free_);
   Segment& segment = segments_.emplace_back();
-  segment.pool = static_cast<std::uint32_t>(pool);
   segment.golden = static_cast<std::uint32_t>(golden);
   segment.offset = static_cast<std::int64_t>(origin.current_ms()) -
                    static_cast<std::int64_t>(ticks_);
@@ -365,18 +306,16 @@ void BatchedArrestmentSystem::open_segment(std::size_t pool,
   v_reg_.load_lane(golden, origin.v_reg());
   calc_.load_lane(golden, origin.calc());
 
-  std::vector<std::uint32_t>& queued = pools_[pool].queued;
   std::size_t taken = 0;
-  for (; taken < queued.size() && taken < slots && free_ != 0 &&
-         fire_ms_[queued[taken]] <= last_fire_ms;
+  for (; taken < queue_.size() && taken < slots && free_ != 0 &&
+         fire_ms_[queue_[taken]] <= last_fire_ms;
        ++taken) {
-    PROPANE_REQUIRE_MSG(fire_ms_[queued[taken]] >= origin.current_ms(),
+    PROPANE_REQUIRE_MSG(fire_ms_[queue_[taken]] >= origin.current_ms(),
                         "a segment's runs must not fire before its origin");
-    load(lowest_lane(free_), seg, queued[taken]);
+    load(lowest_lane(free_), seg, queue_[taken]);
   }
-  queued.erase(queued.begin(),
-               queued.begin() + static_cast<std::ptrdiff_t>(taken));
-  queued_ -= taken;
+  queue_.erase(queue_.begin(),
+               queue_.begin() + static_cast<std::ptrdiff_t>(taken));
 }
 
 void BatchedArrestmentSystem::load(std::size_t lane, std::uint32_t seg,

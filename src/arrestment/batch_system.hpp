@@ -1,15 +1,15 @@
-// Lockstep batched execution of the target system: many injection runs,
-// possibly of *different* test cases and fire ticks, simulated together --
-// the structure-of-arrays counterpart of ArrestmentSystem.
+// Lockstep batched execution of the target system: many injection runs of
+// one test case, at any fire ticks, simulated together -- the
+// structure-of-arrays counterpart of ArrestmentSystem.
 //
-// Lanes and segments: the kernel sweeps a fixed pool of at most kMaxLanes
-// lanes. A segment is one test case's golden run resumed from a golden-run
-// state (a warm-start checkpoint, or t=0): one golden lane plus the lanes
-// ("slots") whose runs compare against it. Each injection lane tracks
-// divergence online against its own segment's golden lane, so the kernel
-// produces final DivergenceReports without materialising a trace per run.
-// Every segment keeps its own clock -- its simulated millisecond is the
-// kernel tick plus a per-segment offset -- so segments opened from
+// Lanes and segments: the kernel sweeps a fixed set of at most kMaxLanes
+// lanes. A segment is the test case's golden run resumed from a
+// golden-run state (a warm-start checkpoint, or t=0): one golden lane plus
+// the lanes ("slots") whose runs compare against it. Each injection lane
+// tracks divergence online against its own segment's golden lane, so the
+// kernel produces final DivergenceReports without materialising a trace
+// per run. Every segment keeps its own clock -- its simulated millisecond
+// is the kernel tick plus a per-segment offset -- so segments opened from
 // different checkpoints run side by side, each to its own horizon.
 // Everything that reads simulated time is per segment: the environment's
 // timer (TCNT), both fire scans, the first-divergence millisecond and the
@@ -50,16 +50,16 @@
 //     `touched & ~OR_sig(pending[sig] & ~closed[sig])`.
 //
 // Rolling segments: between ticks, a free lane joins an open segment when
-// a queued run of that segment's test case fires within kJoinWindowMs of
-// the segment's clock; from the golden state at tick t, a run firing at or
-// after t is exactly its scalar run. When lanes are free and no open
-// segment can take a queued run, the kernel opens a new segment at the
-// earliest pending fire tick -- a golden lane seeded from the pool's
-// origin, plus slots for the runs firing within the join window -- once
-// kOpenLanes lanes are free (or nothing else is open, or every queued run
-// fits). A segment closes when it holds no run or its clock reaches the
-// horizon. Free lanes may still be touched by the branch-free module
-// sweeps (their state is dead until the next seeding).
+// a queued run fires within kJoinWindowMs of the segment's clock; from the
+// golden state at tick t, a run firing at or after t is exactly its scalar
+// run. When lanes are free and no open segment can take a queued run, the
+// kernel opens a new segment at the earliest pending fire tick -- a golden
+// lane seeded from the pool's origin, plus slots for the runs firing
+// within the join window -- once kOpenLanes lanes are free (or nothing
+// else is open, or every queued run fits). A segment closes when it holds
+// no run or its clock reaches the horizon. Free lanes may still be touched
+// by the branch-free module sweeps (their state is dead until the next
+// seeding).
 //
 // Width: a kernel sweeps at most kMaxLanes lanes over at most kMaxSignals
 // signals, so one 64-bit word holds every per-signal lane set and the
@@ -88,7 +88,8 @@ struct BatchLaneSpec {
   std::uint64_t rng_seed = 0;
 };
 
-/// One test case's runs, and the golden-run states its segments open from.
+/// The runs of one test case, and the golden-run states its segments open
+/// from.
 struct BatchPool {
   /// The runs, in non-decreasing fire-tick order. Borrowed; must outlive
   /// the batch.
@@ -97,19 +98,6 @@ struct BatchPool {
   /// opens from: the state at the start of tick `ms`, or of an earlier
   /// tick (t=0) when none is kept. Read only while the segment opens.
   std::function<const ArrestmentSystem&(std::uint64_t ms)> origin;
-};
-
-/// A fixed segment (the test-facing constructors): a golden-run origin
-/// system plus the runs that compare against it. `origin` and `specs` are
-/// borrowed and must outlive the batch.
-struct BatchSegment {
-  const ArrestmentSystem* origin = nullptr;
-  /// The segment's runs, in non-decreasing fire-tick order, none firing
-  /// before the origin tick.
-  std::span<const BatchLaneSpec> specs;
-  /// Slots the segment opens with; 0 = one per run (which recording mode
-  /// requires). Runs beyond the slots wait for a free lane.
-  std::size_t slots = 0;
 };
 
 class BatchedArrestmentSystem {
@@ -127,36 +115,33 @@ class BatchedArrestmentSystem {
   /// gather), "avx2+bmi2" or "scalar".
   static const char* screen_isa();
 
-  /// Rolling form: streams every run of `pools` through `lanes` lanes
-  /// (at most kMaxLanes), holding at most `max_slots` runs at a time, each
+  /// Rolling form: streams every run of `pool` through `lanes` lanes (at
+  /// most kMaxLanes), holding at most `max_slots` runs at a time, each
   /// segment simulating from its origin to `duration`.
-  BatchedArrestmentSystem(std::span<const BatchPool> pools, std::size_t lanes,
+  BatchedArrestmentSystem(const BatchPool& pool, std::size_t lanes,
                           std::size_t max_slots, sim::SimTime duration);
 
-  /// Fixed forms: every segment opens before the first tick with its
-  /// slots, in order; lanes number sum(slots + 1). Run indices (reports,
-  /// take_lane_trace) count specs across segments in order. The
-  /// single-segment form replicates `origin` -- a golden-run system at its
-  /// current tick -- across `slots + 1` lanes (`slots` 0 = one per spec).
+  /// Fixed form: one segment opens before the first tick from `origin` --
+  /// a golden-run system at its current tick -- with `slots` slots (0 =
+  /// one per spec, which recording mode requires), so the kernel sweeps
+  /// `slots + 1` lanes. `specs` are in non-decreasing fire-tick order, none
+  /// firing before the origin tick; runs beyond the slots wait for a free
+  /// lane. `origin` and `specs` are borrowed and must outlive the batch.
   BatchedArrestmentSystem(const ArrestmentSystem& origin,
                           std::span<const BatchLaneSpec> specs,
                           sim::SimTime duration, std::size_t slots = 0);
-  BatchedArrestmentSystem(std::span<const BatchSegment> segments,
-                          sim::SimTime duration);
   ~BatchedArrestmentSystem();
 
   BatchedArrestmentSystem(const BatchedArrestmentSystem&) = delete;
   BatchedArrestmentSystem& operator=(const BatchedArrestmentSystem&) = delete;
 
-  /// Test/diagnostic mode (fixed forms): materialise a full per-lane trace
-  /// (golden lanes included) and disable early exit so every lane covers
-  /// its segment's horizon. Every run needs its own slot. `prefix` seeds
-  /// the traces with the rows before the origin tick (pass the
-  /// checkpoint's golden trace -- rows past the origin tick are ignored --
-  /// or nullptr when the origin starts at t=0). Must be called before
-  /// run(). The span overload takes one prefix per segment.
+  /// Test/diagnostic mode (fixed form): materialise a full per-lane trace
+  /// (the golden lane included) and disable early exit so every lane
+  /// covers the horizon. Every run needs its own slot. `prefix` seeds the
+  /// traces with the rows before the origin tick (pass the checkpoint's
+  /// golden trace -- rows past the origin tick are ignored -- or nullptr
+  /// when the origin starts at t=0). Must be called before run().
   void enable_recording(const fi::TraceSet* prefix);
-  void enable_recording(std::span<const fi::TraceSet* const> prefixes);
 
   /// Simulates until every run has left its lane and returns one final
   /// DivergenceReport per run, in run order.
@@ -195,19 +180,13 @@ class BatchedArrestmentSystem {
   std::uint64_t converged_retirements() const { return converged_; }
   std::uint64_t exhausted_retirements() const { return exhausted_; }
 
-  /// Recorded traces (recording mode, after run()): run `i` in
-  /// cross-segment spec order, or a segment's golden lane (segment 0 by
-  /// default, matching the single-segment constructor).
+  /// Recorded traces (recording mode, after run()): run `i` in spec
+  /// order, or the segment's golden lane.
   fi::TraceSet take_lane_trace(std::size_t i);
-  fi::TraceSet take_golden_trace(std::size_t segment = 0);
+  fi::TraceSet take_golden_trace();
 
  private:
-  struct Pool {
-    std::function<const ArrestmentSystem&(std::uint64_t)> origin;
-    std::vector<std::uint32_t> queued;  // run indices, fire-tick order
-  };
   struct Segment {
-    std::uint32_t pool = 0;
     std::uint32_t golden = 0;    // golden bus lane
     std::int64_t offset = 0;     // segment millisecond - kernel tick
     std::uint64_t opened_tick = 0;
@@ -219,7 +198,7 @@ class BatchedArrestmentSystem {
   /// Marks a lane without a segment or a run.
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-  BatchedArrestmentSystem(std::span<const BatchPool> pools, std::size_t lanes,
+  BatchedArrestmentSystem(const BatchPool& pool, std::size_t lanes,
                           std::size_t max_slots, sim::SimTime duration,
                           const ArrestmentSystem& prototype);
 
@@ -235,11 +214,11 @@ class BatchedArrestmentSystem {
   /// without a run and opens new ones (see the header comment).
   void schedule();
   void refill();
-  /// Position in its pool's queue of the first run firing at or after the
+  /// Position in the queue of the first run firing at or after the
   /// segment's clock.
   std::size_t next_queued(const Segment& segment) const;
-  void open_segment(std::size_t pool, const ArrestmentSystem& origin,
-                    std::size_t slots, std::uint64_t last_fire_ms);
+  void open_segment(const ArrestmentSystem& origin, std::size_t slots,
+                    std::uint64_t last_fire_ms);
   void load(std::size_t lane, std::uint32_t seg, std::uint32_t run);
   void release(std::size_t lane);
   void close(std::uint32_t seg);
@@ -278,14 +257,16 @@ class BatchedArrestmentSystem {
   BatchedVReg v_reg_;
   BatchedCalc calc_;
 
-  // Runs in pool order, each pool's in fire-tick order; the final report of
-  // each run that has left its lane, and the lane each run ran on.
+  // Runs in fire-tick order; the final report of each run that has left
+  // its lane, and the lane each run ran on. The queue holds the indices of
+  // the runs no lane has taken yet, in fire-tick order, and `origin_` the
+  // golden-run states segments open from.
   std::vector<BatchLaneSpec> specs_;
   std::vector<std::uint64_t> fire_ms_;
   std::vector<fi::DivergenceReport> results_;
   std::vector<std::uint32_t> run_lane_;
-  std::vector<Pool> pools_;
-  std::size_t queued_ = 0;
+  std::vector<std::uint32_t> queue_;
+  std::function<const ArrestmentSystem&(std::uint64_t)> origin_;
 
   // Segments ever opened, and the indices of the open ones.
   std::vector<Segment> segments_;

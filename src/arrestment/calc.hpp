@@ -93,9 +93,9 @@ class BatchedCalc {
   BatchedCalc(const BusMap& map, const CalcModule& prototype,
               std::size_t lanes);
 
-  /// Overwrites one lane's segment state with `prototype`'s
-  /// (cross-test-case batch segment seeding). Must precede the first
-  /// step_lanes.
+  /// Overwrites one lane's segment state with `prototype`'s, between
+  /// ticks -- how the batch kernel seeds a segment's golden lane from a
+  /// golden-run state of its test case.
   void load_lane(std::size_t lane, const CalcModule& prototype) {
     const CalcModule::Snapshot snap = prototype.snapshot();
     seg_start_pulses_[lane] = snap.seg_start_pulses;

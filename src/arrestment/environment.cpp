@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "arrestment/constants.hpp"
+#include "common/contracts.hpp"
 #include "common/exact_div.hpp"
 
 namespace propane::arr {
@@ -65,8 +66,7 @@ BatchedEnvironment::BatchedEnvironment(const Environment& origin,
     : map_(map),
       timer_(kTimerTicksPerUs),
       adc_(0.0, kMaxPressurePa),
-      mass_y_(lane_count, ExactDivisor(origin.mass_kg()).divisor()),
-      mass_recip_(lane_count, ExactDivisor(origin.mass_kg()).reciprocal()),
+      div_mass_(origin.mass_kg()),
       div_adc_span_(adc_.hi() - adc_.lo()),
       velocity_(lane_count, origin.velocity_mps()),
       position_(lane_count, origin.position_m()),
@@ -77,9 +77,8 @@ BatchedEnvironment::BatchedEnvironment(const Environment& origin,
 
 void BatchedEnvironment::load_lane(std::size_t lane, const Environment& origin,
                                    sim::SimTime now) {
-  const ExactDivisor div_mass(origin.mass_kg());
-  mass_y_[lane] = div_mass.divisor();
-  mass_recip_[lane] = div_mass.reciprocal();
+  PROPANE_REQUIRE_MSG(origin.mass_kg() == div_mass_.divisor(),
+                      "a batched environment runs one test case's mass");
   velocity_[lane] = origin.velocity_mps();
   position_[lane] = origin.position_m();
   pressure_[lane] = origin.pressure_pa();
@@ -89,8 +88,6 @@ void BatchedEnvironment::load_lane(std::size_t lane, const Environment& origin,
 }
 
 void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
-  mass_y_[dst] = mass_y_[src];
-  mass_recip_[dst] = mass_recip_[src];
   velocity_[dst] = velocity_[src];
   position_[dst] = position_[src];
   pressure_[dst] = pressure_[src];
@@ -140,13 +137,9 @@ const double* commanded_pressure_lut() {
 /// statement speculation-safe for the vectorizer. All four per-lane
 /// divides go through ExactDivisor's Markstein sequence, which returns the
 /// correctly-rounded quotient -- the same bits as the scalar path's divide
-/// instructions -- at multiply/FMA throughput. The mass divisor is the one
-/// divisor that varies *per lane* (cross-test-case batches mix masses), so
-/// it arrives as unit-stride (y, recip) rows and the divide inlines via
-/// ExactDivisor::divide_by; the others are batch-invariant or constant.
-void step_lanes_kernel(std::size_t lanes,
-                       const double* __restrict mass_y,
-                       const double* __restrict mass_recip,
+/// instructions -- at multiply/FMA throughput. Every divisor is
+/// batch-invariant (the mass: a kernel runs one test case) or constant.
+void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
                        ExactDivisor div_span, sim::Adc adc,
                        std::uint16_t timer_step,
                        std::uint16_t* __restrict timer,
@@ -180,8 +173,7 @@ void step_lanes_kernel(std::size_t lanes,
     const bool moving = velocity > 0.0;
     const double brake_force = kMaxBrakeForceN * div_pmax.divide(pressure);
     const double friction = kFrictionNsPerM * velocity;
-    const double decel = ExactDivisor::divide_by(brake_force + friction,
-                                                 mass_y[l], mass_recip[l]);
+    const double decel = div_mass.divide(brake_force + friction);
     peak_decel = moving && decel > peak_decel ? decel : peak_decel;
     const double slowed = velocity - decel * dt;
     velocity = moving ? (slowed > 0.0 ? slowed : 0.0) : velocity;
@@ -218,9 +210,8 @@ void step_lanes_kernel(std::size_t lanes,
 }  // namespace
 
 void BatchedEnvironment::step_lanes(fi::BatchedSignalBus& bus) {
-  step_lanes_kernel(velocity_.size(), mass_y_.data(), mass_recip_.data(),
-                    div_adc_span_, adc_, timer_.read(sim::kMillisecond),
-                    timer_lanes_.data(),
+  step_lanes_kernel(velocity_.size(), div_mass_, div_adc_span_, adc_,
+                    timer_.read(sim::kMillisecond), timer_lanes_.data(),
                     commanded_pressure_lut(),
                     bus.lane_values(map_.toc2).data(),
                     bus.lane_values(map_.pacnt).data(),

@@ -86,20 +86,21 @@ class Environment {
 class BatchedEnvironment {
  public:
   /// Replicates `origin`'s physical state, and its timer at time `now`,
-  /// across `lane_count` lanes.
+  /// across `lane_count` lanes. Every lane carries `origin`'s mass: a
+  /// kernel runs one test case.
   BatchedEnvironment(const Environment& origin, sim::SimTime now,
                      const BusMap& map, std::size_t lane_count);
 
-  /// Overwrites one lane's physical state (including its mass divisor)
-  /// with `origin`'s, and its timer with the timer's value at `now` -- how
-  /// the batch kernel seeds a segment's golden lane from a golden-run
-  /// system stopped at `now`.
+  /// Overwrites one lane's physical state with `origin`'s, and its timer
+  /// with the timer's value at `now` -- how the batch kernel seeds a
+  /// segment's golden lane from a golden-run system of its test case
+  /// stopped at `now`. `origin` must carry the batch's mass.
   void load_lane(std::size_t lane, const Environment& origin,
                  sim::SimTime now);
 
-  /// Overwrites lane `dst`'s complete physical state (mass divisor and
-  /// timer included) with lane `src`'s -- how a batch slot is seeded from
-  /// its segment's golden lane between ticks.
+  /// Overwrites lane `dst`'s complete physical state (timer included) with
+  /// lane `src`'s -- how a batch slot is seeded from its segment's golden
+  /// lane between ticks.
   void copy_lane(std::size_t dst, std::size_t src);
 
   /// Advances every lane by one millisecond of its own clock, publishing
@@ -107,11 +108,8 @@ class BatchedEnvironment {
   void step_lanes(fi::BatchedSignalBus& bus);
 
   /// Lane-level bus_state_equals (velocity, pressure, pulse accumulator).
-  /// The mass guard is defensive: convergence only ever compares a lane
-  /// with its own segment's golden lane, which shares the test case.
   bool lane_equals(std::size_t a, std::size_t b) const {
-    return mass_y_[a] == mass_y_[b] && velocity_[a] == velocity_[b] &&
-           pressure_[a] == pressure_[b] &&
+    return velocity_[a] == velocity_[b] && pressure_[a] == pressure_[b] &&
            pulse_accumulator_[a] == pulse_accumulator_[b];
   }
 
@@ -127,12 +125,9 @@ class BatchedEnvironment {
   sim::FreeRunningTimer timer_;
   sim::Adc adc_;
 
-  // Per-lane mass divisor, split into (y, recip) rows so the sweep's
-  // Markstein divide (ExactDivisor::divide_by) reads unit-stride arrays.
-  // Lanes of different test cases carry different masses; the other
-  // divisors are batch-invariant (ADC span) or compile-time constants.
-  std::vector<double> mass_y_;
-  std::vector<double> mass_recip_;
+  // The batch-invariant divisors: the test case's mass and the ADC span
+  // (the others are compile-time constants).
+  ExactDivisor div_mass_;
   ExactDivisor div_adc_span_;
   std::vector<double> velocity_;
   std::vector<double> position_;

@@ -52,8 +52,9 @@ class BatchedVReg {
         out_value_(map.out_value),
         integrator_(lanes, prototype.integrator()) {}
 
-  /// Overwrites one lane's integrator with `prototype`'s (cross-test-case
-  /// batch segment seeding). Must precede the first step_lanes.
+  /// Overwrites one lane's integrator with `prototype`'s, between ticks --
+  /// how the batch kernel seeds a segment's golden lane from a golden-run
+  /// state of its test case.
   void load_lane(std::size_t lane, const VRegModule& prototype) {
     integrator_[lane] = prototype.integrator();
   }

@@ -19,9 +19,16 @@ class ContractViolation : public std::logic_error {
  public:
   ContractViolation(const char* kind, const char* expr, const std::string& msg,
                     std::source_location loc)
-      : std::logic_error(format(kind, expr, msg, loc)) {}
+      : std::logic_error(format(kind, expr, msg, loc)), message_(msg) {}
+
+  /// The message a _MSG check carries, for the user; empty for a check
+  /// without one, whose failure is an internal bug (what() has the
+  /// expression and the source location).
+  const std::string& message() const { return message_; }
 
  private:
+  std::string message_;
+
   static std::string format(const char* kind, const char* expr,
                             const std::string& msg, std::source_location loc) {
     std::string out;

@@ -40,31 +40,22 @@ class ExactDivisor {
   /// per-batch parameter); the single real divide happens here.
   explicit constexpr ExactDivisor(double y) : y_(y), recip_(1.0 / y) {}
 
-  /// The Markstein sequence on explicit (y, recip) operands -- the single
-  /// definition both divide() and structure-of-arrays callers compile
-  /// (per-lane divisors keep y and recip in separate arrays; routing them
-  /// through this one function keeps every call site bit-identical).
-  /// `recip` must be RN(1/y), i.e. ExactDivisor(y).reciprocal().
-  static double divide_by(double x, double y,
-                          [[maybe_unused]] double recip) {
+  /// RN(x / y), divide-free when FMA hardware is available.
+  double divide(double x) const {
 #if defined(__FMA__)
-    const double q0 = x * recip;
-    const double r = std::fma(-y, q0, x);
-    const double q = std::fma(r, recip, q0);
+    const double q0 = x * recip_;
+    const double r = std::fma(-y_, q0, x);
+    const double q = std::fma(r, recip_, q0);
     // The residual step turns a signed zero into +0.0 (+0 + -0 rounds to
     // +0); a zero dividend must pass through unchanged to match the
     // divide instruction's sign. Compiles to one compare+blend.
     return x == 0.0 ? x : q;
 #else
-    return x / y;
+    return x / y_;
 #endif
   }
 
-  /// RN(x / y), divide-free when FMA hardware is available.
-  double divide(double x) const { return divide_by(x, y_, recip_); }
-
   constexpr double divisor() const { return y_; }
-  constexpr double reciprocal() const { return recip_; }
 
  private:
   double y_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <set>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -52,15 +51,14 @@ std::uint64_t fire_ms_of(const BatchLaneRequest& lane) {
 /// its kernel ends, and a crash loses the whole request.
 constexpr std::size_t kMaxRequestRuns = 1024;
 
-/// Chunks each pool of at least one kernel width is split into: the fewest
-/// that, with `thin` packed requests alongside, give `threads` workers an
-/// (almost) equal number of requests each.
-std::size_t chunks_per_pool(std::size_t pools, std::size_t thin,
-                            std::size_t threads) {
+/// Chunks each pool of more than one kernel width is split into: the
+/// fewest that give `threads` workers an (almost) equal number of requests
+/// each.
+std::size_t chunks_per_pool(std::size_t pools, std::size_t threads) {
   constexpr double kMinBalance = 0.99;
   std::size_t chunks = 1;
   for (; pools > 0 && chunks < 4 * threads; ++chunks) {
-    const std::size_t requests = pools * chunks + thin;
+    const std::size_t requests = pools * chunks;
     const std::size_t rounds = (requests + threads - 1) / threads;
     if (static_cast<double>(requests) >=
         kMinBalance * static_cast<double>(rounds * threads)) {
@@ -71,44 +69,32 @@ std::size_t chunks_per_pool(std::size_t pools, std::size_t thin,
 }
 
 /// Plans the runs to execute, already split into per-test-case pools, into
-/// batch requests. A pool of at least `width` runs is dealt round-robin,
-/// one kernel width of consecutive runs at a time, into chunks, one
-/// request each: a chunk keeps the pool's fire-tick spread, so the
-/// kernel's refill always finds a next run, while it opens full of a
-/// single fire tick. Thinner pools are packed across test cases
-/// (the runner gives each its own golden lane) and fire ticks, `width`
-/// runs per request, so sparse plans, delta-invalidated subsets and
-/// resumed remainders still fill the kernel. Requests are ordered largest first, so the
-/// smallest ones even out the threads at the end.
+/// batch requests; a request never holds runs of two test cases. Each pool
+/// is sorted by fire tick and dealt round-robin, one kernel width of
+/// consecutive runs at a time, into chunks, one request each: a chunk
+/// keeps the pool's fire-tick spread, so the kernel's refill always finds
+/// a next run, while it opens full of a single fire tick. A pool of at
+/// most one width is one request. Requests are ordered largest first, so
+/// the smallest ones even out the threads at the end.
 std::vector<BatchRunRequest> plan_requests(
     std::vector<std::vector<BatchLaneRequest>> pools, std::size_t width,
     std::size_t max_lanes, std::size_t threads) {
-  const auto by_fire = [](const BatchLaneRequest& a,
-                          const BatchLaneRequest& b) {
-    return fire_ms_of(a) < fire_ms_of(b);
-  };
-  std::vector<BatchLaneRequest> thin;
-  std::size_t thick = 0;
-  for (std::vector<BatchLaneRequest>& pool : pools) {
-    std::stable_sort(pool.begin(), pool.end(), by_fire);
-    if (pool.size() >= width) {
-      ++thick;
-    } else {
-      thin.insert(thin.end(), pool.begin(), pool.end());
-      pool.clear();
-    }
-  }
-  // Fire tick, then test case (pools were visited in test-case order).
-  std::stable_sort(thin.begin(), thin.end(), by_fire);
-  const std::size_t thin_requests = (thin.size() + width - 1) / width;
-  const std::size_t chunks = chunks_per_pool(thick, thin_requests, threads);
+  const std::size_t live = static_cast<std::size_t>(
+      std::count_if(pools.begin(), pools.end(),
+                    [](const std::vector<BatchLaneRequest>& pool) {
+                      return !pool.empty();
+                    }));
+  const std::size_t chunks = chunks_per_pool(live, threads);
+  const std::size_t max_runs = max_lanes > 0 ? max_lanes : kMaxRequestRuns;
+  const std::size_t max_blocks = std::max<std::size_t>(1, max_runs / width);
 
   std::vector<BatchRunRequest> requests;
-  for (const std::vector<BatchLaneRequest>& pool : pools) {
+  for (std::vector<BatchLaneRequest>& pool : pools) {
     if (pool.empty()) continue;
-    const std::size_t max_runs =
-        max_lanes > 0 ? max_lanes : kMaxRequestRuns;
-    const std::size_t max_blocks = std::max<std::size_t>(1, max_runs / width);
+    std::stable_sort(pool.begin(), pool.end(),
+                     [](const BatchLaneRequest& a, const BatchLaneRequest& b) {
+                       return fire_ms_of(a) < fire_ms_of(b);
+                     });
     const std::size_t blocks = (pool.size() + width - 1) / width;
     const std::size_t pool_chunks = std::min(
         blocks, std::max(chunks, (blocks + max_blocks - 1) / max_blocks));
@@ -122,13 +108,6 @@ std::vector<BatchRunRequest> plan_requests(
                                std::min(pool.size(), b + width)));
       }
     }
-  }
-  for (std::size_t i = 0; i < thin.size(); i += width) {
-    BatchRunRequest& request = requests.emplace_back();
-    request.lanes.assign(
-        thin.begin() + static_cast<std::ptrdiff_t>(i),
-        thin.begin() + static_cast<std::ptrdiff_t>(
-                           std::min(thin.size(), i + width)));
   }
   std::stable_sort(requests.begin(), requests.end(),
                    [](const BatchRunRequest& a, const BatchRunRequest& b) {
@@ -275,20 +254,16 @@ void run_injections(const CampaignRunner& runner,
                       "batch runner must return one report per lane");
     const std::uint64_t dur_us = timed ? obs::steady_now_us() - start_us : 0;
     // Request shape for profiling: earliest fire tick (the tick the
-    // kernel's first segment starts from), distinct test cases (a golden
-    // lane per open segment) and lane count -- occupancy is lanes / kernel
-    // width.
+    // kernel's first segment starts from) and lane count -- occupancy is
+    // lanes / kernel width.
     if (telemetry != nullptr && telemetry->events != nullptr) {
       std::uint64_t start_fire_ms = ~std::uint64_t{0};
-      std::set<std::uint32_t> batch_cases;
       for (const BatchLaneRequest& lane : batch.lanes) {
         start_fire_ms =
             std::min(start_fire_ms, injection_fire_ms(lane.spec->when));
-        batch_cases.insert(lane.test_case);
       }
       obs::emit_event(telemetry, "campaign.batch.done",
                       {{"fire_ms", obs::Value(start_fire_ms)},
-                       {"test_cases", obs::Value(batch_cases.size())},
                        {"lanes", obs::Value(batch.lanes.size())},
                        {"dur_us", obs::Value(dur_us)}});
     }

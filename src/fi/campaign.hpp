@@ -50,13 +50,14 @@ struct BatchLaneRequest {
   const InjectionSpec* spec = nullptr;
 };
 
-/// A lockstep batch request: injection runs simulated together, each
-/// tracked against a golden lane of its own test case. Lanes may mix test
-/// cases and fire ticks freely; per-lane identity, test case and fire time
-/// travel in the lane entries, and there may be more lanes than the
-/// runner's kernel width (the runner shares its slots among them). A lane
-/// whose injection fires at/after the run horizon never fires (all-clear
-/// report).
+/// A lockstep batch request: injection runs of one test case, simulated
+/// together and tracked against that test case's golden run. The planner
+/// never puts two test cases in one request, and the batched runner
+/// rejects a request that mixes them. Lanes may mix fire ticks freely;
+/// per-lane identity and fire time travel in the lane entries, and there
+/// may be more lanes than the runner's kernel width (the runner shares its
+/// slots among them). A lane whose injection fires at/after the run
+/// horizon never fires (all-clear report).
 struct BatchRunRequest {
   std::vector<BatchLaneRequest> lanes;
   /// The campaign's golden traces, indexed by test case; borrowed for the

@@ -302,7 +302,6 @@ TraceExportSummary write_chrome_trace(std::ostream& out,
           args = {{"test_case", Value(u64_or(event, "test_case", 0))}};
         } else {
           args = {{"fire_ms", Value(u64_or(event, "fire_ms", 0))},
-                  {"test_cases", Value(u64_or(event, "test_cases", 1))},
                   {"lanes", Value(u64_or(event, "lanes", 0))}};
         }
         if (const std::uint64_t parent = innermost_container(interval);

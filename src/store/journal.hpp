@@ -63,6 +63,12 @@ inline constexpr std::uint32_t kMinJournalVersion = 1;
 /// record is a few hundred bytes even on very wide buses).
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 26;
 
+/// Records copied from elsewhere -- baseline replays, merged shards --
+/// commit in runs of at most about this many framed bytes: one write and
+/// one flush per run, and a pending buffer that stays small whatever the
+/// source's size.
+inline constexpr std::size_t kReplayRunBytes = 64 * 1024;
+
 /// Writes one journal shard. The constructor creates the file and persists
 /// the header + manifest immediately, so even an empty shard identifies its
 /// campaign. Records are framed into one reusable buffer by stage() and

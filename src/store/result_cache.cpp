@@ -108,11 +108,6 @@ std::size_t session_shard_count(const JournalRunOptions& options,
                                  : session_threads(config);
 }
 
-/// Replays commit in runs of at most about this many framed bytes: one
-/// write and one flush per run, and a pending buffer that stays small
-/// whatever the baseline's size.
-constexpr std::size_t kReplayRunBytes = 64 * 1024;
-
 /// Appends every kReplayed flat's cached record to its shard before the
 /// campaign starts. One pool task per shard walks that shard's flats in
 /// order, so the shard layout does not depend on the thread count. Each

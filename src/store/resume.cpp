@@ -144,20 +144,26 @@ MergeSummary merge_journals(
   summary.record_count = dest_state.completed_count;
   summary.duplicate_count = dest_state.duplicate_count;
 
+  // The copy pass stages records into the one destination shard and
+  // commits them in bounded runs, as replays do.
   ShardedJournalWriter writer(dest, *manifest, 1);
-  for (const auto& source : sources) {
-    CampaignDirState state = scan_campaign_dir(
-        source, [&](fi::InjectionRecord&& record, std::size_t flat) {
-          if (completed[flat]) {
-            ++summary.duplicate_count;
-            return;
-          }
-          completed[flat] = true;
-          writer.append(record);
-          ++summary.record_count;
-        });
-    summary.duplicate_count += state.duplicate_count;
-  }
+  writer.with_shard(0, [&](JournalWriter& shard) {
+    for (const auto& source : sources) {
+      CampaignDirState state = scan_campaign_dir(
+          source, [&](fi::InjectionRecord&& record, std::size_t flat) {
+            if (completed[flat]) {
+              ++summary.duplicate_count;
+              return;
+            }
+            completed[flat] = true;
+            shard.stage(stamp_of(record), record.report);
+            if (shard.staged_bytes() >= kReplayRunBytes) shard.commit();
+            ++summary.record_count;
+          });
+      summary.duplicate_count += state.duplicate_count;
+    }
+    shard.commit();
+  });
   return summary;
 }
 

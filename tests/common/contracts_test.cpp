@@ -30,6 +30,21 @@ TEST(Contracts, MessageContainsExpressionAndHint) {
   }
 }
 
+TEST(Contracts, MessageIsTheCheckMessageAlone) {
+  try {
+    checked_divide(1, 0);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& err) {
+    EXPECT_EQ(err.message(), "division by zero");
+  }
+  try {
+    PROPANE_CHECK(false);
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& err) {
+    EXPECT_TRUE(err.message().empty());
+  }
+}
+
 TEST(Contracts, EnsureAndCheckThrowOnFailure) {
   EXPECT_THROW(PROPANE_ENSURE(false), ContractViolation);
   EXPECT_THROW(PROPANE_CHECK(false), ContractViolation);

@@ -23,6 +23,7 @@
 #include "arrestment/constants.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/testcase.hpp"
+#include "common/contracts.hpp"
 #include "obs/telemetry.hpp"
 #include "store/result_cache.hpp"
 #include "store/resume.hpp"
@@ -359,12 +360,12 @@ TEST(BatchJournal, MidBatchKillAndResumeUnderDifferentBatchSize) {
   EXPECT_EQ(journal_csv(dir), scalar_csv);
 }
 
-// --- Packed cross-test-case batches --------------------------------------
+// --- Packing across fire ticks ------------------------------------------
 
 /// Sparse plan: one bit, many instants. Each (test case, fire tick) group
-/// holds exactly one lane, so saturating a batch *requires* packing lanes
-/// across test cases and fire ticks; a never-fire lane rides along and
-/// must be peeled out of the packed batch.
+/// holds exactly one lane, so filling a batch *requires* packing lanes
+/// across fire ticks; a never-fire lane rides along and must be peeled out
+/// of the packed batch.
 fi::CampaignConfig sparse_plan_config() {
   fi::CampaignConfig config;
   config.test_case_count = 2;
@@ -379,94 +380,46 @@ fi::CampaignConfig sparse_plan_config() {
   return config;
 }
 
-TEST(BatchKernel, PackedCrossCaseStaggeredBatchRecordsBitIdenticalTraces) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  // Segment 0 (test case 0) carries two lanes, one firing after the batch
-  // origin (staggered activation); segment 1 (test case 1) carries one.
+TEST(BatchKernel, StaggeredFireTicksRecordBitIdenticalTraces) {
+  // The second of the grid's two test cases (the other mass), from t=0:
+  // two lanes fire at 40 ms and one 50 ms later (staggered activation).
+  const TestCase test_case = grid_test_cases(1, 2)[1];
   const std::vector<fi::InjectionSpec> specs = {
       fi::InjectionSpec{bus_id("pulscnt"), 40 * sim::kMillisecond,
                         fi::bit_flip(3)},
-      fi::InjectionSpec{bus_id("PACNT"), 90 * sim::kMillisecond,
-                        fi::random_replacement()},
       fi::InjectionSpec{bus_id("SetValue"), 40 * sim::kMillisecond,
                         fi::bit_flip(12)},
+      fi::InjectionSpec{bus_id("PACNT"), 90 * sim::kMillisecond,
+                        fi::random_replacement()},
   };
-  const std::vector<BatchLaneSpec> lanes0 = {BatchLaneSpec{&specs[0], 11},
-                                             BatchLaneSpec{&specs[1], 12}};
-  const std::vector<BatchLaneSpec> lanes1 = {BatchLaneSpec{&specs[2], 13}};
-  const ArrestmentSystem origin0(cases[0]);
-  const ArrestmentSystem origin1(cases[1]);
-  const std::vector<BatchSegment> segments = {BatchSegment{&origin0, lanes0},
-                                              BatchSegment{&origin1, lanes1}};
-  BatchedArrestmentSystem batch(segments, kShortRun);
-  const fi::TraceSet* prefixes[] = {nullptr, nullptr};
-  batch.enable_recording(std::span<const fi::TraceSet* const>(prefixes, 2));
+  std::vector<BatchLaneSpec> lanes;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    lanes.push_back(BatchLaneSpec{&specs[i], 11 + i});
+  }
+  const ArrestmentSystem origin(test_case);
+  BatchedArrestmentSystem batch(origin, lanes, kShortRun);
+  batch.enable_recording(nullptr);
   const std::vector<fi::DivergenceReport> reports = batch.run();
   ASSERT_EQ(reports.size(), specs.size());
 
   RunOptions golden_options;
   golden_options.duration = kShortRun;
-  for (std::size_t tc = 0; tc < cases.size(); ++tc) {
-    EXPECT_TRUE(
-        traces_identical(batch.take_golden_trace(tc),
-                         run_arrestment(cases[tc], golden_options).trace))
-        << "golden " << tc;
-  }
-  const std::uint32_t spec_case[] = {0, 0, 1};
+  const RunOutcome golden = run_arrestment(test_case, golden_options);
+  EXPECT_TRUE(traces_identical(batch.take_golden_trace(), golden.trace));
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    RunOptions options;
-    options.duration = kShortRun;
+    RunOptions options = golden_options;
     options.injection = specs[i];
     options.rng_seed = 11 + i;
-    const RunOutcome scalar = run_arrestment(cases[spec_case[i]], options);
+    const RunOutcome scalar = run_arrestment(test_case, options);
     EXPECT_TRUE(traces_identical(batch.take_lane_trace(i), scalar.trace))
         << "lane " << i;
     EXPECT_TRUE(reports_identical(
-        reports[i],
-        fi::compare_to_golden(
-            run_arrestment(cases[spec_case[i]], golden_options).trace,
-            scalar.trace)))
+        reports[i], fi::compare_to_golden(golden.trace, scalar.trace)))
         << "lane " << i;
   }
 }
 
-TEST(BatchKernel, ZeroLaneSegmentCoexistsWithPackedLanes) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 2);
-  const std::vector<fi::InjectionSpec> specs = {
-      fi::InjectionSpec{bus_id("pulscnt"), 40 * sim::kMillisecond,
-                        fi::bit_flip(3)},
-  };
-  const std::vector<BatchLaneSpec> lanes1 = {BatchLaneSpec{&specs[0], 21}};
-  const ArrestmentSystem origin0(cases[0]);
-  const ArrestmentSystem origin1(cases[1]);
-  // Segment 0 contributes only its golden lane (count == 0); the screen
-  // and the convergence scan must skip it without touching its bit range.
-  const std::vector<BatchSegment> segments = {
-      BatchSegment{&origin0, std::span<const BatchLaneSpec>{}},
-      BatchSegment{&origin1, lanes1}};
-  BatchedArrestmentSystem batch(segments, kShortRun);
-  const fi::TraceSet* prefixes[] = {nullptr, nullptr};
-  batch.enable_recording(std::span<const fi::TraceSet* const>(prefixes, 2));
-  const std::vector<fi::DivergenceReport> reports = batch.run();
-  ASSERT_EQ(reports.size(), 1u);
-
-  RunOptions golden_options;
-  golden_options.duration = kShortRun;
-  for (std::size_t tc = 0; tc < cases.size(); ++tc) {
-    EXPECT_TRUE(
-        traces_identical(batch.take_golden_trace(tc),
-                         run_arrestment(cases[tc], golden_options).trace))
-        << "golden " << tc;
-  }
-  RunOptions options;
-  options.duration = kShortRun;
-  options.injection = specs[0];
-  options.rng_seed = 21;
-  EXPECT_TRUE(traces_identical(batch.take_lane_trace(0),
-                               run_arrestment(cases[1], options).trace));
-}
-
-TEST(BatchCampaign, SparsePlanPacksAcrossTestCasesAndFireTicks) {
+TEST(BatchCampaign, SparsePlanPacksAcrossFireTicks) {
   const std::vector<TestCase> cases = grid_test_cases(1, 2);
   fi::CampaignConfig config = sparse_plan_config();
   const fi::CampaignResult scalar =
@@ -478,10 +431,10 @@ TEST(BatchCampaign, SparsePlanPacksAcrossTestCasesAndFireTicks) {
       batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config);
 
-  // 24 single-lane (test case, fire tick) groups plus 2 never-fire lanes
-  // pack into ONE kernel batch; the never-fire lanes are peeled before
-  // simulation.
-  EXPECT_EQ(counters.batches(), 1u);
+  // Each test case's 12 single-lane fire-tick groups plus its never-fire
+  // lane pack into ONE kernel batch; the never-fire lanes are peeled
+  // before simulation.
+  EXPECT_EQ(counters.batches(), 2u);
   EXPECT_EQ(counters.lanes(), 24u);
   EXPECT_EQ(counters.never_fire(), 2u);
 
@@ -621,8 +574,8 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
   ASSERT_FALSE(cold_csv.empty());
 
   // Bump V_REG: its consumers' runs re-execute -- through the batch
-  // planner, packed across test cases and fire ticks -- while the rest
-  // replay from the baseline. The merged journal must be byte-identical.
+  // planner, packed across fire ticks -- while the rest replay from the
+  // baseline. The merged journal must be byte-identical.
   store::DeltaRunOptions changed;
   changed.module_versions =
       module_version_tokens({{"V_REG", 0x5EED5EED5EED5EEDULL}});
@@ -637,8 +590,8 @@ TEST(BatchDelta, InvalidatedRunsExecuteThroughPackedBatches) {
 
   EXPECT_EQ(summary.executed, 12u);  // 6 SetValue instants x 2 test cases
   EXPECT_EQ(summary.replayed, 12u);
-  // Packing proof: 12 single-lane (test case, fire tick) groups ran as
-  // ceil(12 / 8) = 2 batches, not 12.
+  // Packing proof: each test case's 6 single-lane fire-tick groups ran as
+  // one batch, so 2 batches ran, not 12.
   EXPECT_EQ(counters.batches(), 2u);
   EXPECT_EQ(counters.lanes(), 12u);
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
@@ -795,46 +748,7 @@ TEST(BatchRefill, RunsWhoseFireTickPassedRunInALaterSegment) {
   }
 }
 
-TEST(BatchRefill, MultiSegmentRequestSharesSlotsAcrossTestCases) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 3);
-  fi::CampaignConfig config = refill_config();
-  config.test_case_count = 3;
-  config.batch_size = 6;
-  const fi::CampaignRunner runner =
-      batched_campaign_runner(cases, config, kShortRun);
-  // Goldens first, so the passes warm-start from checkpoints.
-  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
-    fi::RunRequest golden;
-    golden.test_case = tc;
-    runner.run(golden);
-  }
-  // Six runs of each test case, two slots each: every segment refills
-  // within itself, and deferred runs come back in later passes.
-  fi::BatchRunRequest request;
-  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
-    for (std::uint32_t inj = 0; inj < 6; ++inj) {
-      const std::uint32_t index = inj * 13 + tc;
-      fi::BatchLaneRequest lane;
-      lane.flat = fi::campaign_flat_index(config, index, tc);
-      lane.injection_index = index;
-      lane.test_case = tc;
-      lane.rng_seed = fi::injection_run_seed(config, lane.flat);
-      lane.spec = &config.injections[index];
-      request.lanes.push_back(lane);
-    }
-  }
-  const std::vector<fi::DivergenceReport> reports = runner.batch(request);
-  ASSERT_EQ(reports.size(), request.lanes.size());
-  for (std::size_t i = 0; i < request.lanes.size(); ++i) {
-    const fi::BatchLaneRequest& lane = request.lanes[i];
-    EXPECT_TRUE(reports_identical(
-        reports[i],
-        oracle_report(cases[lane.test_case], *lane.spec, lane.rng_seed)))
-        << "lane " << i;
-  }
-}
-
-TEST(BatchRefill, ThinPoolsPackIntoMultiSegmentRequests) {
+TEST(BatchRefill, ThinPoolsRunAsOneRequestEach) {
   const std::vector<TestCase> cases = grid_test_cases(1, 3);
   fi::CampaignConfig config = refill_config();
   config.test_case_count = 3;
@@ -846,8 +760,9 @@ TEST(BatchRefill, ThinPoolsPackIntoMultiSegmentRequests) {
   const fi::CampaignResult batched = fi::run_campaign(
       batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
       config);
-  // 15 runs, three test cases, packed 8 + 7: two single-pass requests.
-  EXPECT_EQ(counters.batches(), 2u);
+  // 15 runs of three test cases: one single-segment request each.
+  EXPECT_EQ(counters.batches(), 3u);
+  EXPECT_EQ(counters.segments(), 3u);
   EXPECT_EQ(counters.refills(), 0u);
   ASSERT_EQ(batched.records.size(), scalar.records.size());
   for (std::size_t r = 0; r < scalar.records.size(); ++r) {
@@ -855,6 +770,26 @@ TEST(BatchRefill, ThinPoolsPackIntoMultiSegmentRequests) {
                                   scalar.records[r].report))
         << "record " << r;
   }
+}
+
+TEST(BatchRefill, MixedTestCaseRequestIsAContractViolation) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 2);
+  const fi::CampaignConfig config = refill_config();
+  const fi::CampaignRunner runner =
+      batched_campaign_runner(cases, config, kShortRun);
+  fi::BatchRunRequest request;
+  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
+    fi::BatchLaneRequest lane;
+    lane.flat = fi::campaign_flat_index(config, 0, tc);
+    lane.test_case = tc;
+    lane.rng_seed = fi::injection_run_seed(config, lane.flat);
+    lane.spec = &config.injections[0];
+    request.lanes.push_back(lane);
+  }
+  EXPECT_THROW(runner.batch(request), ContractViolation);
+  // Either half alone is a valid request.
+  request.lanes.pop_back();
+  ASSERT_EQ(runner.batch(request).size(), 1u);
 }
 
 TEST(BatchRefill, StuckAtRequestRetiresAndRefillsLanes) {
@@ -920,45 +855,37 @@ TEST(BatchRefill, StuckAtRequestRetiresAndRefillsLanes) {
 
 // --- Row geometry: kernels sweep one or two whole 32-lane rows ----------
 
-/// `runs` runs of each test case of refill_config(), flat-indexed like the
-/// campaign would.
+/// The first `runs` runs of test case 0 of refill_config(), flat-indexed
+/// like the campaign would.
 fi::BatchRunRequest refill_request(const fi::CampaignConfig& config,
                                    std::uint32_t runs) {
   fi::BatchRunRequest request;
-  for (std::uint32_t tc = 0; tc < config.test_case_count; ++tc) {
-    for (std::uint32_t inj = 0; inj < runs; ++inj) {
-      const std::uint32_t index = inj * config.test_case_count + tc;
-      fi::BatchLaneRequest lane;
-      lane.flat = fi::campaign_flat_index(config, index, tc);
-      lane.injection_index = index;
-      lane.test_case = tc;
-      lane.rng_seed = fi::injection_run_seed(config, lane.flat);
-      lane.spec = &config.injections[index];
-      request.lanes.push_back(lane);
-    }
+  for (std::uint32_t index = 0; index < runs; ++index) {
+    fi::BatchLaneRequest lane;
+    lane.flat = fi::campaign_flat_index(config, index, 0);
+    lane.injection_index = index;
+    lane.rng_seed = fi::injection_run_seed(config, lane.flat);
+    lane.spec = &config.injections[index];
+    request.lanes.push_back(lane);
   }
   return request;
 }
 
-TEST(BatchGeometry, ThinMultiTestCaseRequestsSweepWholeRows) {
-  const std::vector<TestCase> cases = grid_test_cases(1, 3);
+TEST(BatchGeometry, RequestsSweepOneOrTwoWholeRows) {
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
   fi::CampaignConfig config = refill_config();
-  config.test_case_count = 3;
+  config.test_case_count = 1;
   ASSERT_EQ(config.batch_size, 0u);  // the default geometry
   BatchCounters counters;
   const fi::CampaignRunner runner =
       batched_campaign_runner(cases, config, kShortRun, &counters.telemetry);
-  for (std::uint32_t tc = 0; tc < cases.size(); ++tc) {
-    fi::RunRequest golden;
-    golden.test_case = tc;
-    runner.run(golden);
-  }
-  // 12 runs + 3 golden lanes fit in one row; 36 + 3 need two. Either way
-  // each request is one kernel of a single row or a whole row pair.
+  runner.run(fi::RunRequest{});  // golden run: captures the checkpoints
+  // 31 runs and the golden lane fill one row; 32 runs need two. Either
+  // way each request is one kernel of a single row or a whole row pair.
   for (const auto& [runs, lanes] :
-       {std::pair<std::uint32_t, std::uint64_t>{4, 32},
-        std::pair<std::uint32_t, std::uint64_t>{12, 64}}) {
-    SCOPED_TRACE("runs per test case=" + std::to_string(runs));
+       {std::pair<std::uint32_t, std::uint64_t>{31, 32},
+        std::pair<std::uint32_t, std::uint64_t>{32, 64}}) {
+    SCOPED_TRACE("runs=" + std::to_string(runs));
     const std::uint64_t batches = counters.batches();
     const std::uint64_t ticks = counters.ticks();
     const std::uint64_t lane_ticks = counters.lane_ticks();
@@ -971,19 +898,17 @@ TEST(BatchGeometry, ThinMultiTestCaseRequestsSweepWholeRows) {
     for (std::size_t i = 0; i < request.lanes.size(); ++i) {
       const fi::BatchLaneRequest& lane = request.lanes[i];
       EXPECT_TRUE(reports_identical(
-          reports[i],
-          oracle_report(cases[lane.test_case], *lane.spec, lane.rng_seed)))
+          reports[i], oracle_report(cases[0], *lane.spec, lane.rng_seed)))
           << "lane " << i;
     }
   }
-  // A request of more runs than lanes streams through one kernel too.
+  // A request of more runs than the kernel holds streams through one
+  // kernel of two rows.
   const std::uint64_t ticks = counters.ticks();
   const std::uint64_t lane_ticks = counters.lane_ticks();
-  runner.batch(refill_request(config, 33));
-  const std::uint64_t swept = counters.lane_ticks() - lane_ticks;
-  EXPECT_EQ(swept % 32, 0u);
-  EXPECT_GE(swept, 32 * (counters.ticks() - ticks));
-  EXPECT_LE(swept, 64 * (counters.ticks() - ticks));
+  runner.batch(refill_request(config, 100));
+  EXPECT_EQ(counters.lane_ticks() - lane_ticks,
+            64 * (counters.ticks() - ticks));
 }
 
 TEST(BatchGeometry, ExplicitWidth64IsCappedAt63Slots) {
@@ -1219,7 +1144,7 @@ TEST(BatchRolling, EarlierTickOpensASecondSegmentPastTheLastFireTick) {
                          held.push_back(engine.lookup(0, ms));
                          return *held.back()->system;
                        }};
-  BatchedArrestmentSystem batch(std::span(&pool, 1), 32, kSlots, kRun);
+  BatchedArrestmentSystem batch(pool, 32, kSlots, kRun);
   const std::vector<fi::DivergenceReport> reports = batch.run();
 
   const std::vector<BatchedArrestmentSystem::SegmentOrigin> origins =

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <numeric>
 #include <string>
+#include <string_view>
 
 #include "common/contracts.hpp"
 
@@ -176,7 +177,7 @@ TEST(Campaign, ScalarRunnerIsAWidthOneBatchAdaptor) {
   }
   BatchRunRequest request;
   request.lanes = {{0, 1, 2, 7, &config.injections[1]},
-                   {0, 0, 1, 8, &config.injections[0]}};
+                   {0, 0, 2, 8, &config.injections[0]}};
   request.goldens = &goldens;
   const std::vector<DivergenceReport> reports = runner.batch(request);
   ASSERT_EQ(reports.size(), 2u);
@@ -194,10 +195,12 @@ TEST(Campaign, ScalarRunnerIsAWidthOneBatchAdaptor) {
 
 /// A system that simulates nothing: its golden run is one row, and each
 /// batch lane gets an empty report. It records the lane count of every
-/// request the planner hands it.
+/// request the planner hands it, and counts the requests whose lanes do
+/// not all share one test case.
 struct PlanProbe {
   std::mutex mutex;
   std::vector<std::size_t> request_lanes;
+  std::size_t mixed_requests = 0;
 
   CampaignRunner runner() {
     return CampaignRunner(
@@ -209,6 +212,11 @@ struct PlanProbe {
         [this](const BatchRunRequest& request) {
           const std::lock_guard<std::mutex> lock(mutex);
           request_lanes.push_back(request.lanes.size());
+          mixed_requests += std::any_of(
+              request.lanes.begin(), request.lanes.end(),
+              [&](const BatchLaneRequest& lane) {
+                return lane.test_case != request.lanes.front().test_case;
+              });
           return std::vector<DivergenceReport>(request.lanes.size());
         });
   }
@@ -229,13 +237,14 @@ CampaignConfig plan_shape(std::uint32_t test_cases, std::size_t targets,
   return config;
 }
 
-// The planner packs S runs into N requests of kernel width W. Each test
-// case's pool of at least W runs is dealt into whole widths, so at most one
-// of its requests is short; thinner pools are packed across test cases W
-// runs at a time, leaving one more short request at most. With T =
-// min(test cases + 1, S) short requests, N <= T + (S - T) / W at any thread
+// The planner packs S runs into N requests of kernel width W, and every
+// request holds the runs of one test case. Each test case's pool is dealt
+// into whole widths, so at most one of its requests is short. With T =
+// min(test cases, S) short requests, N <= T + (S - T) / W at any thread
 // count. A planner that issues one request per (test case, fire tick)
-// group breaks the bound on every shape below except the full paper plan.
+// group breaks the bound on every shape below except the full paper plan,
+// and one that packs thin pools across test cases fails the one-test-case
+// check on the thin slice.
 TEST(Campaign, PlannerPacksRequestsToTheKernelWidth) {
   const std::vector<ErrorModel> one_bit = {bit_flip(3)};
   std::vector<sim::SimTime> sparse_instants;
@@ -258,7 +267,7 @@ TEST(Campaign, PlannerPacksRequestsToTheKernelWidth) {
       // A delta that invalidated one consumer keeps a thin slice: here 4
       // flips x 10 instants of the last target (160 injections per
       // target), 40 runs per test case, below the width, so every pool is
-      // packed across test cases.
+      // one short request.
       {"thin slice",
        plan_shape(25, 13, all_bit_flips(), paper_injection_instants()),
        [](std::uint32_t injection, std::uint32_t) {
@@ -285,11 +294,20 @@ TEST(Campaign, PlannerPacksRequestsToTheKernelWidth) {
                           probe.request_lanes.end(), std::size_t{0});
       const std::size_t width = kDefaultBatchSize;
       const std::size_t tails =
-          std::min<std::size_t>(config.test_case_count + 1, runs);
+          std::min<std::size_t>(config.test_case_count, runs);
       EXPECT_EQ(runs, shape.runs) << shape.name << ", threads " << threads;
+      EXPECT_EQ(probe.mixed_requests, 0u)
+          << shape.name << ", threads " << threads;
       EXPECT_LE(requests, tails + (runs - tails) / width)
           << shape.name << ", threads " << threads << ": " << runs
           << " run(s) in " << requests << " request(s)";
+      if (std::string_view(shape.name) == "paper") {
+        // 2,080 runs per test case: 34 widths, dealt into at least three
+        // requests of at most 1,024 runs, and into four at 4 threads so
+        // that 100 requests split evenly.
+        EXPECT_EQ(requests, threads == 4 ? 100u : 75u)
+            << "threads " << threads;
+      }
     }
   }
 }

@@ -180,7 +180,6 @@ TEST(WriteChromeTrace, ParentsSynthesizedRunsByPhaseContainment) {
       "campaign.batch.done", {{"t_us", Value(std::uint64_t{3000})},
                               {"dur_us", Value(std::uint64_t{100})},
                               {"fire_ms", Value(std::uint64_t{7})},
-                              {"test_cases", Value(std::uint64_t{2})},
                               {"lanes", Value(std::uint64_t{16})}}));
   // Straddles the injection phase's start: only the root contains it.
   stream.events.push_back(event_row(
@@ -209,10 +208,10 @@ TEST(WriteChromeTrace, ParentsSynthesizedRunsByPhaseContainment) {
                        "\"parent_span_id\":3}"),
             std::string::npos);
   EXPECT_NE(trace.find("\"ts\":2900,\"dur\":100,\"args\":{\"fire_ms\":7,"
-                       "\"test_cases\":2,\"lanes\":16,\"parent_span_id\":4}"),
+                       "\"lanes\":16,\"parent_span_id\":4}"),
             std::string::npos);
   EXPECT_NE(trace.find("\"ts\":1100,\"dur\":200,\"args\":{\"fire_ms\":8,"
-                       "\"test_cases\":1,\"lanes\":0,\"parent_span_id\":2}"),
+                       "\"lanes\":0,\"parent_span_id\":2}"),
             std::string::npos);
   const std::string orphan = line_with(trace, "\"test_case\":9");
   ASSERT_FALSE(orphan.empty());

@@ -300,6 +300,53 @@ TEST(ResultCache, ReplaysAreDurableBeforeAnythingExecutes) {
   EXPECT_EQ(journal_csv(delta_dir), cold_csv);
 }
 
+// A crash inside a replay run, made deterministic: the shard is cut inside
+// a frame after some committed records. The rerun keeps the records
+// before the cut, replays exactly the lost ones and executes nothing.
+TEST(ResultCache, TornReplayRunReplaysOnlyTheLostRecords) {
+  const fs::path base_dir = fresh_dir("cache_torn_base");
+  cold_delta_run(base_dir);
+  const std::string cold_csv = journal_csv(base_dir);
+  const core::SystemModel model = chain_model();
+  const fs::path delta_dir = fresh_dir("cache_torn_delta");
+  const auto replay_all = [&] {
+    return run_delta_journaled_campaign(
+        chain_runner(), chain_config(), model, chain_binding(model),
+        delta_dir, ResultCache::load(base_dir), delta_options());
+  };
+  ASSERT_EQ(replay_all().replayed, 16u);
+
+  const std::vector<fs::path> shards =
+      ShardedJournalWriter::list_shards(delta_dir);
+  ASSERT_EQ(shards.size(), 1u);
+  std::ifstream in(shards.front(), std::ios::binary);
+  const std::vector<unsigned char> bytes{std::istreambuf_iterator<char>(in),
+                                         std::istreambuf_iterator<char>()};
+  // Header (magic + version), then `u32 length | u32 crc | payload` frames:
+  // the manifest and six records survive, the cut lands 3 bytes into the
+  // seventh record.
+  std::size_t at = sizeof(kJournalMagic) + 4;
+  for (int frame = 0; frame < 7; ++frame) {
+    ASSERT_LE(at + 8, bytes.size());
+    std::uint32_t length = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      length |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    }
+    at += 8 + length;
+  }
+  ASSERT_LT(at + 3, bytes.size());
+  fs::resize_file(shards.front(), at + 3);
+  const CampaignDirState torn = scan_campaign_dir(delta_dir);
+  EXPECT_EQ(torn.completed_count, 6u);
+  EXPECT_EQ(torn.warnings.size(), 1u);  // the torn tail only warns
+
+  const DeltaJournalSummary resumed = replay_all();
+  EXPECT_EQ(resumed.skipped_completed, 6u);
+  EXPECT_EQ(resumed.replayed, 10u);
+  EXPECT_EQ(resumed.executed, 0u);
+  EXPECT_EQ(journal_csv(delta_dir), cold_csv);
+}
+
 // Replays commit in runs: one write and one flush per run, not per record.
 TEST(ResultCache, AllReplaySessionFlushesFarLessThanItAppends) {
   const fs::path base_dir = fresh_dir("cache_flush_base");

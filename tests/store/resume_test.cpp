@@ -9,6 +9,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -223,6 +224,67 @@ TEST(Merge, MismatchedSourcesAreRefusedBeforeWriting) {
   EXPECT_THROW(merge_journals(merged, {a, b}), ContractViolation);
   // Validation happens before any write: no shard files appeared.
   EXPECT_TRUE(ShardedJournalWriter::list_shards(merged).empty());
+}
+
+/// The bytes of the one shard in `dir`.
+std::vector<char> only_shard_bytes(const fs::path& dir) {
+  const std::vector<fs::path> shards = ShardedJournalWriter::list_shards(dir);
+  EXPECT_EQ(shards.size(), 1u) << dir;
+  if (shards.empty()) return {};
+  std::ifstream in(shards.front(), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Merge, CopyIsByteIdenticalToRecordByRecordAppends) {
+  // Enough records that the copy commits several bounded runs.
+  Manifest manifest;
+  manifest.plan_hash = 0x5EED;
+  manifest.seed = 7;
+  manifest.test_case_count = 2;
+  manifest.injection_count = 2000;
+  const auto record_of = [](std::size_t flat) {
+    fi::InjectionRecord record;
+    record.injection_index = static_cast<std::uint32_t>(flat / 2);
+    record.test_case = static_cast<std::uint32_t>(flat % 2);
+    record.target = static_cast<fi::BusSignalId>(flat % 3);
+    record.when = (flat % 10) * sim::kMillisecond;
+    record.fingerprint = flat * 0x9E3779B97F4A7C15ULL;
+    record.report.per_signal.resize(3);
+    fi::Divergence& divergence = record.report.per_signal[flat % 3];
+    divergence.diverged = true;
+    divergence.first_ms = flat % 17;
+    divergence.observed_value = static_cast<std::uint16_t>(flat);
+    return record;
+  };
+  // Two process-split halves: the even flats and the odd flats.
+  const fs::path part0 = fresh_dir("merge_bytes_part0");
+  const fs::path part1 = fresh_dir("merge_bytes_part1");
+  {
+    ShardedJournalWriter even(part0, manifest);
+    ShardedJournalWriter odd(part1, manifest);
+    for (std::size_t flat = 0; flat < manifest.total_runs(); ++flat) {
+      (flat % 2 == 0 ? even : odd).append(record_of(flat));
+    }
+  }
+  const fs::path merged = fresh_dir("merge_bytes_dest");
+  const MergeSummary summary = merge_journals(merged, {part0, part1});
+  EXPECT_EQ(summary.record_count, manifest.total_runs());
+
+  // The same records in the merge's order, source by source, appended one
+  // at a time.
+  const fs::path reference = fresh_dir("merge_bytes_reference");
+  {
+    ShardedJournalWriter writer(reference, manifest);
+    for (const std::size_t half : {0u, 1u}) {
+      for (std::size_t flat = half; flat < manifest.total_runs(); flat += 2) {
+        writer.append(record_of(flat));
+      }
+    }
+  }
+  const std::vector<char> bytes = only_shard_bytes(merged);
+  EXPECT_GT(bytes.size(), 2 * kReplayRunBytes);
+  EXPECT_EQ(bytes, only_shard_bytes(reference));
 }
 
 /// Flips one payload byte in the middle of the first record frame of the

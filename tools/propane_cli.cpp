@@ -1137,7 +1137,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "propane: %s\n", err.what());
     return 3;
   } catch (const propane::ContractViolation& err) {
-    std::fprintf(stderr, "propane: %s\n", err.what());
+    // A check's message is for the user; a check without one is an
+    // internal bug, reported with its expression and source location.
+    std::fprintf(stderr, "propane: %s\n",
+                 err.message().empty() ? err.what() : err.message().c_str());
     return 1;
   } catch (const std::exception& err) {
     std::fprintf(stderr, "propane: %s\n", err.what());
