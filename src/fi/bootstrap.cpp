@@ -172,20 +172,32 @@ BootstrapResult BootstrapResampler::run(
   // Evaluation view of the cells: key order and sorted masks make every
   // draw a pure function of journal *content* -- shard layout, merge order
   // and record arrival order all wash out, the same invariance the
-  // permeability CSV already honours.
+  // permeability CSV already honours. The sorted masks are split into runs
+  // of equal values, so a draw only counts the group of the index it picks.
   struct EvalCell {
     const Cell* cell = nullptr;
     std::uint64_t salt = 0;
-    std::vector<std::uint64_t> masks;
+    std::vector<std::uint64_t> group_masks;  // distinct masks, ascending
+    std::vector<std::uint32_t> group_of;     // sorted record index -> group
   };
   std::vector<EvalCell> eval_cells;
   eval_cells.reserve(cells_.size());
+  std::size_t max_groups = 0;
   for (const auto& [key, index] : cell_index_) {
     EvalCell ec;
     ec.cell = &cells_[index];
     ec.salt = derive(key.first, key.second);
-    ec.masks = ec.cell->error_masks;
-    std::sort(ec.masks.begin(), ec.masks.end());
+    std::vector<std::uint64_t> masks = ec.cell->error_masks;
+    std::sort(masks.begin(), masks.end());
+    ec.group_of.reserve(masks.size());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      if (i == 0 || masks[i] != masks[i - 1]) {
+        ec.group_masks.push_back(masks[i]);
+      }
+      ec.group_of.push_back(
+          static_cast<std::uint32_t>(ec.group_masks.size() - 1));
+    }
+    max_groups = std::max(max_groups, ec.group_masks.size());
     eval_cells.push_back(std::move(ec));
   }
 
@@ -242,7 +254,7 @@ BootstrapResult BootstrapResampler::run(
     plan.pair_injections.assign(pair_count, 0);
     for (std::size_t c = 0; c < eval_cells.size(); ++c) {
       const std::size_t m =
-          scaled_draws(plan.fraction, eval_cells[c].masks.size());
+          scaled_draws(plan.fraction, eval_cells[c].group_of.size());
       plan.cell_draws[c] = m;
       plan.total_draws += m;
       for (std::uint32_t pair : eval_cells[c].cell->pair_indices) {
@@ -251,24 +263,45 @@ BootstrapResult BootstrapResampler::run(
     }
   }
 
-  // One bootstrap error-count draw: replicate r of fraction f.
+  // Adds `count` errors to every pair of `ec` whose bit is set in `mask`.
+  const auto add_errors = [](const EvalCell& ec, std::uint64_t mask,
+                             std::uint32_t count,
+                             std::vector<std::uint32_t>& err) {
+    while (mask != 0) {
+      const int j = std::countr_zero(mask);
+      mask &= mask - 1;
+      err[ec.cell->pair_indices[static_cast<std::size_t>(j)]] += count;
+    }
+  };
+
+  // One bootstrap error-count draw: replicate r of fraction f. `counts` is
+  // per-group scratch of at least max_groups entries.
   const auto resample_errors = [&](std::size_t fraction_index,
                                    std::size_t replicate,
-                                   std::vector<std::uint32_t>& err) {
+                                   std::vector<std::uint32_t>& err,
+                                   std::vector<std::uint32_t>& counts) {
     std::fill(err.begin(), err.end(), 0u);
     const FractionPlan& plan = plans[fraction_index];
     for (std::size_t c = 0; c < eval_cells.size(); ++c) {
       const EvalCell& ec = eval_cells[c];
+      const std::size_t draws = plan.cell_draws[c];
+      const std::size_t groups = ec.group_masks.size();
+      if (groups == 1) {
+        // Every draw picks the same mask, so the cell needs no stream; each
+        // cell's stream is seeded on its own, so no other draw moves.
+        add_errors(ec, ec.group_masks[0], static_cast<std::uint32_t>(draws),
+                   err);
+        continue;
+      }
       Rng rng(replicate_seed(options.seed, fraction_index, replicate,
                              ec.salt));
-      const std::uint64_t n = ec.masks.size();
-      for (std::size_t d = 0; d < plan.cell_draws[c]; ++d) {
-        std::uint64_t mask = ec.masks[rng.bounded(n)];
-        while (mask != 0) {
-          const int j = std::countr_zero(mask);
-          mask &= mask - 1;
-          ++err[ec.cell->pair_indices[static_cast<std::size_t>(j)]];
-        }
+      std::fill_n(counts.begin(), groups, 0u);
+      const std::uint64_t n = ec.group_of.size();
+      for (std::size_t d = 0; d < draws; ++d) {
+        ++counts[ec.group_of[rng.bounded(n)]];
+      }
+      for (std::size_t g = 0; g < groups; ++g) {
+        add_errors(ec, ec.group_masks[g], counts[g], err);
       }
     }
   };
@@ -303,19 +336,30 @@ BootstrapResult BootstrapResampler::run(
                                                          1);
   for (auto& m : conv_eq5) m = matrix(module_count);
 
-  obs::Histogram* replicate_us = obs::find_histogram(
-      telemetry, "bootstrap.replicate.us",
-      {100.0, 1000.0, 10000.0, 100000.0, 1000000.0});
+  // One bucket layout for both, so their quantiles compare.
+  const std::vector<double> us_bounds = {10.0, 100.0, 1000.0, 10000.0,
+                                         100000.0};
+  obs::Histogram* replicate_us =
+      obs::find_histogram(telemetry, "bootstrap.replicate.us", us_bounds);
+  obs::Histogram* resample_us =
+      obs::find_histogram(telemetry, "bootstrap.resample.us", us_bounds);
 
   ThreadPool pool(options.threads, telemetry);
   const std::size_t main_fraction = fractions.size() - 1;
   pool.parallel_for(0, B, [&](std::size_t r) {
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::uint32_t> err(pair_count);
+    std::vector<std::uint32_t> counts(max_groups);
+    std::chrono::steady_clock::duration resample_time{};
+    const auto timed_resample = [&](std::size_t f) {
+      const auto start = std::chrono::steady_clock::now();
+      resample_errors(f, r, err, counts);
+      resample_time += std::chrono::steady_clock::now() - start;
+    };
 
     // Subsampled convergence passes (Eq. 5 only).
     for (std::size_t f = 0; f + 1 < fractions.size(); ++f) {
-      resample_errors(f, r, err);
+      timed_resample(f);
       const core::SystemPermeability sp = permeability_of(err, plans[f]);
       const core::PermeabilityGraph graph(model_, sp);
       for (core::ModuleId m = 0; m < module_count; ++m) {
@@ -324,7 +368,7 @@ BootstrapResult BootstrapResampler::run(
     }
 
     // Full-size pass: the bootstrap proper, through the whole pipeline.
-    resample_errors(main_fraction, r, err);
+    timed_resample(main_fraction);
     const core::SystemPermeability sp =
         permeability_of(err, plans[main_fraction]);
     for (std::size_t slot = 0; slot < active.size(); ++slot) {
@@ -357,6 +401,10 @@ BootstrapResult BootstrapResampler::run(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)
               .count()));
+    }
+    if (resample_us != nullptr) {
+      resample_us->observe(
+          std::chrono::duration<double, std::micro>(resample_time).count());
     }
   });
 

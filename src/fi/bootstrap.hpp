@@ -166,9 +166,16 @@ struct BootstrapResult {
 /// Usage: construct, add() every record once (any order -- cells key on
 /// record identity, not arrival), then run(). add() folds each record into
 /// a point-estimate accumulator AND stores its per-pair error pattern as a
-/// bitmask in its (target, test case) cell, so a replicate draw is a
-/// with-replacement pick of bitmasks per cell -- O(records) memory,
-/// no record copies.
+/// bitmask in its (target, test case) cell -- O(records) memory, no record
+/// copies.
+///
+/// run() groups each cell's sorted masks into runs of equal values before
+/// the replicate loop. A cell with one distinct mask (all-clean or always
+/// erring) adds its draw count to each of that mask's pairs and draws no
+/// random number. Any other cell draws record indices from its stream as
+/// a with-replacement resample would, but counts only the group each index
+/// falls in; the group counts times their mask bits give the cell's error
+/// counts. Per draw that is one RNG step and one increment.
 class BootstrapResampler {
  public:
   BootstrapResampler(const core::SystemModel& model,
@@ -188,8 +195,9 @@ class BootstrapResampler {
 
   /// Evaluates B replicates (and the convergence fractions) over the
   /// collected records. Requires at least one non-placeholder record.
-  /// `telemetry` (optional) receives bootstrap.* counters and a
-  /// bootstrap.replicate.us histogram; observation-only.
+  /// `telemetry` (optional) receives bootstrap.* counters and the
+  /// bootstrap.replicate.us and bootstrap.resample.us histograms;
+  /// observation-only.
   BootstrapResult run(const BootstrapOptions& options,
                       const obs::Telemetry* telemetry = nullptr) const;
 

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/contracts.hpp"
 #include "exp/report/bootstrap_report.hpp"
 #include "obs/ndjson.hpp"
@@ -131,6 +132,17 @@ TEST(Bootstrap, ReportsItsShapeAndOpensItsTelemetrySession) {
   // 64 replicates at each of the fractions 0.5 and 1.0.
   EXPECT_EQ(metrics.counter("bootstrap.replicates").value(), 128u);
   EXPECT_GT(metrics.gauge("bootstrap.replicates_per_s").value(), 0.0);
+  // One observation per replicate in each histogram, and the resampling
+  // share of a replicate cannot exceed its whole (which is truncated to
+  // whole microseconds, hence one microsecond of slack per replicate).
+  const obs::MetricsSnapshot snapshot = metrics.snapshot();
+  const obs::HistogramSnapshot& replicate =
+      snapshot.histograms.at("bootstrap.replicate.us");
+  const obs::HistogramSnapshot& resample =
+      snapshot.histograms.at("bootstrap.resample.us");
+  EXPECT_EQ(replicate.count, 64u);
+  EXPECT_EQ(resample.count, 64u);
+  EXPECT_LE(resample.sum, replicate.sum + 64.0);
   const std::string log = events.str();
   EXPECT_EQ(log.rfind("{\"event\":\"bootstrap.plan\"", 0), 0u) << log;
   EXPECT_NE(log.find("\"event\":\"bootstrap.done\""), std::string::npos);
@@ -258,6 +270,80 @@ TEST(Bootstrap, ConvergenceLadderEndsAtTheFullCampaign) {
     EXPECT_DOUBLE_EQ(result.convergence[2].module_exposure[m].band.p50,
                      result.modules[m].nonweighted_exposure.band.p50);
   }
+}
+
+/// Model whose module C has two outputs, so one injected signal reaches two
+/// consumer pairs (bus: x=0, a=1, c1=2, c2=3, b=4):
+///   system input "x" -> A -> "a" -> C -> {"c1", "c2"} -> B{in1, in2} ->
+///   "b" (system out).
+SystemModel fanout_model() {
+  SystemModelBuilder builder;
+  builder.add_module("A", {"xin"}, {"a"});
+  builder.add_module("C", {"cin"}, {"c1", "c2"});
+  builder.add_module("B", {"in1", "in2"}, {"b"});
+  builder.add_system_input("x");
+  builder.connect_system_input("x", "A", "xin");
+  builder.connect("A", "a", "C", "cin");
+  builder.connect("C", "c1", "B", "in1");
+  builder.connect("C", "c2", "B", "in2");
+  builder.add_system_output("out", "B", "b");
+  return std::move(builder).build();
+}
+
+/// Cells of every resampling shape over fanout_model(): x under test case 0
+/// never reaches a (one all-clean mask), x under test case 1 always does
+/// (one always-erring mask), a reaches c1 and c2 in four distinct patterns
+/// over C's two pairs, and c1 reaches b in half its runs.
+std::vector<InjectionRecord> fanout_records() {
+  constexpr std::size_t kClean = SIZE_MAX;
+  std::vector<InjectionRecord> records;
+  for (int i = 0; i < 10; ++i) {
+    records.push_back(make_record(0, 0, {1, kClean, kClean, kClean, kClean}));
+    records.push_back(make_record(0, 1, {1, 2, kClean, kClean, kClean}));
+    records.push_back(make_record(
+        2, 0,
+        {kClean, kClean, 3, kClean, (i % 2 == 0) ? std::size_t{5} : kClean}));
+  }
+  for (int i = 0; i < 12; ++i) {
+    records.push_back(make_record(
+        1, 0,
+        {kClean, 2, (i % 3 != 0) ? std::size_t{3} : kClean,
+         (i % 4 == 0) ? std::size_t{4} : kClean, kClean}));
+  }
+  return records;
+}
+
+std::uint64_t digest(const std::string& text) {
+  return fnv1a64(text.data(), text.size());
+}
+
+TEST(Bootstrap, ArtifactsMatchPinnedDigests) {
+  // Pins the artifacts' bytes, not only their agreement across runs: a
+  // change to how a replicate draws must leave every draw where it was.
+  const SystemModel model = fanout_model();
+  const SignalBinding binding =
+      SignalBinding::by_name(model, {"x", "a", "c1", "c2", "b"});
+  BootstrapResampler resampler(model, binding, 5);
+  for (const InjectionRecord& record : fanout_records()) {
+    resampler.add(record);
+  }
+  ASSERT_EQ(resampler.cell_count(), 4u);
+  BootstrapOptions options;
+  options.replicates = 64;
+  options.seed = 42;
+  options.top_k = 2;
+  options.threads = 2;
+  options.run_fractions = {0.25, 0.5, 0.75};
+  const BootstrapResult result = resampler.run(options);
+
+  EXPECT_EQ(digest(exp::bootstrap_summary_json(result)),
+            0x58F8FD16555D5612ULL)
+      << std::hex << digest(exp::bootstrap_summary_json(result));
+  EXPECT_EQ(digest(exp::bootstrap_bands_svg(result)), 0x1A0F0125263BB3F4ULL)
+      << std::hex << digest(exp::bootstrap_bands_svg(result));
+  EXPECT_EQ(digest(exp::bootstrap_confidence_dot(model, result)),
+            0xC6689697028C5B2FULL)
+      << std::hex << digest(exp::bootstrap_confidence_dot(model, result));
 }
 
 TEST(Bootstrap, RunWithoutRecordsViolatesContract) {

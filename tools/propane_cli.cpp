@@ -931,7 +931,7 @@ int cmd_campaign_top(const CampaignArgs& args) {
       const obs::Value* value = obs::find_field(fields, "value");
       if (obs::string_field(fields, "kind") == "histogram") {
         std::string cell;
-        for (const char* key : {"count", "p50", "p90", "p99"}) {
+        for (const char* key : {"count", "sum", "p50", "p90", "p99"}) {
           const obs::Value* v = obs::find_field(fields, key);
           if (v == nullptr) continue;
           if (!cell.empty()) cell += ", ";
