@@ -1,6 +1,7 @@
 #include "arrestment/batch_runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -29,6 +30,8 @@ struct BatchInstruments {
   obs::Counter* retire_converged = nullptr;
   obs::Counter* retire_exhausted = nullptr;
   obs::Counter* never_fire_lanes = nullptr;
+  std::array<obs::Counter*, BatchedArrestmentSystem::kStepCount>
+      step_cycles{};
 
   explicit BatchInstruments(const obs::Telemetry* telemetry) {
     group_lanes = obs::find_histogram(
@@ -51,10 +54,14 @@ struct BatchInstruments {
     retire_exhausted =
         obs::find_counter(telemetry, "batch.retire.exhausted");
     never_fire_lanes = obs::find_counter(telemetry, "batch.never_fire.lanes");
+    for (std::size_t step = 0; step < step_cycles.size(); ++step) {
+      step_cycles[step] =
+          obs::find_counter(telemetry, step_cycles_counter(step));
+    }
   }
 
   /// Folds one finished kernel in. Derived *after* the kernel ran, from
-  /// counts it already kept -- the tick loop stays untouched.
+  /// counts and step timings it already kept.
   void observe(const BatchedArrestmentSystem& batch, std::size_t runs) const {
     const auto add = [](obs::Counter* counter, std::uint64_t n) {
       if (counter != nullptr) counter->add(n);
@@ -74,6 +81,9 @@ struct BatchInstruments {
     add(refill_lanes, batch.refills());
     add(retire_converged, batch.converged_retirements());
     add(retire_exhausted, batch.exhausted_retirements());
+    for (std::size_t step = 0; step < step_cycles.size(); ++step) {
+      add(step_cycles[step], batch.step_cycles()[step]);
+    }
   }
 };
 
@@ -163,6 +173,12 @@ std::vector<fi::DivergenceReport> run_batch(
 }
 
 }  // namespace
+
+std::string step_cycles_counter(std::size_t step) {
+  PROPANE_REQUIRE(step < BatchedArrestmentSystem::kStepCount);
+  return std::string("batch.kernel.step.") +
+         BatchedArrestmentSystem::kStepNames[step] + "_cycles";
+}
 
 fi::CampaignRunner batched_campaign_runner(std::vector<TestCase> test_cases,
                                            const fi::CampaignConfig& config,

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -58,14 +59,26 @@ namespace propane::arr {
 ///   batch.retire.ticks     -- histogram, ticks from a run joining its lane
 ///                             to its retirement (early-exit latency);
 ///   batch.retire.converged, batch.retire.exhausted
-///                          -- counters, early retirements by cause.
+///                          -- counters, early retirements by cause;
+///   batch.kernel.step.<step>_cycles
+///                          -- counters, per tick step (fire, env, clock,
+///                             dist_s, pres_s, pres_a, v_reg, calc, screen,
+///                             converge), its timer units over the kernel's
+///                             sampled ticks (BatchedArrestmentSystem::
+///                             step_cycles).
 /// Handles resolve once here; each kernel then costs a few relaxed atomic
-/// adds *after* it ran -- the tick loop itself carries no instrumentation,
-/// so null telemetry is exactly the uninstrumented path.
+/// adds *after* it ran. The tick loop's only instrumentation is the
+/// step split's timer reads on one tick in 64, which every kernel takes
+/// whether telemetry is on or off, so null telemetry is exactly the
+/// uninstrumented path.
 fi::CampaignRunner batched_campaign_runner(
     std::vector<TestCase> test_cases, const fi::CampaignConfig& config,
     sim::SimTime duration = kRunDuration,
     const obs::Telemetry* telemetry = nullptr);
+
+/// The name of the counter holding tick step `step`'s timer units
+/// ("batch.kernel.step.<name>_cycles", BatchedArrestmentSystem::kStepNames).
+std::string step_cycles_counter(std::size_t step);
 
 /// The former positional form, whose two middle arguments were statistics
 /// sinks; both must be null. Kept so existing callers compile unchanged.

@@ -1,6 +1,7 @@
 #include "arrestment/batch_system.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -8,8 +9,8 @@
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <x86intrin.h>
 #endif
 
 namespace propane::arr {
@@ -19,6 +20,71 @@ namespace {
 /// transient error retires its lane quickly, rarely enough that the check
 /// (a full state compare per candidate lane) stays off the hot path.
 constexpr std::uint64_t kConvergenceCheckPeriod = 16;
+
+/// The step split's clock: the TSC behind an lfence (so the step before it
+/// has finished) on x86, steady-clock nanoseconds elsewhere.
+std::uint64_t step_stamp() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_lfence();
+  return __rdtsc();
+#else
+  return static_cast<std::uint64_t>(
+      std::chrono::steady_clock::now().time_since_epoch().count());
+#endif
+}
+
+/// Whether tick `tick` is timed step by step: one tick in each window of
+/// kStepSamplePeriod, at an offset that walks through the residues
+/// modulo kConvergenceCheckPeriod from window to window (a fixed offset
+/// would sample the convergence check on every sampled tick or never).
+bool step_sampled(std::uint64_t tick) {
+  constexpr std::uint64_t kPeriod = BatchedArrestmentSystem::kStepSamplePeriod;
+  static_assert(kPeriod % kConvergenceCheckPeriod == 0);
+  return tick % kPeriod == tick / kPeriod % kConvergenceCheckPeriod;
+}
+
+/// Charges the time between consecutive laps of one tick to its steps,
+/// less the clock's own cost (two back-to-back reads on the same tick);
+/// on an unsampled tick it reads no clock.
+class StepLaps {
+ public:
+  using Sums = std::array<std::uint64_t, BatchedArrestmentSystem::kStepCount>;
+
+  explicit StepLaps(bool sampled) : sampled_(sampled) {
+    if (!sampled_) return;
+    const std::uint64_t first = step_stamp();
+    last_ = step_stamp();
+    floor_ = last_ - first;
+  }
+
+  void lap(std::size_t step) {
+    if (!sampled_) return;
+    const std::uint64_t now = step_stamp();
+    const std::uint64_t spent = now - last_;
+    laps_[step] += spent > floor_ ? spent - floor_ : 0;
+    last_ = now;
+  }
+
+  /// Adds the tick's laps to `sums`, unless the tick took longer than any
+  /// tick's work does (2^20 timer units, about 0.3 ms of TSC): then the
+  /// thread was descheduled inside it, and one such tick would outweigh
+  /// thousands of sampled ones.
+  void commit(Sums& sums) const {
+    if (!sampled_) return;
+    std::uint64_t total = 0;
+    for (const std::uint64_t lap : laps_) total += lap;
+    if (total > (std::uint64_t{1} << 20)) return;
+    for (std::size_t step = 0; step < sums.size(); ++step) {
+      sums[step] += laps_[step];
+    }
+  }
+
+ private:
+  bool sampled_;
+  std::uint64_t last_ = 0;
+  std::uint64_t floor_ = 0;
+  Sums laps_{};
+};
 
 #if !(defined(__AVX512BW__) && defined(__BMI2__))
 /// Bit `l` of the result is set iff `row[l] != golden[l]`, for `l` in
@@ -384,24 +450,37 @@ void BatchedArrestmentSystem::tick() {
   // ArrestmentSystem::tick, step for step. Modules that dispatch on the
   // slot number (PRES_S) read each lane's *bus value* of ms_slot_nbr, so a
   // corrupted slot number shifts that lane's schedule exactly as in the
-  // scalar system.
+  // scalar system. A sampled tick also times each step (step_cycles()).
+  StepLaps laps(step_sampled(ticks_));
   fire_injections(fi::InjectionPhase::kTickStart);
+  laps.lap(kStepFire);
   env_.step_lanes(bus_);
+  laps.lap(kStepEnv);
   clock_.step_lanes(bus_);
+  laps.lap(kStepClock);
   dist_s_.step_lanes(bus_);
+  laps.lap(kStepDistS);
   pres_s_.step_lanes(bus_);
+  laps.lap(kStepPresS);
   pres_a_.step_lanes(bus_);
+  laps.lap(kStepPresA);
   v_reg_.step_lanes(bus_);
+  laps.lap(kStepVReg);
   fire_injections(fi::InjectionPhase::kPreBackground);
+  laps.lap(kStepFire);
   calc_.step_lanes(bus_);
+  laps.lap(kStepCalc);
   // Observation runs last, like the scalar recorder: a segment's row for
   // millisecond t is the bus state after its whole tick t.
   if (recording_) record_rows();
   check_divergence();
+  laps.lap(kStepScreen);
   if (!recording_ && runs_ != 0 &&
       (ticks_ + 1) % kConvergenceCheckPeriod == 0) {
     check_convergence();
   }
+  laps.lap(kStepConverge);
+  laps.commit(step_cycles_);
   ++ticks_;
   if (ticks_ < next_end_tick_) return;
   next_end_tick_ = ~std::uint64_t{0};

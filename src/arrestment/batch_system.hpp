@@ -180,6 +180,36 @@ class BatchedArrestmentSystem {
   std::uint64_t converged_retirements() const { return converged_; }
   std::uint64_t exhausted_retirements() const { return exhausted_; }
 
+  /// The steps of one tick, in tick() order (both fire scans count as
+  /// kStepFire; kStepScreen includes recording mode's row capture).
+  enum Step : std::uint8_t {
+    kStepFire,
+    kStepEnv,
+    kStepClock,
+    kStepDistS,
+    kStepPresS,
+    kStepPresA,
+    kStepVReg,
+    kStepCalc,
+    kStepScreen,
+    kStepConverge,
+    kStepCount
+  };
+  static constexpr std::array<const char*, kStepCount> kStepNames = {
+      "fire",   "env",    "clock", "dist_s", "pres_s",
+      "pres_a", "v_reg",  "calc",  "screen", "converge"};
+  /// One tick in this many is timed step by step.
+  static constexpr std::uint64_t kStepSamplePeriod = 64;
+  /// Per step, the timer units (TSC cycles on x86, steady-clock
+  /// nanoseconds elsewhere) it took over the sampled ticks, less the
+  /// timer's own cost: a split of the tick's cost, not its total. The
+  /// sampled tick walks through the residues modulo the convergence
+  /// period, so the sampled ticks hold their share of convergence checks;
+  /// a sampled tick the thread was descheduled in is left out.
+  const std::array<std::uint64_t, kStepCount>& step_cycles() const {
+    return step_cycles_;
+  }
+
   /// Recorded traces (recording mode, after run()): run `i` in spec
   /// order, or the segment's golden lane.
   fi::TraceSet take_lane_trace(std::size_t i);
@@ -311,6 +341,7 @@ class BatchedArrestmentSystem {
   std::uint64_t converged_ = 0;
   std::uint64_t exhausted_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
+  std::array<std::uint64_t, kStepCount> step_cycles_{};
 
   // Recording mode (tests): per-bus-lane traces, retirement disabled.
   bool recording_ = false;

@@ -1,7 +1,9 @@
 #include "arrestment/calc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "arrestment/constants.hpp"
 #include "common/contracts.hpp"
@@ -115,6 +117,8 @@ void CalcModule::step(fi::SignalBus& bus) {
 BatchedCalc::BatchedCalc(const BusMap& map, const CalcModule& prototype,
                          std::size_t lanes)
     : map_(map) {
+  PROPANE_REQUIRE_MSG(lanes > 0 && lanes <= 64,
+                      "a batched CALC sweeps at most 64 lanes");
   for (int i = 0; i < kCheckpointCount; ++i) {
     checkpoint_pulses_[i] = CalcModule::checkpoint_pulses(i);
   }
@@ -126,64 +130,116 @@ BatchedCalc::BatchedCalc(const BusMap& map, const CalcModule& prototype,
   gain_.assign(lanes, s.gain);
 }
 
+namespace {
+
+/// Packs one 0/1 byte per lane into a lane mask (bit l = byte l), eight
+/// lanes per multiply: the magic constant moves byte b's low bit to bit
+/// 56 + b of the product, with no carries between the partial products.
+/// A per-lane `mask |= bit << l` loop would need a 64-bit variable shift
+/// per lane, which baseline x86-64 lacks; this stays cheap on every ISA.
+std::uint64_t pack_lane_bytes(const std::uint8_t (&bytes)[64]) {
+  static_assert(std::endian::native == std::endian::little,
+                "lane bytes are packed as little-endian words");
+  std::uint64_t mask = 0;
+  for (std::size_t word = 0; word < 8; ++word) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, bytes + 8 * word, sizeof(bits));
+    mask |= (bits * 0x0102040810204080ull) >> 56 << (8 * word);
+  }
+  return mask;
+}
+
+/// CALC's one reach predicate over a row: bit l is set when lane l's
+/// checkpoint index names a checkpoint its pulse count has reached, that
+/// is i < kCheckpointCount and pulscnt >= checkpoint_pulses(i). It is
+/// spelled as one equality compare per checkpoint rather than a gather
+/// through i, so any 16-bit i -- a corrupted one included -- is exact and
+/// the loop vectorizes; the `&`/`|=` keep it free of short-circuit
+/// branches.
+std::uint64_t reached_lanes(std::size_t lanes,
+                            const std::uint16_t* __restrict checkpoint_i,
+                            const std::uint16_t* __restrict pulscnt,
+                            const std::uint16_t* __restrict thresholds) {
+  std::uint8_t reached[64] = {};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    bool hit = false;
+    for (int k = 0; k < kCheckpointCount; ++k) {
+      hit |= (checkpoint_i[l] == k) & (pulscnt[l] >= thresholds[k]);
+    }
+    reached[l] = hit;
+  }
+  return pack_lane_bytes(reached);
+}
+
+/// The common-path set point over a row, with CalcModule::step's branches
+/// if-converted into selects: a stopped lane releases the brake, a slow
+/// one caps the set point to the creep value. Returns the lanes that are
+/// not stopped. A free function for the same reason as the dist_s and
+/// clock kernels: GCC only honours __restrict on parameters.
+std::uint64_t set_value_kernel(std::size_t lanes,
+                               const std::uint16_t* __restrict stopped,
+                               const std::uint16_t* __restrict slow,
+                               std::uint16_t* __restrict set_value) {
+  std::uint8_t running[64] = {};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::uint16_t current = set_value[l];
+    const std::uint16_t capped =
+        slow[l] != 0 && current > kSlowCreepSetValue ? kSlowCreepSetValue
+                                                     : current;
+    set_value[l] = stopped[l] != 0 ? 0 : capped;
+    running[l] = stopped[l] == 0;
+  }
+  return pack_lane_bytes(running);
+}
+
+}  // namespace
+
 void BatchedCalc::step_lanes(fi::BatchedSignalBus& bus) {
   const std::span<const std::uint16_t> mscnt = bus.lane_values(map_.mscnt);
   const std::span<const std::uint16_t> pulscnt =
       bus.lane_values(map_.pulscnt);
-  const std::span<const std::uint16_t> slow =
-      bus.lane_values(map_.slow_speed);
-  const std::span<const std::uint16_t> stopped =
-      bus.lane_values(map_.stopped);
   const std::span<std::uint16_t> checkpoint_i =
       bus.lane_values(map_.checkpoint_i);
   const std::span<std::uint16_t> set_value =
       bus.lane_values(map_.set_value);
 
-  const std::size_t lanes = bus.lane_count();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (stopped[l] != 0) {
-      set_value[l] = 0;
-      continue;
-    }
-    const std::uint16_t i = checkpoint_i[l];
-    if (i < kCheckpointCount && pulscnt[l] >= checkpoint_pulses_[i]) {
-      // Rare branch (six hits per run per lane): shared scalar math.
-      const auto seg_pulses =
-          static_cast<std::uint16_t>(pulscnt[l] - seg_start_pulses_[l]);
-      const auto seg_ms =
-          static_cast<std::uint16_t>(mscnt[l] - seg_start_ms_[l]);
-      const CalcCheckpointOutcome outcome = calc_checkpoint_math(
-          seg_pulses, seg_ms, seg_start_velocity_[l], seg_set_value_[l],
-          gain_[l], pulscnt[l]);
-      gain_[l] = outcome.gain;
-      set_value[l] = outcome.set_value;
-      checkpoint_i[l] = static_cast<std::uint16_t>(i + 1);
-      seg_start_pulses_[l] = pulscnt[l];
-      seg_start_ms_[l] = mscnt[l];
-      seg_start_velocity_[l] = outcome.velocity;
-      seg_set_value_[l] = outcome.set_value;
-      continue;
-    }
-    if (slow[l] != 0 && set_value[l] > kSlowCreepSetValue) {
-      set_value[l] = kSlowCreepSetValue;
-    }
+  const std::size_t lanes = gain_.size();
+  std::uint64_t hits =
+      reached_lanes(lanes, checkpoint_i.data(), pulscnt.data(),
+                    checkpoint_pulses_) &
+      set_value_kernel(lanes, bus.lane_values(map_.stopped).data(),
+                       bus.lane_values(map_.slow_speed).data(),
+                       set_value.data());
+  // Rare lanes (six hits per run): the shared scalar math, whose set
+  // point replaces the one the sweep wrote -- a lane at its checkpoint
+  // takes no creep cap, as in CalcModule::step.
+  for (; hits != 0; hits &= hits - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(hits));
+    const auto seg_pulses =
+        static_cast<std::uint16_t>(pulscnt[l] - seg_start_pulses_[l]);
+    const auto seg_ms =
+        static_cast<std::uint16_t>(mscnt[l] - seg_start_ms_[l]);
+    const CalcCheckpointOutcome outcome = calc_checkpoint_math(
+        seg_pulses, seg_ms, seg_start_velocity_[l], seg_set_value_[l],
+        gain_[l], pulscnt[l]);
+    gain_[l] = outcome.gain;
+    set_value[l] = outcome.set_value;
+    checkpoint_i[l] = static_cast<std::uint16_t>(checkpoint_i[l] + 1);
+    seg_start_pulses_[l] = pulscnt[l];
+    seg_start_ms_[l] = mscnt[l];
+    seg_start_velocity_[l] = outcome.velocity;
+    seg_set_value_[l] = outcome.set_value;
   }
 }
 
 std::uint64_t BatchedCalc::settled_lanes(
     const fi::BatchedSignalBus& bus) const {
-  const std::span<const std::uint16_t> pulscnt =
-      bus.lane_values(map_.pulscnt);
-  const std::span<const std::uint16_t> checkpoint_i =
-      bus.lane_values(map_.checkpoint_i);
-  std::uint64_t lanes = 0;
-  for (std::size_t l = 0; l < bus.lane_count(); ++l) {
-    const std::uint16_t i = checkpoint_i[l];
-    const bool settled =
-        i >= kCheckpointCount || pulscnt[l] < checkpoint_pulses_[i];
-    lanes |= static_cast<std::uint64_t>(settled) << l;
-  }
-  return lanes;
+  const std::size_t lanes = gain_.size();
+  const std::uint64_t all =
+      lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+  return all & ~reached_lanes(lanes, bus.lane_values(map_.checkpoint_i).data(),
+                              bus.lane_values(map_.pulscnt).data(),
+                              checkpoint_pulses_);
 }
 
 }  // namespace propane::arr

@@ -84,9 +84,14 @@ CalcCheckpointOutcome calc_checkpoint_math(std::uint16_t seg_pulses,
                                            std::uint16_t seg_set_value,
                                            double gain, std::uint16_t pulscnt);
 
-/// Batched CALC: structure-of-arrays per-lane segment state, integer fast
-/// paths (stopped / slow-speed cap) over lane rows, and the rare checkpoint
-/// branch routed through calc_checkpoint_math per lane.
+/// Batched CALC: structure-of-arrays per-lane segment state for up to 64
+/// lanes. Each step is two branch-free sweeps over whole lane rows -- the
+/// set point (brake release when stopped, creep cap when slow) and the
+/// lanes whose checkpoint is reached -- and the rare checkpoint branch runs
+/// calc_checkpoint_math only for the reached lanes that are not stopped,
+/// overwriting the set point the sweep wrote. Reach is one compare per
+/// checkpoint rather than a table lookup through i, so a corrupted
+/// i >= kCheckpointCount is exact.
 class BatchedCalc {
  public:
   /// Every lane starts as a copy of `prototype`'s current state.
@@ -127,7 +132,8 @@ class BatchedCalc {
   }
 
   /// Lanes whose checkpoint index is settled (batch_system.hpp, "Early
-  /// exit"): i >= kCheckpointCount or pulscnt < checkpoint_pulses(i).
+  /// exit"): the complement of the reach predicate step_lanes uses, that
+  /// is i >= kCheckpointCount or pulscnt < checkpoint_pulses(i).
   /// CALC is the only writer of i and advances it only past a reached
   /// checkpoint, so while pulscnt holds a settled lane's i never changes,
   /// whatever stopped, slow_speed and mscnt hold.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "arrestment/constants.hpp"
 #include "common/contracts.hpp"
@@ -106,23 +105,6 @@ std::uint64_t BatchedEnvironment::at_rest_lanes() const {
 
 namespace {
 
-/// Commanded pressure for every possible TOC2 value. Each entry is
-/// precomputed with the scalar path's exact expression, so a table load is
-/// bit-identical to evaluating it -- and the sweep sheds one of its five
-/// divide sites (vdivpd throughput is what bounds the kernel). Lanes carry
-/// near-identical TOC2 values, so the per-lane gathers hit a handful of
-/// resident cache lines.
-const double* commanded_pressure_lut() {
-  static const std::vector<double> table = [] {
-    std::vector<double> t(65536);
-    for (std::size_t v = 0; v < t.size(); ++v) {
-      t[v] = static_cast<double>(v) / 65535.0 * kMaxPressurePa;
-    }
-    return t;
-  }();
-  return table.data();
-}
-
 /// The per-lane sweep lives in a free function because GCC only honours
 /// __restrict on *parameters*: spelled this way the vectorizer knows the
 /// rows cannot overlap (the bus owns one contiguous row per signal; each
@@ -134,16 +116,17 @@ const double* commanded_pressure_lut() {
 /// but keeps its old state, which is bit-identical to never entering the
 /// branch. Every array element is loaded and stored exactly once, and the
 /// selects are between plain values (never references), keeping every
-/// statement speculation-safe for the vectorizer. All four per-lane
-/// divides go through ExactDivisor's Markstein sequence, which returns the
-/// correctly-rounded quotient -- the same bits as the scalar path's divide
-/// instructions -- at multiply/FMA throughput. Every divisor is
-/// batch-invariant (the mass: a kernel runs one test case) or constant.
+/// statement speculation-safe for the vectorizer. All five per-lane
+/// divides, the commanded pressure's TOC2 / 65535 among them, go through
+/// ExactDivisor's Markstein sequence, which returns the correctly-rounded
+/// quotient -- the same bits as the scalar path's divide instructions --
+/// at multiply/FMA throughput and without a table to gather from. Every
+/// divisor is batch-invariant (the mass: a kernel runs one test case) or
+/// constant.
 void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
                        ExactDivisor div_span, sim::Adc adc,
                        std::uint16_t timer_step,
                        std::uint16_t* __restrict timer,
-                       const double* __restrict cmd_lut,
                        const std::uint16_t* __restrict toc2,
                        std::uint16_t* __restrict pacnt,
                        std::uint16_t* __restrict tic1,
@@ -155,6 +138,7 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
                        double* __restrict pulse_acc_lanes,
                        double* __restrict peak_decel_lanes) {
   const double dt = 0.001;  // one controller tick [s]
+  constexpr ExactDivisor div_toc2(65535.0);
   constexpr ExactDivisor div_pmax(kMaxPressurePa);
   constexpr ExactDivisor div_mpp(kMetersPerPulse);
   const double adc_lo = adc.lo();
@@ -167,7 +151,8 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
     double pulse_acc = pulse_acc_lanes[l];
     const std::uint16_t tcnt = timer[l];
 
-    const double commanded = cmd_lut[toc2[l]];
+    const double commanded =
+        div_toc2.divide(static_cast<double>(toc2[l])) * kMaxPressurePa;
     pressure += (commanded - pressure) * (dt / kPressureTauS);
 
     const bool moving = velocity > 0.0;
@@ -212,7 +197,6 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
 void BatchedEnvironment::step_lanes(fi::BatchedSignalBus& bus) {
   step_lanes_kernel(velocity_.size(), div_mass_, div_adc_span_, adc_,
                     timer_.read(sim::kMillisecond), timer_lanes_.data(),
-                    commanded_pressure_lut(),
                     bus.lane_values(map_.toc2).data(),
                     bus.lane_values(map_.pacnt).data(),
                     bus.lane_values(map_.tic1).data(),

@@ -76,13 +76,15 @@ class Environment {
 /// one physics state per lane, advanced by a single sweep per tick.
 ///
 /// Bit-exactness: step_lanes performs, per lane, the exact operation
-/// sequence of Environment::step. On the targeted baseline x86-64 build
-/// (SSE2 doubles, no -ffast-math, no FMA contraction) every double
-/// operation is IEEE per-op regardless of surrounding code, so a lane's
-/// state is bit-identical to a scalar Environment stepped from the same
-/// origin -- the property tests/fi/batch_equivalence_test.cpp enforces.
-/// The ADC quantisation routes through the same sim::Adc::read the scalar
-/// path compiles.
+/// sequence of Environment::step. Every double operation is IEEE per-op
+/// regardless of surrounding code (no -ffast-math, no FMA contraction),
+/// and each divide by a batch-invariant divisor -- TOC2's 65535, the
+/// full-scale pressure, the mass, the metres per pulse, the ADC span --
+/// goes through ExactDivisor, whose quotient has the divide's bits. So a
+/// lane's state is bit-identical to a scalar Environment stepped from the
+/// same origin: the property tests/fi/batch_equivalence_test.cpp and
+/// tests/arrestment/environment_test.cpp enforce. The ADC quantisation
+/// repeats sim::Adc's clamp, scale and round-half-up.
 class BatchedEnvironment {
  public:
   /// Replicates `origin`'s physical state, and its timer at time `now`,
@@ -106,6 +108,9 @@ class BatchedEnvironment {
   /// Advances every lane by one millisecond of its own clock, publishing
   /// the sensor rows (PACNT, TIC1, TCNT, ADC) and consuming TOC2.
   void step_lanes(fi::BatchedSignalBus& bus);
+
+  /// One lane's applied brake pressure [Pa] (Environment::pressure_pa).
+  double pressure_pa(std::size_t lane) const { return pressure_[lane]; }
 
   /// Lane-level bus_state_equals (velocity, pressure, pulse accumulator).
   bool lane_equals(std::size_t a, std::size_t b) const {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "arrestment/constants.hpp"
+#include "fi/batched_bus.hpp"
 
 namespace propane::arr {
 namespace {
@@ -128,6 +131,43 @@ TEST_F(EnvironmentTest, HeavierAircraftDeceleratesSlower) {
     heavy.step(bus2, static_cast<sim::SimTime>(t) * sim::kMillisecond);
   }
   EXPECT_LT(light.velocity_mps(), heavy.velocity_mps());
+}
+
+TEST_F(EnvironmentTest, BatchedCommandedPressureMatchesScalarForEveryToc2) {
+  // Every TOC2 value, 64 lanes a sweep, from two states: the brake's
+  // first command (no applied pressure yet, so the commanded pressure
+  // reaches the new pressure unblended and a one-ulp error in it shows)
+  // and mid-arrestment. Each lane's applied pressure and ADC reading must
+  // equal the scalar step's, bit for bit.
+  Environment engaged(TestCase{14000, 60}, map_);
+  Environment braking = engaged;
+  bus_.write(map_.toc2, 30000);
+  run_ms(braking, 700);
+  ASSERT_GT(braking.velocity_mps(), 0.0);
+  ASSERT_GT(braking.pressure_pa(), 0.0);
+  constexpr std::size_t kLanes = 64;
+  for (const auto& [origin, now] :
+       {std::pair<const Environment&, sim::SimTime>{engaged, 0},
+        std::pair<const Environment&, sim::SimTime>{
+            braking, 700 * sim::kMillisecond}}) {
+    BatchedEnvironment batched(origin, now, map_, kLanes);
+    fi::BatchedSignalBus lanes(bus_, kLanes);
+    for (std::uint32_t base = 0; base < 65536; base += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        batched.load_lane(l, origin, now);
+        lanes.write(map_.toc2, l, static_cast<std::uint16_t>(base + l));
+      }
+      batched.step_lanes(lanes);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const auto toc2 = static_cast<std::uint16_t>(base + l);
+        Environment scalar = origin;
+        bus_.write(map_.toc2, toc2);
+        scalar.step(bus_, now);
+        ASSERT_EQ(batched.pressure_pa(l), scalar.pressure_pa()) << toc2;
+        ASSERT_EQ(lanes.read(map_.adc, l), bus_.read(map_.adc)) << toc2;
+      }
+    }
+  }
 }
 
 }  // namespace

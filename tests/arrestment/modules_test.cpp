@@ -330,6 +330,103 @@ TEST_F(ModulesTest, BatchedCalcSettledLanesAreTheScalarFixedPoints) {
   }
 }
 
+TEST_F(ModulesTest, BatchedCalcStepMatchesScalarOnEveryEdge) {
+  // Every 16-bit i, pulscnt at every checkpoint edge, stopped and
+  // slow_speed at 0, 1 and a high bit, the set point at the creep cap's
+  // edge, and random segment state: each lane's step must leave the set
+  // point, i and the segment state exactly as the scalar module does.
+  // Every combination meets every i below 64, where checkpoints are
+  // reachable; above, the combinations rotate through the lanes.
+  Rng rng(0xCA1D);
+  const auto random16 = [&rng] {
+    return static_cast<std::uint16_t>(rng.bounded(65536));
+  };
+  // Scalar modules carrying varied segment state: each passes a random
+  // number of checkpoints at random pulse counts and clocks.
+  std::vector<CalcModule> origins;
+  for (int m = 0; m < 16; ++m) {
+    CalcModule origin(map_);
+    const int reached = static_cast<int>(rng.bounded(kCheckpointCount + 1));
+    for (int k = 0; k < reached; ++k) {
+      const std::uint16_t threshold = CalcModule::checkpoint_pulses(k);
+      bus_.write(map_.checkpoint_i, static_cast<std::uint16_t>(k));
+      bus_.write(map_.pulscnt, static_cast<std::uint16_t>(
+                                   threshold + rng.bounded(200)));
+      bus_.write(map_.mscnt, random16());
+      bus_.write(map_.stopped, 0);
+      origin.step(bus_);
+    }
+    origins.push_back(origin);
+  }
+  std::vector<std::uint16_t> pulses = {0, 65535};
+  for (int k = 0; k < kCheckpointCount; ++k) {
+    const std::uint16_t threshold = CalcModule::checkpoint_pulses(k);
+    for (const int d : {-1, 0, 1}) {
+      pulses.push_back(static_cast<std::uint16_t>(threshold + d));
+    }
+  }
+  constexpr std::uint16_t kFlags[] = {0, 1, 0x8000};
+  constexpr std::uint16_t kSetValues[] = {kSlowCreepSetValue - 1,
+                                          kSlowCreepSetValue,
+                                          kSlowCreepSetValue + 1};
+  constexpr std::size_t kCombos = 27;  // stopped x slow_speed x set point
+
+  // Half the lanes are under test on each sweep; after the sweep, the
+  // other half holds the scalar module's stepped state for lane_equals.
+  // The halves swap every sweep so both rows of lanes are exercised.
+  constexpr std::size_t kLanes = 64;
+  constexpr std::size_t kHalf = kLanes / 2;
+  BatchedCalc batched(map_, origins.front(), kLanes);
+  fi::BatchedSignalBus lanes(bus_, kLanes);
+  std::vector<CalcModule> scalar(kHalf, origins.front());
+  std::size_t sweep = 0;
+  for (std::size_t p = 0; p < pulses.size(); ++p) {
+    for (std::uint32_t base = 0; base < 65536; base += kHalf) {
+      const std::size_t rounds = base < 64 ? kCombos : 1;
+      for (std::size_t round = 0; round < rounds; ++round, ++sweep) {
+        const std::size_t first = sweep % 2 == 0 ? 0 : kHalf;
+        const std::size_t reference = kHalf - first;
+        for (std::size_t j = 0; j < kHalf; ++j) {
+          const std::size_t l = first + j;
+          const std::size_t combo = (round + j + base / kHalf + p) % kCombos;
+          const CalcModule& origin = origins[rng.bounded(origins.size())];
+          scalar[j] = origin;
+          batched.load_lane(l, origin);
+          lanes.write(map_.checkpoint_i, l,
+                      static_cast<std::uint16_t>(base + j));
+          lanes.write(map_.pulscnt, l, pulses[p]);
+          lanes.write(map_.mscnt, l, random16());
+          lanes.write(map_.stopped, l, kFlags[combo % 3]);
+          lanes.write(map_.slow_speed, l, kFlags[combo / 3 % 3]);
+          lanes.write(map_.set_value, l, kSetValues[combo / 9]);
+        }
+        // The inputs, before the sweep overwrites i and the set point.
+        const fi::BatchedSignalBus inputs = lanes;
+        batched.step_lanes(lanes);
+        for (std::size_t j = 0; j < kHalf; ++j) {
+          const std::size_t l = first + j;
+          for (const fi::BusSignalId id :
+               {map_.checkpoint_i, map_.pulscnt, map_.mscnt, map_.stopped,
+                map_.slow_speed, map_.set_value}) {
+            bus_.write(id, inputs.read(id, l));
+          }
+          scalar[j].step(bus_);
+          const std::size_t combo = (round + j + base / kHalf + p) % kCombos;
+          const auto i = static_cast<std::uint16_t>(base + j);
+          ASSERT_EQ(lanes.read(map_.set_value, l), bus_.read(map_.set_value))
+              << "i=" << i << " pulscnt=" << pulses[p] << " combo=" << combo;
+          ASSERT_EQ(lanes.read(map_.checkpoint_i, l),
+                    bus_.read(map_.checkpoint_i))
+              << "i=" << i << " pulscnt=" << pulses[p] << " combo=" << combo;
+          batched.load_lane(reference + j, scalar[j]);
+          ASSERT_TRUE(batched.lane_equals(l, reference + j))
+              << "i=" << i << " pulscnt=" << pulses[p] << " combo=" << combo;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ModulesTest, CalcStoppedReleasesBrake) {
   CalcModule calc(map_);
   bus_.write(map_.set_value, 20000);

@@ -947,6 +947,36 @@ TEST(BatchGeometry, ExplicitWidth64IsCappedAt63Slots) {
   }
 }
 
+TEST(BatchGeometry, SampledTicksTimeEveryStep) {
+  // One tick in 64 is timed step by step, and the runner folds each
+  // step's sum into its counter.
+  const std::vector<TestCase> cases = grid_test_cases(1, 1);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x57E9;
+  for (unsigned bit = 0; bit < 8; ++bit) {
+    config.injections.push_back(fi::InjectionSpec{
+        injection_target_bus_ids().front(), 40 * sim::kMillisecond,
+        fi::bit_flip(bit)});
+  }
+  config.threads = 1;
+  BatchCounters counters;
+  fi::run_campaign(
+      batched_campaign_runner(cases, config, kShortRun, &counters.telemetry),
+      config);
+  ASSERT_GE(counters.ticks(), BatchedArrestmentSystem::kStepSamplePeriod);
+  std::uint64_t total = 0;
+  for (std::size_t step = 0; step < BatchedArrestmentSystem::kStepCount;
+       ++step) {
+    total += counters.metrics.counter(step_cycles_counter(step)).value();
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_GT(counters.metrics
+                .counter(step_cycles_counter(BatchedArrestmentSystem::kStepEnv))
+                .value(),
+            0u);
+}
+
 // --- Exact exhaustion: the closed signals {TCNT, mscnt, ms_slot_nbr} ------
 
 /// Long enough for the aircraft to come to rest, so injected runs reach

@@ -40,6 +40,7 @@
 // optional CSV supplies permeabilities (core/permeability_io.hpp). Without
 // a CSV all permeabilities are 0 and only structural outputs are useful.
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,7 @@
 #include <vector>
 
 #include "arrestment/batch_runner.hpp"
+#include "arrestment/batch_system.hpp"
 #include "arrestment/model.hpp"
 #include "arrestment/system.hpp"
 #include "arrestment/testcase.hpp"
@@ -357,6 +359,8 @@ struct BatchTally {
   double segments = 0.0;         // batch.kernel.segments
   double converged = 0.0;        // batch.retire.converged
   double exhausted = 0.0;        // batch.retire.exhausted
+  // batch.kernel.step.<step>_cycles, in tick order
+  std::array<double, arr::BatchedArrestmentSystem::kStepCount> step_cycles{};
 
   /// Folds in one parsed "metric" event; other metrics are ignored.
   void add(const std::vector<obs::Field>& fields);
@@ -367,8 +371,9 @@ struct BatchTally {
 /// refill then share), slot utilisation (slot-ticks holding a run over
 /// slot-ticks swept), sweep efficiency (slot-ticks holding a run over
 /// all lane-ticks swept, golden lanes and padding included), the segments
-/// the kernels opened and the runs they retired early, by cause. Quiet
-/// when no batched session contributed.
+/// the kernels opened, the runs they retired early, by cause, and each
+/// tick step's share of the sampled tick time. Quiet when no batched
+/// session contributed.
 void print_batch_occupancy(const BatchTally& tally) {
   if (tally.requests == 0) return;
   const std::size_t width = fi::kDefaultBatchSize;
@@ -400,6 +405,17 @@ void print_batch_occupancy(const BatchTally& tally) {
                 "run(s) simulated (%.2f)\n",
                 tally.converged, tally.exhausted, tally.runs,
                 (tally.converged + tally.exhausted) / tally.runs);
+  }
+  double step_total = 0.0;
+  for (const double cycles : tally.step_cycles) step_total += cycles;
+  if (step_total > 0.0) {
+    std::printf("kernel steps (share of sampled tick time):");
+    for (std::size_t step = 0; step < tally.step_cycles.size(); ++step) {
+      std::printf(" %s %.1f%%",
+                  arr::BatchedArrestmentSystem::kStepNames[step],
+                  100.0 * tally.step_cycles[step] / step_total);
+    }
+    std::printf("\n");
   }
 }
 
@@ -882,6 +898,11 @@ void BatchTally::add(const std::vector<obs::Field>& fields) {
         {"batch.retire.exhausted", &exhausted}};
     for (const auto& [counter, total] : counters) {
       if (name == counter) *total += v->as_double();
+    }
+    for (std::size_t step = 0; step < step_cycles.size(); ++step) {
+      if (name == arr::step_cycles_counter(step)) {
+        step_cycles[step] += v->as_double();
+      }
     }
   }
 }
