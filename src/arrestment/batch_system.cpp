@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "arrestment/constants.hpp"
+#include "arrestment/lane_mask.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 
@@ -85,33 +86,6 @@ class StepLaps {
   std::uint64_t floor_ = 0;
   Sums laps_{};
 };
-
-#if !(defined(__AVX512BW__) && defined(__BMI2__))
-/// Bit `l` of the result is set iff `row[l] != golden[l]`, for `l` in
-/// [0, n); n <= 64. The screen path without the golden-gather permute.
-std::uint64_t diff_bits(const std::uint16_t* row, const std::uint16_t* golden,
-                        std::size_t n) {
-  std::uint64_t bits = 0;
-  std::size_t l = 0;
-#if defined(__AVX2__) && defined(__BMI2__)
-  for (; l + 16 <= n; l += 16) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + l));
-    const __m256i g =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(golden + l));
-    const auto eq = static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi16(v, g)));
-    // movemask yields two bits per 16-bit lane; compact to one.
-    const std::uint64_t ne = _pext_u32(~eq, 0x55555555u);
-    bits |= ne << l;
-  }
-#endif
-  for (; l < n; ++l) {
-    bits |= static_cast<std::uint64_t>(row[l] != golden[l]) << l;
-  }
-  return bits;
-}
-#endif
 
 std::uint64_t lane_bit(std::size_t lane) { return std::uint64_t{1} << lane; }
 
@@ -519,16 +493,6 @@ void BatchedArrestmentSystem::fire_injections(fi::InjectionPhase phase) {
   next_fire_tick_ = next;
 }
 
-const char* BatchedArrestmentSystem::screen_isa() {
-#if defined(__AVX512BW__) && defined(__BMI2__)
-  return "avx512bw+bmi2";
-#elif defined(__AVX2__) && defined(__BMI2__)
-  return "avx2+bmi2";
-#else
-  return "scalar";
-#endif
-}
-
 std::uint64_t BatchedArrestmentSystem::golden_diff(std::size_t sig) const {
   const std::span<const std::uint16_t> row =
       bus_.lane_values(static_cast<fi::BusSignalId>(sig));
@@ -560,10 +524,13 @@ std::uint64_t BatchedArrestmentSystem::golden_diff(std::size_t sig) const {
   }
   return ne;
 #else
-  // Gather each lane's golden value into a row, then compare whole rows.
-  std::uint16_t golden[kMaxLanes];
-  for (std::size_t l = 0; l < lanes_; ++l) golden[l] = row[golden_idx_[l]];
-  return diff_bits(row.data(), golden, lanes_);
+  // Portable screen: each lane's verdict against its golden lane's value
+  // as one 0/1 byte, packed into the mask eight lanes at a time.
+  std::uint8_t diverged[kMaxLanes] = {};
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    diverged[l] = row[l] != row[golden_idx_[l]];
+  }
+  return pack_lane_bytes(diverged);
 #endif
 }
 
@@ -626,11 +593,15 @@ std::uint64_t BatchedArrestmentSystem::open_lanes(
 }
 
 std::uint64_t BatchedArrestmentSystem::with_golden(std::uint64_t lanes) const {
-  std::uint64_t golden = 0;
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    golden |= (lanes >> golden_idx_[l] & 1u) << l;
+  // One bit test per open segment rather than a pass over the row: a
+  // per-lane shift through golden_idx_ cannot vectorize into bytes, and
+  // packing bytes stored one at a time stalls on store forwarding.
+  std::uint64_t with = 0;
+  for (const std::uint32_t seg : open_) {
+    const Segment& segment = segments_[seg];
+    if ((lanes >> segment.golden & 1u) != 0) with |= segment.lanes;
   }
-  return lanes & golden;
+  return lanes & with;
 }
 
 void BatchedArrestmentSystem::check_convergence() {

@@ -111,10 +111,6 @@ class BatchedArrestmentSystem {
   /// Free lanes a new segment waits for while other segments are open.
   static constexpr std::size_t kOpenLanes = 8;
 
-  /// The divergence screen the kernel compiled to: "avx512bw+bmi2" (golden
-  /// gather), "avx2+bmi2" or "scalar".
-  static const char* screen_isa();
-
   /// Rolling form: streams every run of `pool` through `lanes` lanes (at
   /// most kMaxLanes), holding at most `max_slots` runs at a time, each
   /// segment simulating from its origin to `duration`.
@@ -260,7 +256,8 @@ class BatchedArrestmentSystem {
   void check_divergence();
   void note_divergences(std::size_t sig, std::uint64_t newly);
   void check_convergence();
-  /// The lanes of `lanes` whose golden lane is in `lanes` too.
+  /// The lanes of `lanes` whose segment's golden lane is in `lanes` too
+  /// (a lane in no segment is left out).
   std::uint64_t with_golden(std::uint64_t lanes) const;
   /// The lanes with a pending signal that is not closed for them, given
   /// one closed-lane mask per signal: `touched` minus this set is
@@ -324,9 +321,10 @@ class BatchedArrestmentSystem {
   std::array<std::uint64_t, kMaxSignals> static_closed_{};
 
   // Golden-gather table: golden_idx_[l] is the bus lane whose value lane l
-  // compares against (golden and free lanes map to themselves). A vector
-  // permute through it reduces a signal's screen to one row compare,
-  // however many segments are open (golden_diff).
+  // compares against (golden and free lanes map to themselves). Through it
+  // a signal's screen is one pass over its row, however many segments are
+  // open (golden_diff): an AVX-512BW permute and masked compare where the
+  // kernel is built for it, a portable byte-per-lane loop elsewhere.
   std::array<std::uint16_t, kMaxLanes> golden_idx_{};
 
   std::uint64_t next_end_tick_ = ~std::uint64_t{0};  // earliest end_tick

@@ -1,6 +1,7 @@
 #include "arrestment/dist_s.hpp"
 
 #include "arrestment/constants.hpp"
+#include "arrestment/lane_mask.hpp"
 
 namespace propane::arr {
 
@@ -86,19 +87,19 @@ void BatchedDistS::step_lanes(fi::BatchedSignalBus& bus) {
 
 std::uint64_t BatchedDistS::idle_lanes(const fi::BatchedSignalBus& bus) const {
   const std::span<const std::uint16_t> pacnt = bus.lane_values(map_.pacnt);
-  std::uint64_t lanes = 0;
+  std::uint8_t idle[64] = {};
   for (std::size_t l = 0; l < last_pacnt_.size(); ++l) {
-    lanes |= static_cast<std::uint64_t>(last_pacnt_[l] == pacnt[l]) << l;
+    idle[l] = last_pacnt_[l] == pacnt[l];
   }
-  return lanes;
+  return pack_lane_bytes(idle);
 }
 
 std::uint64_t BatchedDistS::pulse_free_lanes(std::uint32_t ms) const {
-  std::uint64_t lanes = 0;
+  std::uint8_t pulse_free[64] = {};
   for (std::size_t l = 0; l < no_pulse_ms_.size(); ++l) {
-    lanes |= static_cast<std::uint64_t>(no_pulse_ms_[l] >= ms) << l;
+    pulse_free[l] = no_pulse_ms_[l] >= ms;
   }
-  return lanes;
+  return pack_lane_bytes(pulse_free);
 }
 
 std::uint64_t BatchedDistS::slow_latched_lanes() const {

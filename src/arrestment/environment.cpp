@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "arrestment/constants.hpp"
+#include "arrestment/lane_mask.hpp"
 #include "common/contracts.hpp"
 #include "common/exact_div.hpp"
 
@@ -96,11 +97,11 @@ void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
 }
 
 std::uint64_t BatchedEnvironment::at_rest_lanes() const {
-  std::uint64_t lanes = 0;
+  std::uint8_t at_rest[64] = {};
   for (std::size_t l = 0; l < velocity_.size(); ++l) {
-    lanes |= static_cast<std::uint64_t>(velocity_[l] == 0.0) << l;
+    at_rest[l] = velocity_[l] == 0.0;
   }
-  return lanes;
+  return pack_lane_bytes(at_rest);
 }
 
 namespace {

@@ -4,9 +4,7 @@
 
 namespace propane::core {
 
-namespace {
-
-std::string escape(const std::string& text) {
+std::string dot_escape(const std::string& text) {
   std::string out;
   for (char ch : text) {
     if (ch == '"' || ch == '\\') out += '\\';
@@ -15,22 +13,21 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
 std::string to_dot(const SystemModel& model) {
   std::string out = "digraph system {\n  rankdir=LR;\n";
   out += "  node [shape=box];\n";
   for (ModuleId m = 0; m < model.module_count(); ++m) {
     out += "  m" + std::to_string(m) + " [label=\"" +
-           escape(model.module_name(m)) + "\"];\n";
+           dot_escape(model.module_name(m)) + "\"];\n";
   }
   for (std::uint32_t i = 0; i < model.system_input_count(); ++i) {
     out += "  si" + std::to_string(i) + " [shape=plaintext,label=\"" +
-           escape(model.system_input_name(i)) + "\"];\n";
+           dot_escape(model.system_input_name(i)) + "\"];\n";
     for (const InputRef& consumer : model.system_input_consumers(i)) {
       out += "  si" + std::to_string(i) + " -> m" +
              std::to_string(consumer.module) + " [label=\"" +
-             escape(model.module(consumer.module).input_names[consumer.port]) +
+             dot_escape(
+                 model.module(consumer.module).input_names[consumer.port]) +
              "\"];\n";
     }
   }
@@ -41,17 +38,18 @@ std::string to_dot(const SystemModel& model) {
       for (const InputRef& consumer : model.output_consumers(out_ref)) {
         out += "  m" + std::to_string(m) + " -> m" +
                std::to_string(consumer.module) + " [label=\"" +
-               escape(info.output_names[k]) + "\"];\n";
+               dot_escape(info.output_names[k]) + "\"];\n";
       }
     }
   }
   for (std::uint32_t o = 0; o < model.system_output_count(); ++o) {
     out += "  so" + std::to_string(o) + " [shape=plaintext,label=\"" +
-           escape(model.system_output_name(o)) + "\"];\n";
+           dot_escape(model.system_output_name(o)) + "\"];\n";
     const OutputRef src = model.system_output_source(o);
     out += "  m" + std::to_string(src.module) + " -> so" + std::to_string(o) +
            " [label=\"" +
-           escape(model.module(src.module).output_names[src.port]) + "\"];\n";
+           dot_escape(model.module(src.module).output_names[src.port]) +
+           "\"];\n";
   }
   out += "}\n";
   return out;
@@ -62,12 +60,12 @@ std::string to_dot(const SystemModel& model, const PermeabilityGraph& graph) {
   out += "  node [shape=circle];\n";
   for (ModuleId m = 0; m < model.module_count(); ++m) {
     out += "  m" + std::to_string(m) + " [label=\"" +
-           escape(model.module_name(m)) + "\"];\n";
+           dot_escape(model.module_name(m)) + "\"];\n";
   }
   std::size_t next_terminal = 0;
   for (const PermeabilityArc& arc : graph.arcs()) {
     const ModuleInfo& info = model.module(arc.id.module);
-    const std::string label = escape(
+    const std::string label = dot_escape(
         info.input_names[arc.id.input] + "->" +
         info.output_names[arc.id.output] + " = " +
         format_double(arc.weight, 3));
@@ -81,7 +79,7 @@ std::string to_dot(const SystemModel& model, const PermeabilityGraph& graph) {
       tail = "ext";
       tail += std::to_string(next_terminal++);
       out += "  " + tail + " [shape=plaintext,label=\"" +
-             escape(model.system_input_name(arc.tail.system_input)) +
+             dot_escape(model.system_input_name(arc.tail.system_input)) +
              "\"];\n";
     }
     out += "  " + tail + " -> m" + std::to_string(arc.id.module) +
@@ -95,7 +93,7 @@ std::string to_dot(const SystemModel& model, const PermeabilityGraph& graph) {
 std::string to_dot(const SystemModel& model, const PropagationTree& tree,
                    const std::string& title) {
   std::string out = "digraph tree {\n";
-  out += "  label=\"" + escape(title) + "\";\n";
+  out += "  label=\"" + dot_escape(title) + "\";\n";
   out += "  node [shape=ellipse];\n";
   for (TreeNodeIndex n = 0; n < tree.size(); ++n) {
     const TreeNode& node = tree.node(n);
@@ -112,7 +110,7 @@ std::string to_dot(const SystemModel& model, const PropagationTree& tree,
                 model.input_name(node.input);
         break;
     }
-    out += "  n" + std::to_string(n) + " [label=\"" + escape(label) + "\"";
+    out += "  n" + std::to_string(n) + " [label=\"" + dot_escape(label) + "\"";
     if (node.is_system_input || node.is_system_output) {
       out += ",peripheries=2";
     }

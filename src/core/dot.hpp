@@ -10,6 +10,10 @@
 
 namespace propane::core {
 
+/// Escapes `text` for a double-quoted DOT string: a backslash before each
+/// quote and backslash.
+std::string dot_escape(const std::string& text);
+
 /// Exports the raw wiring (Fig. 8-style software structure): one node per
 /// module plus system input/output terminals; one edge per connection.
 std::string to_dot(const SystemModel& model);

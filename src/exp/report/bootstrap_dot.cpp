@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/strings.hpp"
+#include "core/dot.hpp"
 #include "core/permeability.hpp"
 #include "core/permeability_graph.hpp"
 #include "exp/report/bootstrap_report.hpp"
@@ -11,15 +12,6 @@
 namespace propane::exp {
 
 namespace {
-
-std::string escape(const std::string& text) {
-  std::string out;
-  for (char ch : text) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  return out;
-}
 
 /// White -> orange fill interpolated by p in [0,1]; deterministic hex.
 std::string confidence_fill(double p) {
@@ -60,12 +52,11 @@ std::string bootstrap_confidence_dot(const core::SystemModel& model,
          std::to_string(result.seed) + ", labels are median [2.5%,97.5%]\";\n";
   for (core::ModuleId m = 0; m < model.module_count(); ++m) {
     const fi::ModuleCloud& cloud = result.modules[m];
-    std::string label = escape(cloud.name) + "\\nX~ " +
-                        escape(band_label(cloud.nonweighted_exposure)) +
-                        "\\nP(EDM top-1) " +
-                        format_double(cloud.p_top1_exposure, 2) +
-                        "\\nP(ERM top-1) " +
-                        format_double(cloud.p_top1_permeability, 2);
+    std::string label =
+        core::dot_escape(cloud.name) + "\\nX~ " +
+        core::dot_escape(band_label(cloud.nonweighted_exposure)) +
+        "\\nP(EDM top-1) " + format_double(cloud.p_top1_exposure, 2) +
+        "\\nP(ERM top-1) " + format_double(cloud.p_top1_permeability, 2);
     out += "  m" + std::to_string(m) + " [label=\"" + label +
            "\",fillcolor=\"" + confidence_fill(cloud.p_top1_exposure) +
            "\"];\n";
@@ -74,15 +65,16 @@ std::string bootstrap_confidence_dot(const core::SystemModel& model,
   for (const core::PermeabilityArc& arc : graph.arcs()) {
     const core::ModuleInfo& info = model.module(arc.id.module);
     const auto cloud = clouds.find(arc.id);
-    std::string label = escape(info.input_names[arc.id.input] + "->" +
-                               info.output_names[arc.id.output]) +
+    std::string label = core::dot_escape(info.input_names[arc.id.input] +
+                                         "->" +
+                                         info.output_names[arc.id.output]) +
                         " = ";
     bool dashed = false;
     if (cloud == clouds.end()) {
       label += "n/a (no injections)";
       dashed = true;
     } else {
-      label += escape(band_label(cloud->second->permeability));
+      label += core::dot_escape(band_label(cloud->second->permeability));
       dashed = cloud->second->permeability.band.p97_5 == 0.0;
     }
     std::string tail;
@@ -93,7 +85,7 @@ std::string bootstrap_confidence_dot(const core::SystemModel& model,
       tail = "ext";
       tail += std::to_string(next_terminal++);
       out += "  " + tail + " [shape=plaintext,style=\"\",label=\"" +
-             escape(model.system_input_name(arc.tail.system_input)) +
+             core::dot_escape(model.system_input_name(arc.tail.system_input)) +
              "\"];\n";
     }
     out += "  " + tail + " -> m" + std::to_string(arc.id.module) +

@@ -4,6 +4,7 @@
 
 #include "common/contracts.hpp"
 #include "exp/report/bootstrap_report.hpp"
+#include "obs/ndjson.hpp"
 
 namespace propane::exp {
 
@@ -21,22 +22,7 @@ std::string json_number(double value) {
 
 std::string json_string(const std::string& text) {
   std::string out = "\"";
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out += buffer;
-        } else {
-          out += ch;
-        }
-    }
-  }
+  out += obs::json_escape(text);
   out += '"';
   return out;
 }

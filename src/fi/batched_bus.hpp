@@ -3,15 +3,14 @@
 // A batch simulates N near-identical runs ("lanes") of the same test case
 // together. Where SignalBus stores one value per signal, BatchedSignalBus
 // stores a contiguous *lane row* per signal -- value[signal][lane] -- so a
-// batch-aware module update touches `values(sig)[lane]` for every lane in
-// one pass over memory the auto-vectorizer likes (16 lanes of uint16 per
-// AVX2 register).
+// batch-aware module update touches `lane_values(sig)[lane]` for every
+// lane in one unit-stride pass the auto-vectorizer can take whole.
 //
 // Layout: signal-major. Row `sig` occupies values_[sig * lane_count ..],
 // so per-signal sweeps (module updates, divergence checks against the
-// golden lane) are unit-stride; per-lane gathers (extract_lane for trace
-// materialisation, scalar fallback sync) stride by lane_count and are only
-// used off the hot path.
+// golden lane) are unit-stride; per-lane accesses (extract_lane for trace
+// materialisation, load_lane and copy_lane for segment seeding and slot
+// refill) stride by lane_count and are only used off the hot path.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +47,6 @@ class BatchedSignalBus {
     PROPANE_REQUIRE(lane < lanes_);
     return values_[id * lanes_ + lane];
   }
-  void write(BusSignalId id, std::size_t lane, std::uint16_t value) {
-    PROPANE_REQUIRE(id < signals_);
-    PROPANE_REQUIRE(lane < lanes_);
-    values_[id * lanes_ + lane] = value;
-  }
   /// Fault-injection poke, same contract as SignalBus::poke.
   void poke(BusSignalId id, std::size_t lane, std::uint16_t value) {
     PROPANE_REQUIRE_MSG(id < signals_, "poke target out of bus range");
@@ -72,8 +66,8 @@ class BatchedSignalBus {
   }
 
   /// Copies one lane's value of every signal (id order) into `out`.
-  /// Strided gather; used to materialise traces and to sync the scratch
-  /// bus of scalar-fallback modules, not in vectorized inner loops.
+  /// Strided gather; used to materialise traces, not in vectorized inner
+  /// loops.
   void extract_lane(std::size_t lane,
                     std::span<std::uint16_t> out) const {
     PROPANE_REQUIRE(lane < lanes_);

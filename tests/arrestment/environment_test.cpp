@@ -155,7 +155,7 @@ TEST_F(EnvironmentTest, BatchedCommandedPressureMatchesScalarForEveryToc2) {
     for (std::uint32_t base = 0; base < 65536; base += kLanes) {
       for (std::size_t l = 0; l < kLanes; ++l) {
         batched.load_lane(l, origin, now);
-        lanes.write(map_.toc2, l, static_cast<std::uint16_t>(base + l));
+        lanes.poke(map_.toc2, l, static_cast<std::uint16_t>(base + l));
       }
       batched.step_lanes(lanes);
       for (std::size_t l = 0; l < kLanes; ++l) {

@@ -61,8 +61,8 @@ TEST_F(ModulesTest, BatchedClockMatchesScalarForEverySlotValue) {
   for (std::uint32_t base = 0; base < 65536; base += 64) {
     for (std::size_t l = 0; l < 64; ++l) {
       const auto v = static_cast<std::uint16_t>(base + l);
-      lanes.write(map_.ms_slot_nbr, l, v);
-      lanes.write(map_.mscnt, l, v);
+      lanes.poke(map_.ms_slot_nbr, l, v);
+      lanes.poke(map_.mscnt, l, v);
     }
     batched.step_lanes(lanes);
     for (std::size_t l = 0; l < 64; ++l) {
@@ -188,8 +188,8 @@ TEST_F(ModulesTest, BatchedDistSStandstillMasksMarkTheLatchedLanes) {
   for (std::uint32_t t = 1; t <= 5 * 63 + kStoppedGapMs + 8; ++t) {
     for (std::size_t l = 0; l < kLanes; ++l) {
       if (t <= 5 * l) {
-        lanes.write(map_.pacnt, l,
-                    static_cast<std::uint16_t>(lanes.read(map_.pacnt, l) + 1));
+        lanes.poke(map_.pacnt, l,
+                   static_cast<std::uint16_t>(lanes.read(map_.pacnt, l) + 1));
       }
     }
     dist.step_lanes(lanes);
@@ -210,8 +210,8 @@ TEST_F(ModulesTest, BatchedDistSStandstillMasksMarkTheLatchedLanes) {
   // A PACNT write after the sweep (an injection before the background
   // task) leaves its lane non-idle: the next sweep sees a pulse.
   for (const std::size_t l : {std::size_t{3}, std::size_t{40}}) {
-    lanes.write(map_.pacnt, l,
-                static_cast<std::uint16_t>(lanes.read(map_.pacnt, l) + 1));
+    lanes.poke(map_.pacnt, l,
+               static_cast<std::uint16_t>(lanes.read(map_.pacnt, l) + 1));
   }
   EXPECT_EQ(dist.idle_lanes(lanes),
             ~(std::uint64_t{1} << 3 | std::uint64_t{1} << 40));
@@ -313,8 +313,8 @@ TEST_F(ModulesTest, BatchedCalcSettledLanesAreTheScalarFixedPoints) {
   for (const std::uint16_t pulscnt : pulses) {
     for (std::uint32_t base = 0; base < 65536; base += kLanes) {
       for (std::size_t l = 0; l < kLanes; ++l) {
-        lanes.write(map_.checkpoint_i, l, static_cast<std::uint16_t>(base + l));
-        lanes.write(map_.pulscnt, l, pulscnt);
+        lanes.poke(map_.checkpoint_i, l, static_cast<std::uint16_t>(base + l));
+        lanes.poke(map_.pulscnt, l, pulscnt);
       }
       const std::uint64_t settled = batched.settled_lanes(lanes);
       for (std::size_t l = 0; l < kLanes; ++l) {
@@ -392,13 +392,13 @@ TEST_F(ModulesTest, BatchedCalcStepMatchesScalarOnEveryEdge) {
           const CalcModule& origin = origins[rng.bounded(origins.size())];
           scalar[j] = origin;
           batched.load_lane(l, origin);
-          lanes.write(map_.checkpoint_i, l,
-                      static_cast<std::uint16_t>(base + j));
-          lanes.write(map_.pulscnt, l, pulses[p]);
-          lanes.write(map_.mscnt, l, random16());
-          lanes.write(map_.stopped, l, kFlags[combo % 3]);
-          lanes.write(map_.slow_speed, l, kFlags[combo / 3 % 3]);
-          lanes.write(map_.set_value, l, kSetValues[combo / 9]);
+          lanes.poke(map_.checkpoint_i, l,
+                     static_cast<std::uint16_t>(base + j));
+          lanes.poke(map_.pulscnt, l, pulses[p]);
+          lanes.poke(map_.mscnt, l, random16());
+          lanes.poke(map_.stopped, l, kFlags[combo % 3]);
+          lanes.poke(map_.slow_speed, l, kFlags[combo / 3 % 3]);
+          lanes.poke(map_.set_value, l, kSetValues[combo / 9]);
         }
         // The inputs, before the sweep overwrites i and the set point.
         const fi::BatchedSignalBus inputs = lanes;

@@ -101,10 +101,10 @@ TEST(Standstill, EnvironmentAtRestStaysAtRestAndNeverPulses) {
     for (int t = 0; t < 500; ++t) {
       for (std::size_t l = 0; l < kLanes; ++l) {
         const std::uint16_t tcnt = lanes.read(map.tcnt, l);
-        lanes.write(map.tic1, l, static_cast<std::uint16_t>(tcnt + 0x8000));
-        lanes.write(map.toc2, l,
-                    l == 0 ? std::uint16_t{65535}
-                           : static_cast<std::uint16_t>(rng.bounded(65536)));
+        lanes.poke(map.tic1, l, static_cast<std::uint16_t>(tcnt + 0x8000));
+        lanes.poke(map.toc2, l,
+                   l == 0 ? std::uint16_t{65535}
+                          : static_cast<std::uint16_t>(rng.bounded(65536)));
       }
       const std::vector<std::uint16_t> tic1(lanes.lane_values(map.tic1).begin(),
                                             lanes.lane_values(map.tic1).end());

@@ -1144,25 +1144,22 @@ TEST(BatchExhaustion, StandstillInjectionsMatchTheScalarOracle) {
 
 // --- Rolling segments: per-segment clocks --------------------------------
 
-TEST(BatchRolling, EarlierTickOpensASecondSegmentPastTheLastFireTick) {
-  // One test case, runs at every 500 ms from 0.5 s to 5 s, more than the
-  // kernel's slots: the first segment opens at 0.5 s and refills its way
-  // forward through the later fire ticks; the 0.5 s runs it had no slot
-  // for run in a segment opened from the 0.5 s checkpoint after the first
-  // segment's clock has passed 5 s.
-  constexpr sim::SimTime kRun = 6 * sim::kSecond;
-  constexpr std::size_t kSlots = 4;
-  const std::vector<TestCase> cases = grid_test_cases(1, 1);
-  fi::CampaignConfig config;
-  config.test_case_count = 1;
-  config.seed = 0x5E6;
-  for (std::uint64_t ms = 500; ms <= 5000; ms += 500) {
-    for (const std::string_view target : {"TCNT", "PACNT", "pulscnt"}) {
-      config.injections.push_back(fi::InjectionSpec{
-          bus_id(target), ms * sim::kMillisecond, fi::bit_flip(13)});
-    }
-  }
-  WarmStartEngine engine(cases, config, kRun);
+/// What a rolling-form kernel reported about its own schedule.
+struct RollingSchedule {
+  std::vector<BatchedArrestmentSystem::SegmentOrigin> origins;
+  std::uint64_t refills = 0;
+};
+
+/// Streams the injections of `config` (one test case, in fire-tick order)
+/// through one rolling-form kernel of `lanes` lanes and `slots` slots,
+/// each segment opening from the warm-start checkpoint at its earliest
+/// run's fire tick, and checks every report against the scalar oracle.
+RollingSchedule expect_rolling_matches_oracle(const TestCase& test_case,
+                                              const fi::CampaignConfig& config,
+                                              sim::SimTime run,
+                                              std::size_t lanes,
+                                              std::size_t slots) {
+  WarmStartEngine engine({test_case}, config, run);
   const fi::TraceSet golden = engine.golden_run(fi::RunRequest{});
 
   std::vector<BatchLaneSpec> specs;
@@ -1174,11 +1171,42 @@ TEST(BatchRolling, EarlierTickOpensASecondSegmentPastTheLastFireTick) {
                          held.push_back(engine.lookup(0, ms));
                          return *held.back()->system;
                        }};
-  BatchedArrestmentSystem batch(pool, 32, kSlots, kRun);
+  BatchedArrestmentSystem batch(pool, lanes, slots, run);
   const std::vector<fi::DivergenceReport> reports = batch.run();
 
-  const std::vector<BatchedArrestmentSystem::SegmentOrigin> origins =
-      batch.segment_origins();
+  RunOptions options;
+  options.duration = run;
+  EXPECT_EQ(reports.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size() && i < reports.size(); ++i) {
+    options.injection = *specs[i].spec;
+    options.rng_seed = specs[i].rng_seed;
+    const RunOutcome scalar = run_arrestment(test_case, options);
+    EXPECT_TRUE(reports_identical(
+        reports[i], fi::compare_to_golden(golden, scalar.trace)))
+        << "run " << i;
+  }
+  return {batch.segment_origins(), batch.refills()};
+}
+
+TEST(BatchRolling, EarlierTickOpensASecondSegmentPastTheLastFireTick) {
+  // One test case, runs at every 500 ms from 0.5 s to 5 s, more than the
+  // kernel's slots: the first segment opens at 0.5 s and refills its way
+  // forward through the later fire ticks; the 0.5 s runs it had no slot
+  // for run in a segment opened from the 0.5 s checkpoint after the first
+  // segment's clock has passed 5 s.
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x5E6;
+  for (std::uint64_t ms = 500; ms <= 5000; ms += 500) {
+    for (const std::string_view target : {"TCNT", "PACNT", "pulscnt"}) {
+      config.injections.push_back(fi::InjectionSpec{
+          bus_id(target), ms * sim::kMillisecond, fi::bit_flip(13)});
+    }
+  }
+  const RollingSchedule schedule = expect_rolling_matches_oracle(
+      grid_test_cases(1, 1)[0], config, 6 * sim::kSecond, 32, /*slots=*/4);
+
+  const auto& origins = schedule.origins;
   ASSERT_GE(origins.size(), 2u);
   EXPECT_EQ(origins[0].origin_ms, 500u);
   EXPECT_TRUE(std::any_of(
@@ -1188,20 +1216,51 @@ TEST(BatchRolling, EarlierTickOpensASecondSegmentPastTheLastFireTick) {
             origins[0].origin_ms + (later.opened_tick - origins[0].opened_tick);
         return later.origin_ms < 5000 && first_clock > 5000;
       }));
-  EXPECT_GT(batch.refills(), 0u);
+  EXPECT_GT(schedule.refills, 0u);
+}
 
-  RunOptions options;
-  options.duration = kRun;
-  ASSERT_EQ(reports.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    options.injection = *specs[i].spec;
-    options.rng_seed = specs[i].rng_seed;
-    EXPECT_TRUE(reports_identical(
-        reports[i],
-        fi::compare_to_golden(golden, run_arrestment(cases[0], options).trace)))
-        << "run " << i;
+class BatchRollingWidth : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BatchRollingWidth, SegmentsOpenTogetherOverEveryLaneMatchTheOracle) {
+  // Three segments open together on the first tick, from the 0.5 s, 1.5 s
+  // and 2.5 s checkpoints, and between them take every lane: golden lanes
+  // and their runs sit in both 32-lane halves, and a width short of a
+  // whole row leaves a partial row for the screen's masked loads and the
+  // lane-mask packer's zero tail. Within a segment the fire ticks are
+  // staggered 20 ms apart, so armed lanes ride beside diverging ones.
+  const std::size_t lanes = GetParam();
+  constexpr std::size_t kSegments = 3;
+  fi::SignalBus bus;
+  build_bus(bus);
+  fi::CampaignConfig config;
+  config.test_case_count = 1;
+  config.seed = 0x3A9E;
+  const std::size_t runs = lanes - kSegments;
+  for (std::size_t seg = 0; seg < kSegments; ++seg) {
+    const std::size_t first = runs * seg / kSegments;
+    const std::size_t last = runs * (seg + 1) / kSegments;
+    for (std::size_t r = first; r < last; ++r) {
+      const std::uint64_t ms = 500 + 1000 * seg + 20 * (r - first);
+      config.injections.push_back(fi::InjectionSpec{
+          static_cast<fi::BusSignalId>(r % bus.signal_count()),
+          ms * sim::kMillisecond,
+          fi::bit_flip(static_cast<unsigned>(r * 5 % 16))});
+    }
+  }
+  const RollingSchedule schedule = expect_rolling_matches_oracle(
+      grid_test_cases(1, 1)[0], config, 4 * sim::kSecond, lanes, lanes - 1);
+
+  ASSERT_EQ(schedule.origins.size(), kSegments);
+  for (std::size_t seg = 0; seg < kSegments; ++seg) {
+    EXPECT_EQ(schedule.origins[seg].origin_ms, 500 + 1000 * seg);
+    EXPECT_EQ(schedule.origins[seg].opened_tick, 0u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(LaneCounts, BatchRollingWidth,
+                         ::testing::Values(std::size_t{9}, std::size_t{31},
+                                           std::size_t{32}, std::size_t{33},
+                                           std::size_t{63}, std::size_t{64}));
 
 }  // namespace
 }  // namespace propane::arr
