@@ -32,6 +32,7 @@ struct BatchInstruments {
   obs::Counter* never_fire_lanes = nullptr;
   std::array<obs::Counter*, BatchedArrestmentSystem::kStepCount>
       step_cycles{};
+  obs::Counter* step_sampled_ticks = nullptr;
 
   explicit BatchInstruments(const obs::Telemetry* telemetry) {
     group_lanes = obs::find_histogram(
@@ -58,6 +59,8 @@ struct BatchInstruments {
       step_cycles[step] =
           obs::find_counter(telemetry, step_cycles_counter(step));
     }
+    step_sampled_ticks =
+        obs::find_counter(telemetry, "batch.kernel.step.sampled_ticks");
   }
 
   /// Folds one finished kernel in. Derived *after* the kernel ran, from
@@ -84,6 +87,7 @@ struct BatchInstruments {
     for (std::size_t step = 0; step < step_cycles.size(); ++step) {
       add(step_cycles[step], batch.step_cycles()[step]);
     }
+    add(step_sampled_ticks, batch.step_sampled_ticks());
   }
 };
 

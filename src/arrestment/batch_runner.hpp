@@ -65,7 +65,11 @@ namespace propane::arr {
 ///                             dist_s, pres_s, pres_a, v_reg, calc, screen,
 ///                             converge), its timer units over the kernel's
 ///                             sampled ticks (BatchedArrestmentSystem::
-///                             step_cycles).
+///                             step_cycles);
+///   batch.kernel.step.sampled_ticks
+///                          -- counter, the sampled ticks those units were
+///                             taken over (step_sampled_ticks), so a step's
+///                             units over this are its cost per tick.
 /// Handles resolve once here; each kernel then costs a few relaxed atomic
 /// adds *after* it ran. The tick loop's only instrumentation is the
 /// step split's timer reads on one tick in 64, which every kernel takes

@@ -66,11 +66,11 @@ class StepLaps {
     last_ = now;
   }
 
-  /// Adds the tick's laps to `sums`, unless the tick took longer than any
-  /// tick's work does (2^20 timer units, about 0.3 ms of TSC): then the
-  /// thread was descheduled inside it, and one such tick would outweigh
-  /// thousands of sampled ones.
-  void commit(Sums& sums) const {
+  /// Adds the tick's laps to `sums` and counts it in `kept`, unless the
+  /// tick took longer than any tick's work does (2^20 timer units, about
+  /// 0.3 ms of TSC): then the thread was descheduled inside it, and one
+  /// such tick would outweigh thousands of sampled ones.
+  void commit(Sums& sums, std::uint64_t& kept) const {
     if (!sampled_) return;
     std::uint64_t total = 0;
     for (const std::uint64_t lap : laps_) total += lap;
@@ -78,6 +78,7 @@ class StepLaps {
     for (std::size_t step = 0; step < sums.size(); ++step) {
       sums[step] += laps_[step];
     }
+    ++kept;
   }
 
  private:
@@ -454,7 +455,7 @@ void BatchedArrestmentSystem::tick() {
     check_convergence();
   }
   laps.lap(kStepConverge);
-  laps.commit(step_cycles_);
+  laps.commit(step_cycles_, step_sampled_ticks_);
   ++ticks_;
   if (ticks_ < next_end_tick_) return;
   next_end_tick_ = ~std::uint64_t{0};

@@ -205,6 +205,9 @@ class BatchedArrestmentSystem {
   const std::array<std::uint64_t, kStepCount>& step_cycles() const {
     return step_cycles_;
   }
+  /// The sampled ticks step_cycles() holds (the descheduled ones left
+  /// out): step_cycles()[s] / this is step s's cost per tick.
+  std::uint64_t step_sampled_ticks() const { return step_sampled_ticks_; }
 
   /// Recorded traces (recording mode, after run()): run `i` in spec
   /// order, or the segment's golden lane.
@@ -340,6 +343,7 @@ class BatchedArrestmentSystem {
   std::uint64_t exhausted_ = 0;
   std::vector<std::uint64_t> retirement_ticks_;
   std::array<std::uint64_t, kStepCount> step_cycles_{};
+  std::uint64_t step_sampled_ticks_ = 0;
 
   // Recording mode (tests): per-bus-lane traces, retirement disabled.
   bool recording_ = false;

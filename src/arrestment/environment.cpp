@@ -65,14 +65,10 @@ BatchedEnvironment::BatchedEnvironment(const Environment& origin,
                                        std::size_t lane_count)
     : map_(map),
       timer_(kTimerTicksPerUs),
-      adc_(0.0, kMaxPressurePa),
       div_mass_(origin.mass_kg()),
-      div_adc_span_(adc_.hi() - adc_.lo()),
       velocity_(lane_count, origin.velocity_mps()),
-      position_(lane_count, origin.position_m()),
       pressure_(lane_count, origin.pressure_pa()),
       pulse_accumulator_(lane_count, origin.pulse_accumulator()),
-      peak_decel_(lane_count, origin.peak_decel()),
       timer_lanes_(lane_count, timer_.read(now)) {}
 
 void BatchedEnvironment::load_lane(std::size_t lane, const Environment& origin,
@@ -80,19 +76,15 @@ void BatchedEnvironment::load_lane(std::size_t lane, const Environment& origin,
   PROPANE_REQUIRE_MSG(origin.mass_kg() == div_mass_.divisor(),
                       "a batched environment runs one test case's mass");
   velocity_[lane] = origin.velocity_mps();
-  position_[lane] = origin.position_m();
   pressure_[lane] = origin.pressure_pa();
   pulse_accumulator_[lane] = origin.pulse_accumulator();
-  peak_decel_[lane] = origin.peak_decel();
   timer_lanes_[lane] = timer_.read(now);
 }
 
 void BatchedEnvironment::copy_lane(std::size_t dst, std::size_t src) {
   velocity_[dst] = velocity_[src];
-  position_[dst] = position_[src];
   pressure_[dst] = pressure_[src];
   pulse_accumulator_[dst] = pulse_accumulator_[src];
-  peak_decel_[dst] = peak_decel_[src];
   timer_lanes_[dst] = timer_lanes_[src];
 }
 
@@ -112,12 +104,13 @@ namespace {
 /// state vector is its own allocation) and emits no runtime alias
 /// versioning. The operation sequence mirrors Environment::step statement
 /// for statement; see the bit-exactness note on BatchedEnvironment. The
-/// scalar path's branches are if-converted into selects, so the loop has
-/// no control flow: a stopped lane computes the same speculative doubles
-/// but keeps its old state, which is bit-identical to never entering the
-/// branch. Every array element is loaded and stored exactly once, and the
-/// selects are between plain values (never references), keeping every
-/// statement speculation-safe for the vectorizer. All five per-lane
+/// loop has no control flow, every array element is loaded and stored
+/// exactly once, and the selects are between plain values (never
+/// references), keeping every statement speculation-safe for the
+/// vectorizer. The scalar path's `velocity > 0` branch needs no select:
+/// velocity starts positive and is only clamped with the literal +0, so
+/// it is never negative or -0, and a lane at +0 has zero friction and a
+/// deceleration >= 0, so the clamp returns +0 again. All four per-lane
 /// divides, the commanded pressure's TOC2 / 65535 among them, go through
 /// ExactDivisor's Markstein sequence, which returns the correctly-rounded
 /// quotient -- the same bits as the scalar path's divide instructions --
@@ -125,7 +118,6 @@ namespace {
 /// divisor is batch-invariant (the mass: a kernel runs one test case) or
 /// constant.
 void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
-                       ExactDivisor div_span, sim::Adc adc,
                        std::uint16_t timer_step,
                        std::uint16_t* __restrict timer,
                        const std::uint16_t* __restrict toc2,
@@ -134,21 +126,15 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
                        std::uint16_t* __restrict tcnt_row,
                        std::uint16_t* __restrict adc_row,
                        double* __restrict velocity_lanes,
-                       double* __restrict position_lanes,
                        double* __restrict pressure_lanes,
-                       double* __restrict pulse_acc_lanes,
-                       double* __restrict peak_decel_lanes) {
+                       double* __restrict pulse_acc_lanes) {
   const double dt = 0.001;  // one controller tick [s]
   constexpr ExactDivisor div_toc2(65535.0);
   constexpr ExactDivisor div_pmax(kMaxPressurePa);
   constexpr ExactDivisor div_mpp(kMetersPerPulse);
-  const double adc_lo = adc.lo();
-  const double adc_hi = adc.hi();
   for (std::size_t l = 0; l < lanes; ++l) {
     double pressure = pressure_lanes[l];
     double velocity = velocity_lanes[l];
-    double position = position_lanes[l];
-    double peak_decel = peak_decel_lanes[l];
     double pulse_acc = pulse_acc_lanes[l];
     const std::uint16_t tcnt = timer[l];
 
@@ -156,15 +142,12 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
         div_toc2.divide(static_cast<double>(toc2[l])) * kMaxPressurePa;
     pressure += (commanded - pressure) * (dt / kPressureTauS);
 
-    const bool moving = velocity > 0.0;
-    const double brake_force = kMaxBrakeForceN * div_pmax.divide(pressure);
+    const double pressure_ratio = div_pmax.divide(pressure);
+    const double brake_force = kMaxBrakeForceN * pressure_ratio;
     const double friction = kFrictionNsPerM * velocity;
     const double decel = div_mass.divide(brake_force + friction);
-    peak_decel = moving && decel > peak_decel ? decel : peak_decel;
     const double slowed = velocity - decel * dt;
-    velocity = moving ? (slowed > 0.0 ? slowed : 0.0) : velocity;
-    const double advanced = position + velocity * dt;
-    position = moving ? advanced : position;
+    velocity = slowed > 0.0 ? slowed : 0.0;
 
     pulse_acc += div_mpp.divide(velocity * dt);
     const auto whole_pulses = static_cast<std::uint32_t>(pulse_acc);
@@ -174,8 +157,6 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
 
     pressure_lanes[l] = pressure;
     velocity_lanes[l] = velocity;
-    position_lanes[l] = position;
-    peak_decel_lanes[l] = peak_decel;
     pulse_acc_lanes[l] = pulse_acc;
 
     pacnt[l] = whole_pulses > 0
@@ -184,27 +165,27 @@ void step_lanes_kernel(std::size_t lanes, ExactDivisor div_mass,
     tic1[l] = whole_pulses > 0 ? tcnt : tic1_old;
     tcnt_row[l] = tcnt;
     timer[l] = static_cast<std::uint16_t>(tcnt + timer_step);
-    // Adc::quantize's clamp / scale / round-half-up, with the divide
-    // through the hoisted divisor.
-    const double clamped =
-        pressure < adc_lo ? adc_lo : (adc_hi < pressure ? adc_hi : pressure);
-    const double scaled = div_span.divide(clamped - adc_lo) * 65535.0;
-    adc_row[l] = static_cast<std::uint16_t>(scaled + 0.5);
+    // sim::Adc::quantize over [0, kMaxPressurePa]: inside the clamp its
+    // quotient is the brake's, bit for bit (and x / x == 1 at the top).
+    // The pressure never leaves the range; the clamp mirrors sim::Adc.
+    const double ratio =
+        pressure < 0.0 ? 0.0
+                       : (kMaxPressurePa < pressure ? 1.0 : pressure_ratio);
+    adc_row[l] = static_cast<std::uint16_t>(ratio * 65535.0 + 0.5);
   }
 }
 
 }  // namespace
 
 void BatchedEnvironment::step_lanes(fi::BatchedSignalBus& bus) {
-  step_lanes_kernel(velocity_.size(), div_mass_, div_adc_span_, adc_,
+  step_lanes_kernel(velocity_.size(), div_mass_,
                     timer_.read(sim::kMillisecond), timer_lanes_.data(),
                     bus.lane_values(map_.toc2).data(),
                     bus.lane_values(map_.pacnt).data(),
                     bus.lane_values(map_.tic1).data(),
                     bus.lane_values(map_.tcnt).data(),
                     bus.lane_values(map_.adc).data(), velocity_.data(),
-                    position_.data(), pressure_.data(),
-                    pulse_accumulator_.data(), peak_decel_.data());
+                    pressure_.data(), pulse_accumulator_.data());
 }
 
 }  // namespace propane::arr

@@ -76,15 +76,18 @@ class Environment {
 /// one physics state per lane, advanced by a single sweep per tick.
 ///
 /// Bit-exactness: step_lanes performs, per lane, the exact operation
-/// sequence of Environment::step. Every double operation is IEEE per-op
-/// regardless of surrounding code (no -ffast-math, no FMA contraction),
-/// and each divide by a batch-invariant divisor -- TOC2's 65535, the
-/// full-scale pressure, the mass, the metres per pulse, the ADC span --
-/// goes through ExactDivisor, whose quotient has the divide's bits. So a
-/// lane's state is bit-identical to a scalar Environment stepped from the
-/// same origin: the property tests/fi/batch_equivalence_test.cpp and
+/// sequence of Environment::step on the state that feeds the bus (not
+/// position or peak deceleration, which only classify outcomes). Every
+/// double operation is IEEE per-op regardless of surrounding code (no
+/// -ffast-math, no FMA contraction), and each of the four divides by a
+/// batch-invariant divisor -- TOC2's 65535, the full-scale pressure, the
+/// mass, the metres per pulse -- goes through ExactDivisor, whose
+/// quotient has the divide's bits. So a lane's state is bit-identical to
+/// a scalar Environment stepped from the same origin: the property
+/// tests/fi/batch_equivalence_test.cpp and
 /// tests/arrestment/environment_test.cpp enforce. The ADC quantisation
-/// repeats sim::Adc's clamp, scale and round-half-up.
+/// repeats sim::Adc's clamp, scale and round-half-up on the brake's
+/// pressure quotient (the ADC spans 0 to full scale).
 class BatchedEnvironment {
  public:
   /// Replicates `origin`'s physical state, and its timer at time `now`,
@@ -112,6 +115,9 @@ class BatchedEnvironment {
   /// One lane's applied brake pressure [Pa] (Environment::pressure_pa).
   double pressure_pa(std::size_t lane) const { return pressure_[lane]; }
 
+  /// One lane's velocity [m/s] (Environment::velocity_mps).
+  double velocity_mps(std::size_t lane) const { return velocity_[lane]; }
+
   /// Lane-level bus_state_equals (velocity, pressure, pulse accumulator).
   bool lane_equals(std::size_t a, std::size_t b) const {
     return velocity_[a] == velocity_[b] && pressure_[a] == pressure_[b] &&
@@ -119,26 +125,22 @@ class BatchedEnvironment {
   }
 
   /// Lanes standing still (bit l: velocity exactly 0). step_lanes never
-  /// raises a zero velocity (the `velocity > 0` guard), and it adds
-  /// exactly 0 to a pulse accumulator that holds [0, 1) after every tick,
-  /// so such a lane never writes PACNT or TIC1 again -- the environment's
-  /// half of the standstill closure (batch_system.hpp, "Early exit").
+  /// raises a zero velocity (see step_lanes_kernel), and it adds exactly
+  /// 0 to a pulse accumulator that holds [0, 1) after every tick, so such
+  /// a lane never writes PACNT or TIC1 again -- the environment's half of
+  /// the standstill closure (batch_system.hpp, "Early exit").
   std::uint64_t at_rest_lanes() const;
 
  private:
   BusMap map_;
   sim::FreeRunningTimer timer_;
-  sim::Adc adc_;
 
-  // The batch-invariant divisors: the test case's mass and the ADC span
-  // (the others are compile-time constants).
+  // The one batch-invariant divisor: the test case's mass (the others
+  // are compile-time constants).
   ExactDivisor div_mass_;
-  ExactDivisor div_adc_span_;
   std::vector<double> velocity_;
-  std::vector<double> position_;
   std::vector<double> pressure_;
   std::vector<double> pulse_accumulator_;
-  std::vector<double> peak_decel_;
   // Per-lane free-running timer value at the start of the lane's next
   // tick. Lanes of different segments run different clocks; the timer is
   // linear modulo 2^16, so each tick adds the same one-millisecond step.

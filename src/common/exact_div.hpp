@@ -2,10 +2,11 @@
 // instruction in the loop.
 //
 // The batched environment sweep divides every lane's state by quantities
-// that are fixed for the whole batch (full-scale pressure, vehicle mass,
-// metres-per-pulse, the ADC span). Hardware vdivpd throughput is an order
-// of magnitude worse than multiply/FMA throughput, and on the lockstep hot
-// path those four divides bound the whole kernel. Markstein's sequence
+// that are fixed for the whole batch (TOC2's full count, full-scale
+// pressure, vehicle mass, metres-per-pulse; the ADC reuses the brake's
+// pressure quotient). Hardware vdivpd throughput is an order of magnitude
+// worse than multiply/FMA throughput, and on the lockstep hot path those
+// four divides would bound the whole kernel. Markstein's sequence
 //
 //   recip = RN(1/y)            (one real divide, hoisted out of the loop)
 //   q0    = RN(x * recip)

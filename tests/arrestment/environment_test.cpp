@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "arrestment/constants.hpp"
@@ -134,25 +136,38 @@ TEST_F(EnvironmentTest, HeavierAircraftDeceleratesSlower) {
 }
 
 TEST_F(EnvironmentTest, BatchedCommandedPressureMatchesScalarForEveryToc2) {
-  // Every TOC2 value, 64 lanes a sweep, from two states: the brake's
+  // Every TOC2 value, 64 lanes a sweep, from three states: the brake's
   // first command (no applied pressure yet, so the commanded pressure
-  // reaches the new pressure unblended and a one-ulp error in it shows)
-  // and mid-arrestment. Each lane's applied pressure and ADC reading must
-  // equal the scalar step's, bit for bit.
+  // reaches the new pressure unblended and a one-ulp error in it shows),
+  // mid-arrestment, and standing still (the batched sweep has no
+  // `velocity > 0` select, so a lane at +0 must brake to +0 again, not
+  // to -0 or above). Each lane's pressure and velocity bits and its
+  // PACNT, TIC1 and ADC must equal the scalar step's.
   Environment engaged(TestCase{14000, 60}, map_);
   Environment braking = engaged;
   bus_.write(map_.toc2, 30000);
   run_ms(braking, 700);
   ASSERT_GT(braking.velocity_mps(), 0.0);
   ASSERT_GT(braking.pressure_pa(), 0.0);
+  Environment stopped = braking;
+  bus_.write(map_.toc2, 65535);
+  int stop_ms = 700;
+  for (; !stopped.at_rest(); ++stop_ms) {
+    ASSERT_LT(stop_ms, 10000) << "the aircraft never stopped";
+    stopped.step(bus_, static_cast<sim::SimTime>(stop_ms) * sim::kMillisecond);
+  }
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(stopped.velocity_mps()), 0u);
+  const fi::SignalBus origin_bus = bus_;
   constexpr std::size_t kLanes = 64;
   for (const auto& [origin, now] :
        {std::pair<const Environment&, sim::SimTime>{engaged, 0},
         std::pair<const Environment&, sim::SimTime>{
-            braking, 700 * sim::kMillisecond}}) {
+            braking, 700 * sim::kMillisecond},
+        std::pair<const Environment&, sim::SimTime>{
+            stopped, static_cast<sim::SimTime>(stop_ms) * sim::kMillisecond}}) {
     BatchedEnvironment batched(origin, now, map_, kLanes);
-    fi::BatchedSignalBus lanes(bus_, kLanes);
     for (std::uint32_t base = 0; base < 65536; base += kLanes) {
+      fi::BatchedSignalBus lanes(origin_bus, kLanes);
       for (std::size_t l = 0; l < kLanes; ++l) {
         batched.load_lane(l, origin, now);
         lanes.poke(map_.toc2, l, static_cast<std::uint16_t>(base + l));
@@ -161,13 +176,55 @@ TEST_F(EnvironmentTest, BatchedCommandedPressureMatchesScalarForEveryToc2) {
       for (std::size_t l = 0; l < kLanes; ++l) {
         const auto toc2 = static_cast<std::uint16_t>(base + l);
         Environment scalar = origin;
+        bus_ = origin_bus;
         bus_.write(map_.toc2, toc2);
         scalar.step(bus_, now);
         ASSERT_EQ(batched.pressure_pa(l), scalar.pressure_pa()) << toc2;
-        ASSERT_EQ(lanes.read(map_.adc, l), bus_.read(map_.adc)) << toc2;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(batched.velocity_mps(l)),
+                  std::bit_cast<std::uint64_t>(scalar.velocity_mps()))
+            << toc2;
+        for (const fi::BusSignalId id : {map_.pacnt, map_.tic1, map_.adc}) {
+          ASSERT_EQ(lanes.read(id, l), bus_.read(id)) << toc2;
+        }
       }
     }
   }
+}
+
+TEST_F(EnvironmentTest, BatchedLockstepMatchesScalarToStandstillAndAdcEnds) {
+  // Brake 8 lanes in lockstep with the scalar step until the aircraft
+  // stands still and the ADC reads full scale, then release until the
+  // ADC reads 0: the sweep's own clamp brings velocity to +0 and keeps it
+  // there, and the ADC, which reuses the brake's pressure quotient, meets
+  // both ends of its range. Every tick, each lane's pressure and velocity
+  // bits and its sensor registers must equal the scalar step's.
+  constexpr std::size_t kLanes = 8;
+  Environment scalar(TestCase{8000, 40}, map_);
+  BatchedEnvironment batched(scalar, 0, map_, kLanes);
+  fi::BatchedSignalBus lanes(bus_, kLanes);
+  int ms = 0;
+  for (const std::uint16_t toc2 : {std::uint16_t{65535}, std::uint16_t{0}}) {
+    for (bool reached = false; !reached; ++ms) {
+      ASSERT_LT(ms, 20000) << "TOC2 " << toc2 << " never took effect";
+      for (std::size_t l = 0; l < kLanes; ++l) lanes.poke(map_.toc2, l, toc2);
+      batched.step_lanes(lanes);
+      bus_.write(map_.toc2, toc2);
+      scalar.step(bus_, static_cast<sim::SimTime>(ms) * sim::kMillisecond);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        ASSERT_EQ(batched.pressure_pa(l), scalar.pressure_pa()) << ms;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(batched.velocity_mps(l)),
+                  std::bit_cast<std::uint64_t>(scalar.velocity_mps()))
+            << ms;
+        for (const fi::BusSignalId id :
+             {map_.pacnt, map_.tic1, map_.tcnt, map_.adc}) {
+          ASSERT_EQ(lanes.read(id, l), bus_.read(id)) << ms;
+        }
+      }
+      reached = bus_.read(map_.adc) == toc2 &&
+                (toc2 == 0 || scalar.at_rest());
+    }
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.velocity_mps(0)), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -32,7 +33,8 @@ void expect_exact(double x, double y) {
 }
 
 // The divisors the environment sweep actually uses.
-constexpr double kSimDivisors[] = {10.0e6,                      // pressure FS
+constexpr double kSimDivisors[] = {65535.0,                     // TOC2 FS
+                                   10.0e6,                      // pressure FS
                                    2.0 * 3.141592653589793 * 0.5 / 64,
                                    70000.0, 12500.0, 3.5e4};    // masses
 
@@ -61,7 +63,8 @@ TEST(ExactDivisorTest, ExactOnRandomBitPatterns) {
         (raw & 0x800fffffffffffffULL) | (exp << 52);
     double x;
     std::memcpy(&x, &xbits, sizeof x);
-    const double y = kSimDivisors[i % 5];
+    const double y = kSimDivisors[static_cast<std::size_t>(i) %
+                                  std::size(kSimDivisors)];
     expect_exact(x, y);
   }
 }

@@ -949,7 +949,7 @@ TEST(BatchGeometry, ExplicitWidth64IsCappedAt63Slots) {
 
 TEST(BatchGeometry, SampledTicksTimeEveryStep) {
   // One tick in 64 is timed step by step, and the runner folds each
-  // step's sum into its counter.
+  // step's sum, and the number of ticks sampled, into its counter.
   const std::vector<TestCase> cases = grid_test_cases(1, 1);
   fi::CampaignConfig config;
   config.test_case_count = 1;
@@ -975,6 +975,14 @@ TEST(BatchGeometry, SampledTicksTimeEveryStep) {
                 .counter(step_cycles_counter(BatchedArrestmentSystem::kStepEnv))
                 .value(),
             0u);
+  // The sampled ticks those sums cover: at most one per kernel and
+  // 64-tick window.
+  const std::uint64_t sampled =
+      counters.metrics.counter("batch.kernel.step.sampled_ticks").value();
+  EXPECT_GT(sampled, 0u);
+  EXPECT_LE(sampled,
+            counters.ticks() / BatchedArrestmentSystem::kStepSamplePeriod +
+                counters.batches());
 }
 
 // --- Exact exhaustion: the closed signals {TCNT, mscnt, ms_slot_nbr} ------

@@ -361,6 +361,7 @@ struct BatchTally {
   double exhausted = 0.0;        // batch.retire.exhausted
   // batch.kernel.step.<step>_cycles, in tick order
   std::array<double, arr::BatchedArrestmentSystem::kStepCount> step_cycles{};
+  double sampled_ticks = 0.0;  // batch.kernel.step.sampled_ticks
 
   /// Folds in one parsed "metric" event; other metrics are ignored.
   void add(const std::vector<obs::Field>& fields);
@@ -372,7 +373,9 @@ struct BatchTally {
 /// slot-ticks swept), sweep efficiency (slot-ticks holding a run over
 /// all lane-ticks swept, golden lanes and padding included), the segments
 /// the kernels opened, the runs they retired early, by cause, and each
-/// tick step's share of the sampled tick time. Quiet when no batched
+/// tick step's share of the sampled tick time and its timer units per
+/// sampled tick. A step can get cheaper while its share rises, when the
+/// others get cheaper still; the units show it. Quiet when no batched
 /// session contributed.
 void print_batch_occupancy(const BatchTally& tally) {
   if (tally.requests == 0) return;
@@ -416,6 +419,16 @@ void print_batch_occupancy(const BatchTally& tally) {
                   100.0 * tally.step_cycles[step] / step_total);
     }
     std::printf("\n");
+  }
+  if (step_total > 0.0 && tally.sampled_ticks > 0.0) {
+    std::printf("kernel steps (timer units per sampled tick, %.0f sampled "
+                "tick(s)):",
+                tally.sampled_ticks);
+    for (std::size_t step = 0; step < tally.step_cycles.size(); ++step) {
+      std::printf(" %s %.1f", arr::BatchedArrestmentSystem::kStepNames[step],
+                  tally.step_cycles[step] / tally.sampled_ticks);
+    }
+    std::printf(" tick %.1f\n", step_total / tally.sampled_ticks);
   }
 }
 
@@ -895,7 +908,8 @@ void BatchTally::add(const std::vector<obs::Field>& fields) {
         {"batch.kernel.lanes", &runs},
         {"batch.kernel.segments", &segments},
         {"batch.retire.converged", &converged},
-        {"batch.retire.exhausted", &exhausted}};
+        {"batch.retire.exhausted", &exhausted},
+        {"batch.kernel.step.sampled_ticks", &sampled_ticks}};
     for (const auto& [counter, total] : counters) {
       if (name == counter) *total += v->as_double();
     }
