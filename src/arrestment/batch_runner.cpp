@@ -125,7 +125,7 @@ std::vector<fi::DivergenceReport> run_batch(
     PROPANE_REQUIRE_MSG(request.lanes[i].test_case == test_case,
                         "a batch request holds the runs of one test case");
     if (fire_ms(i) >= engine.duration_ms()) {
-      reports[i].per_signal.resize(kAllSignals.size());
+      reports[i] = fi::DivergenceReport(kAllSignals.size());
     } else {
       live.push_back(i);
     }

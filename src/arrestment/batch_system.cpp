@@ -387,7 +387,7 @@ void BatchedArrestmentSystem::load(std::size_t lane, std::uint32_t seg,
   fire_tick_[lane] = fire;
   next_fire_tick_ = armed_ == 0 ? fire : std::min(next_fire_tick_, fire);
   armed_ |= bit;
-  reports_[lane].per_signal.assign(signals_, fi::Divergence{});
+  reports_[lane] = fi::DivergenceReport(signals_);
   for (std::uint64_t& pend : pending_) pend |= bit;
 }
 
@@ -408,8 +408,7 @@ void BatchedArrestmentSystem::release(std::size_t lane) {
 
 void BatchedArrestmentSystem::close(std::uint32_t seg) {
   // Runs still in a lane keep their reports: signals that never diverged
-  // stay {diverged=false}, same as compare_to_golden on equal-length
-  // traces.
+  // have no entry, same as compare_to_golden on equal-length traces.
   for (std::uint64_t lanes = segments_[seg].lanes; lanes != 0;
        lanes &= lanes - 1) {
     const std::size_t lane = lowest_lane(lanes);
@@ -575,12 +574,8 @@ void BatchedArrestmentSystem::note_divergences(std::size_t sig,
   while (newly != 0) {
     const std::size_t lane = lowest_lane(newly);
     newly &= newly - 1;
-    fi::Divergence& d =
-        reports_[lane].per_signal[static_cast<fi::BusSignalId>(sig)];
-    d.diverged = true;
-    d.first_ms = segment_ms(segments_[lane_seg_[lane]]);
-    d.golden_value = row[golden_idx_[lane]];
-    d.observed_value = row[lane];
+    reports_[lane].note(sig, segment_ms(segments_[lane_seg_[lane]]),
+                        row[golden_idx_[lane]], row[lane]);
   }
 }
 

@@ -108,7 +108,7 @@ void BootstrapResampler::add(const InjectionRecord& record) {
   if (record.report.per_signal.empty()) return;
   scratch_.clear();
   accumulator_.classify(record, scratch_);
-  accumulator_.add(record);
+  accumulator_.fold(scratch_);
   // A target with no consumer pairs contributes nothing resampleable.
   if (scratch_.empty()) return;
 

@@ -29,15 +29,13 @@ void write_divergence_csv(std::ostream& out,
                     "model", "signal", "first_ms", "golden_value",
                     "observed_value"});
   for (const InjectionRecord& record : campaign.records) {
-    for (BusSignalId s = 0; s < record.report.per_signal.size(); ++s) {
-      const Divergence& divergence = record.report.per_signal[s];
-      if (!divergence.diverged) continue;
+    for (const DivergenceEntry& divergence : record.report.diverged()) {
       writer.write_row({std::to_string(record.injection_index),
                         std::to_string(record.test_case),
                         campaign.signal_names[record.target],
                         std::to_string(sim::to_milliseconds(record.when)),
                         std::string(campaign.model_name_of(record)),
-                        campaign.signal_names[s],
+                        campaign.signal_names[divergence.signal],
                         std::to_string(divergence.first_ms),
                         std::to_string(divergence.golden_value),
                         std::to_string(divergence.observed_value)});

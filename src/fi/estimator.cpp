@@ -221,8 +221,13 @@ void PermeabilityAccumulator::add(const InjectionRecord& record) {
   if (record.report.per_signal.empty()) return;
   scratch_.clear();
   classify(record, scratch_);
+  fold(scratch_);
+}
+
+void PermeabilityAccumulator::fold(
+    std::span<const PairContribution> contributions) {
   ++record_count_;
-  for (const PairContribution& contribution : scratch_) {
+  for (const PairContribution& contribution : contributions) {
     PairEstimate& estimate = pairs_[contribution.pair_index];
     ++estimate.injections;
     if (!contribution.diverged) continue;

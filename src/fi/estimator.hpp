@@ -124,17 +124,20 @@ class PermeabilityAccumulator {
                           std::size_t bus_signal_count,
                           EstimationOptions options = {});
 
-  /// Folds one injection record into the counts.
+  /// Folds one injection record into the counts: classify(), then fold().
   void add(const InjectionRecord& record);
 
   /// Classifies one record into its per-pair contributions (appended to
   /// `out`) without folding anything: one entry per (consumer input,
-  /// output) pair of the injected signal, in pair-table order. add() is
-  /// exactly "classify, then count", so resampling record contributions
-  /// (fi/bootstrap.hpp) reproduces the estimator's attribution bit for
-  /// bit. Empty-report placeholder records contribute nothing.
+  /// output) pair of the injected signal, in pair-table order. Resampling
+  /// record contributions (fi/bootstrap.hpp) therefore reproduces the
+  /// estimator's attribution bit for bit. Empty-report placeholder records
+  /// contribute nothing.
   void classify(const InjectionRecord& record,
                 std::vector<PairContribution>& out) const;
+
+  /// Counts one executed record whose contributions classify() produced.
+  void fold(std::span<const PairContribution> contributions);
 
   /// The accumulator's pair table (module-major / input-major /
   /// output-major); PairContribution::pair_index indexes into it.

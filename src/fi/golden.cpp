@@ -2,20 +2,30 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/contracts.hpp"
 
 namespace propane::fi {
 
-bool DivergenceReport::any_divergence() const {
-  return std::any_of(per_signal.begin(), per_signal.end(),
-                     [](const Divergence& d) { return d.diverged; });
+DivergenceReport::DivergenceReport(std::size_t signal_count) {
+  PROPANE_REQUIRE(signal_count <= UINT32_MAX);
+  per_signal.signal_count_ = static_cast<std::uint32_t>(signal_count);
 }
 
-std::size_t DivergenceReport::divergence_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(per_signal.begin(), per_signal.end(),
-                    [](const Divergence& d) { return d.diverged; }));
+void DivergenceReport::note(std::size_t signal, std::uint64_t first_ms,
+                            std::uint16_t golden_value,
+                            std::uint16_t observed_value) {
+  PROPANE_REQUIRE_MSG(signal < per_signal.signal_count_,
+                      "diverged signal outside the report's bus");
+  std::vector<DivergenceEntry>& entries = per_signal.entries_;
+  if (entries.capacity() == 0) entries.reserve(per_signal.signal_count_);
+  const auto at = std::ranges::upper_bound(entries, signal, {},
+                                           &DivergenceEntry::signal);
+  PROPANE_REQUIRE_MSG(at == entries.begin() || std::prev(at)->signal != signal,
+                      "signal's first divergence noted twice");
+  entries.insert(at, {first_ms, static_cast<std::uint32_t>(signal),
+                      golden_value, observed_value});
 }
 
 namespace {
@@ -51,8 +61,7 @@ DivergenceReport compare_to_golden(const TraceSet& golden,
   const bool length_differs =
       golden.sample_count() != injected.sample_count();
 
-  DivergenceReport report;
-  report.per_signal.resize(signals);
+  DivergenceReport report(signals);
   if (signals == 0) return report;
 
   // Phase 1: locate the first differing sample row with contiguous chunked
@@ -77,11 +86,7 @@ DivergenceReport compare_to_golden(const TraceSet& golden,
     for (std::size_t i = 0; i < unresolved.size();) {
       const BusSignalId s = unresolved[i];
       if (grow[s] != orow[s]) {
-        Divergence& d = report.per_signal[s];
-        d.diverged = true;
-        d.first_ms = ms;
-        d.golden_value = grow[s];
-        d.observed_value = orow[s];
+        report.note(s, ms, grow[s], orow[s]);
         unresolved[i] = unresolved.back();
         unresolved.pop_back();
       } else {
@@ -93,13 +98,7 @@ DivergenceReport compare_to_golden(const TraceSet& golden,
   if (length_differs) {
     // A run that ends earlier/later than the golden run differs in every
     // signal from the first uncovered sample onwards.
-    for (const BusSignalId s : unresolved) {
-      Divergence& d = report.per_signal[s];
-      d.diverged = true;
-      d.first_ms = common;
-      d.golden_value = 0;
-      d.observed_value = 0;
-    }
+    for (const BusSignalId s : unresolved) report.note(s, common, 0, 0);
   }
   return report;
 }

@@ -5,13 +5,18 @@
 // to the GR, and any difference indicates that an error has occurred."
 // Per Section 7.3 the comparison of a signal stops at the first difference;
 // we record that first-divergence timestamp, which the estimator's
-// direct-error attribution relies on.
+// direct-error attribution relies on. A report holds exactly what a
+// journal record stores (store/record_codec.hpp) -- the diverged signals
+// only -- so the in-memory form is the journal form: encoding copies its
+// entries and decoding appends them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "fi/trace.hpp"
 
 namespace propane::fi {
@@ -26,12 +31,68 @@ struct Divergence {
   std::uint16_t observed_value = 0;
 };
 
-/// Per-signal divergence report for one injection run.
-struct DivergenceReport {
-  std::vector<Divergence> per_signal;  // indexed by BusSignalId
+/// One diverged signal of a report: the fields a journal record stores for
+/// it (store/record_codec.hpp).
+struct DivergenceEntry {
+  std::uint64_t first_ms = 0;
+  std::uint32_t signal = 0;  // BusSignalId
+  std::uint16_t golden_value = 0;
+  std::uint16_t observed_value = 0;
 
-  bool any_divergence() const;
-  std::size_t divergence_count() const;
+  bool operator==(const DivergenceEntry&) const = default;
+};
+
+/// Divergence report for one injection run, in the journal's own form: the
+/// bus width plus one entry per diverged signal, in ascending signal order.
+/// Comparison stops at each signal's first difference (Section 7.3), so
+/// that is the whole outcome of a run. A clean run holds no heap block; a
+/// diverged one holds one, reserved for the bus width at its first
+/// divergence. A default-constructed report (bus width 0) stands for a run
+/// that never executed.
+class DivergenceReport {
+ public:
+  /// Read view indexed by BusSignalId: size() is the bus width and [s]
+  /// signal s's Divergence by value (all zero when s never diverged). It
+  /// has no begin()/end(); the diverged signals are reached through
+  /// DivergenceReport::diverged().
+  class SignalView {
+   public:
+    std::size_t size() const { return signal_count_; }
+    bool empty() const { return signal_count_ == 0; }
+    Divergence operator[](std::size_t signal) const {
+      PROPANE_REQUIRE(signal < signal_count_);
+      const auto it = std::ranges::lower_bound(entries_, signal, {},
+                                               &DivergenceEntry::signal);
+      if (it == entries_.end() || it->signal != signal) return {};
+      return {true, it->first_ms, it->golden_value, it->observed_value};
+    }
+
+   private:
+    friend class DivergenceReport;
+    std::uint32_t signal_count_ = 0;
+    std::vector<DivergenceEntry> entries_;  // ascending signal
+  };
+
+  DivergenceReport() = default;
+  /// A clean report over a bus of `signal_count` signals.
+  explicit DivergenceReport(std::size_t signal_count);
+
+  /// Records `signal`'s first divergence, in any signal order. A signal
+  /// outside the bus or one already noted is a contract violation.
+  void note(std::size_t signal, std::uint64_t first_ms,
+            std::uint16_t golden_value, std::uint16_t observed_value);
+  /// Sizes the heap block for `entries` diverged signals up front (the
+  /// journal decoder knows the exact count).
+  void reserve(std::size_t entries) { per_signal.entries_.reserve(entries); }
+
+  /// The diverged signals, ascending.
+  std::span<const DivergenceEntry> diverged() const {
+    return per_signal.entries_;
+  }
+  bool any_divergence() const { return !per_signal.entries_.empty(); }
+  std::size_t divergence_count() const { return per_signal.entries_.size(); }
+
+  SignalView per_signal;
 };
 
 /// Compares an injection-run trace against the golden run. Both traces

@@ -4,6 +4,14 @@
 
 namespace propane::store {
 
+namespace {
+
+/// Bytes of one diverged-signal entry: u32 signal, u64 first_ms and two
+/// u16 values.
+constexpr std::size_t kEntryBytes = 16;
+
+}  // namespace
+
 std::uint64_t plan_hash(const fi::CampaignConfig& config) {
   // Hash a canonical encoding of the plan rather than raw structs so
   // padding and container layout cannot leak into the fingerprint.
@@ -70,10 +78,8 @@ void encode_injection_record(ByteWriter& out, const RecordStamp& stamp,
   out.u8(stamp.replayed ? kRecordFlagReplayed : 0);
   out.u32(static_cast<std::uint32_t>(report.per_signal.size()));
   out.u32(static_cast<std::uint32_t>(report.divergence_count()));
-  for (std::size_t s = 0; s < report.per_signal.size(); ++s) {
-    const fi::Divergence& d = report.per_signal[s];
-    if (!d.diverged) continue;
-    out.u32(static_cast<std::uint32_t>(s));
+  for (const fi::DivergenceEntry& d : report.diverged()) {
+    out.u32(d.signal);
     out.u64(d.first_ms);
     out.u16(d.golden_value);
     out.u16(d.observed_value);
@@ -109,16 +115,19 @@ fi::InjectionRecord decode_injection_record(const std::uint8_t* data,
   const std::uint32_t diverged = reader.u32();
   PROPANE_CHECK_MSG(diverged <= signal_count,
                     "journal record claims more divergences than signals");
-  record.report.per_signal.resize(signal_count);
+  PROPANE_CHECK_MSG(reader.remaining() >= std::size_t{diverged} * kEntryBytes,
+                    "journal record holds fewer divergences than it claims");
+  record.report = fi::DivergenceReport(signal_count);
+  record.report.reserve(diverged);
   for (std::uint32_t i = 0; i < diverged; ++i) {
     const std::uint32_t signal = reader.u32();
     PROPANE_CHECK_MSG(signal < signal_count,
                       "journal record divergence signal out of range");
-    fi::Divergence& d = record.report.per_signal[signal];
-    d.diverged = true;
-    d.first_ms = reader.u64();
-    d.golden_value = reader.u16();
-    d.observed_value = reader.u16();
+    PROPANE_CHECK_MSG(i == 0 || signal > record.report.diverged().back().signal,
+                      "journal record divergence signals not ascending");
+    const std::uint64_t first_ms = reader.u64();
+    const std::uint16_t golden_value = reader.u16();
+    record.report.note(signal, first_ms, golden_value, reader.u16());
   }
   PROPANE_CHECK_MSG(reader.exhausted(),
                     "trailing bytes after injection record payload");

@@ -25,7 +25,11 @@
 // plan hash covers the model names, so a journal can never silently pair
 // with the wrong plan). Strings are u32 length + raw bytes. Divergence
 // reports are stored sparsely: only diverged signals get an entry, which
-// keeps a typical record well under 100 bytes even on wide buses.
+// keeps a typical record well under 100 bytes even on wide buses. That is
+// also fi::DivergenceReport's in-memory form (bus width + diverged
+// entries), so encoding copies the entries and decoding appends them; the
+// decoder requires the entries in strictly ascending signal order, as
+// every encoder writes them.
 #pragma once
 
 #include <cstddef>

@@ -26,12 +26,14 @@ ResultCache ResultCache::load(const std::filesystem::path& dir) {
           return;
         }
         cache.fingerprint_by_flat_[flat] = record.fingerprint;
-        cache.by_fingerprint_.emplace(record.fingerprint, std::move(record));
+        cache.by_fingerprint_.emplace(record.fingerprint,
+                                      std::move(record.report));
       });
   return cache;
 }
 
-const fi::InjectionRecord* ResultCache::find(std::uint64_t fingerprint) const {
+const fi::DivergenceReport* ResultCache::find(
+    std::uint64_t fingerprint) const {
   if (fingerprint == 0) return nullptr;
   const auto it = by_fingerprint_.find(fingerprint);
   return it == by_fingerprint_.end() ? nullptr : &it->second;
@@ -108,7 +110,7 @@ std::size_t session_shard_count(const JournalRunOptions& options,
                                  : session_threads(config);
 }
 
-/// Appends every kReplayed flat's cached record to its shard before the
+/// Appends every kReplayed flat's cached report to its shard before the
 /// campaign starts. One pool task per shard walks that shard's flats in
 /// order, so the shard layout does not depend on the thread count. Each
 /// record is re-stamped under the *current* plan's identity (the baseline
@@ -138,7 +140,7 @@ void append_replays(ShardedJournalWriter& writer,
           stamp.when = config.injections[inj].when;
           stamp.fingerprint = fingerprints[flat];
           stamp.replayed = true;
-          shard.stage(stamp, baseline.find(fingerprints[flat])->report);
+          shard.stage(stamp, *baseline.find(fingerprints[flat]));
           if (shard.staged_bytes() >= kReplayRunBytes) shard.commit();
         }
         shard.commit();

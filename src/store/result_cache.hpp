@@ -46,9 +46,9 @@ class ResultCache {
   /// shards) are counted but not indexed.
   static ResultCache load(const std::filesystem::path& dir);
 
-  /// Cached record for `fingerprint`, or nullptr. Fingerprint 0 ("none")
-  /// never matches. Thread-safe (read-only).
-  const fi::InjectionRecord* find(std::uint64_t fingerprint) const;
+  /// Cached divergence report for `fingerprint`, or nullptr. Fingerprint 0
+  /// ("none") never matches. Thread-safe (read-only).
+  const fi::DivergenceReport* find(std::uint64_t fingerprint) const;
 
   bool loaded() const { return !state_.fresh; }
   const Manifest& manifest() const { return state_.manifest; }
@@ -64,7 +64,9 @@ class ResultCache {
 
  private:
   CampaignDirState state_;
-  std::unordered_map<std::uint64_t, fi::InjectionRecord> by_fingerprint_;
+  /// A replay re-stamps the run's identity under the current plan, so the
+  /// report is all a hit needs.
+  std::unordered_map<std::uint64_t, fi::DivergenceReport> by_fingerprint_;
   std::vector<std::uint64_t> fingerprint_by_flat_;
   std::size_t unfingerprinted_ = 0;
 };

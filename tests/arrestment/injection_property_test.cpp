@@ -60,10 +60,8 @@ TEST_P(InjectionProperty, NoDivergenceBeforeTheInjection) {
   const RunOutcome golden = run(false);
   const RunOutcome injected = run(true);
   const auto report = fi::compare_to_golden(golden.trace, injected.trace);
-  for (const auto& divergence : report.per_signal) {
-    if (divergence.diverged) {
-      EXPECT_GE(divergence.first_ms, 1500u);
-    }
+  for (const fi::DivergenceEntry& divergence : report.diverged()) {
+    EXPECT_GE(divergence.first_ms, 1500u);
   }
 }
 

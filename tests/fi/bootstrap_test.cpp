@@ -42,12 +42,9 @@ InjectionRecord make_record(BusSignalId target, std::uint32_t test_case,
   InjectionRecord record;
   record.target = target;
   record.test_case = test_case;
-  record.report.per_signal.resize(times.size());
+  record.report = DivergenceReport(times.size());
   for (std::size_t s = 0; s < times.size(); ++s) {
-    if (times[s] != SIZE_MAX) {
-      record.report.per_signal[s].diverged = true;
-      record.report.per_signal[s].first_ms = times[s];
-    }
+    if (times[s] != SIZE_MAX) record.report.note(s, times[s], 0, 0);
   }
   return record;
 }

@@ -18,9 +18,9 @@ CampaignResult small_result() {
   a.test_case = 1;
   a.target = 0;
   a.when = 2 * sim::kSecond;
-  a.report.per_signal.resize(2);
-  a.report.per_signal[0] = Divergence{true, 2000, 10, 18};
-  a.report.per_signal[1] = Divergence{true, 2004, 5, 7};
+  a.report = DivergenceReport(2);
+  a.report.note(0, 2000, 10, 18);
+  a.report.note(1, 2004, 5, 7);
   result.records.push_back(a);
 
   InjectionRecord b;
@@ -28,7 +28,7 @@ CampaignResult small_result() {
   b.test_case = 0;
   b.target = 1;
   b.when = 500 * sim::kMillisecond;
-  b.report.per_signal.resize(2);  // no divergence
+  b.report = DivergenceReport(2);  // no divergence
   result.records.push_back(b);
   return result;
 }
@@ -66,8 +66,8 @@ TEST(CampaignIo, EscapesUserSuppliedFieldsAndRoundTrips) {
   record.test_case = 0;
   record.target = 0;
   record.when = 1 * sim::kSecond;
-  record.report.per_signal.resize(2);
-  record.report.per_signal[1] = Divergence{true, 1002, 3, 4};
+  record.report = DivergenceReport(2);
+  record.report.note(1, 1002, 3, 4);
   result.records.push_back(record);
 
   std::ostringstream summary;

@@ -55,12 +55,9 @@ CampaignResult fake_campaign(
     record.injection_index =
         static_cast<std::uint32_t>(result.records.size());
     result.injection_model_names.emplace_back("fake");
-    record.report.per_signal.resize(times.size());
+    record.report = DivergenceReport(times.size());
     for (std::size_t s = 0; s < times.size(); ++s) {
-      if (times[s] != SIZE_MAX) {
-        record.report.per_signal[s].diverged = true;
-        record.report.per_signal[s].first_ms = times[s];
-      }
+      if (times[s] != SIZE_MAX) record.report.note(s, times[s], 0, 0);
     }
     result.records.push_back(std::move(record));
   }
@@ -276,7 +273,7 @@ TEST(Accumulator, SkippedRunPlaceholdersAreIgnored) {
   const SystemModel model = chain_model();
   const SignalBinding binding = bind_names(model, {"src", "dst"});
   PermeabilityAccumulator accumulator(model, binding, 2);
-  InjectionRecord placeholder;  // empty per_signal = run never executed
+  InjectionRecord placeholder;  // empty report = run never executed
   accumulator.add(placeholder);
   EXPECT_EQ(accumulator.record_count(), 0u);
   EXPECT_EQ(accumulator.finish().pair(0, 0, 0).injections, 0u);

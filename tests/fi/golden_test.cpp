@@ -136,5 +136,44 @@ TEST(GoldenComparison, SignalCountMismatchViolatesContract) {
   EXPECT_THROW(compare_to_golden(golden, other), ContractViolation);
 }
 
+TEST(DivergenceReport, NotesOutOfSignalOrderYieldAscendingEntries) {
+  DivergenceReport report(6);
+  report.note(4, 20, 1, 2);
+  report.note(1, 30, 3, 4);
+  report.note(5, 10, 5, 6);
+  report.note(0, 40, 7, 8);
+  ASSERT_EQ(report.divergence_count(), 4u);
+  const std::vector<DivergenceEntry> entries(report.diverged().begin(),
+                                             report.diverged().end());
+  EXPECT_EQ(entries, (std::vector<DivergenceEntry>{{40, 0, 7, 8},
+                                                   {30, 1, 3, 4},
+                                                   {20, 4, 1, 2},
+                                                   {10, 5, 5, 6}}));
+  EXPECT_EQ(report.per_signal[4].first_ms, 20u);
+  EXPECT_EQ(report.per_signal[4].observed_value, 2u);
+}
+
+TEST(DivergenceReport, CleanSignalReadsAsAllZeroDivergence) {
+  DivergenceReport report(3);
+  report.note(2, 7, 9, 10);
+  EXPECT_EQ(report.per_signal.size(), 3u);
+  const Divergence clean = report.per_signal[1];
+  EXPECT_FALSE(clean.diverged);
+  EXPECT_EQ(clean.first_ms, 0u);
+  EXPECT_EQ(clean.golden_value, 0u);
+  EXPECT_EQ(clean.observed_value, 0u);
+  EXPECT_TRUE(report.per_signal[2].diverged);
+  EXPECT_THROW(static_cast<void>(report.per_signal[3]), ContractViolation);
+}
+
+TEST(DivergenceReport, NotingASignalTwiceViolatesContract) {
+  DivergenceReport report(3);
+  report.note(1, 5, 0, 1);
+  EXPECT_THROW(report.note(1, 6, 0, 2), ContractViolation);
+  EXPECT_THROW(report.note(3, 6, 0, 2), ContractViolation);  // off the bus
+  EXPECT_EQ(report.divergence_count(), 1u);
+  EXPECT_EQ(report.per_signal[1].first_ms, 5u);
+}
+
 }  // namespace
 }  // namespace propane::fi

@@ -41,8 +41,8 @@ fi::InjectionRecord make_record(std::uint32_t injection,
   record.injection_index = injection;
   record.test_case = test_case;
   record.target = 1;
-  record.report.per_signal.resize(4);
-  record.report.per_signal[2] = {true, 10 + injection, 1, 2};
+  record.report = fi::DivergenceReport(4);
+  record.report.note(2, 10 + injection, 1, 2);
   return record;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -111,9 +113,9 @@ fi::InjectionRecord sample_record() {
   record.test_case = 3;
   record.target = 12;
   record.when = 2500 * sim::kMillisecond;
-  record.report.per_signal.resize(30);
-  record.report.per_signal[4] = {true, 2501, 0x00FF, 0x80FF};
-  record.report.per_signal[29] = {true, 3000, 7, 8};
+  record.report = fi::DivergenceReport(30);
+  record.report.note(4, 2501, 0x00FF, 0x80FF);
+  record.report.note(29, 3000, 7, 8);
   return record;
 }
 
@@ -141,7 +143,7 @@ TEST(InjectionRecordCodec, RoundTripsSparseDivergences) {
 
 TEST(InjectionRecordCodec, SparseEncodingStaysSmallOnWideBuses) {
   fi::InjectionRecord record;
-  record.report.per_signal.resize(10'000);  // wide bus, nothing diverged
+  record.report = fi::DivergenceReport(10'000);  // wide bus, nothing diverged
   EXPECT_LT(encode_injection_record(record).size(), 100u);
 }
 
@@ -168,6 +170,83 @@ TEST(InjectionRecordCodec, RejectsImpossibleDivergenceCounts) {
   const auto bytes = writer.take();
   EXPECT_THROW(decode_injection_record(bytes.data(), bytes.size()),
                ContractViolation);
+}
+
+/// A v3 record payload naming the given diverged signals, in that order,
+/// on a 14-signal bus.
+std::vector<std::uint8_t> record_listing(
+    const std::vector<std::uint32_t>& signals) {
+  ByteWriter writer;
+  writer.u32(0);   // injection_index
+  writer.u32(0);   // test_case
+  writer.u32(0);   // target
+  writer.u64(0);   // when_us
+  writer.u64(1);   // fingerprint
+  writer.u8(0);    // flags
+  writer.u32(14);  // signal_count
+  writer.u32(static_cast<std::uint32_t>(signals.size()));
+  for (const std::uint32_t signal : signals) {
+    writer.u32(signal);
+    writer.u64(100);
+    writer.u16(1);
+    writer.u16(2);
+  }
+  return writer.take();
+}
+
+TEST(InjectionRecordCodec, RejectsADuplicatedDivergenceSignal) {
+  const auto ascending = record_listing({3, 9});
+  EXPECT_EQ(decode_injection_record(ascending.data(), ascending.size())
+                .report.divergence_count(),
+            2u);
+  const auto bytes = record_listing({3, 3});
+  EXPECT_THROW(decode_injection_record(bytes.data(), bytes.size()),
+               ContractViolation);
+}
+
+TEST(InjectionRecordCodec, RejectsDescendingDivergenceSignals) {
+  const auto bytes = record_listing({9, 2});
+  EXPECT_THROW(decode_injection_record(bytes.data(), bytes.size()),
+               ContractViolation);
+}
+
+// The v3 payload of one fixed record, as encoded before reports took the
+// journal's form in memory: the journal format must not move.
+TEST(InjectionRecordCodec, V3BytesArePinned) {
+  fi::InjectionRecord record;
+  record.injection_index = 1234;
+  record.test_case = 17;
+  record.target = 5;
+  record.when = 1500 * sim::kMillisecond;
+  record.fingerprint = 0x0123456789ABCDEFull;
+  record.replayed = true;
+  record.report = fi::DivergenceReport(14);
+  record.report.note(11, 1600, 0x0000, 0xFFFF);
+  record.report.note(3, 1502, 0x1234, 0x1235);
+  const std::string pinned =
+      "d2040000110000000500000060e3160000000000efcdab8967452301010e000000"
+      "0200000003000000de05000000000000341235120b000000400600000000000000"
+      "00ffff";
+  const auto bytes = encode_injection_record(record);
+  std::string hex;
+  for (const std::uint8_t byte : bytes) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  EXPECT_EQ(hex, pinned);
+
+  const fi::InjectionRecord back =
+      decode_injection_record(bytes.data(), bytes.size());
+  EXPECT_EQ(back.injection_index, 1234u);
+  EXPECT_EQ(back.test_case, 17u);
+  EXPECT_EQ(back.target, 5u);
+  EXPECT_EQ(back.when, record.when);
+  EXPECT_EQ(back.fingerprint, record.fingerprint);
+  EXPECT_TRUE(back.replayed);
+  EXPECT_EQ(back.report.per_signal.size(), 14u);
+  EXPECT_TRUE(std::ranges::equal(back.report.diverged(),
+                                 record.report.diverged()));
 }
 
 fi::CampaignConfig sample_config() {

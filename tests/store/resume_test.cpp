@@ -250,11 +250,9 @@ TEST(Merge, CopyIsByteIdenticalToRecordByRecordAppends) {
     record.target = static_cast<fi::BusSignalId>(flat % 3);
     record.when = (flat % 10) * sim::kMillisecond;
     record.fingerprint = flat * 0x9E3779B97F4A7C15ULL;
-    record.report.per_signal.resize(3);
-    fi::Divergence& divergence = record.report.per_signal[flat % 3];
-    divergence.diverged = true;
-    divergence.first_ms = flat % 17;
-    divergence.observed_value = static_cast<std::uint16_t>(flat);
+    record.report = fi::DivergenceReport(3);
+    record.report.note(flat % 3, flat % 17, 0,
+                       static_cast<std::uint16_t>(flat));
     return record;
   };
   // Two process-split halves: the even flats and the odd flats.
