@@ -15,7 +15,7 @@ int main() {
   const auto& tree = experiment.report.backtrack_trees[0];
 
   std::puts(core::render_ascii_tree(experiment.model, tree,
-                                    {.show_weights = true, .show_arcs = true})
+                                    {.show_arcs = true})
                 .c_str());
   std::printf("nodes: %zu, leaves: %zu (22 root-to-leaf paths in the "
               "paper)\n\n",

@@ -25,7 +25,7 @@ int main() {
 
   std::puts("Fig. 4 -- backtrack tree of the system output:");
   std::puts(core::render_ascii_tree(model, report.backtrack_trees[0],
-                                    {.show_weights = true, .show_arcs = true})
+                                    {.show_arcs = true})
                 .c_str());
 
   std::puts("Fig. 5 -- trace tree of system input IA1:");

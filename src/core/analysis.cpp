@@ -7,12 +7,10 @@
 namespace propane::core {
 
 AnalysisReport analyze(const SystemModel& model,
-                       const SystemPermeability& permeability,
-                       AnalysisOptions options) {
-  PermeabilityGraph graph(model, permeability, options.graph);
-  auto backtrack = build_all_backtrack_trees(model, permeability,
-                                             options.trees);
-  auto trace = build_all_trace_trees(model, permeability, options.trees);
+                       const SystemPermeability& permeability) {
+  PermeabilityGraph graph(model, permeability);
+  auto backtrack = build_all_backtrack_trees(model, permeability);
+  auto trace = build_all_trace_trees(model, permeability);
 
   AnalysisReport report{{},       {},    {}, {}, std::move(graph),
                         std::move(backtrack), std::move(trace)};
@@ -53,8 +51,7 @@ AnalysisReport analyze(const SystemModel& model,
 
   report.placement =
       advise_placement(model, permeability, report.graph,
-                       report.backtrack_trees, report.trace_trees,
-                       options.placement);
+                       report.backtrack_trees, report.trace_trees);
   return report;
 }
 

@@ -37,12 +37,6 @@ struct RankedPath {
   bool ends_in_feedback = false;
 };
 
-struct AnalysisOptions {
-  PermeabilityGraphOptions graph;
-  TreeBuildOptions trees;
-  PlacementOptions placement;
-};
-
 /// The full analysis result.
 struct AnalysisReport {
   std::vector<ModuleMeasures> modules;          // Table 2
@@ -56,8 +50,7 @@ struct AnalysisReport {
 
 /// Runs the complete pipeline.
 AnalysisReport analyze(const SystemModel& model,
-                       const SystemPermeability& permeability,
-                       AnalysisOptions options = {});
+                       const SystemPermeability& permeability);
 
 /// Table renderers used by benches / examples (headers match the paper).
 TextTable module_measures_table(const AnalysisReport& report);

@@ -36,7 +36,7 @@ struct Renderer {
   }
 
   std::string edge_annotation(const TreeNode& n) const {
-    if (!n.has_arc || !options.show_weights) return {};
+    if (!n.has_arc) return {};
     std::string text = "  P";
     if (options.show_arcs) {
       const ModuleInfo& info = model.module(n.arc.module);

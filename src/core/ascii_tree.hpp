@@ -10,8 +10,6 @@
 namespace propane::core {
 
 struct AsciiTreeOptions {
-  /// Print edge weights (permeability values) next to each node.
-  bool show_weights = true;
   /// Print the (module, input, output) arc identity for permeability edges.
   bool show_arcs = false;
 };

@@ -13,9 +13,8 @@ namespace {
 class BacktrackBuilder {
  public:
   BacktrackBuilder(const SystemModel& model,
-                   const SystemPermeability& permeability,
-                   TreeBuildOptions options)
-      : model_(model), permeability_(permeability), options_(options) {}
+                   const SystemPermeability& permeability)
+      : model_(model), permeability_(permeability) {}
 
   std::vector<TreeNode> build(OutputRef root_output) {
     TreeNode root;
@@ -35,26 +34,20 @@ class BacktrackBuilder {
   void expand_output(TreeNodeIndex node_index, std::size_t depth) {
     const OutputRef out = nodes_[node_index].output;
     const ModuleInfo& info = model_.module(out.module);
-    bool expanded = false;
     for (PortIndex i = 0; i < info.input_count(); ++i) {
-      const double weight = permeability_.get(out.module, i, out.port);
-      if (weight == 0.0 && options_.prune_zero_edges) continue;
-      expanded = true;
-
       TreeNode child;
       child.kind = TreeNode::Kind::kInput;
       child.input = InputRef{out.module, i};
       child.has_arc = true;
       child.arc = ArcId{out.module, i, out.port};
-      child.edge_weight = weight;
+      child.edge_weight = permeability_.get(out.module, i, out.port);
       child.parent = node_index;
       const auto child_index = add_child(node_index, std::move(child));
       expand_input(child_index, depth + 1);
     }
-    // A module without (remaining) inputs cannot receive errors: an output
-    // node left childless is a dead end, not a propagation-path terminal.
-    // This happens for source modules and when pruning removed every edge.
-    if (!expanded) nodes_[node_index].dead_end = true;
+    // A module without inputs cannot receive errors: its output node is a
+    // dead end, not a propagation-path terminal.
+    if (info.input_count() == 0) nodes_[node_index].dead_end = true;
   }
 
   /// Step A3: follow the input's driving signal backwards.
@@ -69,7 +62,7 @@ class BacktrackBuilder {
     const bool on_path =
         std::find(path_outputs_.begin(), path_outputs_.end(), driver) !=
         path_outputs_.end();
-    if (on_path || depth >= options_.max_depth) {
+    if (on_path || depth >= kMaxTreeDepth) {
       // Broken feedback: "a leaf in the tree having a special relation to
       // its parent node" (step A3). We do not follow the recursion.
       nodes_[node_index].feedback_break = true;
@@ -96,7 +89,6 @@ class BacktrackBuilder {
 
   const SystemModel& model_;
   const SystemPermeability& permeability_;
-  TreeBuildOptions options_;
   std::vector<TreeNode> nodes_;
   std::vector<OutputRef> path_outputs_;
 };
@@ -105,21 +97,19 @@ class BacktrackBuilder {
 
 PropagationTree build_backtrack_tree(const SystemModel& model,
                                      const SystemPermeability& permeability,
-                                     std::uint32_t system_output,
-                                     TreeBuildOptions options) {
+                                     std::uint32_t system_output) {
   PROPANE_REQUIRE(system_output < model.system_output_count());
-  BacktrackBuilder builder(model, permeability, options);
+  BacktrackBuilder builder(model, permeability);
   return PropagationTree(
       builder.build(model.system_output_source(system_output)));
 }
 
 std::vector<PropagationTree> build_all_backtrack_trees(
-    const SystemModel& model, const SystemPermeability& permeability,
-    TreeBuildOptions options) {
+    const SystemModel& model, const SystemPermeability& permeability) {
   std::vector<PropagationTree> trees;
   trees.reserve(model.system_output_count());
   for (std::uint32_t o = 0; o < model.system_output_count(); ++o) {
-    trees.push_back(build_backtrack_tree(model, permeability, o, options));
+    trees.push_back(build_backtrack_tree(model, permeability, o));
   }
   return trees;
 }

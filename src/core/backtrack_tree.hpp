@@ -20,12 +20,10 @@ namespace propane::core {
 /// Builds the backtrack tree for system output `system_output` (step A1).
 PropagationTree build_backtrack_tree(const SystemModel& model,
                                      const SystemPermeability& permeability,
-                                     std::uint32_t system_output,
-                                     TreeBuildOptions options = {});
+                                     std::uint32_t system_output);
 
 /// Builds one backtrack tree per system output (step A4).
 std::vector<PropagationTree> build_all_backtrack_trees(
-    const SystemModel& model, const SystemPermeability& permeability,
-    TreeBuildOptions options = {});
+    const SystemModel& model, const SystemPermeability& permeability);
 
 }  // namespace propane::core

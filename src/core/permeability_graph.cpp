@@ -7,8 +7,7 @@
 namespace propane::core {
 
 PermeabilityGraph::PermeabilityGraph(const SystemModel& model,
-                                     const SystemPermeability& permeability,
-                                     PermeabilityGraphOptions options) {
+                                     const SystemPermeability& permeability) {
   PROPANE_REQUIRE(model.module_count() == permeability.module_count());
   incoming_.resize(model.module_count());
   for (ModuleId m = 0; m < model.module_count(); ++m) {
@@ -17,7 +16,6 @@ PermeabilityGraph::PermeabilityGraph(const SystemModel& model,
       const Source& tail = model.input_source(InputRef{m, i});
       for (PortIndex k = 0; k < info.output_count(); ++k) {
         const double weight = permeability.get(m, i, k);
-        if (weight == 0.0 && !options.keep_zero_arcs) continue;
         const auto arc_index = static_cast<std::uint32_t>(arcs_.size());
         arcs_.push_back(PermeabilityArc{ArcId{m, i, k}, tail, weight});
         if (tail.kind == SourceKind::kModuleOutput) {

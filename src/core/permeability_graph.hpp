@@ -5,7 +5,9 @@
 // is one arc whose weight is P^M_{i,k}; the arc's tail is whatever drives
 // input i (a module output or a system input). "There may be more arcs
 // between two nodes than there are signals between the corresponding
-// modules" -- each pair contributes its own arc.
+// modules" -- each pair contributes its own arc. Zero-weight arcs stay in the
+// graph: the paper omits them only from the drawing, and Eq. 4 divides by
+// the number of incoming arcs.
 //
 // Error exposure only counts arcs originating from module outputs: modules
 // fed exclusively by system inputs "have no error exposure values" (OB1);
@@ -48,19 +50,10 @@ struct PermeabilityArc {
   }
 };
 
-/// Options controlling graph construction.
-struct PermeabilityGraphOptions {
-  /// Keep arcs whose permeability is zero. The paper notes zero-weight arcs
-  /// "can be omitted" from the drawing; keeping them matters for Eq. 4,
-  /// whose denominator is the number of incoming arcs.
-  bool keep_zero_arcs = true;
-};
-
 class PermeabilityGraph {
  public:
   PermeabilityGraph(const SystemModel& model,
-                    const SystemPermeability& permeability,
-                    PermeabilityGraphOptions options = {});
+                    const SystemPermeability& permeability);
 
   std::span<const PermeabilityArc> arcs() const { return arcs_; }
 

@@ -11,10 +11,6 @@ namespace propane::core {
 
 namespace {
 
-void truncate(std::vector<Recommendation>& recs, std::size_t top_k) {
-  if (top_k > 0 && recs.size() > top_k) recs.resize(top_k);
-}
-
 /// Signal is "independent" when no permeability arc feeds into it: errors
 /// cannot propagate *into* the signal, only originate there (OB4, mscnt).
 bool signal_is_independent(const SystemModel& model,
@@ -35,8 +31,7 @@ PlacementAdvice advise_placement(const SystemModel& model,
                                  const SystemPermeability& permeability,
                                  const PermeabilityGraph& graph,
                                  std::span<const PropagationTree> backtrack,
-                                 std::span<const PropagationTree> trace,
-                                 PlacementOptions options) {
+                                 std::span<const PropagationTree> trace) {
   PlacementAdvice advice;
 
   // --- EDM: modules ranked by non-weighted exposure (Eq. 5), tie-broken by
@@ -224,11 +219,6 @@ PlacementAdvice advise_placement(const SystemModel& model,
           "originate here"});
     }
   }
-
-  truncate(advice.edm_modules, options.top_k);
-  truncate(advice.edm_signals, options.top_k);
-  truncate(advice.erm_modules, options.top_k);
-  truncate(advice.input_reach_signals, options.top_k);
   return advice;
 }
 

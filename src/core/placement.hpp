@@ -85,19 +85,13 @@ struct PlacementAdvice {
   std::vector<Exclusion> exclusions;
 };
 
-struct PlacementOptions {
-  /// Keep at most this many entries in each ranked list (0 = keep all).
-  std::size_t top_k = 0;
-};
-
 /// Runs the full Section-5 analysis. `backtrack` and `trace` are the trees
 /// from build_all_backtrack_trees / build_all_trace_trees.
 PlacementAdvice advise_placement(const SystemModel& model,
                                  const SystemPermeability& permeability,
                                  const PermeabilityGraph& graph,
                                  std::span<const PropagationTree> backtrack,
-                                 std::span<const PropagationTree> trace,
-                                 PlacementOptions options = {});
+                                 std::span<const PropagationTree> trace);
 
 const char* to_string(MechanismKind kind);
 const char* to_string(Rationale rationale);

@@ -92,15 +92,8 @@ class PropagationTree {
   std::vector<TreeNode> nodes_;
 };
 
-/// Options shared by the tree builders.
-struct TreeBuildOptions {
-  /// Skip permeability edges whose weight is zero instead of emitting the
-  /// subtree. The paper keeps zero arcs (Table 4 reports 22 paths of which
-  /// only 13 are non-zero), so the default keeps them.
-  bool prune_zero_edges = false;
-  /// Safety net against pathological growth in dense models; expansion
-  /// stops with a dead-end marker beyond this depth.
-  std::size_t max_depth = 64;
-};
+/// Safety net against pathological growth in dense models: the tree
+/// builders stop expanding with a dead-end marker beyond this depth.
+inline constexpr std::size_t kMaxTreeDepth = 64;
 
 }  // namespace propane::core

@@ -2,9 +2,7 @@
 
 #include <ostream>
 
-#include "common/strings.hpp"
 #include "core/ascii_tree.hpp"
-#include "core/dot.hpp"
 
 namespace propane::core {
 
@@ -27,22 +25,7 @@ void write_markdown_report(std::ostream& out, const SystemModel& model,
   out << signal_exposure_table(report).render_markdown() << "\n";
 
   out << "## Ranked propagation paths\n\n";
-  if (options.max_paths > 0 && report.paths.size() > options.max_paths) {
-    out << "Top " << options.max_paths << " of " << report.paths.size()
-        << " paths:\n\n";
-  }
-  {
-    TextTable table({"#", "Propagation path", "Weight"});
-    table.set_align(1, Align::kLeft);
-    std::size_t rank = 0;
-    for (const RankedPath& path : report.paths) {
-      if (options.max_paths > 0 && rank >= options.max_paths) break;
-      ++rank;
-      table.add_row({std::to_string(rank), path.description,
-                     format_double(path.weight, 3)});
-    }
-    out << table.render_markdown() << "\n";
-  }
+  out << path_table(report, /*nonzero_only=*/false).render_markdown() << "\n";
 
   out << "## Placement advice\n\n";
   out << placement_table(report.placement).render_markdown() << "\n";
@@ -55,26 +38,17 @@ void write_markdown_report(std::ostream& out, const SystemModel& model,
     out << "\n";
   }
 
-  if (options.include_trees) {
-    out << "## Backtrack trees\n\n";
-    for (std::uint32_t o = 0; o < report.backtrack_trees.size(); ++o) {
-      out << "### System output " << model.system_output_name(o) << "\n\n";
-      out << "```\n"
-          << render_ascii_tree(model, report.backtrack_trees[o])
-          << "```\n\n";
-    }
-    out << "## Trace trees\n\n";
-    for (std::uint32_t i = 0; i < report.trace_trees.size(); ++i) {
-      out << "### System input " << model.system_input_name(i) << "\n\n";
-      out << "```\n"
-          << render_ascii_tree(model, report.trace_trees[i]) << "```\n\n";
-    }
+  out << "## Backtrack trees\n\n";
+  for (std::uint32_t o = 0; o < report.backtrack_trees.size(); ++o) {
+    out << "### System output " << model.system_output_name(o) << "\n\n";
+    out << "```\n"
+        << render_ascii_tree(model, report.backtrack_trees[o]) << "```\n\n";
   }
-
-  if (options.include_dot) {
-    out << "## Appendix: Graphviz sources\n\n";
-    out << "```dot\n" << to_dot(model) << "```\n\n";
-    out << "```dot\n" << to_dot(model, report.graph) << "```\n";
+  out << "## Trace trees\n\n";
+  for (std::uint32_t i = 0; i < report.trace_trees.size(); ++i) {
+    out << "### System input " << model.system_input_name(i) << "\n\n";
+    out << "```\n"
+        << render_ascii_tree(model, report.trace_trees[i]) << "```\n\n";
   }
 }
 

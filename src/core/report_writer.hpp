@@ -12,12 +12,6 @@ namespace propane::core {
 
 struct ReportOptions {
   std::string title = "Error propagation analysis";
-  /// Include the full ASCII trees (can be large for deep systems).
-  bool include_trees = true;
-  /// Include Graphviz DOT sources as appendix code blocks.
-  bool include_dot = false;
-  /// Cap for the ranked-path listing (0 = all).
-  std::size_t max_paths = 0;
 };
 
 /// Writes the complete report as GitHub-flavoured markdown.

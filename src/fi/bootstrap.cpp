@@ -98,14 +98,10 @@ std::size_t argmax(const std::vector<double>& values) {
 
 BootstrapResampler::BootstrapResampler(const core::SystemModel& model,
                                        const SignalBinding& binding,
-                                       std::size_t bus_signal_count,
-                                       EstimationOptions options)
-    : model_(model),
-      options_(options),
-      accumulator_(model, binding, bus_signal_count, options) {}
+                                       std::size_t bus_signal_count)
+    : model_(model), accumulator_(model, binding, bus_signal_count) {}
 
 void BootstrapResampler::add(const InjectionRecord& record) {
-  if (record.report.per_signal.empty()) return;
   scratch_.clear();
   accumulator_.classify(record, scratch_);
   accumulator_.fold(scratch_);
@@ -135,7 +131,7 @@ void BootstrapResampler::add(const InjectionRecord& record) {
   for (std::size_t j = 0; j < scratch_.size(); ++j) {
     const PairContribution& c = scratch_[j];
     PROPANE_CHECK(c.pair_index == cell.pair_indices[j]);
-    if (c.diverged && (c.direct || !options_.direct_only)) {
+    if (c.diverged && c.direct) {
       mask |= std::uint64_t{1} << j;
     }
   }
@@ -415,7 +411,6 @@ BootstrapResult BootstrapResampler::run(
   result.top_k = options.top_k;
   result.record_count = accumulator_.record_count();
   result.cell_count = cells_.size();
-  result.direct_only = options_.direct_only;
   for (core::ModuleId m = 0; m < module_count; ++m) {
     result.module_names.push_back(model_.module_name(m));
   }

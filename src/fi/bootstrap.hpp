@@ -137,7 +137,6 @@ struct BootstrapResult {
   std::size_t top_k = 0;
   std::size_t record_count = 0;
   std::size_t cell_count = 0;
-  bool direct_only = true;
 
   std::vector<std::string> module_names;  // by ModuleId
   std::vector<PairCloud> pairs;      // injected pairs, pair-table order
@@ -180,11 +179,10 @@ class BootstrapResampler {
  public:
   BootstrapResampler(const core::SystemModel& model,
                      const SignalBinding& binding,
-                     std::size_t bus_signal_count,
-                     EstimationOptions options = {});
+                     std::size_t bus_signal_count);
 
-  /// Folds one record. Empty-report placeholder records are ignored, same
-  /// as PermeabilityAccumulator::add.
+  /// Folds one record, under the same contract as
+  /// PermeabilityAccumulator::add.
   void add(const InjectionRecord& record);
 
   std::size_t record_count() const { return accumulator_.record_count(); }
@@ -194,7 +192,7 @@ class BootstrapResampler {
   EstimationResult point_estimate() const { return accumulator_.finish(); }
 
   /// Evaluates B replicates (and the convergence fractions) over the
-  /// collected records. Requires at least one non-placeholder record.
+  /// collected records. Requires at least one record.
   /// `telemetry` (optional) receives bootstrap.* counters and the
   /// bootstrap.replicate.us and bootstrap.resample.us histograms;
   /// observation-only.
@@ -210,13 +208,12 @@ class BootstrapResampler {
     std::uint32_t test_case = 0;
     /// The consumer pairs of `target`, in classify() order (<= 64).
     std::vector<std::uint32_t> pair_indices;
-    /// One mask per record: bit j set when the record counted an error
-    /// for pair_indices[j] under the estimation options.
+    /// One mask per record: bit j set when the record counted a direct
+    /// error for pair_indices[j] (Section 7.3).
     std::vector<std::uint64_t> error_masks;
   };
 
   const core::SystemModel& model_;
-  EstimationOptions options_;
   PermeabilityAccumulator accumulator_;  // point estimate
   std::map<std::pair<BusSignalId, std::uint32_t>, std::size_t> cell_index_;
   std::vector<Cell> cells_;  // in first-seen order; index is the RNG salt

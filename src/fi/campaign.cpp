@@ -14,24 +14,9 @@ namespace propane::fi {
 
 std::optional<BusSignalId> CampaignResult::find_signal(
     std::string_view name) const {
-  if (signal_index_.size() == signal_names.size()) {
-    const auto it = signal_index_.find(name);
-    if (it == signal_index_.end()) return std::nullopt;
-    return it->second;
-  }
-  // Stale or absent index (hand-built result): linear fallback.
-  for (std::size_t i = 0; i < signal_names.size(); ++i) {
-    if (signal_names[i] == name) return static_cast<BusSignalId>(i);
-  }
-  return std::nullopt;
-}
-
-void CampaignResult::rebuild_signal_index() {
-  signal_index_.clear();
-  signal_index_.reserve(signal_names.size());
-  for (std::size_t i = 0; i < signal_names.size(); ++i) {
-    signal_index_.emplace(signal_names[i], static_cast<BusSignalId>(i));
-  }
+  const auto it = std::find(signal_names.begin(), signal_names.end(), name);
+  if (it == signal_names.end()) return std::nullopt;
+  return static_cast<BusSignalId>(it - signal_names.begin());
 }
 
 namespace {
@@ -191,16 +176,15 @@ void run_goldens(const CampaignRunner& runner, const CampaignConfig& config,
   for (BusSignalId s = 0; s < result.goldens.front().signal_count(); ++s) {
     result.signal_names.push_back(result.goldens.front().signal_name(s));
   }
-  result.rebuild_signal_index();
 }
 
 /// Plans the injection runs hooks.should_run keeps into batch requests and
-/// executes them over the pool, handing every record to the hooks and,
-/// when collected, into result.records.
+/// executes them over the pool against `goldens`, handing every record to
+/// hooks.on_record.
 void run_injections(const CampaignRunner& runner,
                     const CampaignConfig& config, const CampaignHooks& hooks,
                     const Instruments& instruments, ThreadPool& pool,
-                    CampaignResult& result) {
+                    const std::vector<TraceSet>& goldens) {
   const obs::Telemetry* telemetry = hooks.telemetry;
   const bool timed = instruments.timed;
   const std::size_t total =
@@ -223,11 +207,6 @@ void run_injections(const CampaignRunner& runner,
       if (instruments.skipped_runs != nullptr) {
         instruments.skipped_runs->add(1);
       }
-      // Skipped runs keep their identity fields but an empty report;
-      // callers resuming from a journal overwrite them with stored records.
-      if (hooks.collect_records) {
-        result.records[flat] = make_record_identity(config, flat);
-      }
       continue;
     }
     BatchLaneRequest lane;
@@ -247,7 +226,7 @@ void run_injections(const CampaignRunner& runner,
   obs::Span injection_phase(telemetry, "campaign.injection_phase");
   pool.parallel_for(0, batches.size(), [&](std::size_t b) {
     BatchRunRequest& batch = batches[b];
-    batch.goldens = &result.goldens;
+    batch.goldens = &goldens;
     const std::uint64_t start_us = timed ? obs::steady_now_us() : 0;
     std::vector<DivergenceReport> reports = runner.batch(batch);
     PROPANE_CHECK_MSG(reports.size() == batch.lanes.size(),
@@ -284,10 +263,7 @@ void run_injections(const CampaignRunner& runner,
           instruments.diverged_signals->add(divergences);
         }
       }
-      if (hooks.on_record) hooks.on_record(record);
-      if (hooks.collect_records) {
-        result.records[lane.flat] = std::move(record);
-      }
+      if (hooks.on_record) hooks.on_record(std::move(record));
     }
     obs::render_progress(telemetry);
   });
@@ -329,7 +305,20 @@ CampaignRunner CampaignRunner::from_scalar(RunFunction scalar_run) {
 
 CampaignResult run_campaign(const CampaignRunner& runner,
                             const CampaignConfig& config) {
-  return run_campaign(runner, config, CampaignHooks{});
+  // Every run executes and lands in its flat slot; each worker writes
+  // only the slots of its own request's lanes.
+  std::vector<InjectionRecord> records(
+      static_cast<std::size_t>(config.test_case_count) *
+      config.injections.size());
+  CampaignHooks hooks;
+  hooks.on_record = [&](InjectionRecord&& record) {
+    const std::size_t flat = campaign_flat_index(
+        config, record.injection_index, record.test_case);
+    records[flat] = std::move(record);
+  };
+  CampaignResult result = run_campaign(runner, config, hooks);
+  result.records = std::move(records);
+  return result;
 }
 
 CampaignResult run_campaign(const CampaignRunner& runner,
@@ -345,18 +334,13 @@ CampaignResult run_campaign(const CampaignRunner& runner,
   for (const InjectionSpec& spec : config.injections) {
     result.injection_model_names.push_back(spec.model.name);
   }
-  if (hooks.collect_records) {
-    result.records.resize(static_cast<std::size_t>(config.test_case_count) *
-                          config.injections.size());
-  }
-
   const Instruments instruments(hooks.telemetry);
   // Declaration order is lifetime order: the campaign span opens before
   // the pool spawns and closes after it drains.
   const obs::Span campaign_span(hooks.telemetry, "campaign");
   ThreadPool pool(config.threads, hooks.telemetry);
   run_goldens(runner, config, hooks.telemetry, instruments, pool, result);
-  run_injections(runner, config, hooks, instruments, pool, result);
+  run_injections(runner, config, hooks, instruments, pool, result.goldens);
   return result;
 }
 

@@ -176,15 +176,6 @@ struct CampaignResult {
                ? std::string_view(injection_model_names[record.injection_index])
                : std::string_view();
   }
-  /// Rebuilds the name -> id lookup behind find_signal; run_campaign does
-  /// this automatically, callers filling signal_names by hand may too.
-  void rebuild_signal_index();
-
- private:
-  /// Hash index over signal_names. find_signal falls back to a linear scan
-  /// while it is stale (size mismatch), so hand-built results stay correct
-  /// without calling rebuild_signal_index().
-  SignalNameIndex signal_index_;
 };
 
 /// Observation and filtering hooks for run_campaign, the seam the durable
@@ -199,12 +190,10 @@ struct CampaignHooks {
   std::function<bool(std::uint32_t injection_index, std::uint32_t test_case)>
       should_run;
   /// Called once per *executed* injection run with its finished record,
-  /// from the worker thread that ran it; must be thread-safe. This is where
-  /// a journal sink appends.
-  std::function<void(const InjectionRecord& record)> on_record;
-  /// When false, CampaignResult::records stays empty (streaming mode: the
-  /// sink is the only consumer and memory stays O(goldens), not O(runs)).
-  bool collect_records = true;
+  /// from the worker thread that ran it; must be thread-safe. The record is
+  /// handed over, so the sink may move it. This is where a journal sink
+  /// appends.
+  std::function<void(InjectionRecord&& record)> on_record;
   /// Optional telemetry (non-owning, must outlive the campaign). Purely
   /// observational: the campaign.runs.* counters, the campaign and phase
   /// spans, one golden.done event per golden run, one campaign.batch.done
@@ -217,6 +206,11 @@ struct CampaignHooks {
 /// Executes the campaign. Golden runs execute first (in parallel), then all
 /// injection runs that hooks.should_run keeps are planned into batch
 /// requests and fan out over the worker pool.
+///
+/// The in-memory overload runs every injection and collects each record
+/// into CampaignResult::records. The hooks overload streams: records go
+/// only to hooks.on_record, and CampaignResult::records stays empty, so
+/// memory stays O(goldens), not O(runs).
 ///
 /// Determinism: per-run RNG seeds are a pure function of (config.seed, run
 /// identity), never of thread count, execution order or which runs

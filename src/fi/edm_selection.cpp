@@ -7,8 +7,7 @@
 namespace propane::fi {
 
 SelectionResult select_edms_greedy(
-    const std::vector<CandidateEdm>& candidates, std::size_t error_count,
-    const SelectionOptions& options) {
+    const std::vector<CandidateEdm>& candidates, std::size_t error_count) {
   for (const CandidateEdm& candidate : candidates) {
     PROPANE_REQUIRE_MSG(candidate.detects.size() == error_count,
                         "detection vector size must equal error_count");
@@ -23,20 +22,12 @@ SelectionResult select_edms_greedy(
   double spent = 0.0;
 
   for (;;) {
-    if (result.total_errors > 0 &&
-        result.coverage() >= options.target_coverage) {
-      break;
-    }
-    // Best marginal gain per cost among affordable candidates.
+    // Best marginal gain per cost.
     std::size_t best = candidates.size();
     std::size_t best_gain = 0;
     double best_ratio = 0.0;
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       if (used[c]) continue;
-      if (options.cost_budget > 0.0 &&
-          spent + candidates[c].cost > options.cost_budget) {
-        continue;
-      }
       std::size_t gain = 0;
       for (std::size_t e = 0; e < error_count; ++e) {
         if (!covered[e] && candidates[c].detects[e]) ++gain;
@@ -48,7 +39,7 @@ SelectionResult select_edms_greedy(
         best_ratio = ratio;
       }
     }
-    if (best == candidates.size()) break;  // nothing affordable helps
+    if (best == candidates.size()) break;  // no candidate adds coverage
 
     used[best] = true;
     spent += candidates[best].cost;

@@ -46,18 +46,11 @@ struct SelectionResult {
   }
 };
 
-struct SelectionOptions {
-  /// Stop once cumulative cost would exceed this (0 = unlimited).
-  double cost_budget = 0.0;
-  /// Stop once this coverage fraction is reached (>= 1 disables).
-  double target_coverage = 1.0;
-};
-
 /// Greedy weighted set cover. `error_count` is the universe size; every
 /// candidate's detection vector must have exactly that many entries.
-/// Candidates with no marginal gain are never picked.
+/// Candidates with no marginal gain are never picked, so selection stops
+/// once no candidate covers a new error.
 SelectionResult select_edms_greedy(const std::vector<CandidateEdm>& candidates,
-                                   std::size_t error_count,
-                                   const SelectionOptions& options = {});
+                                   std::size_t error_count);
 
 }  // namespace propane::fi

@@ -31,19 +31,12 @@ void SignalBinding::bind(const SignalRef& signal, BusSignalId bus) {
 
 SignalBinding SignalBinding::by_name(
     const SystemModel& model, const std::vector<std::string>& bus_names) {
-  // One hash index over the bus names instead of a linear scan per model
-  // signal (the scan made binding quadratic as buses grow).
-  SignalNameIndex index;
-  index.reserve(bus_names.size());
-  for (std::size_t i = 0; i < bus_names.size(); ++i) {
-    index.emplace(bus_names[i], static_cast<BusSignalId>(i));
-  }
   SignalBinding binding;
   for (const SignalRef& signal : model.all_signals()) {
     const std::string name = model.signal_name(signal);
-    const auto it = index.find(name);
-    PROPANE_REQUIRE_MSG(it != index.end(), "no bus signal named: " + name);
-    binding.bind(signal, it->second);
+    const auto it = std::find(bus_names.begin(), bus_names.end(), name);
+    PROPANE_REQUIRE_MSG(it != bus_names.end(), "no bus signal named: " + name);
+    binding.bind(signal, static_cast<BusSignalId>(it - bus_names.begin()));
   }
   return binding;
 }
@@ -85,8 +78,8 @@ const PairEstimate& EstimationResult::pair(ModuleId module, PortIndex input,
 
 PermeabilityAccumulator::PermeabilityAccumulator(
     const SystemModel& model, const SignalBinding& binding,
-    std::size_t bus_signal_count, EstimationOptions options)
-    : model_(model), options_(options) {
+    std::size_t bus_signal_count)
+    : model_(model) {
   // Pair table, module-major / input-major / output-major.
   first_pair_of_module_.resize(model.module_count());
   for (ModuleId m = 0; m < model.module_count(); ++m) {
@@ -156,9 +149,6 @@ PermeabilityAccumulator::PermeabilityAccumulator(
 
 void PermeabilityAccumulator::classify(const InjectionRecord& record,
                                        std::vector<PairContribution>& out) const {
-  // A record with an empty report is a placeholder for a run that never
-  // executed (journal-resume / process-split skip): it contributes nothing.
-  if (record.report.per_signal.empty()) return;
   PROPANE_CHECK_MSG(
       record.report.per_signal.size() >= min_report_size_,
       "injection record's divergence report covers fewer signals than the "
@@ -218,7 +208,6 @@ void PermeabilityAccumulator::classify(const InjectionRecord& record,
 }
 
 void PermeabilityAccumulator::add(const InjectionRecord& record) {
-  if (record.report.per_signal.empty()) return;
   scratch_.clear();
   classify(record, scratch_);
   fold(scratch_);
@@ -231,10 +220,8 @@ void PermeabilityAccumulator::fold(
     PairEstimate& estimate = pairs_[contribution.pair_index];
     ++estimate.injections;
     if (!contribution.diverged) continue;
-    if (contribution.direct || !options_.direct_only) {
-      ++estimate.errors;
-    }
     if (contribution.direct) {
+      ++estimate.errors;
       const std::uint64_t latency = contribution.latency_ms;
       if (estimate.latency_count == 0) {
         estimate.latency_min_ms = estimate.latency_max_ms = latency;
@@ -262,10 +249,9 @@ EstimationResult PermeabilityAccumulator::finish() const {
 
 EstimationResult estimate_permeability(const SystemModel& model,
                                        const SignalBinding& binding,
-                                       const CampaignResult& campaign,
-                                       EstimationOptions options) {
+                                       const CampaignResult& campaign) {
   PermeabilityAccumulator accumulator(model, binding,
-                                      campaign.signal_names.size(), options);
+                                      campaign.signal_names.size());
   for (const InjectionRecord& record : campaign.records) {
     accumulator.add(record);
   }

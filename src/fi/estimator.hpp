@@ -82,12 +82,6 @@ struct PairEstimate {
   Interval confidence() const;
 };
 
-struct EstimationOptions {
-  /// Apply the paper's direct-error attribution (Section 7.3). When false,
-  /// every observed output divergence counts.
-  bool direct_only = true;
-};
-
 struct EstimationResult {
   core::SystemPermeability permeability;
   std::vector<PairEstimate> pairs;  // module-major, input-major, output-major
@@ -121,8 +115,7 @@ class PermeabilityAccumulator {
   /// campaign traced; records' reports index into that range).
   PermeabilityAccumulator(const core::SystemModel& model,
                           const SignalBinding& binding,
-                          std::size_t bus_signal_count,
-                          EstimationOptions options = {});
+                          std::size_t bus_signal_count);
 
   /// Folds one injection record into the counts: classify(), then fold().
   void add(const InjectionRecord& record);
@@ -131,8 +124,8 @@ class PermeabilityAccumulator {
   /// `out`) without folding anything: one entry per (consumer input,
   /// output) pair of the injected signal, in pair-table order. Resampling
   /// record contributions (fi/bootstrap.hpp) therefore reproduces the
-  /// estimator's attribution bit for bit. Empty-report placeholder records
-  /// contribute nothing.
+  /// estimator's attribution bit for bit. A report that covers fewer
+  /// signals than the binding, width 0 included, is a contract error.
   void classify(const InjectionRecord& record,
                 std::vector<PairContribution>& out) const;
 
@@ -150,7 +143,6 @@ class PermeabilityAccumulator {
 
  private:
   const core::SystemModel& model_;
-  EstimationOptions options_;
   std::size_t record_count_ = 0;
   std::vector<PairEstimate> pairs_;  // module/input/output-major
   std::vector<std::size_t> first_pair_of_module_;
@@ -173,8 +165,7 @@ class PermeabilityAccumulator {
 /// P = 0 with injections == 0. (Batch wrapper over PermeabilityAccumulator.)
 EstimationResult estimate_permeability(const core::SystemModel& model,
                                        const SignalBinding& binding,
-                                       const CampaignResult& campaign,
-                                       EstimationOptions options = {});
+                                       const CampaignResult& campaign);
 
 /// Uniform-propagation statistics (related-work check against [12]): for
 /// every injection *location* -- a (target signal, error model) pair -- the

@@ -47,8 +47,8 @@ struct DivergenceEntry {
 /// Comparison stops at each signal's first difference (Section 7.3), so
 /// that is the whole outcome of a run. A clean run holds no heap block; a
 /// diverged one holds one, reserved for the bus width at its first
-/// divergence. A default-constructed report (bus width 0) stands for a run
-/// that never executed.
+/// divergence. A default-constructed report has bus width 0 and covers no
+/// signal, so the estimator and the journal decoder both reject it.
 class DivergenceReport {
  public:
   /// Read view indexed by BusSignalId: size() is the bus width and [s]
@@ -58,7 +58,6 @@ class DivergenceReport {
   class SignalView {
    public:
     std::size_t size() const { return signal_count_; }
-    bool empty() const { return signal_count_ == 0; }
     Divergence operator[](std::size_t signal) const {
       PROPANE_REQUIRE(signal < signal_count_);
       const auto it = std::ranges::lower_bound(entries_, signal, {},

@@ -1,16 +1,17 @@
 #include "fi/signal_bus.hpp"
 
+#include <algorithm>
+
 namespace propane::fi {
 
 BusSignalId SignalBus::add_signal(std::string name, std::uint16_t initial) {
   PROPANE_REQUIRE_MSG(!name.empty(), "signal name must be non-empty");
-  PROPANE_REQUIRE_MSG(!index_.contains(name),
+  PROPANE_REQUIRE_MSG(!find(name).has_value(),
                       "duplicate signal name: " + name);
   const auto id = static_cast<BusSignalId>(values_.size());
   values_.push_back(initial);
   initial_.push_back(initial);
   names_.push_back(std::move(name));
-  index_.emplace(names_.back(), id);
   return id;
 }
 
@@ -20,9 +21,9 @@ const std::string& SignalBus::name(BusSignalId id) const {
 }
 
 std::optional<BusSignalId> SignalBus::find(std::string_view name) const {
-  const auto it = index_.find(name);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::find(names_.begin(), names_.end(), name);
+  if (it == names_.end()) return std::nullopt;
+  return static_cast<BusSignalId>(it - names_.begin());
 }
 
 void SignalBus::reset() { values_ = initial_; }

@@ -24,7 +24,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -34,30 +33,17 @@ namespace propane::fi {
 /// Index of a signal on the bus.
 using BusSignalId = std::uint32_t;
 
-/// Heterogeneous string hash so name lookups accept string_view without
-/// materialising a std::string per query.
-struct TransparentStringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-/// name -> id index type shared by the bus and campaign results.
-using SignalNameIndex = std::unordered_map<std::string, BusSignalId,
-                                           TransparentStringHash,
-                                           std::equal_to<>>;
-
 class SignalBus {
  public:
-  /// Registers a signal; names must be unique and non-empty. O(1) via the
-  /// name index (registration used to be quadratic in the signal count).
+  /// Registers a signal; names must be unique and non-empty.
   BusSignalId add_signal(std::string name, std::uint16_t initial = 0);
 
   std::size_t signal_count() const { return values_.size(); }
   const std::string& name(BusSignalId id) const;
   /// All signal names in id order.
   const std::vector<std::string>& names() const { return names_; }
+  /// Linear scan: a bus holds a few dozen signals, and no hot path looks a
+  /// name up.
   std::optional<BusSignalId> find(std::string_view name) const;
 
   /// Producer-side write.
@@ -109,7 +95,6 @@ class SignalBus {
   std::vector<std::uint16_t> values_;
   std::vector<std::uint16_t> initial_;
   std::vector<std::string> names_;
-  SignalNameIndex index_;
 };
 
 }  // namespace propane::fi

@@ -112,6 +112,9 @@ fi::InjectionRecord decode_injection_record(const std::uint8_t* data,
     record.replayed = (reader.u8() & kRecordFlagReplayed) != 0;
   }
   const std::uint32_t signal_count = reader.u32();
+  // Every executed run traces at least one signal; a width-0 report would
+  // meet no estimator binding.
+  PROPANE_CHECK_MSG(signal_count > 0, "journal record covers no signals");
   const std::uint32_t diverged = reader.u32();
   PROPANE_CHECK_MSG(diverged <= signal_count,
                     "journal record claims more divergences than signals");

@@ -28,8 +28,8 @@
 // keeps a typical record well under 100 bytes even on wide buses. That is
 // also fi::DivergenceReport's in-memory form (bus width + diverged
 // entries), so encoding copies the entries and decoding appends them; the
-// decoder requires the entries in strictly ascending signal order, as
-// every encoder writes them.
+// decoder requires a non-zero bus width and the entries in strictly
+// ascending signal order, as every encoder writes them.
 #pragma once
 
 #include <cstddef>

@@ -258,7 +258,6 @@ DeltaJournalSummary run_delta_journaled_campaign(
   obs::Counter* const misses = obs::find_counter(telemetry, "delta.misses");
 
   fi::CampaignHooks hooks;
-  hooks.collect_records = false;  // the journal is the result
   hooks.telemetry = telemetry;
   hooks.should_run = [&](std::uint32_t injection_index,
                          std::uint32_t test_case) {

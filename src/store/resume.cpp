@@ -169,8 +169,7 @@ MergeSummary merge_journals(
 
 JournalStats estimate_from_journal(const std::filesystem::path& dir,
                                    const core::SystemModel& model,
-                                   const fi::SignalBinding& binding,
-                                   fi::EstimationOptions options) {
+                                   const fi::SignalBinding& binding) {
   // The accumulator needs the campaign's bus width; take it from the first
   // record's report (every record of a campaign traces the same bus), with
   // the binding's own upper bound as the floor for empty journals.
@@ -180,14 +179,14 @@ JournalStats estimate_from_journal(const std::filesystem::path& dir,
         if (!accumulator) {
           const std::size_t bus_count = std::max(
               binding.bus_upper_bound(), record.report.per_signal.size());
-          accumulator.emplace(model, binding, bus_count, options);
+          accumulator.emplace(model, binding, bus_count);
         }
         accumulator->add(record);
       });
   PROPANE_REQUIRE_MSG(!state.fresh,
                       "no campaign journal in " + dir.string());
   if (!accumulator) {
-    accumulator.emplace(model, binding, binding.bus_upper_bound(), options);
+    accumulator.emplace(model, binding, binding.bus_upper_bound());
   }
   return JournalStats{state.manifest, state.completed_count,
                       state.duplicate_count, state.replayed_count,
@@ -196,9 +195,8 @@ JournalStats estimate_from_journal(const std::filesystem::path& dir,
 
 JournalStats write_permeability_csv_from_journal(
     std::ostream& out, const std::filesystem::path& dir,
-    const core::SystemModel& model, const fi::SignalBinding& binding,
-    fi::EstimationOptions options) {
-  JournalStats stats = estimate_from_journal(dir, model, binding, options);
+    const core::SystemModel& model, const fi::SignalBinding& binding) {
+  JournalStats stats = estimate_from_journal(dir, model, binding);
   core::PermeabilityCsvOptions csv_options;
   csv_options.comments = {
       "estimated from a propane campaign journal",

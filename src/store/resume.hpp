@@ -140,8 +140,7 @@ struct JournalStats {
 /// a CampaignResult: memory stays O(model), not O(runs).
 JournalStats estimate_from_journal(const std::filesystem::path& dir,
                                    const core::SystemModel& model,
-                                   const fi::SignalBinding& binding,
-                                   fi::EstimationOptions options = {});
+                                   const fi::SignalBinding& binding);
 
 /// Bridges the journal to the analysis side: streams `dir` into estimates
 /// and writes them as a permeability CSV (core/permeability_io.hpp format)
@@ -150,7 +149,6 @@ JournalStats estimate_from_journal(const std::filesystem::path& dir,
 /// campaign produces a byte-identical file to an uninterrupted one.
 JournalStats write_permeability_csv_from_journal(
     std::ostream& out, const std::filesystem::path& dir,
-    const core::SystemModel& model, const fi::SignalBinding& binding,
-    fi::EstimationOptions options = {});
+    const core::SystemModel& model, const fi::SignalBinding& binding);
 
 }  // namespace propane::store

@@ -87,13 +87,5 @@ TEST_F(AnalysisTest, PlacementTableContainsAllSections) {
   EXPECT_NE(out.find("ERM"), std::string::npos);
 }
 
-TEST_F(AnalysisTest, OptionsPropagate) {
-  AnalysisOptions options;
-  options.placement.top_k = 1;
-  options.trees.prune_zero_edges = true;
-  const AnalysisReport report = analyze(model_, perm_, options);
-  EXPECT_LE(report.placement.edm_modules.size(), 1u);
-}
-
 }  // namespace
 }  // namespace propane::core

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/contracts.hpp"
 #include "core/example_system.hpp"
 #include "core/propagation_path.hpp"
@@ -111,25 +114,42 @@ TEST_F(BacktrackTreeTest, OutputNodesCarryWeightOneEdges) {
   }
 }
 
-TEST_F(BacktrackTreeTest, PruningZeroEdgesShrinksTree) {
-  SystemPermeability sparse(model_);
-  // Only the leftmost chain is permeable.
-  sparse.set(model_, "E", "e1", "oe1", 0.75);
-  sparse.set(model_, "B", "b1", "ob2", 0.8);
-  sparse.set(model_, "A", "a1", "oa1", 0.9);
-  const PropagationTree full = build_backtrack_tree(model_, sparse, 0);
-  const PropagationTree pruned =
-      build_backtrack_tree(model_, sparse, 0, {.prune_zero_edges = true});
-  EXPECT_GT(full.size(), pruned.size());
-  const auto paths = backtrack_paths(pruned);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_NEAR(paths[0].weight, 0.54, 1e-12);
-}
-
 TEST_F(BacktrackTreeTest, MaxDepthStopsExpansion) {
-  const PropagationTree shallow =
-      build_backtrack_tree(model_, perm_, 0, {.max_depth = 2});
-  EXPECT_LT(shallow.size(), tree_.size());
+  // A chain of 100 one-input modules, M0 <- M1 <- ... <- M99 <- x: each
+  // module adds two tree levels, so the guard cuts the chain just past
+  // depth kMaxTreeDepth with a broken-feedback leaf instead of reaching x.
+  constexpr int kModules = 100;
+  const auto name = [](int m) {
+    return std::string("M").append(std::to_string(m));
+  };
+  SystemModelBuilder builder;
+  for (int m = 0; m < kModules; ++m) {
+    builder.add_module(name(m), {"in"}, {"out"});
+  }
+  builder.add_system_input("x");
+  builder.connect_system_input("x", name(kModules - 1), "in");
+  for (int m = 0; m + 1 < kModules; ++m) {
+    builder.connect(name(m + 1), "out", name(m), "in");
+  }
+  builder.add_system_output("y", "M0", "out");
+  const SystemModel chain = std::move(builder).build();
+  SystemPermeability perm(chain);
+  for (int m = 0; m < kModules; ++m) {
+    perm.set(chain, name(m), "in", "out", 0.5);
+  }
+
+  const PropagationTree tree = build_backtrack_tree(chain, perm, 0);
+  std::size_t max_depth = 0;
+  for (TreeNodeIndex n = 0; n < tree.size(); ++n) {
+    max_depth = std::max(max_depth, tree.depth(n));
+  }
+  EXPECT_GE(max_depth, kMaxTreeDepth);
+  EXPECT_LE(max_depth, kMaxTreeDepth + 1);
+  EXPECT_LT(tree.size(), 2u * kModules);
+  const auto paths = backtrack_paths(tree);
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_FALSE(paths[0].reaches_system_boundary);
+  EXPECT_TRUE(tree.node(paths[0].nodes.back()).feedback_break);
 }
 
 TEST_F(BacktrackTreeTest, InvalidSystemOutputViolatesContract) {

@@ -58,21 +58,34 @@ TEST_F(ExposureTest, ArcSetSizesMatchUniqueArcs) {
 }
 
 TEST_F(ExposureTest, SignalAbsentFromTreesIsMarked) {
-  // Cut the tree short: make the root module non-permeable and prune, so
-  // upstream signals never enter the tree.
-  SystemPermeability blocked(model_);
-  const auto trees = build_all_backtrack_trees(model_, blocked,
-                                               {.prune_zero_edges = true});
-  const auto exposures = signal_error_exposures(model_, trees);
+  // A's output "spare" feeds no module and no system output, so no
+  // backtrack tree ever reaches it, however permeable A is.
+  SystemModelBuilder builder;
+  builder.add_module("A", {"a"}, {"oa", "spare"});
+  builder.add_module("B", {"b"}, {"ob"});
+  builder.add_system_input("x");
+  builder.connect_system_input("x", "A", "a");
+  builder.connect("A", "oa", "B", "b");
+  builder.add_system_output("out", "B", "ob");
+  const SystemModel model = std::move(builder).build();
+  SystemPermeability perm(model);
+  perm.set(model, "A", "a", "oa", 0.5);
+  perm.set(model, "A", "a", "spare", 0.9);
+  perm.set(model, "B", "b", "ob", 0.5);
+  const auto trees = build_all_backtrack_trees(model, perm);
+  const auto exposures = signal_error_exposures(model, trees);
+  bool saw_spare = false;
   for (const SignalExposure& e : exposures) {
-    if (e.name == "oa1" || e.name == "ob1" || e.name == "ob2") {
-      EXPECT_FALSE(e.in_trees) << e.name;
+    if (e.name == "spare") {
+      saw_spare = true;
+      EXPECT_FALSE(e.in_trees);
       EXPECT_DOUBLE_EQ(e.exposure, 0.0);
     }
-    if (e.name == "oe1") {
-      EXPECT_TRUE(e.in_trees);  // the root itself
+    if (e.name == "oa" || e.name == "ob") {
+      EXPECT_TRUE(e.in_trees) << e.name;
     }
   }
+  EXPECT_TRUE(saw_spare);
 }
 
 TEST_F(ExposureTest, SortExposuresIsDescending) {

@@ -20,15 +20,6 @@ TEST_F(PermeabilityGraphTest, OneArcPerIoPair) {
   EXPECT_EQ(graph.arcs().size(), model_.io_pair_count());
 }
 
-TEST_F(PermeabilityGraphTest, ZeroArcsDroppedWhenRequested) {
-  SystemPermeability sparse(model_);
-  sparse.set(model_, "A", "a1", "oa1", 0.9);
-  const PermeabilityGraph keep(model_, sparse, {.keep_zero_arcs = true});
-  const PermeabilityGraph drop(model_, sparse, {.keep_zero_arcs = false});
-  EXPECT_EQ(keep.arcs().size(), model_.io_pair_count());
-  EXPECT_EQ(drop.arcs().size(), 1u);
-}
-
 TEST_F(PermeabilityGraphTest, IncomingArcsOnlyCountInternalSources) {
   const PermeabilityGraph graph(model_, perm_);
   // A and C are fed only by system inputs: no incoming arcs (OB1).
@@ -98,9 +89,9 @@ TEST_F(PermeabilityGraphTest, ArcTailMatchesModelWiring) {
 }
 
 TEST_F(PermeabilityGraphTest, DroppingZeroArcsChangesMeanExposure) {
-  // With zero arcs kept, a module with permeabilities {0.8, 0.0} has mean
-  // exposure 0.4; with them dropped, 0.8. Eq. 4's denominator is the arc
-  // count, so the option matters and must be documented behaviour.
+  // A module with permeabilities {0.8, 0.0} has mean exposure 0.4; had the
+  // zero arc been dropped, it would read 0.8. Eq. 4's denominator is the
+  // arc count, which is why the graph keeps zero arcs.
   SystemModelBuilder builder;
   builder.add_module("SRC", {}, {"s"});
   builder.add_module("M", {"i"}, {"o1", "o2"});
@@ -111,12 +102,18 @@ TEST_F(PermeabilityGraphTest, DroppingZeroArcsChangesMeanExposure) {
   p.set(model, "M", "i", "o1", 0.8);
 
   const ModuleId m = *model.find_module("M");
-  const PermeabilityGraph keep(model, p, {.keep_zero_arcs = true});
-  const PermeabilityGraph drop(model, p, {.keep_zero_arcs = false});
-  EXPECT_DOUBLE_EQ(keep.error_exposure(m), 0.4);
-  EXPECT_DOUBLE_EQ(drop.error_exposure(m), 0.8);
-  EXPECT_DOUBLE_EQ(keep.nonweighted_error_exposure(m), 0.8);
-  EXPECT_DOUBLE_EQ(drop.nonweighted_error_exposure(m), 0.8);
+  const PermeabilityGraph graph(model, p);
+  ASSERT_EQ(graph.incoming_arcs(m).size(), 2u);
+  std::size_t nonzero_arcs = 0;
+  for (const std::uint32_t arc : graph.incoming_arcs(m)) {
+    nonzero_arcs += graph.arcs()[arc].weight != 0.0;
+  }
+  EXPECT_EQ(nonzero_arcs, 1u);
+  EXPECT_DOUBLE_EQ(graph.error_exposure(m), 0.4);
+  EXPECT_DOUBLE_EQ(graph.nonweighted_error_exposure(m), 0.8);
+  EXPECT_DOUBLE_EQ(graph.nonweighted_error_exposure(m) /
+                       static_cast<double>(nonzero_arcs),
+                   0.8);
 }
 
 }  // namespace

@@ -212,18 +212,29 @@ TEST_P(RandomSystemProperty, AnalyzeRunsEndToEnd) {
 }
 
 TEST_P(RandomSystemProperty, PruningNeverChangesNonzeroPathWeights) {
+  // Pruning the zero edges of a tree keeps exactly the paths whose every
+  // edge is non-zero. Those must be the tree's non-zero paths, in the same
+  // order and with the same weights, so keeping zero edges (as the paper
+  // does) only adds zero paths.
   const auto sys = make_random_system(GetParam());
-  const PropagationTree full =
+  const PropagationTree tree =
       build_backtrack_tree(sys.model, sys.permeability, 0);
-  const PropagationTree pruned = build_backtrack_tree(
-      sys.model, sys.permeability, 0, {.prune_zero_edges = true});
-  auto full_paths = nonzero_paths(backtrack_paths(full));
-  auto pruned_paths = nonzero_paths(backtrack_paths(pruned));
-  sort_paths_by_weight(full_paths);
-  sort_paths_by_weight(pruned_paths);
-  ASSERT_EQ(full_paths.size(), pruned_paths.size());
-  for (std::size_t i = 0; i < full_paths.size(); ++i) {
-    EXPECT_NEAR(full_paths[i].weight, pruned_paths[i].weight, 1e-12);
+  const auto paths = backtrack_paths(tree);
+  std::vector<double> pruned_weights;
+  for (const PropagationPath& path : paths) {
+    double product = 1.0;
+    bool all_nonzero = true;
+    for (const TreeNodeIndex n : path.nodes) {
+      product *= tree.node(n).edge_weight;
+      all_nonzero = all_nonzero && tree.node(n).edge_weight != 0.0;
+    }
+    EXPECT_NEAR(path.weight, product, 1e-12);
+    if (all_nonzero) pruned_weights.push_back(product);
+  }
+  const auto nonzero = nonzero_paths(paths);
+  ASSERT_EQ(nonzero.size(), pruned_weights.size());
+  for (std::size_t i = 0; i < nonzero.size(); ++i) {
+    EXPECT_NEAR(nonzero[i].weight, pruned_weights[i], 1e-12);
   }
 }
 

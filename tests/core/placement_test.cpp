@@ -16,9 +16,8 @@ class PlacementTest : public ::testing::Test {
         backtrack_(build_all_backtrack_trees(model_, perm_)),
         trace_(build_all_trace_trees(model_, perm_)) {}
 
-  PlacementAdvice advise(PlacementOptions options = {}) {
-    return advise_placement(model_, perm_, graph_, backtrack_, trace_,
-                            options);
+  PlacementAdvice advise() {
+    return advise_placement(model_, perm_, graph_, backtrack_, trace_);
   }
 
   SystemModel model_ = make_example_system();
@@ -152,14 +151,6 @@ TEST_F(PlacementTest, ExclusionsFlagIndependentSignals) {
     }
   }
   EXPECT_TRUE(oc1_excluded);
-}
-
-TEST_F(PlacementTest, TopKTruncatesRankedLists) {
-  const auto advice = advise({.top_k = 2});
-  EXPECT_LE(advice.edm_modules.size(), 2u);
-  EXPECT_LE(advice.edm_signals.size(), 2u);
-  EXPECT_LE(advice.erm_modules.size(), 2u);
-  EXPECT_LE(advice.input_reach_signals.size(), 2u);
 }
 
 TEST_F(PlacementTest, ToStringCoversAllEnumerators) {

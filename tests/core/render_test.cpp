@@ -29,15 +29,8 @@ TEST_F(RenderTest, AsciiBacktrackTreeShowsRootAndWeights) {
 TEST_F(RenderTest, AsciiTreeArcAnnotations) {
   const PropagationTree tree = build_backtrack_tree(model_, perm_, 0);
   const std::string out =
-      render_ascii_tree(model_, tree, {.show_weights = true, .show_arcs = true});
+      render_ascii_tree(model_, tree, {.show_arcs = true});
   EXPECT_NE(out.find("P(E: e1->oe1)=0.750"), std::string::npos);
-}
-
-TEST_F(RenderTest, AsciiTreeWithoutWeights) {
-  const PropagationTree tree = build_backtrack_tree(model_, perm_, 0);
-  const std::string out =
-      render_ascii_tree(model_, tree, {.show_weights = false});
-  EXPECT_EQ(out.find("=0."), std::string::npos);
 }
 
 TEST_F(RenderTest, AsciiTraceTreeShowsSystemBoundaries) {

@@ -45,26 +45,6 @@ TEST_F(ReportWriterTest, CustomTitle) {
   EXPECT_EQ(text.substr(0, 12), "# My system\n");
 }
 
-TEST_F(ReportWriterTest, TreesCanBeOmitted) {
-  const std::string text = render({.include_trees = false});
-  EXPECT_EQ(text.find("## Backtrack trees"), std::string::npos);
-  EXPECT_EQ(text.find("## Trace trees"), std::string::npos);
-}
-
-TEST_F(ReportWriterTest, DotAppendixIsOptIn) {
-  EXPECT_EQ(render().find("```dot"), std::string::npos);
-  const std::string with_dot = render({.include_dot = true});
-  EXPECT_NE(with_dot.find("```dot"), std::string::npos);
-  EXPECT_NE(with_dot.find("digraph"), std::string::npos);
-}
-
-TEST_F(ReportWriterTest, MaxPathsTruncatesTheListing) {
-  const std::string text = render({.max_paths = 2});
-  EXPECT_NE(text.find("Top 2 of 7 paths"), std::string::npos);
-  // Only two data rows in the paths table: rank "| 3" absent.
-  EXPECT_EQ(text.find("| 3 |"), std::string::npos);
-}
-
 TEST_F(ReportWriterTest, ExclusionsListed) {
   const std::string text = render();
   EXPECT_NE(text.find("advises against instrumenting"), std::string::npos);

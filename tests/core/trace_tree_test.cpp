@@ -108,13 +108,21 @@ TEST_F(TraceTreeTest, TraceTreeForIC1GoesThroughD) {
 }
 
 TEST_F(TraceTreeTest, DeadEndsAreMarkedNotReported) {
-  // Make E fully non-permeable: every trace path dies before the output.
-  SystemPermeability blocked = make_example_permeability(model_);
-  blocked.set(model_, "E", "e1", "oe1", 0.0);
-  blocked.set(model_, "E", "e2", "oe1", 0.0);
-  blocked.set(model_, "E", "e3", "oe1", 0.0);
-  const PropagationTree tree =
-      build_trace_tree(model_, blocked, 0, {.prune_zero_edges = true});
+  // Input x reaches only A's unconsumed output "lost": the trace path dies
+  // before any system output. B feeds the system output from input y.
+  SystemModelBuilder builder;
+  builder.add_module("A", {"a"}, {"lost"});
+  builder.add_module("B", {"b"}, {"ob"});
+  builder.add_system_input("x");
+  builder.add_system_input("y");
+  builder.connect_system_input("x", "A", "a");
+  builder.connect_system_input("y", "B", "b");
+  builder.add_system_output("out", "B", "ob");
+  const SystemModel model = std::move(builder).build();
+  SystemPermeability perm(model);
+  perm.set(model, "A", "a", "lost", 0.9);
+  perm.set(model, "B", "b", "ob", 0.9);
+  const PropagationTree tree = build_trace_tree(model, perm, 0);
   EXPECT_TRUE(trace_paths(tree).empty());
   bool has_dead_end = false;
   for (const TreeNode& n : tree.nodes()) {

@@ -108,6 +108,36 @@ TEST(Campaign, InjectionAfterRunEndHasNoEffect) {
   }
 }
 
+TEST(Campaign, HooksOverloadStreamsRecordsToTheSink) {
+  const CampaignConfig config = toy_config();
+  const CampaignResult in_memory = run_campaign(toy_run, config);
+
+  // Skip test case 1: the sink sees only the executed runs, and the result
+  // holds no record at all.
+  std::mutex mutex;
+  std::vector<InjectionRecord> streamed;
+  CampaignHooks hooks;
+  hooks.should_run = [](std::uint32_t, std::uint32_t test_case) {
+    return test_case != 1;
+  };
+  hooks.on_record = [&](InjectionRecord&& record) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    streamed.push_back(std::move(record));
+  };
+  const CampaignResult result = run_campaign(toy_run, config, hooks);
+  EXPECT_TRUE(result.records.empty());
+  EXPECT_EQ(result.goldens.size(), 3u);
+  ASSERT_EQ(streamed.size(), 6u);
+  for (const InjectionRecord& record : streamed) {
+    EXPECT_NE(record.test_case, 1u);
+    const InjectionRecord& expected = in_memory.records[campaign_flat_index(
+        config, record.injection_index, record.test_case)];
+    EXPECT_EQ(record.report.per_signal.size(), 2u);
+    EXPECT_TRUE(std::ranges::equal(record.report.diverged(),
+                                   expected.report.diverged()));
+  }
+}
+
 TEST(Campaign, DeterministicAcrossThreadCounts) {
   CampaignConfig one = toy_config();
   one.threads = 1;
@@ -285,7 +315,6 @@ TEST(Campaign, PlannerPacksRequestsToTheKernelWidth) {
       config.threads = threads;
       CampaignHooks hooks;
       hooks.should_run = shape.should_run;
-      hooks.collect_records = false;
       run_campaign(probe.runner(), config, hooks);
 
       const std::size_t requests = probe.request_lanes.size();

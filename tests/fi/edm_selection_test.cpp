@@ -53,29 +53,18 @@ TEST(EdmSelection, CostChangesTheGreedyOrder) {
   EXPECT_EQ(result.steps[0].candidate, 1u);
 }
 
-TEST(EdmSelection, BudgetStopsSelection) {
-  const std::vector<CandidateEdm> candidates = {
-      candidate("a", {true, false, false}, 1.0),
-      candidate("b", {false, true, false}, 1.0),
-      candidate("c", {false, false, true}, 1.0),
-  };
-  const auto result =
-      select_edms_greedy(candidates, 3, {.cost_budget = 2.0});
-  EXPECT_EQ(result.steps.size(), 2u);
-  EXPECT_EQ(result.covered, 2u);
-  EXPECT_LE(result.steps.back().cumulative_cost, 2.0);
-}
-
 TEST(EdmSelection, TargetCoverageStopsEarly) {
+  // Full coverage is the target: once "a" covers every error, the
+  // overlapping candidates add nothing and are never picked.
   const std::vector<CandidateEdm> candidates = {
-      candidate("a", {true, true, false, false}),
+      candidate("a", {true, true, true, true}),
       candidate("b", {false, false, true, false}),
-      candidate("c", {false, false, false, true}),
+      candidate("c", {true, false, false, true}),
   };
-  const auto result =
-      select_edms_greedy(candidates, 4, {.target_coverage = 0.5});
-  EXPECT_EQ(result.steps.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.coverage(), 0.5);
+  const auto result = select_edms_greedy(candidates, 4);
+  ASSERT_EQ(result.steps.size(), 1u);
+  EXPECT_EQ(result.steps[0].candidate, 0u);
+  EXPECT_DOUBLE_EQ(result.coverage(), 1.0);
 }
 
 TEST(EdmSelection, UselessCandidatesNeverPicked) {

@@ -185,15 +185,20 @@ TEST(Estimator, CotimedOtherProducerDivergenceIsIndirect) {
   EXPECT_EQ(est.pair(1, 1, 0).indirect_errors, 1u);
 }
 
-TEST(Estimator, DirectOnlyFalseCountsEverything) {
+TEST(Estimator, EveryDivergenceIsDirectOrIndirect) {
+  // P counts direct errors only (Section 7.3); every observed output
+  // divergence is errors + indirect_errors.
   const SystemModel model = feedback_model();
   const SignalBinding binding = bind_names(model, {"x", "a", "b"});
-  const CampaignResult c =
-      fake_campaign({"x", "a", "b"}, {{2, {SIZE_MAX, 1, 3}}});
-  const EstimationResult est = estimate_permeability(
-      model, binding, c, EstimationOptions{.direct_only = false});
-  EXPECT_EQ(est.pair(1, 1, 0).errors, 1u);
-  EXPECT_EQ(est.pair(1, 1, 0).indirect_errors, 1u);
+  const CampaignResult c = fake_campaign(
+      {"x", "a", "b"}, {{2, {SIZE_MAX, 1, 3}}, {2, {SIZE_MAX, 5, 3}}});
+  const EstimationResult est = estimate_permeability(model, binding, c);
+  const PairEstimate& pair = est.pair(1, 1, 0);
+  EXPECT_EQ(pair.injections, 2u);
+  EXPECT_EQ(pair.errors, 1u);
+  EXPECT_EQ(pair.indirect_errors, 1u);
+  EXPECT_EQ(pair.errors + pair.indirect_errors, 2u);
+  EXPECT_DOUBLE_EQ(pair.permeability(), 0.5);
 }
 
 TEST(Estimator, FanOutTargetCreditsEveryConsumer) {
@@ -269,14 +274,18 @@ TEST(Accumulator, StreamingFoldMatchesBatchInAnyOrder) {
   }
 }
 
-TEST(Accumulator, SkippedRunPlaceholdersAreIgnored) {
+TEST(Accumulator, ReportNarrowerThanTheBindingIsAContractError) {
   const SystemModel model = chain_model();
   const SignalBinding binding = bind_names(model, {"src", "dst"});
   PermeabilityAccumulator accumulator(model, binding, 2);
-  InjectionRecord placeholder;  // empty report = run never executed
-  accumulator.add(placeholder);
+  InjectionRecord record;  // width 0 covers no bound signal
+  EXPECT_THROW(accumulator.add(record), ContractViolation);
+  record.report = DivergenceReport(1);  // covers src but not dst
+  EXPECT_THROW(accumulator.add(record), ContractViolation);
   EXPECT_EQ(accumulator.record_count(), 0u);
-  EXPECT_EQ(accumulator.finish().pair(0, 0, 0).injections, 0u);
+  record.report = DivergenceReport(2);
+  accumulator.add(record);
+  EXPECT_EQ(accumulator.record_count(), 1u);
 }
 
 TEST(Estimator, PairLookupContractOnUnknownPair) {

@@ -50,8 +50,8 @@ TEST(SignalBus, SnapshotMatchesIdOrder) {
 }
 
 TEST(SignalBus, FindScalesWithoutNameCopies) {
-  // find() is index-backed: string_view lookups work on a large bus and
-  // resolve to the right id for every signal, first and last included.
+  // string_view lookups work on a bus wider than any real one and resolve
+  // to the right id for every signal, first and last included.
   SignalBus bus;
   std::vector<BusSignalId> ids;
   for (int i = 0; i < 200; ++i) {

@@ -210,6 +210,14 @@ TEST(InjectionRecordCodec, RejectsDescendingDivergenceSignals) {
                ContractViolation);
 }
 
+TEST(InjectionRecordCodec, RejectsAZeroWidthReport) {
+  fi::InjectionRecord record;
+  record.injection_index = 3;
+  const auto bytes = encode_injection_record(record);
+  EXPECT_THROW(decode_injection_record(bytes.data(), bytes.size()),
+               ContractViolation);
+}
+
 // The v3 payload of one fixed record, as encoded before reports took the
 // journal's form in memory: the journal format must not move.
 TEST(InjectionRecordCodec, V3BytesArePinned) {
